@@ -6,8 +6,7 @@
 #include <memory>
 
 #include "chan/channel.h"
-#include "chan/fanin.h"
-#include "chan/fanout.h"
+#include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "dipc/proxy.h"
@@ -419,7 +418,7 @@ MicroResult MeasureChannel(const MicroConfig& config) {
   // One slot makes the stream synchronous: AcquireBuf blocks until the
   // consumer released the previous message, matching the round-trip
   // semantics of the other design points.
-  chan::ChannelConfig cc{.slots = 1,
+  chan::PlaneConfig cc{.slots = 1,
                          .buf_bytes = std::max<uint64_t>(config.arg_bytes, 64)};
   auto ch = chan::Channel::Create(dipc, prod, cons, cc);
   DIPC_CHECK(ch.ok());
@@ -467,7 +466,7 @@ double MeasureChannelStream(const ChanStreamConfig& config) {
   os::Process& prod = dipc.CreateDipcProcess("producer");
   os::Process& cons = dipc.CreateDipcProcess("consumer");
   const int batch = std::max(1, config.batch);
-  chan::ChannelConfig cc{.slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch)),
+  chan::PlaneConfig cc{.slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch)),
                          .buf_bytes = std::max<uint64_t>(config.payload_bytes, 64)};
   auto ch = chan::Channel::Create(dipc, prod, cons, cc);
   DIPC_CHECK(ch.ok());
@@ -560,11 +559,11 @@ double MeasureFanOutStream(const FanOutStreamConfig& config) {
   for (uint32_t r = 0; r < n_recv; ++r) {
     recv_procs.push_back(&dipc.CreateDipcProcess("worker"));
   }
-  chan::FanOutConfig cc{.slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch)),
-                        .buf_bytes = std::max<uint64_t>(config.payload_bytes, 64)};
-  auto ch = chan::FanOutChannel::Create(dipc, prod, recv_procs, cc);
+  chan::PlaneConfig cc{.slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch)),
+                       .buf_bytes = std::max<uint64_t>(config.payload_bytes, 64)};
+  auto ch = chan::Plane::Create(dipc, prod, recv_procs, cc);
   DIPC_CHECK(ch.ok());
-  std::shared_ptr<chan::FanOutChannel> fan = ch.value();
+  std::shared_ptr<chan::Plane> fan = ch.value();
   const int warmup = static_cast<int>(cc.slots) + batch;
   const int total = config.messages + warmup;
   sim::Time t0, t_end;
@@ -602,7 +601,7 @@ double MeasureFanOutStream(const FanOutStreamConfig& config) {
             t0 = env.kernel->now();
           }
           uint32_t want = static_cast<uint32_t>(std::min(batch, total - sent));
-          auto bufs = co_await fan->AcquireBufBatch(env, want);
+          auto bufs = co_await fan->AcquireBufBatch(env, 0, want);
           DIPC_CHECK(bufs.ok());
           std::vector<chan::SendItem> items;
           items.reserve(bufs.value().size());
@@ -615,9 +614,9 @@ double MeasureFanOutStream(const FanOutStreamConfig& config) {
           if (config.shard) {
             uint32_t shard = fan->NextShard();
             DIPC_CHECK(shard < fan->receiver_count());
-            sent_s = co_await fan->SendToBatch(env, items, shard);
+            sent_s = co_await fan->SendToBatch(env, 0, items, shard);
           } else {
-            sent_s = co_await fan->SendBatch(env, items);
+            sent_s = co_await fan->SendBatch(env, 0, items);
           }
           DIPC_CHECK(sent_s.ok());
           sent += static_cast<int>(items.size());
@@ -644,12 +643,12 @@ double MeasureFanInStream(const FanInStreamConfig& config) {
     prod_procs.push_back(&dipc.CreateDipcProcess("client"));
   }
   os::Process& cons = dipc.CreateDipcProcess("server");
-  chan::FanInConfig cc{
+  chan::PlaneConfig cc{
       .slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch) * n_prod),
       .buf_bytes = std::max<uint64_t>(config.payload_bytes, 64)};
-  auto ch = chan::FanInChannel::Create(dipc, prod_procs, cons, cc);
+  auto ch = chan::Plane::Create(dipc, prod_procs, cons, cc);
   DIPC_CHECK(ch.ok());
-  std::shared_ptr<chan::FanInChannel> fan = ch.value();
+  std::shared_ptr<chan::Plane> fan = ch.value();
   const int warmup = static_cast<int>(cc.slots) + batch * static_cast<int>(n_prod);
   const int per_prod =
       (config.messages + warmup + static_cast<int>(n_prod) - 1) / static_cast<int>(n_prod);
@@ -661,15 +660,15 @@ double MeasureFanInStream(const FanInStreamConfig& config) {
       [&, fan](os::Env env) -> sim::Task<void> {
         os::Kernel& k = *env.kernel;
         while (true) {
-          auto msgs = co_await fan->RecvBatch(env, static_cast<uint32_t>(batch));
+          auto msgs = co_await fan->RecvBatch(env, 0, static_cast<uint32_t>(batch));
           if (!msgs.ok()) {
             co_return;  // kBrokenChannel after the drain
           }
           for (const chan::Msg& m : msgs.value()) {
-            fan->BindRecvCap(*env.self, m);
+            fan->BindRecvCap(*env.self, 0, m);
             (void)co_await k.TouchUser(env, m.va, m.len, hw::AccessType::kRead);
           }
-          DIPC_CHECK((co_await fan->ReleaseBatch(env, msgs.value())).ok());
+          DIPC_CHECK((co_await fan->ReleaseBatch(env, 0, msgs.value())).ok());
           received += static_cast<int>(msgs.value().size());
           if (received <= warmup) {
             t0 = env.kernel->now();

@@ -70,11 +70,11 @@ struct ChanStreamConfig {
 };
 double MeasureChannelStream(const ChanStreamConfig& config);
 
-// Fan-out streaming (src/chan/fanout.h): one producer publishes `messages`
-// payloads to `receivers` receivers through a FanOutChannel — per-receiver
-// epoch-cached read grants, credit-based flow control — either broadcast
-// (every receiver gets every message) or round-robin sharded (each message
-// to one receiver, the OLTP request-distribution shape). Receivers run on
+// Fan-out streaming (src/chan/plane.h): one producer publishes `messages`
+// payloads to a group of `receivers` receivers through one plane —
+// per-receiver epoch-cached read grants, credit-based flow control — either
+// broadcast (every receiver gets every message) or round-robin sharded (each
+// message to one receiver, the OLTP request-distribution shape). Receivers run on
 // their own CPUs. Returns the steady-state wall time in ns per *published*
 // message, i.e. what one producer-side message admission costs end to end.
 struct FanOutStreamConfig {
@@ -86,10 +86,10 @@ struct FanOutStreamConfig {
 };
 double MeasureFanOutStream(const FanOutStreamConfig& config);
 
-// Fan-in streaming (src/chan/fanin.h): `producers` producer domains each
-// publish their share of `messages` payloads into one consumer through a
-// FanInChannel — per-producer epoch-cached write grants, per-producer
-// credit lines, one shared descriptor FIFO. Producers run on their own
+// Fan-in streaming (src/chan/plane.h): `producers` producer domains each
+// publish their share of `messages` payloads into one consumer through one
+// plane — per-producer epoch-cached write grants, per-producer credit
+// lines, one shared descriptor FIFO. Producers run on their own
 // CPUs. Returns the steady-state wall time in ns per *delivered* message,
 // i.e. what one admission into the shared consumer costs end to end.
 struct FanInStreamConfig {

@@ -62,6 +62,11 @@ sim::Task<base::Status> ChanVerbCall(os::Env env, chan::DuplexEndpoint& ep, uint
   DIPC_CHECK(k.UserWrite(*env.self, buf.value().va, std::as_bytes(std::span(hdr))).ok());
   auto sent = co_await ep.Send(env, buf.value(), kChanHdrBytes);
   if (!sent.ok()) {
+    // A send that fails on a healthy channel (an injected fault) leaves the
+    // buffer ours, grant live: hand it back before bailing.
+    if (ep.out().broken() == base::ErrorCode::kOk) {
+      (void)co_await ep.Abandon(env, buf.value());
+    }
     co_return sent;
   }
   auto ack = co_await ep.Recv(env);
@@ -92,6 +97,9 @@ sim::Task<base::Status> ChanBurstRound(os::Env env, chan::DuplexEndpoint& ep, in
   }
   auto sent = co_await ep.SendBatch(env, items);
   if (!sent.ok()) {
+    if (ep.out().broken() == base::ErrorCode::kOk) {
+      (void)co_await ep.AbandonBatch(env, bufs.value());  // see ChanVerbCall
+    }
     co_return sent;
   }
   size_t acked = 0;
@@ -242,8 +250,8 @@ NetpipeResult RunNetpipe(const NetpipeConfig& config) {
       os::Process& app = dipc.CreateDipcProcess("app");
       os::Process& drv = dipc.CreateDipcProcess("ibdriver");
       const int burst = std::max(1, config.burst);
-      chan::ChannelConfig cc{.slots = std::max(4u, static_cast<uint32_t>(2 * burst)),
-                             .buf_bytes = 64};
+      chan::PlaneConfig cc{.slots = std::max(4u, static_cast<uint32_t>(2 * burst)),
+                           .buf_bytes = 64};
       auto dx = chan::DuplexChannel::Create(dipc, app, drv, cc);
       DIPC_CHECK(dx.ok());
       std::shared_ptr<chan::DuplexEndpoint> app_end = dx.value()->a_end();
@@ -283,6 +291,9 @@ NetpipeResult RunNetpipe(const NetpipeConfig& config) {
                 items.push_back(chan::SendItem{b, kChanHdrBytes});
               }
               if (!(co_await drv_end->SendBatch(env, items)).ok()) {
+                if (drv_end->out().broken() == base::ErrorCode::kOk) {
+                  (void)co_await drv_end->AbandonBatch(env, acks.value());  // see ChanVerbCall
+                }
                 co_return;
               }
             }

@@ -8,7 +8,6 @@
 
 #include "apps/oltp/disk.h"
 #include "chan/channel.h"
-#include "chan/fanout.h"
 #include "fabric/fabric.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
@@ -461,8 +460,8 @@ OltpResult RunOltp(const OltpConfig& config) {
                                                .ctrl_tag = php_db_t.ctrl,
                                                .data_tag = php_db_t.data,
                                                .rt_tag = php_db_t.rt},
-                                              chan::ChannelConfig{.slots = 4,
-                                                                  .buf_bytes = kDbRespBytes});
+                                              chan::PlaneConfig{.slots = 4,
+                                                                .buf_bytes = kDbRespBytes});
         DIPC_CHECK(dx.ok());
         std::shared_ptr<chan::DuplexEndpoint> php_db_end = dx.value()->a_end();
         std::shared_ptr<chan::DuplexEndpoint> db_end = dx.value()->b_end();

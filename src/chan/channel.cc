@@ -1,567 +1,24 @@
 #include "chan/channel.h"
 
-#include <algorithm>
-
-#include "chan/desc.h"
-#include "chan/futex.h"
-#include "fault/fault.h"
-
 namespace dipc::chan {
 
-using internal::ClearRegIfHolds;
-using internal::DescIndex;
-using internal::DescLen;
-using internal::kLenMask;
-using internal::kMaxSlots;
-using internal::PackDesc;
-using os::TimeCat;
-
-Channel::Channel(core::Dipc& dipc, os::Process& sender, os::Process& receiver, ChannelConfig cfg)
-    : kernel_(dipc.kernel()), sender_proc_(&sender), receiver_proc_(&receiver), cfg_(cfg) {}
-
 base::Result<std::shared_ptr<Channel>> Channel::Create(core::Dipc& dipc, os::Process& sender,
-                                                       os::Process& receiver, ChannelConfig cfg) {
-  if (cfg.slots == 0 || cfg.slots > kMaxSlots || cfg.buf_bytes == 0 ||
-      cfg.buf_bytes > kLenMask) {
-    return base::ErrorCode::kInvalidArgument;
+                                                       os::Process& receiver, PlaneConfig cfg) {
+  auto ch = std::shared_ptr<Channel>(new Channel(dipc, cfg));
+  os::Process* const producers[] = {&sender};
+  os::Process* const receivers[] = {&receiver};
+  base::Status st = ch->Init(dipc, producers, false, receivers, false);
+  if (!st.ok()) {
+    return st.code();
   }
-  if (!sender.dipc_enabled() || !receiver.dipc_enabled()) {
-    // The zero-copy path needs the shared page table of the global VAS.
-    return base::ErrorCode::kNotSupported;
-  }
-  os::Kernel& kernel = dipc.kernel();
-  auto ch = std::shared_ptr<Channel>(new Channel(dipc, sender, receiver, cfg));
-  codoms::AplTable& apl = kernel.codoms().apl_table();
-  ch->ctrl_tag_ = cfg.ctrl_tag != hw::kInvalidDomainTag ? cfg.ctrl_tag : apl.AllocateTag();
-  ch->data_tag_ = cfg.data_tag != hw::kInvalidDomainTag ? cfg.data_tag : apl.AllocateTag();
-  ch->rt_tag_ = cfg.rt_tag != hw::kInvalidDomainTag ? cfg.rt_tag : apl.AllocateTag();
-  // One-time APL setup (creation is rare; per-message paths never touch
-  // APLs, so APL-cache entries stay warm): both endpoints may use the
-  // control segment, both may *call into* the runtime domain, and only the
-  // runtime domain reaches the data domain.
-  apl.Grant(sender.default_domain(), ch->ctrl_tag_, codoms::Perm::kWrite);
-  apl.Grant(receiver.default_domain(), ch->ctrl_tag_, codoms::Perm::kWrite);
-  apl.Grant(sender.default_domain(), ch->rt_tag_, codoms::Perm::kCall);
-  apl.Grant(receiver.default_domain(), ch->rt_tag_, codoms::Perm::kCall);
-  apl.Grant(ch->rt_tag_, ch->data_tag_, codoms::Perm::kWrite);
-
-  ch->buf_stride_ = hw::PageRoundUp(cfg.buf_bytes);
-  auto data = MapSegment(kernel, sender, ch->buf_stride_ * cfg.slots, ch->data_tag_);
-  if (!data.ok()) {
-    return data.code();
-  }
-  ch->data_seg_ = data.value();
-  auto caps = MapSegment(kernel, sender, uint64_t{cfg.slots} * codoms::kCapMemBytes,
-                         ch->ctrl_tag_, /*cap_storage=*/true);
-  if (!caps.ok()) {
-    return caps.code();
-  }
-  ch->cap_seg_ = caps.value();
-  ch->RegisterMetrics();
-  const std::string prefix = "chan/" + std::to_string(ch->obs_id_);
-  ch->desc_ = std::make_unique<MpmcQueue>(kernel, sender, cfg.slots, ch->ctrl_tag_,
-                                          prefix + "/desc", ch->obs_id_);
-  ch->free_ = std::make_unique<MpmcQueue>(kernel, sender, cfg.slots, ch->ctrl_tag_,
-                                          prefix + "/free", ch->obs_id_);
-  for (uint32_t i = 0; i < cfg.slots; ++i) {
-    ch->free_->Prime(i);
-  }
-  ch->sender_caps_.resize(cfg.slots);
-  ch->receiver_caps_.resize(cfg.slots);
-  ch->wcap_tmpl_.resize(cfg.slots);
-  ch->rcap_tmpl_.resize(cfg.slots);
-  ch->tctx_.resize(cfg.slots, 0);
-
-  std::weak_ptr<Channel> weak = ch;
-  dipc.AddDeathHook([weak](os::Process& dead) {
-    auto live = weak.lock();
-    if (live == nullptr) {
-      return false;  // channel gone: unregister the hook
-    }
-    live->OnProcessDeath(dead);
-    return true;
-  });
   return ch;
 }
 
-void Channel::RegisterMetrics() {
-  obs_id_ = obs::NewObjectId();
-  const std::string p = "chan/" + std::to_string(obs_id_) + "/";
-  obs::Registry& reg = obs::Registry::Default();
-  m_sends_ = reg.GetCounter(p + "sends");
-  m_recvs_ = reg.GetCounter(p + "recvs");
-  m_acquires_ = reg.GetCounter(p + "acquires");
-  m_releases_ = reg.GetCounter(p + "releases");
-  m_cold_mints_ = reg.GetCounter(p + "cold_mints");
-  m_rebinds_ = reg.GetCounter(p + "rebinds");
-  m_revokes_ = reg.GetCounter(p + "revokes");
-  m_send_batch_ = reg.GetHistogram(p + "send_batch");
-  m_recv_batch_ = reg.GetHistogram(p + "recv_batch");
-}
-
-base::Result<codoms::Capability> Channel::GrantCap(os::Env env, uint32_t index,
-                                                   codoms::Perm rights, sim::Duration* cost) {
-  const bool write = rights == codoms::Perm::kWrite;
-  std::optional<codoms::Capability>& tmpl = write ? wcap_tmpl_[index] : rcap_tmpl_[index];
-  codoms::ThreadCapContext& ctx = env.self->cap_ctx();
-  hw::DomainTag saved = ctx.current_domain;
-  ctx.current_domain = rt_tag_;
-  sim::Duration c;
-  base::Result<codoms::Capability> cap = base::ErrorCode::kFault;
-  obs::TraceRing& tr = obs::Trace();
-  if (tmpl.has_value()) {
-    // Warm path: re-snapshot the cached capability against its counter —
-    // no mint, no APL traversal (§4.2 revocation counters as an ownership
-    // rotation mechanism).
-    cap = env.kernel->codoms().CapRebind(*tmpl, ctx, &c);
-    m_rebinds_->Add();
-    c += tr.event_cost();
-    tr.Record(env.self->last_cpu(), obs::EventType::kCapRebind, obs_id_, index,
-              env.kernel->now());
-  } else {
-    // Cold path, once per slot per direction: full mint through the
-    // runtime's APL grant over the data domain.
-    ++cold_mints_;
-    m_cold_mints_->Add();
-    c += tr.event_cost();
-    tr.Record(env.self->last_cpu(), obs::EventType::kCapMint, obs_id_, index,
-              env.kernel->now());
-    cap = env.kernel->codoms().CapFromApl(env.self->last_cpu(),
-                                          env.self->process().page_table(), ctx, buf_va(index),
-                                          buf_stride_, rights, codoms::CapType::kAsync, &c);
-  }
-  ctx.current_domain = saved;
-  *cost += c;
-  if (cap.ok()) {
-    tmpl = cap.value();
-  }
-  return cap;
-}
-
-sim::Task<base::Result<SendBuf>> Channel::AcquireBuf(os::Env env, os::Deadline deadline) {
-  auto batch = co_await AcquireBufBatch(env, 1, deadline);
-  if (!batch.ok()) {
-    co_return batch.code();
-  }
-  co_return batch.value()[0];
-}
-
-sim::Task<base::Result<std::vector<SendBuf>>> Channel::AcquireBufBatch(os::Env env,
-                                                                       uint32_t max_n,
-                                                                       os::Deadline deadline) {
-  os::Kernel& k = *env.kernel;
-  if (max_n == 0) {
-    co_return base::ErrorCode::kInvalidArgument;
-  }
-  if (broken_ != base::ErrorCode::kOk) {
-    co_return broken_;
-  }
-  std::vector<uint64_t> indices(std::min<uint32_t>(max_n, cfg_.slots));
-  auto popped = co_await free_->PopN(env, std::span(indices), deadline);
-  if (!popped.ok()) {
-    co_return broken_ != base::ErrorCode::kOk ? broken_ : popped.code();
-  }
-  indices.resize(popped.value());
-  // One cross-domain call into the runtime covers the whole batch.
-  sim::Duration cost = k.costs().function_call + k.costs().domain_switch * 2;
-  std::vector<codoms::Capability> caps;
-  caps.reserve(indices.size());
-  for (uint64_t idx : indices) {
-    auto cap = GrantCap(env, static_cast<uint32_t>(idx), codoms::Perm::kWrite, &cost);
-    if (!cap.ok()) {
-      // Undo: revoke what was granted and return every slot to the pool.
-      for (const auto& granted : caps) {
-        DIPC_CHECK(k.codoms().CapRevoke(granted).ok());
-      }
-      (void)co_await free_->PushN(env, std::span(indices));  // don't leak the slots
-      co_return cap.code();
-    }
-    caps.push_back(cap.value());
-  }
-  m_acquires_->Add(indices.size());
-  cost += obs::Trace().event_cost();
-  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kAcquireBatch, obs_id_,
-                      indices.size(), k.now());
-  co_await k.Spend(*env.self, cost, TimeCat::kUser);
-  if (broken_ != base::ErrorCode::kOk) {
-    // The peer died during the Spend: teardown has already swept
-    // sender_caps_, so recording the grants now would leave them unrevoked
-    // forever. Revoke them ourselves and surface the crash.
-    for (const auto& granted : caps) {
-      DIPC_CHECK(k.codoms().CapRevoke(granted).ok());
-    }
-    co_return broken_;
-  }
-  std::vector<SendBuf> out;
-  out.reserve(indices.size());
-  for (size_t j = 0; j < indices.size(); ++j) {
-    auto index = static_cast<uint32_t>(indices[j]);
-    sender_caps_[index] = caps[j];
-    out.push_back(SendBuf{buf_va(index), cfg_.buf_bytes, index});
-  }
-  env.self->cap_ctx().regs.Set(kSenderCapReg, caps.back());
-  co_return out;
-}
-
-void Channel::BindSendCap(os::Thread& t, const SendBuf& buf) const {
-  if (buf.index < cfg_.slots && sender_caps_[buf.index].has_value()) {
-    t.cap_ctx().regs.Set(kSenderCapReg, *sender_caps_[buf.index]);
-  }
-}
-
-void Channel::BindRecvCap(os::Thread& t, const Msg& msg) const {
-  if (msg.index < cfg_.slots && receiver_caps_[msg.index].has_value()) {
-    t.cap_ctx().regs.Set(kReceiverCapReg, *receiver_caps_[msg.index]);
-  }
-}
-
-sim::Task<base::Status> Channel::Send(os::Env env, const SendBuf& buf, uint64_t len,
-                                      os::Deadline deadline) {
-  SendItem item{buf, len};
-  co_return co_await SendBatch(env, std::span(&item, 1), deadline);
-}
-
-sim::Task<base::Status> Channel::SendBatch(os::Env env, std::span<const SendItem> items,
-                                           os::Deadline deadline) {
-  os::Kernel& k = *env.kernel;
-  const hw::CostModel& cm = k.costs();
-  sim::Duration fault_delay;
-  {
-    // Probed before the broken_ check so a scripted "kill at the Nth send"
-    // surfaces through the regular dead-peer path on this very call.
-    fault::Decision d = DIPC_FAULT_POINT(kChanSend, env.self->last_cpu());
-    if (d.fail()) {
-      co_return base::ErrorCode::kFault;
-    }
-    if (d.action == fault::Action::kDelay) {
-      fault_delay = d.delay;
-    }
-  }
-  if (broken_ != base::ErrorCode::kOk) {
-    co_return broken_;
-  }
-  if (items.empty()) {
-    co_return base::ErrorCode::kInvalidArgument;
-  }
-  // Pairwise duplicate check: batches are small (<= slots, typically <= 64),
-  // so O(N^2) beats allocating an O(slots) table on every Send (N=1 is the
-  // single-message hot path and must stay allocation-light).
-  for (size_t j = 0; j < items.size(); ++j) {
-    const SendItem& it = items[j];
-    if (it.buf.index >= cfg_.slots || it.len == 0 || it.len > cfg_.buf_bytes ||
-        !sender_caps_[it.buf.index].has_value()) {
-      co_return base::ErrorCode::kInvalidArgument;
-    }
-    for (size_t i = 0; i < j; ++i) {
-      if (items[i].buf.index == it.buf.index) {
-        co_return base::ErrorCode::kInvalidArgument;
-      }
-    }
-  }
-  // One fast-path charge and one runtime entry for the whole batch.
-  sim::Duration cost = cm.chan_fast_path + cm.function_call + cm.domain_switch * 2 + fault_delay;
-  // Phase 1 (no suspension): grant the read-only views (immutability: a
-  // published message can never be modified again, by anyone) and publish
-  // them through the capability-storage descriptor slots. An error here
-  // leaves the sender owning every buffer — nothing leaks, nothing moves.
-  std::vector<codoms::Capability> rcaps;
-  rcaps.reserve(items.size());
-  for (const SendItem& it : items) {
-    auto rcap = GrantCap(env, it.buf.index, codoms::Perm::kRead, &cost);
-    if (!rcap.ok()) {
-      for (const auto& granted : rcaps) {
-        DIPC_CHECK(k.codoms().CapRevoke(granted).ok());
-      }
-      co_return rcap.code();
-    }
-    sim::Duration store_cost;
-    base::Status stored = k.codoms().CapStore(env.self->process().page_table(),
-                                              env.self->cap_ctx(), CapSlotVa(it.buf.index),
-                                              rcap.value(), &store_cost);
-    if (!stored.ok()) {
-      // The minted read grants are not yet referenced anywhere; revoke them
-      // so no unreachable-but-valid capability over the buffers leaks.
-      DIPC_CHECK(k.codoms().CapRevoke(rcap.value()).ok());
-      for (const auto& granted : rcaps) {
-        DIPC_CHECK(k.codoms().CapRevoke(granted).ok());
-      }
-      co_return stored;
-    }
-    cost += store_cost;
-    rcaps.push_back(rcap.value());
-  }
-  // Move semantics: the sender's ownership of the whole batch ends *before*
-  // the receiver can observe any of it (the descriptor push below is what
-  // publishes). Revocation is one unprivileged counter bump per buffer.
-  for (const SendItem& it : items) {
-    ClearRegIfHolds(*env.self, kSenderCapReg, *sender_caps_[it.buf.index]);
-    DIPC_CHECK(k.codoms().CapRevoke(*sender_caps_[it.buf.index]).ok());
-    cost += cm.cap_revoke;
-    sender_caps_[it.buf.index].reset();
-  }
-  m_revokes_->Add(items.size());
-  cost += obs::Trace().event_cost();
-  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kSendBatch, obs_id_, items.size(),
-                      k.now());
-  co_await k.Spend(*env.self, cost, TimeCat::kUser);
-  if (broken_ != base::ErrorCode::kOk) {
-    // The peer died during the Spend above: OnProcessDeath has already swept
-    // receiver_caps_, so recording the rcaps now would leave live grants
-    // over the data domain that teardown never sees. Revoke them ourselves.
-    for (const auto& granted : rcaps) {
-      DIPC_CHECK(k.codoms().CapRevoke(granted).ok());
-    }
-    co_return broken_;
-  }
-  std::vector<uint64_t> descs;
-  descs.reserve(items.size());
-  for (size_t j = 0; j < items.size(); ++j) {
-    receiver_caps_[items[j].buf.index] = rcaps[j];
-    tctx_[items[j].buf.index] = items[j].buf.tctx;
-    descs.push_back(PackDesc(items[j].buf.index, items[j].len));
-  }
-  uint64_t published = 0;
-  auto pushed = co_await desc_->PushN(env, std::span(descs), &published, deadline);
-  if (!pushed.ok()) {
-    if (broken_ == base::ErrorCode::kOk) {
-      // Orderly Close — or a deadline expiry — raced the publish: the
-      // unpublished descriptors never reached the receiver and no teardown
-      // will run, so revoke their recorded read grants here or they stay
-      // live forever, and hand the orphaned buffers back to the pool so a
-      // timeout doesn't shrink the channel's capacity (after Close the
-      // give-back push fails harmlessly — the pool is retired anyway).
-      std::vector<uint64_t> orphaned;
-      for (size_t j = published; j < items.size(); ++j) {
-        uint32_t index = items[j].buf.index;
-        if (receiver_caps_[index].has_value()) {
-          DIPC_CHECK(k.codoms().CapRevoke(*receiver_caps_[index]).ok());
-          receiver_caps_[index].reset();
-        }
-        orphaned.push_back(index);
-      }
-      if (!orphaned.empty()) {
-        (void)co_await free_->PushN(env, std::span(orphaned));
-      }
-    }
-    sends_ += published;
-    m_sends_->Add(published);
-    m_send_batch_->Record(static_cast<double>(published));
-    co_return broken_ != base::ErrorCode::kOk ? broken_ : pushed.code();
-  }
-  sends_ += items.size();
-  m_sends_->Add(items.size());
-  m_send_batch_->Record(static_cast<double>(items.size()));
-  co_return base::Status::Ok();
-}
-
-sim::Task<base::Result<Msg>> Channel::Recv(os::Env env, os::Deadline deadline) {
-  auto batch = co_await RecvBatch(env, 1, deadline);
-  if (!batch.ok()) {
-    co_return batch.code();
-  }
-  co_return batch.value()[0];
-}
-
-sim::Task<base::Result<std::vector<Msg>>> Channel::RecvBatch(os::Env env, uint32_t max_n,
-                                                             os::Deadline deadline) {
-  os::Kernel& k = *env.kernel;
-  if (max_n == 0) {
-    co_return base::ErrorCode::kInvalidArgument;
-  }
-  if (broken_ != base::ErrorCode::kOk) {
-    co_return broken_;
-  }
-  std::vector<uint64_t> descs(std::min<uint32_t>(max_n, cfg_.slots));
-  auto popped = co_await desc_->PopN(env, std::span(descs), deadline);
-  if (!popped.ok()) {
-    co_return broken_ != base::ErrorCode::kOk ? broken_ : popped.code();
-  }
-  descs.resize(popped.value());
-  // One accounting charge covers every capability load of the batch.
-  sim::Duration cost;
-  std::vector<Msg> out;
-  std::vector<codoms::Capability> caps;
-  std::vector<uint64_t> corrupted;  // slots whose stored capability is gone
-  out.reserve(descs.size());
-  caps.reserve(descs.size());
-  for (uint64_t desc : descs) {
-    uint32_t index = DescIndex(desc);
-    uint64_t len = DescLen(desc);
-    sim::Duration load_cost;
-    auto cap = k.codoms().CapLoad(env.self->process().page_table(), env.self->cap_ctx(),
-                                  CapSlotVa(index), &load_cost);
-    cost += load_cost;
-    if (!cap.ok()) {
-      // A plain write destroyed the stored capability (unforgeability,
-      // §4.2). Dropping the whole batch here would forfeit the healthy
-      // messages AND leak every popped slot from the free pool; instead the
-      // corrupted slot is recycled below and the rest are delivered.
-      corrupted.push_back(index);
-      continue;
-    }
-    caps.push_back(cap.value());
-    out.push_back(Msg{buf_va(index), len, index, tctx_[index]});
-  }
-  cost += obs::Trace().event_cost();
-  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kRecvBatch, obs_id_, out.size(),
-                      k.now());
-  co_await k.Spend(*env.self, cost, TimeCat::kUser);
-  if (broken_ != base::ErrorCode::kOk) {
-    // The peer died during the Spend and teardown already revoked the
-    // loaded capabilities; handing the dead grants to the consumer would
-    // make its payload reads fault instead of surfacing the crash.
-    co_return broken_;
-  }
-  if (!corrupted.empty()) {
-    // Recycle the corrupted slots: revoke the read grant recorded at Send
-    // (nobody can ever load it again) and return the buffers to the pool.
-    for (uint64_t index : corrupted) {
-      if (receiver_caps_[index].has_value()) {
-        DIPC_CHECK(k.codoms().CapRevoke(*receiver_caps_[index]).ok());
-        receiver_caps_[index].reset();
-      }
-    }
-    (void)co_await free_->PushN(env, std::span(corrupted));
-    if (broken_ != base::ErrorCode::kOk) {
-      co_return broken_;
-    }
-  }
-  if (out.empty()) {
-    co_return base::ErrorCode::kFault;  // every descriptor was corrupted
-  }
-  env.self->cap_ctx().regs.Set(kReceiverCapReg, caps.front());
-  recvs_ += out.size();
-  m_recvs_->Add(out.size());
-  m_recv_batch_->Record(static_cast<double>(out.size()));
-  co_return out;
-}
-
-sim::Task<base::Status> Channel::Abandon(os::Env env, const SendBuf& buf) {
-  co_return co_await AbandonBatch(env, std::span(&buf, 1));
-}
-
-sim::Task<base::Status> Channel::AbandonBatch(os::Env env, std::span<const SendBuf> bufs) {
-  os::Kernel& k = *env.kernel;
-  const hw::CostModel& cm = k.costs();
-  if (bufs.empty()) {
-    co_return base::ErrorCode::kInvalidArgument;
-  }
-  for (size_t j = 0; j < bufs.size(); ++j) {
-    if (bufs[j].index >= cfg_.slots || !sender_caps_[bufs[j].index].has_value()) {
-      co_return broken_ != base::ErrorCode::kOk ? broken_
-                                                : base::ErrorCode::kInvalidArgument;
-    }
-    for (size_t i = 0; i < j; ++i) {
-      if (bufs[i].index == bufs[j].index) {
-        co_return base::ErrorCode::kInvalidArgument;
-      }
-    }
-  }
-  sim::Duration cost = cm.chan_fast_path;
-  std::vector<uint64_t> indices;
-  indices.reserve(bufs.size());
-  for (const SendBuf& b : bufs) {
-    ClearRegIfHolds(*env.self, kSenderCapReg, *sender_caps_[b.index]);
-    DIPC_CHECK(k.codoms().CapRevoke(*sender_caps_[b.index]).ok());
-    cost += cm.cap_revoke;
-    sender_caps_[b.index].reset();
-    indices.push_back(b.index);
-  }
-  m_revokes_->Add(bufs.size());
-  co_await k.Spend(*env.self, cost, TimeCat::kUser);
-  if (broken_ != base::ErrorCode::kOk) {
-    co_return broken_;  // dead-peer teardown already retired the pool
-  }
-  auto pushed = co_await free_->PushN(env, std::span(indices));
-  if (!pushed.ok()) {
-    // After an orderly Close the free list is retired; the revocations
-    // above are all that matters. Only dead-peer errors surface.
-    co_return broken_ != base::ErrorCode::kOk ? base::Status(broken_) : base::Status::Ok();
-  }
-  co_return base::Status::Ok();
-}
-
-sim::Task<base::Status> Channel::Release(os::Env env, const Msg& msg) {
-  co_return co_await ReleaseBatch(env, std::span(&msg, 1));
-}
-
-sim::Task<base::Status> Channel::ReleaseBatch(os::Env env, std::span<const Msg> msgs) {
-  os::Kernel& k = *env.kernel;
-  const hw::CostModel& cm = k.costs();
-  if (msgs.empty()) {
-    co_return base::ErrorCode::kInvalidArgument;
-  }
-  for (size_t j = 0; j < msgs.size(); ++j) {
-    if (msgs[j].index >= cfg_.slots) {
-      co_return base::ErrorCode::kInvalidArgument;
-    }
-    for (size_t i = 0; i < j; ++i) {
-      if (msgs[i].index == msgs[j].index) {
-        co_return base::ErrorCode::kInvalidArgument;
-      }
-    }
-  }
-  if (broken_ != base::ErrorCode::kOk) {
-    // Dead-peer teardown already revoked the in-flight capabilities; a
-    // crash must surface as the broken code, not as a caller bug.
-    co_return broken_;
-  }
-  for (const Msg& msg : msgs) {
-    if (!receiver_caps_[msg.index].has_value()) {
-      co_return base::ErrorCode::kInvalidArgument;
-    }
-  }
-  sim::Duration cost = cm.chan_fast_path;
-  std::vector<uint64_t> indices;
-  indices.reserve(msgs.size());
-  for (const Msg& msg : msgs) {
-    ClearRegIfHolds(*env.self, kReceiverCapReg, *receiver_caps_[msg.index]);
-    DIPC_CHECK(k.codoms().CapRevoke(*receiver_caps_[msg.index]).ok());
-    cost += cm.cap_revoke;
-    receiver_caps_[msg.index].reset();
-    indices.push_back(msg.index);
-  }
-  m_releases_->Add(msgs.size());
-  m_revokes_->Add(msgs.size());
-  cost += obs::Trace().event_cost();
-  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kReleaseBatch, obs_id_, msgs.size(),
-                      k.now());
-  co_await k.Spend(*env.self, cost, TimeCat::kUser);
-  if (broken_ != base::ErrorCode::kOk) {
-    co_return broken_;
-  }
-  auto pushed = co_await free_->PushN(env, std::span(indices));
-  if (!pushed.ok()) {
-    // After an orderly Close the free list is retired; the revocations above
-    // are all that matters. Only dead-peer errors surface.
-    co_return broken_ != base::ErrorCode::kOk ? base::Status(broken_) : base::Status::Ok();
-  }
-  co_return base::Status::Ok();
-}
-
-void Channel::Close() {
-  desc_->Close(base::ErrorCode::kBrokenChannel);
-  free_->Close(base::ErrorCode::kBrokenChannel);
-}
-
-uint64_t Channel::LiveGrantCount() const {
-  const codoms::RevocationTable& rt = kernel_.codoms().revocations();
-  uint64_t live = 0;
-  for (const auto* side : {&sender_caps_, &receiver_caps_}) {
-    for (const auto& cap : *side) {
-      if (cap.has_value() && rt.Epoch(cap->revocation_id) == cap->revocation_epoch) {
-        ++live;
-      }
-    }
-  }
-  return live;
-}
-
 base::Result<std::shared_ptr<DuplexChannel>> DuplexChannel::Create(
-    core::Dipc& dipc, os::Process& a, os::Process& b, ChannelConfig fwd,
-    std::optional<ChannelConfig> rev) {
+    core::Dipc& dipc, os::Process& a, os::Process& b, PlaneConfig fwd,
+    std::optional<PlaneConfig> rev) {
   // Both directions express the same trust relationship, so they share one
-  // domain-tag trio (keeps the per-CPU APL cache warm; see ChannelConfig).
+  // domain-tag trio (keeps the per-CPU APL cache warm; see PlaneConfig).
   // The trio is atomic: either the caller pins all three tags or none — a
   // partial trio would silently give the two rings different data/rt tags
   // and defeat the sharing the API promises.
@@ -577,7 +34,7 @@ base::Result<std::shared_ptr<DuplexChannel>> DuplexChannel::Create(
     fwd.data_tag = apl.AllocateTag();
     fwd.rt_tag = apl.AllocateTag();
   }
-  ChannelConfig rcfg = rev.value_or(fwd);
+  PlaneConfig rcfg = rev.value_or(fwd);
   rcfg.ctrl_tag = fwd.ctrl_tag;
   rcfg.data_tag = fwd.data_tag;
   rcfg.rt_tag = fwd.rt_tag;
@@ -590,36 +47,6 @@ base::Result<std::shared_ptr<DuplexChannel>> DuplexChannel::Create(
     return r.code();
   }
   return std::shared_ptr<DuplexChannel>(new DuplexChannel(f.value(), r.value()));
-}
-
-void Channel::OnProcessDeath(os::Process& proc) {
-  if (&proc != sender_proc_ && &proc != receiver_proc_) {
-    return;
-  }
-  if (broken_ != base::ErrorCode::kOk) {
-    return;
-  }
-  broken_ = base::ErrorCode::kCalleeFailed;
-  // KCS-style unwind: revoke every in-flight ownership capability so no
-  // stale grant survives the crash, then fail both queues — blocked peers
-  // wake and surface the error code. Cached templates need no sweep of
-  // their own: a template not recorded in-flight is already epoch-stale
-  // (its counter was bumped when ownership last rotated away), and broken_
-  // gates every future rebind.
-  uint64_t revoked = 0;
-  for (auto* side : {&sender_caps_, &receiver_caps_}) {
-    for (auto& cap : *side) {
-      if (cap.has_value()) {
-        DIPC_CHECK(kernel_.codoms().CapRevoke(*cap).ok());
-        cap.reset();
-        ++revoked;
-      }
-    }
-  }
-  m_revokes_->Add(revoked);
-  obs::Trace().Record(0, obs::EventType::kCapRevoke, obs_id_, revoked, kernel_.now());
-  desc_->Fail(base::ErrorCode::kCalleeFailed);
-  free_->Fail(base::ErrorCode::kCalleeFailed);
 }
 
 }  // namespace dipc::chan

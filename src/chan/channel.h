@@ -1,45 +1,11 @@
-// Capability-granted zero-copy channels on the dIPC global VAS.
+// Point-to-point channels: the 1x1 plane (chan/plane.h) between two
+// dIPC-enabled processes, plus the fd-table endpoints and the duplex pair
+// built from it.
 //
-// A Channel moves bulk payloads between two dIPC-enabled processes without
-// copying and without per-message kernel crossings, by transferring
-// *ownership* of fixed message buffers instead of bytes (the paper's
-// immutability-by-ownership design, §3/§5, applied to streaming IPC):
-//
-//   - Message buffers live in a dedicated *data domain* that neither
-//     endpoint's APL can reach. Payload access happens exclusively through
-//     CODOMs asynchronous capabilities (§4.2) held in capability registers.
-//   - Capabilities are minted by a trusted *channel runtime* domain (the
-//     only domain with an APL grant over the data domain) — the same
-//     trusted-intermediary pattern as dIPC's proxies, entered by a plain
-//     cross-domain call at function-call cost.
-//   - Send revokes the sender's write capability (one revocation-counter
-//     bump: immediate, unprivileged) and publishes a *read-only* capability
-//     for the receiver through a capability-storage descriptor slot. The
-//     payload never moves; cost is O(1) in message size.
-//   - Control flow (descriptor queue + free-buffer queue) is an MpmcQueue
-//     pair in a control segment both endpoint domains can access; blocking
-//     uses the futex path, so an idle endpoint costs nothing.
-//
-// Epoch-cached grants: each buffer's write and read capabilities are minted
-// through the runtime's APL exactly once (first use) and then *cached*.
-// Ownership rotates by revocation-counter arithmetic alone — Send/Release
-// bump the loser's counter (revoke) and the runtime re-snapshots the cached
-// capability against the counter's current value when the buffer changes
-// hands again (epoch rebind, Codoms::CapRebind). The steady-state hot path
-// therefore touches no mint and no APL traversal. The cached read view
-// covers the whole buffer (the descriptor carries the message length); the
-// immutability guarantee is unchanged since the view is read-only.
-//
-// Batching: AcquireBufBatch/SendBatch/RecvBatch/ReleaseBatch move N
-// messages per call, paying one control-queue operation, one
-// cost-accounting charge, one runtime entry and at most one futex wake per
-// batch — O(1/batch) software overhead instead of O(1/message). The
-// single-message Send/Recv are the batch paths with N=1.
-//
-// Dead peers: channels register a teardown hook with core::Dipc. When
-// KillProcess reaps an endpoint process, every in-flight capability is
-// revoked and blocked Send/Recv calls wake with kCalleeFailed (KCS-style
-// unwinding surfaced as an error code, §5.2.1).
+// A Channel is a Plane with one producer and one receiver, both given as a
+// single process: no credit lines (the free pool is the only flow control),
+// and either endpoint's death breaks it, revoking every in-flight grant.
+// Its calls are the plane's for endpoint 0, without the index.
 #ifndef DIPC_CHAN_CHANNEL_H_
 #define DIPC_CHAN_CHANNEL_H_
 
@@ -50,220 +16,60 @@
 #include <vector>
 
 #include "base/result.h"
-#include "chan/mpmc_queue.h"
-#include "chan/segment.h"
-#include "codoms/capability.h"
+#include "chan/plane.h"
 #include "dipc/dipc.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "os/deadline.h"
 #include "os/kernel.h"
 #include "sim/task.h"
 
 namespace dipc::chan {
 
-struct ChannelConfig {
-  uint32_t slots = 8;            // in-flight message buffers
-  uint64_t buf_bytes = 1 << 16;  // payload capacity per buffer
-  // Optional pre-allocated domain-tag trio, shared between channels that
-  // express the same trust relationship (e.g. many per-worker channels
-  // between the same two tiers). Sharing keeps the per-CPU APL cache (32
-  // entries, §4.3) from thrashing when a workload opens hundreds of
-  // channels. kInvalidDomainTag (the default) allocates a fresh trio.
-  hw::DomainTag ctrl_tag = hw::kInvalidDomainTag;
-  hw::DomainTag data_tag = hw::kInvalidDomainTag;
-  hw::DomainTag rt_tag = hw::kInvalidDomainTag;
-};
-
-// A buffer the sender owns (write capability in register kSenderCapReg).
-// `tctx` is the packed request trace context (chan/desc.h PackTraceWord):
-// nonzero values ride the descriptor's side-band word to the receiver,
-// correlating the hop with the originating fabric call. 0 = untraced.
-struct SendBuf {
-  hw::VirtAddr va = 0;
-  uint64_t capacity = 0;
-  uint32_t index = 0;
-  uint64_t tctx = 0;
-};
-
-// A buffer plus its payload length, for SendBatch.
-struct SendItem {
-  SendBuf buf;
-  uint64_t len = 0;
-};
-
-// A received message (read capability in register kReceiverCapReg). `tctx`
-// carries the sender's packed trace context, 0 when untraced.
-struct Msg {
-  hw::VirtAddr va = 0;
-  uint64_t len = 0;
-  uint32_t index = 0;
-  uint64_t tctx = 0;
-};
-
-class Channel : public std::enable_shared_from_this<Channel> {
+class Channel : public Plane {
  public:
-  // Capability-register convention for channel ownership caps.
-  static constexpr uint32_t kSenderCapReg = 6;
-  static constexpr uint32_t kReceiverCapReg = 7;
-
-  // Creates a unidirectional sender->receiver channel between two
-  // dIPC-enabled processes in `dipc`'s global VAS, and registers dead-peer
-  // teardown with the runtime.
+  // Creates a unidirectional sender->receiver channel in `dipc`'s global
+  // VAS and registers dead-peer teardown with the runtime.
   static base::Result<std::shared_ptr<Channel>> Create(core::Dipc& dipc, os::Process& sender,
                                                        os::Process& receiver,
-                                                       ChannelConfig cfg = {});
+                                                       PlaneConfig cfg = {});
 
-  // ---- Sender side ----
-
-  // Blocks until a free buffer is available, grants the calling thread a
-  // write capability for it (epoch rebind on the warm path), and hands it
-  // over.
-  sim::Task<base::Result<SendBuf>> AcquireBuf(os::Env env, os::Deadline deadline = {});
-
-  // Batched acquire: blocks for the first free buffer, then takes up to
-  // `max_n` without blocking again. One queue op, one runtime entry and one
-  // accounting charge for the whole batch. The write capability of the
-  // *last* buffer is loaded into kSenderCapReg; use BindSendCap to switch
-  // between the batch's buffers while filling them.
+  sim::Task<base::Result<SendBuf>> AcquireBuf(os::Env env, os::Deadline dl = {}) {
+    return Plane::AcquireBuf(env, 0, dl);
+  }
   sim::Task<base::Result<std::vector<SendBuf>>> AcquireBufBatch(os::Env env, uint32_t max_n,
-                                                              os::Deadline deadline = {});
-
-  // Publishes `len` bytes of `buf` to the receiver: revokes the sender's
-  // capability (subsequent sender access faults) and grants a read-only
-  // capability to the receiving side. O(1) in `len`.
+                                                                os::Deadline dl = {}) {
+    return Plane::AcquireBufBatch(env, 0, max_n, dl);
+  }
   sim::Task<base::Status> Send(os::Env env, const SendBuf& buf, uint64_t len,
-                               os::Deadline deadline = {});
-
-  // Batched publish: grants and publishes every item's read view, ends the
-  // sender's ownership of all of them, then pushes all descriptors with one
-  // queue operation and at most one futex wake. All-or-nothing up to the
-  // publish: on a pre-publish error the sender still owns every buffer.
+                               os::Deadline dl = {}) {
+    return Plane::Send(env, 0, buf, len, dl);
+  }
   sim::Task<base::Status> SendBatch(os::Env env, std::span<const SendItem> items,
-                                    os::Deadline deadline = {});
-
-  // Gives up an acquired-but-unsent buffer: revokes the sender's write
-  // capability and returns the slot to the free pool, unblocking a waiting
-  // AcquireBuf. The escape hatch for producers that acquire first and only
-  // then discover they cannot fill the buffer (e.g. the payload source
-  // died) — dropping the SendBuf on the floor instead leaks the slot and
-  // eventually wedges every producer.
-  sim::Task<base::Status> Abandon(os::Env env, const SendBuf& buf);
-  sim::Task<base::Status> AbandonBatch(os::Env env, std::span<const SendBuf> bufs);
-
-  // Re-loads `buf`'s write capability into kSenderCapReg (a capability
-  // register move — no cost, no blocking). Needed when filling a batch of
-  // acquired buffers, since the register holds one capability at a time.
-  void BindSendCap(os::Thread& t, const SendBuf& buf) const;
-
-  // Orderly shutdown: the receiver drains in-flight messages, then Recv
-  // fails with kBrokenChannel.
-  void Close();
-
-  // ---- Receiver side ----
-
-  // Blocks until a message arrives; loads its capability into the calling
-  // thread's register file. Fails with kBrokenChannel after Close() drains,
-  // or kCalleeFailed immediately if a peer process died.
-  sim::Task<base::Result<Msg>> Recv(os::Env env, os::Deadline deadline = {});
-
-  // Batched receive: blocks for the first message, then drains up to
-  // `max_n` in-flight messages without blocking again. One queue op and one
-  // accounting charge cover all the capability loads. The *first* message's
-  // capability lands in kReceiverCapReg; use BindRecvCap to walk the batch.
+                                    os::Deadline dl = {}) {
+    return Plane::SendBatch(env, 0, items, dl);
+  }
+  sim::Task<base::Status> Abandon(os::Env env, const SendBuf& buf) {
+    return Plane::Abandon(env, 0, buf);
+  }
+  sim::Task<base::Status> AbandonBatch(os::Env env, std::span<const SendBuf> bufs) {
+    return Plane::AbandonBatch(env, 0, bufs);
+  }
+  sim::Task<base::Result<Msg>> Recv(os::Env env, os::Deadline dl = {}) {
+    return Plane::Recv(env, 0, dl);
+  }
   sim::Task<base::Result<std::vector<Msg>>> RecvBatch(os::Env env, uint32_t max_n,
-                                                      os::Deadline deadline = {});
-
-  // Returns the buffer to the free pool: revokes the receiver's capability
-  // and unblocks a sender waiting in AcquireBuf.
-  sim::Task<base::Status> Release(os::Env env, const Msg& msg);
-
-  // Batched release: one revoke per message but one queue operation, one
-  // accounting charge and at most one futex wake for the whole batch.
-  sim::Task<base::Status> ReleaseBatch(os::Env env, std::span<const Msg> msgs);
-
-  // Re-loads `msg`'s read capability into kReceiverCapReg (register move —
-  // no cost). Needed when consuming a RecvBatch result message by message.
-  void BindRecvCap(os::Thread& t, const Msg& msg) const;
-
-  // ---- Introspection ----
-
-  os::Process& sender_process() { return *sender_proc_; }
-  os::Process& receiver_process() { return *receiver_proc_; }
-  const ChannelConfig& config() const { return cfg_; }
-  base::ErrorCode broken() const { return broken_; }
-  uint64_t sends() const { return sends_; }
-  uint64_t recvs() const { return recvs_; }
-  // Full capability mints performed by this channel (2 per slot over a
-  // channel's lifetime once warm: one write + one read template).
-  uint64_t cold_mints() const { return cold_mints_; }
-  // Recorded in-flight grants whose epoch is still live — 0 after teardown
-  // means the crash unwound every grant (test support).
-  uint64_t LiveGrantCount() const;
-  hw::VirtAddr buf_va(uint32_t index) const { return data_seg_.base + index * buf_stride_; }
-  // Id under which this channel's metrics ("chan/<id>/...") and trace
-  // events are attributed.
-  uint32_t obs_id() const { return obs_id_; }
-
-  // Dead-peer teardown (fired via the core::Dipc death hook).
-  void OnProcessDeath(os::Process& proc);
+                                                      os::Deadline dl = {}) {
+    return Plane::RecvBatch(env, 0, max_n, dl);
+  }
+  sim::Task<base::Status> Release(os::Env env, const Msg& msg) {
+    return Plane::Release(env, 0, msg);
+  }
+  sim::Task<base::Status> ReleaseBatch(os::Env env, std::span<const Msg> msgs) {
+    return Plane::ReleaseBatch(env, 0, msgs);
+  }
+  void BindRecvCap(os::Thread& t, const Msg& msg) const { Plane::BindRecvCap(t, 0, msg); }
 
  private:
-  Channel(core::Dipc& dipc, os::Process& sender, os::Process& receiver, ChannelConfig cfg);
-
-  // Grants ownership of slot `index` with `rights`, inside the runtime
-  // domain: a full CapFromApl mint on first use (APL traversal), an epoch
-  // rebind of the cached capability afterwards. Accumulates the capability
-  // cost only — callers charge the cross-domain call into the runtime once
-  // per batch.
-  base::Result<codoms::Capability> GrantCap(os::Env env, uint32_t index, codoms::Perm rights,
-                                            sim::Duration* cost);
-
-  hw::VirtAddr CapSlotVa(uint32_t index) const {
-    return cap_seg_.base + index * codoms::kCapMemBytes;
-  }
-
-  os::Kernel& kernel_;
-  os::Process* sender_proc_;
-  os::Process* receiver_proc_;
-  ChannelConfig cfg_;
-  uint64_t buf_stride_ = 0;  // page-rounded buf_bytes
-  hw::DomainTag ctrl_tag_ = hw::kInvalidDomainTag;
-  hw::DomainTag data_tag_ = hw::kInvalidDomainTag;
-  hw::DomainTag rt_tag_ = hw::kInvalidDomainTag;
-  Segment data_seg_;
-  Segment cap_seg_;
-  std::unique_ptr<MpmcQueue> desc_;  // packed {index, len} descriptors
-  std::unique_ptr<MpmcQueue> free_;  // free buffer indices
-  // In-flight ownership capabilities, by buffer index (the registers hold
-  // the architecturally visible copies; these drive revocation).
-  std::vector<std::optional<codoms::Capability>> sender_caps_;
-  std::vector<std::optional<codoms::Capability>> receiver_caps_;
-  // Epoch-cached per-slot capability templates, minted once through the
-  // runtime's APL and re-snapshotted (never re-minted) on every rotation.
-  std::vector<std::optional<codoms::Capability>> wcap_tmpl_;
-  std::vector<std::optional<codoms::Capability>> rcap_tmpl_;
-  // Per-slot trace-context side-band (the descriptor's spare header word):
-  // written at publish, read at Recv. Slot ownership moves with the
-  // descriptor, so sender and receiver never touch the same entry at once.
-  std::vector<uint64_t> tctx_;
-  base::ErrorCode broken_ = base::ErrorCode::kOk;
-  uint64_t sends_ = 0;
-  uint64_t recvs_ = 0;
-  uint64_t cold_mints_ = 0;
-  // Registry handles, registered once in Create (the getters above stay the
-  // source of truth for tests; the registry adds the exported view).
-  void RegisterMetrics();
-  uint32_t obs_id_ = 0;
-  obs::Counter* m_sends_ = nullptr;
-  obs::Counter* m_recvs_ = nullptr;
-  obs::Counter* m_acquires_ = nullptr;
-  obs::Counter* m_releases_ = nullptr;
-  obs::Counter* m_cold_mints_ = nullptr;
-  obs::Counter* m_rebinds_ = nullptr;
-  obs::Counter* m_revokes_ = nullptr;
-  obs::Histogram* m_send_batch_ = nullptr;
-  obs::Histogram* m_recv_batch_ = nullptr;
+  using Plane::Plane;
 };
 
 // fd-table endpoints, so channel ends can be delegated between processes
@@ -346,8 +152,8 @@ class DuplexChannel {
   // default the reverse ring mirrors the forward one. The two rings share
   // one freshly allocated domain-tag trio unless `fwd` pins one.
   static base::Result<std::shared_ptr<DuplexChannel>> Create(core::Dipc& dipc, os::Process& a,
-                                                             os::Process& b, ChannelConfig fwd = {},
-                                                             std::optional<ChannelConfig> rev =
+                                                             os::Process& b, PlaneConfig fwd = {},
+                                                             std::optional<PlaneConfig> rev =
                                                                  std::nullopt);
 
   Channel& forward() { return *fwd_; }

@@ -1,5 +1,6 @@
-// Internal helpers shared by the channel flavors (Channel, FanOutChannel):
-// the descriptor wire format and the capability-register hygiene rule.
+// Internal helpers of the plane core (chan/plane.h) and its users: the
+// descriptor wire format, the trace side-band word, owner keys and the
+// capability-register hygiene rule.
 #ifndef DIPC_CHAN_DESC_H_
 #define DIPC_CHAN_DESC_H_
 
@@ -13,8 +14,8 @@
 namespace dipc::chan::internal {
 
 // Descriptors pack {buffer index, payload length} into one 8-byte queue
-// slot. This is the wire format both channel flavors publish through their
-// control queues — change it here or nowhere.
+// slot. This is the wire format every plane publishes through its
+// descriptor FIFOs — change it here or nowhere.
 inline constexpr uint64_t kLenBits = 48;
 inline constexpr uint64_t kLenMask = (uint64_t{1} << kLenBits) - 1;
 inline constexpr uint64_t kMaxSlots = uint64_t{1} << (64 - kLenBits);
@@ -50,9 +51,9 @@ inline obs::TraceCtx UnpackTraceWord(uint64_t word) {
 }
 
 // Owner keys for the RevocationTable partitioning: one global monotonic
-// counter shared by every channel flavor, so keys never collide across
-// channels — or channel types — in one binary (a collision would let one
-// channel's RevokeAllForOwner sweep another's grants).
+// counter shared by every plane, so keys never collide across planes in
+// one binary (a collision would let one plane's RevokeAllForOwner sweep
+// another's grants).
 inline uint64_t NextOwnerKey() {
   static uint64_t next = 1;  // 0 is RevocationTable::kNoOwner
   return next++;

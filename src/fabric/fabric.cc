@@ -69,11 +69,9 @@ base::Result<std::shared_ptr<ServiceFabric>> ServiceFabric::Create(
   // for every tenant), so the per-CPU APL cache sees 6 tags no matter how
   // many clients ride the fabric. Leaving the tags invalid makes each
   // channel allocate its own trio — the cache-thrash design point.
-  chan::FanOutConfig req_cfg{.slots = cfg.req_slots,
-                             .buf_bytes = cfg.req_bytes,
-                             .credits = cfg.req_credits,
-                             .lag_policy = chan::LagPolicy::kBlock};
-  chan::FanInConfig resp_cfg{
+  chan::PlaneConfig req_cfg{
+      .slots = cfg.req_slots, .buf_bytes = cfg.req_bytes, .credits = cfg.req_credits};
+  chan::PlaneConfig resp_cfg{
       .slots = cfg.resp_slots, .buf_bytes = cfg.resp_bytes, .credits = cfg.resp_credits};
   if (cfg.shared_trio) {
     codoms::AplTable& apl = dipc.kernel().codoms().apl_table();
@@ -87,11 +85,11 @@ base::Result<std::shared_ptr<ServiceFabric>> ServiceFabric::Create(
   fab->req_.reserve(clients.size());
   fab->resp_.reserve(clients.size());
   for (os::Process* c : clients) {
-    auto req = chan::FanOutChannel::Create(dipc, *c, workers, req_cfg);
+    auto req = chan::Plane::Create(dipc, *c, workers, req_cfg);
     if (!req.ok()) {
       return req.code();
     }
-    auto resp = chan::FanInChannel::Create(dipc, workers, *c, resp_cfg);
+    auto resp = chan::Plane::Create(dipc, workers, *c, resp_cfg);
     if (!resp.ok()) {
       return resp.code();
     }
@@ -161,7 +159,7 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
   if (client >= client_count() || req_len < sizeof(uint64_t) || req_len > cfg_.req_bytes) {
     co_return base::ErrorCode::kInvalidArgument;
   }
-  const std::shared_ptr<chan::FanOutChannel>& req = req_[client];
+  const std::shared_ptr<chan::Plane>& req = req_[client];
   const uint64_t opid = ++next_opid_;
   auto sem = std::make_shared<os::Semaphore>(0);
   {
@@ -206,7 +204,7 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
                                 : os::Deadline::Never();
     const uint8_t att = static_cast<uint8_t>(attempt > 255 ? 255 : attempt);
     const sim::Time t_acq = k.now();
-    auto buf = co_await req->AcquireBuf(env, dl);
+    auto buf = co_await req->AcquireBuf(env, 0, dl);
     if (!buf.ok()) {
       if (req->broken() != base::ErrorCode::kOk ||
           buf.code() == base::ErrorCode::kBrokenChannel) {
@@ -233,7 +231,7 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
       if (shard >= req->receiver_count()) {
         break;
       }
-      auto s = co_await req->SendTo(env, sb, req_len, shard, dl);
+      auto s = co_await req->SendTo(env, 0, sb, req_len, shard, dl);
       if (s.ok()) {
         sent = true;
         shard_used = shard;
@@ -244,7 +242,7 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
       }
     }
     if (!sent) {
-      (void)co_await req->AbandonBuf(env, sb);
+      (void)co_await req->Abandon(env, 0, sb);
       if (req->broken() != base::ErrorCode::kOk) {
         break;
       }
@@ -286,8 +284,8 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
                                      Handler handler) {
   os::Kernel& k = *env.kernel;
   DIPC_CHECK(client < client_count() && worker < worker_count());
-  const std::shared_ptr<chan::FanOutChannel>& req = req_[client];
-  const std::shared_ptr<chan::FanInChannel>& resp = resp_[client];
+  const std::shared_ptr<chan::Plane>& req = req_[client];
+  const std::shared_ptr<chan::Plane>& resp = resp_[client];
   while (!stopped_) {
     const sim::Time t_recv = k.now();
     auto msg = co_await req->Recv(env, worker);
@@ -330,7 +328,14 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
     }
     (void)co_await k.TouchUser(env, rb.va, cfg_.resp_bytes, hw::AccessType::kWrite);
     if (!(co_await resp->Send(env, worker, rb, cfg_.resp_bytes)).ok()) {
-      co_return;
+      if (resp->broken() != base::ErrorCode::kOk || !resp->producer_alive(worker)) {
+        co_return;  // torn down or excised: the sweep took the buffer with it
+      }
+      // A send that fails on a healthy plane (an injected fault, a Close)
+      // leaves the buffer ours, grant and credit live: hand it back, then
+      // keep serving — the client retries the opid.
+      (void)co_await resp->Abandon(env, worker, rb);
+      continue;
     }
     obs::Trace().Record(env.self->last_cpu(), obs::EventType::kRespSend, obs_id_,
                         HopArg(worker, kHopRespSend, rctx.attempt), k.now(), k.now() - t_resp,
@@ -345,10 +350,10 @@ void ServiceFabric::StartDispatcher(uint32_t client) {
   kernel_.Spawn(*client_procs_[client], "fabric-disp",
                 [self, client](os::Env env) -> sim::Task<void> {
                   os::Kernel& k = *env.kernel;
-                  const std::shared_ptr<chan::FanInChannel>& resp = self->resp_[client];
+                  const std::shared_ptr<chan::Plane>& resp = self->resp_[client];
                   while (true) {
                     const sim::Time t_disp = k.now();
-                    auto msg = co_await resp->Recv(env);
+                    auto msg = co_await resp->Recv(env, 0);
                     if (!msg.ok()) {
                       co_return;
                     }
@@ -362,7 +367,7 @@ void ServiceFabric::StartDispatcher(uint32_t client) {
                     }
                     (void)co_await k.TouchUser(env, msg.value().va, msg.value().len,
                                                hw::AccessType::kRead);
-                    if (!(co_await resp->Release(env, msg.value())).ok()) {
+                    if (!(co_await resp->Release(env, 0, msg.value())).ok()) {
                       co_return;
                     }
                     std::shared_ptr<os::Semaphore> sem;

@@ -3,12 +3,12 @@
 //
 // This generalizes the opid-matched request/response dispatch that
 // src/apps/oltp/ used to hand-roll per worker. Per client the fabric
-// composes the two channel flavors into the duplex pattern pushed N-wide:
+// composes two planes (chan/plane.h) into the duplex pattern pushed N-wide:
 //
-//        requests (FanOutChannel, sharded SendTo)
+//        requests (the workers as a receiver group, sharded SendTo)
 //   client c ========================================> workers 0..N-1
 //        <======================================== responses
-//        (FanInChannel: every worker a producer, client the consumer)
+//        (the workers as a producer group, the client receiving)
 //
 //   - Call(): the client-side request path — opid-stamped request, shard
 //     round-robin with re-shard on dead workers, per-attempt deadline and
@@ -18,13 +18,13 @@
 //     dispatch and counted.
 //   - Serve(): the worker-side loop for one (client, worker) pair — drain
 //     the request shard, run the app handler, respond with the matching
-//     opid into the client's fan-in as that worker's producer slot.
-//   - StartDispatcher(): per-client completion pump draining the fan-in
-//     and posting the matching semaphore.
+//     opid into the client's response plane as that worker's producer.
+//   - StartDispatcher(): per-client completion pump draining the response
+//     plane and posting the matching semaphore.
 //   - RebindWorker(): the supervisor's respawn path — one call splices a
 //     fresh process into worker w's receiver slot on every client's
 //     request plane AND its producer slot on every client's response
-//     plane (FanOutChannel::RebindReceiver + FanInChannel::RebindProducer).
+//     plane (Plane::RebindReceiver + Plane::RebindProducer).
 //
 // Tag strategy: with FabricConfig::shared_trio (default) all request
 // planes share one domain-tag trio and all response planes another —
@@ -43,8 +43,7 @@
 
 #include "base/result.h"
 #include "base/thread_annotations.h"
-#include "chan/fanin.h"
-#include "chan/fanout.h"
+#include "chan/plane.h"
 #include "dipc/dipc.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -94,7 +93,7 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
 
   // Worker-side serve loop for one (client, worker) pair; spawn it on a
   // thread of worker w's *current* process (and again after every rebind).
-  // Exits when either plane fails for this endpoint.
+  // Exits when the fabric closes or either plane fails for this endpoint.
   sim::Task<void> Serve(os::Env env, uint32_t client, uint32_t worker, Handler handler);
 
   // Spawns client c's completion dispatcher thread (named "fabric-disp").
@@ -129,12 +128,8 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   const FabricConfig& config() const { return cfg_; }
   uint32_t obs_id() const { return obs_id_; }
   // Plane access (tests / stress harness).
-  const std::shared_ptr<chan::FanOutChannel>& request_plane(uint32_t c) const {
-    return req_[c];
-  }
-  const std::shared_ptr<chan::FanInChannel>& response_plane(uint32_t c) const {
-    return resp_[c];
-  }
+  const std::shared_ptr<chan::Plane>& request_plane(uint32_t c) const { return req_[c]; }
+  const std::shared_ptr<chan::Plane>& response_plane(uint32_t c) const { return resp_[c]; }
 
  private:
   ServiceFabric(core::Dipc& dipc, std::span<os::Process* const> clients,
@@ -146,8 +141,8 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   std::vector<os::Process*> client_procs_;
   std::vector<os::Process*> worker_procs_;  // current incarnations
   FabricConfig cfg_;
-  std::vector<std::shared_ptr<chan::FanOutChannel>> req_;  // per client
-  std::vector<std::shared_ptr<chan::FanInChannel>> resp_;  // per client
+  std::vector<std::shared_ptr<chan::Plane>> req_;   // per client
+  std::vector<std::shared_ptr<chan::Plane>> resp_;  // per client
   bool stopped_ = false;
   // Opid-matched completion delivery (fabric-wide unique opids). The map is
   // the one fabric structure shared between caller and dispatcher coroutine

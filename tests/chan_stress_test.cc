@@ -1,7 +1,7 @@
 // Concurrency stress / property harness for the channel subsystem.
 //
 // Randomized multi-producer/multi-consumer runs over MpmcQueue::PushN/PopN
-// and the Channel/FanOutChannel batch ops, with mixed batch sizes and
+// and the Channel/Plane batch ops, with mixed batch sizes and
 // mid-run KillProcess at a random (sub-operation-granularity) time. The sim
 // is deterministic per seed, so every failure reproduces from the seed in
 // the test trace.
@@ -25,9 +25,8 @@
 #include <vector>
 
 #include "chan/channel.h"
-#include "chan/fanin.h"
-#include "chan/fanout.h"
 #include "chan/mpmc_queue.h"
+#include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "fabric/fabric.h"
@@ -406,12 +405,12 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
     }
     const uint32_t slots = static_cast<uint32_t>(rng.UniformInt(2, 6));
     const bool drop_policy = rng.Chance(0.5);
-    auto ch = FanOutChannel::Create(
+    auto ch = Plane::Create(
         dipc, prod, receivers,
         {.slots = slots, .buf_bytes = 4096,
          .lag_policy = drop_policy ? LagPolicy::kDropSlowest : LagPolicy::kBlock});
     ASSERT_TRUE(ch.ok());
-    std::shared_ptr<FanOutChannel> fan = ch.value();
+    std::shared_ptr<Plane> fan = ch.value();
     std::vector<std::vector<uint64_t>> got(n_recv);
     for (uint32_t r = 0; r < n_recv; ++r) {
       uint64_t rseed = rng.Next();
@@ -454,7 +453,7 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
           Rng prng(pseed);
           uint64_t msg_seq = 0;
           for (int round = 0; round < 120; ++round) {
-            auto buf = co_await fan->AcquireBuf(env);
+            auto buf = co_await fan->AcquireBuf(env, 0);
             if (!buf.ok()) {
               co_return;
             }
@@ -465,7 +464,7 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
             }
             // On a dead-shard failure the buffer stays owned (broken() ==
             // kOk contract): retry it on the next live shard; give it back
-            // with AbandonBuf when nobody is left — dropping it on the
+            // with Abandon when nobody is left — dropping it on the
             // floor would leak the slot and a live write grant, which the
             // end-of-run assertions below would catch.
             bool sent = false;
@@ -476,9 +475,9 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
                 if (shard >= fan->receiver_count()) {
                   break;
                 }
-                s = co_await fan->SendTo(env, buf.value(), 64, shard);
+                s = co_await fan->SendTo(env, 0, buf.value(), 64, shard);
               } else {
-                s = co_await fan->Send(env, buf.value(), 64);
+                s = co_await fan->Send(env, 0, buf.value(), 64);
               }
               if (s.ok()) {
                 sent = true;
@@ -491,7 +490,7 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
             }
             if (!sent) {
               if (fan->broken() == ErrorCode::kOk) {
-                (void)co_await fan->AbandonBuf(env, buf.value());
+                (void)co_await fan->Abandon(env, 0, buf.value());
               }
               co_return;
             }
@@ -555,7 +554,7 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
   }
 }
 
-// --- FanInChannel: randomized M->1 traffic with mid-run kills ---
+// --- Plane with a producer group: randomized M->1 traffic with mid-run kills ---
 
 TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
   for (uint64_t seed = 1; seed <= 15; ++seed) {
@@ -574,10 +573,10 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
     os::Process& cons = dipc.CreateDipcProcess("server");
     const uint32_t slots = static_cast<uint32_t>(rng.UniformInt(2, 6));
     const uint32_t credits = rng.Chance(0.5) ? static_cast<uint32_t>(rng.UniformInt(1, slots)) : 0;
-    auto ch = FanInChannel::Create(dipc, producers, cons,
-                                   {.slots = slots, .buf_bytes = 4096, .credits = credits});
+    auto ch = Plane::Create(dipc, producers, cons,
+                            {.slots = slots, .buf_bytes = 4096, .credits = credits});
     ASSERT_TRUE(ch.ok());
-    std::shared_ptr<FanInChannel> fan = ch.value();
+    std::shared_ptr<Plane> fan = ch.value();
     std::vector<std::vector<uint64_t>> got(n_prod);
     uint64_t cseed = rng.Next();
     kernel.Spawn(
@@ -590,7 +589,7 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
           const os::Deadline dl = os::Deadline::After(k.now(), Duration::Micros(150));
           while (true) {
             auto msgs = co_await fan->RecvBatch(
-                env, static_cast<uint32_t>(crng.UniformInt(1, slots)), dl);
+                env, 0, static_cast<uint32_t>(crng.UniformInt(1, slots)), dl);
             if (!msgs.ok()) {
               if (msgs.code() == ErrorCode::kTimedOut) {
                 fan->Close();
@@ -598,14 +597,14 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
               co_return;
             }
             for (const Msg& m : msgs.value()) {
-              fan->BindRecvCap(*env.self, m);
+              fan->BindRecvCap(*env.self, 0, m);
               uint64_t tagged[2] = {0, 0};  // {producer, seq}
               if (k.UserRead(*env.self, m.va, std::as_writable_bytes(std::span(tagged))).ok() &&
                   tagged[0] < n_prod) {
                 got[tagged[0]].push_back(tagged[1]);
               }
             }
-            if (!(co_await fan->ReleaseBatch(env, msgs.value())).ok()) {
+            if (!(co_await fan->ReleaseBatch(env, 0, msgs.value())).ok()) {
               co_return;
             }
             if (crng.Chance(0.3)) {
@@ -636,7 +635,7 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
                 // While the group is healthy the buffer stays ours on a
                 // failed publish: hand it back instead of leaking the slot.
                 if (fan->broken() == ErrorCode::kOk) {
-                  (void)co_await fan->AbandonBuf(env, p, buf.value());
+                  (void)co_await fan->Abandon(env, p, buf.value());
                 }
                 co_return;
               }
@@ -672,7 +671,7 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
             // Excision (or breakage) drains the victim's owner key
             // immediately and completely.
             const uint64_t owner = victim < 0
-                                       ? fan->consumer_owner()
+                                       ? fan->receiver_owner(0)
                                        : fan->producer_owner(static_cast<uint32_t>(victim));
             EXPECT_EQ(codoms.revocations().LiveCountForOwner(owner), 0u);
           }

@@ -3,7 +3,8 @@
 // multi-tenant acceptance run — >= 100 tenants on >= 4 workers surviving
 // scripted worker kills (which take out both the worker's request-plane
 // receiver slot and its response-plane producer slot) with exactly-once
-// completions and a fully drained RevocationTable.
+// completions and a fully drained RevocationTable — plus the worker-side
+// recovery from a response send that fails on a healthy plane.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +14,7 @@
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "fabric/fabric.h"
+#include "fault/fault.h"
 #include "hw/machine.h"
 #include "os/kernel.h"
 
@@ -209,6 +211,47 @@ TEST_F(FabricTest, MultiTenantFabricSurvivesScriptedWorkerKillsExactlyOnce) {
     EXPECT_EQ(fab->response_plane(c)->LiveGrantCount(), 0u) << "tenant " << c;
   }
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
+}
+
+TEST_F(FabricTest, ResponseSendFailureOnAHealthyPlaneGivesTheSlotBackAndKeepsServing) {
+#ifdef DIPC_FAULT_OFF
+  GTEST_SKIP() << "fault injection compiled out (-DDIPC_FAULT_OFF)";
+#else
+  // Probe hit 2 of chan/send is the worker's response send (hit 1 is the
+  // client's request). The injected kFault leaves the response plane healthy
+  // and the buffer the worker's, with its write grant and one credit of the
+  // worker's line: the worker must hand it back and keep serving, so the
+  // client's retry of the same opid completes.
+  auto clients = MakeProcs("tenant", 1);
+  auto workers = MakeProcs("worker", 1);
+  auto f = ServiceFabric::Create(
+      dipc_, clients, workers,
+      {.req_slots = 4, .req_bytes = 64, .resp_slots = 4, .resp_bytes = 64,
+       .call_deadline = Duration::Micros(50), .max_call_retries = 3});
+  ASSERT_TRUE(f.ok());
+  std::shared_ptr<ServiceFabric> fab = f.value();
+  fab->StartAllDispatchers();
+  ServiceFabric::Handler echo = [](os::Env, const chan::Msg&) -> sim::Task<void> {
+    co_return;
+  };
+  SpawnServeLoops(fab, 0, *workers[0], echo);
+  auto plan = fault::Plan::Parse("rule chan/send fail at=2\n");
+  ASSERT_TRUE(plan.ok());
+  fault::Injector::Global().Arm(plan.value(), &machine_.events());
+  base::Status result = ErrorCode::kFault;
+  kernel_.Spawn(*clients[0], "web", [&, fab](os::Env env) -> sim::Task<void> {
+    result = co_await fab->Call(env, 0, 16);
+    fab->Close();
+  });
+  kernel_.Run();
+  fault::Injector::Global().Disarm();
+  EXPECT_TRUE(result.ok()) << static_cast<int>(result.code());
+  EXPECT_EQ(fab->retries(), 1u);
+  const std::shared_ptr<chan::Plane>& resp = fab->response_plane(0);
+  EXPECT_EQ(resp->broken(), ErrorCode::kOk);
+  EXPECT_EQ(resp->LiveGrantCount(), 0u);
+  EXPECT_EQ(resp->credits(0), resp->credit_line());
+#endif
 }
 
 }  // namespace

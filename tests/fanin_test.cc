@@ -1,7 +1,8 @@
-// Unit tests for the fan-in channel (src/chan/fanin.h): M->1 delivery with
+// Unit tests for planes with a producer group (src/chan/plane.h): M->1 delivery with
 // per-producer grants, per-producer credit isolation, the death matrix
 // (producer dies mid-send, consumer dies with queued descriptors,
-// credit-exhaustion timeouts) and supervisor-style RebindProducer.
+// credit-exhaustion timeouts), supervisor-style RebindProducer, and the
+// config fields a plane without a group side rejects.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,7 +11,7 @@
 #include <vector>
 
 #include "chan/channel.h"
-#include "chan/fanin.h"
+#include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "hw/machine.h"
@@ -44,15 +45,15 @@ class FanInTest : public ::testing::Test {
 TEST_F(FanInTest, ManyProducersDeliverIntoOneConsumerFifo) {
   auto producers = MakeProducers(3);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = FanInChannel::Create(dipc_, producers, cons, {.slots = 4, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, producers, cons, {.slots = 4, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   constexpr int kPerProducer = 5;  // 15 total > slots: rotates the pool
   std::vector<int> got(3, 0);
   int total = 0;
   kernel_.Spawn(cons, "server", [&, fan](os::Env env) -> sim::Task<void> {
     while (true) {
-      auto msg = co_await fan->Recv(env);
+      auto msg = co_await fan->Recv(env, 0);
       if (!msg.ok()) {
         EXPECT_EQ(msg.code(), ErrorCode::kBrokenChannel);  // orderly close
         co_return;
@@ -67,7 +68,7 @@ TEST_F(FanInTest, ManyProducersDeliverIntoOneConsumerFifo) {
         ++got[tag];
       }
       ++total;
-      EXPECT_TRUE((co_await fan->Release(env, msg.value())).ok());
+      EXPECT_TRUE((co_await fan->Release(env, 0, msg.value())).ok());
     }
   });
   for (uint32_t p = 0; p < 3; ++p) {
@@ -104,10 +105,10 @@ TEST_F(FanInTest, CreditLineBoundsOneGreedyProducerWithoutStarvingTheGroup) {
   auto producers = MakeProducers(2);
   os::Process& cons = dipc_.CreateDipcProcess("server");
   // Shared pool of 8 slots, but each producer may pin at most 2 at a time.
-  auto ch = FanInChannel::Create(dipc_, producers, cons,
-                                 {.slots = 8, .buf_bytes = 4096, .credits = 2});
+  auto ch = Plane::Create(dipc_, producers, cons,
+                          {.slots = 8, .buf_bytes = 4096, .credits = 2});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   bool greedy_timed_out = false;
   int delivered = 0;
   kernel_.Spawn(*producers[0], "greedy", [&, fan](os::Env env) -> sim::Task<void> {
@@ -123,8 +124,8 @@ TEST_F(FanInTest, CreditLineBoundsOneGreedyProducerWithoutStarvingTheGroup) {
     greedy_timed_out = true;
     EXPECT_EQ(fan->credits(0), 0u);  // a timeout consumes no credit
     // Hand the hoard back so teardown is clean.
-    EXPECT_TRUE((co_await fan->AbandonBuf(env, 0, a.value())).ok());
-    EXPECT_TRUE((co_await fan->AbandonBuf(env, 0, b.value())).ok());
+    EXPECT_TRUE((co_await fan->Abandon(env, 0, a.value())).ok());
+    EXPECT_TRUE((co_await fan->Abandon(env, 0, b.value())).ok());
     EXPECT_EQ(fan->credits(0), 2u);
     fan->Close();
   });
@@ -138,12 +139,12 @@ TEST_F(FanInTest, CreditLineBoundsOneGreedyProducerWithoutStarvingTheGroup) {
   });
   kernel_.Spawn(cons, "server", [&, fan](os::Env env) -> sim::Task<void> {
     while (true) {
-      auto msg = co_await fan->Recv(env);
+      auto msg = co_await fan->Recv(env, 0);
       if (!msg.ok()) {
         co_return;
       }
       ++delivered;
-      EXPECT_TRUE((co_await fan->Release(env, msg.value())).ok());
+      EXPECT_TRUE((co_await fan->Release(env, 0, msg.value())).ok());
     }
   });
   kernel_.Run();
@@ -161,9 +162,9 @@ TEST_F(FanInTest, ProducerDeathMidSendExcisesOnlyThatProducer) {
   // producers must keep flowing.
   auto producers = MakeProducers(2);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = FanInChannel::Create(dipc_, producers, cons, {.slots = 4, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, producers, cons, {.slots = 4, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   const uint64_t doomed_owner = fan->producer_owner(0);
   int delivered = 0;
   kernel_.Spawn(*producers[0], "doomed", [&, fan](os::Env env) -> sim::Task<void> {
@@ -193,12 +194,12 @@ TEST_F(FanInTest, ProducerDeathMidSendExcisesOnlyThatProducer) {
   });
   kernel_.Spawn(cons, "server", [&, fan](os::Env env) -> sim::Task<void> {
     while (true) {
-      auto msg = co_await fan->Recv(env);
+      auto msg = co_await fan->Recv(env, 0);
       if (!msg.ok()) {
         co_return;
       }
       ++delivered;
-      EXPECT_TRUE((co_await fan->Release(env, msg.value())).ok());
+      EXPECT_TRUE((co_await fan->Release(env, 0, msg.value())).ok());
     }
   });
   os::Process& killer = dipc_.CreateDipcProcess("killer");
@@ -220,12 +221,12 @@ TEST_F(FanInTest, ConsumerDeathWithQueuedDescriptorsRevokesEverything) {
   // parked producer is woken with the breakage instead of wedging.
   auto producers = MakeProducers(2);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = FanInChannel::Create(dipc_, producers, cons,
-                                 {.slots = 4, .buf_bytes = 4096, .credits = 2});
+  auto ch = Plane::Create(dipc_, producers, cons,
+                          {.slots = 4, .buf_bytes = 4096, .credits = 2});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   const uint64_t p0_owner = fan->producer_owner(0);
-  const uint64_t cons_owner = fan->consumer_owner();
+  const uint64_t cons_owner = fan->receiver_owner(0);
   bool woke_with_breakage = false;
   kernel_.Spawn(*producers[0], "client", [&, fan](os::Env env) -> sim::Task<void> {
     // Queue two messages the consumer will never drain (it never Recvs),
@@ -267,10 +268,10 @@ TEST_F(FanInTest, CreditExhaustionTimeoutLeaksNoGrantsOrCredits) {
   // able to proceed normally once the consumer frees a slot.
   auto producers = MakeProducers(1);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = FanInChannel::Create(dipc_, producers, cons,
-                                 {.slots = 2, .buf_bytes = 4096, .credits = 1});
+  auto ch = Plane::Create(dipc_, producers, cons,
+                          {.slots = 2, .buf_bytes = 4096, .credits = 1});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   int delivered = 0;
   kernel_.Spawn(*producers[0], "client", [&, fan](os::Env env) -> sim::Task<void> {
     auto first = co_await fan->AcquireBuf(env, 0);
@@ -295,12 +296,12 @@ TEST_F(FanInTest, CreditExhaustionTimeoutLeaksNoGrantsOrCredits) {
   kernel_.Spawn(cons, "server", [&, fan](os::Env env) -> sim::Task<void> {
     co_await env.kernel->Sleep(env, Duration::Micros(100));
     while (true) {
-      auto msg = co_await fan->Recv(env);
+      auto msg = co_await fan->Recv(env, 0);
       if (!msg.ok()) {
         co_return;
       }
       ++delivered;
-      EXPECT_TRUE((co_await fan->Release(env, msg.value())).ok());
+      EXPECT_TRUE((co_await fan->Release(env, 0, msg.value())).ok());
     }
   });
   kernel_.Run();
@@ -317,10 +318,10 @@ TEST_F(FanInTest, RebindProducerSplicesFreshIncarnationWithFullCreditLine) {
   // incarnation's late-released message refunds nobody.
   auto producers = MakeProducers(2);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = FanInChannel::Create(dipc_, producers, cons,
-                                 {.slots = 4, .buf_bytes = 4096, .credits = 2});
+  auto ch = Plane::Create(dipc_, producers, cons,
+                          {.slots = 4, .buf_bytes = 4096, .credits = 2});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   const uint64_t old_owner = fan->producer_owner(0);
   int delivered = 0;
   kernel_.Spawn(*producers[0], "doomed", [&, fan](os::Env env) -> sim::Task<void> {
@@ -336,12 +337,12 @@ TEST_F(FanInTest, RebindProducerSplicesFreshIncarnationWithFullCreditLine) {
     // message's release happens against the *rebound* incarnation.
     co_await env.kernel->Sleep(env, Duration::Micros(100));
     while (true) {
-      auto msg = co_await fan->Recv(env);
+      auto msg = co_await fan->Recv(env, 0);
       if (!msg.ok()) {
         co_return;
       }
       ++delivered;
-      EXPECT_TRUE((co_await fan->Release(env, msg.value())).ok());
+      EXPECT_TRUE((co_await fan->Release(env, 0, msg.value())).ok());
     }
   });
   os::Process& killer = dipc_.CreateDipcProcess("killer");
@@ -379,6 +380,29 @@ TEST_F(FanInTest, RebindProducerSplicesFreshIncarnationWithFullCreditLine) {
   EXPECT_EQ(codoms_.revocations().LiveCountForOwner(old_owner), 0u);
   EXPECT_EQ(fan->LiveGrantCount(), 0u);
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
+}
+
+TEST_F(FanInTest, CreditAndLagSettingsNeedAGroupSideToApplyTo) {
+  // No config field is silently ignored: a credit line needs a group side,
+  // and the lag policy a receiver group.
+  auto producers = MakeProducers(2);
+  os::Process& cons = dipc_.CreateDipcProcess("consumer");
+  EXPECT_EQ(Channel::Create(dipc_, *producers[0], cons, {.slots = 4, .credits = 2}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(Channel::Create(dipc_, *producers[0], cons,
+                            {.slots = 4, .lag_policy = LagPolicy::kDropSlowest})
+                .code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(Plane::Create(dipc_, producers, cons,
+                          {.slots = 4, .lag_policy = LagPolicy::kDropSlowest})
+                .code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(Plane::Create(dipc_, producers, cons, {.slots = 4, .credits = 5}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(Plane::Create(dipc_, producers, cons, {.slots = 4, .credits = 2}).ok());
+  EXPECT_TRUE(Plane::Create(dipc_, cons, producers,
+                            {.slots = 4, .credits = 2, .lag_policy = LagPolicy::kDropSlowest})
+                  .ok());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Unit tests for the fan-out channel (src/chan/fanout.h): broadcast and
+// Unit tests for planes with a receiver group (src/chan/plane.h): broadcast and
 // sharded delivery, per-receiver capability isolation, credit-based flow
-// control with both lag policies, duplex endpoints, and the per-receiver
-// revocation regression for dead receivers.
+// control with both lag policies, duplex endpoints, the per-receiver
+// revocation regression for dead receivers, and the credit gauges across a
+// failed broadcast.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,10 +10,12 @@
 #include <vector>
 
 #include "chan/channel.h"
-#include "chan/fanout.h"
+#include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
+#include "fault/fault.h"
 #include "hw/machine.h"
+#include "obs/metrics.h"
 #include "os/kernel.h"
 
 namespace dipc::chan {
@@ -42,9 +45,9 @@ class FanOutTest : public ::testing::Test {
 TEST_F(FanOutTest, BroadcastDeliversEveryMessageToEveryReceiver) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   auto receivers = MakeReceivers(3);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   constexpr int kMsgs = 7;  // > slots: forces rotation through every slot
   std::vector<std::vector<std::string>> got(3);
   for (uint32_t r = 0; r < 3; ++r) {
@@ -67,13 +70,13 @@ TEST_F(FanOutTest, BroadcastDeliversEveryMessageToEveryReceiver) {
   }
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     for (int i = 0; i < kMsgs; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
       std::string payload = "msg-" + std::to_string(i);
       EXPECT_TRUE(
           env.kernel->UserWrite(*env.self, buf.value().va, std::as_bytes(std::span(payload)))
               .ok());
-      EXPECT_TRUE((co_await fan->Send(env, buf.value(), payload.size())).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), payload.size())).ok());
     }
     fan->Close();
   });
@@ -92,9 +95,9 @@ TEST_F(FanOutTest, BroadcastDeliversEveryMessageToEveryReceiver) {
 TEST_F(FanOutTest, ShardedSendToRoundRobinsAndParallelizes) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   auto receivers = MakeReceivers(3);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 4, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, prod, receivers, {.slots = 4, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   constexpr int kMsgs = 12;
   std::vector<int> counts(3, 0);
   for (uint32_t r = 0; r < 3; ++r) {
@@ -111,11 +114,11 @@ TEST_F(FanOutTest, ShardedSendToRoundRobinsAndParallelizes) {
   }
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     for (int i = 0; i < kMsgs; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
       uint32_t shard = fan->NextShard();
       DIPC_CHECK(shard < fan->receiver_count());
-      EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 64, shard)).ok());
+      EXPECT_TRUE((co_await fan->SendTo(env, 0, buf.value(), 64, shard)).ok());
     }
     fan->Close();
   });
@@ -131,11 +134,11 @@ TEST_F(FanOutTest, ShardedSendToRoundRobinsAndParallelizes) {
 TEST_F(FanOutTest, CreditGateBlocksProducerUntilSlowestReceiverReleases) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   auto receivers = MakeReceivers(2);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers,
-                                  {.slots = 2, .buf_bytes = 4096,
-                                   .lag_policy = LagPolicy::kBlock});
+  auto ch = Plane::Create(dipc_, prod, receivers,
+                          {.slots = 2, .buf_bytes = 4096,
+                           .lag_policy = LagPolicy::kBlock});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   double third_send_at = 0;
   // Receiver 0 releases immediately; receiver 1 (the slowest) sits on its
   // deliveries until t=40us.
@@ -167,9 +170,9 @@ TEST_F(FanOutTest, CreditGateBlocksProducerUntilSlowestReceiverReleases) {
   });
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     for (int i = 0; i < 3; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
-      EXPECT_TRUE((co_await fan->Send(env, buf.value(), 64)).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64)).ok());
       if (i == 2) {
         third_send_at = env.kernel->now().micros();
       }
@@ -189,11 +192,11 @@ TEST_F(FanOutTest, DropSlowestSkipsLaggardAndKeepsGroupFlowing) {
   auto receivers = MakeReceivers(2);
   // Credit line 2 < slots 8: the laggard can pin at most 2 buffers, so the
   // rest of the pool keeps the fast receiver fed.
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers,
-                                  {.slots = 8, .buf_bytes = 4096, .credits = 2,
-                                   .lag_policy = LagPolicy::kDropSlowest});
+  auto ch = Plane::Create(dipc_, prod, receivers,
+                          {.slots = 8, .buf_bytes = 4096, .credits = 2,
+                           .lag_policy = LagPolicy::kDropSlowest});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   constexpr int kMsgs = 10;
   int fast_got = 0;
   std::vector<Msg> laggard_held;
@@ -220,9 +223,9 @@ TEST_F(FanOutTest, DropSlowestSkipsLaggardAndKeepsGroupFlowing) {
   double last_send_at = 0;
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     for (int i = 0; i < kMsgs; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
-      EXPECT_TRUE((co_await fan->Send(env, buf.value(), 64)).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64)).ok());
     }
     last_send_at = env.kernel->now().micros();
     fan->Close();
@@ -246,9 +249,9 @@ TEST_F(FanOutTest, DeadReceiverIsRevokedIndividuallyWithoutBreakingGroup) {
   // must keep receiving as if nothing happened.
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   auto receivers = MakeReceivers(3);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 4, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, prod, receivers, {.slots = 4, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   constexpr int kBefore = 2;   // messages delivered before the kill
   constexpr int kAfter = 6;    // messages broadcast after the kill
   std::vector<int> got(3, 0);
@@ -285,16 +288,16 @@ TEST_F(FanOutTest, DeadReceiverIsRevokedIndividuallyWithoutBreakingGroup) {
   }
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     for (int i = 0; i < kBefore; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
-      EXPECT_TRUE((co_await fan->Send(env, buf.value(), 64)).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64)).ok());
     }
     co_await env.kernel->Sleep(env, Duration::Micros(50));  // killer fires at 30
     EXPECT_FALSE(fan->receiver_alive(1));
     for (int i = 0; i < kAfter; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
-      EXPECT_TRUE((co_await fan->Send(env, buf.value(), 64)).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64)).ok());
     }
     fan->Close();
   });
@@ -323,9 +326,9 @@ TEST_F(FanOutTest, DeadReceiverIsRevokedIndividuallyWithoutBreakingGroup) {
 TEST_F(FanOutTest, ProducerDeathBreaksGroupAndRevokesEveryGrant) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   auto receivers = MakeReceivers(2);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   std::vector<ErrorCode> recv_errors(2, ErrorCode::kOk);
   for (uint32_t r = 0; r < 2; ++r) {
     kernel_.Spawn(*receivers[r], "worker", [&, fan, r](os::Env env) -> sim::Task<void> {
@@ -340,9 +343,9 @@ TEST_F(FanOutTest, ProducerDeathBreaksGroupAndRevokesEveryGrant) {
     });
   }
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
-    auto buf = co_await fan->AcquireBuf(env);
+    auto buf = co_await fan->AcquireBuf(env, 0);
     DIPC_CHECK(buf.ok());
-    EXPECT_TRUE((co_await fan->Send(env, buf.value(), 64)).ok());
+    EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64)).ok());
     co_await env.kernel->Sleep(env, Duration::Millis(10));  // killed meanwhile
   });
   os::Process& killer = dipc_.CreateDipcProcess("killer");
@@ -364,9 +367,9 @@ TEST_F(FanOutTest, SteadyStateBroadcastMintsNothingAfterWarmup) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   auto receivers = MakeReceivers(2);
   constexpr uint32_t kSlots = 2;
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = kSlots, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, prod, receivers, {.slots = kSlots, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   for (uint32_t r = 0; r < 2; ++r) {
     kernel_.Spawn(*receivers[r], "worker", [&, fan, r](os::Env env) -> sim::Task<void> {
       while (true) {
@@ -381,9 +384,9 @@ TEST_F(FanOutTest, SteadyStateBroadcastMintsNothingAfterWarmup) {
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     auto cycle = [&](int n) -> sim::Task<void> {
       for (int i = 0; i < n; ++i) {
-        auto buf = co_await fan->AcquireBuf(env);
+        auto buf = co_await fan->AcquireBuf(env, 0);
         DIPC_CHECK(buf.ok());
-        DIPC_CHECK((co_await fan->Send(env, buf.value(), 64)).ok());
+        DIPC_CHECK((co_await fan->Send(env, 0, buf.value(), 64)).ok());
       }
     };
     co_await cycle(3 * kSlots);  // warm every write + per-receiver read template
@@ -466,13 +469,13 @@ TEST_F(FanOutTest, DuplexEndpointsRoundTripAndCloseBothWays) {
 TEST_F(FanOutTest, DeadShardSendToIsRetryableAndAbandonRecyclesSlots) {
   // The producer-side ownership contract: while broken() == kOk a failed
   // SendTo leaves the buffer owned, so it can be resharded onto a live
-  // receiver, and AbandonBufBatch hands unsent buffers back to the pool
+  // receiver, and AbandonBatch hands unsent buffers back to the pool
   // (revoking the write grants) instead of leaking them.
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   auto receivers = MakeReceivers(2);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   int shard0_got = 0;
   kernel_.Spawn(*receivers[0], "live", [&, fan](os::Env env) -> sim::Task<void> {
     while (true) {
@@ -498,35 +501,35 @@ TEST_F(FanOutTest, DeadShardSendToIsRetryableAndAbandonRecyclesSlots) {
     // third acquire can only proceed once the kill recycles the slots the
     // dead receiver pinned.
     for (int i = 0; i < 2; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
-      DIPC_CHECK((co_await fan->SendTo(env, buf.value(), 64, 1)).ok());
+      DIPC_CHECK((co_await fan->SendTo(env, 0, buf.value(), 64, 1)).ok());
     }
-    auto buf = co_await fan->AcquireBuf(env);
+    auto buf = co_await fan->AcquireBuf(env, 0);
     DIPC_CHECK(buf.ok());
     EXPECT_GE(env.kernel->now().micros(), 30.0);  // needed the kill's recycle
     // The shard is dead: the send fails, the buffer stays ours, and the
     // retry onto the live shard delivers it.
-    auto dead = co_await fan->SendTo(env, buf.value(), 64, 1);
+    auto dead = co_await fan->SendTo(env, 0, buf.value(), 64, 1);
     EXPECT_EQ(dead.code(), ErrorCode::kCalleeFailed);
     EXPECT_EQ(fan->broken(), ErrorCode::kOk);
-    EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 64, 0)).ok());
+    EXPECT_TRUE((co_await fan->SendTo(env, 0, buf.value(), 64, 0)).ok());
     // Abandon: gather the whole pool (AcquireBufBatch drains what's there,
     // so accumulate while the in-flight message comes back), hand it
     // straight back, and prove the pool is whole by re-gathering it.
     auto gather_all = [&]() -> sim::Task<std::vector<SendBuf>> {
       std::vector<SendBuf> held;
       while (held.size() < 2) {
-        auto got = co_await fan->AcquireBufBatch(env, 2 - static_cast<uint32_t>(held.size()));
+        auto got = co_await fan->AcquireBufBatch(env, 0, 2 - static_cast<uint32_t>(held.size()));
         DIPC_CHECK(got.ok());
         held.insert(held.end(), got.value().begin(), got.value().end());
       }
       co_return held;
     };
     std::vector<SendBuf> all = co_await gather_all();
-    EXPECT_TRUE((co_await fan->AbandonBufBatch(env, all)).ok());
+    EXPECT_TRUE((co_await fan->AbandonBatch(env, 0, all)).ok());
     std::vector<SendBuf> again = co_await gather_all();
-    EXPECT_TRUE((co_await fan->AbandonBufBatch(env, again)).ok());
+    EXPECT_TRUE((co_await fan->AbandonBatch(env, 0, again)).ok());
     fan->Close();
   });
   os::Process& killer = dipc_.CreateDipcProcess("killer");
@@ -546,9 +549,9 @@ TEST_F(FanOutTest, ReboundReceiverReentersRotationWithoutSkewingShards) {
   // double-visit its neighbours nor skip the revived slot.
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   auto receivers = MakeReceivers(3);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 6, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, prod, receivers, {.slots = 6, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   std::vector<int> got(4, 0);  // 0, 1 (old incarnation), 2, 1 (rebound)
   auto recv_loop = [&, fan](uint32_t r, int counter) {
     return [&, fan, r, counter](os::Env env) -> sim::Task<void> {
@@ -570,11 +573,11 @@ TEST_F(FanOutTest, ReboundReceiverReentersRotationWithoutSkewingShards) {
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     auto shard_send = [&](int n) -> sim::Task<void> {
       for (int i = 0; i < n; ++i) {
-        auto buf = co_await fan->AcquireBuf(env);
+        auto buf = co_await fan->AcquireBuf(env, 0);
         DIPC_CHECK(buf.ok());
         uint32_t shard = fan->NextShard();
         DIPC_CHECK(shard < fan->receiver_count());
-        DIPC_CHECK((co_await fan->SendTo(env, buf.value(), 64, shard)).ok());
+        DIPC_CHECK((co_await fan->SendTo(env, 0, buf.value(), 64, shard)).ok());
       }
     };
     co_await shard_send(2);  // cursor now past slots 0 and 1
@@ -610,9 +613,9 @@ TEST_F(FanOutTest, ShardDeathDuringSendSpendLeavesBufferOwnedAndRetryable) {
   // promised it could retry, aliasing the next acquire.
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   auto receivers = MakeReceivers(2);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   int live_got = 0;
   kernel_.Spawn(*receivers[0], "live", [&, fan](os::Env env) -> sim::Task<void> {
     while (true) {
@@ -629,11 +632,11 @@ TEST_F(FanOutTest, ShardDeathDuringSendSpendLeavesBufferOwnedAndRetryable) {
     EXPECT_FALSE(msg.ok());  // killed while parked
   });
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
-    auto buf = co_await fan->AcquireBuf(env);
+    auto buf = co_await fan->AcquireBuf(env, 0);
     DIPC_CHECK(buf.ok());
     // Widen the send's Spend window so the killer (t=5us) fires inside it.
     machine_.costs().chan_fast_path = Duration::Micros(10);
-    auto s = co_await fan->SendTo(env, buf.value(), 64, 1);
+    auto s = co_await fan->SendTo(env, 0, buf.value(), 64, 1);
     EXPECT_GE(env.kernel->now().micros(), 10.0);  // we were inside the Spend
     EXPECT_EQ(s.code(), ErrorCode::kCalleeFailed);
     EXPECT_EQ(fan->broken(), ErrorCode::kOk);
@@ -641,7 +644,7 @@ TEST_F(FanOutTest, ShardDeathDuringSendSpendLeavesBufferOwnedAndRetryable) {
     // Ownership survived the mid-Spend death: the write grant is live and
     // the very same buffer reshards onto the live receiver.
     EXPECT_GE(fan->LiveGrantCount(), 1u);
-    EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 64, 0)).ok());
+    EXPECT_TRUE((co_await fan->SendTo(env, 0, buf.value(), 64, 0)).ok());
     co_await env.kernel->Sleep(env, Duration::Millis(1));  // drain the release
     fan->Close();
   });
@@ -659,18 +662,18 @@ TEST_F(FanOutTest, ShardDeathDuringSendSpendLeavesBufferOwnedAndRetryable) {
 TEST_F(FanOutTest, AllReceiversDeadFailsProducerOps) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   auto receivers = MakeReceivers(2);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   ErrorCode send_err = ErrorCode::kOk;
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     co_await env.kernel->Sleep(env, Duration::Micros(50));  // both killed at 20/30
-    auto buf = co_await fan->AcquireBuf(env);
+    auto buf = co_await fan->AcquireBuf(env, 0);
     if (!buf.ok()) {
       send_err = buf.code();
       co_return;
     }
-    send_err = (co_await fan->Send(env, buf.value(), 64)).code();
+    send_err = (co_await fan->Send(env, 0, buf.value(), 64)).code();
   });
   os::Process& killer = dipc_.CreateDipcProcess("killer");
   kernel_.Spawn(killer, "killer", [&](os::Env env) -> sim::Task<void> {
@@ -683,6 +686,43 @@ TEST_F(FanOutTest, AllReceiversDeadFailsProducerOps) {
   EXPECT_EQ(send_err, ErrorCode::kCalleeFailed);
   EXPECT_EQ(fan->live_receiver_count(), 0u);
   EXPECT_EQ(fan->LiveGrantCount(), 0u);
+}
+
+TEST_F(FanOutTest, FailedBroadcastLeavesEveryCreditGaugeEqualToItsBalance) {
+#if defined(DIPC_FAULT_OFF) || defined(DIPC_OBS_OFF)
+  GTEST_SKIP() << "fault injection or observability compiled out";
+#else
+  // Store hit 2 is receiver 1's read grant: receiver 0's was already planned
+  // (one credit consumed) when the broadcast fails with kFault, so the undo
+  // must hand that credit back AND show it in receiver 0's gauge.
+  os::Process& prod = dipc_.CreateDipcProcess("producer");
+  auto receivers = MakeReceivers(2);
+  auto ch = Plane::Create(dipc_, prod, receivers, {.slots = 4, .buf_bytes = 4096});
+  ASSERT_TRUE(ch.ok());
+  std::shared_ptr<Plane> fan = ch.value();
+  auto plan = fault::Plan::Parse("rule codoms/store fail at=2\n");
+  ASSERT_TRUE(plan.ok());
+  fault::Injector::Global().Arm(plan.value(), &machine_.events());
+  ErrorCode sent = ErrorCode::kOk;
+  kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
+    auto buf = co_await fan->AcquireBuf(env, 0);
+    DIPC_CHECK(buf.ok());
+    sent = (co_await fan->Send(env, 0, buf.value(), 64)).code();
+    EXPECT_TRUE((co_await fan->Abandon(env, 0, buf.value())).ok());
+    fan->Close();
+  });
+  kernel_.Run();
+  fault::Injector::Global().Disarm();
+  EXPECT_EQ(sent, ErrorCode::kFault);
+  const std::string prefix = "fanout/" + std::to_string(fan->obs_id()) + "/rx/";
+  for (uint32_t r = 0; r < fan->receiver_count(); ++r) {
+    EXPECT_EQ(fan->credits(r), fan->credit_line()) << "receiver " << r;
+    EXPECT_EQ(obs::Registry::Default().GetGauge(prefix + std::to_string(r) + "/credits")->value(),
+              static_cast<int64_t>(fan->credits(r)))
+        << "receiver " << r;
+  }
+  EXPECT_EQ(fan->LiveGrantCount(), 0u);
+#endif
 }
 
 }  // namespace

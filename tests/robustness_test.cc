@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "chan/channel.h"
-#include "chan/fanout.h"
+#include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "hw/machine.h"
@@ -99,9 +99,9 @@ TEST_F(RobustnessTest, ChannelAcquireBufTimesOutWhenSlotsExhausted) {
 TEST_F(RobustnessTest, FanOutRecvBatchTimesOutAgainstWedgedProducer) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   std::vector<os::Process*> rxs{&dipc_.CreateDipcProcess("w0"), &dipc_.CreateDipcProcess("w1")};
-  auto fr = FanOutChannel::Create(dipc_, prod, rxs, {.slots = 4, .buf_bytes = 256});
+  auto fr = Plane::Create(dipc_, prod, rxs, {.slots = 4, .buf_bytes = 256});
   ASSERT_TRUE(fr.ok());
-  std::shared_ptr<FanOutChannel> fan = fr.value();
+  std::shared_ptr<Plane> fan = fr.value();
   bool checked = false;
   kernel_.Spawn(*rxs[0], "rx", [&](os::Env env) -> sim::Task<void> {
     os::Kernel& k = *env.kernel;
@@ -120,20 +120,20 @@ TEST_F(RobustnessTest, FanOutSendTimesOutWhenCreditsExhausted) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   std::vector<os::Process*> rxs{&dipc_.CreateDipcProcess("w0")};
   // credit line == slots == 2: two unconsumed sends exhaust admission.
-  auto fr = FanOutChannel::Create(dipc_, prod, rxs, {.slots = 2, .buf_bytes = 256});
+  auto fr = Plane::Create(dipc_, prod, rxs, {.slots = 2, .buf_bytes = 256});
   ASSERT_TRUE(fr.ok());
-  std::shared_ptr<FanOutChannel> fan = fr.value();
+  std::shared_ptr<Plane> fan = fr.value();
   bool timed_out = false;
   kernel_.Spawn(prod, "tx", [&](os::Env env) -> sim::Task<void> {
     os::Kernel& k = *env.kernel;
     for (int i = 0; i < 2; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       EXPECT_TRUE(buf.ok());
-      EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 16, 0)).ok());
+      EXPECT_TRUE((co_await fan->SendTo(env, 0, buf.value(), 16, 0)).ok());
     }
     // The receiver never releases: the third send must give up at its
     // deadline inside credit admission, still owning no slot.
-    auto buf = co_await fan->AcquireBuf(env, os::Deadline::After(k.now(), Duration::Millis(1)));
+    auto buf = co_await fan->AcquireBuf(env, 0, os::Deadline::After(k.now(), Duration::Millis(1)));
     EXPECT_EQ(buf.code(), ErrorCode::kTimedOut);
     timed_out = true;
   });
@@ -147,9 +147,9 @@ TEST_F(RobustnessTest, FanOutSendTimesOutWhenCreditsExhausted) {
 TEST_F(RobustnessTest, PeerDeathBeatsPendingDeadline) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   std::vector<os::Process*> rxs{&dipc_.CreateDipcProcess("w0")};
-  auto fr = FanOutChannel::Create(dipc_, prod, rxs, {.slots = 2, .buf_bytes = 256});
+  auto fr = Plane::Create(dipc_, prod, rxs, {.slots = 2, .buf_bytes = 256});
   ASSERT_TRUE(fr.ok());
-  std::shared_ptr<FanOutChannel> fan = fr.value();
+  std::shared_ptr<Plane> fan = fr.value();
   bool checked = false;
   kernel_.Spawn(*rxs[0], "rx", [&](os::Env env) -> sim::Task<void> {
     os::Kernel& k = *env.kernel;
@@ -254,18 +254,18 @@ TEST_F(RobustnessTest, SemaphoreFailInKernelEntryWindowDoesNotHang) {
 TEST_F(RobustnessTest, RebindReceiverRestoresDeliveryAfterDeath) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   std::vector<os::Process*> rxs{&dipc_.CreateDipcProcess("w0"), &dipc_.CreateDipcProcess("w1")};
-  auto fr = FanOutChannel::Create(dipc_, prod, rxs, {.slots = 4, .buf_bytes = 256});
+  auto fr = Plane::Create(dipc_, prod, rxs, {.slots = 4, .buf_bytes = 256});
   ASSERT_TRUE(fr.ok());
-  std::shared_ptr<FanOutChannel> fan = fr.value();
+  std::shared_ptr<Plane> fan = fr.value();
 
   int delivered_to_fresh = 0;
   kernel_.Spawn(prod, "tx", [&](os::Env env) -> sim::Task<void> {
     os::Kernel& k = *env.kernel;
     // Phase 1: two messages parked at w0, which dies without consuming them.
     for (int i = 0; i < 2; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       EXPECT_TRUE(buf.ok());
-      EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 16, 0)).ok());
+      EXPECT_TRUE((co_await fan->SendTo(env, 0, buf.value(), 16, 0)).ok());
     }
     dipc_.KillProcess(*rxs[0]);
     EXPECT_FALSE(fan->receiver_alive(0));
@@ -288,9 +288,9 @@ TEST_F(RobustnessTest, RebindReceiverRestoresDeliveryAfterDeath) {
       }
     });
     for (int i = 0; i < 3; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       EXPECT_TRUE(buf.ok());
-      EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 16, 0)).ok());
+      EXPECT_TRUE((co_await fan->SendTo(env, 0, buf.value(), 16, 0)).ok());
     }
     // Let the fresh receiver drain, then shut down in order.
     co_await k.Sleep(env, Duration::Millis(1));

@@ -10,7 +10,14 @@ threshold (default 15%). Lower is better for every series (values are ns).
 Usage:
   bench_trend.py BASELINE_DIR CURRENT_DIR [--threshold PCT] [--warn-only]
                  [--prefix-threshold PREFIX=PCT ...]
+  bench_trend.py BASELINE_DIR CURRENT_DIR --exact
   bench_trend.py --self-test
+
+--exact gates a deterministic simulation against a committed baseline
+(bench/baseline/): every bench with a file in BASELINE_DIR must reproduce
+its rows exactly — a changed value, a new row or a removed row fails. A
+change that moves a row regenerates the baseline in the same diff, so the
+move is reviewed instead of thresholded.
 
 One global threshold fits nobody: microbenchmark points are stable to a few
 percent while the OLTP macro rows are workload-noisy. --prefix-threshold
@@ -44,26 +51,68 @@ import sys
 import tempfile
 
 
+def bench_files(path):
+    """Every BENCH_*.json in path, minus the Chrome traces sharing the prefix."""
+    return [f for f in sorted(glob.glob(os.path.join(path, "BENCH_*.json")))
+            if not f.endswith(".trace.json")]
+
+
+def load_file(f, rows):
+    """Adds {(bench, series, x): value_ns} from one BENCH file to rows."""
+    try:
+        with open(f) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        print(f"warning: skipping unreadable {f}: {e}", file=sys.stderr)
+        return rows
+    bench = doc.get("bench")
+    for row in doc.get("rows", []):
+        try:
+            key = (bench, row["series"], int(row["x"]))
+            rows[key] = float(row["value"])
+        except (KeyError, TypeError, ValueError) as e:
+            print(f"warning: skipping malformed row in {f}: {e}", file=sys.stderr)
+    return rows
+
+
 def load_dir(path):
     """Returns {(bench, series, x): value_ns} over every BENCH_*.json in path."""
     rows = {}
-    for f in sorted(glob.glob(os.path.join(path, "BENCH_*.json"))):
-        if f.endswith(".trace.json"):
-            continue  # Chrome traces share the prefix but are not trend data
-        try:
-            with open(f) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"warning: skipping unreadable {f}: {e}", file=sys.stderr)
-            continue
-        bench = doc.get("bench")
-        for row in doc.get("rows", []):
-            try:
-                key = (bench, row["series"], int(row["x"]))
-                rows[key] = float(row["value"])
-            except (KeyError, TypeError, ValueError) as e:
-                print(f"warning: skipping malformed row in {f}: {e}", file=sys.stderr)
+    for f in bench_files(path):
+        load_file(f, rows)
     return rows
+
+
+def run_exact(baseline_dir, current_dir):
+    """--exact: every bench with a baseline file reproduces its rows exactly."""
+    files = bench_files(baseline_dir)
+    if not files:
+        print(f"error: no BENCH_*.json found in {baseline_dir}", file=sys.stderr)
+        return 2
+    failures = 0
+    matched = 0
+    for f in files:
+        baseline = load_file(f, {})
+        cur_path = os.path.join(current_dir, os.path.basename(f))
+        current = load_file(cur_path, {}) if os.path.exists(cur_path) else {}
+        for key in sorted(set(baseline) | set(current)):
+            base, cur = baseline.get(key), current.get(key)
+            if base == cur:
+                matched += 1
+                continue
+            failures += 1
+            if base is None:
+                print(f"  NEW       {fmt_key(key)}: {cur:.3f} ns")
+            elif cur is None:
+                print(f"  REMOVED   {fmt_key(key)} (baseline {base:.3f} ns)")
+            else:
+                print(f"  CHANGED   {fmt_key(key)}: {base:.3f} -> {cur:.3f} ns")
+    print(f"exact: {len(files)} bench(es), {matched} row(s) identical, {failures} differ")
+    if failures:
+        print("FAIL: rows differ from the committed baseline; a change that moves "
+              "a row regenerates the baseline in the same diff")
+        return 1
+    return 0
 
 
 def normalize_counter(name):
@@ -77,9 +126,7 @@ def load_counters(path):
     BeginSeries boundaries) use the empty series label. Counters whose ids
     normalize to the same name are summed."""
     counters = {}
-    for f in sorted(glob.glob(os.path.join(path, "BENCH_*.json"))):
-        if f.endswith(".trace.json"):
-            continue
+    for f in bench_files(path):
         try:
             with open(f) as fh:
                 doc = json.load(fh)
@@ -364,6 +411,29 @@ def self_test():
         os.mkdir(empty)
         assert run(empty, cdir, 15.0, warn_only=False) == 0
         assert run(bdir, empty, 15.0, warn_only=False) == 2
+        # --exact: identical rows pass; a changed value, a new row and a
+        # removed row each fail; a bench with no baseline file is ignored.
+        rows = base_doc["rows"][:2]
+        for case, cur_rows in (
+            ("same", rows),
+            ("changed", [rows[0], dict(rows[1], value=200.001)]),
+            ("new", rows + [{"series": "b", "x": 1, "value": 1.0}]),
+            ("removed", rows[:1]),
+        ):
+            edir = os.path.join(tmp, "exact_" + case)
+            os.makedirs(os.path.join(edir, "base"))
+            os.makedirs(os.path.join(edir, "cur"))
+            for sub, doc_rows in (("base", rows), ("cur", cur_rows)):
+                with open(os.path.join(edir, sub, "BENCH_t.json"), "w") as f:
+                    json.dump({"bench": "t", "unit": "ns", "rows": doc_rows}, f)
+            with open(os.path.join(edir, "cur", "BENCH_host.json"), "w") as f:
+                json.dump({"bench": "host", "unit": "ns",
+                           "rows": [{"series": "wall", "x": 1, "value": 8.1}]}, f)
+            want = 0 if case == "same" else 1
+            got = run_exact(os.path.join(edir, "base"), os.path.join(edir, "cur"))
+            assert got == want, (case, got)
+        assert run_exact(empty, cdir) == 2
+        assert run_exact(bdir, empty) == 1  # every baseline row removed
     print("self-test ok")
     return 0
 
@@ -401,12 +471,20 @@ def main():
         action="store_true",
         help="report regressions but exit 0 (CI warm-up mode)",
     )
+    ap.add_argument(
+        "--exact",
+        action="store_true",
+        help="fail on any changed, new or removed row of a bench that has a "
+        "baseline file (deterministic benches against bench/baseline/)",
+    )
     ap.add_argument("--self-test", action="store_true", help="run the built-in checks")
     args = ap.parse_args()
     if args.self_test:
         sys.exit(self_test())
     if not args.baseline or not args.current:
         ap.error("baseline and current directories are required (or --self-test)")
+    if args.exact:
+        sys.exit(run_exact(args.baseline, args.current))
     try:
         prefix_thresholds = [parse_prefix_threshold(s) for s in args.prefix_threshold]
         counter_thresholds = [parse_prefix_threshold(s) for s in args.counter_threshold]

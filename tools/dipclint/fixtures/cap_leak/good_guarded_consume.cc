@@ -12,7 +12,7 @@ sim::Task<base::Status> ProduceOne(os::Env env, chan::Endpoint& ep, os::Kernel& 
   }
   auto produced = co_await k.TouchUser(env, buf.value().va, 64, hw::AccessType::kWrite);
   if (!produced.ok()) {
-    co_await ep.AbandonBuf(env, buf.value());
+    co_await ep.Abandon(env, buf.value());
     co_return produced.code();
   }
   co_return co_await ep.Send(env, buf.value(), 64);

@@ -6,7 +6,9 @@ driver applies NOLINT-DIPC suppressions afterwards, so rules just report.
 
 Rules (see README "Static analysis" for the catalog):
   CAP-LEAK         acquired send buffers must reach a consuming call on
-                   every path (flow walk over the statement tree)
+                   every path (flow walk over the statement tree); a
+                   failed send consumes its buffer only when the plane is
+                   broken
   FUTEX-PREDICATE  FutexBlock[Until] must receive a real still-blocked
                    predicate
   DEADLINE-THREAD  public blocking channel/fabric/semaphore APIs must
@@ -120,11 +122,12 @@ def schema_examples(entry: tuple[str, list[str]]) -> list[str]:
 
 # ---- CAP-LEAK -------------------------------------------------------------
 
+# chan::Plane's method names (the endpoint wrappers forward the same ones).
 _ACQUIRES = {"AcquireBuf", "AcquireBufBatch"}
-_SINKS = {
-    "Send", "SendTo", "SendBatch", "SendBatchTo",
-    "Abandon", "AbandonBuf", "AbandonBatch",
-    "Release", "ReleaseBatch", "ReleaseAll",
+_SENDS = {"Send", "SendTo", "SendBatch", "SendToBatch"}
+_SINKS = _SENDS | {
+    "Abandon", "AbandonBatch",
+    "Release", "ReleaseBatch",
     "BindSendCap", "BindRecvCap",
 }
 _ALIAS_RECEIVERS = {"push_back", "emplace_back", "insert", "assign"}
@@ -139,6 +142,10 @@ class _CapWalk:
       - an early return inside an `if` whose condition mentions the handle
         (or an alias) is exempt — that is the acquire-failure guard shape,
         and also the thread-killed shape where the grant is already gone;
+      - except a failed send: in the branch of `if (!(co_await x.Send*(h)).ok())`
+        or of `auto r = co_await x.Send*(h); if (!r.ok())` the plane still
+        owns nothing unless it broke, so `h` is live again there — the
+        branch must Abandon it or test broken() before it exits;
       - `break`/`continue` are not exit points; per-iteration leaks are
         caught at the declaring block's scope end instead.
     """
@@ -153,6 +160,7 @@ class _CapWalk:
         self.acq_var: dict[int, str] = {}
         self.next_root = 0
         self.guard: list[set[int]] = []      # roots mentioned by enclosing ifs
+        self.send_results: dict[str, set[int]] = {}  # `r` of `r = x.Send*(h)` -> h
 
     # -- helpers --
 
@@ -211,6 +219,36 @@ class _CapWalk:
                             self.acq_var[rid] = var
                         return
                 return
+
+    def _sent_roots(self, toks: list[Tok]) -> set[int]:
+        """Roots handed to a Send* call somewhere in `toks`."""
+        out: set[int] = set()
+        for i, t in enumerate(toks):
+            if t.kind == IDENT and t.text in _SENDS and i + 1 < len(toks) and \
+                    toks[i + 1].text == "(":
+                out |= self._mentioned(toks[i + 2 : match_forward(toks, i + 1)])
+        return out
+
+    def _maybe_send_result(self, toks: list[Tok]) -> None:
+        # `auto r = co_await x.Send*(...h...);` — remember which handles a
+        # later `if (!r.ok())` sees failing.
+        for j, t in enumerate(toks):
+            if t.kind == PUNCT and t.text == "=":
+                sent = self._sent_roots(toks[j + 1 :])
+                if sent and j >= 1 and toks[j - 1].kind == IDENT:
+                    self.send_results[toks[j - 1].text] = sent
+                return
+
+    def _failed_sends(self, header: list[Tok]) -> set[int]:
+        """Handles whose send the then-branch of `header` sees failing."""
+        if not header or header[0].text != "!" or \
+                not any(t.kind == IDENT and t.text == "ok" for t in header):
+            return set()
+        out = self._sent_roots(header)
+        for t in header:
+            if t.kind == IDENT and t.text in self.send_results:
+                out |= self.send_results[t.text]
+        return out
 
     def _maybe_alias(self, toks: list[Tok]) -> None:
         # `Type X = <root>...;` where the RHS is a pure handle expression
@@ -299,14 +337,20 @@ class _CapWalk:
             self._scan(s.toks)
             self._maybe_acquire(s.toks)
             self._maybe_alias(s.toks)
+            self._maybe_send_result(s.toks)
             return "flow"
         if s.kind == "block":
             return self._walk_block(s.children)
         if s.kind == "if":
+            failed = self._failed_sends(s.header)
             self._scan(s.header)
             self._maybe_acquire(s.header)  # `if (auto b = co_await Acquire...)`
             mentioned = self._mentioned(s.header)
             snapshot = dict(self.consumed)
+            if failed and not _calls(s.children, "broken"):
+                mentioned -= failed
+                for rid in failed & set(self.consumed):
+                    self.consumed[rid] = False
             self.guard.append(mentioned)
             out_then = self._walk_block(s.children)
             after_then = dict(self.consumed)
@@ -362,6 +406,18 @@ class _CapWalk:
                                 self.roots[header[k].text] = self.roots[rng[0].text]
                                 break
                     return
+
+
+def _calls(stmts: list[Stmt], name: str) -> bool:
+    """True when any statement under `stmts` calls `name(...)`."""
+    for st in stmts:
+        toks = st.toks + st.header
+        if any(t.kind == IDENT and t.text == name and i + 1 < len(toks) and
+               toks[i + 1].text == "(" for i, t in enumerate(toks)):
+            return True
+        if _calls(st.children, name) or _calls(st.orelse, name):
+            return True
+    return False
 
 
 def rule_cap_leak(fm: FileModel, ctx: RepoContext) -> list[Finding]:
