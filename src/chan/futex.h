@@ -28,7 +28,7 @@ namespace dipc::chan {
 // a waiter never pays more than twice what the better of the two choices
 // would have cost it. 1474 ns at default costs.
 constexpr sim::Duration SpinBudget(const hw::CostModel& c) {
-  return c.syscall_trap + c.syscall_dispatch + os::Semaphore::kFutexWaitKernel + c.sysret +
+  return c.syscall_trap + c.syscall_dispatch + os::kFutexWaitKernel + c.sysret +
          c.schedule_pick + c.register_save + c.register_restore + c.ipi_deliver + c.idle_exit;
 }
 
@@ -42,12 +42,21 @@ constexpr sim::Duration SpinBudget(const hw::CostModel& c) {
 // The caller re-checks its predicate after resumption either way (standard
 // futex loop) — a true return is a hint, not a verdict, because a wake and
 // the timer can land on the same picosecond.
+//
+// With a deferred `wake` this is FUTEX_SWAP (os/kernel.h): the park does the
+// wake's kernel work in the same syscall and switches the CPU straight to the
+// wake's waiter. The wake is always consumed: a wait that does not park
+// issues it as an ordinary FUTEX_WAKE (os::FutexWake) — up front when the
+// waiter was killed since the publish or the deadline already expired.
 template <typename Pred>
 inline sim::Task<bool> FutexBlockUntil(os::Env env, os::WaitQueue& q, os::Deadline deadline,
-                                       Pred still_blocked) {
+                                       os::DeferredWake wake, Pred still_blocked) {
   os::Kernel& k = *env.kernel;
+  if (wake && (!wake.swappable() || deadline.ExpiredAt(k.now()))) {
+    co_await os::FutexWake(env, *wake.Take());
+  }
   co_await k.SyscallEnter(env);
-  co_await k.Spend(*env.self, os::Semaphore::kFutexWaitKernel, os::TimeCat::kKernel);
+  co_await k.Spend(*env.self, os::kFutexWaitKernel, os::TimeCat::kKernel);
   {
     fault::Decision d = DIPC_FAULT_POINT(kFutexPark, env.self->last_cpu());
     if (d.action == fault::Action::kDelay) {
@@ -66,30 +75,28 @@ inline sim::Task<bool> FutexBlockUntil(os::Env env, os::WaitQueue& q, os::Deadli
       obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexQDepth, /*obj=*/0,
                           static_cast<uint64_t>(q.size() + 1), k.now());
       const sim::Time park_start = k.now();
-      if (deadline.never()) {
-        co_await q.Wait(env);
-      } else {
-        // The timer only acts if the thread is still parked on `q`: a normal
-        // wake at the same instant wins (FIFO event order) and Remove returns
-        // false. MakeRunnable on a thread killed while parked is a safe no-op,
-        // and the coroutine frame outlives the kill (kernel keeps
-        // Thread::task_ until teardown), so capturing frame locals by
-        // reference is sound.
-        bool timer_fired = false;
+      // The timer only acts if the thread is still parked on `q`: a normal
+      // wake at the same instant wins (FIFO event order) and Remove returns
+      // false. MakeRunnable on a thread killed while parked is a safe no-op,
+      // and the coroutine frame outlives the kill (kernel keeps
+      // Thread::task_ until teardown), so capturing frame locals by
+      // reference is sound.
+      bool timer_fired = false;
+      sim::EventId timer = sim::kInvalidEventId;
+      if (!deadline.never()) {
         os::Thread* self = env.self;
-        sim::EventId timer = k.machine().events().ScheduleAt(
-            deadline.at(), [&k, &q, self, &timer_fired] {
-              if (q.Remove(self)) {
-                timer_fired = true;
-                (void)k.MakeRunnable(*self, std::nullopt);
-              }
-            });
-        co_await q.Wait(env);
-        if (timer_fired) {
-          timed_out = true;
-        } else {
-          (void)k.machine().events().Cancel(timer);
-        }
+        timer = k.machine().events().ScheduleAt(deadline.at(), [&k, &q, self, &timer_fired] {
+          if (q.Remove(self)) {
+            timer_fired = true;
+            (void)k.MakeRunnable(*self, std::nullopt);
+          }
+        });
+      }
+      co_await q.Wait(env, wake);
+      if (timer_fired) {
+        timed_out = true;
+      } else if (timer != sim::kInvalidEventId) {
+        (void)k.machine().events().Cancel(timer);
       }
       k.futex_waiters()->Sub(1);
       obs::ChargeDomainTime(static_cast<uint32_t>(env.self->cap_ctx().current_domain),
@@ -97,7 +104,16 @@ inline sim::Task<bool> FutexBlockUntil(os::Env env, os::WaitQueue& q, os::Deadli
     }
   }
   co_await k.SyscallExit(env);
+  if (wake) {
+    co_await os::FutexWake(env, *wake.Take());  // did not park
+  }
   co_return timed_out;
+}
+
+template <typename Pred>
+inline sim::Task<bool> FutexBlockUntil(os::Env env, os::WaitQueue& q, os::Deadline deadline,
+                                       Pred still_blocked) {
+  return FutexBlockUntil(env, q, deadline, os::DeferredWake(), std::move(still_blocked));
 }
 
 // Untimed flavor: the historical API, now a never-deadline park.
@@ -111,18 +127,9 @@ inline sim::Task<void> FutexBlock(os::Env env, os::WaitQueue& q, Pred still_bloc
 // Wakes one thread parked on `q`, if any, paying the futex wake syscall and
 // any cross-CPU IPI cost on the waker's side.
 inline sim::Task<void> FutexWakeOne(os::Env env, os::WaitQueue& q) {
-  os::Kernel& k = *env.kernel;
-  os::Thread* waiter = q.WakeOneThread();
-  if (waiter == nullptr) {
-    co_return;
+  if (os::Thread* waiter = q.WakeOneThread()) {
+    co_await os::FutexWake(env, *waiter);
   }
-  co_await k.SyscallEnter(env);
-  co_await k.Spend(*env.self, os::Semaphore::kFutexWakeKernel, os::TimeCat::kKernel);
-  sim::Duration ipi = k.MakeRunnable(*waiter, env.self->last_cpu());
-  if (ipi > sim::Duration::Zero()) {
-    co_await k.Spend(*env.self, ipi, os::TimeCat::kKernel);
-  }
-  co_await k.SyscallExit(env);
 }
 
 // Wake-suppressed flavor: the caller already consulted a user-level waiter
@@ -134,7 +141,7 @@ inline sim::Task<void> FutexWakeOne(os::Env env, os::WaitQueue& q) {
 inline sim::Task<void> FutexWakeCommitted(os::Env env, os::WaitQueue& q) {
   os::Kernel& k = *env.kernel;
   co_await k.SyscallEnter(env);
-  co_await k.Spend(*env.self, os::Semaphore::kFutexWakeKernel, os::TimeCat::kKernel);
+  co_await k.Spend(*env.self, os::kFutexWakeKernel, os::TimeCat::kKernel);
   os::Thread* waiter = q.WakeOneThread();
   if (waiter != nullptr) {
     sim::Duration ipi = k.MakeRunnable(*waiter, env.self->last_cpu());

@@ -73,17 +73,23 @@ uint64_t MpmcQueue::EndSpins(uint64_t max) {
 }
 
 sim::Task<void> MpmcQueue::WakeIfWaiting(os::Env env, os::WaitQueue& q,
-                                         const uint64_t& live_waiters) {
+                                         const uint64_t& live_waiters, os::DeferredWake* defer) {
   if (live_waiters == 0) {
     co_return;  // suppressed: no syscall, no kernel work
   }
   if (DIPC_FAULT_POINT(kFutexWake, env.self->last_cpu()).drop_wake()) {
-    co_return;  // injected lost wake; deadline-armed parks recover
+    co_return;  // injected lost wake, deferred or not; deadline-armed parks recover
   }
   ++futex_wakes_;
   m_futex_wakes_->Add();
   obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_obj_, live_waiters,
                       env.kernel->now());
+  if (defer != nullptr && !*defer) {
+    *defer = q.TakeForSwap(env);
+    if (*defer) {
+      co_return;  // the publisher's next park switches to the waiter
+    }
+  }
   co_await FutexWakeCommitted(env, q);
 }
 
@@ -134,7 +140,8 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::Pop(os::Env env, os::Deadline deadl
 }
 
 sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> values,
-                                         uint64_t* pushed, os::Deadline deadline) {
+                                         uint64_t* pushed, os::Deadline deadline,
+                                         os::DeferredWake* defer) {
   os::Kernel& k = *env.kernel;
   os::Thread& self = *env.self;
   if (pushed != nullptr) {
@@ -164,8 +171,14 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
       m_blocked_pushes_->Add();
       ++waiting_pushes_;
       sim::Time park_start = k.now();
-      bool expired = co_await FutexBlockUntil(
-          env, producers_, deadline, [&] { return count_ == capacity_ && !closed_; });
+      // A consumer wake deferred by an earlier chunk is the one that frees
+      // room: this park swaps to it.
+      os::DeferredWake wake;
+      if (defer != nullptr) {
+        wake = std::move(*defer);
+      }
+      bool expired = co_await FutexBlockUntil(env, producers_, deadline, std::move(wake),
+                                              [&] { return count_ == capacity_ && !closed_; });
       --waiting_pushes_;
       sim::Duration parked = k.now() - park_start;
       m_park_ns_->Record(parked.nanos());
@@ -203,7 +216,7 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
     // one (suppressed) futex wake; the woken consumer chains further wakes
     // while a backlog remains (see PopN), so one is enough.
     if (EndSpins(n) < n) {
-      co_await WakeIfWaiting(env, consumers_, waiting_pops_);
+      co_await WakeIfWaiting(env, consumers_, waiting_pops_, defer);
     }
   }
   // Wake chaining, producer side: when a consumer freed a multi-slot run it
@@ -216,10 +229,13 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
 }
 
 sim::Task<base::Result<uint64_t>> MpmcQueue::PopN(os::Env env, std::span<uint64_t> out,
-                                                  os::Deadline deadline) {
+                                                  os::Deadline deadline, os::DeferredWake wake) {
   os::Kernel& k = *env.kernel;
   os::Thread& self = *env.self;
   if (out.empty()) {
+    if (wake) {
+      co_await os::FutexWake(env, *wake.Take());
+    }
     co_return base::ErrorCode::kInvalidArgument;
   }
   co_await k.Spend(self, k.costs().chan_fast_path, TimeCat::kUser);
@@ -229,8 +245,12 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopN(os::Env env, std::span<uint64_
       co_await k.Spend(self, d.delay, TimeCat::kUser);
     }
   }
-  // At most one spin per call, decided at the first empty check.
-  bool may_spin = true;
+  if (wake && (count_ > 0 || closed_)) {
+    co_await os::FutexWake(env, *wake.Take());  // nothing to park for
+  }
+  // At most one spin per call, decided at the first empty check; none while
+  // a deferred wake is held, since this CPU is owed to its waiter.
+  bool may_spin = !wake;
   while (count_ == 0) {
     if (closed_) {
       co_return code_;
@@ -253,7 +273,7 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopN(os::Env env, std::span<uint64_
       m_blocked_pops_->Add();
       ++waiting_pops_;
       sim::Time park_start = k.now();
-      expired = co_await FutexBlockUntil(env, consumers_, deadline,
+      expired = co_await FutexBlockUntil(env, consumers_, deadline, std::exchange(wake, {}),
                                          [&] { return count_ == 0 && !closed_; });
       --waiting_pops_;
       sim::Duration parked = k.now() - park_start;

@@ -25,6 +25,14 @@
 // the spinner's CPU. The spin ends early on need_resched, Close/Fail or the
 // deadline. Pushes to a full queue still park at once.
 //
+// Wake-and-park (os/kernel.h's DeferredWake): a push given a `defer` slot
+// hands back the consumer it would have woken instead of waking it, and a
+// pop given that wake switches its CPU straight to the consumer at its park
+// (FUTEX_SWAP). A pop holding a wake never spins — its CPU is owed to the
+// waiter — and one that does not park (slots already queued, Close, an
+// expired deadline) issues the wake as an ordinary FUTEX_WAKE. A deferred
+// wake still counts in futex_wakes.
+//
 // Closing is two-flavored, mirroring pipe EOF vs. peer crash:
 //   - Close(): producers fail immediately, consumers drain then see the
 //     close code (orderly shutdown);
@@ -85,17 +93,23 @@ class MpmcQueue {
   // case. On failure, `*pushed` (when non-null) reports how many values were
   // published before the queue closed under the call. A finite `deadline`
   // bounds every park: an expired park where the queue is still full fails
-  // with kTimedOut (partial progress reported through `*pushed`).
+  // with kTimedOut (partial progress reported through `*pushed`). With an
+  // empty `*defer`, the first consumer wake is deferred into it (see above);
+  // the caller must consume it, whatever the push returns. A push that must
+  // park for room swaps to that consumer itself.
   sim::Task<base::Status> PushN(os::Env env, std::span<const uint64_t> values,
-                                uint64_t* pushed = nullptr, os::Deadline deadline = {});
+                                uint64_t* pushed = nullptr, os::Deadline deadline = {},
+                                os::DeferredWake* defer = nullptr);
 
   // Batched pop of up to `out.size()` slots: blocks until at least one slot
   // is available (spinning first, see above), then drains what is there
   // (never blocks for a full batch). Returns the number popped. Same
   // close/fail semantics as Pop; a finite `deadline` bounds the empty-queue
-  // spin and park with kTimedOut.
+  // spin and park with kTimedOut. `wake` is always consumed: swapped to at
+  // the park, or issued as an ordinary wake.
   sim::Task<base::Result<uint64_t>> PopN(os::Env env, std::span<uint64_t> out,
-                                         os::Deadline deadline = {});
+                                         os::Deadline deadline = {},
+                                         os::DeferredWake wake = {});
 
   void Close(base::ErrorCode code = base::ErrorCode::kBrokenChannel);
   void Fail(base::ErrorCode code);
@@ -120,8 +134,10 @@ class MpmcQueue {
   // line transfer later); returns how many it ended.
   uint64_t EndSpins(uint64_t max);
   // Wake-suppression gate: pays the FUTEX_WAKE only when the live waiter
-  // counter says someone is (or is about to be) parked on `q`.
-  sim::Task<void> WakeIfWaiting(os::Env env, os::WaitQueue& q, const uint64_t& live_waiters);
+  // counter says someone is (or is about to be) parked on `q`. With an
+  // empty `*defer`, a parked waiter is deferred into it instead.
+  sim::Task<void> WakeIfWaiting(os::Env env, os::WaitQueue& q, const uint64_t& live_waiters,
+                                os::DeferredWake* defer = nullptr);
   // Copies `n` values between `values` and the ring starting at `pos`,
   // split at the wrap point; accumulates the (batched) slot access cost.
   base::Status AccessSlots(os::Env env, uint64_t pos, std::span<const uint64_t> values,

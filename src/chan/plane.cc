@@ -503,26 +503,27 @@ void Plane::BindRecvCap(os::Thread& t, uint32_t r, const Msg& msg) const {
 }
 
 sim::Task<base::Status> Plane::Send(os::Env env, uint32_t p, const SendBuf& buf, uint64_t len,
-                                    os::Deadline deadline) {
+                                    os::Deadline deadline, os::DeferredWake* defer) {
   SendItem item{buf, len};
-  co_return co_await SendCommon(env, p, std::span(&item, 1), receiver_count(), deadline);
+  co_return co_await SendCommon(env, p, std::span(&item, 1), receiver_count(), deadline, defer);
 }
 
 sim::Task<base::Status> Plane::SendBatch(os::Env env, uint32_t p, std::span<const SendItem> items,
-                                         os::Deadline deadline) {
-  return SendCommon(env, p, items, receiver_count(), deadline);
+                                         os::Deadline deadline, os::DeferredWake* defer) {
+  return SendCommon(env, p, items, receiver_count(), deadline, defer);
 }
 
 sim::Task<base::Status> Plane::SendTo(os::Env env, uint32_t p, const SendBuf& buf, uint64_t len,
-                                      uint32_t r, os::Deadline deadline) {
+                                      uint32_t r, os::Deadline deadline,
+                                      os::DeferredWake* defer) {
   SendItem item{buf, len};
-  co_return co_await SendCommon(env, p, std::span(&item, 1), r, deadline);
+  co_return co_await SendCommon(env, p, std::span(&item, 1), r, deadline, defer);
 }
 
 sim::Task<base::Status> Plane::SendToBatch(os::Env env, uint32_t p,
                                            std::span<const SendItem> items, uint32_t r,
-                                           os::Deadline deadline) {
-  return SendCommon(env, p, items, r, deadline);
+                                           os::Deadline deadline, os::DeferredWake* defer) {
+  return SendCommon(env, p, items, r, deadline, defer);
 }
 
 uint32_t Plane::NextShard() {
@@ -544,7 +545,7 @@ bool Plane::Deliverable(uint32_t index) const {
 
 sim::Task<base::Status> Plane::SendCommon(os::Env env, uint32_t p,
                                           std::span<const SendItem> items, uint32_t target,
-                                          os::Deadline deadline) {
+                                          os::Deadline deadline, os::DeferredWake* defer) {
   os::Kernel& k = *env.kernel;
   const hw::CostModel& cm = k.costs();
   sim::Duration fault_delay;
@@ -710,8 +711,9 @@ sim::Task<base::Status> Plane::SendCommon(os::Env env, uint32_t p,
     }
   }
   // Publish: one batched descriptor push (and at most one futex wake) per
-  // receiver touched. Credits and the pool bound every FIFO, so these never
-  // block for room.
+  // receiver touched; the first wake goes into `defer` when the caller gave
+  // one. Credits and the pool bound every FIFO, so these never block for
+  // room.
   uint64_t delivered = 0;
   base::ErrorCode failed = base::ErrorCode::kOk;
   for (uint32_t r = first; r < last; ++r) {
@@ -729,7 +731,7 @@ sim::Task<base::Status> Plane::SendCommon(os::Env env, uint32_t p,
       continue;
     }
     uint64_t published = 0;
-    auto pushed = co_await rx.desc->PushN(env, std::span(descs), &published, deadline);
+    auto pushed = co_await rx.desc->PushN(env, std::span(descs), &published, deadline, defer);
     delivered += published;
     rx.m_msgs->Add(published);
     if (!pushed.ok() && broken_ == base::ErrorCode::kOk && rx.alive) {
@@ -765,8 +767,9 @@ sim::Task<base::Status> Plane::SendCommon(os::Env env, uint32_t p,
   co_return base::Status::Ok();
 }
 
-sim::Task<base::Result<Msg>> Plane::Recv(os::Env env, uint32_t r, os::Deadline deadline) {
-  auto batch = co_await RecvBatch(env, r, 1, deadline);
+sim::Task<base::Result<Msg>> Plane::Recv(os::Env env, uint32_t r, os::Deadline deadline,
+                                         os::DeferredWake wake) {
+  auto batch = co_await RecvBatch(env, r, 1, deadline, std::move(wake));
   if (!batch.ok()) {
     co_return batch.code();
   }
@@ -775,16 +778,19 @@ sim::Task<base::Result<Msg>> Plane::Recv(os::Env env, uint32_t r, os::Deadline d
 
 sim::Task<base::Result<std::vector<Msg>>> Plane::RecvBatch(os::Env env, uint32_t r,
                                                            uint32_t max_n,
-                                                           os::Deadline deadline) {
+                                                           os::Deadline deadline,
+                                                           os::DeferredWake wake) {
   os::Kernel& k = *env.kernel;
-  if (max_n == 0 || r >= receiver_count()) {
-    co_return base::ErrorCode::kInvalidArgument;
-  }
-  if (broken_ != base::ErrorCode::kOk) {
-    co_return broken_;
+  const base::ErrorCode early =
+      max_n == 0 || r >= receiver_count() ? base::ErrorCode::kInvalidArgument : broken_;
+  if (early != base::ErrorCode::kOk) {
+    if (wake) {
+      co_await os::FutexWake(env, *wake.Take());
+    }
+    co_return early;
   }
   std::vector<uint64_t> descs(std::min<uint32_t>(max_n, cfg_.slots));
-  auto popped = co_await rx_[r].desc->PopN(env, std::span(descs), deadline);
+  auto popped = co_await rx_[r].desc->PopN(env, std::span(descs), deadline, std::move(wake));
   if (!popped.ok()) {
     co_return broken_ != base::ErrorCode::kOk ? broken_ : popped.code();
   }

@@ -59,6 +59,13 @@
 // broken() == kOk the producer still owns every buffer of a failed send and
 // may retry it or hand it back with Abandon. Once broken() != kOk teardown
 // has swept the grants and the buffers are gone with the plane.
+//
+// Wake-and-park: a send given a `defer` slot hands back the one parked
+// receiver it would have woken (os::DeferredWake) instead of waking it, and
+// a Recv given that wake switches its CPU straight to the receiver when it
+// parks (MpmcQueue's FUTEX_SWAP); the caller consumes it in any case, e.g.
+// by passing it to its next park (Recv, os::Semaphore::WaitUntil) or
+// issuing it (os::FutexWake).
 #ifndef DIPC_CHAN_PLANE_H_
 #define DIPC_CHAN_PLANE_H_
 
@@ -165,16 +172,19 @@ class Plane : public std::enable_shared_from_this<Plane> {
   // descriptors (one queue op and at most one futex wake per receiver).
   // Fails with kCalleeFailed when no live receiver remains.
   sim::Task<base::Status> Send(os::Env env, uint32_t p, const SendBuf& buf, uint64_t len,
-                               os::Deadline deadline = {});
+                               os::Deadline deadline = {}, os::DeferredWake* defer = nullptr);
   sim::Task<base::Status> SendBatch(os::Env env, uint32_t p, std::span<const SendItem> items,
-                                    os::Deadline deadline = {});
+                                    os::Deadline deadline = {},
+                                    os::DeferredWake* defer = nullptr);
 
   // Sharded publish to receiver `r` alone (waits for r's credit; fails with
   // kCalleeFailed if r died — reshard via NextShard()).
   sim::Task<base::Status> SendTo(os::Env env, uint32_t p, const SendBuf& buf, uint64_t len,
-                                 uint32_t r, os::Deadline deadline = {});
+                                 uint32_t r, os::Deadline deadline = {},
+                                 os::DeferredWake* defer = nullptr);
   sim::Task<base::Status> SendToBatch(os::Env env, uint32_t p, std::span<const SendItem> items,
-                                      uint32_t r, os::Deadline deadline = {});
+                                      uint32_t r, os::Deadline deadline = {},
+                                      os::DeferredWake* defer = nullptr);
 
   // Gives up acquired-but-unsent buffers: revokes the write grants, returns
   // the slots (and a group producer's credits) to the pool. Dropping a
@@ -200,9 +210,11 @@ class Plane : public std::enable_shared_from_this<Plane> {
   // again. The *first* message's capability lands in kReceiverCapReg;
   // BindRecvCap walks the batch. Fails with kBrokenChannel after Close()
   // drains, or kCalleeFailed once the plane broke or `r` was excised.
-  sim::Task<base::Result<Msg>> Recv(os::Env env, uint32_t r, os::Deadline deadline = {});
+  sim::Task<base::Result<Msg>> Recv(os::Env env, uint32_t r, os::Deadline deadline = {},
+                                    os::DeferredWake wake = {});
   sim::Task<base::Result<std::vector<Msg>>> RecvBatch(os::Env env, uint32_t r, uint32_t max_n,
-                                                      os::Deadline deadline = {});
+                                                      os::Deadline deadline = {},
+                                                      os::DeferredWake wake = {});
 
   // Revokes r's read grants and returns r's credits (or the sending
   // producer's) and, once the last holder released them, the slots.
@@ -320,7 +332,8 @@ class Plane : public std::enable_shared_from_this<Plane> {
                                             codoms::Perm rights, sim::Duration* cost);
   // Shared body of every send; `target` == receiver_count() broadcasts.
   sim::Task<base::Status> SendCommon(os::Env env, uint32_t p, std::span<const SendItem> items,
-                                     uint32_t target, os::Deadline deadline);
+                                     uint32_t target, os::Deadline deadline,
+                                     os::DeferredWake* defer);
   // Revokes r's grant over `index` and, when r was its last holder and no
   // producer still holds it, recycles the slot (into `freed`) and refunds
   // the sending producer's credit — unless that incarnation is gone.

@@ -1,6 +1,7 @@
 #include "fabric/fabric.h"
 
 #include <string>
+#include <utility>
 
 #include "base/check.h"
 #include "chan/desc.h"
@@ -225,13 +226,16 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
     // the buffer back when no live worker remains or the deadline fired.
     bool sent = false;
     uint32_t shard_used = 0;
+    // The serve thread the request would have woken: the completion wait
+    // below switches this CPU straight to it.
+    os::DeferredWake wake;
     const sim::Time t_send = k.now();
     while (req->broken() == base::ErrorCode::kOk) {
       uint32_t shard = req->NextShard();
       if (shard >= req->receiver_count()) {
         break;
       }
-      auto s = co_await req->SendTo(env, 0, sb, req_len, shard, dl);
+      auto s = co_await req->SendTo(env, 0, sb, req_len, shard, dl, &wake);
       if (s.ok()) {
         sent = true;
         shard_used = shard;
@@ -242,6 +246,9 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
       }
     }
     if (!sent) {
+      if (wake) {
+        co_await os::FutexWake(env, *wake.Take());
+      }
       (void)co_await req->Abandon(env, 0, sb);
       if (req->broken() != base::ErrorCode::kOk) {
         break;
@@ -250,13 +257,14 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
     }
     obs::Trace().Record(env.self->last_cpu(), obs::EventType::kReqSend, obs_id_,
                         HopArg(shard_used, kHopReqSend, att), k.now(), k.now() - t_send, opid);
-    auto w = co_await sem->WaitUntil(env, dl);
+    auto w = co_await sem->WaitUntil(env, dl, std::move(wake));
     if (w.ok()) {
       done = true;
     }
     // kTimedOut: the worker wedged or died mid-request. Back off and resend
     // the same opid — the supervisor restores capacity and the dispatcher
-    // drops any late duplicate completion.
+    // drops any late duplicate completion. kBrokenChannel: Close() failed
+    // the semaphore, and the loop ends on stopped_.
   }
   if (sem->count() > 0) {
     // A retry raced with a late completion of an earlier attempt and both
@@ -269,7 +277,7 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
     completions_.erase(opid);
   }
   if (!done) {
-    co_return base::ErrorCode::kCalleeFailed;
+    co_return stopped_ ? base::ErrorCode::kBrokenChannel : base::ErrorCode::kCalleeFailed;
   }
   ++completed_;
   m_completions_->Add();
@@ -286,9 +294,12 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
   DIPC_CHECK(client < client_count() && worker < worker_count());
   const std::shared_ptr<chan::Plane>& req = req_[client];
   const std::shared_ptr<chan::Plane>& resp = resp_[client];
+  // The dispatcher the last response would have woken: the Recv of the next
+  // request switches this CPU straight to it.
+  os::DeferredWake wake;
   while (!stopped_) {
     const sim::Time t_recv = k.now();
-    auto msg = co_await req->Recv(env, worker);
+    auto msg = co_await req->Recv(env, worker, {}, std::exchange(wake, {}));
     if (!msg.ok()) {
       co_return;
     }
@@ -327,8 +338,11 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
       co_return;  // killed after the acquire; the write grant is gone
     }
     (void)co_await k.TouchUser(env, rb.va, cfg_.resp_bytes, hw::AccessType::kWrite);
-    if (!(co_await resp->Send(env, worker, rb, cfg_.resp_bytes)).ok()) {
+    if (!(co_await resp->Send(env, worker, rb, cfg_.resp_bytes, {}, &wake)).ok()) {
       if (resp->broken() != base::ErrorCode::kOk || !resp->producer_alive(worker)) {
+        if (wake) {
+          co_await os::FutexWake(env, *wake.Take());
+        }
         co_return;  // torn down or excised: the sweep took the buffer with it
       }
       // A send that fails on a healthy plane (an injected fault, a Close)
@@ -342,6 +356,9 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
                         rctx.opid);
     ++progress_[worker];  // the supervisor's liveness signal
   }
+  if (wake) {
+    co_await os::FutexWake(env, *wake.Take());  // stopped with a wake in hand
+  }
 }
 
 void ServiceFabric::StartDispatcher(uint32_t client) {
@@ -351,9 +368,12 @@ void ServiceFabric::StartDispatcher(uint32_t client) {
                 [self, client](os::Env env) -> sim::Task<void> {
                   os::Kernel& k = *env.kernel;
                   const std::shared_ptr<chan::Plane>& resp = self->resp_[client];
+                  // The caller the last completion would have woken: the
+                  // Recv of the next response switches this CPU to it.
+                  os::DeferredWake wake;
                   while (true) {
                     const sim::Time t_disp = k.now();
-                    auto msg = co_await resp->Recv(env, 0);
+                    auto msg = co_await resp->Recv(env, 0, {}, std::exchange(wake, {}));
                     if (!msg.ok()) {
                       co_return;
                     }
@@ -379,7 +399,7 @@ void ServiceFabric::StartDispatcher(uint32_t client) {
                       }
                     }
                     if (sem != nullptr) {
-                      co_await sem->Post(env);
+                      co_await sem->Post(env, &wake);
                     } else {
                       // The client already retried and its retry won the
                       // race: this late completion of the earlier attempt is
@@ -411,6 +431,12 @@ void ServiceFabric::Close() {
   }
   for (auto& ch : resp_) {
     ch->Close();
+  }
+  // A Call parked on its completion would wait for a response that may
+  // never come.
+  base::MutexLock lock(&completions_mu_);
+  for (const auto& [opid, sem] : completions_) {
+    sem->Fail(kernel_, base::ErrorCode::kBrokenChannel);
   }
 }
 

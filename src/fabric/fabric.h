@@ -25,6 +25,19 @@
 //     fresh process into worker w's receiver slot on every client's
 //     request plane AND its producer slot on every client's response
 //     plane (Plane::RebindReceiver + Plane::RebindProducer).
+//   - Close(): closes every plane and fails every registered completion
+//     semaphore, so a Call parked on one returns kBrokenChannel.
+//
+// Direct hops: each of a call's three wakes is a wake-and-park handoff
+// (os::DeferredWake, FUTEX_SWAP-style). Call's request publish defers the
+// serve thread it would wake, and the completion wait switches the
+// caller's CPU straight to it. Serve's response publish defers the
+// dispatcher, and the Recv of its next request switches to it. The
+// dispatcher's completion Post defers the caller, and the Recv of its next
+// response switches to it. A swap costs a syscall entry, the futex wait and
+// wake work and a register save/restore, with no IPI, idle exit or
+// scheduler pick; a hop whose holder does not park (work already queued, a
+// close) wakes as before.
 //
 // Tag strategy: with FabricConfig::shared_trio (default) all request
 // planes share one domain-tag trio and all response planes another —
@@ -84,8 +97,9 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
 
   // One request/response round trip from client `client` (call on a thread
   // of that client's process). `req_len` in [8, req_bytes]. Returns kOk once
-  // the completion arrived; kCalleeFailed when every retry was exhausted or
-  // the client's planes broke.
+  // the completion arrived; kBrokenChannel once the fabric is stopped
+  // (Close() before or during the call); kCalleeFailed when every retry was
+  // exhausted or the client's planes broke.
   // NOLINT-DIPC(DEADLINE-THREAD): the per-attempt deadline is policy carried
   // by FabricConfig::call_deadline, not a per-call parameter — retry/backoff
   // needs one consistent bound across attempts.
@@ -104,7 +118,8 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   // plane to `proc`. Best-effort across broken (dead-client) planes.
   base::Status RebindWorker(uint32_t worker, os::Process& proc);
 
-  // Stops Call/Serve loops and closes every plane (orderly).
+  // Stops Call/Serve loops, closes every plane (orderly) and fails every
+  // in-flight completion: a Call parked on one returns kBrokenChannel.
   void Close();
 
   // ---- Introspection ----

@@ -17,6 +17,7 @@ Kernel::Kernel(hw::Machine& machine, codoms::Codoms& codoms)
   // registry resets between bench series anyway.
   obs::Registry& reg = obs::Registry::Default();
   m_migrations_ = reg.GetCounter("os/sched/migrations");
+  m_handoffs_ = reg.GetCounter("os/sched/handoffs");
   m_futex_waiters_ = reg.GetGauge("os/sched/futex_waiters");
   m_runq_depth_.resize(cpus_.size());
   for (hw::CpuId c = 0; c < cpus_.size(); ++c) {
@@ -24,7 +25,7 @@ Kernel::Kernel(hw::Machine& machine, codoms::Codoms& codoms)
   }
 }
 
-Kernel::~Kernel() = default;
+Kernel::~Kernel() { tearing_down_ = true; }
 
 // ---- Processes and threads ----
 
@@ -110,7 +111,12 @@ void Kernel::HandoffAwaiter::await_suspend(std::coroutine_handle<> h) {
   cs.running = nullptr;
   DIPC_CHECK(target->state() == ThreadState::kBlocked);
   target->set_state(ThreadState::kRunnable);
-  kernel->Dispatch(cpu, *target, switch_cost, /*standard_path=*/false);
+  ++kernel->handoffs_;
+  kernel->m_handoffs_->Add();
+  if (kernel_work > sim::Duration::Zero()) {
+    kernel->ChargeOnly(*from, kernel_work, TimeCat::kKernel);
+  }
+  kernel->Dispatch(cpu, *target, switch_cost, /*standard_path=*/false, kernel_work);
 }
 
 void Kernel::SpinAwaiter::await_suspend(std::coroutine_handle<> h) {
@@ -148,9 +154,28 @@ std::coroutine_handle<> Kernel::FinishSpin(CpuState& cs, sim::Time end) {
 
 void WaitQueue::WaitAwaiter::await_suspend(std::coroutine_handle<> h) {
   queue->waiters_.push_back(thread);
+  if (handoff != nullptr) {
+    const hw::CostModel& cm = kernel->costs();
+    kernel
+        ->HandoffTo(Env{kernel, thread}, *handoff, cm.register_save + cm.register_restore,
+                    kFutexWakeKernel)
+        .await_suspend(h);
+    return;
+  }
   thread->set_resume_point(h);
   thread->set_state(ThreadState::kBlocked);
   kernel->CpuReleased(thread->last_cpu());
+}
+
+sim::Task<void> FutexWake(Env env, Thread& waiter) {
+  Kernel& k = *env.kernel;
+  co_await k.SyscallEnter(env);
+  co_await k.Spend(*env.self, kFutexWakeKernel, TimeCat::kKernel);
+  sim::Duration ipi = k.MakeRunnable(waiter, env.self->last_cpu());
+  if (ipi > sim::Duration::Zero()) {
+    co_await k.Spend(*env.self, ipi, TimeCat::kKernel);
+  }
+  co_await k.SyscallExit(env);
 }
 
 // ---- Scheduling ----
@@ -282,7 +307,8 @@ void Kernel::CpuReleased(hw::CpuId cpu) {
   }
 }
 
-void Kernel::Dispatch(hw::CpuId cpu, Thread& t, sim::Duration extra, bool standard_path) {
+void Kernel::Dispatch(hw::CpuId cpu, Thread& t, sim::Duration extra, bool standard_path,
+                      sim::Duration lead) {
   CpuState& cs = cpus_[cpu];
   if (t.state() == ThreadState::kDead) {
     CpuReleased(cpu);
@@ -337,7 +363,7 @@ void Kernel::Dispatch(hw::CpuId cpu, Thread& t, sim::Duration extra, bool standa
   cs.last_process = &t.process();
   ++context_switches_;
   Thread* tp = &t;
-  machine_.events().ScheduleAfter(cost, [this, tp] { ResumeThread(*tp); });
+  machine_.events().ScheduleAfter(lead + cost, [this, tp] { ResumeThread(*tp); });
 }
 
 void Kernel::ResumeThread(Thread& t) {

@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/check.h"
@@ -83,6 +84,8 @@ class Kernel {
 
   Thread* running_on(hw::CpuId cpu) const { return cpus_[cpu].running; }
   uint64_t context_switches() const { return context_switches_; }
+  // Direct switches (HandoffTo), ever; mirrored in "os/sched/handoffs".
+  uint64_t handoffs() const { return handoffs_; }
   // "os/sched/futex_waiters": threads parked in any futex wait, across the
   // channel and semaphore paths (registered once, shared by every park).
   obs::Gauge* futex_waiters() const { return m_futex_waiters_; }
@@ -194,18 +197,22 @@ class Kernel {
   // L4-style direct handoff: the caller blocks (it must already be parked on
   // a wait structure) and `target` is dispatched immediately on this CPU,
   // charging only `switch_cost` (plus a page-table switch if the processes
-  // differ) instead of the full scheduler path.
+  // differ) instead of the full scheduler path. `kernel_work` is kernel time
+  // the caller still spends on its way out, billed to it as kKernel, before
+  // the switch (FUTEX_SWAP's wake half). Counted in "os/sched/handoffs".
   struct HandoffAwaiter {
     Kernel* kernel;
     Thread* from;
     Thread* target;
     sim::Duration switch_cost;
+    sim::Duration kernel_work;
     bool await_ready() const { return false; }
     void await_suspend(std::coroutine_handle<> h);
     void await_resume() {}
   };
-  HandoffAwaiter HandoffTo(Env env, Thread& target, sim::Duration switch_cost) {
-    return HandoffAwaiter{this, env.self, &target, switch_cost};
+  HandoffAwaiter HandoffTo(Env env, Thread& target, sim::Duration switch_cost,
+                           sim::Duration kernel_work = sim::Duration::Zero()) {
+    return HandoffAwaiter{this, env.self, &target, switch_cost, kernel_work};
   }
 
   // Busy-wait: the caller keeps its CPU (no syscall, no park) until
@@ -295,6 +302,7 @@ class Kernel {
 
  private:
   friend class WaitQueue;
+  friend class DeferredWake;
 
   struct CpuState {
     Thread* running = nullptr;
@@ -318,8 +326,10 @@ class Kernel {
   // Called when the running thread on `cpu` stops running (block/exit).
   void CpuReleased(hw::CpuId cpu);
   // Dispatches `t` on `cpu` after `extra` cost; standard_path charges the
-  // full scheduler cost, otherwise only `extra` (direct handoff).
-  void Dispatch(hw::CpuId cpu, Thread& t, sim::Duration extra, bool standard_path);
+  // full scheduler cost, otherwise only `extra` (direct handoff). `lead` is
+  // time the CPU is still busy first, already billed by the caller.
+  void Dispatch(hw::CpuId cpu, Thread& t, sim::Duration extra, bool standard_path,
+                sim::Duration lead = sim::Duration::Zero());
   void ResumeThread(Thread& t);
   void OnThreadExit(Thread& t);
   // Ends `cs`'s spin at `end`, billing it; returns the spinner's resume point.
@@ -328,6 +338,10 @@ class Kernel {
   hw::Machine& machine_;
   codoms::Codoms& codoms_;
   TimeAccounting accounting_;
+  // Set by the destructor, before threads_ (declared below) destroys the
+  // thread frames: a frame suspended between a publish and its park then
+  // drops its DeferredWake with the simulation, which is no lost wake.
+  bool tearing_down_ = false;
   std::vector<CpuState> cpus_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::unique_ptr<Thread>> threads_;
@@ -335,30 +349,111 @@ class Kernel {
   Pid next_pid_ = 1;
   Tid next_tid_ = 1;
   uint64_t context_switches_ = 0;
+  uint64_t handoffs_ = 0;
   sim::Duration spun_;
   sim::Duration wake_latency_;
   // Scheduler observability handles (registered in the ctor): cross-CPU
-  // dispatches of already-running threads, and per-CPU run-queue depth.
+  // dispatches of already-running threads, direct switches, and per-CPU
+  // run-queue depth.
   obs::Counter* m_migrations_ = nullptr;
+  obs::Counter* m_handoffs_ = nullptr;
   obs::Gauge* m_futex_waiters_ = nullptr;
   std::vector<obs::Gauge*> m_runq_depth_;
 };
+
+// Kernel futex work of one FUTEX_WAIT and one FUTEX_WAKE (calibrated with
+// the §2.2 Sem anchor; see hw/cost_model.h's header comment).
+inline constexpr sim::Duration kFutexWaitKernel = sim::Duration::Nanos(140.0);
+inline constexpr sim::Duration kFutexWakeKernel = sim::Duration::Nanos(130.0);
+
+// A wake its publisher took instead of issuing: the FUTEX_SWAP-style
+// wake-and-park. A publish that would wake a parked thread hands that thread
+// back (WaitQueue::TakeForSwap), and the publisher's next park switches its
+// CPU straight to it in the same syscall (WaitQueue::Wait with the wake,
+// through Kernel::HandoffTo): no IPI, no idle exit, no scheduler pick. A
+// path that does not park issues it as an ordinary FUTEX_WAKE instead
+// (FutexWake(env, *wake.Take())). Move-only and never dropped: destroying a
+// live one would lose the wake, so the destructor checks — except during
+// kernel teardown, which destroys frames suspended between publish and park.
+class DeferredWake {
+ public:
+  DeferredWake() = default;
+  DeferredWake(DeferredWake&& o) noexcept
+      : kernel_(o.kernel_), waiter_(std::exchange(o.waiter_, nullptr)) {}
+  DeferredWake& operator=(DeferredWake&& o) noexcept {
+    DIPC_CHECK(waiter_ == nullptr);
+    kernel_ = o.kernel_;
+    waiter_ = std::exchange(o.waiter_, nullptr);
+    return *this;
+  }
+  ~DeferredWake() { DIPC_CHECK(waiter_ == nullptr || kernel_->tearing_down_); }
+
+  explicit operator bool() const { return waiter_ != nullptr; }
+  // False once the waiter was killed: a swap needs a parked thread.
+  bool swappable() const { return waiter_->state() == ThreadState::kBlocked; }
+  // Consumes the wake; the caller now owns waking the thread.
+  Thread* Take() { return std::exchange(waiter_, nullptr); }
+
+ private:
+  friend class WaitQueue;
+  DeferredWake(Kernel* kernel, Thread* waiter) : kernel_(kernel), waiter_(waiter) {}
+
+  Kernel* kernel_ = nullptr;
+  Thread* waiter_ = nullptr;
+};
+
+// FUTEX_WAKE of `waiter`, already taken off its wait queue: a syscall, the
+// kernel's wake work, and the IPI when the waiter's CPU is another one.
+sim::Task<void> FutexWake(Env env, Thread& waiter);
 
 // A FIFO wait queue of threads; the building block of every blocking
 // primitive. Waking returns the thread so the caller can MakeRunnable it
 // (and account wake costs at the call site).
 class WaitQueue {
  public:
-  // co_await wq.Wait(env): parks the calling thread on this queue.
+  // co_await wq.Wait(env): parks the calling thread on this queue — and,
+  // given a DeferredWake, hands its CPU to `handoff` in the same step.
   struct WaitAwaiter {
     WaitQueue* queue;
     Kernel* kernel;
     Thread* thread;
+    Thread* handoff = nullptr;
     bool await_ready() const { return false; }
     void await_suspend(std::coroutine_handle<> h);
     void await_resume() {}
   };
   WaitAwaiter Wait(Env env) { return WaitAwaiter{this, env.kernel, env.self}; }
+  // FUTEX_SWAP's park: parks like Wait(env), then does the wake's kernel
+  // work and switches this CPU straight to `wake`'s waiter (Kernel::HandoffTo:
+  // a register save/restore, plus a page-table switch across page tables).
+  // Consumes `wake`; an empty one parks plainly, and a waiter killed since
+  // the publish needs no wake.
+  WaitAwaiter Wait(Env env, DeferredWake& wake) {
+    Thread* to = wake ? wake.Take() : nullptr;
+    if (to != nullptr && to->state() != ThreadState::kBlocked) {
+      to = nullptr;
+    }
+    return WaitAwaiter{this, env.kernel, env.self, to};
+  }
+
+  // FUTEX_SWAP's publish half: takes the thread WakeOneThread would wake
+  // off the queue without waking it, for `waker`'s next park. Empty when
+  // nobody is parked, or when that thread is pinned to another CPU (a swap
+  // runs it on the waker's CPU): wake those the ordinary way.
+  DeferredWake TakeForSwap(Env waker) {
+    while (!waiters_.empty() && waiters_.front()->state() == ThreadState::kDead) {
+      waiters_.pop_front();
+    }
+    if (waiters_.empty()) {
+      return {};
+    }
+    Thread* t = waiters_.front();
+    if (t->pin_cpu() >= 0 && static_cast<hw::CpuId>(t->pin_cpu()) != waker.self->last_cpu()) {
+      return {};
+    }
+    waiters_.pop_front();
+    return DeferredWake(waker.kernel, t);
+  }
 
   // Raw enqueue without parking; pair with Kernel::Block or HandoffTo when
   // the caller must do something between queueing and suspending (e.g. L4's

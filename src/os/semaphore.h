@@ -3,6 +3,13 @@
 // Uncontended operations stay in user space (one atomic); contended ones
 // take the full syscall + futex path, and wakeups pay IPI costs when the
 // waiter sits on another CPU.
+//
+// Wake-and-park: Post can defer its wake into an os::DeferredWake, and
+// WaitUntil takes one. A waiting poster that parks then switches its CPU
+// straight to the woken waiter in the same syscall (FUTEX_SWAP, see
+// os/kernel.h): one syscall entry, the kernel's wait and wake work and a
+// register save/restore, with no IPI, idle exit or scheduler pick. When it
+// does not park, the wake goes out as an ordinary FUTEX_WAKE (os::FutexWake).
 #ifndef DIPC_OS_SEMAPHORE_H_
 #define DIPC_OS_SEMAPHORE_H_
 
@@ -24,10 +31,9 @@ class Semaphore : public KernelObject {
   std::string_view type_name() const override { return "semaphore"; }
 
   // Calibration (documented in hw/cost_model.h's header comment): glibc
-  // sem_wait/sem_post user fast path, and the kernel futex wait/wake work.
+  // sem_wait/sem_post user fast path. The kernel futex wait/wake work is
+  // os::kFutexWaitKernel/kFutexWakeKernel (os/kernel.h).
   static constexpr sim::Duration kUserFastPath = sim::Duration::Nanos(9.0);
-  static constexpr sim::Duration kFutexWaitKernel = sim::Duration::Nanos(140.0);
-  static constexpr sim::Duration kFutexWakeKernel = sim::Duration::Nanos(130.0);
 
   // Timed, failure-aware wait. Returns kOk with a token consumed, kTimedOut
   // when a finite `deadline` expires first (no token consumed), or the
@@ -36,15 +42,29 @@ class Semaphore : public KernelObject {
   // the user-space predicate check and the park issued its wakes while this
   // thread was still entering the kernel, so parking anyway would sleep on
   // an object nobody will ever post again.
-  sim::Task<base::Status> WaitUntil(Env env, Deadline deadline = {}) {
+  //
+  // `wake` (from an earlier deferred publish) is always consumed: swapped to
+  // at the park, or issued as an ordinary FUTEX_WAKE when the wait returns
+  // without parking — a token already posted, a failed semaphore, an expired
+  // deadline, or a waiter killed since the publish.
+  sim::Task<base::Status> WaitUntil(Env env, Deadline deadline = {}, DeferredWake wake = {}) {
     Kernel& k = *env.kernel;
     co_await k.Spend(*env.self, kUserFastPath, TimeCat::kUser);
     if (failed_) {
+      if (wake) {
+        co_await FutexWake(env, *wake.Take());
+      }
       co_return code_;
     }
     if (count_ > 0) {
       --count_;  // uncontended: futex not entered
+      if (wake) {
+        co_await FutexWake(env, *wake.Take());
+      }
       co_return base::Status::Ok();
+    }
+    if (wake && (!wake.swappable() || deadline.ExpiredAt(k.now()))) {
+      co_await FutexWake(env, *wake.Take());
     }
     co_await k.SyscallEnter(env);
     co_await k.Spend(*env.self, kFutexWaitKernel, TimeCat::kKernel);
@@ -77,7 +97,7 @@ class Semaphore : public KernelObject {
                                                   }
                                                 });
       }
-      co_await waiters_.Wait(env);
+      co_await waiters_.Wait(env, wake);
       const sim::Duration parked = k.now() - park_start;
       k.futex_waiters()->Sub(1);
       obs::ChargeDomainTime(static_cast<uint32_t>(env.self->cap_ctx().current_domain),
@@ -98,6 +118,9 @@ class Semaphore : public KernelObject {
       }
     }
     co_await k.SyscallExit(env);
+    if (wake) {
+      co_await FutexWake(env, *wake.Take());  // did not park
+    }
     co_return result;
   }
 
@@ -107,9 +130,22 @@ class Semaphore : public KernelObject {
   // wrapper over WaitUntil; deadline-aware callers use WaitUntil directly.
   sim::Task<void> Wait(Env env) { (void)co_await WaitUntil(env, Deadline::Never()); }
 
-  sim::Task<void> Post(Env env) {
+  // With `defer`, a parked waiter is handed back in *defer instead of being
+  // woken (an empty *defer only: one deferred wake per publisher), with the
+  // token riding along; the caller's next park switches to it (WaitUntil,
+  // chan::FutexBlockUntil). Counted as a futex wake either way.
+  sim::Task<void> Post(Env env, DeferredWake* defer = nullptr) {
     Kernel& k = *env.kernel;
     co_await k.Spend(*env.self, kUserFastPath, TimeCat::kUser);
+    if (defer != nullptr && !*defer) {
+      *defer = waiters_.TakeForSwap(env);
+      if (*defer) {
+        SharedMetrics().futex_wakes->Add();
+        obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_id_, 1,
+                            k.now());
+        co_return;
+      }
+    }
     Thread* waiter = waiters_.WakeOneThread();
     if (waiter == nullptr) {
       ++count_;  // nobody waiting: user-space only

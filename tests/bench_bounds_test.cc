@@ -9,12 +9,17 @@
 //     entry, free-pool op, sender revoke, fast path) must actually amortize;
 //   - the observability layer's modeled per-event trace cost must stay
 //     within 5% of the untraced batched hot path (the observer effect is a
-//     budget, not a hope).
+//     budget, not a hope);
+//   - an idle fabric call must cost less than two cross-CPU park-plus-wake
+//     critical paths: its three wake hops (request, response, completion)
+//     hand the CPU over directly instead of waking a thread elsewhere.
 // The measurements are the bench harness's own (bench/micro_harness.cc), so
 // the gate and the reported numbers can never drift apart; the simulation
 // is deterministic, so the ratios are stable.
 #include <gtest/gtest.h>
 
+#include "chan/futex.h"
+#include "hw/cost_model.h"
 #include "micro_harness.h"
 #include "obs/trace.h"
 
@@ -85,6 +90,15 @@ TEST(BenchBounds, TracingOverheadAtBatch32StaysWithinFivePercent) {
   // way; the 5% bound above is the real budget.)
   EXPECT_NE(on, off);
 #endif
+}
+
+TEST(BenchBounds, IdleFabricCallCostsLessThanTwoCrossCpuWakes) {
+  // designpoints' fabric_shared_trio@1 row: one tenant calling four idle
+  // workers. chan::SpinBudget is one cross-CPU park plus its wake (1474 ns
+  // at default costs); a call whose hops each paid one would cost >= 3x.
+  const double call = MeasureFabricEcho({.tenants = 1, .workers = 4, .calls_per_tenant = 32});
+  const double bound = 2 * chan::SpinBudget(hw::CostModel{}).nanos();
+  EXPECT_LT(call, bound) << "idle fabric call: " << call << " ns, bound: " << bound << " ns";
 }
 
 }  // namespace

@@ -1,16 +1,22 @@
 // Spin-then-park on empty channel queues (MpmcQueue::PopN): when a pop
 // spins instead of parking, what ends the spin, how the spun time is
-// billed, and the schedules in which spinning must not happen at all.
+// billed, and the schedules in which spinning must not happen at all. And
+// the wake-and-park handoff (os::DeferredWake) a queue wait takes instead:
+// the FUTEX_SWAP park's cost and CPU, and every path that falls back to an
+// ordinary wake.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "chan/channel.h"
 #include "chan/futex.h"
 #include "chan/mpmc_queue.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
+#include "fault/fault.h"
 #include "hw/machine.h"
 #include "os/deadline.h"
 #include "os/kernel.h"
@@ -299,6 +305,227 @@ TEST_F(ChanSpinTest, WaiterParksAtOnceWhenItsLastPublisherWaitsInARunQueue) {
   EXPECT_EQ(kernel_.spun(), Duration::Zero());
   EXPECT_EQ(q_->spin_hits() + q_->spin_misses(), 0u);
   EXPECT_EQ(q_->blocked_pops(), 1u);
+}
+
+// ---- Wake-and-park ----
+//
+// A consumer parks on q_ (unpinned, so it starts on CPU 0); a waker pinned
+// to CPU 1 pushes to q_ once it is parked, taking the wake back, and then
+// waits on a queue of its own (`mine`) with the wake in hand.
+
+TEST_F(ChanSpinTest, FutexSwapRunsTheWaiterOnTheWakersCpuAndKeepsTheWakersDeadline) {
+  os::WaitQueue qa;
+  os::WaitQueue qb;
+  bool a_blocked = true;
+  bool b_blocked = true;
+  const hw::CostModel& cm = kernel_.costs();
+  Time park_began;
+  Time waiter_back;
+  Time waker_back;
+  hw::CpuId waiter_cpu = 0;
+  size_t parked_on_qb = 0;
+  bool waker_timed_out = false;
+  kernel_.Spawn(cons_, "waiter", [&](os::Env env) -> sim::Task<void> {
+    (void)co_await FutexBlockUntil(env, qa, os::Deadline::Never(), [&] { return a_blocked; });
+    waiter_back = env.kernel->now();
+    waiter_cpu = env.self->last_cpu();
+    parked_on_qb = qb.size();
+  });
+  kernel_.Spawn(
+      prod_, "waker",
+      [&](os::Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(1));
+        a_blocked = false;
+        os::DeferredWake wake = qa.TakeForSwap(env);
+        EXPECT_TRUE(static_cast<bool>(wake));
+        park_began = env.kernel->now();
+        waker_timed_out = co_await FutexBlockUntil(
+            env, qb, os::Deadline::After(park_began, Duration::Micros(5)), std::move(wake),
+            [&] { return b_blocked; });
+        waker_back = env.kernel->now();
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  // On the waker's CPU, one syscall entry, the kernel's wait and wake work
+  // and a register save/restore after the park began — no IPI, idle exit
+  // or scheduler pick — then the waiter's own sysret.
+  EXPECT_EQ(waiter_cpu, 1u);
+  EXPECT_EQ(waiter_back - park_began,
+            cm.syscall_trap + cm.syscall_dispatch + os::kFutexWaitKernel +
+                os::kFutexWakeKernel + cm.register_save + cm.register_restore +
+                cm.sysret);
+  EXPECT_EQ(kernel_.handoffs(), 1u);
+  // The waker parked on its own queue, and its deadline timer fired there.
+  EXPECT_EQ(parked_on_qb, 1u);
+  EXPECT_TRUE(waker_timed_out);
+  EXPECT_GE(waker_back - park_began, Duration::Micros(5));
+}
+
+// Runs the shape above with `between` run after the push to q_ and before
+// the waker's pop on `mine`; returns the waker's CPU-1 time across that pop.
+os::TimeBreakdown WakerPopCost(os::Kernel& kernel, os::Process& prod, os::Process& cons,
+                               MpmcQueue& q, MpmcQueue& mine, hw::CpuId* consumer_cpu,
+                               std::function<void()> between) {
+  os::TimeBreakdown cost;
+  kernel.Spawn(cons, "consumer", [&](os::Env env) -> sim::Task<void> {
+    EXPECT_TRUE((co_await q.Pop(env)).ok());
+    *consumer_cpu = env.self->last_cpu();
+  });
+  kernel.Spawn(
+      prod, "waker",
+      [&](os::Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(1));
+        os::DeferredWake wake;
+        const uint64_t v = 1;
+        EXPECT_TRUE((co_await q.PushN(env, std::span(&v, 1), nullptr, {}, &wake)).ok());
+        EXPECT_TRUE(static_cast<bool>(wake));
+        between();
+        const os::TimeBreakdown before = env.kernel->accounting().cpu(1);
+        uint64_t out = 0;
+        (void)co_await mine.PopN(env, std::span(&out, 1), {}, std::move(wake));
+        cost = env.kernel->accounting().cpu(1) - before;
+      },
+      /*pin_cpu=*/1);
+  kernel.Run();
+  return cost;
+}
+
+TEST_F(ChanSpinTest, PopThatFindsSlotsQueuedIssuesItsDeferredWakeAtFullCost) {
+  MpmcQueue mine(kernel_, prod_, 4, prod_.default_domain());
+  mine.Prime(7);
+  hw::CpuId consumer_cpu = 1;
+  const os::TimeBreakdown d =
+      WakerPopCost(kernel_, prod_, cons_, *q_, mine, &consumer_cpu, [] {});
+  // One FUTEX_WAKE syscall with its kernel work and the IPI to the
+  // consumer's idle CPU; the consumer went through the scheduler there.
+  const hw::CostModel& cm = kernel_.costs();
+  EXPECT_EQ(d[os::TimeCat::kSyscallDispatch], cm.syscall_dispatch);
+  EXPECT_EQ(d[os::TimeCat::kKernel], os::kFutexWakeKernel + cm.ipi_send);
+  EXPECT_EQ(consumer_cpu, 0u);
+  EXPECT_EQ(kernel_.handoffs(), 0u);
+  EXPECT_EQ(q_->futex_wakes(), 1u);  // the deferred wake counts once
+  EXPECT_EQ(mine.blocked_pops(), 0u);
+}
+
+TEST_F(ChanSpinTest, CloseBetweenThePublishAndThePopIssuesTheDeferredWakeAtFullCost) {
+  MpmcQueue mine(kernel_, prod_, 4, prod_.default_domain());
+  hw::CpuId consumer_cpu = 1;
+  const os::TimeBreakdown d =
+      WakerPopCost(kernel_, prod_, cons_, *q_, mine, &consumer_cpu, [&mine] { mine.Close(); });
+  const hw::CostModel& cm = kernel_.costs();
+  EXPECT_EQ(d[os::TimeCat::kSyscallDispatch], cm.syscall_dispatch);
+  EXPECT_EQ(d[os::TimeCat::kKernel], os::kFutexWakeKernel + cm.ipi_send);
+  EXPECT_EQ(consumer_cpu, 0u);
+  EXPECT_EQ(kernel_.handoffs(), 0u);
+  EXPECT_EQ(mine.blocked_pops(), 0u);
+}
+
+TEST_F(ChanSpinTest, InjectedWakeDropAlsoDropsADeferredWakeAndTheDeadlineRecovers) {
+#ifdef DIPC_FAULT_OFF
+  GTEST_SKIP() << "fault injection compiled out (-DDIPC_FAULT_OFF)";
+#else
+  auto plan = fault::Plan::Parse("rule chan/futex_wake drop_wake at=1\n");
+  ASSERT_TRUE(plan.ok());
+  fault::Injector::Global().Arm(plan.value(), &machine_.events());
+  const Time deadline = Time::Zero() + Duration::Micros(20);
+  Time consumer_back;
+  uint64_t got = 0;
+  bool deferred = true;
+  kernel_.Spawn(cons_, "consumer", [&](os::Env env) -> sim::Task<void> {
+    auto v = co_await q_->Pop(env, os::Deadline::At(deadline));
+    EXPECT_TRUE(v.ok());
+    got = v.ok() ? v.value() : 0;
+    consumer_back = env.kernel->now();
+  });
+  kernel_.Spawn(
+      prod_, "waker",
+      [&](os::Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(1));
+        os::DeferredWake wake;
+        const uint64_t v = 1;
+        EXPECT_TRUE((co_await q_->PushN(env, std::span(&v, 1), nullptr, {}, &wake)).ok());
+        deferred = static_cast<bool>(wake);
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  fault::Injector::Global().Disarm();
+  EXPECT_FALSE(deferred);  // dropped, not handed back
+  EXPECT_EQ(got, 1u);      // the parked pop's deadline found the slot
+  EXPECT_GE(consumer_back, deadline);
+  EXPECT_EQ(q_->timeouts(), 0u);
+  EXPECT_EQ(q_->futex_wakes(), 0u);
+  EXPECT_EQ(kernel_.handoffs(), 0u);
+#endif
+}
+
+TEST_F(ChanSpinTest, PopHoldingADeferredWakeNeverSpins) {
+  // `mine`'s last publisher stays on CPU 2, so an empty pop of `mine`
+  // would spin — but this one owes its CPU to the consumer it deferred.
+  MpmcQueue mine(kernel_, prod_, 4, prod_.default_domain());
+  hw::CpuId consumer_cpu = 0;
+  uint64_t second = 0;
+  kernel_.Spawn(cons_, "consumer", [&](os::Env env) -> sim::Task<void> {
+    EXPECT_TRUE((co_await q_->Pop(env)).ok());
+    consumer_cpu = env.self->last_cpu();
+  });
+  kernel_.Spawn(
+      prod_, "publisher",
+      [&](os::Env env) -> sim::Task<void> {
+        EXPECT_TRUE((co_await mine.Push(env, 1)).ok());
+        co_await env.kernel->Spend(*env.self, Duration::Micros(10), os::TimeCat::kUser);
+        EXPECT_TRUE((co_await mine.Push(env, 2)).ok());
+      },
+      /*pin_cpu=*/2);
+  kernel_.Spawn(
+      prod_, "waker",
+      [&](os::Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(1));
+        EXPECT_TRUE((co_await mine.Pop(env)).ok());
+        os::DeferredWake wake;
+        const uint64_t v = 1;
+        EXPECT_TRUE((co_await q_->PushN(env, std::span(&v, 1), nullptr, {}, &wake)).ok());
+        uint64_t out = 0;
+        EXPECT_TRUE((co_await mine.PopN(env, std::span(&out, 1), {}, std::move(wake))).ok());
+        second = out;
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  EXPECT_EQ(second, 2u);
+  EXPECT_EQ(kernel_.spun(), Duration::Zero());
+  EXPECT_EQ(mine.spin_hits() + mine.spin_misses(), 0u);
+  EXPECT_EQ(mine.blocked_pops(), 1u);
+  EXPECT_EQ(kernel_.handoffs(), 1u);
+  EXPECT_EQ(consumer_cpu, 1u);
+}
+
+TEST_F(ChanSpinTest, PushThatParksForRoomSwapsToTheConsumerItDeferred) {
+  // Six values into a 4-slot queue: the first chunk fills it and defers the
+  // parked consumer's wake, so the push's own park for room must switch to
+  // that consumer — it is the only thread that can free a slot.
+  std::vector<uint64_t> got;
+  kernel_.Spawn(cons_, "consumer", [&](os::Env env) -> sim::Task<void> {
+    while (got.size() < 6) {
+      auto v = co_await q_->Pop(env);
+      EXPECT_TRUE(v.ok());
+      got.push_back(v.ok() ? v.value() : 0);
+    }
+  });
+  kernel_.Spawn(
+      prod_, "producer",
+      [&](os::Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(1));
+        os::DeferredWake wake;
+        const uint64_t values[] = {1, 2, 3, 4, 5, 6};
+        EXPECT_TRUE((co_await q_->PushN(env, values, nullptr, {}, &wake)).ok());
+        if (wake) {
+          co_await os::FutexWake(env, *wake.Take());
+        }
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  EXPECT_EQ(got, (std::vector<uint64_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_GE(q_->blocked_pushes(), 1u);
+  EXPECT_GE(kernel_.handoffs(), 1u);
 }
 
 // A DuplexChannel ping-pong between a client and a server thread; returns

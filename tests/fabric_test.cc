@@ -4,7 +4,8 @@
 // scripted worker kills (which take out both the worker's request-plane
 // receiver slot and its response-plane producer slot) with exactly-once
 // completions and a fully drained RevocationTable — plus the worker-side
-// recovery from a response send that fails on a healthy plane.
+// recovery from a response send that fails on a healthy plane, and Close()
+// releasing a call parked on its completion.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -252,6 +253,41 @@ TEST_F(FabricTest, ResponseSendFailureOnAHealthyPlaneGivesTheSlotBackAndKeepsSer
   EXPECT_EQ(resp->LiveGrantCount(), 0u);
   EXPECT_EQ(resp->credits(0), resp->credit_line());
 #endif
+}
+
+TEST_F(FabricTest, CloseFailsACallParkedOnItsCompletion) {
+  // The handler is still running when the fabric closes: with no
+  // call_deadline, the caller parked on its completion semaphore must not
+  // be left there. It returns kBrokenChannel; the late handler finds the
+  // planes closed and every grant still drains.
+  auto clients = MakeProcs("tenant", 1);
+  auto workers = MakeProcs("worker", 1);
+  auto f = ServiceFabric::Create(dipc_, clients, workers,
+                                 {.req_slots = 4, .req_bytes = 64, .resp_slots = 4,
+                                  .resp_bytes = 64});
+  ASSERT_TRUE(f.ok());
+  std::shared_ptr<ServiceFabric> fab = f.value();
+  fab->StartAllDispatchers();
+  ServiceFabric::Handler slow = [](os::Env env, const chan::Msg&) -> sim::Task<void> {
+    co_await env.kernel->Sleep(env, Duration::Micros(20));
+  };
+  SpawnServeLoops(fab, 0, *workers[0], slow);
+  bool returned = false;
+  base::Status result = ErrorCode::kOk;
+  kernel_.Spawn(*clients[0], "web", [&, fab](os::Env env) -> sim::Task<void> {
+    result = co_await fab->Call(env, 0, 16);
+    returned = true;
+  });
+  machine_.events().ScheduleAt(sim::Time::Zero() + Duration::Micros(5), [fab] { fab->Close(); });
+  kernel_.Run();
+  EXPECT_TRUE(returned);
+  EXPECT_EQ(result.code(), ErrorCode::kBrokenChannel);
+  EXPECT_EQ(fab->calls(), 1u);
+  EXPECT_EQ(fab->completions(), 0u);
+  EXPECT_EQ(fab->duplicate_completions(), 0u);
+  EXPECT_EQ(fab->request_plane(0)->LiveGrantCount(), 0u);
+  EXPECT_EQ(fab->response_plane(0)->LiveGrantCount(), 0u);
+  EXPECT_EQ(codoms_.revocations().live_count(), 0u);
 }
 
 }  // namespace

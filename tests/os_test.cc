@@ -8,6 +8,7 @@
 
 #include "codoms/codoms.h"
 #include "hw/machine.h"
+#include "os/deadline.h"
 #include "os/kernel.h"
 #include "os/pipe.h"
 #include "os/semaphore.h"
@@ -553,6 +554,219 @@ TEST_F(OsTest, SpinHoldsTheCpuBillsUserTimeAndCostsOneEvent) {
   // time, and its process's CPU time.
   EXPECT_EQ(kernel_.accounting().cpu(0)[TimeCat::kUser], kernel_.spun());
   EXPECT_EQ(p.cpu_time(), kernel_.spun());
+}
+
+// ---- Wake-and-park (DeferredWake: FUTEX_SWAP on the semaphore) ----
+//
+// Shape of every test below: a waiter parks on `a` (unpinned, so it starts
+// on CPU 0); a waker pinned to CPU 1 posts `a` once the waiter is parked,
+// taking the wake back instead of issuing it, then waits on `b`.
+
+TEST_F(OsTest, DeferredWakeSwitchesTheWakersCpuStraightToTheWaiter) {
+  Process& p = kernel_.CreateProcess("p");
+  Semaphore a(0);
+  Semaphore b(0);
+  const hw::CostModel& cm = kernel_.costs();
+  const Duration timeout = Duration::Micros(5);
+  sim::Time wait_called;
+  sim::Time waiter_back;
+  sim::Time waker_back;
+  hw::CpuId waiter_cpu = 0;
+  size_t parked_on_b = 0;
+  base::Status waker_result;
+  kernel_.Spawn(p, "waiter", [&](Env env) -> sim::Task<void> {
+    EXPECT_TRUE((co_await a.WaitUntil(env)).ok());
+    waiter_back = env.kernel->now();
+    waiter_cpu = env.self->last_cpu();
+    parked_on_b = b.waiter_count();
+  });
+  kernel_.Spawn(
+      p, "waker",
+      [&](Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(1));
+        DeferredWake wake;
+        co_await a.Post(env, &wake);
+        EXPECT_TRUE(static_cast<bool>(wake));
+        EXPECT_EQ(a.waiter_count(), 0u);  // taken off the queue, not woken
+        wait_called = env.kernel->now();
+        waker_result = co_await b.WaitUntil(env, Deadline::After(wait_called, timeout),
+                                            std::move(wake));
+        waker_back = env.kernel->now();
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  // The waiter resumed on the waker's CPU one syscall entry, the kernel's
+  // wait and wake work, and a register save/restore after the waker's park
+  // began (past the user fast path); its own park's sysret follows.
+  EXPECT_EQ(waiter_cpu, 1u);
+  EXPECT_EQ(waiter_back - (wait_called + Semaphore::kUserFastPath),
+            cm.syscall_trap + cm.syscall_dispatch + kFutexWaitKernel +
+                kFutexWakeKernel + cm.register_save + cm.register_restore +
+                cm.sysret);
+  EXPECT_EQ(kernel_.handoffs(), 1u);
+  // No IPI: the run's only kernel work is the two parks' wait work and the
+  // swap's wake work.
+  EXPECT_EQ(kernel_.accounting().Summed()[TimeCat::kKernel],
+            kFutexWaitKernel * 2 + kFutexWakeKernel);
+  // The waker stayed parked on its own semaphore, and its deadline fired.
+  EXPECT_EQ(parked_on_b, 1u);
+  EXPECT_EQ(waker_result.code(), base::ErrorCode::kTimedOut);
+  EXPECT_GE(waker_back - wait_called, timeout);
+}
+
+TEST_F(OsTest, DeferredWakeOnAnAlreadyPostedSemaphoreIsIssuedAtFullCost) {
+  Process& p = kernel_.CreateProcess("p");
+  Semaphore a(0);
+  Semaphore b(1);  // the waker's wait takes this token and never parks
+  const hw::CostModel& cm = kernel_.costs();
+  sim::Time wait_called;
+  sim::Time waiter_back;
+  sim::Time waker_back;
+  hw::CpuId waiter_cpu = 1;
+  kernel_.Spawn(p, "waiter", [&](Env env) -> sim::Task<void> {
+    EXPECT_TRUE((co_await a.WaitUntil(env)).ok());
+    waiter_back = env.kernel->now();
+    waiter_cpu = env.self->last_cpu();
+  });
+  kernel_.Spawn(
+      p, "waker",
+      [&](Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(1));
+        DeferredWake wake;
+        co_await a.Post(env, &wake);
+        wait_called = env.kernel->now();
+        EXPECT_TRUE((co_await b.WaitUntil(env, {}, std::move(wake))).ok());
+        waker_back = env.kernel->now();
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  // Today's FUTEX_WAKE: a syscall, the kernel's wake work and the IPI to
+  // the waiter's idle CPU, after the wait's user fast path.
+  const Duration woken_at = Semaphore::kUserFastPath + cm.syscall_trap + cm.syscall_dispatch +
+                            kFutexWakeKernel;
+  EXPECT_EQ(waker_back - wait_called, woken_at + cm.ipi_send + cm.sysret);
+  // The waiter went through the scheduler on its own CPU.
+  EXPECT_EQ(waiter_cpu, 0u);
+  EXPECT_EQ(waiter_back - wait_called, woken_at + cm.ipi_deliver + cm.idle_exit +
+                                           cm.schedule_pick + cm.register_save +
+                                           cm.register_restore + cm.sysret);
+  EXPECT_EQ(kernel_.handoffs(), 0u);
+  EXPECT_EQ(b.count(), 0);
+}
+
+TEST_F(OsTest, DeferredWakeWithAnExpiredDeadlineIsIssuedAtFullCost) {
+  Process& p = kernel_.CreateProcess("p");
+  Semaphore a(0);
+  Semaphore b(0);
+  const hw::CostModel& cm = kernel_.costs();
+  sim::Time wait_called;
+  sim::Time waker_back;
+  hw::CpuId waiter_cpu = 1;
+  base::Status waker_result;
+  kernel_.Spawn(p, "waiter", [&](Env env) -> sim::Task<void> {
+    EXPECT_TRUE((co_await a.WaitUntil(env)).ok());
+    waiter_cpu = env.self->last_cpu();
+  });
+  kernel_.Spawn(
+      p, "waker",
+      [&](Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(1));
+        DeferredWake wake;
+        co_await a.Post(env, &wake);
+        wait_called = env.kernel->now();
+        waker_result = co_await b.WaitUntil(env, Deadline::At(wait_called), std::move(wake));
+        waker_back = env.kernel->now();
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  // The full wake (syscall, wake work, IPI), then the wait's own syscall
+  // finds the deadline gone and returns without parking.
+  EXPECT_EQ(waker_result.code(), base::ErrorCode::kTimedOut);
+  EXPECT_EQ(waker_back - wait_called,
+            Semaphore::kUserFastPath + cm.syscall_trap + cm.syscall_dispatch +
+                kFutexWakeKernel + cm.ipi_send + cm.sysret + cm.syscall_trap +
+                cm.syscall_dispatch + kFutexWaitKernel + cm.sysret);
+  EXPECT_EQ(waiter_cpu, 0u);
+  EXPECT_EQ(kernel_.handoffs(), 0u);
+}
+
+TEST_F(OsTest, DeferredWakeToAWaiterKilledBeforeTheParkIsIssuedAtFullCost) {
+  Process& p = kernel_.CreateProcess("p");
+  Semaphore a(0);
+  Semaphore b(0);
+  const hw::CostModel& cm = kernel_.costs();
+  bool waiter_back = false;
+  base::Status waker_result;
+  Thread& waiter = kernel_.Spawn(p, "waiter", [&](Env env) -> sim::Task<void> {
+    (void)co_await a.WaitUntil(env);
+    waiter_back = true;
+  });
+  kernel_.Spawn(
+      p, "waker",
+      [&](Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(1));
+        DeferredWake wake;
+        co_await a.Post(env, &wake);
+        env.kernel->KillThread(waiter);
+        waker_result = co_await b.WaitUntil(
+            env, Deadline::After(env.kernel->now(), Duration::Micros(5)), std::move(wake));
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  EXPECT_FALSE(waiter_back);
+  EXPECT_EQ(kernel_.handoffs(), 0u);
+  // The wake went out as its own syscall with the kernel's wake work (a dead
+  // thread takes no IPI); then the waker parked plainly until its deadline.
+  const TimeBreakdown t = kernel_.accounting().Summed();
+  EXPECT_EQ(t[TimeCat::kSyscallDispatch], cm.syscall_dispatch * 3);  // waiter's wait + both
+  EXPECT_EQ(t[TimeCat::kKernel], kFutexWaitKernel * 2 + kFutexWakeKernel);
+  EXPECT_EQ(waker_result.code(), base::ErrorCode::kTimedOut);
+}
+
+TEST_F(OsTest, WaiterPinnedToAnotherCpuIsNeverDeferred) {
+  Process& p = kernel_.CreateProcess("p");
+  Semaphore a(0);
+  hw::CpuId waiter_cpu = 1;
+  bool deferred = true;
+  kernel_.Spawn(
+      p, "waiter",
+      [&](Env env) -> sim::Task<void> {
+        EXPECT_TRUE((co_await a.WaitUntil(env)).ok());
+        waiter_cpu = env.self->last_cpu();
+      },
+      /*pin_cpu=*/0);
+  kernel_.Spawn(
+      p, "waker",
+      [&](Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(1));
+        DeferredWake wake;
+        co_await a.Post(env, &wake);  // a swap would run it on CPU 1
+        deferred = static_cast<bool>(wake);
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  EXPECT_FALSE(deferred);
+  EXPECT_EQ(waiter_cpu, 0u);
+  EXPECT_EQ(kernel_.handoffs(), 0u);
+}
+
+TEST_F(OsTest, DroppingALiveDeferredWakeFailsLoudly) {
+  // A deferred wake nobody swaps to or issues is a lost wake.
+  EXPECT_DEATH(
+      {
+        Process& p = kernel_.CreateProcess("p");
+        Semaphore a(0);
+        kernel_.Spawn(p, "waiter", [&](Env env) -> sim::Task<void> {
+          (void)co_await a.WaitUntil(env);
+        });
+        kernel_.Spawn(p, "dropper", [&](Env env) -> sim::Task<void> {
+          co_await env.kernel->Sleep(env, Duration::Micros(1));
+          DeferredWake wake;
+          co_await a.Post(env, &wake);
+        });
+        kernel_.Run();
+      },
+      "DIPC_CHECK failed");
 }
 
 }  // namespace
