@@ -114,9 +114,13 @@ struct OltpConfig {
   double proxy_cost_scale = 1.0;
   bool worst_case_cap_loads = false;
 
-  // Workload shape (see DESIGN.md calibration).
-  static constexpr int kDbInteractions = 105;  // 2*(1+105) = 212 crossings/op
-  static constexpr double kDiskProbability = 0.030;  // ~3.2 disk reads/op
+  // Workload shape. kDbInteractions comes from §7.5's ~211 cross-domain
+  // calls per operation: one web->php request and 105 php<->db
+  // interactions, each crossing out and back, make 2*(1+105) = 212.
+  // kDiskProbability has no written source; it is this model's assumption
+  // for the on-disk DB, ~3.2 disk reads per operation (105 * 0.030).
+  static constexpr int kDbInteractions = 105;
+  static constexpr double kDiskProbability = 0.030;
 };
 
 struct OltpResult {

@@ -90,7 +90,34 @@ sim::Task<void> MpmcQueue::WakeIfWaiting(os::Env env, os::WaitQueue& q,
       co_return;  // the publisher's next park switches to the waiter
     }
   }
-  co_await FutexWakeCommitted(env, q);
+  co_await os::FutexWake(env, q);
+}
+
+sim::Task<bool> MpmcQueue::Park(os::Env env, bool push, os::Deadline deadline,
+                                os::DeferredWake wake) {
+  os::Kernel& k = *env.kernel;
+  ++(push ? blocked_pushes_ : blocked_pops_);
+  (push ? m_blocked_pushes_ : m_blocked_pops_)->Add();
+  uint64_t& waiting = push ? waiting_pushes_ : waiting_pops_;
+  ++waiting;
+  const sim::Time park_start = k.now();
+  const bool expired =
+      co_await os::FutexBlockUntil(env, push ? producers_ : consumers_, deadline, std::move(wake),
+                                   [this, push] { return Blocked(push); });
+  --waiting;
+  const sim::Duration parked = k.now() - park_start;
+  m_park_ns_->Record(parked.nanos());
+  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexPark, obs_obj_, push ? 0 : 1,
+                      k.now(), parked);
+  co_return expired;
+}
+
+base::ErrorCode MpmcQueue::TimedOut(os::Env env, uint64_t left) {
+  ++timeouts_;
+  m_timeouts_->Add();
+  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kTimeout, obs_obj_, left,
+                      env.kernel->now());
+  return base::ErrorCode::kTimedOut;
 }
 
 base::Status MpmcQueue::AccessSlots(os::Env env, uint64_t pos, std::span<const uint64_t> values,
@@ -167,29 +194,15 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
       if (closed_) {
         co_return code_;
       }
-      ++blocked_pushes_;
-      m_blocked_pushes_->Add();
-      ++waiting_pushes_;
-      sim::Time park_start = k.now();
       // A consumer wake deferred by an earlier chunk is the one that frees
       // room: this park swaps to it.
       os::DeferredWake wake;
       if (defer != nullptr) {
         wake = std::move(*defer);
       }
-      bool expired = co_await FutexBlockUntil(env, producers_, deadline, std::move(wake),
-                                              [&] { return count_ == capacity_ && !closed_; });
-      --waiting_pushes_;
-      sim::Duration parked = k.now() - park_start;
-      m_park_ns_->Record(parked.nanos());
-      obs::Trace().Record(self.last_cpu(), obs::EventType::kFutexPark, obs_obj_, 0, k.now(),
-                          parked);
-      if (expired && count_ == capacity_ && !closed_) {
-        ++timeouts_;
-        m_timeouts_->Add();
-        obs::Trace().Record(self.last_cpu(), obs::EventType::kTimeout, obs_obj_,
-                            values.size() - done, k.now());
-        co_return base::ErrorCode::kTimedOut;
+      const bool expired = co_await Park(env, /*push=*/true, deadline, std::move(wake));
+      if (expired && Blocked(/*push=*/true)) {
+        co_return TimedOut(env, values.size() - done);
       }
     }
     if (closed_) {
@@ -269,24 +282,10 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopN(os::Env env, std::span<uint64_
         m_spin_misses_->Add();
       }
     } else {
-      ++blocked_pops_;
-      m_blocked_pops_->Add();
-      ++waiting_pops_;
-      sim::Time park_start = k.now();
-      expired = co_await FutexBlockUntil(env, consumers_, deadline, std::exchange(wake, {}),
-                                         [&] { return count_ == 0 && !closed_; });
-      --waiting_pops_;
-      sim::Duration parked = k.now() - park_start;
-      m_park_ns_->Record(parked.nanos());
-      obs::Trace().Record(self.last_cpu(), obs::EventType::kFutexPark, obs_obj_, 1, k.now(),
-                          parked);
+      expired = co_await Park(env, /*push=*/false, deadline, std::exchange(wake, {}));
     }
-    if (expired && count_ == 0 && !closed_) {
-      ++timeouts_;
-      m_timeouts_->Add();
-      obs::Trace().Record(self.last_cpu(), obs::EventType::kTimeout, obs_obj_, out.size(),
-                          k.now());
-      co_return base::ErrorCode::kTimedOut;
+    if (expired && Blocked(/*push=*/false)) {
+      co_return TimedOut(env, out.size());
     }
   }
   if (!drain_allowed_) {
@@ -336,12 +335,8 @@ void MpmcQueue::WakeAllNoEnv() {
   // Close/Fail have no Env (they may run from teardown hooks); wakeups go
   // through the scheduler with no waker-side cost, like Pipe close.
   EndSpins(spinners_.size());
-  while (os::Thread* t = producers_.WakeOneThread()) {
-    (void)kernel_.MakeRunnable(*t, std::nullopt);
-  }
-  while (os::Thread* t = consumers_.WakeOneThread()) {
-    (void)kernel_.MakeRunnable(*t, std::nullopt);
-  }
+  producers_.WakeAll(kernel_);
+  consumers_.WakeAll(kernel_);
 }
 
 }  // namespace dipc::chan

@@ -133,6 +133,15 @@ class MpmcQueue {
   // Ends up to `max` spins in FIFO order (their pops see the queue one
   // line transfer later); returns how many it ended.
   uint64_t EndSpins(uint64_t max);
+  // Whether a push (full queue) or a pop (empty queue) has to wait.
+  bool Blocked(bool push) const { return !closed_ && count_ == (push ? capacity_ : 0); }
+  // Parks a push on producers_ or a pop on consumers_ through the futex
+  // path, keeping that side's waiter counter and park telemetry. Returns the
+  // park's timed-out hint; the caller re-checks Blocked.
+  sim::Task<bool> Park(os::Env env, bool push, os::Deadline deadline, os::DeferredWake wake);
+  // Counts a park that timed out with the queue still blocked (`left`
+  // slots unmoved) and returns kTimedOut.
+  base::ErrorCode TimedOut(os::Env env, uint64_t left);
   // Wake-suppression gate: pays the FUTEX_WAKE only when the live waiter
   // counter says someone is (or is about to be) parked on `q`. With an
   // empty `*defer`, a parked waiter is deferred into it instead.

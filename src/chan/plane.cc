@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "chan/desc.h"
-#include "chan/futex.h"
 #include "fault/fault.h"
 #include "obs/trace.h"
+#include "os/futex.h"
 
 namespace dipc::chan {
 
@@ -312,8 +312,8 @@ sim::Task<base::ErrorCode> Plane::AwaitCredit(os::Env env, Gate g, os::Deadline 
     ++blocked_on_credit_;
     m_blocked_on_credit_->Add();
     ++credit_wait_count_;
-    bool expired = co_await FutexBlockUntil(env, credit_waiters_, deadline,
-                                            [this, g] { return Waiting(g); });
+    bool expired = co_await os::FutexBlockUntil(env, credit_waiters_, deadline,
+                                                [this, g] { return Waiting(g); });
     --credit_wait_count_;
     if (expired && Waiting(g)) {
       // The deadline fired with the gate still closed; nothing was admitted
@@ -332,12 +332,6 @@ void Plane::AddCredits(Endpoint& e, int64_t delta) {
   e.credits += static_cast<uint64_t>(delta);
   DIPC_CHECK(e.credits <= e.line);
   e.m_credits->Set(static_cast<int64_t>(e.credits));
-}
-
-void Plane::WakeCreditWaiters() {
-  while (os::Thread* t = credit_waiters_.WakeOneThread()) {
-    (void)kernel_.MakeRunnable(*t, std::nullopt);
-  }
 }
 
 base::Result<codoms::Capability> Plane::GrantCap(os::Env env, Endpoint& e, uint32_t index,
@@ -845,7 +839,7 @@ sim::Task<base::Result<std::vector<Msg>>> Plane::RecvBatch(os::Env env, uint32_t
       }
     }
     if (credit_wait_count_ > 0) {
-      co_await FutexWakeCommitted(env, credit_waiters_);
+      co_await os::FutexWake(env, credit_waiters_);
     }
   }
   if (out.empty()) {
@@ -926,7 +920,7 @@ sim::Task<base::Status> Plane::ReleaseBatch(os::Env env, uint32_t r, std::span<c
     if (d.action == fault::Action::kDelay) {
       co_await k.Spend(*env.self, d.delay, TimeCat::kUser);
     }
-    co_await FutexWakeCommitted(env, credit_waiters_);
+    co_await os::FutexWake(env, credit_waiters_);
   }
   co_return base::Status::Ok();
 }
@@ -976,7 +970,7 @@ sim::Task<base::Status> Plane::AbandonBatch(os::Env env, uint32_t p,
     co_return broken_ != base::ErrorCode::kOk ? base::Status(broken_) : base::Status::Ok();
   }
   if (tx.line != 0 && credit_wait_count_ > 0) {
-    co_await FutexWakeCommitted(env, credit_waiters_);
+    co_await os::FutexWake(env, credit_waiters_);
   }
   co_return base::Status::Ok();
 }
@@ -1008,7 +1002,7 @@ void Plane::DropDelivery(uint32_t r, uint32_t index, std::vector<uint64_t>* free
 void Plane::Close() {
   closed_ = true;
   ForEachQueue([](MpmcQueue& q) { q.Close(base::ErrorCode::kBrokenChannel); });
-  WakeCreditWaiters();
+  credit_waiters_.WakeAll(kernel_);
 }
 
 uint64_t Plane::LiveGrantCount() const {
@@ -1051,7 +1045,7 @@ void Plane::OnProcessDeath(os::Process& proc) {
     // A dead laggard no longer gates the producer, the dead incarnation's
     // parked threads must see kCalleeFailed, and if nobody is left, blocked
     // producers must wake to see it too.
-    WakeCreditWaiters();
+    credit_waiters_.WakeAll(kernel_);
   }
 }
 
@@ -1084,7 +1078,7 @@ void Plane::Break() {
   m_revokes_->Add(revoked);
   obs::Trace().Record(0, obs::EventType::kCapRevoke, obs_id_, revoked, kernel_.now());
   ForEachQueue([](MpmcQueue& q) { q.Fail(base::ErrorCode::kCalleeFailed); });
-  WakeCreditWaiters();
+  credit_waiters_.WakeAll(kernel_);
 }
 
 void Plane::Excise(bool tx, uint32_t idx) {
@@ -1172,7 +1166,7 @@ base::Status Plane::Rebind(bool tx, uint32_t idx, os::Process& proc) {
   }
   AddCredits(e, static_cast<int64_t>(e.line - e.credits));
   e.alive = true;
-  WakeCreditWaiters();
+  credit_waiters_.WakeAll(kernel_);
   return base::Status::Ok();
 }
 

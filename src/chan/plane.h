@@ -322,7 +322,6 @@ class Plane : public std::enable_shared_from_this<Plane> {
   // Moves `delta` credits on `e`'s line and mirrors the gauge; a no-op for
   // an endpoint without a line.
   void AddCredits(Endpoint& e, int64_t delta);
-  void WakeCreditWaiters();
 
   // Grants endpoint `e` ownership of slot `index` with `rights`, inside the
   // runtime domain: a full CapFromApl mint on first use, an epoch rebind of

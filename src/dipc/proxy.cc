@@ -309,9 +309,7 @@ ProxyRef::Pending ProxyRef::CallAsync(os::Env env, CallArgs args) const {
             st->result = co_await proxy->Invoke(senv, args);
             st->err = senv.self->TakeError();
             st->done = true;
-            while (os::Thread* w = st->waiters.WakeOneThread()) {
-              (void)senv.kernel->MakeRunnable(*w, senv.self->last_cpu());
-            }
+            st->waiters.WakeAll(*senv.kernel, senv.self->last_cpu());
           });
   return pending;
 }

@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "os/futex.h"
+
 namespace dipc::os {
 
 Kernel::Kernel(hw::Machine& machine, codoms::Codoms& codoms)
@@ -165,17 +167,6 @@ void WaitQueue::WaitAwaiter::await_suspend(std::coroutine_handle<> h) {
   thread->set_resume_point(h);
   thread->set_state(ThreadState::kBlocked);
   kernel->CpuReleased(thread->last_cpu());
-}
-
-sim::Task<void> FutexWake(Env env, Thread& waiter) {
-  Kernel& k = *env.kernel;
-  co_await k.SyscallEnter(env);
-  co_await k.Spend(*env.self, kFutexWakeKernel, TimeCat::kKernel);
-  sim::Duration ipi = k.MakeRunnable(waiter, env.self->last_cpu());
-  if (ipi > sim::Duration::Zero()) {
-    co_await k.Spend(*env.self, ipi, TimeCat::kKernel);
-  }
-  co_await k.SyscallExit(env);
 }
 
 // ---- Scheduling ----

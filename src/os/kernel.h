@@ -361,20 +361,16 @@ class Kernel {
   std::vector<obs::Gauge*> m_runq_depth_;
 };
 
-// Kernel futex work of one FUTEX_WAIT and one FUTEX_WAKE (calibrated with
-// the §2.2 Sem anchor; see hw/cost_model.h's header comment).
-inline constexpr sim::Duration kFutexWaitKernel = sim::Duration::Nanos(140.0);
-inline constexpr sim::Duration kFutexWakeKernel = sim::Duration::Nanos(130.0);
-
 // A wake its publisher took instead of issuing: the FUTEX_SWAP-style
 // wake-and-park. A publish that would wake a parked thread hands that thread
 // back (WaitQueue::TakeForSwap), and the publisher's next park switches its
 // CPU straight to it in the same syscall (WaitQueue::Wait with the wake,
 // through Kernel::HandoffTo): no IPI, no idle exit, no scheduler pick. A
 // path that does not park issues it as an ordinary FUTEX_WAKE instead
-// (FutexWake(env, *wake.Take())). Move-only and never dropped: destroying a
-// live one would lose the wake, so the destructor checks — except during
-// kernel teardown, which destroys frames suspended between publish and park.
+// (os/futex.h's FutexWake(env, *wake.Take())). Move-only and never dropped:
+// destroying a live one would lose the wake, so the destructor checks —
+// except during kernel teardown, which destroys frames suspended between
+// publish and park.
 class DeferredWake {
  public:
   DeferredWake() = default;
@@ -401,10 +397,6 @@ class DeferredWake {
   Kernel* kernel_ = nullptr;
   Thread* waiter_ = nullptr;
 };
-
-// FUTEX_WAKE of `waiter`, already taken off its wait queue: a syscall, the
-// kernel's wake work, and the IPI when the waiter's CPU is another one.
-sim::Task<void> FutexWake(Env env, Thread& waiter);
 
 // A FIFO wait queue of threads; the building block of every blocking
 // primitive. Waking returns the thread so the caller can MakeRunnable it
@@ -469,6 +461,15 @@ class WaitQueue {
       }
     }
     return nullptr;
+  }
+
+  // Wakes every parked thread at no cost to the waker: the close, failure
+  // and teardown flavor, which mostly runs without a thread Env. A known
+  // `waker_cpu` is passed on to MakeRunnable.
+  void WakeAll(Kernel& kernel, std::optional<hw::CpuId> waker_cpu = std::nullopt) {
+    while (Thread* t = WakeOneThread()) {
+      (void)kernel.MakeRunnable(*t, waker_cpu);
+    }
   }
 
   bool Remove(Thread* t) {

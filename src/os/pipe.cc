@@ -94,10 +94,7 @@ void Pipe::CloseWriteEnd() {
   write_closed_ = true;
   // Readers blocked on an empty pipe must see EOF. There is no Env here;
   // treat the close as a kernel-side wake with no waker CPU.
-  while (Thread* r = readers_.WakeOneThread()) {
-    // Kernel reference reachable through the ring allocation.
-    (void)kernel_.MakeRunnable(*r, std::nullopt);
-  }
+  readers_.WakeAll(kernel_);
 }
 
 }  // namespace dipc::os

@@ -1,8 +1,8 @@
 // POSIX-style semaphore built on a futex (§2.2's "Sem." primitive).
 //
 // Uncontended operations stay in user space (one atomic); contended ones
-// take the full syscall + futex path, and wakeups pay IPI costs when the
-// waiter sits on another CPU.
+// park and wake through the futex path (os/futex.h), and wakeups pay IPI
+// costs when the waiter sits on another CPU.
 //
 // Wake-and-park: Post can defer its wake into an os::DeferredWake, and
 // WaitUntil takes one. A waiting poster that parks then switches its CPU
@@ -14,11 +14,13 @@
 #define DIPC_OS_SEMAPHORE_H_
 
 #include <cstdint>
+#include <utility>
 
 #include "base/result.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "os/deadline.h"
+#include "os/futex.h"
 #include "os/kernel.h"
 #include "sim/task.h"
 
@@ -31,15 +33,15 @@ class Semaphore : public KernelObject {
   std::string_view type_name() const override { return "semaphore"; }
 
   // Calibration (documented in hw/cost_model.h's header comment): glibc
-  // sem_wait/sem_post user fast path. The kernel futex wait/wake work is
-  // os::kFutexWaitKernel/kFutexWakeKernel (os/kernel.h).
+  // sem_wait/sem_post user fast path. The kernel side is the futex path's
+  // (os/futex.h).
   static constexpr sim::Duration kUserFastPath = sim::Duration::Nanos(9.0);
 
   // Timed, failure-aware wait. Returns kOk with a token consumed, kTimedOut
   // when a finite `deadline` expires first (no token consumed), or the
-  // Fail() code when the semaphore's owner died. The failed_ re-check after
-  // the kernel entry closes the historical hang: a Fail() landing between
-  // the user-space predicate check and the park issued its wakes while this
+  // Fail() code when the semaphore's owner died. The futex value re-check
+  // after the kernel entry closes the historical hang: a Fail() landing
+  // between the user-space check and the park issued its wakes while this
   // thread was still entering the kernel, so parking anyway would sleep on
   // an object nobody will ever post again.
   //
@@ -48,80 +50,26 @@ class Semaphore : public KernelObject {
   // without parking — a token already posted, a failed semaphore, an expired
   // deadline, or a waiter killed since the publish.
   sim::Task<base::Status> WaitUntil(Env env, Deadline deadline = {}, DeferredWake wake = {}) {
-    Kernel& k = *env.kernel;
-    co_await k.Spend(*env.self, kUserFastPath, TimeCat::kUser);
-    if (failed_) {
-      if (wake) {
-        co_await FutexWake(env, *wake.Take());
-      }
-      co_return code_;
-    }
-    if (count_ > 0) {
-      --count_;  // uncontended: futex not entered
-      if (wake) {
-        co_await FutexWake(env, *wake.Take());
-      }
-      co_return base::Status::Ok();
-    }
-    if (wake && (!wake.swappable() || deadline.ExpiredAt(k.now()))) {
-      co_await FutexWake(env, *wake.Take());
-    }
-    co_await k.SyscallEnter(env);
-    co_await k.Spend(*env.self, kFutexWaitKernel, TimeCat::kKernel);
+    co_await env.kernel->Spend(*env.self, kUserFastPath, TimeCat::kUser);
     base::Status result = base::Status::Ok();
-    if (failed_) {
-      result = code_;  // owner died while we were entering the kernel
-    } else if (count_ > 0) {
-      --count_;  // raced with a post while entering the kernel
-    } else if (deadline.ExpiredAt(k.now())) {
-      result = base::ErrorCode::kTimedOut;  // ETIMEDOUT without parking
-    } else {
-      const Metrics& m = SharedMetrics();
-      m.futex_waits->Add();
-      k.futex_waiters()->Add(1);
-      obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexQDepth, obs_id_,
-                          static_cast<uint64_t>(waiters_.size() + 1), k.now());
-      const sim::Time park_start = k.now();
-      // Deadline timer, same shape as chan::FutexBlockUntil: it only acts
-      // while the thread is still parked (a same-instant Post wins by FIFO
-      // event order and Remove then returns false).
-      bool timer_fired = false;
-      sim::EventId timer = sim::kInvalidEventId;
-      if (!deadline.never()) {
-        Thread* self = env.self;
-        timer = k.machine().events().ScheduleAt(deadline.at(),
-                                                [&k, this, self, &timer_fired] {
-                                                  if (waiters_.Remove(self)) {
-                                                    timer_fired = true;
-                                                    (void)k.MakeRunnable(*self, std::nullopt);
-                                                  }
-                                                });
+    if (TryTake(&result)) {  // uncontended: futex not entered
+      if (wake) {
+        co_await FutexWake(env, *wake.Take());
       }
-      co_await waiters_.Wait(env, wake);
-      const sim::Duration parked = k.now() - park_start;
-      k.futex_waiters()->Sub(1);
-      obs::ChargeDomainTime(static_cast<uint32_t>(env.self->cap_ctx().current_domain),
-                            obs::DomainTimeKind::kFutexWait, parked.picos());
-      m.park_ns->Record(parked.nanos());
-      obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexPark, obs_id_, 0, k.now(),
-                          parked);
-      if (timer_fired) {
-        result = base::ErrorCode::kTimedOut;
-      } else {
-        if (timer != sim::kInvalidEventId) {
-          (void)k.machine().events().Cancel(timer);
-        }
-        if (failed_) {
-          result = code_;  // woken by Fail, not by a Post: no token was handed
-        }
-        // Otherwise woken by Post: the token was handed to us directly.
-      }
+      co_return result;
     }
-    co_await k.SyscallExit(env);
-    if (wake) {
-      co_await FutexWake(env, *wake.Take());  // did not park
+    const Metrics& m = SharedMetrics();
+    bool blocked = false;
+    const bool timed_out = co_await FutexBlockUntil(
+        env, waiters_, deadline, std::move(wake), ParkObs{obs_id_, m.futex_waits, m.park_ns},
+        [&] { return blocked = !TryTake(&result); });
+    if (timed_out) {
+      co_return base::ErrorCode::kTimedOut;
     }
-    co_return result;
+    if (blocked && failed_) {
+      co_return code_;  // woken by Fail, not by a Post: no token was handed
+    }
+    co_return result;  // a Post woke us and handed its token over directly
   }
 
   // Untimed legacy flavor. After Fail() it returns (with the error dropped)
@@ -133,16 +81,13 @@ class Semaphore : public KernelObject {
   // With `defer`, a parked waiter is handed back in *defer instead of being
   // woken (an empty *defer only: one deferred wake per publisher), with the
   // token riding along; the caller's next park switches to it (WaitUntil,
-  // chan::FutexBlockUntil). Counted as a futex wake either way.
+  // os::FutexBlockUntil). Counted as a futex wake either way.
   sim::Task<void> Post(Env env, DeferredWake* defer = nullptr) {
-    Kernel& k = *env.kernel;
-    co_await k.Spend(*env.self, kUserFastPath, TimeCat::kUser);
+    co_await env.kernel->Spend(*env.self, kUserFastPath, TimeCat::kUser);
     if (defer != nullptr && !*defer) {
       *defer = waiters_.TakeForSwap(env);
       if (*defer) {
-        SharedMetrics().futex_wakes->Add();
-        obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_id_, 1,
-                            k.now());
+        CountWake(env);
         co_return;
       }
     }
@@ -151,15 +96,10 @@ class Semaphore : public KernelObject {
       ++count_;  // nobody waiting: user-space only
       co_return;
     }
-    co_await k.SyscallEnter(env);
-    co_await k.Spend(*env.self, kFutexWakeKernel, TimeCat::kKernel);
-    SharedMetrics().futex_wakes->Add();
-    obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_id_, 1, k.now());
-    sim::Duration ipi = k.MakeRunnable(*waiter, env.self->last_cpu());
-    if (ipi > sim::Duration::Zero()) {
-      co_await k.Spend(*env.self, ipi, TimeCat::kKernel);
-    }
-    co_await k.SyscallExit(env);
+    co_await FutexWakeWith(env, [&] {
+      CountWake(env);
+      return waiter;
+    });
   }
 
   // Owner-death teardown: latches `code`, wakes every parked waiter with it
@@ -169,9 +109,7 @@ class Semaphore : public KernelObject {
   void Fail(Kernel& kernel, base::ErrorCode code) {
     failed_ = true;
     code_ = code;
-    while (Thread* t = waiters_.WakeOneThread()) {
-      (void)kernel.MakeRunnable(*t, std::nullopt);
-    }
+    waiters_.WakeAll(kernel);
   }
 
   int64_t count() const { return count_; }
@@ -194,6 +132,26 @@ class Semaphore : public KernelObject {
                      reg.GetHistogram("os/sem/park_ns")};
     }();
     return m;
+  }
+
+  // The futex value check: true when the wait is over without parking,
+  // with a token taken or with the Fail() code in *result.
+  bool TryTake(base::Status* result) {
+    if (failed_) {
+      *result = code_;
+      return true;
+    }
+    if (count_ <= 0) {
+      return false;
+    }
+    --count_;
+    return true;
+  }
+
+  void CountWake(Env env) {
+    SharedMetrics().futex_wakes->Add();
+    obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_id_, 1,
+                        env.kernel->now());
   }
 
   int64_t count_;

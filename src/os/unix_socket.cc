@@ -124,12 +124,8 @@ void UnixStreamEnd::Close() {
   // Both directions see the hangup.
   for (auto& d : core_->dirs_) {
     d.closed = true;
-    while (Thread* t = d.readers.WakeOneThread()) {
-      (void)core_->kernel_.MakeRunnable(*t, std::nullopt);
-    }
-    while (Thread* t = d.writers.WakeOneThread()) {
-      (void)core_->kernel_.MakeRunnable(*t, std::nullopt);
-    }
+    d.readers.WakeAll(core_->kernel_);
+    d.writers.WakeAll(core_->kernel_);
   }
 }
 

@@ -1,6 +1,6 @@
-// Unit tests for the zero-copy channel subsystem (src/chan/): SPSC ring
-// wrap-around, futex-style blocking, MPMC fairness, capability move
-// semantics (sender revocation), and dead-peer teardown.
+// Unit tests for the zero-copy channel subsystem (src/chan/): futex-style
+// blocking, MPMC fairness, capability move semantics (sender revocation),
+// and dead-peer teardown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 
 #include "chan/channel.h"
 #include "chan/mpmc_queue.h"
-#include "chan/ring.h"
 #include "os/deadline.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
@@ -28,111 +27,11 @@ class ChanTest : public ::testing::Test {
  protected:
   ChanTest() : machine_(4), codoms_(machine_), kernel_(machine_, codoms_), dipc_(kernel_) {}
 
-  hw::VirtAddr MapBuf(os::Process& proc, uint64_t len) {
-    auto va = kernel_.MapAnonymous(proc, len, hw::PageFlags{.writable = true});
-    DIPC_CHECK(va.ok());
-    return va.value();
-  }
-
   hw::Machine machine_;
   codoms::Codoms codoms_;
   os::Kernel kernel_;
   core::Dipc dipc_;
 };
-
-// --- SPSC ring ---
-
-TEST_F(ChanTest, RingTransfersBytesAcrossWrapBoundary) {
-  os::Process& proc = dipc_.CreateDipcProcess("p");
-  // Capacity 256 with 200-byte messages: the second message wraps.
-  Ring ring(kernel_, proc, 256, proc.default_domain());
-  hw::VirtAddr src = MapBuf(proc, hw::kPageSize);
-  hw::VirtAddr dst = MapBuf(proc, hw::kPageSize);
-  constexpr uint64_t kMsg = 200;
-  std::vector<std::string> got;
-  kernel_.Spawn(proc, "producer", [&](os::Env env) -> sim::Task<void> {
-    for (int round = 0; round < 3; ++round) {
-      std::string payload(kMsg, static_cast<char>('a' + round));
-      EXPECT_TRUE(
-          env.kernel->UserWrite(*env.self, src, std::as_bytes(std::span(payload))).ok());
-      auto n = co_await ring.Write(env, src, kMsg);
-      EXPECT_TRUE(n.ok());
-      EXPECT_EQ(n.value(), kMsg);
-    }
-    ring.CloseWriteEnd();
-  });
-  kernel_.Spawn(proc, "consumer", [&](os::Env env) -> sim::Task<void> {
-    while (true) {
-      uint64_t have = 0;
-      while (have < kMsg) {
-        auto n = co_await ring.Read(env, dst + have, kMsg - have);
-        EXPECT_TRUE(n.ok());
-        if (n.value() == 0) {
-          EXPECT_EQ(have, 0u);  // EOF lands on a message boundary here
-          co_return;
-        }
-        have += n.value();
-      }
-      std::vector<char> buf(kMsg);
-      EXPECT_TRUE(
-          env.kernel->UserRead(*env.self, dst, std::as_writable_bytes(std::span(buf))).ok());
-      got.emplace_back(buf.begin(), buf.end());
-    }
-  });
-  kernel_.Run();
-  ASSERT_EQ(got.size(), 3u);
-  for (int round = 0; round < 3; ++round) {
-    EXPECT_EQ(got[round], std::string(kMsg, static_cast<char>('a' + round)));
-  }
-}
-
-TEST_F(ChanTest, RingUncontendedStaysInUserSpace) {
-  os::Process& proc = dipc_.CreateDipcProcess("p");
-  Ring ring(kernel_, proc, 4096, proc.default_domain());
-  hw::VirtAddr buf = MapBuf(proc, hw::kPageSize);
-  kernel_.Spawn(proc, "t", [&](os::Env env) -> sim::Task<void> {
-    auto w = co_await ring.Write(env, buf, 512);
-    EXPECT_TRUE(w.ok());
-    auto r = co_await ring.Read(env, buf, 512);
-    EXPECT_TRUE(r.ok());
-    EXPECT_EQ(r.value(), 512u);
-  });
-  kernel_.Run();
-  // No peer ever blocked, so the futex path (and the kernel) never ran.
-  os::TimeBreakdown b = kernel_.accounting().Summed();
-  EXPECT_EQ(b[os::TimeCat::kSyscallCrossing], Duration::Zero());
-  EXPECT_EQ(b[os::TimeCat::kKernel], Duration::Zero());
-}
-
-TEST_F(ChanTest, RingBlocksWriterWhenFullUntilReaderDrains) {
-  os::Process& proc = dipc_.CreateDipcProcess("p");
-  Ring ring(kernel_, proc, 1024, proc.default_domain());
-  hw::VirtAddr src = MapBuf(proc, hw::kPageSize);
-  hw::VirtAddr dst = MapBuf(proc, hw::kPageSize);
-  double write_done_at = 0;
-  kernel_.Spawn(proc, "writer", [&](os::Env env) -> sim::Task<void> {
-    auto n = co_await ring.Write(env, src, 2048);  // twice the capacity
-    EXPECT_TRUE(n.ok());
-    EXPECT_EQ(n.value(), 2048u);
-    write_done_at = env.kernel->now().micros();
-    ring.CloseWriteEnd();
-  });
-  uint64_t read_total = 0;
-  kernel_.Spawn(proc, "reader", [&](os::Env env) -> sim::Task<void> {
-    co_await env.kernel->Sleep(env, Duration::Micros(50));  // let the ring fill
-    while (true) {
-      auto n = co_await ring.Read(env, dst, 512);
-      EXPECT_TRUE(n.ok());
-      if (n.value() == 0) {
-        co_return;
-      }
-      read_total += n.value();
-    }
-  });
-  kernel_.Run();
-  EXPECT_EQ(read_total, 2048u);
-  EXPECT_GE(write_done_at, 50.0);  // writer had to wait for the sleeping reader
-}
 
 // --- MPMC queue ---
 
@@ -199,7 +98,7 @@ TEST_F(ChanTest, MpmcFifoWakeupsAreFairAcrossConsumers) {
 }
 
 TEST_F(ChanTest, MpmcTightCapacityStressLosesNoWakeups) {
-  // Regression: FutexBlock used to park unconditionally after its syscall
+  // Regression: the futex park used to park unconditionally after its syscall
   // suspension points, so a wake issued while the blocker was still
   // entering the kernel found no parked thread and was lost — both sides
   // could park forever. Capacity 1 with peers on different CPUs crosses
@@ -626,73 +525,6 @@ TEST_F(ChanTest, ReceiverWindowsSweptByPeerDeathLeakNoGrant) {
       EXPECT_GE(rt.Epoch(id), 1u) << "unrevoked capability " << id << ", kill step " << step;
     }
   }
-}
-
-// --- Ring read-end close (EPIPE) ---
-
-TEST_F(ChanTest, RingWriteAndReadAfterReadEndCloseFail) {
-  os::Process& proc = dipc_.CreateDipcProcess("p");
-  Ring ring(kernel_, proc, 1024, proc.default_domain());
-  hw::VirtAddr buf = MapBuf(proc, hw::kPageSize);
-  kernel_.Spawn(proc, "t", [&](os::Env env) -> sim::Task<void> {
-    ring.CloseReadEnd();
-    auto w = co_await ring.Write(env, buf, 64);
-    EXPECT_EQ(w.code(), ErrorCode::kBrokenChannel);  // EPIPE even with space
-    auto r = co_await ring.Read(env, buf, 64);
-    EXPECT_EQ(r.code(), ErrorCode::kBrokenChannel);
-  });
-  kernel_.Run();
-}
-
-TEST_F(ChanTest, RingReaderBlockedOnEmptyRingFailsWhenReadEndCloses) {
-  // Mirror of the blocked-writer fix: a reader parked on an empty ring must
-  // be woken by CloseReadEnd — writes fail from then on, so nothing would
-  // ever refill the ring for it.
-  os::Process& proc = dipc_.CreateDipcProcess("p");
-  Ring ring(kernel_, proc, 1024, proc.default_domain());
-  hw::VirtAddr dst = MapBuf(proc, hw::kPageSize);
-  ErrorCode read_code = ErrorCode::kOk;
-  double read_done_at = 0;
-  kernel_.Spawn(proc, "reader", [&](os::Env env) -> sim::Task<void> {
-    auto n = co_await ring.Read(env, dst, 64);  // empty: parks
-    read_code = n.code();
-    read_done_at = env.kernel->now().micros();
-  });
-  kernel_.Spawn(proc, "closer", [&](os::Env env) -> sim::Task<void> {
-    co_await env.kernel->Sleep(env, Duration::Micros(25));
-    ring.CloseReadEnd();
-  });
-  kernel_.Run();
-  EXPECT_EQ(read_code, ErrorCode::kBrokenChannel);
-  EXPECT_GE(read_done_at, 25.0);
-}
-
-TEST_F(ChanTest, RingWriterBlockedOnFullRingFailsWhenReaderDies) {
-  // Regression: Write's full-ring predicate only checked fill_ == capacity_,
-  // so a writer parked on a full ring whose reader died parked forever —
-  // nobody was left to drain the ring and nothing ever woke the writer.
-  os::Process& writer_proc = dipc_.CreateDipcProcess("writer");
-  os::Process& reader_proc = dipc_.CreateDipcProcess("reader");
-  auto ring = std::make_shared<Ring>(kernel_, writer_proc, 1024,
-                                     writer_proc.default_domain());
-  Ring::BindDeathHooks(dipc_, ring, writer_proc, reader_proc);
-  hw::VirtAddr src = MapBuf(writer_proc, hw::kPageSize);
-  ErrorCode write_code = ErrorCode::kOk;
-  double write_done_at = 0;
-  kernel_.Spawn(writer_proc, "writer", [&](os::Env env) -> sim::Task<void> {
-    auto n = co_await ring->Write(env, src, 2048);  // twice the capacity: parks
-    write_code = n.code();
-    write_done_at = env.kernel->now().micros();
-  });
-  os::Process& killer_proc = dipc_.CreateDipcProcess("killer");
-  kernel_.Spawn(killer_proc, "killer", [&](os::Env env) -> sim::Task<void> {
-    co_await env.kernel->Sleep(env, Duration::Micros(25));
-    dipc_.KillProcess(reader_proc);  // reader dies with the writer parked
-  });
-  kernel_.Run();
-  EXPECT_EQ(write_code, ErrorCode::kBrokenChannel);
-  EXPECT_GE(write_done_at, 25.0);  // the death hook, not a timeout, woke it
-  EXPECT_TRUE(ring->read_closed());
 }
 
 // --- Batched queue operations ---
@@ -1338,30 +1170,6 @@ TEST_F(ChanTest, AbandonedBufferIsSendableAfterReacquire) {
 }
 
 // --- Deadlines on the blocking primitives ---
-
-TEST_F(ChanTest, RingWriteAndReadHonorDeadlines) {
-  os::Process& proc = dipc_.CreateDipcProcess("p");
-  Ring ring(kernel_, proc, 256, proc.default_domain());
-  hw::VirtAddr src = MapBuf(proc, hw::kPageSize);
-  hw::VirtAddr dst = MapBuf(proc, hw::kPageSize);
-  kernel_.Spawn(proc, "solo", [&](os::Env env) -> sim::Task<void> {
-    auto fill = co_await ring.Write(env, src, 256);  // fills exactly; no park
-    EXPECT_TRUE(fill.ok());
-    // Full ring + nobody draining: a bounded write must come back instead
-    // of parking forever.
-    auto blocked = co_await ring.Write(
-        env, src, 64, os::Deadline::After(env.kernel->now(), Duration::Micros(5)));
-    EXPECT_EQ(blocked.code(), ErrorCode::kTimedOut);
-    auto drained = co_await ring.Read(env, dst, 256);
-    EXPECT_TRUE(drained.ok());
-    EXPECT_EQ(drained.value(), 256u);
-    // Empty ring + nobody writing: same deal on the read side.
-    auto empty = co_await ring.Read(
-        env, dst, 64, os::Deadline::After(env.kernel->now(), Duration::Micros(5)));
-    EXPECT_EQ(empty.code(), ErrorCode::kTimedOut);
-  });
-  kernel_.Run();
-}
 
 TEST_F(ChanTest, MpmcPushAndPopHonorDeadlines) {
   os::Process& proc = dipc_.CreateDipcProcess("p");

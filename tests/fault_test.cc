@@ -1,14 +1,24 @@
 // Unit tests for the deterministic fault-injection engine (src/fault/):
 // plan-text parsing, scripted and probabilistic triggers, the kill-handler
-// contract, and the replay-determinism guarantee (same seed + plan ==>
-// byte-identical decision log).
+// contract, the replay-determinism guarantee (same seed + plan ==>
+// byte-identical decision log), and the futex park point's coverage of
+// every primitive that parks.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "chan/mpmc_queue.h"
+#include "chan/plane.h"
+#include "codoms/codoms.h"
+#include "dipc/dipc.h"
 #include "fault/fault.h"
+#include "hw/machine.h"
+#include "os/kernel.h"
+#include "os/semaphore.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
 
@@ -215,6 +225,105 @@ TEST_F(FaultTest, RearmResetsAllState) {
   inj.Arm(plan.value(), nullptr);                     // re-arm: counters reset
   EXPECT_EQ(inj.fire_count(), 0u);
   EXPECT_TRUE(inj.Probe(points::kChanSend).fail());
+}
+
+// One futex park scenario on a fresh machine: spawns its threads, runs the
+// simulation and returns how many parks the primitive itself counted.
+using ParkScenario = std::function<uint64_t(core::Dipc&, os::Kernel&)>;
+
+struct ParkRun {
+  Duration kernel;  // kernel time billed across every CPU
+  uint64_t parks = 0;
+};
+
+ParkRun RunParkScenario(const ParkScenario& scenario) {
+  hw::Machine machine(4);
+  codoms::Codoms codoms(machine);
+  os::Kernel kernel(machine, codoms);
+  core::Dipc dipc(kernel);
+  const uint64_t parks = scenario(dipc, kernel);
+  return {kernel.accounting().Summed()[os::TimeCat::kKernel], parks};
+}
+
+// The chan/futex_park point sits on the kernel side of the one futex park
+// (os/futex.h), so it covers every primitive that parks: a delay rule fires
+// once per park and bills its delay as kernel time. Each scenario parks one
+// thread once, 50 us before another thread wakes it, so the delay moves
+// nothing else.
+TEST_F(FaultTest, FutexParkDelayFiresOncePerParkAndBillsKernelTime) {
+  const std::vector<std::pair<std::string, ParkScenario>> scenarios = {
+      {"MpmcQueue pop",
+       [](core::Dipc& dipc, os::Kernel& kernel) -> uint64_t {
+         os::Process& proc = dipc.CreateDipcProcess("p");
+         chan::MpmcQueue q(kernel, proc, 4, proc.default_domain());
+         kernel.Spawn(proc, "consumer", [&](os::Env env) -> sim::Task<void> {
+           EXPECT_TRUE((co_await q.Pop(env)).ok());  // empty, no publisher: parks
+         });
+         kernel.Spawn(proc, "producer", [&](os::Env env) -> sim::Task<void> {
+           co_await env.kernel->Sleep(env, Duration::Micros(50));
+           EXPECT_TRUE((co_await q.Push(env, 7)).ok());
+         });
+         kernel.Run();
+         return q.blocked_pops() + q.blocked_pushes();
+       }},
+      {"credit-line wait",
+       [](core::Dipc& dipc, os::Kernel& kernel) -> uint64_t {
+         os::Process& prod = dipc.CreateDipcProcess("producer");
+         os::Process& recv = dipc.CreateDipcProcess("receiver");
+         std::vector<os::Process*> receivers = {&recv};
+         auto created = chan::Plane::Create(dipc, prod, receivers,
+                                            {.slots = 4, .buf_bytes = 4096, .credits = 1});
+         DIPC_CHECK(created.ok());
+         std::shared_ptr<chan::Plane> plane = created.value();
+         kernel.Spawn(prod, "producer", [&](os::Env env) -> sim::Task<void> {
+           for (int i = 0; i < 2; ++i) {  // the second acquire waits for the credit
+             auto buf = co_await plane->AcquireBuf(env, 0);
+             DIPC_CHECK(buf.ok());
+             EXPECT_TRUE((co_await plane->Send(env, 0, buf.value(), 64)).ok());
+           }
+         });
+         kernel.Spawn(recv, "receiver", [&](os::Env env) -> sim::Task<void> {
+           co_await env.kernel->Sleep(env, Duration::Micros(10));
+           auto msg = co_await plane->Recv(env, 0);  // already queued: no park
+           DIPC_CHECK(msg.ok());
+           co_await env.kernel->Sleep(env, Duration::Micros(40));
+           EXPECT_TRUE((co_await plane->Release(env, 0, msg.value())).ok());
+         });
+         kernel.Run();
+         return plane->blocked_on_credit();
+       }},
+      {"Semaphore::WaitUntil",
+       [](core::Dipc& dipc, os::Kernel& kernel) -> uint64_t {
+         os::Process& proc = dipc.CreateDipcProcess("p");
+         os::Semaphore sem(0);
+         uint64_t parked = 0;
+         kernel.Spawn(proc, "waiter", [&](os::Env env) -> sim::Task<void> {
+           EXPECT_TRUE((co_await sem.WaitUntil(env)).ok());
+         });
+         kernel.Spawn(proc, "poster", [&](os::Env env) -> sim::Task<void> {
+           co_await env.kernel->Sleep(env, Duration::Micros(50));
+           parked = sem.waiter_count();
+           co_await sem.Post(env);
+         });
+         kernel.Run();
+         return parked;
+       }},
+  };
+  constexpr Duration kDelay = Duration::Nanos(5000);
+  auto plan = Plan::Parse("rule chan/futex_park delay every=1 delay_ns=5000\n");
+  ASSERT_TRUE(plan.ok());
+  Injector& inj = Injector::Global();
+  for (const auto& [name, scenario] : scenarios) {
+    SCOPED_TRACE(name);
+    inj.Disarm();
+    const ParkRun plain = RunParkScenario(scenario);
+    inj.Arm(plan.value(), nullptr);
+    const ParkRun delayed = RunParkScenario(scenario);
+    EXPECT_EQ(plain.parks, 1u);
+    EXPECT_EQ(delayed.parks, 1u);
+    EXPECT_EQ(inj.fire_count(), delayed.parks);
+    EXPECT_EQ((delayed.kernel - plain.kernel).picos(), (kDelay * delayed.parks).picos());
+  }
 }
 
 #endif  // !DIPC_FAULT_OFF

@@ -11,7 +11,7 @@ void Register(const std::string& id, int cpu) {
   obs::Gauge* c = obs::Registry::Default().GetGauge(
       "os/sched/cpu" + std::to_string(cpu) + "/runq_depth");
   obs::Counter* d = obs::Registry::Default().GetCounter("fault/point/" + id);
-  obs::Histogram* e = obs::Registry::Default().GetHistogram("ring/" + id + "/park_ns");
+  obs::Histogram* e = obs::Registry::Default().GetHistogram("mpmc/" + id + "/park_ns");
   (void)a;
   (void)b;
   (void)c;
