@@ -58,8 +58,8 @@ void PrintBatchSweep(JsonEmitter& json) {
     }
     std::printf("\n");
   }
-  json.Row("speedup_b32_vs_b1_small_x1000", kPayloads[0],
-           small_b32 > 0 ? small_b1 / small_b32 * 1000.0 : 0);
+  // The speedup is printed, not emitted: every row is a cost where lower is
+  // better, and payload64@1 and @32 already carry it.
   std::printf(
       "(batch amortizes the fixed per-message toll: queue ops, accounting and futex\n"
       " wakes are paid once per batch; capability rotation stays per message but is\n"

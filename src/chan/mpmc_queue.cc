@@ -4,8 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "chan/futex.h"
-
 namespace dipc::chan {
 
 using os::TimeCat;
@@ -26,8 +24,8 @@ MpmcQueue::MpmcQueue(os::Kernel& kernel, os::Process& proc, uint32_t capacity, h
   m_blocked_pops_ = reg.GetCounter(obs_name + "/blocked_pops");
   m_futex_wakes_ = reg.GetCounter(obs_name + "/futex_wakes");
   m_timeouts_ = reg.GetCounter(obs_name + "/timeouts");
-  m_spin_hits_ = reg.GetCounter(obs_name + "/spin_hits");
-  m_spin_misses_ = reg.GetCounter(obs_name + "/spin_misses");
+  spins_.m_hits = reg.GetCounter(obs_name + "/spin_hits");
+  spins_.m_misses = reg.GetCounter(obs_name + "/spin_misses");
   m_park_ns_ = reg.GetHistogram(obs_name + "/park_ns");
 }
 
@@ -49,32 +47,15 @@ void MpmcQueue::PushNoEnv(uint64_t value) {
   kernel_.machine().mem().Write(*pa, std::as_bytes(std::span(&value, 1)));
   ++tail_;
   ++count_;
-  if (EndSpins(1) == 0) {
+  if (consumers_.EndSpins(kernel_, 1) == 0) {
     if (os::Thread* t = consumers_.WakeOneThread()) {
       (void)kernel_.MakeRunnable(*t, std::nullopt);
     }
   }
 }
 
-bool MpmcQueue::SpinPays(const os::Thread& self, os::Deadline deadline) const {
-  // A push can only come soon from a publisher that holds a CPU; and a
-  // spinner must yield its CPU to a queued thread, so it doesn't start one.
-  return last_pusher_ != nullptr && last_pusher_ != &self && kernel_.OnCpu(*last_pusher_) &&
-         !kernel_.NeedResched(self.last_cpu()) && !deadline.ExpiredAt(kernel_.now());
-}
-
-uint64_t MpmcQueue::EndSpins(uint64_t max) {
-  const auto n = static_cast<std::ptrdiff_t>(std::min<uint64_t>(max, spinners_.size()));
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    kernel_.EndSpin(*spinners_[i], kernel_.costs().remote_transfer);
-  }
-  spinners_.erase(spinners_.begin(), spinners_.begin() + n);
-  return static_cast<uint64_t>(n);
-}
-
-sim::Task<void> MpmcQueue::WakeIfWaiting(os::Env env, os::WaitQueue& q,
-                                         const uint64_t& live_waiters, os::DeferredWake* defer) {
-  if (live_waiters == 0) {
+sim::Task<void> MpmcQueue::WakeIfWaiting(os::Env env, os::WaitQueue& q, os::DeferredWake* defer) {
+  if (q.waiting() == 0) {
     co_return;  // suppressed: no syscall, no kernel work
   }
   if (DIPC_FAULT_POINT(kFutexWake, env.self->last_cpu()).drop_wake()) {
@@ -82,7 +63,7 @@ sim::Task<void> MpmcQueue::WakeIfWaiting(os::Env env, os::WaitQueue& q,
   }
   ++futex_wakes_;
   m_futex_wakes_->Add();
-  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_obj_, live_waiters,
+  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_obj_, q.waiting(),
                       env.kernel->now());
   if (defer != nullptr && !*defer) {
     *defer = q.TakeForSwap(env);
@@ -93,23 +74,14 @@ sim::Task<void> MpmcQueue::WakeIfWaiting(os::Env env, os::WaitQueue& q,
   co_await os::FutexWake(env, q);
 }
 
-sim::Task<bool> MpmcQueue::Park(os::Env env, bool push, os::Deadline deadline,
+sim::Task<bool> MpmcQueue::Wait(os::Env env, bool push, os::Deadline deadline,
                                 os::DeferredWake wake) {
-  os::Kernel& k = *env.kernel;
-  ++(push ? blocked_pushes_ : blocked_pops_);
-  (push ? m_blocked_pushes_ : m_blocked_pops_)->Add();
-  uint64_t& waiting = push ? waiting_pushes_ : waiting_pops_;
-  ++waiting;
-  const sim::Time park_start = k.now();
-  const bool expired =
-      co_await os::FutexBlockUntil(env, push ? producers_ : consumers_, deadline, std::move(wake),
-                                   [this, push] { return Blocked(push); });
-  --waiting;
-  const sim::Duration parked = k.now() - park_start;
-  m_park_ns_->Record(parked.nanos());
-  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexPark, obs_obj_, push ? 0 : 1,
-                      k.now(), parked);
-  co_return expired;
+  const os::ParkObs park_obs{obs_obj_, nullptr, m_park_ns_, &spins_,
+                             push ? &blocked_pushes_ : &blocked_pops_,
+                             push ? m_blocked_pushes_ : m_blocked_pops_};
+  co_return co_await os::FutexBlockUntil(env, push ? producers_ : consumers_, deadline,
+                                         std::move(wake), park_obs,
+                                         [this, push] { return Blocked(push); });
 }
 
 base::ErrorCode MpmcQueue::TimedOut(os::Env env, uint64_t left) {
@@ -200,7 +172,7 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
       if (defer != nullptr) {
         wake = std::move(*defer);
       }
-      const bool expired = co_await Park(env, /*push=*/true, deadline, std::move(wake));
+      const bool expired = co_await Wait(env, /*push=*/true, deadline, std::move(wake));
       if (expired && Blocked(/*push=*/true)) {
         co_return TimedOut(env, values.size() - done);
       }
@@ -220,7 +192,6 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
     tail_ += n;
     count_ += n;
     done += n;
-    last_pusher_ = &self;
     if (pushed != nullptr) {
       *pushed = done;
     }
@@ -228,15 +199,15 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
     // Spinners take the chunk first, with no syscall. Values left over get
     // one (suppressed) futex wake; the woken consumer chains further wakes
     // while a backlog remains (see PopN), so one is enough.
-    if (EndSpins(n) < n) {
-      co_await WakeIfWaiting(env, consumers_, waiting_pops_, defer);
+    if (consumers_.Publish(env, n)) {
+      co_await WakeIfWaiting(env, consumers_, defer);
     }
   }
   // Wake chaining, producer side: when a consumer freed a multi-slot run it
   // woke only one producer; if room remains after this push, pass the wake
   // on so parked peers don't wait for the next pop.
   if (count_ < capacity_ && !closed_) {
-    co_await WakeIfWaiting(env, producers_, waiting_pushes_);
+    co_await WakeIfWaiting(env, producers_);
   }
   co_return base::Status::Ok();
 }
@@ -261,29 +232,11 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopN(os::Env env, std::span<uint64_
   if (wake && (count_ > 0 || closed_)) {
     co_await os::FutexWake(env, *wake.Take());  // nothing to park for
   }
-  // At most one spin per call, decided at the first empty check; none while
-  // a deferred wake is held, since this CPU is owed to its waiter.
-  bool may_spin = !wake;
   while (count_ == 0) {
     if (closed_) {
       co_return code_;
     }
-    bool expired = false;
-    if (std::exchange(may_spin, false) && SpinPays(self, deadline)) {
-      spinners_.push_back(&self);
-      co_await k.SpinUntil(env, std::min(k.now() + SpinBudget(k.costs()), deadline.at()));
-      std::erase(spinners_, &self);  // still listed if the spin ran out
-      expired = deadline.ExpiredAt(k.now());
-      if (count_ > 0) {
-        ++spin_hits_;
-        m_spin_hits_->Add();
-      } else if (!closed_ && !expired) {
-        ++spin_misses_;  // falls through to the park below
-        m_spin_misses_->Add();
-      }
-    } else {
-      expired = co_await Park(env, /*push=*/false, deadline, std::exchange(wake, {}));
-    }
+    const bool expired = co_await Wait(env, /*push=*/false, deadline, std::exchange(wake, {}));
     if (expired && Blocked(/*push=*/false)) {
       co_return TimedOut(env, out.size());
     }
@@ -306,11 +259,13 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopN(os::Env env, std::span<uint64_
   head_ += n;
   count_ -= n;
   co_await k.Spend(self, cost, TimeCat::kUser);
-  co_await WakeIfWaiting(env, producers_, waiting_pushes_);
+  if (producers_.Publish(env, n)) {
+    co_await WakeIfWaiting(env, producers_);
+  }
   // Wake chaining, consumer side: a batched push woke only one consumer; if
   // a backlog remains, pass it on to spinners, then to a parked consumer.
-  if (count_ > 0 && EndSpins(count_) < count_) {
-    co_await WakeIfWaiting(env, consumers_, waiting_pops_);
+  if (count_ > 0 && consumers_.EndSpins(k, count_) < count_) {
+    co_await WakeIfWaiting(env, consumers_);
   }
   co_return n;
 }
@@ -334,7 +289,6 @@ void MpmcQueue::Fail(base::ErrorCode code) {
 void MpmcQueue::WakeAllNoEnv() {
   // Close/Fail have no Env (they may run from teardown hooks); wakeups go
   // through the scheduler with no waker-side cost, like Pipe close.
-  EndSpins(spinners_.size());
   producers_.WakeAll(kernel_);
   consumers_.WakeAll(kernel_);
 }

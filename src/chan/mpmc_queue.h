@@ -9,21 +9,18 @@
 // Batching: PushN/PopN move N slots per call, paying the fixed per-op
 // software toll (fast-path accounting + at most one futex wake) once per
 // batch instead of once per slot. Wakes are *suppressed* through live
-// waiter counters kept next to the queue words (the user-level futex
-// convention): a waker that reads a zero counter skips the FUTEX_WAKE
+// waiter counters (WaitQueue::waiting(), the user-level futex convention):
+// a waker that reads a zero counter skips the FUTEX_WAKE
 // syscall entirely, and a woken thread chains the wake onward when work or
 // space remains for further parked peers, so one wake per batch is enough
 // for liveness.
 //
-// Spin-then-park: an empty-queue pop first busy-waits on the queue for at
-// most SpinBudget (chan/futex.h) before it parks on the futex. A spinner
-// keeps its CPU and is billed user time; it is not a futex waiter, so the
-// push that ends its spin pays no FUTEX_WAKE and the spinner sees the data
-// one cache-line transfer later, with no IPI, idle exit or dispatch. A pop
-// spins only when it can pay off: the queue's last publisher is on a CPU
-// (not parked, not waiting in a run queue) and no other thread waits for
-// the spinner's CPU. The spin ends early on need_resched, Close/Fail or the
-// deadline. Pushes to a full queue still park at once.
+// Spin-then-park: a pop of an empty queue and a push to a full one wait
+// through os::FutexBlockUntil, which spins while the wait's publisher is on
+// a CPU (os/futex.h's rule) and parks otherwise. A pop's publisher is the
+// last pusher and a push's the last popper. A publish ends spins first,
+// with no syscall, and wakes parked waiters only for the rest. A spinner is
+// billed user time and is not a futex waiter.
 //
 // Wake-and-park (os/kernel.h's DeferredWake): a push given a `defer` slot
 // hands back the consumer it would have woken instead of waking it, and a
@@ -44,13 +41,13 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "base/result.h"
 #include "chan/segment.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "os/deadline.h"
+#include "os/futex.h"
 #include "os/kernel.h"
 #include "sim/task.h"
 
@@ -102,7 +99,7 @@ class MpmcQueue {
                                 os::DeferredWake* defer = nullptr);
 
   // Batched pop of up to `out.size()` slots: blocks until at least one slot
-  // is available (spinning first, see above), then drains what is there
+  // is available (maybe spinning first, see above), then drains what is there
   // (never blocks for a full batch). Returns the number popped. Same
   // close/fail semantics as Pop; a finite `deadline` bounds the empty-queue
   // spin and park with kTimedOut. `wake` is always consumed: swapped to at
@@ -121,32 +118,26 @@ class MpmcQueue {
   uint64_t blocked_pops() const { return blocked_pops_; }
   uint64_t futex_wakes() const { return futex_wakes_; }
   uint64_t timeouts() const { return timeouts_; }
-  uint64_t spin_hits() const { return spin_hits_; }
-  uint64_t spin_misses() const { return spin_misses_; }
+  uint64_t spin_hits() const { return spins_.hits; }
+  uint64_t spin_misses() const { return spins_.misses; }
   uint32_t obs_obj() const { return obs_obj_; }
 
  private:
   hw::VirtAddr SlotVa(uint64_t pos) const { return seg_.base + (pos % capacity_) * kSlotBytes; }
   void WakeAllNoEnv();
-  // Whether an empty-queue pop by `self` should spin before parking.
-  bool SpinPays(const os::Thread& self, os::Deadline deadline) const;
-  // Ends up to `max` spins in FIFO order (their pops see the queue one
-  // line transfer later); returns how many it ended.
-  uint64_t EndSpins(uint64_t max);
   // Whether a push (full queue) or a pop (empty queue) has to wait.
   bool Blocked(bool push) const { return !closed_ && count_ == (push ? capacity_ : 0); }
-  // Parks a push on producers_ or a pop on consumers_ through the futex
-  // path, keeping that side's waiter counter and park telemetry. Returns the
-  // park's timed-out hint; the caller re-checks Blocked.
-  sim::Task<bool> Park(os::Env env, bool push, os::Deadline deadline, os::DeferredWake wake);
+  // Waits a push on producers_ or a pop on consumers_ through the futex
+  // core, with that side's telemetry. Returns the wait's timed-out hint;
+  // the caller re-checks Blocked.
+  sim::Task<bool> Wait(os::Env env, bool push, os::Deadline deadline, os::DeferredWake wake);
   // Counts a park that timed out with the queue still blocked (`left`
   // slots unmoved) and returns kTimedOut.
   base::ErrorCode TimedOut(os::Env env, uint64_t left);
-  // Wake-suppression gate: pays the FUTEX_WAKE only when the live waiter
-  // counter says someone is (or is about to be) parked on `q`. With an
-  // empty `*defer`, a parked waiter is deferred into it instead.
-  sim::Task<void> WakeIfWaiting(os::Env env, os::WaitQueue& q, const uint64_t& live_waiters,
-                                os::DeferredWake* defer = nullptr);
+  // Wake-suppression gate: pays the FUTEX_WAKE only when q.waiting() says
+  // someone is (or is about to be) parked on `q`. With an empty `*defer`, a
+  // parked waiter is deferred into it instead.
+  sim::Task<void> WakeIfWaiting(os::Env env, os::WaitQueue& q, os::DeferredWake* defer = nullptr);
   // Copies `n` values between `values` and the ring starting at `pos`,
   // split at the wrap point; accumulates the (batched) slot access cost.
   base::Status AccessSlots(os::Env env, uint64_t pos, std::span<const uint64_t> values,
@@ -164,17 +155,9 @@ class MpmcQueue {
   base::ErrorCode code_ = base::ErrorCode::kBrokenChannel;
   uint64_t blocked_pushes_ = 0;  // cumulative (stats)
   uint64_t blocked_pops_ = 0;    // cumulative (stats)
-  // Live waiter counts (the user-level futex counters): incremented before
-  // the kernel entry of a park, decremented on resume. A waker reading zero
-  // skips the wake syscall; reading nonzero commits to paying it.
-  uint64_t waiting_pushes_ = 0;
-  uint64_t waiting_pops_ = 0;
-  uint64_t futex_wakes_ = 0;  // wake syscalls actually issued (stats)
-  uint64_t timeouts_ = 0;     // parks that expired with the predicate still true
-  uint64_t spin_hits_ = 0;    // spins that ended with data to pop
-  uint64_t spin_misses_ = 0;  // spins that fell through to a park
-  os::Thread* last_pusher_ = nullptr;
-  std::vector<os::Thread*> spinners_;  // pops busy-waiting for a push
+  uint64_t futex_wakes_ = 0;     // wake syscalls actually issued (stats)
+  uint64_t timeouts_ = 0;        // parks that expired with the predicate still true
+  os::SpinCounts spins_;         // both sides' spins
   // Registry mirrors of the stats above, plus the park-time distribution;
   // trace events carry obs_obj_ so a timeline attributes to this queue.
   uint32_t obs_obj_ = 0;
@@ -182,8 +165,6 @@ class MpmcQueue {
   obs::Counter* m_blocked_pops_ = nullptr;
   obs::Counter* m_futex_wakes_ = nullptr;
   obs::Counter* m_timeouts_ = nullptr;
-  obs::Counter* m_spin_hits_ = nullptr;
-  obs::Counter* m_spin_misses_ = nullptr;
   obs::Histogram* m_park_ns_ = nullptr;
   os::WaitQueue producers_;
   os::WaitQueue consumers_;

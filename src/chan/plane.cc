@@ -195,6 +195,8 @@ void Plane::RegisterMetrics() {
   m_rebinds_ = counter(p2p, "/rebinds");
   m_revokes_ = counter(p2p, "/revokes");
   m_blocked_on_credit_ = counter(!p2p, "/blocked_on_credit");
+  credit_spins_.m_hits = counter(!p2p, "/credit_spin_hits");
+  credit_spins_.m_misses = counter(!p2p, "/credit_spin_misses");
   m_send_batch_ = histogram(p2p, "/send_batch");
   m_recv_batch_ = histogram(p2p, "/recv_batch");
   m_group_stall_ns_ = histogram(rx_group_, "/credit_stall_ns");
@@ -292,8 +294,8 @@ sim::Task<base::ErrorCode> Plane::AwaitCredit(os::Env env, Gate g, os::Deadline 
     if (!GateClosed(g)) {
       // No suspension between this check and the caller's (synchronous)
       // reservation or delivery plan: the admitted credits cannot change
-      // under the caller. Every credit return issues one wake, so every
-      // gate-opening event re-checks one parked waiter.
+      // under the caller. Every credit return ends every spin and issues one
+      // wake, so every gate-opening event re-checks one parked waiter.
       if (stalled) {
         sim::Duration stall = env.kernel->now() - stall_start;
         obs::Histogram* h = g.tx                      ? tx_[g.idx].m_stall_ns
@@ -309,12 +311,11 @@ sim::Task<base::ErrorCode> Plane::AwaitCredit(os::Env env, Gate g, os::Deadline 
       stalled = true;
       stall_start = env.kernel->now();
     }
-    ++blocked_on_credit_;
-    m_blocked_on_credit_->Add();
-    ++credit_wait_count_;
-    bool expired = co_await os::FutexBlockUntil(env, credit_waiters_, deadline,
-                                                [this, g] { return Waiting(g); });
-    --credit_wait_count_;
+    const os::ParkObs park_obs{
+        .spins = &credit_spins_, .waits = &blocked_on_credit_, .m_waits = m_blocked_on_credit_};
+    const bool expired = co_await os::FutexBlockUntil(
+        env, credit_waiters_, deadline, os::DeferredWake(), park_obs,
+        [this, g] { return Waiting(g); });
     if (expired && Waiting(g)) {
       // The deadline fired with the gate still closed; nothing was admitted
       // and nothing was granted, so the caller surfaces kTimedOut leak-free.
@@ -838,7 +839,7 @@ sim::Task<base::Result<std::vector<Msg>>> Plane::RecvBatch(os::Env env, uint32_t
         co_return broken_;
       }
     }
-    if (credit_wait_count_ > 0) {
+    if (credit_waiters_.Publish(env)) {
       co_await os::FutexWake(env, credit_waiters_);
     }
   }
@@ -907,8 +908,10 @@ sim::Task<base::Status> Plane::ReleaseBatch(os::Env env, uint32_t r, std::span<c
       co_return broken_;
     }
   }
-  // Returned credit may unblock a parked producer (wake-suppressed).
-  if (credit_wait_count_ > 0) {
+  // Returned credit may unblock a waiting producer: it ends every spin and
+  // wakes one parked producer (wake-suppressed). Only now, with the freed
+  // slots back in the pool, or the producer would find the pool empty.
+  if (credit_waiters_.Publish(env)) {
     fault::Decision d = rx_group_ ? DIPC_FAULT_POINT(kCreditGrant, env.self->last_cpu())
                                   : DIPC_FAULT_POINT(kFanInCreditGrant, env.self->last_cpu());
     if (d.drop_wake()) {
@@ -969,7 +972,7 @@ sim::Task<base::Status> Plane::AbandonBatch(os::Env env, uint32_t p,
     // above are all that matters. Only dead-peer errors surface.
     co_return broken_ != base::ErrorCode::kOk ? base::Status(broken_) : base::Status::Ok();
   }
-  if (tx.line != 0 && credit_wait_count_ > 0) {
+  if (credit_waiters_.Publish(env) && tx.line != 0) {
     co_await os::FutexWake(env, credit_waiters_);
   }
   co_return base::Status::Ok();

@@ -256,6 +256,10 @@ class Plane : public std::enable_shared_from_this<Plane> {
   // Full capability mints (one per endpoint and slot once warm).
   uint64_t cold_mints() const { return cold_mints_; }
   uint64_t blocked_on_credit() const { return blocked_on_credit_; }
+  // Credit waits that spun: ended by a credit return, or fell through to a
+  // park (os/futex.h's rule).
+  uint64_t credit_spin_hits() const { return credit_spins_.hits; }
+  uint64_t credit_spin_misses() const { return credit_spins_.misses; }
   // In-flight grants whose epoch is still live — 0 after teardown means the
   // crash unwound every grant (test support).
   uint64_t LiveGrantCount() const;
@@ -378,7 +382,7 @@ class Plane : public std::enable_shared_from_this<Plane> {
   std::vector<uint32_t> pending_;
   std::vector<uint64_t> tctx_;
   os::WaitQueue credit_waiters_;
-  uint64_t credit_wait_count_ = 0;  // live waiter counter (wake suppression)
+  os::SpinCounts credit_spins_;
   bool closed_ = false;
   base::ErrorCode broken_ = base::ErrorCode::kOk;
   uint32_t rr_next_ = 0;

@@ -1,19 +1,31 @@
-// The futex slow path: one park and one wake for every blocking primitive.
+// The futex slow path: one wait and one wake for every blocking primitive.
 //
 // The uncontended operations of a futex-based primitive stay in user space;
-// only the contended path enters the kernel, and it does so here. A park is
-// FUTEX_WAIT: syscall entry, the kernel's futex work, the re-check of the
-// user-level condition, and a park on a FIFO wait queue, optionally bounded
-// by a deadline. A wake is FUTEX_WAKE: syscall entry, the kernel's wake work,
-// and the IPI when the woken thread's CPU is another one (§2.2's costs, with
-// the futex-based Sem. as the calibration anchor).
+// only the contended path gets here. A wait first spins while that pays
+// (below), then parks. A park is FUTEX_WAIT: syscall entry, the kernel's
+// futex work, the re-check of the user-level condition, and a park on a
+// FIFO wait queue, optionally bounded by a deadline. A wake is FUTEX_WAKE:
+// syscall entry, the kernel's wake work, and the IPI when the woken
+// thread's CPU is another one (§2.2's costs, with the futex-based Sem. as
+// the calibration anchor).
 //
-// os::Semaphore, chan::MpmcQueue and chan::Plane's credit lines all park
+// The spin rule, the adaptive-mutex rule (Solaris; Linux's
+// mutex_spin_on_owner): a waiter busy-waits in user space while the wait
+// queue's publisher (WaitQueue::publisher(), the thread whose last publish
+// there could have ended the wait) is on a CPU and not itself spinning, and
+// no other thread waits for the spinner's CPU. A publish ends the spin one
+// cache-line transfer later and pays no FUTEX_WAKE (WaitQueue::Publish).
+// The spin also ends when the publisher leaves its CPU (it parks, swaps,
+// sleeps, exits or spins), on need_resched, on WakeAll (Close/Fail) and at
+// the deadline; no time budget bounds it. A wait that holds a deferred
+// wake never spins: its CPU is owed to that wake's waiter. A queue nobody
+// publishes to, like os::Semaphore's, parks at once.
+//
+// os::Semaphore, chan::MpmcQueue and chan::Plane's credit lines all wait
 // through FutexBlockUntil and wake through FutexWakeWith, the body behind
-// both FutexWake flavors. Each keeps only its own decisions: when to spin
-// first (MpmcQueue::PopN), when a publisher defers a wake into an
-// os::DeferredWake, the user-level waiter counters that suppress wake
-// syscalls, and the semaphore's token hand-off.
+// both FutexWake flavors. Each keeps only its own decisions: who publishes
+// (WaitQueue::Publish), when a publisher defers a wake into an
+// os::DeferredWake, and the semaphore's token hand-off.
 #ifndef DIPC_OS_FUTEX_H_
 #define DIPC_OS_FUTEX_H_
 
@@ -66,27 +78,49 @@ inline sim::Task<void> FutexWake(Env env, WaitQueue& q) {
   return FutexWakeWith(env, [q = &q] { return q->WakeOneThread(); });
 }
 
-// What a primitive records about its own parks on top of the park's own
+// What a primitive counts of its waits' spins: spins a publish ended with
+// the wait over, and spins that fell through to a park. Plain counts for
+// its getters, registry mirrors for --metrics.
+struct SpinCounts {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  obs::Counter* m_hits = nullptr;
+  obs::Counter* m_misses = nullptr;
+};
+
+// What a primitive records about its own waits on top of the park's own
 // telemetry: the trace object of its queue-depth instants and park spans, a
-// counter bumped as a thread parks, and a histogram of each park's time on
-// the queue, recorded with a kFutexPark span when the park ends. Null
+// counter bumped as a thread parks, a histogram of each park's time on the
+// queue, recorded with a kFutexPark span when the park ends, its spin
+// counts, and its count of waits that went to the kernel (plain and
+// registry, bumped as the park starts, before the futex re-check). Null
 // handles record nothing.
 struct ParkObs {
   uint32_t obj = 0;
   obs::Counter* parks = nullptr;
   obs::Histogram* park_ns = nullptr;
+  SpinCounts* spins = nullptr;
+  uint64_t* waits = nullptr;
+  obs::Counter* m_waits = nullptr;
 };
 
-// FUTEX_WAIT with an absolute timeout (the timed flavor real futexes have).
-// Parks the calling thread on `q`, unless `still_blocked()` turned false
-// while it entered the kernel: that is the futex value re-check, since a wake
-// issued in that window finds no parked thread, and parking anyway would
-// lose it and deadlock. A finite deadline arms an EventQueue timer that pulls
-// the thread off the queue and resumes it when it fires first. Co_returns
-// true iff the park timed out. The caller re-checks its predicate after
-// resumption either way (the standard futex loop): a true return is a hint,
-// not a verdict, because a wake and the timer can land on the same
-// picosecond.
+// The one wait: spins while WaitQueue::SpinPays and the deadline has not
+// passed, then parks. The spin is user time on the waiter's own CPU, and a
+// spinner is no futex waiter, so it is not in q.waiting(). When a spin ends,
+// the wait re-checks `still_blocked()` and spins again while the rule holds
+// (a publish that left the wait blocked named a new publisher).
+//
+// The park is FUTEX_WAIT with an absolute timeout (the timed flavor real
+// futexes have). From its start until the wait returns, the thread counts
+// in q.waiting(). It parks on `q`, unless `still_blocked()` turned false
+// while it entered the kernel: that is the futex value re-check, since a
+// wake issued in that window finds no parked thread, and parking anyway
+// would lose it and deadlock. A finite deadline arms an
+// EventQueue timer that pulls the thread off the queue and resumes it when
+// it fires first. Co_returns true iff the wait timed out. The caller
+// re-checks its predicate after resumption either way (the standard futex
+// loop): a true return is a hint, not a verdict, because a wake and the
+// timer can land on the same picosecond.
 //
 // The `chan/futex_park` fault point sits on the kernel side of every park,
 // after the futex work; a delay rule bills its delay as kernel time.
@@ -100,6 +134,32 @@ template <typename Pred>
 sim::Task<bool> FutexBlockUntil(Env env, WaitQueue& q, Deadline deadline, DeferredWake wake,
                                 ParkObs park_obs, Pred still_blocked) {
   Kernel& k = *env.kernel;
+  bool spun = false;
+  while (!wake && !deadline.ExpiredAt(k.now()) && q.SpinPays(env)) {
+    spun = true;
+    q.ListSpinner(env.self);
+    co_await Kernel::SpinAwaiter{&k, env.self, deadline.at(), &q};
+    const bool published = !q.UnlistSpinner(env.self);
+    if (!still_blocked()) {
+      if (published && park_obs.spins != nullptr) {
+        ++park_obs.spins->hits;
+        park_obs.spins->m_hits->Add();
+      }
+      co_return false;
+    }
+    if (deadline.ExpiredAt(k.now())) {
+      co_return true;
+    }
+  }
+  if (spun && park_obs.spins != nullptr) {
+    ++park_obs.spins->misses;
+    park_obs.spins->m_misses->Add();
+  }
+  if (park_obs.waits != nullptr) {
+    ++*park_obs.waits;
+    park_obs.m_waits->Add();
+  }
+  q.CountWaiter(true);
   if (wake && (!wake.swappable() || deadline.ExpiredAt(k.now()))) {
     co_await FutexWake(env, *wake.Take());
   }
@@ -164,6 +224,7 @@ sim::Task<bool> FutexBlockUntil(Env env, WaitQueue& q, Deadline deadline, Deferr
   if (wake) {
     co_await FutexWake(env, *wake.Take());  // did not park
   }
+  q.CountWaiter(false);
   co_return timed_out;
 }
 
@@ -175,7 +236,7 @@ sim::Task<bool> FutexBlockUntil(Env env, WaitQueue& q, Deadline deadline, Deferr
 
 template <typename Pred>
 sim::Task<bool> FutexBlockUntil(Env env, WaitQueue& q, Deadline deadline, Pred still_blocked) {
-  return FutexBlockUntil(env, q, deadline, DeferredWake(), ParkObs{}, std::move(still_blocked));
+  return FutexBlockUntil(env, q, deadline, DeferredWake(), std::move(still_blocked));
 }
 
 }  // namespace dipc::os

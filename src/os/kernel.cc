@@ -20,6 +20,7 @@ Kernel::Kernel(hw::Machine& machine, codoms::Codoms& codoms)
   obs::Registry& reg = obs::Registry::Default();
   m_migrations_ = reg.GetCounter("os/sched/migrations");
   m_handoffs_ = reg.GetCounter("os/sched/handoffs");
+  m_spun_ns_ = reg.GetCounter("os/sched/spun_ns");
   m_futex_waiters_ = reg.GetGauge("os/sched/futex_waiters");
   m_runq_depth_.resize(cpus_.size());
   for (hw::CpuId c = 0; c < cpus_.size(); ++c) {
@@ -75,6 +76,7 @@ void Kernel::KillThread(Thread& t) {
     return;
   }
   DIPC_CHECK(t.state() != ThreadState::kRunning);  // running threads exit by returning
+  EndSpinsOn(&t);  // it may have been on its way onto a CPU
   t.set_state(ThreadState::kDead);
   for (Thread* j : t.joiners()) {
     (void)MakeRunnable(*j, std::nullopt);
@@ -110,6 +112,7 @@ void Kernel::HandoffAwaiter::await_suspend(std::coroutine_handle<> h) {
   hw::CpuId cpu = from->last_cpu();
   Kernel::CpuState& cs = kernel->cpus_[cpu];
   DIPC_CHECK(cs.running == from);
+  kernel->EndSpinsOn(from);
   cs.running = nullptr;
   DIPC_CHECK(target->state() == ThreadState::kBlocked);
   target->set_state(ThreadState::kRunnable);
@@ -125,13 +128,17 @@ void Kernel::SpinAwaiter::await_suspend(std::coroutine_handle<> h) {
   const hw::CpuId cpu = thread->last_cpu();
   Kernel::CpuState& cs = kernel->cpus_[cpu];
   DIPC_CHECK(cs.running == thread && cs.spinner == nullptr);
+  kernel->EndSpinsOn(thread);  // a spinning publisher publishes nothing
   cs.spinner = thread;
+  cs.spin_on = on;
   cs.spin_start = kernel->now();
   cs.spin_until = until;
   cs.spin_resume = h;
   Kernel* k = kernel;
-  cs.spin_timer = k->machine_.events().ScheduleAt(
-      until, [k, cpu] { k->FinishSpin(k->cpus_[cpu], k->now()).resume(); });
+  if (until != sim::Time::Max()) {  // else a stale id: Cancel finds nothing
+    cs.spin_timer = k->machine_.events().ScheduleAt(
+        until, [k, cpu] { k->FinishSpin(k->cpus_[cpu], k->now()).resume(); });
+  }
 }
 
 void Kernel::EndSpin(Thread& t, sim::Duration delay) {
@@ -151,7 +158,17 @@ std::coroutine_handle<> Kernel::FinishSpin(CpuState& cs, sim::Time end) {
   const sim::Duration spun = end - cs.spin_start;
   ChargeOnly(t, spun, TimeCat::kUser);
   spun_ += spun;
+  m_spun_ns_->Add(static_cast<uint64_t>(spun.picos() / 1000));
   return std::exchange(cs.spin_resume, nullptr);
+}
+
+void Kernel::EndSpinsOn(const Thread* t) {
+  // The spinner polls its publisher's on-CPU state: one line transfer.
+  for (CpuState& cs : cpus_) {
+    if (cs.spinner != nullptr && cs.spin_on != nullptr && cs.spin_on->publisher() == t) {
+      EndSpin(*cs.spinner, costs().remote_transfer);
+    }
+  }
 }
 
 void WaitQueue::WaitAwaiter::await_suspend(std::coroutine_handle<> h) {
@@ -237,6 +254,7 @@ void Kernel::NoteRunqDepth(hw::CpuId cpu) {
 
 void Kernel::CpuReleased(hw::CpuId cpu) {
   CpuState& cs = cpus_[cpu];
+  EndSpinsOn(cs.running);
   cs.running = nullptr;
   Thread* next = nullptr;
   const size_t depth_before = cs.runq.size();

@@ -217,13 +217,17 @@ class Kernel {
 
   // Busy-wait: the caller keeps its CPU (no syscall, no park) until
   // EndSpin(), need_resched (MakeRunnable queues another thread on this
-  // CPU), or `until`, whichever comes first. The spun time is billed as
-  // kUser to the CPU and process when the spin ends. A spin costs at most
-  // two events: the budget timer, or the resume an early end schedules.
+  // CPU), `until` (no timer when it is Time::Max()), or, for a spin `on` a
+  // wait queue, that queue's publisher leaving its CPU (it blocks, swaps,
+  // sleeps, exits or spins itself) — whichever comes first. The spun time
+  // is billed as kUser to the CPU and process when the spin ends. A spin
+  // costs at most two events: its timer, or the resume an early end
+  // schedules.
   struct SpinAwaiter {
     Kernel* kernel;
     Thread* thread;
     sim::Time until;
+    const WaitQueue* on = nullptr;
     bool await_ready() const { return until <= kernel->now(); }
     void await_suspend(std::coroutine_handle<> h);
     void await_resume() {}
@@ -231,17 +235,10 @@ class Kernel {
   SpinAwaiter SpinUntil(Env env, sim::Time until) { return SpinAwaiter{this, env.self, until}; }
   // Ends `t`'s spin: it resumes `delay` from now (the cache-line transfer
   // that shows it the change it watches). A no-op when `t` is not spinning
-  // or its budget runs out first.
+  // or its timer fires first.
   void EndSpin(Thread& t, sim::Duration delay);
-  // True while `t` runs or is being dispatched to a CPU; false while it
-  // waits in a run queue, is blocked, or is dead.
-  bool OnCpu(const Thread& t) const {
-    return t.state() == ThreadState::kRunning ||
-           (t.state() == ThreadState::kRunnable && !t.queued());
-  }
-  // Another thread waits in `cpu`'s run queue.
-  bool NeedResched(hw::CpuId cpu) const { return !cpus_[cpu].runq.empty(); }
-  // Cumulative busy-wait time over every spin that has ended.
+  // Cumulative busy-wait time over every spin that has ended; mirrored in
+  // "os/sched/spun_ns".
   sim::Duration spun() const { return spun_; }
 
   // ---- User memory (checked by CODOMs, charged through TLB + caches) ----
@@ -311,8 +308,10 @@ class Kernel {
     bool idle = true;
     sim::Time idle_since;
     Process* last_process = nullptr;  // for page-table/current switch costs
-    // The running thread's busy-wait, if it is spinning (SpinUntil).
+    // The running thread's busy-wait, if it is spinning (SpinUntil), and
+    // the wait queue whose publisher it watches.
     Thread* spinner = nullptr;
+    const WaitQueue* spin_on = nullptr;
     sim::Time spin_start;
     sim::Time spin_until;
     sim::EventId spin_timer = sim::kInvalidEventId;
@@ -334,6 +333,8 @@ class Kernel {
   void OnThreadExit(Thread& t);
   // Ends `cs`'s spin at `end`, billing it; returns the spinner's resume point.
   std::coroutine_handle<> FinishSpin(CpuState& cs, sim::Time end);
+  // `t` is leaving its CPU: ends every spin on a queue `t` publishes.
+  void EndSpinsOn(const Thread* t);
 
   hw::Machine& machine_;
   codoms::Codoms& codoms_;
@@ -353,10 +354,11 @@ class Kernel {
   sim::Duration spun_;
   sim::Duration wake_latency_;
   // Scheduler observability handles (registered in the ctor): cross-CPU
-  // dispatches of already-running threads, direct switches, and per-CPU
-  // run-queue depth.
+  // dispatches of already-running threads, direct switches, spun time, and
+  // per-CPU run-queue depth.
   obs::Counter* m_migrations_ = nullptr;
   obs::Counter* m_handoffs_ = nullptr;
+  obs::Counter* m_spun_ns_ = nullptr;
   obs::Gauge* m_futex_waiters_ = nullptr;
   std::vector<obs::Gauge*> m_runq_depth_;
 };
@@ -465,12 +467,59 @@ class WaitQueue {
 
   // Wakes every parked thread at no cost to the waker: the close, failure
   // and teardown flavor, which mostly runs without a thread Env. A known
-  // `waker_cpu` is passed on to MakeRunnable.
+  // `waker_cpu` is passed on to MakeRunnable. Spinners see it one cache-line
+  // transfer later; they stay listed, as it is no publish.
   void WakeAll(Kernel& kernel, std::optional<hw::CpuId> waker_cpu = std::nullopt) {
+    for (Thread* t : spinners_) {
+      kernel.EndSpin(*t, kernel.costs().remote_transfer);
+    }
     while (Thread* t = WakeOneThread()) {
       (void)kernel.MakeRunnable(*t, waker_cpu);
     }
   }
+
+  // ---- The spin rule (os/futex.h) ----
+
+  // The thread whose next publish would end a wait on this queue: its last
+  // publisher. Null until someone publishes.
+  Thread* publisher() const { return publisher_; }
+  // The rule's start condition: the publisher runs its own code on a CPU
+  // (or is being dispatched to one), so it is not busy-waiting, queued,
+  // blocked or dead, and no other thread waits for `env.self`'s CPU.
+  bool SpinPays(Env env) const {
+    const Thread* p = publisher_;
+    const std::vector<Kernel::CpuState>& cpus = env.kernel->cpus_;
+    return p != nullptr && p != env.self && !p->queued() && cpus[p->last_cpu()].spinner != p &&
+           (p->state() == ThreadState::kRunning || p->state() == ThreadState::kRunnable) &&
+           cpus[env.self->last_cpu()].runq.empty();
+  }
+  // A publish of `n` items by `env.self`, which becomes the queue's
+  // publisher: up to `n` spinning waiters see it one cache-line transfer
+  // later, with no FUTEX_WAKE. True when parked waiters still need a wake
+  // for the rest.
+  bool Publish(Env env, uint64_t n = UINT64_MAX) {
+    publisher_ = env.self;
+    return EndSpins(*env.kernel, n) < n && waiting_ > 0;
+  }
+  // Ends up to `n` spins in FIFO order without naming a publisher (wake
+  // chaining, stores from teardown hooks) and unlists them.
+  uint64_t EndSpins(Kernel& kernel, uint64_t n) {
+    uint64_t ended = 0;
+    for (; ended < n && ended < spinners_.size(); ++ended) {
+      kernel.EndSpin(*spinners_[ended], kernel.costs().remote_transfer);
+    }
+    spinners_.erase(spinners_.begin(), spinners_.begin() + static_cast<std::ptrdiff_t>(ended));
+    return ended;
+  }
+  // The user-level waiter count: threads between the start of a park and
+  // its return. A publisher that reads zero skips the FUTEX_WAKE syscall.
+  uint64_t waiting() const { return waiting_; }
+  // Bookkeeping of os::FutexBlockUntil, its only caller: the spinner list
+  // (UnlistSpinner is false when a publish ended the spin and unlisted it)
+  // and the waiter count.
+  void ListSpinner(Thread* t) { spinners_.push_back(t); }
+  bool UnlistSpinner(Thread* t) { return std::erase(spinners_, t) > 0; }
+  void CountWaiter(bool in) { in ? ++waiting_ : --waiting_; }
 
   bool Remove(Thread* t) {
     for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
@@ -487,6 +536,11 @@ class WaitQueue {
 
  private:
   std::deque<Thread*> waiters_;
+  Thread* publisher_ = nullptr;
+  // Busy-waiting for a publish, FIFO. A vector, not a deque: a wait queue
+  // exists per semaphore, and most never see a spinner.
+  std::vector<Thread*> spinners_;
+  uint64_t waiting_ = 0;
 };
 
 }  // namespace dipc::os

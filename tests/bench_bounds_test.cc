@@ -12,7 +12,13 @@
 //     budget, not a hope);
 //   - an idle fabric call must cost less than two cross-CPU park-plus-wake
 //     critical paths: its three wake hops (request, response, completion)
-//     hand the CPU over directly instead of waking a thread elsewhere.
+//     hand the CPU over directly instead of waking a thread elsewhere;
+//   - fan-out and fan-in with one peer must cost at most 1.1x the
+//     point-to-point channel at batch 1: a credit-line wait spins while its
+//     publisher runs, as the channel's queue waits do;
+//   - broadcast to eight receivers at batch 1 must cost under 1 us per
+//     published message: the producer's credit waits spin on the receiver
+//     that releases last instead of parking.
 // The measurements are the bench harness's own (bench/micro_harness.cc), so
 // the gate and the reported numbers can never drift apart; the simulation
 // is deterministic, so the ratios are stable.
@@ -31,9 +37,9 @@ double ChannelPerMessageNs(int batch) {
       {.payload_bytes = 64, .batch = batch, .messages = 512, .cross_cpu = true});
 }
 
-double FanOutPerMessageNs(uint32_t receivers, int batch) {
+double FanOutPerMessageNs(uint32_t receivers, int batch, int messages = 512) {
   return MeasureFanOutStream(
-      {.payload_bytes = 64, .receivers = receivers, .batch = batch, .messages = 512});
+      {.payload_bytes = 64, .receivers = receivers, .batch = batch, .messages = messages});
 }
 
 TEST(BenchBounds, BatchedStreamingBeatsBatch1AndNeverGetsDearerUpToBatch16) {
@@ -99,6 +105,22 @@ TEST(BenchBounds, IdleFabricCallCostsLessThanTwoCrossCpuWakes) {
   const double call = MeasureFabricEcho({.tenants = 1, .workers = 4, .calls_per_tenant = 32});
   const double bound = 2 * chan::SpinBudget(hw::CostModel{}).nanos();
   EXPECT_LT(call, bound) << "idle fabric call: " << call << " ns, bound: " << bound << " ns";
+}
+
+TEST(BenchBounds, OnePeerFanOutAndFanInCostAtMostTenPercentOverChannelAtBatch1) {
+  // designpoints' fanout_*_b1@1 and fanin_b1@1 rows against chan_stream_b1.
+  const double p2p = ChannelPerMessageNs(1);
+  const double fan_out = FanOutPerMessageNs(1, 1, 768);
+  const double fan_in =
+      MeasureFanInStream({.payload_bytes = 64, .producers = 1, .batch = 1, .messages = 768});
+  EXPECT_LE(fan_out, 1.1 * p2p) << "p2p: " << p2p << " ns/msg, fanout N=1: " << fan_out;
+  EXPECT_LE(fan_in, 1.1 * p2p) << "p2p: " << p2p << " ns/msg, fanin N=1: " << fan_in;
+}
+
+TEST(BenchBounds, EightReceiverBroadcastAtBatch1CostsUnderOneMicrosecond) {
+  // designpoints' fanout_bcast_b1@8 row.
+  const double bcast8 = FanOutPerMessageNs(8, 1, 768);
+  EXPECT_LT(bcast8, 1000.0) << "fanout bcast N=8 batch=1: " << bcast8 << " ns/msg";
 }
 
 }  // namespace

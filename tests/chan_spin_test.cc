@@ -1,23 +1,26 @@
-// Spin-then-park on empty channel queues (MpmcQueue::PopN): when a pop
-// spins instead of parking, what ends the spin, how the spun time is
-// billed, and the schedules in which spinning must not happen at all. And
-// the wake-and-park handoff (os::DeferredWake) a queue wait takes instead:
-// the FUTEX_SWAP park's cost and CPU, and every path that falls back to an
-// ordinary wake.
+// The futex core's spin rule (os/futex.h) on channel waits: when an empty
+// pop, a full push or a credit-line wait spins instead of parking, what ends
+// the spin, how the spun time is billed, and the schedules in which
+// spinning must not happen at all. And the wake-and-park handoff
+// (os::DeferredWake) a queue wait takes instead: the FUTEX_SWAP park's cost
+// and CPU, and every path that falls back to an ordinary wake.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "chan/channel.h"
 #include "chan/futex.h"
 #include "chan/mpmc_queue.h"
+#include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "fault/fault.h"
 #include "hw/machine.h"
+#include "obs/metrics.h"
 #include "os/deadline.h"
 #include "os/kernel.h"
 
@@ -78,6 +81,51 @@ class ChanSpinTest : public ::testing::Test {
         /*pin_cpu=*/1);
   }
 
+  // The producer (CPU 0) pushes 1, stays busy for 2 us, notes `left_at_`
+  // and leaves its CPU through `leave` (an empty one exits). A late pusher
+  // (CPU 2), asleep until then, pushes 2 at t = 6 us. The consumer's second
+  // pop spins on the producer until it leaves, then parks until the late
+  // push wakes it.
+  void SpawnLeavingPublisher(std::function<sim::Task<void>(os::Env)> leave) {
+    kernel_.Spawn(
+        prod_, "producer",
+        [this, leave](os::Env env) -> sim::Task<void> {
+          EXPECT_TRUE((co_await q_->Push(env, 1)).ok());
+          co_await env.kernel->Spend(*env.self, Duration::Micros(2), os::TimeCat::kUser);
+          left_at_ = env.kernel->now();
+          if (leave) {
+            co_await leave(env);
+          }
+        },
+        /*pin_cpu=*/0);
+    kernel_.Spawn(
+        prod_, "late",
+        [this](os::Env env) -> sim::Task<void> {
+          co_await env.kernel->Sleep(env, Duration::Micros(6));
+          EXPECT_TRUE((co_await q_->Push(env, 2)).ok());
+        },
+        /*pin_cpu=*/2);
+    SpawnConsumer([this](os::Env env) -> sim::Task<void> {
+      auto v = co_await q_->Pop(env);
+      EXPECT_TRUE(v.ok() && v.value() == 2u);
+    });
+  }
+
+  // SpawnLeavingPublisher's outcome: the spin ended one line transfer after
+  // the producer left its CPU, `leave_cost` after `left_at_`; it missed, and
+  // the consumer parked until the late push's FUTEX_WAKE. `other_spins` is
+  // what other threads spun meanwhile.
+  void ExpectTheSpinEndedWhenThePublisherLeft(Duration leave_cost,
+                                              Duration other_spins = Duration::Zero()) {
+    const hw::CostModel& cm = kernel_.costs();
+    EXPECT_EQ(kernel_.spun() - other_spins,
+              (left_at_ + leave_cost + cm.remote_transfer) - (pop_called_ + cm.chan_fast_path));
+    EXPECT_EQ(q_->spin_hits(), 0u);
+    EXPECT_EQ(q_->spin_misses(), 1u);
+    EXPECT_EQ(q_->blocked_pops(), 1u);
+    EXPECT_EQ(q_->futex_wakes(), 1u);
+  }
+
   hw::Machine machine_;
   codoms::Codoms codoms_;
   os::Kernel kernel_;
@@ -87,7 +135,14 @@ class ChanSpinTest : public ::testing::Test {
   std::unique_ptr<MpmcQueue> q_;
   Time push_done_;
   Time pop_called_;
+  Time left_at_;
 };
+
+// A FUTEX_WAIT's way into the kernel: what a park costs its thread before
+// it leaves the CPU.
+Duration KernelEntryOfAPark(const hw::CostModel& cm) {
+  return cm.syscall_trap + cm.syscall_dispatch + os::kFutexWaitKernel;
+}
 
 TEST_F(ChanSpinTest, BudgetIsTheParkPlusWakeCriticalPath) {
   static_assert(SpinBudget(hw::CostModel{}) == Duration::Nanos(1474));
@@ -129,18 +184,244 @@ TEST_F(ChanSpinTest, PushEndsTheSpinOneLineTransferLaterWithNoFutexWake) {
   EXPECT_EQ(proc_cpu, d[os::TimeCat::kUser]);
 }
 
-TEST_F(ChanSpinTest, SpinThatOutlastsTheBudgetParksAndCountsAMiss) {
+TEST_F(ChanSpinTest, SpinLastsWhileThePublisherRuns) {
+  // The producer stays busy on its CPU for 5 us, longer than a park and its
+  // wake would take the consumer (SpinBudget): no time budget cuts the spin
+  // short, so the push ends it.
   SpawnProducer(Duration::Micros(5));
   SpawnConsumer([&](os::Env env) -> sim::Task<void> {
     auto v = co_await q_->Pop(env);
     EXPECT_TRUE(v.ok() && v.value() == 2u);
   });
+  obs::Counter* spun_ns = obs::Registry::Default().GetCounter("os/sched/spun_ns");
+  const uint64_t spun_ns_before = spun_ns->value();
   kernel_.Run();
-  EXPECT_EQ(kernel_.spun(), SpinBudget(kernel_.costs()));
-  EXPECT_EQ(q_->spin_hits(), 0u);
+  const hw::CostModel& cm = kernel_.costs();
+  EXPECT_EQ(kernel_.spun(), (push_done_ + cm.remote_transfer) - (pop_called_ + cm.chan_fast_path));
+  EXPECT_GT(kernel_.spun(), SpinBudget(cm));
+  EXPECT_EQ(q_->spin_hits(), 1u);
+  EXPECT_EQ(q_->spin_misses(), 0u);
+  EXPECT_EQ(q_->blocked_pops(), 0u);
+  EXPECT_EQ(q_->futex_wakes(), 0u);
+#ifndef DIPC_OBS_OFF
+  EXPECT_EQ(spun_ns->value() - spun_ns_before, static_cast<uint64_t>(kernel_.spun().picos() / 1000));
+#endif
+  (void)spun_ns_before;
+}
+
+TEST_F(ChanSpinTest, PublisherThatParksEndsTheSpinAndTheWaiterParks) {
+  os::WaitQueue elsewhere;
+  bool blocked = true;
+  SpawnLeavingPublisher([&](os::Env env) -> sim::Task<void> {
+    (void)co_await os::FutexBlockUntil(
+        env, elsewhere, os::Deadline::After(env.kernel->now(), Duration::Micros(10)),
+        [&] { return blocked; });
+  });
+  kernel_.Run();
+  ExpectTheSpinEndedWhenThePublisherLeft(KernelEntryOfAPark(kernel_.costs()));
+}
+
+TEST_F(ChanSpinTest, PublisherThatSwapsEndsTheSpinAndTheWaiterParks) {
+  // The producer's park is a FUTEX_SWAP to a thread parked on `qa`, which
+  // then runs on the producer's CPU: the producer left it all the same.
+  os::WaitQueue qa;
+  os::WaitQueue qb;
+  bool a_blocked = true;
+  bool b_blocked = true;
+  kernel_.Spawn(
+      prod_, "swapped_to",
+      [&](os::Env env) -> sim::Task<void> {
+        (void)co_await os::FutexBlockUntil(env, qa, os::Deadline::Never(),
+                                           [&] { return a_blocked; });
+      },
+      /*pin_cpu=*/0);
+  SpawnLeavingPublisher([&](os::Env env) -> sim::Task<void> {
+    a_blocked = false;
+    os::DeferredWake wake = qa.TakeForSwap(env);
+    EXPECT_TRUE(static_cast<bool>(wake));
+    (void)co_await os::FutexBlockUntil(
+        env, qb, os::Deadline::After(env.kernel->now(), Duration::Micros(10)), std::move(wake),
+        [&] { return b_blocked; });
+  });
+  kernel_.Run();
+  EXPECT_EQ(kernel_.handoffs(), 1u);
+  ExpectTheSpinEndedWhenThePublisherLeft(KernelEntryOfAPark(kernel_.costs()));
+}
+
+TEST_F(ChanSpinTest, PublisherThatSleepsEndsTheSpinAndTheWaiterParks) {
+  SpawnLeavingPublisher([](os::Env env) -> sim::Task<void> {
+    co_await env.kernel->Sleep(env, Duration::Micros(10));
+  });
+  kernel_.Run();
+  ExpectTheSpinEndedWhenThePublisherLeft(Duration::Zero());
+}
+
+TEST_F(ChanSpinTest, PublisherThatExitsEndsTheSpinAndTheWaiterParks) {
+  SpawnLeavingPublisher({});
+  kernel_.Run();
+  ExpectTheSpinEndedWhenThePublisherLeft(Duration::Zero());
+}
+
+TEST_F(ChanSpinTest, PublisherThatSpinsEndsTheSpinAndTheWaiterParks) {
+  // The producer's own pop of `other`, whose publisher keeps running on CPU
+  // 3, spins. A spinning publisher publishes nothing, so the consumer's spin
+  // ends as the producer's begins; the producer's ends when `other`'s
+  // publisher exits.
+  MpmcQueue other(kernel_, prod_, 4, prod_.default_domain());
+  Time other_publisher_exits;
+  kernel_.Spawn(
+      prod_, "other_publisher",
+      [&](os::Env env) -> sim::Task<void> {
+        EXPECT_TRUE((co_await other.Push(env, 1)).ok());
+        co_await env.kernel->Spend(*env.self, Duration::Micros(10), os::TimeCat::kUser);
+        other_publisher_exits = env.kernel->now();
+      },
+      /*pin_cpu=*/3);
+  SpawnLeavingPublisher([&](os::Env env) -> sim::Task<void> {
+    EXPECT_TRUE((co_await other.Pop(env)).ok());
+    left_at_ = env.kernel->now();
+    auto v = co_await other.Pop(env, os::Deadline::After(left_at_, Duration::Micros(20)));
+    EXPECT_EQ(v.code(), ErrorCode::kTimedOut);
+  });
+  kernel_.Run();
+  const hw::CostModel& cm = kernel_.costs();
+  EXPECT_EQ(other.spin_misses(), 1u);
+  ExpectTheSpinEndedWhenThePublisherLeft(
+      cm.chan_fast_path,
+      (other_publisher_exits + cm.remote_transfer) - (left_at_ + cm.chan_fast_path));
+}
+
+TEST_F(ChanSpinTest, PublisherKilledOnItsWayOntoACpuEndsTheSpin) {
+  // The producer, unpinned, pushes 1 and parks; a waker on CPU 2 wakes it
+  // at t ~ 10 us, and a 5 us wake latency keeps it runnable on its way onto
+  // CPU 0, which is where the consumer's second pop finds it and spins.
+  // The waker kills it before it gets there.
+  kernel_.set_wake_latency(Duration::Micros(5));
+  os::WaitQueue parked;
+  bool blocked = true;
+  os::Thread* producer = nullptr;
+  Time killed_at;
+  Time pop_called;
+  ErrorCode got = ErrorCode::kOk;
+  kernel_.Spawn(prod_, "producer", [&](os::Env env) -> sim::Task<void> {
+    producer = env.self;
+    EXPECT_TRUE((co_await q_->Push(env, 1)).ok());
+    (void)co_await os::FutexBlockUntil(env, parked, os::Deadline::Never(),
+                                       [&] { return blocked; });
+    ADD_FAILURE() << "a killed thread never runs again";
+  });
+  kernel_.Spawn(
+      prod_, "waker",
+      [&](os::Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(10));
+        blocked = false;
+        co_await os::FutexWake(env, parked);
+        co_await env.kernel->Sleep(env, Duration::Micros(3));
+        EXPECT_EQ(producer->state(), os::ThreadState::kRunnable);
+        killed_at = env.kernel->now();
+        env.kernel->KillThread(*producer);
+      },
+      /*pin_cpu=*/2);
+  kernel_.Spawn(
+      cons_, "consumer",
+      [&](os::Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(12));
+        EXPECT_TRUE((co_await q_->Pop(env)).ok());
+        pop_called = env.kernel->now();
+        got = (co_await q_->Pop(env, os::Deadline::After(pop_called, Duration::Micros(20))))
+                  .code();
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  const hw::CostModel& cm = kernel_.costs();
+  EXPECT_EQ(got, ErrorCode::kTimedOut);
+  EXPECT_LT(pop_called, killed_at);
+  EXPECT_EQ(kernel_.spun(), (killed_at + cm.remote_transfer) - (pop_called + cm.chan_fast_path));
   EXPECT_EQ(q_->spin_misses(), 1u);
-  EXPECT_EQ(q_->blocked_pops(), 1u);  // parks only: the spin is not one
-  EXPECT_EQ(q_->futex_wakes(), 1u);   // the parked consumer needs the wake
+  EXPECT_EQ(q_->blocked_pops(), 1u);
+}
+
+TEST_F(ChanSpinTest, ThreadsWaitingOnEachOthersQueuesBothParkInsteadOfSpinning) {
+  // a publishes to qb and waits on qa; b publishes to qa and waits on qb.
+  // a's wait finds b running and spins. b's wait then finds its publisher
+  // a spinning, so it parks at once, and that park ends a's spin: a parks
+  // too. Neither spins on the other for ever; both time out parked.
+  MpmcQueue qa(kernel_, prod_, 4, prod_.default_domain());
+  MpmcQueue qb(kernel_, prod_, 4, prod_.default_domain());
+  const os::Deadline deadline = os::Deadline::At(Time::Zero() + Duration::Micros(20));
+  Time a_waits;
+  Time b_waits;
+  ErrorCode a_got = ErrorCode::kOk;
+  ErrorCode b_got = ErrorCode::kOk;
+  kernel_.Spawn(
+      prod_, "a",
+      [&](os::Env env) -> sim::Task<void> {
+        EXPECT_TRUE((co_await qb.Push(env, 1)).ok());
+        co_await env.kernel->Spend(*env.self, Duration::Micros(1), os::TimeCat::kUser);
+        EXPECT_TRUE((co_await qa.Pop(env)).ok());
+        a_waits = env.kernel->now();
+        a_got = (co_await qa.Pop(env, deadline)).code();
+      },
+      /*pin_cpu=*/0);
+  kernel_.Spawn(
+      prod_, "b",
+      [&](os::Env env) -> sim::Task<void> {
+        EXPECT_TRUE((co_await qa.Push(env, 1)).ok());
+        co_await env.kernel->Spend(*env.self, Duration::Micros(2), os::TimeCat::kUser);
+        EXPECT_TRUE((co_await qb.Pop(env)).ok());
+        b_waits = env.kernel->now();
+        b_got = (co_await qb.Pop(env, deadline)).code();
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  const hw::CostModel& cm = kernel_.costs();
+  EXPECT_EQ(a_got, ErrorCode::kTimedOut);
+  EXPECT_EQ(b_got, ErrorCode::kTimedOut);
+  EXPECT_LT(a_waits, b_waits);
+  EXPECT_EQ(kernel_.spun(), (b_waits + cm.chan_fast_path + KernelEntryOfAPark(cm) +
+                             cm.remote_transfer) - (a_waits + cm.chan_fast_path));
+  EXPECT_EQ(qa.spin_misses(), 1u);
+  EXPECT_EQ(qa.spin_hits(), 0u);
+  EXPECT_EQ(qb.spin_hits() + qb.spin_misses(), 0u);
+  EXPECT_EQ(qa.blocked_pops(), 1u);
+  EXPECT_EQ(qb.blocked_pops(), 1u);
+}
+
+TEST_F(ChanSpinTest, PushToAFullQueueSpinsWhileTheLastPopperRunsAndItsPopEndsTheSpin) {
+  // The consumer pops once (the producer side's publisher), then stays busy
+  // on its CPU; the producer refills the queue and its next push finds it
+  // full, so it spins until the consumer's next pop frees a slot.
+  Time push_called;
+  Time pop_done;
+  kernel_.Spawn(
+      prod_, "producer",
+      [&](os::Env env) -> sim::Task<void> {
+        const uint64_t four[] = {1, 2, 3, 4};
+        EXPECT_TRUE((co_await q_->PushN(env, four)).ok());
+        co_await env.kernel->Spend(*env.self, Duration::Micros(2), os::TimeCat::kUser);
+        EXPECT_TRUE((co_await q_->Push(env, 5)).ok());
+        push_called = env.kernel->now();
+        EXPECT_TRUE((co_await q_->Push(env, 6)).ok());
+      },
+      /*pin_cpu=*/0);
+  kernel_.Spawn(
+      cons_, "consumer",
+      [&](os::Env env) -> sim::Task<void> {
+        co_await env.kernel->Sleep(env, Duration::Micros(1));
+        EXPECT_TRUE((co_await q_->Pop(env)).ok());
+        co_await env.kernel->Spend(*env.self, Duration::Micros(3), os::TimeCat::kUser);
+        EXPECT_TRUE((co_await q_->Pop(env)).ok());
+        pop_done = env.kernel->now();
+      },
+      /*pin_cpu=*/1);
+  kernel_.Run();
+  const hw::CostModel& cm = kernel_.costs();
+  EXPECT_EQ(kernel_.spun(), (pop_done + cm.remote_transfer) - (push_called + cm.chan_fast_path));
+  EXPECT_EQ(q_->spin_hits(), 1u);
+  EXPECT_EQ(q_->spin_misses(), 0u);
+  EXPECT_EQ(q_->blocked_pushes(), 0u);
+  EXPECT_EQ(q_->futex_wakes(), 0u);
+  EXPECT_EQ(q_->size(), 4u);
 }
 
 TEST_F(ChanSpinTest, CloseAndFailEndTheSpinWithTheirCode) {
@@ -241,6 +522,143 @@ TEST_F(ChanSpinTest, AcquireThatTimesOutMidSpinLeaksNoGrant) {
   EXPECT_EQ(live_after_timeout, 1u);  // message 2's read grant, nothing more
   EXPECT_EQ(c->LiveGrantCount(), 0u);
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
+}
+
+// ---- Credit lines ----
+//
+// A fan-out plane with one receiver and a credit line of 1: the producer
+// sends message 1, which the receiver releases (naming itself the credit
+// line's publisher), then message 2, which the receiver holds while it
+// stays busy for `hold`. The producer's third AcquireBuf finds no credit
+// and spins on the busy receiver.
+struct CreditSpinRun {
+  std::shared_ptr<Plane> plane;
+  Time acquire_called;
+  Time acquired;
+  Duration spun_in_acquire;
+  ErrorCode acquire_code = ErrorCode::kOk;
+  Time released;
+  os::TimeBreakdown release_cost;
+};
+
+void RunCreditSpin(core::Dipc& dipc, os::Process& prod, os::Process& cons, Duration hold,
+                   CreditSpinRun* run, std::function<void()> during_spin = {}) {
+  os::Kernel& kernel = dipc.kernel();
+  std::vector<os::Process*> receivers = {&cons};
+  auto made = Plane::Create(dipc, prod, std::span(receivers),
+                            {.slots = 2, .buf_bytes = 64, .credits = 1});
+  DIPC_CHECK(made.ok());
+  run->plane = made.value();
+  std::shared_ptr<Plane> plane = run->plane;
+  kernel.Spawn(
+      prod, "producer",
+      [&kernel, plane, run, during_spin](os::Env env) -> sim::Task<void> {
+        for (int i = 0; i < 2; ++i) {
+          auto b = co_await plane->AcquireBuf(env, 0);
+          DIPC_CHECK(b.ok());
+          EXPECT_TRUE((co_await plane->Send(env, 0, b.value(), 8)).ok());
+          co_await env.kernel->Spend(*env.self, Duration::Micros(2), os::TimeCat::kUser);
+        }
+        if (during_spin) {
+          kernel.machine().events().ScheduleAfter(Duration::Micros(1), during_spin);
+        }
+        run->acquire_called = kernel.now();
+        const Duration spun_before = kernel.spun();
+        auto third = co_await plane->AcquireBuf(env, 0);
+        run->acquired = kernel.now();
+        run->spun_in_acquire = kernel.spun() - spun_before;
+        run->acquire_code = third.code();
+        if (third.ok()) {
+          EXPECT_TRUE((co_await plane->Abandon(env, 0, third.value())).ok());
+        }
+      },
+      /*pin_cpu=*/0);
+  kernel.Spawn(
+      cons, "receiver",
+      [&kernel, plane, run, hold](os::Env env) -> sim::Task<void> {
+        for (int i = 0; i < 2; ++i) {
+          auto m = co_await plane->Recv(env, 0);
+          if (!m.ok()) {
+            co_return;
+          }
+          if (i == 1) {
+            co_await env.kernel->Spend(*env.self, hold, os::TimeCat::kUser);
+          }
+          const os::TimeBreakdown before = kernel.accounting().cpu(1);
+          const base::Status released = co_await plane->Release(env, 0, m.value());
+          if (i == 1 && released.ok()) {
+            run->released = kernel.now();
+            run->release_cost = kernel.accounting().cpu(1) - before;
+          }
+        }
+      },
+      /*pin_cpu=*/1);
+  kernel.Run();
+}
+
+TEST_F(ChanSpinTest, FanOutProducerOutOfCreditSpinsUntilTheReleaseRefillsThePool) {
+  CreditSpinRun run;
+  RunCreditSpin(dipc_, prod_, cons_, Duration::Micros(5), &run);
+  const hw::CostModel& cm = kernel_.costs();
+  EXPECT_EQ(run.acquire_code, ErrorCode::kOk);
+  // The spin began at the AcquireBuf call and saw the credit one line
+  // transfer after the Release returned, which is after the freed slot went
+  // back into the pool: the producer found it there without a second wait.
+  EXPECT_EQ(run.spun_in_acquire, (run.released + cm.remote_transfer) - run.acquire_called);
+  EXPECT_GT(run.spun_in_acquire, SpinBudget(cm));
+  EXPECT_EQ(run.plane->credit_spin_hits(), 1u);
+  EXPECT_EQ(run.plane->credit_spin_misses(), 0u);
+  EXPECT_EQ(run.plane->blocked_on_credit(), 0u);
+#ifndef DIPC_OBS_OFF
+  const std::string pool = "fanout/" + std::to_string(run.plane->obs_id()) + "/free/";
+  EXPECT_EQ(obs::Registry::Default().GetCounter(pool + "spin_hits")->value(), 0u);
+  EXPECT_EQ(obs::Registry::Default().GetCounter(pool + "blocked_pops")->value(), 0u);
+#endif
+  // The Release that ended the spin made no syscall: no FUTEX_WAKE.
+  EXPECT_EQ(run.release_cost[os::TimeCat::kSyscallCrossing], Duration::Zero());
+  EXPECT_EQ(run.release_cost[os::TimeCat::kKernel], Duration::Zero());
+  EXPECT_EQ(run.plane->LiveGrantCount(), 0u);
+}
+
+TEST_F(ChanSpinTest, CloseFailAndExciseEachEndACreditSpinWithTheirOwnError) {
+  enum class Event { kClose, kFail, kExcise };
+  for (Event event : {Event::kClose, Event::kFail, Event::kExcise}) {
+    SCOPED_TRACE(static_cast<int>(event));
+    hw::Machine machine(4);
+    codoms::Codoms codoms(machine);
+    os::Kernel kernel(machine, codoms);
+    core::Dipc dipc(kernel);
+    os::Process& prod = dipc.CreateDipcProcess("producer");
+    os::Process& cons = dipc.CreateDipcProcess("receiver");
+    CreditSpinRun run;
+    Time event_at;
+    RunCreditSpin(dipc, prod, cons, Duration::Micros(5), &run, [&] {
+      event_at = kernel.now();
+      switch (event) {
+        case Event::kClose:
+          run.plane->Close();
+          break;
+        case Event::kFail:
+          dipc.KillProcess(prod);  // the single producer side: the plane breaks
+          break;
+        case Event::kExcise:
+          dipc.KillProcess(cons);  // the group's only receiver is excised
+          break;
+      }
+    });
+    const ErrorCode want =
+        event == Event::kClose ? ErrorCode::kBrokenChannel : ErrorCode::kCalleeFailed;
+    EXPECT_EQ(run.acquire_code, want);
+    EXPECT_EQ(run.plane->broken(),
+              event == Event::kFail ? ErrorCode::kCalleeFailed : ErrorCode::kOk);
+    EXPECT_EQ(run.plane->receiver_alive(0), event != Event::kExcise);
+    // The spin saw the event one line transfer later, while the receiver
+    // was still busy on its CPU.
+    EXPECT_EQ(run.acquired, event_at + kernel.costs().remote_transfer);
+    EXPECT_EQ(run.spun_in_acquire, run.acquired - run.acquire_called);
+    EXPECT_EQ(run.plane->credit_spin_hits() + run.plane->credit_spin_misses(), 0u);
+    EXPECT_EQ(run.plane->blocked_on_credit(), 0u);
+  }
 }
 
 TEST_F(ChanSpinTest, ThreadQueuedOnTheSpinnersCpuEndsTheSpin) {

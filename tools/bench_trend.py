@@ -17,7 +17,9 @@ Usage:
 (bench/baseline/): every bench with a file in BASELINE_DIR must reproduce
 its rows exactly — a changed value, a new row or a removed row fails. A
 change that moves a row regenerates the baseline in the same diff, so the
-move is reviewed instead of thresholded.
+move is reviewed instead of thresholded. To make that review easy, each
+changed row prints with its signed percent (tagged WORSE past +2%), and the
+report ends with the count of rows more than 2% better or worse.
 
 One global threshold fits nobody: microbenchmark points are stable to a few
 percent while the OLTP macro rows are workload-noisy. --prefix-threshold
@@ -44,7 +46,9 @@ fails on ANY new retry in the fabric_echo bench.
 """
 
 import argparse
+import contextlib
 import glob
+import io
 import json
 import os
 import sys
@@ -83,14 +87,25 @@ def load_dir(path):
     return rows
 
 
+# --exact's review aid: a changed row more than this far from its baseline
+# counts as better or worse (every row is a cost, lower is better).
+EXACT_REVIEW_PCT = 2.0
+
+
 def run_exact(baseline_dir, current_dir):
-    """--exact: every bench with a baseline file reproduces its rows exactly."""
+    """--exact: every bench with a baseline file reproduces its rows exactly.
+
+    Each changed row prints with its signed percent change, and the report
+    ends with how many changed rows are better or worse than the baseline by
+    more than EXACT_REVIEW_PCT; the worse ones are tagged WORSE. The count is
+    for review only: any difference fails the gate."""
     files = bench_files(baseline_dir)
     if not files:
         print(f"error: no BENCH_*.json found in {baseline_dir}", file=sys.stderr)
         return 2
     failures = 0
     matched = 0
+    better = worse = 0
     for f in files:
         baseline = load_file(f, {})
         cur_path = os.path.join(current_dir, os.path.basename(f))
@@ -105,14 +120,25 @@ def run_exact(baseline_dir, current_dir):
                 print(f"  NEW       {fmt_key(key)}: {cur:.3f} ns")
             elif cur is None:
                 print(f"  REMOVED   {fmt_key(key)} (baseline {base:.3f} ns)")
+            elif base <= 0:
+                print(f"  CHANGED   {fmt_key(key)}: {base:.3f} -> {cur:.3f} ns (n/a)")
             else:
-                print(f"  CHANGED   {fmt_key(key)}: {base:.3f} -> {cur:.3f} ns")
+                pct = (cur - base) / base * 100.0
+                tag = ""
+                if pct > EXACT_REVIEW_PCT:
+                    worse += 1
+                    tag = " WORSE"
+                elif pct < -EXACT_REVIEW_PCT:
+                    better += 1
+                print(f"  CHANGED   {fmt_key(key)}: {base:.3f} -> {cur:.3f} ns "
+                      f"({pct:+.2f}%){tag}")
     print(f"exact: {len(files)} bench(es), {matched} row(s) identical, {failures} differ")
     if failures:
         print("FAIL: rows differ from the committed baseline; a change that moves "
               "a row regenerates the baseline in the same diff")
-        return 1
-    return 0
+    print(f"exact: {better} row(s) better and {worse} row(s) worse than the baseline "
+          f"by more than {EXACT_REVIEW_PCT:g}%")
+    return 1 if failures else 0
 
 
 def normalize_counter(name):
@@ -434,6 +460,39 @@ def self_test():
             assert got == want, (case, got)
         assert run_exact(empty, cdir) == 2
         assert run_exact(bdir, empty) == 1  # every baseline row removed
+        # --exact's review aid: each CHANGED row carries its signed percent,
+        # and the report ends with the rows more than 2% better or worse.
+        # a@1 is 10% dearer, a@2 10% cheaper, b@1 1.5% dearer (under the
+        # line), c@1 new; the exit code is the gate's alone.
+        rdir = os.path.join(tmp, "exact_review")
+        os.makedirs(os.path.join(rdir, "base"))
+        os.makedirs(os.path.join(rdir, "cur"))
+        review_rows = {
+            "base": [("a", 1, 100.0), ("a", 2, 200.0), ("b", 1, 100.0)],
+            "cur": [("a", 1, 110.0), ("a", 2, 180.0), ("b", 1, 101.5), ("c", 1, 5.0)],
+        }
+        for sub, doc_rows in review_rows.items():
+            with open(os.path.join(rdir, sub, "BENCH_t.json"), "w") as f:
+                json.dump({"bench": "t", "unit": "ns",
+                           "rows": [{"series": r, "x": x, "value": v}
+                                    for r, x, v in doc_rows]}, f)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            got = run_exact(os.path.join(rdir, "base"), os.path.join(rdir, "cur"))
+        lines = out.getvalue().splitlines()
+        assert got == 1, got
+        assert "  CHANGED   t/a@1: 100.000 -> 110.000 ns (+10.00%) WORSE" in lines, lines
+        assert "  CHANGED   t/a@2: 200.000 -> 180.000 ns (-10.00%)" in lines, lines
+        assert "  CHANGED   t/b@1: 100.000 -> 101.500 ns (+1.50%)" in lines, lines
+        assert "  NEW       t/c@1: 5.000 ns" in lines, lines
+        assert lines[-1] == ("exact: 1 row(s) better and 1 row(s) worse than the "
+                             "baseline by more than 2%"), lines
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            got = run_exact(os.path.join(rdir, "base"), os.path.join(rdir, "base"))
+        assert got == 0, got
+        assert out.getvalue().splitlines()[-1] == (
+            "exact: 0 row(s) better and 0 row(s) worse than the baseline by more than 2%")
     print("self-test ok")
     return 0
 
