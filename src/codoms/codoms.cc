@@ -1,5 +1,6 @@
 #include "codoms/codoms.h"
 
+#include <algorithm>
 #include <string>
 
 #include "base/check.h"
@@ -276,7 +277,11 @@ base::Status Codoms::CapStore(const hw::PageTable& pt, ThreadCapContext& ctx, hw
   // storing is allowed, but ValidFor still binds them to the owner.
   auto pa = pt.Translate(va);
   DIPC_CHECK(pa.has_value());
-  stored_caps_[*pa] = cap;
+  if (stored_caps_.insert_or_assign(*pa, cap).second) {
+    const uint64_t frame = *pa >> hw::kPageShift;
+    caps_per_frame_.resize(std::max<uint64_t>(caps_per_frame_.size(), frame + 1));
+    ++caps_per_frame_[frame];
+  }
   return base::Status::Ok();
 }
 
@@ -304,11 +309,20 @@ void Codoms::NotifyPlainWrite(hw::PhysAddr pa, uint64_t len) {
   if (stored_caps_.empty() || len == 0) {
     return;
   }
-  // Any plain write overlapping a stored capability destroys it.
-  hw::PhysAddr first_slot = (pa / kCapMemBytes) * kCapMemBytes;
+  // Any plain write overlapping a stored capability destroys it. Stored
+  // capabilities are counted per frame, so the write skips every frame
+  // that holds none left.
   hw::PhysAddr last = pa + len - 1;
-  for (hw::PhysAddr slot = first_slot; slot <= last; slot += kCapMemBytes) {
-    stored_caps_.erase(slot);
+  hw::PhysAddr slot = (pa / kCapMemBytes) * kCapMemBytes;
+  while (slot <= last) {
+    const hw::PhysAddr next_frame = hw::PageBase(slot) + hw::kPageSize;
+    const uint64_t frame = slot >> hw::kPageShift;
+    uint32_t* in_frame = frame < caps_per_frame_.size() ? &caps_per_frame_[frame] : nullptr;
+    for (; in_frame != nullptr && *in_frame != 0 && slot <= last && slot < next_frame;
+         slot += kCapMemBytes) {
+      *in_frame -= static_cast<uint32_t>(stored_caps_.erase(slot));
+    }
+    slot = next_frame;
   }
 }
 

@@ -141,6 +141,9 @@ class Codoms {
   obs::Counter* m_revokes_ = nullptr;
   // Physical address (32 B aligned) -> stored capability.
   std::unordered_map<hw::PhysAddr, Capability> stored_caps_;
+  // Frame -> how many of stored_caps_ lie in it (host speed: a plain write
+  // to a frame holding none looks up nothing).
+  std::vector<uint32_t> caps_per_frame_;
 };
 
 }  // namespace dipc::codoms

@@ -1,18 +1,22 @@
 #include "hw/cache_model.h"
 
+#include <bit>
+
 #include "base/check.h"
 
 namespace dipc::hw {
 
 TagArray::TagArray(uint64_t size_bytes, uint32_t ways, uint64_t line_size) : ways_(ways) {
   DIPC_CHECK(ways > 0 && size_bytes >= ways * line_size);
-  sets_ = size_bytes / line_size / ways;
-  DIPC_CHECK(sets_ > 0);
-  slots_.resize(sets_ * ways_);
+  const uint64_t sets = size_bytes / line_size / ways;
+  DIPC_CHECK(sets > 0);
+  DIPC_CHECK(std::has_single_bit(sets));
+  set_mask_ = sets - 1;
+  slots_.resize(sets * ways_);
 }
 
 bool TagArray::Touch(uint64_t line_addr) {
-  uint64_t set = line_addr % sets_;
+  uint64_t set = line_addr & set_mask_;
   Way* base = &slots_[set * ways_];
   ++clock_;
   Way* victim = base;
@@ -33,7 +37,7 @@ bool TagArray::Touch(uint64_t line_addr) {
 }
 
 bool TagArray::Contains(uint64_t line_addr) const {
-  uint64_t set = line_addr % sets_;
+  uint64_t set = line_addr & set_mask_;
   const Way* base = &slots_[set * ways_];
   for (uint32_t w = 0; w < ways_; ++w) {
     if (base[w].tag == line_addr) {
@@ -44,7 +48,7 @@ bool TagArray::Contains(uint64_t line_addr) const {
 }
 
 void TagArray::Invalidate(uint64_t line_addr) {
-  uint64_t set = line_addr % sets_;
+  uint64_t set = line_addr & set_mask_;
   Way* base = &slots_[set * ways_];
   for (uint32_t w = 0; w < ways_; ++w) {
     if (base[w].tag == line_addr) {
@@ -90,9 +94,8 @@ sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool i
   PrivateLevels& priv = per_cpu_[cpu];
   for (uint64_t line = first; line <= last; ++line) {
     // Cross-CPU transfer: another core wrote this line since we last held it.
-    auto owner_it = dirty_owner_.find(line);
-    bool remote_dirty =
-        owner_it != dirty_owner_.end() && owner_it->second != cpu + 1 && owner_it->second != 0;
+    uint32_t& owner = DirtyOwner(line);
+    bool remote_dirty = owner != cpu + 1 && owner != 0;
     if (remote_dirty) {
       priv.l1.Invalidate(line);
       priv.l2.Invalidate(line);
@@ -116,12 +119,23 @@ sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool i
       ++stats_.mem_accesses;
     }
     if (is_write) {
-      dirty_owner_[line] = cpu + 1;
+      owner = cpu + 1;
     } else if (remote_dirty) {
-      dirty_owner_[line] = 0;  // downgraded to shared/clean
+      owner = 0;  // downgraded to shared/clean
     }
   }
   return total;
+}
+
+uint32_t& CacheModel::DirtyOwner(uint64_t line) {
+  const uint64_t page = line >> kOwnerPageBits;
+  if (page >= dirty_owner_.size()) {
+    dirty_owner_.resize(page + 1);
+  }
+  if (dirty_owner_[page] == nullptr) {
+    dirty_owner_[page] = std::make_unique<uint32_t[]>(size_t{1} << kOwnerPageBits);
+  }
+  return dirty_owner_[page][line & ((uint64_t{1} << kOwnerPageBits) - 1)];
 }
 
 void CacheModel::FlushPrivate(CpuId cpu) {

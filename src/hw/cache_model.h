@@ -5,11 +5,19 @@
 // sizes) and the ≠CPU penalty of moving producer-written lines to a consumer.
 // It is not a full MESI simulator: we track, per line, which CPU last wrote
 // it, and charge a remote-transfer latency when another CPU touches it.
+//
+// Known simplification: the last writer is remembered even after the line
+// has left that CPU's L1 and L2. A later read from another CPU then pays
+// remote_transfer (55 ns) where the line's real location would give an L3
+// hit (11 ns) or a memory access (60 ns). Deep cross-CPU queues of large
+// payloads can reach this path; whether any bench row takes it is
+// unmeasured. Fixing it moves simulated rows, so the owner table stays
+// apart from the tag arrays.
 #ifndef DIPC_HW_CACHE_MODEL_H_
 #define DIPC_HW_CACHE_MODEL_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "hw/cost_model.h"
@@ -39,9 +47,9 @@ class TagArray {
     uint64_t lru = 0;
   };
 
-  uint64_t sets_;
+  uint64_t set_mask_;  // sets - 1; every geometry has a power-of-two set count
   uint32_t ways_;
-  std::vector<Way> slots_;  // sets_ * ways_
+  std::vector<Way> slots_;  // sets * ways_
   uint64_t clock_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
@@ -79,8 +87,12 @@ class CacheModel {
   const CostModel& costs_;
   std::vector<PrivateLevels> per_cpu_;
   TagArray l3_;
-  // line -> CPU that last wrote it (+1; 0 = clean/none).
-  std::unordered_map<uint64_t, uint32_t> dirty_owner_;
+  // line -> CPU that last wrote it (+1; 0 = clean/none). Physical lines are
+  // dense, so the table is indexed directly, in pages of 4096 lines that
+  // appear on first touch.
+  static constexpr unsigned kOwnerPageBits = 12;
+  uint32_t& DirtyOwner(uint64_t line);
+  std::vector<std::unique_ptr<uint32_t[]>> dirty_owner_;
   CacheStats stats_;
 };
 

@@ -9,6 +9,7 @@
 #ifndef DIPC_HW_PAGE_TABLE_H_
 #define DIPC_HW_PAGE_TABLE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -35,6 +36,9 @@ struct Pte {
 
 // A (single-level, map-backed) page table. An AddressSpaceId stands in for
 // the CR3 value; dIPC-enabled processes share one page table (§6.1.3).
+// Lookups go through a small direct-mapped cache of PTE pointers (host speed
+// only): map nodes never move, UnmapPage drops the page's entry, and a
+// re-tag writes the PTE the cache points at.
 class PageTable {
  public:
   using Id = uint64_t;
@@ -53,17 +57,22 @@ class PageTable {
   }
 
   base::Status UnmapPage(VirtAddr va) {
+    CacheFor(PageNumber(va)) = CachedPte{};
     return ptes_.erase(PageNumber(va)) == 1 ? base::Status::Ok() : base::ErrorCode::kNotFound;
   }
 
-  const Pte* Lookup(VirtAddr va) const {
-    auto it = ptes_.find(PageNumber(va));
-    return it == ptes_.end() ? nullptr : &it->second;
-  }
+  const Pte* Lookup(VirtAddr va) const { return const_cast<PageTable*>(this)->LookupMut(va); }
 
   Pte* LookupMut(VirtAddr va) {
-    auto it = ptes_.find(PageNumber(va));
-    return it == ptes_.end() ? nullptr : &it->second;
+    CachedPte& c = CacheFor(PageNumber(va));
+    if (c.pte == nullptr || c.page != PageNumber(va)) {
+      auto it = ptes_.find(PageNumber(va));
+      if (it == ptes_.end()) {
+        return nullptr;
+      }
+      c = CachedPte{PageNumber(va), &it->second};
+    }
+    return c.pte;
   }
 
   // Re-tags one page (dom_remap; §5.2.2 moves pages between domains).
@@ -92,8 +101,17 @@ class PageTable {
   auto end() const { return ptes_.end(); }
 
  private:
+  struct CachedPte {
+    uint64_t page = 0;
+    Pte* pte = nullptr;  // null: empty entry
+  };
+  // Fibonacci hashing: mappings start at aligned bases (1 GB dIPC blocks),
+  // so the page number's low bits alone would collide.
+  CachedPte& CacheFor(uint64_t page) { return cache_[(page * 0x9E3779B97F4A7C15ull) >> 58]; }
+
   Id id_;
   std::map<uint64_t, Pte> ptes_;  // page number -> PTE, ordered for iteration
+  std::array<CachedPte, 64> cache_{};
 };
 
 }  // namespace dipc::hw

@@ -2,12 +2,13 @@
 #ifndef DIPC_HW_PHYS_MEM_H_
 #define DIPC_HW_PHYS_MEM_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstring>
 #include <memory>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "base/check.h"
 #include "hw/types.h"
@@ -33,24 +34,24 @@ class PhysMem {
   void Copy(PhysAddr dst, PhysAddr src, uint64_t size);
 
   uint64_t frames_allocated() const { return next_frame_ - 1; }
-  uint64_t frames_touched() const { return frames_.size(); }
 
  private:
   using Frame = std::array<std::byte, kPageSize>;
 
   Frame& FrameFor(PhysAddr pa) const {
-    uint64_t fn = pa >> kPageShift;
-    auto it = frames_.find(fn);
-    if (it == frames_.end()) {
-      auto frame = std::make_unique<Frame>();
+    const uint64_t fn = pa >> kPageShift;
+    frames_.resize(std::max<uint64_t>(frames_.size(), fn + 1));
+    std::unique_ptr<Frame>& frame = frames_[fn];
+    if (frame == nullptr) {
+      frame = std::make_unique<Frame>();
       frame->fill(std::byte{0});
-      it = frames_.emplace(fn, std::move(frame)).first;
     }
-    return *it->second;
+    return *frame;
   }
 
   // Frames materialize lazily even on reads (zero-fill), hence mutable.
-  mutable std::unordered_map<uint64_t, std::unique_ptr<Frame>> frames_;
+  // Frame numbers come from the bump allocator, so they index directly.
+  mutable std::vector<std::unique_ptr<Frame>> frames_;
   uint64_t next_frame_ = 1;  // frame 0 reserved
 };
 

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -316,28 +317,47 @@ void ChargeDomainTime(uint32_t domain_tag, DomainTimeKind kind, int64_t ps) {
   if (ps <= 0 || kind >= DomainTimeKind::kCount) {
     return;
   }
-  // Cached (tag, kind) -> {counter handle, sub-ns remainder}. The remainder
-  // survives Registry::Reset on purpose: it is residue below the counter's
-  // unit, not a value a series window could meaningfully claim.
+  // (tag, kind) -> {counter handle, sub-ns carry}. The carry survives
+  // Registry::Reset on purpose: it is residue below the counter's unit, not
+  // a value a series window could meaningfully claim. Slots live in a
+  // node-stable map under a mutex and are never freed; each host thread
+  // keeps a direct-mapped cache of slot pointers in front of it, so a
+  // repeat charge takes no lock and no lookup.
   struct Slot {
     Counter* counter = nullptr;
-    int64_t remainder_ps = 0;
+    std::atomic<uint64_t> carry_ps{0};
   };
-  static std::mutex* mu = new std::mutex();
-  static std::map<uint64_t, Slot>* slots = new std::map<uint64_t, Slot>();
-  const uint64_t key =
-      (static_cast<uint64_t>(domain_tag) << 8) | static_cast<uint64_t>(kind);
-  std::lock_guard<std::mutex> lock(*mu);
-  Slot& s = (*slots)[key];
-  if (s.counter == nullptr) {
-    s.counter = Registry::Default().GetCounter("domain/" + std::to_string(domain_tag) +
-                                               "/time_ns/" + DomainTimeKindName(kind));
+  static_assert(static_cast<int>(DomainTimeKind::kCount) <= 8);
+  thread_local std::array<std::pair<uint64_t, Slot*>, 1024> cache;  // (key, slot)
+  const uint64_t key = (static_cast<uint64_t>(domain_tag) << 3) | static_cast<uint64_t>(kind);
+  auto& [cached_key, slot] = cache[key & (cache.size() - 1)];
+  if (slot == nullptr || cached_key != key) {
+    static std::mutex* mu = new std::mutex();
+    static std::map<uint64_t, Slot>* slots = new std::map<uint64_t, Slot>();
+    std::lock_guard<std::mutex> lock(*mu);
+    Slot& s = (*slots)[key];
+    if (s.counter == nullptr) {
+      s.counter = Registry::Default().GetCounter("domain/" + std::to_string(domain_tag) +
+                                                 "/time_ns/" + DomainTimeKindName(kind));
+    }
+    cached_key = key;
+    slot = &s;
   }
-  const int64_t total_ps = s.remainder_ps + ps;
-  const int64_t ns = total_ps / 1000;
-  s.remainder_ps = total_ps % 1000;
-  if (ns > 0) {
-    s.counter->Add(static_cast<uint64_t>(ns));
+  // The carry is a running picosecond sum whose residue mod 1000 is the
+  // sub-ns remainder: a charge adds to it atomically and counts the ns
+  // boundaries it crossed, so concurrent charges still sum exactly. Whole
+  // ns are folded out long before the sum could wrap.
+  // relaxed: the carry orders nothing else; the counter handle was
+  // published under the mutex.
+  std::atomic<uint64_t>& carry = slot->carry_ps;
+  const uint64_t before = carry.fetch_add(static_cast<uint64_t>(ps), std::memory_order_relaxed);
+  const uint64_t after = before + static_cast<uint64_t>(ps);
+  // relaxed: as above.
+  for (uint64_t v = after; v >= (uint64_t{1} << 62) &&
+                           !carry.compare_exchange_weak(v, v % 1000, std::memory_order_relaxed);) {
+  }
+  if (after / 1000 > before / 1000) {
+    slot->counter->Add(after / 1000 - before / 1000);
   }
 }
 

@@ -1,47 +1,83 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/check.h"
 
 namespace dipc::sim {
 
-EventId EventQueue::ScheduleAt(Time t, std::function<void()> fn) {
-  DIPC_CHECK(t >= now_);
-  DIPC_CHECK(fn != nullptr);
-  EventId id = next_id_++;
-  heap_.push(Entry{t, next_seq_++, id});
-  actions_.emplace(id, std::move(fn));
-  ++live_count_;
-  return id;
+EventQueue::~EventQueue() {
+  for (std::unique_ptr<Slot>& s : slots_) {
+    if (s->run != nullptr) {
+      s->run(s->buf, /*invoke=*/false);
+    }
+  }
+}
+
+void EventQueue::HeapPush(const Entry& e) {
+  size_t i = heap_.size();
+  heap_.push_back(e);
+  while (i > 0 && e < heap_[(i - 1) / 4]) {
+    heap_[i] = heap_[(i - 1) / 4];
+    i = (i - 1) / 4;
+  }
+  heap_[i] = e;
+}
+
+void EventQueue::HeapPop() {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  size_t i = 0;
+  for (size_t child = 1; child < n; child = 4 * i + 1) {
+    const size_t end = std::min(child + 4, n);
+    for (size_t c = child + 1; c < end; ++c) {
+      if (heap_[c] < heap_[child]) {
+        child = c;
+      }
+    }
+    if (!(heap_[child] < last)) {
+      break;
+    }
+    heap_[i] = heap_[child];
+    i = child;
+  }
+  if (n > 0) {
+    heap_[i] = last;
+  }
 }
 
 bool EventQueue::Cancel(EventId id) {
-  auto it = actions_.find(id);
-  if (it == actions_.end()) {
+  if (!Live(id)) {
     return false;
   }
-  actions_.erase(it);  // heap entry becomes a tombstone, skipped in RunOne
+  // The heap entry becomes a tombstone, skipped in RunOne.
+  const auto index = static_cast<uint32_t>(id);
+  slots_[index]->run(slots_[index]->buf, /*invoke=*/false);
+  Retire(index);
   --live_count_;
   return true;
 }
 
 bool EventQueue::RunOne() {
   while (!heap_.empty()) {
-    Entry top = heap_.top();
-    auto it = actions_.find(top.id);
-    if (it == actions_.end()) {
-      heap_.pop();  // cancelled
-      continue;
+    const Entry top = heap_.front();
+    HeapPop();
+    if (!Live(top.id)) {
+      continue;  // cancelled
     }
-    heap_.pop();
-    std::function<void()> fn = std::move(it->second);
-    actions_.erase(it);
+    const auto index = static_cast<uint32_t>(top.id);
+    Slot& s = *slots_[index];
+    // Dead before it runs: a Cancel of its own id finds nothing, pending()
+    // no longer counts it, and no event scheduled meanwhile takes the slot.
+    void (*run)(void*, bool) = std::exchange(s.run, nullptr);
     --live_count_;
     DIPC_CHECK(top.at >= now_);
     now_ = top.at;
     ++fired_count_;
-    fn();
+    run(s.buf, /*invoke=*/true);
+    Retire(index);
     return true;
   }
   return false;
@@ -59,9 +95,9 @@ uint64_t EventQueue::RunUntil(Time deadline) {
   uint64_t n = 0;
   while (!heap_.empty()) {
     // Peek past tombstones to find the next live event time.
-    Entry top = heap_.top();
-    if (actions_.find(top.id) == actions_.end()) {
-      heap_.pop();
+    const Entry& top = heap_.front();
+    if (!Live(top.id)) {
+      HeapPop();
       continue;
     }
     if (top.at > deadline) {

@@ -4,16 +4,19 @@
 // read, proxy upcalls...) are `co_await` expressions, and the discrete-event
 // engine resumes them at the right virtual time. Tasks are lazy (they do not
 // run until Start() or co_await), compose via symmetric transfer, and carry a
-// value or an exception back to the awaiter.
+// value or an exception back to the awaiter. Frames come from the host
+// thread's base::BlockPool: a simulated operation makes and ends many calls.
 #ifndef DIPC_SIM_TASK_H_
 #define DIPC_SIM_TASK_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <functional>
 #include <optional>
 #include <utility>
 
+#include "base/block_pool.h"
 #include "base/check.h"
 
 namespace dipc::sim {
@@ -41,6 +44,11 @@ class PromiseBase {
     }
     void await_resume() noexcept {}
   };
+
+  static void* operator new(std::size_t bytes) { return base::BlockPool::Allocate(bytes); }
+  static void operator delete(void* frame, std::size_t bytes) {
+    base::BlockPool::Deallocate(frame, bytes);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }

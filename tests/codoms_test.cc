@@ -401,6 +401,43 @@ TEST_F(CapStorageTest, PlainWriteDestroysStoredCap) {
   EXPECT_EQ(codoms_.CapLoad(pt_, ctx_, 0x8000, &cost).code(), ErrorCode::kFault);
 }
 
+TEST_F(CapStorageTest, PlainWriteErasesExactlyTheSlotsItOverlaps) {
+  // A second capability-storage page, so one write spans two frames.
+  ASSERT_TRUE(pt_.MapPage(0x9000, machine_.mem().AllocFrame(),
+                          hw::PageFlags{.writable = true, .cap_storage = true}, a_)
+                  .ok());
+  sim::Duration cost;
+  auto cap = codoms_.CapFromApl(0, pt_, ctx_, 0x1000, 64, Perm::kRead, CapType::kAsync, &cost);
+  ASSERT_TRUE(cap.ok());
+  const hw::VirtAddr slots[] = {0x8000, 0x8020, 0x8fe0, 0x9000, 0x9040};
+  for (hw::VirtAddr va : slots) {
+    ASSERT_TRUE(codoms_.CapStore(pt_, ctx_, va, cap.value(), &cost).ok());
+  }
+  ASSERT_TRUE(codoms_.CapStore(pt_, ctx_, 0x8020, cap.value(), &cost).ok());  // overwrite
+  EXPECT_EQ(codoms_.stored_cap_count(), 5u);
+  // A write elsewhere in a frame that holds capabilities destroys none.
+  codoms_.NotifyPlainWrite(*pt_.Translate(0x8040), 64);
+  EXPECT_EQ(codoms_.stored_cap_count(), 5u);
+  // The last byte of 0x8fe0's slot through the first byte of 0x9020's:
+  // 0x8fe0 and 0x9000 go, 0x9040 stays. The two frames are adjacent (the
+  // frame allocator bumps), so one write spans both.
+  const hw::PhysAddr end_of_8 = *pt_.Translate(0x8fff);
+  ASSERT_EQ(*pt_.Translate(0x9000), end_of_8 + 1);
+  codoms_.NotifyPlainWrite(end_of_8, 0x22);
+  EXPECT_EQ(codoms_.stored_cap_count(), 3u);
+  EXPECT_EQ(codoms_.CapLoad(pt_, ctx_, 0x8fe0, &cost).code(), ErrorCode::kFault);
+  EXPECT_EQ(codoms_.CapLoad(pt_, ctx_, 0x9000, &cost).code(), ErrorCode::kFault);
+  EXPECT_TRUE(codoms_.CapLoad(pt_, ctx_, 0x9040, &cost).ok());
+  EXPECT_TRUE(codoms_.CapLoad(pt_, ctx_, 0x8000, &cost).ok());
+  // A page-sized write clears its frame; a store there counts again.
+  codoms_.NotifyPlainWrite(*pt_.Translate(0x8000), hw::kPageSize);
+  EXPECT_EQ(codoms_.stored_cap_count(), 1u);
+  ASSERT_TRUE(codoms_.CapStore(pt_, ctx_, 0x8020, cap.value(), &cost).ok());
+  codoms_.NotifyPlainWrite(*pt_.Translate(0x8030), 1);
+  EXPECT_EQ(codoms_.stored_cap_count(), 1u);
+  EXPECT_TRUE(codoms_.CapLoad(pt_, ctx_, 0x9040, &cost).ok());
+}
+
 TEST_F(CapStorageTest, LoadFromEmptySlotFaults) {
   sim::Duration cost;
   EXPECT_EQ(codoms_.CapLoad(pt_, ctx_, 0x8020, &cost).code(), ErrorCode::kFault);

@@ -174,6 +174,38 @@ TEST(PageTable, SetTagRetags) {
   EXPECT_EQ(pt.SetTag(0x9000, 9).code(), base::ErrorCode::kNotFound);
 }
 
+TEST(PageTable, RepeatedLookupsSeeUnmapRemapAndRetag) {
+  PageTable pt(1);
+  ASSERT_TRUE(pt.MapPage(0x5000, 11, PageFlags{.writable = true}, 3).ok());
+  ASSERT_TRUE(pt.MapPage(0x6000, 12, PageFlags{}, 3).ok());
+  // Lookups of one page, and of a page that shares its low bits, return
+  // their own PTEs however often they repeat.
+  const Pte* first = pt.Lookup(0x5123);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(pt.Lookup(0x5000), first);
+  ASSERT_TRUE(pt.MapPage(0x5000 + 16 * kPageSize, 13, PageFlags{}, 4).ok());
+  EXPECT_EQ(pt.Lookup(0x5000 + 16 * kPageSize)->frame, 13u);
+  EXPECT_EQ(pt.Lookup(0x5000)->frame, 11u);
+  // A re-tag is seen by the next lookup and through a pointer already held.
+  ASSERT_TRUE(pt.SetTag(0x5000, 9).ok());
+  EXPECT_EQ(pt.Lookup(0x5000)->tag, 9u);
+  EXPECT_EQ(first->tag, 9u);
+  // Unmapped: gone, even right after a lookup found it.
+  EXPECT_NE(pt.Lookup(0x6000), nullptr);
+  ASSERT_TRUE(pt.UnmapPage(0x6000).ok());
+  EXPECT_EQ(pt.Lookup(0x6000), nullptr);
+  EXPECT_EQ(pt.LookupMut(0x6000), nullptr);
+  EXPECT_FALSE(pt.Translate(0x6000).has_value());
+  EXPECT_EQ(pt.UnmapPage(0x6000).code(), base::ErrorCode::kNotFound);
+  // Mapped again, to another frame: the new PTE is seen.
+  ASSERT_TRUE(pt.MapPage(0x6000, 21, PageFlags{.writable = true}, 5).ok());
+  ASSERT_NE(pt.Lookup(0x6000), nullptr);
+  EXPECT_EQ(pt.Lookup(0x6000)->frame, 21u);
+  EXPECT_EQ(pt.Lookup(0x6000)->tag, 5u);
+  EXPECT_EQ(*pt.Translate(0x6008), (21ull << kPageShift) | 0x8);
+  EXPECT_EQ(pt.mapped_pages(), 3u);
+}
+
 TEST(Machine, PageTableLifecycle) {
   Machine m(2);
   PageTable& pt = m.CreatePageTable();

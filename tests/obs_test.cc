@@ -585,5 +585,56 @@ TEST(ObsDomainTime, DomainCpuTimeSumsMatchBusyAccounting) {
   EXPECT_NE(snap.find("\"os/sched/cpu0/runq_depth\""), std::string::npos);
 }
 
+// obs is thread-safe by contract: charges to the same (tag, kind) pairs from
+// several host threads, each below a nanosecond, end at the exact
+// nanosecond total (the sub-ns carry loses nothing to a race).
+TEST(ObsDomainTime, ConcurrentChargesSumExactly) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#endif
+  // Tags no simulation in this binary reaches, so every carry starts at 0.
+  constexpr uint32_t kTags[] = {900001, 900002, 901025};
+  constexpr DomainTimeKind kKinds[] = {DomainTimeKind::kUser, DomainTimeKind::kCopy};
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  auto charge_ps = [](int thread, int i, int pair) {
+    return static_cast<int64_t>(1 + (i * 37 + thread * 11 + pair * 5) % 999);
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &charge_ps, &kTags, &kKinds] {
+      for (int i = 0; i < kPerThread; ++i) {
+        int pair = 0;
+        for (uint32_t tag : kTags) {
+          for (DomainTimeKind kind : kKinds) {
+            ChargeDomainTime(tag, kind, charge_ps(t, i, pair++));
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  int pair = 0;
+  for (uint32_t tag : kTags) {
+    for (DomainTimeKind kind : kKinds) {
+      int64_t total_ps = 0;
+      for (int t = 0; t < kThreads; ++t) {
+        for (int i = 0; i < kPerThread; ++i) {
+          total_ps += charge_ps(t, i, pair);
+        }
+      }
+      ++pair;
+      const std::string name = "domain/" + std::to_string(tag) + "/time_ns/" +
+                               DomainTimeKindName(kind);
+      EXPECT_EQ(Registry::Default().GetCounter(name)->value(),
+                static_cast<uint64_t>(total_ps / 1000))
+          << name;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dipc::obs

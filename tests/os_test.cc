@@ -102,7 +102,7 @@ TEST_F(OsTest, PinnedThreadsShareOneCpu) {
 TEST_F(OsTest, UnpinnedThreadsSpreadAcrossCpus) {
   Process& p = kernel_.CreateProcess("p");
   for (int i = 0; i < 4; ++i) {
-    kernel_.Spawn(p, "t" + std::to_string(i), [](Env env) -> sim::Task<void> {
+    kernel_.Spawn(p, std::string("t") + std::to_string(i), [](Env env) -> sim::Task<void> {
       co_await env.kernel->Spend(*env.self, Duration::Micros(100), TimeCat::kUser);
     });
   }
@@ -496,7 +496,7 @@ TEST_F(OsTest, AccountingConservation) {
   Process& p = kernel_.CreateProcess("p");
   auto sem = std::make_shared<Semaphore>(0);
   for (int i = 0; i < 6; ++i) {
-    kernel_.Spawn(p, "w" + std::to_string(i), [sem, i](Env env) -> sim::Task<void> {
+    kernel_.Spawn(p, std::string("w") + std::to_string(i), [sem, i](Env env) -> sim::Task<void> {
       co_await env.kernel->Spend(*env.self, Duration::Micros(20 + i), TimeCat::kUser);
       co_await sem->Post(env);
       co_await sem->Wait(env);

@@ -1,6 +1,8 @@
 // Unit tests for the discrete-event engine and coroutine tasks.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <coroutine>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -107,6 +109,106 @@ TEST(EventQueue, EventsCanScheduleEvents) {
   EXPECT_EQ(q.now().nanos(), 5.0);
 }
 
+TEST(EventQueue, StaleIdCancelsNothingAfterItsStorageIsReused) {
+  EventQueue q;
+  std::vector<int> fired;
+  // Cancelled: the next event may take over its storage.
+  EventId cancelled = q.ScheduleAfter(Duration::Nanos(10), [&] { fired.push_back(1); });
+  ASSERT_TRUE(q.Cancel(cancelled));
+  EventId second = q.ScheduleAfter(Duration::Nanos(10), [&] { fired.push_back(2); });
+  EXPECT_NE(second, cancelled);
+  EXPECT_FALSE(q.Cancel(cancelled));
+  // Fired: likewise.
+  q.RunUntilIdle();
+  EventId third = q.ScheduleAfter(Duration::Nanos(10), [&] { fired.push_back(3); });
+  EXPECT_FALSE(q.Cancel(second));
+  EXPECT_FALSE(q.Cancel(cancelled));
+  EXPECT_FALSE(q.Cancel(kInvalidEventId));
+  q.RunUntilIdle();
+  EXPECT_EQ(fired, (std::vector<int>{2, 3}));
+  // Many rounds through the same storage: every old id stays dead.
+  std::vector<EventId> old{cancelled, second, third};
+  for (int round = 0; round < 100; ++round) {
+    EventId id = q.ScheduleAfter(Duration::Nanos(1), [] {});
+    for (EventId o : old) {
+      EXPECT_FALSE(q.Cancel(o));
+    }
+    if (round % 2 == 0) {
+      EXPECT_TRUE(q.Cancel(id));
+    } else {
+      q.RunUntilIdle();
+    }
+    old.push_back(id);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, SameInstantKeepsSchedulingOrderAcrossCancelsAndReschedules) {
+  EventQueue q;
+  const Time at = Time::Zero() + Duration::Nanos(50);
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(q.ScheduleAt(at, [&order, i] { order.push_back(i); }));
+  }
+  ASSERT_TRUE(q.Cancel(ids[1]));
+  ASSERT_TRUE(q.Cancel(ids[4]));
+  // Rescheduled at the same instant: after every event already there.
+  q.ScheduleAt(at, [&order] { order.push_back(10); });
+  ASSERT_TRUE(q.Cancel(ids[0]));
+  q.ScheduleAt(at, [&order] { order.push_back(11); });
+  // An earlier instant still goes first; one scheduled from inside an event
+  // at the same instant goes last.
+  q.ScheduleAt(at - Duration::Nanos(1), [&] {
+    order.push_back(-1);
+    q.ScheduleAt(at, [&order] { order.push_back(12); });
+  });
+  q.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{-1, 2, 3, 5, 10, 11, 12}));
+}
+
+TEST(EventQueue, PendingAndEmptyCountOnlyLiveEvents) {
+  EventQueue q;
+  EXPECT_TRUE(q.empty());
+  EventId a = q.ScheduleAfter(Duration::Nanos(10), [] {});
+  EventId b = q.ScheduleAfter(Duration::Nanos(20), [] {});
+  EXPECT_EQ(q.pending(), 2u);
+  ASSERT_TRUE(q.Cancel(b));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.empty());
+  ASSERT_TRUE(q.Cancel(a));
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(q.empty());  // two cancelled entries remain queued, none live
+  EXPECT_FALSE(q.RunOne());
+  // An event in flight is no longer pending, and cannot cancel itself.
+  EventId self = kInvalidEventId;
+  uint64_t seen_pending = 99;
+  bool self_cancel = true;
+  self = q.ScheduleAfter(Duration::Nanos(5), [&] {
+    seen_pending = q.pending();
+    self_cancel = q.Cancel(self);
+  });
+  q.ScheduleAfter(Duration::Nanos(6), [] {});
+  EXPECT_TRUE(q.RunOne());
+  EXPECT_EQ(seen_pending, 1u);
+  EXPECT_FALSE(self_cancel);
+  EXPECT_EQ(q.total_fired(), 1u);
+}
+
+TEST(EventQueue, RunUntilStepsPastACancelledHead) {
+  EventQueue q;
+  int fired = 0;
+  EventId head = q.ScheduleAfter(Duration::Nanos(10), [&] { fired += 100; });
+  q.ScheduleAfter(Duration::Nanos(30), [&] { ++fired; });
+  ASSERT_TRUE(q.Cancel(head));
+  EXPECT_EQ(q.RunUntil(Time::Zero() + Duration::Nanos(20)), 0u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(q.now().nanos(), 20.0);
+  EXPECT_EQ(q.RunUntil(Time::Zero() + Duration::Nanos(30)), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(q.now().nanos(), 30.0);
+}
+
 // --- Task / coroutine tests ---
 
 Task<int> ReturnsValue() { co_return 42; }
@@ -209,6 +311,52 @@ TEST(Task, DrivenByEventQueue) {
   q.RunUntilIdle();
   ASSERT_TRUE(t.done());
   EXPECT_EQ(stamps, (std::vector<double>{0.0, 10.0, 15.0}));
+}
+
+// Frames of different sizes, nested and recycled many times over: every
+// result must come back intact through reused frame memory.
+template <size_t kBytes>
+Task<uint64_t> FrameOfSize(uint64_t seed) {
+  std::array<uint64_t, kBytes / 8> locals{};
+  for (size_t i = 0; i < locals.size(); ++i) {
+    locals[i] = seed + i;
+  }
+  co_await SuspendTo([](std::coroutine_handle<> h) { h.resume(); });
+  uint64_t sum = 0;
+  for (uint64_t v : locals) {
+    sum += v;
+  }
+  co_return sum;
+}
+
+Task<uint64_t> NestedFrames(int depth, uint64_t seed) {
+  if (depth == 0) {
+    co_return co_await FrameOfSize<8>(seed);
+  }
+  uint64_t a = co_await FrameOfSize<64>(seed);
+  uint64_t b = co_await NestedFrames(depth - 1, seed + 1);
+  uint64_t c = co_await FrameOfSize<1024>(seed);
+  uint64_t d = co_await FrameOfSize<4096>(seed);  // past the pooled sizes
+  co_return a + b + c + d;
+}
+
+uint64_t ExpectedNested(int depth, uint64_t seed) {
+  auto frame = [](size_t n, uint64_t s) { return n * s + n * (n - 1) / 2; };
+  if (depth == 0) {
+    return frame(1, seed);
+  }
+  return frame(8, seed) + ExpectedNested(depth - 1, seed + 1) + frame(128, seed) +
+         frame(512, seed);
+}
+
+TEST(Task, ManyNestedFramesOfDifferentSizesSurviveReuse) {
+  for (int round = 0; round < 200; ++round) {
+    const int depth = round % 7;
+    Task<uint64_t> t = NestedFrames(depth, static_cast<uint64_t>(round));
+    t.Start();
+    ASSERT_TRUE(t.done());
+    EXPECT_EQ(t.TakeResult(), ExpectedNested(depth, static_cast<uint64_t>(round)));
+  }
 }
 
 // --- Rng / stats ---
