@@ -38,7 +38,9 @@ struct Pte {
 // the CR3 value; dIPC-enabled processes share one page table (§6.1.3).
 // Lookups go through a small direct-mapped cache of PTE pointers (host speed
 // only): map nodes never move, UnmapPage drops the page's entry, and a
-// re-tag writes the PTE the cache points at.
+// re-tag writes the PTE the cache points at. Like PhysMem's lazy frames, the
+// cache is filled by const lookups, so a table is used from one host thread
+// at a time (as its simulated machine is).
 class PageTable {
  public:
   using Id = uint64_t;
@@ -61,9 +63,7 @@ class PageTable {
     return ptes_.erase(PageNumber(va)) == 1 ? base::Status::Ok() : base::ErrorCode::kNotFound;
   }
 
-  const Pte* Lookup(VirtAddr va) const { return const_cast<PageTable*>(this)->LookupMut(va); }
-
-  Pte* LookupMut(VirtAddr va) {
+  const Pte* Lookup(VirtAddr va) const {
     CachedPte& c = CacheFor(PageNumber(va));
     if (c.pte == nullptr || c.page != PageNumber(va)) {
       auto it = ptes_.find(PageNumber(va));
@@ -73,6 +73,12 @@ class PageTable {
       c = CachedPte{PageNumber(va), &it->second};
     }
     return c.pte;
+  }
+
+  // Off the per-access path (re-tags, tests): walks the map.
+  Pte* LookupMut(VirtAddr va) {
+    auto it = ptes_.find(PageNumber(va));
+    return it == ptes_.end() ? nullptr : &it->second;
   }
 
   // Re-tags one page (dom_remap; §5.2.2 moves pages between domains).
@@ -103,15 +109,17 @@ class PageTable {
  private:
   struct CachedPte {
     uint64_t page = 0;
-    Pte* pte = nullptr;  // null: empty entry
+    const Pte* pte = nullptr;  // null: empty entry
   };
   // Fibonacci hashing: mappings start at aligned bases (1 GB dIPC blocks),
   // so the page number's low bits alone would collide.
-  CachedPte& CacheFor(uint64_t page) { return cache_[(page * 0x9E3779B97F4A7C15ull) >> 58]; }
+  CachedPte& CacheFor(uint64_t page) const {
+    return cache_[(page * 0x9E3779B97F4A7C15ull) >> 58];
+  }
 
   Id id_;
   std::map<uint64_t, Pte> ptes_;  // page number -> PTE, ordered for iteration
-  std::array<CachedPte, 64> cache_{};
+  mutable std::array<CachedPte, 64> cache_{};
 };
 
 }  // namespace dipc::hw

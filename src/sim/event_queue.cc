@@ -1,6 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "base/check.h"
@@ -12,39 +11,6 @@ EventQueue::~EventQueue() {
     if (s->run != nullptr) {
       s->run(s->buf, /*invoke=*/false);
     }
-  }
-}
-
-void EventQueue::HeapPush(const Entry& e) {
-  size_t i = heap_.size();
-  heap_.push_back(e);
-  while (i > 0 && e < heap_[(i - 1) / 4]) {
-    heap_[i] = heap_[(i - 1) / 4];
-    i = (i - 1) / 4;
-  }
-  heap_[i] = e;
-}
-
-void EventQueue::HeapPop() {
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  const size_t n = heap_.size();
-  size_t i = 0;
-  for (size_t child = 1; child < n; child = 4 * i + 1) {
-    const size_t end = std::min(child + 4, n);
-    for (size_t c = child + 1; c < end; ++c) {
-      if (heap_[c] < heap_[child]) {
-        child = c;
-      }
-    }
-    if (!(heap_[child] < last)) {
-      break;
-    }
-    heap_[i] = heap_[child];
-    i = child;
-  }
-  if (n > 0) {
-    heap_[i] = last;
   }
 }
 
@@ -62,8 +28,8 @@ bool EventQueue::Cancel(EventId id) {
 
 bool EventQueue::RunOne() {
   while (!heap_.empty()) {
-    const Entry top = heap_.front();
-    HeapPop();
+    const Entry top = heap_.top();
+    heap_.pop();
     if (!Live(top.id)) {
       continue;  // cancelled
     }
@@ -95,9 +61,9 @@ uint64_t EventQueue::RunUntil(Time deadline) {
   uint64_t n = 0;
   while (!heap_.empty()) {
     // Peek past tombstones to find the next live event time.
-    const Entry& top = heap_.front();
+    const Entry& top = heap_.top();
     if (!Live(top.id)) {
-      HeapPop();
+      heap_.pop();
       continue;
     }
     if (top.at > deadline) {

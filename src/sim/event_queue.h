@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -75,8 +76,12 @@ class EventQueue {
     Time at;
     uint64_t seq;  // tie-breaker: FIFO among same-time events
     EventId id;
-    bool operator<(const Entry& other) const {
-      return at != other.at ? at < other.at : seq < other.seq;
+    // Ordered as a min-heap via std::greater.
+    bool operator>(const Entry& other) const {
+      if (at != other.at) {
+        return at > other.at;
+      }
+      return seq > other.seq;
     }
   };
 
@@ -103,12 +108,7 @@ class EventQueue {
       free_.push_back(index);
     }
   }
-  // The pending entries form a 4-ary min-heap on (at, seq): half the depth
-  // of a binary heap.
-  void HeapPush(const Entry& e);
-  void HeapPop();
-
-  std::vector<Entry> heap_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
   std::vector<std::unique_ptr<Slot>> slots_;  // a slot stays put while others are added
   std::vector<uint32_t> free_;  // reusable slot indices
   Time now_;
@@ -144,7 +144,7 @@ EventId EventQueue::ScheduleAt(Time t, F&& fn) {
     f.~Fn();
   };
   const EventId id = (static_cast<uint64_t>(s.gen) << 32) | index;
-  HeapPush(Entry{t, next_seq_++, id});
+  heap_.push(Entry{t, next_seq_++, id});
   ++live_count_;
   return id;
 }

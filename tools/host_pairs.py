@@ -15,47 +15,34 @@ workload and seed, N pairs, alternating which side runs first, and:
 
 Usage:
   host_pairs.py BASE_DRIVER NEW_DRIVER --workload W [--seed N] [--pairs N]
-                [--ops N]
   host_pairs.py --self-test
 
---ops defaults to the size perfbench/run.py gives the workload at its
-default --seconds 20. Exit status: 0 when the simulated fields agree, 1
+Each run has the size perfbench/run.py gives the workload at the
+benchmark's --seconds 20. Exit status: 0 when the simulated fields agree, 1
 when they differ or a driver fails, 2 on bad usage.
 """
 
 import argparse
 import json
-import math
 import os
 import statistics
 import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_SECONDS = 20
+sys.dont_write_bytecode = True  # leave no cache behind in perfbench/
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import run  # perfbench/run.py: workload sizes, quantiles, simulated fields
 
-
-def default_ops(workload):
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    import run  # perfbench/run.py: one source for the workload sizes
-    return run.OPS_PER_SECOND[workload] * DEFAULT_SECONDS
+SECONDS = 20  # the benchmark's run length
 
 
 # ---- Arithmetic (covered by --self-test) ----
 
-def quantile(vals, q):
-    """Linearly interpolated quantile q in [0, 1] (perfbench/run.py's rule)."""
-    s = sorted(vals)
-    if not s:
-        return 0.0
-    h = (len(s) - 1) * q
-    lo = int(math.floor(h))
-    hi = min(lo + 1, len(s) - 1)
-    return s[lo] + (h - lo) * (s[hi] - s[lo])
-
-
 def summary(vals):
-    return quantile(vals, 0.25), quantile(vals, 0.5), quantile(vals, 0.75)
+    """Lower quartile, median and upper quartile, by run.py's quantile rule."""
+    s = sorted(vals)
+    return run.percentile(s, 0.25), run.percentile(s, 0.5), run.percentile(s, 0.75)
 
 
 def host_view(raw):
@@ -63,10 +50,6 @@ def host_view(raw):
     return {"setup_s": statistics.median(raw["host.setup_s"]),
             "ns_per_event": raw["host.window_s"] * 1e9 / raw["sim.events"],
             "peak_rss_mb": raw["host.peak_rss_kb"] / 1024.0}
-
-
-def sim_view(raw):
-    return {k: v for k, v in raw.items() if not k.startswith("host.")}
 
 
 def compare(base, new):
@@ -96,17 +79,16 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("base", nargs="?")
     ap.add_argument("new", nargs="?")
-    ap.add_argument("--workload", choices=("sync_call", "chan_stream", "fabric_rpc"))
+    ap.add_argument("--workload", choices=sorted(run.OPS_PER_SECOND))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--ops", type=int)
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
         return self_test()
     if not (args.base and args.new and args.workload) or args.pairs < 1:
         ap.error("BASE_DRIVER, NEW_DRIVER, --workload and --pairs >= 1 are required")
-    ops = args.ops or default_ops(args.workload)
+    ops = run.OPS_PER_SECOND[args.workload] * SECONDS
     drivers = {"base": args.base, "new": args.new}
     hosts = {"base": [], "new": []}
     reference = None
@@ -114,7 +96,7 @@ def main():
         order = ("base", "new") if i % 2 == 0 else ("new", "base")
         for side in order:
             raw = run_driver(drivers[side], args.workload, args.seed, ops)
-            sim = sim_view(raw)
+            sim = run.sim_view(raw)
             if reference is None:
                 reference = sim
             elif sim != reference:
@@ -127,7 +109,7 @@ def main():
         print("pair %2d  setup_s %.5f -> %.5f  ns/event %.1f -> %.1f"
               % (i + 1, hosts["base"][-1]["setup_s"], hosts["new"][-1]["setup_s"],
                  hosts["base"][-1]["ns_per_event"], hosts["new"][-1]["ns_per_event"]))
-    print("%s seed %d, %d pairs, --ops %d: every simulated field identical"
+    print("%s seed %d, %d pairs of %d ops: every simulated field identical"
           % (args.workload, args.seed, args.pairs, ops))
     for metric in ("setup_s", "ns_per_event", "peak_rss_mb"):
         base = [h[metric] for h in hosts["base"]]
@@ -151,10 +133,7 @@ def self_test():
         if not cond:
             failures.append(what)
 
-    check(quantile([1, 2, 3, 4], 0.5) == 2.5, "median of 1..4")
-    check(summary([1, 2, 3, 4, 5]) == (2, 3, 4), "quartiles of 1..5")
-    check(quantile([7], 0.25) == 7, "quantile of one sample")
-    check(abs(quantile([0, 10], 0.75) - 7.5) < 1e-12, "interpolated upper quartile")
+    check(summary([5, 1, 4, 2, 3]) == (2, 3, 4), "quartiles of 1..5, unsorted")
     # Ten pairs, the new side lower in nine; base IQR [0.05575, 0.06725]
     # (0.0115 wide) against a 0.0205 median drop: a claim that holds.
     base = [0.050, 0.055, 0.060, 0.065, 0.070, 0.052, 0.058, 0.062, 0.068, 0.075]
@@ -170,7 +149,6 @@ def self_test():
            "host.peak_rss_kb": 2048, "sim.ops": 5}
     check(host_view(raw) == {"setup_s": 0.2, "ns_per_event": 500.0, "peak_rss_mb": 2.0},
           "host view of a driver run")
-    check(sim_view(raw) == {"sim.events": 4000000, "sim.ops": 5}, "sim view drops host.*")
     for f in failures:
         print("FAIL: " + f)
     print("host_pairs self-test: %d failure(s)" % len(failures))
