@@ -1,12 +1,12 @@
 // Batched channel hot path: steady-state per-message cost of the zero-copy
 // channel as a function of the publish batch size, across payload sizes.
 //
-// batch == 1 is the single-message API: every Send/Recv pays the full
-// per-message software toll (free-list pop, descriptor push/pop, free-list
-// push, accounting, and a futex wake whenever the peer parked). batch == N
-// publishes N descriptors per queue operation and pays that toll once per
-// batch — the doorbell/notification-batching cure for fixed per-operation
-// overhead ("Rethinking Programmed I/O"; MOO-IPC's control-plane argument).
+// At batch == 1 every message pays the full per-message software toll
+// (free-list pop, descriptor push/pop, free-list push, accounting, and a
+// futex wake whenever the peer parked). batch == N publishes N descriptors
+// per queue operation and pays that toll once per batch — the
+// doorbell/notification-batching cure for fixed per-operation overhead
+// ("Rethinking Programmed I/O"; MOO-IPC's control-plane argument).
 // The capability work itself (epoch rebind + store + load + revoke) stays
 // per message but is already mint-free in steady state (§4.2 revocation
 // counters as the rotation mechanism), so the amortizable toll is exactly
@@ -21,9 +21,8 @@
 
 namespace {
 
-using dipc::bench::ChanStreamConfig;
 using dipc::bench::JsonEmitter;
-using dipc::bench::MeasureChannelStream;
+using dipc::bench::MeasureStream;
 
 constexpr int kBatches[] = {1, 2, 4, 8, 16, 32, 64};
 constexpr uint64_t kPayloads[] = {64, 4096, 65536};
@@ -46,7 +45,7 @@ void PrintBatchSweep(JsonEmitter& json) {
       char point[48];
       std::snprintf(point, sizeof(point), "%s_b%d", series, b);
       json.BeginSeries(point);
-      double ns = MeasureChannelStream({.payload_bytes = p, .batch = b, .cross_cpu = true});
+      double ns = MeasureStream({.payload_bytes = p, .batch = b});
       std::printf(" %10.1f", ns);
       json.Row(series, static_cast<uint64_t>(b), ns);
       if (p == kPayloads[0] && b == 1) {
@@ -70,7 +69,7 @@ void PrintBatchSweep(JsonEmitter& json) {
 
 void BM_ChannelBatch(benchmark::State& state) {
   int b = static_cast<int>(state.range(0));
-  double ns = MeasureChannelStream({.payload_bytes = 64, .batch = b, .cross_cpu = true});
+  double ns = MeasureStream({.payload_bytes = 64, .batch = b});
   for (auto _ : state) {
     state.SetIterationTime(ns * 1e-9);
   }

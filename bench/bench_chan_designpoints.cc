@@ -17,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 
 #include "micro_harness.h"
 
@@ -24,12 +25,14 @@ namespace {
 
 using dipc::bench::JsonEmitter;
 using dipc::bench::MeasureChannel;
-using dipc::bench::MeasureChannelStream;
 using dipc::bench::MeasureDipc;
 using dipc::bench::MeasureFunction;
 using dipc::bench::MeasureLocalRpc;
 using dipc::bench::MeasurePipe;
+using dipc::bench::MeasureStream;
 using dipc::bench::MicroConfig;
+using dipc::bench::StreamConfig;
+using dipc::bench::StreamShape;
 
 void PrintDesignPoints(JsonEmitter& json) {
   std::printf(
@@ -56,10 +59,8 @@ void PrintDesignPoints(JsonEmitter& json) {
     double chan_x = MeasureChannel(cross).roundtrip_ns - func;
     double chan_s = MeasureChannel(same).roundtrip_ns - func;
     int messages = n >= (1 << 16) ? 256 : 1024;
-    double stream1 = MeasureChannelStream(
-        {.payload_bytes = n, .batch = 1, .messages = messages, .cross_cpu = true});
-    double stream32 = MeasureChannelStream(
-        {.payload_bytes = n, .batch = 32, .messages = messages, .cross_cpu = true});
+    double stream1 = MeasureStream({.payload_bytes = n, .batch = 1, .messages = messages});
+    double stream32 = MeasureStream({.payload_bytes = n, .batch = 32, .messages = messages});
     std::printf("%9llu %10.0f %10.0f %10.1f %10.0f %10.0f %10.1f %10.1f\n",
                 static_cast<unsigned long long>(n), pipe, rpc, dipc, chan_x, chan_s, stream1,
                 stream32);
@@ -78,58 +79,61 @@ void PrintDesignPoints(JsonEmitter& json) {
       " are pipelined per-message costs; 32-batching amortizes the fixed toll)\n\n");
 }
 
-// Receiver-count sweep: the fan-out channel's per-published-message cost as
+// One fan row in its own --metrics window, labelled <series>@<x>: under
+// --metrics the registry is snapshotted and zeroed here.
+double FanRow(JsonEmitter& json, const char* series, uint32_t x, const StreamConfig& config) {
+  json.BeginSeries(std::string(series) + "@" + std::to_string(x));
+  double ns = MeasureStream(config);
+  json.Row(series, x, ns);
+  return ns;
+}
+
+// Receiver-count sweep: the fan-out plane's per-published-message cost as
 // the group grows — broadcast (every receiver gets its own grant over every
 // message) vs round-robin sharding (the OLTP request-distribution shape),
 // at batch 1 and 32. Broadcast pays one grant+store+descriptor-push per
 // receiver; everything else (runtime entry, free-pool op, sender revoke,
 // fast path) is shared, so per-message cost grows sublinearly in N.
-void PrintFanOutSweep(dipc::bench::JsonEmitter& json) {
+void PrintFanOutSweep(JsonEmitter& json) {
   std::printf("=== Fan-out: per-published-message cost vs receiver count [ns] ===\n");
   std::printf("%10s %12s %12s %12s %12s\n", "receivers", "bcast b1", "bcast b32", "shard b1",
               "shard b32");
   for (uint32_t n : {1u, 2u, 4u, 8u}) {
-    char point[48];
-    std::snprintf(point, sizeof(point), "fanout_r%u", n);
-    json.BeginSeries(point);
-    double bcast1 = dipc::bench::MeasureFanOutStream(
-        {.payload_bytes = 64, .receivers = n, .batch = 1, .messages = 768});
-    double bcast32 = dipc::bench::MeasureFanOutStream(
-        {.payload_bytes = 64, .receivers = n, .batch = 32, .messages = 768});
-    double shard1 = dipc::bench::MeasureFanOutStream(
-        {.payload_bytes = 64, .receivers = n, .batch = 1, .messages = 768, .shard = true});
-    double shard32 = dipc::bench::MeasureFanOutStream(
-        {.payload_bytes = 64, .receivers = n, .batch = 32, .messages = 768, .shard = true});
-    std::printf("%10u %12.1f %12.1f %12.1f %12.1f\n", n, bcast1, bcast32, shard1, shard32);
-    json.Row("fanout_bcast_b1", n, bcast1);
-    json.Row("fanout_bcast_b32", n, bcast32);
-    json.Row("fanout_shard_b1", n, shard1);
-    json.Row("fanout_shard_b32", n, shard32);
+    std::printf("%10u", n);
+    for (bool shard : {false, true}) {
+      for (int batch : {1, 32}) {
+        char series[32];
+        std::snprintf(series, sizeof(series), "fanout_%s_b%d", shard ? "shard" : "bcast", batch);
+        std::printf(" %12.1f", FanRow(json, series, n,
+                                      {.shape = StreamShape::kFanOut, .group = n,
+                                       .batch = batch, .messages = 768, .shard = shard}));
+      }
+    }
+    std::printf("\n");
   }
   std::printf(
       "(broadcast at N receivers delivers N messages per publish; sharding keeps one\n"
       " delivery per publish and parallelizes consumption across receiver CPUs)\n\n");
 }
 
-// Producer-count sweep for the mirror-image fan-in channel: per-delivered-
+// Producer-count sweep for the mirror-image fan-in plane: per-published-
 // message cost as more client domains feed the one consumer. Every producer
 // has its own per-slot write templates and credit line, but the descriptor
 // plane is one shared MpmcQueue, so per-message cost stays near-flat while
 // admission parallelizes across producer CPUs.
-void PrintFanInSweep(dipc::bench::JsonEmitter& json) {
-  std::printf("=== Fan-in: per-delivered-message cost vs producer count [ns] ===\n");
+void PrintFanInSweep(JsonEmitter& json) {
+  std::printf("=== Fan-in: per-published-message cost vs producer count [ns] ===\n");
   std::printf("%10s %12s %12s\n", "producers", "b1", "b32");
   for (uint32_t n : {1u, 2u, 4u, 8u}) {
-    char point[48];
-    std::snprintf(point, sizeof(point), "fanin_p%u", n);
-    json.BeginSeries(point);
-    double b1 = dipc::bench::MeasureFanInStream(
-        {.payload_bytes = 64, .producers = n, .batch = 1, .messages = 768});
-    double b32 = dipc::bench::MeasureFanInStream(
-        {.payload_bytes = 64, .producers = n, .batch = 32, .messages = 768});
-    std::printf("%10u %12.1f %12.1f\n", n, b1, b32);
-    json.Row("fanin_b1", n, b1);
-    json.Row("fanin_b32", n, b32);
+    std::printf("%10u", n);
+    for (int batch : {1, 32}) {
+      char series[32];
+      std::snprintf(series, sizeof(series), "fanin_b%d", batch);
+      std::printf(" %12.1f", FanRow(json, series, n,
+                                    {.shape = StreamShape::kFanIn, .group = n, .batch = batch,
+                                     .messages = 768}));
+    }
+    std::printf("\n");
   }
   std::printf(
       "(all producers publish into one shared consumer FIFO; credit lines keep one\n"

@@ -460,253 +460,105 @@ MicroResult MeasureChannel(const MicroConfig& config) {
   return win.Finish();
 }
 
-double MeasureChannelStream(const ChanStreamConfig& config) {
-  World w;
-  core::Dipc dipc(w.kernel);
-  os::Process& prod = dipc.CreateDipcProcess("producer");
-  os::Process& cons = dipc.CreateDipcProcess("consumer");
+double MeasureStream(const StreamConfig& config) {
+  const bool fan_in = config.shape == StreamShape::kFanIn;
+  const uint32_t group =
+      config.shape == StreamShape::kChannel ? 1 : std::max<uint32_t>(1, config.group);
+  const uint32_t n_prod = fan_in ? group : 1;
+  const uint32_t n_recv = fan_in ? 1 : group;
   const int batch = std::max(1, config.batch);
-  chan::PlaneConfig cc{.slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch)),
-                         .buf_bytes = std::max<uint64_t>(config.payload_bytes, 64)};
-  auto ch = chan::Channel::Create(dipc, prod, cons, cc);
-  DIPC_CHECK(ch.ok());
-  std::shared_ptr<chan::Channel> chan_ptr = ch.value();
-  // Warm one full slot rotation so every per-slot capability template is
-  // minted and the segments are cache-warm; the measured window then runs
-  // the epoch-cached steady state.
-  const int warmup = static_cast<int>(cc.slots) + batch;
-  const int total = config.messages + warmup;
-  sim::Time t0, t_end;
-  int measured_from = -1;  // messages already sent when the window opened
-  w.kernel.Spawn(
-      cons, "consumer",
-      [&, chan_ptr](os::Env env) -> sim::Task<void> {
-        os::Kernel& k = *env.kernel;
-        int consumed = 0;
-        while (consumed < total) {
-          if (batch == 1) {
-            auto msg = co_await chan_ptr->Recv(env);
-            DIPC_CHECK(msg.ok());
-            (void)co_await k.TouchUser(env, msg.value().va, msg.value().len,
-                                       hw::AccessType::kRead);
-            DIPC_CHECK((co_await chan_ptr->Release(env, msg.value())).ok());
-            ++consumed;
-          } else {
-            auto msgs = co_await chan_ptr->RecvBatch(env, static_cast<uint32_t>(batch));
-            DIPC_CHECK(msgs.ok());
-            for (const chan::Msg& m : msgs.value()) {
-              chan_ptr->BindRecvCap(*env.self, m);
-              (void)co_await k.TouchUser(env, m.va, m.len, hw::AccessType::kRead);
-            }
-            DIPC_CHECK((co_await chan_ptr->ReleaseBatch(env, msgs.value())).ok());
-            consumed += static_cast<int>(msgs.value().size());
-          }
-        }
-        t_end = env.kernel->now();
-      },
-      /*pin_cpu=*/config.cross_cpu ? 1 : 0);
-  w.kernel.Spawn(
-      prod, "producer",
-      [&, chan_ptr](os::Env env) -> sim::Task<void> {
-        os::Kernel& k = *env.kernel;
-        int sent = 0;
-        while (sent < total) {
-          if (sent >= warmup && measured_from < 0) {
-            measured_from = sent;
-            t0 = env.kernel->now();
-          }
-          int n = std::min(batch, total - sent);
-          if (batch == 1) {
-            auto buf = co_await chan_ptr->AcquireBuf(env);
-            DIPC_CHECK(buf.ok());
-            (void)co_await k.TouchUser(env, buf.value().va, config.payload_bytes,
-                                       hw::AccessType::kWrite);
-            DIPC_CHECK((co_await chan_ptr->Send(env, buf.value(), config.payload_bytes)).ok());
-          } else {
-            auto bufs = co_await chan_ptr->AcquireBufBatch(env, static_cast<uint32_t>(n));
-            DIPC_CHECK(bufs.ok());
-            std::vector<chan::SendItem> items;
-            items.reserve(bufs.value().size());
-            for (const chan::SendBuf& b : bufs.value()) {
-              chan_ptr->BindSendCap(*env.self, b);
-              (void)co_await k.TouchUser(env, b.va, config.payload_bytes,
-                                         hw::AccessType::kWrite);
-              items.push_back(chan::SendItem{b, config.payload_bytes});
-            }
-            DIPC_CHECK((co_await chan_ptr->SendBatch(env, items)).ok());
-            n = static_cast<int>(items.size());
-          }
-          sent += n;
-        }
-      },
-      /*pin_cpu=*/0);
-  w.kernel.Run();
-  DIPC_CHECK(measured_from >= 0 && measured_from < total);
-  return (t_end - t0).nanos() / (total - measured_from);
-}
-
-double MeasureFanOutStream(const FanOutStreamConfig& config) {
-  const uint32_t n_recv = std::max<uint32_t>(1, config.receivers);
-  const int batch = std::max(1, config.batch);
-  // One CPU for the producer plus one per receiver, so fan-out consumption
-  // parallelizes the way the many-worker server scenarios do.
-  hw::Machine machine(1 + n_recv);
+  hw::Machine machine(1 + group);
   codoms::Codoms codoms(machine);
   os::Kernel kernel(machine, codoms);
   core::Dipc dipc(kernel);
-  os::Process& prod = dipc.CreateDipcProcess("producer");
-  std::vector<os::Process*> recv_procs;
-  for (uint32_t r = 0; r < n_recv; ++r) {
-    recv_procs.push_back(&dipc.CreateDipcProcess("worker"));
-  }
-  chan::PlaneConfig cc{.slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch)),
-                       .buf_bytes = std::max<uint64_t>(config.payload_bytes, 64)};
-  auto ch = chan::Plane::Create(dipc, prod, recv_procs, cc);
-  DIPC_CHECK(ch.ok());
-  std::shared_ptr<chan::Plane> fan = ch.value();
-  const int warmup = static_cast<int>(cc.slots) + batch;
-  const int total = config.messages + warmup;
-  sim::Time t0, t_end;
-  int measured_from = -1;
-  // Receivers: drain batches until the orderly close; the last release
-  // timestamp across all receivers closes the measurement window.
-  for (uint32_t r = 0; r < n_recv; ++r) {
-    kernel.Spawn(
-        *recv_procs[r], "worker",
-        [&, fan, r](os::Env env) -> sim::Task<void> {
-          os::Kernel& k = *env.kernel;
-          while (true) {
-            auto msgs = co_await fan->RecvBatch(env, r, static_cast<uint32_t>(batch));
-            if (!msgs.ok()) {
-              co_return;  // kBrokenChannel after the drain
-            }
-            for (const chan::Msg& m : msgs.value()) {
-              fan->BindRecvCap(*env.self, r, m);
-              (void)co_await k.TouchUser(env, m.va, m.len, hw::AccessType::kRead);
-            }
-            DIPC_CHECK((co_await fan->ReleaseBatch(env, r, msgs.value())).ok());
-            t_end = env.kernel->now();
-          }
-        },
-        /*pin_cpu=*/static_cast<int>(1 + r));
-  }
-  kernel.Spawn(
-      prod, "producer",
-      [&, fan](os::Env env) -> sim::Task<void> {
-        os::Kernel& k = *env.kernel;
-        int sent = 0;
-        while (sent < total) {
-          if (sent >= warmup && measured_from < 0) {
-            measured_from = sent;
-            t0 = env.kernel->now();
-          }
-          uint32_t want = static_cast<uint32_t>(std::min(batch, total - sent));
-          auto bufs = co_await fan->AcquireBufBatch(env, 0, want);
-          DIPC_CHECK(bufs.ok());
-          std::vector<chan::SendItem> items;
-          items.reserve(bufs.value().size());
-          for (const chan::SendBuf& b : bufs.value()) {
-            fan->BindSendCap(*env.self, b);
-            (void)co_await k.TouchUser(env, b.va, config.payload_bytes, hw::AccessType::kWrite);
-            items.push_back(chan::SendItem{b, config.payload_bytes});
-          }
-          base::Status sent_s = base::ErrorCode::kFault;
-          if (config.shard) {
-            uint32_t shard = fan->NextShard();
-            DIPC_CHECK(shard < fan->receiver_count());
-            sent_s = co_await fan->SendToBatch(env, 0, items, shard);
-          } else {
-            sent_s = co_await fan->SendBatch(env, 0, items);
-          }
-          DIPC_CHECK(sent_s.ok());
-          sent += static_cast<int>(items.size());
-        }
-        fan->Close();
-      },
-      /*pin_cpu=*/0);
-  kernel.Run();
-  DIPC_CHECK(measured_from >= 0 && measured_from < total);
-  return (t_end - t0).nanos() / (total - measured_from);
-}
-
-double MeasureFanInStream(const FanInStreamConfig& config) {
-  const uint32_t n_prod = std::max<uint32_t>(1, config.producers);
-  const int batch = std::max(1, config.batch);
-  // One CPU for the consumer plus one per producer, mirroring the fan-out
-  // harness (many client domains feeding one server tier).
-  hw::Machine machine(1 + n_prod);
-  codoms::Codoms codoms(machine);
-  os::Kernel kernel(machine, codoms);
-  core::Dipc dipc(kernel);
-  std::vector<os::Process*> prod_procs;
+  std::vector<os::Process*> prods;
+  std::vector<os::Process*> recvs;
   for (uint32_t p = 0; p < n_prod; ++p) {
-    prod_procs.push_back(&dipc.CreateDipcProcess("client"));
+    prods.push_back(&dipc.CreateDipcProcess("producer"));
   }
-  os::Process& cons = dipc.CreateDipcProcess("server");
-  chan::PlaneConfig cc{
-      .slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch) * n_prod),
-      .buf_bytes = std::max<uint64_t>(config.payload_bytes, 64)};
-  auto ch = chan::Plane::Create(dipc, prod_procs, cons, cc);
-  DIPC_CHECK(ch.ok());
-  std::shared_ptr<chan::Plane> fan = ch.value();
+  for (uint32_t r = 0; r < n_recv; ++r) {
+    recvs.push_back(&dipc.CreateDipcProcess("receiver"));
+  }
+  chan::PlaneConfig cc{.slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch) * n_prod),
+                       .buf_bytes = std::max<uint64_t>(config.payload_bytes, 64)};
+  std::shared_ptr<chan::Plane> plane;
+  if (config.shape == StreamShape::kChannel) {
+    auto ch = chan::Channel::Create(dipc, *prods[0], *recvs[0], cc);
+    DIPC_CHECK(ch.ok());
+    plane = ch.value();
+  } else {
+    auto ch = fan_in ? chan::Plane::Create(dipc, prods, *recvs[0], cc)
+                     : chan::Plane::Create(dipc, *prods[0], recvs, cc);
+    DIPC_CHECK(ch.ok());
+    plane = ch.value();
+  }
   const int warmup = static_cast<int>(cc.slots) + batch * static_cast<int>(n_prod);
   const int per_prod =
       (config.messages + warmup + static_cast<int>(n_prod) - 1) / static_cast<int>(n_prod);
   const int total = per_prod * static_cast<int>(n_prod);
+  // A broadcast message is released once per receiver.
+  const int copies = config.shard ? 1 : static_cast<int>(n_recv);
   sim::Time t0, t_end;
-  int received = 0;
-  kernel.Spawn(
-      cons, "server",
-      [&, fan](os::Env env) -> sim::Task<void> {
-        os::Kernel& k = *env.kernel;
-        while (true) {
-          auto msgs = co_await fan->RecvBatch(env, 0, static_cast<uint32_t>(batch));
-          if (!msgs.ok()) {
-            co_return;  // kBrokenChannel after the drain
+  int released = 0;  // by every receiver; the window opens at warmup * copies
+  for (uint32_t r = 0; r < n_recv; ++r) {
+    kernel.Spawn(
+        *recvs[r], "receiver",
+        [&, plane, r](os::Env env) -> sim::Task<void> {
+          os::Kernel& k = *env.kernel;
+          while (true) {
+            auto msgs = co_await plane->RecvBatch(env, r, static_cast<uint32_t>(batch));
+            if (!msgs.ok()) {
+              co_return;  // kBrokenChannel after the drain
+            }
+            for (const chan::Msg& m : msgs.value()) {
+              plane->BindRecvCap(*env.self, r, m);
+              (void)co_await k.TouchUser(env, m.va, m.len, hw::AccessType::kRead);
+            }
+            DIPC_CHECK((co_await plane->ReleaseBatch(env, r, msgs.value())).ok());
+            released += static_cast<int>(msgs.value().size());
+            if (released <= warmup * copies) {
+              t0 = k.now();
+            }
+            t_end = k.now();
           }
-          for (const chan::Msg& m : msgs.value()) {
-            fan->BindRecvCap(*env.self, 0, m);
-            (void)co_await k.TouchUser(env, m.va, m.len, hw::AccessType::kRead);
-          }
-          DIPC_CHECK((co_await fan->ReleaseBatch(env, 0, msgs.value())).ok());
-          received += static_cast<int>(msgs.value().size());
-          if (received <= warmup) {
-            t0 = env.kernel->now();
-          }
-          t_end = env.kernel->now();
-        }
-      },
-      /*pin_cpu=*/0);
+        },
+        /*pin_cpu=*/fan_in ? 0 : static_cast<int>(1 + r));
+  }
   int producers_done = 0;
   for (uint32_t p = 0; p < n_prod; ++p) {
     kernel.Spawn(
-        *prod_procs[p], "client",
-        [&, fan, p](os::Env env) -> sim::Task<void> {
+        *prods[p], "producer",
+        [&, plane, p](os::Env env) -> sim::Task<void> {
           os::Kernel& k = *env.kernel;
-          int sent = 0;
-          while (sent < per_prod) {
-            uint32_t want = static_cast<uint32_t>(std::min(batch, per_prod - sent));
-            auto bufs = co_await fan->AcquireBufBatch(env, p, want);
+          for (int sent = 0; sent < per_prod;) {
+            const auto want = static_cast<uint32_t>(std::min(batch, per_prod - sent));
+            auto bufs = co_await plane->AcquireBufBatch(env, p, want);
             DIPC_CHECK(bufs.ok());
             std::vector<chan::SendItem> items;
             items.reserve(bufs.value().size());
             for (const chan::SendBuf& b : bufs.value()) {
-              fan->BindSendCap(*env.self, b);
+              plane->BindSendCap(*env.self, b);
               (void)co_await k.TouchUser(env, b.va, config.payload_bytes,
                                          hw::AccessType::kWrite);
               items.push_back(chan::SendItem{b, config.payload_bytes});
             }
-            DIPC_CHECK((co_await fan->SendBatch(env, p, items)).ok());
+            if (config.shard) {
+              const uint32_t shard = plane->NextShard();
+              DIPC_CHECK(shard < plane->receiver_count());
+              DIPC_CHECK((co_await plane->SendToBatch(env, p, items, shard)).ok());
+            } else {
+              DIPC_CHECK((co_await plane->SendBatch(env, p, items)).ok());
+            }
             sent += static_cast<int>(items.size());
           }
           if (++producers_done == static_cast<int>(n_prod)) {
-            fan->Close();  // consumer drains, then sees the close
+            plane->Close();  // the receivers drain, then see the close
           }
         },
-        /*pin_cpu=*/static_cast<int>(1 + p));
+        /*pin_cpu=*/fan_in ? static_cast<int>(1 + p) : 0);
   }
   kernel.Run();
-  DIPC_CHECK(received == total && total > warmup);
+  DIPC_CHECK(released == total * copies && total > warmup);
   return (t_end - t0).nanos() / (total - warmup);
 }
 

@@ -55,50 +55,35 @@ MicroResult MeasureDipcUserRpc(const MicroConfig& config);
 // grant, so the transfer cost is O(1) in arg_bytes.
 MicroResult MeasureChannel(const MicroConfig& config);
 
-// Streaming (pipelined) channel transfer: the producer keeps `batch`
-// messages in flight per batched publish, the consumer drains batches.
-// batch == 1 uses the single-message API (per-message queue ops, wakes and
-// accounting); batch > 1 uses AcquireBufBatch/SendBatch/RecvBatch/
-// ReleaseBatch, which pay the fixed software toll once per batch. Epoch
-// caching warms during the warmup rotation either way. Returns the
-// steady-state *per-message* cost in ns.
-struct ChanStreamConfig {
+// Streaming (pipelined) transfer over one chan::Plane (src/chan/plane.h):
+// the producers publish `messages` payloads in batches of up to `batch`
+// (AcquireBufBatch/SendBatch), the receivers drain, read and release them
+// in batches of up to `batch` (RecvBatch/ReleaseBatch); batch 1 pays the
+// fixed software toll on every message, a larger batch once per batch. The
+// shape names the plane:
+//   kChannel  the 1x1 Channel (chan/channel.h);
+//   kFanOut   one producer feeding `group` receivers: every message to
+//             every receiver, or with `shard` each batch to the next live
+//             receiver round-robin (the OLTP request-distribution shape);
+//   kFanIn    `group` producers, each publishing its share, feeding one
+//             receiver through one shared descriptor FIFO.
+// The single endpoint runs on CPU 0, the group's endpoint i on CPU 1 + i,
+// and the last producer closes the plane after its last send. A warmup of
+// one slot rotation plus one batch per producer mints every capability
+// template and warms the segments. Returns the steady-state ns per
+// published message, measured from the release that completes the
+// warmup-th message (a broadcast counts each receiver's release) to the
+// last release.
+enum class StreamShape : uint8_t { kChannel, kFanOut, kFanIn };
+struct StreamConfig {
+  StreamShape shape = StreamShape::kChannel;
+  uint32_t group = 1;  // receivers of kFanOut, producers of kFanIn
   uint64_t payload_bytes = 64;
   int batch = 1;
-  int messages = 2048;
-  bool cross_cpu = true;
+  int messages = 2048;  // across all producers
+  bool shard = false;   // kFanOut only
 };
-double MeasureChannelStream(const ChanStreamConfig& config);
-
-// Fan-out streaming (src/chan/plane.h): one producer publishes `messages`
-// payloads to a group of `receivers` receivers through one plane —
-// per-receiver epoch-cached read grants, credit-based flow control — either
-// broadcast (every receiver gets every message) or round-robin sharded (each
-// message to one receiver, the OLTP request-distribution shape). Receivers run on
-// their own CPUs. Returns the steady-state wall time in ns per *published*
-// message, i.e. what one producer-side message admission costs end to end.
-struct FanOutStreamConfig {
-  uint64_t payload_bytes = 64;
-  uint32_t receivers = 4;
-  int batch = 1;
-  int messages = 1024;
-  bool shard = false;
-};
-double MeasureFanOutStream(const FanOutStreamConfig& config);
-
-// Fan-in streaming (src/chan/plane.h): `producers` producer domains each
-// publish their share of `messages` payloads into one consumer through one
-// plane — per-producer epoch-cached write grants, per-producer credit
-// lines, one shared descriptor FIFO. Producers run on their own
-// CPUs. Returns the steady-state wall time in ns per *delivered* message,
-// i.e. what one admission into the shared consumer costs end to end.
-struct FanInStreamConfig {
-  uint64_t payload_bytes = 64;
-  uint32_t producers = 4;
-  int batch = 1;
-  int messages = 1024;  // total across all producers
-};
-double MeasureFanInStream(const FanInStreamConfig& config);
+double MeasureStream(const StreamConfig& config);
 
 // Service-fabric echo (src/fabric/fabric.h): `tenants` client domains each
 // drive `calls_per_tenant` request/response round trips across `workers`

@@ -15,7 +15,6 @@ class Disk {
 
   // One random access: queue behind earlier requests, then seek+rotate+read.
   sim::Task<void> Access(os::Env env) {
-    ++total_accesses_;
     while (busy_) {
       waiters_.Enqueue(env.self);
       co_await env.kernel->Block(env);
@@ -28,13 +27,10 @@ class Disk {
     }
   }
 
-  uint64_t total_accesses() const { return total_accesses_; }
-
  private:
   os::Kernel& kernel_;
   bool busy_ = false;
   os::WaitQueue waiters_;
-  uint64_t total_accesses_ = 0;
 };
 
 }  // namespace dipc::apps

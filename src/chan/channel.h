@@ -158,8 +158,6 @@ class DuplexChannel {
 
   Channel& forward() { return *fwd_; }
   Channel& reverse() { return *rev_; }
-  std::shared_ptr<Channel> forward_shared() { return fwd_; }
-  std::shared_ptr<Channel> reverse_shared() { return rev_; }
 
   // Endpoint views: the a-side sends requests and receives completions; the
   // b-side is the mirror image.

@@ -892,10 +892,8 @@ sim::Task<base::Status> Plane::ReleaseBatch(os::Env env, uint32_t r, std::span<c
   m_releases_->Add(msgs.size());
   m_revokes_->Add(msgs.size());
   cost += obs::Trace().event_cost();
-  obs::Trace().Record(env.self->last_cpu(),
-                      credit_line_ != 0 ? obs::EventType::kCreditGrant
-                                        : obs::EventType::kReleaseBatch,
-                      obs_id_, msgs.size(), k.now());
+  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kReleaseBatch, obs_id_, msgs.size(),
+                      k.now());
   co_await k.Spend(*env.self, cost, TimeCat::kUser);
   if (broken_ != base::ErrorCode::kOk) {
     co_return broken_;

@@ -27,7 +27,6 @@ class CapRegisters {
 
   void Set(uint32_t i, Capability cap) { regs_[i] = cap; }
   void Clear(uint32_t i) { regs_[i].reset(); }
-  void ClearAll() { regs_.fill(std::nullopt); }
 
   // First capability register covering the access, if any.
   const Capability* FindCovering(hw::VirtAddr addr, uint64_t len, Perm want, uint64_t thread_id,
@@ -81,15 +80,6 @@ class Dcs {
   uint64_t base() const { return base_; }
   uint64_t top() const { return top_; }
   uint64_t visible_entries() const { return top_ - base_; }
-
-  // Truncates to `depth` (used when a frame returns: its sync caps die).
-  void TruncateTo(uint64_t depth) {
-    DIPC_CHECK(depth <= top_);
-    top_ = depth;
-    if (base_ > top_) {
-      base_ = top_;
-    }
-  }
 
  private:
   std::vector<Capability> slots_;

@@ -7,7 +7,6 @@
 #define DIPC_CODOMS_PERM_H_
 
 #include <cstdint>
-#include <string_view>
 
 #include "hw/types.h"
 
@@ -28,16 +27,6 @@ constexpr bool AtLeast(Perm have, Perm want) {
 }
 
 constexpr Perm Weaker(Perm a, Perm b) { return AtLeast(a, b) ? b : a; }
-
-constexpr std::string_view PermName(Perm p) {
-  switch (p) {
-    case Perm::kNone: return "none";
-    case Perm::kCall: return "call";
-    case Perm::kRead: return "read";
-    case Perm::kWrite: return "write";
-  }
-  return "?";
-}
 
 // System-configurable entry point alignment (§4.1): calls through a Call
 // grant must target addresses aligned to this value.

@@ -117,7 +117,6 @@ class Dipc {
   // thread (§6.1.2).
   static constexpr sim::Duration kColdUpcallCost = sim::Duration::Micros(1.8);
 
-  uint64_t proxies_created() const { return proxies_.size(); }
   const std::vector<std::unique_ptr<Proxy>>& proxies() const { return proxies_; }
 
  private:

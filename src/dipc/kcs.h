@@ -35,11 +35,6 @@ class Kcs {
     return e;
   }
 
-  const KcsEntry& Top() const {
-    DIPC_CHECK(!entries_.empty());
-    return entries_.back();
-  }
-
   bool empty() const { return entries_.empty(); }
   size_t depth() const { return entries_.size(); }
 

@@ -57,7 +57,6 @@ class LoadedModule {
     auto it = domains_.find(name);
     return it == domains_.end() ? nullptr : it->second;
   }
-  std::shared_ptr<EntryHandle> exported_entries() const { return entries_; }
 
  private:
   friend class Loader;

@@ -9,7 +9,6 @@
 #define DIPC_DIPC_POLICY_H_
 
 #include <cstdint>
-#include <string>
 
 #include "hw/cost_model.h"
 #include "sim/time.h"
@@ -46,25 +45,6 @@ struct IsolationPolicy {
   static constexpr IsolationPolicy High() {
     return IsolationPolicy{kRegIntegrity | kRegConfidentiality | kStackIntegrity |
                            kStackConfidentiality | kDcsIntegrity | kDcsConfidentiality};
-  }
-
-  std::string ToString() const {
-    if (bits == 0) {
-      return "low";
-    }
-    std::string s;
-    auto add = [&](uint32_t bit, const char* name) {
-      if (Has(bit)) {
-        s += s.empty() ? name : std::string("+") + name;
-      }
-    };
-    add(kRegIntegrity, "reg-int");
-    add(kRegConfidentiality, "reg-conf");
-    add(kStackIntegrity, "stack-int");
-    add(kStackConfidentiality, "stack-conf");
-    add(kDcsIntegrity, "dcs-int");
-    add(kDcsConfidentiality, "dcs-conf");
-    return s;
   }
 };
 

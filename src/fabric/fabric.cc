@@ -24,6 +24,10 @@ constexpr uint8_t kHopHandler = 3;
 constexpr uint8_t kHopRespSend = 4;
 constexpr uint8_t kHopCompletion = 5;
 
+// Call()'s wait before a retry: doubles from attempt to attempt, capped.
+constexpr Duration kBackoffInitial = Duration::Micros(20);
+constexpr Duration kBackoffCap = Duration::Micros(640);
+
 // Hop-span arg layout: (aux << 16) | (hop << 8) | attempt, where aux is the
 // hop-specific index (client, shard or worker). The opid rides the event's
 // dedicated field; trace_assemble.py decodes this word for the track layout.
@@ -69,11 +73,10 @@ base::Result<std::shared_ptr<ServiceFabric>> ServiceFabric::Create(
   // Tag trios: shared across planes by default (identical trust relationship
   // for every tenant), so the per-CPU APL cache sees 6 tags no matter how
   // many clients ride the fabric. Leaving the tags invalid makes each
-  // channel allocate its own trio — the cache-thrash design point.
-  chan::PlaneConfig req_cfg{
-      .slots = cfg.req_slots, .buf_bytes = cfg.req_bytes, .credits = cfg.req_credits};
-  chan::PlaneConfig resp_cfg{
-      .slots = cfg.resp_slots, .buf_bytes = cfg.resp_bytes, .credits = cfg.resp_credits};
+  // channel allocate its own trio — the cache-thrash design point. Each
+  // worker's credit line is its plane's whole pool.
+  chan::PlaneConfig req_cfg{.slots = cfg.req_slots, .buf_bytes = cfg.req_bytes};
+  chan::PlaneConfig resp_cfg{.slots = cfg.resp_slots, .buf_bytes = cfg.resp_bytes};
   if (cfg.shared_trio) {
     codoms::AplTable& apl = dipc.kernel().codoms().apl_table();
     req_cfg.ctrl_tag = apl.AllocateTag();
@@ -170,7 +173,7 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
   ++calls_;
   m_calls_->Add();
   const sim::Time t0 = k.now();
-  Duration backoff = cfg_.backoff_initial;
+  Duration backoff = kBackoffInitial;
   bool done = false;
   // Every blocking step of an attempt carries the per-attempt deadline; a
   // kTimedOut/kCalleeFailed/kFault attempt is retried under the SAME opid
@@ -187,8 +190,8 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
       m_retries_->Add();
       co_await k.Sleep(env, backoff);
       backoff = backoff * 2;
-      if (backoff > cfg_.backoff_cap) {
-        backoff = cfg_.backoff_cap;
+      if (backoff > kBackoffCap) {
+        backoff = kBackoffCap;
       }
     }
     {

@@ -72,8 +72,6 @@ struct FabricConfig {
   uint64_t req_bytes = 512;   // >= 8 (the opid header)
   uint32_t resp_slots = 8;    // per-client response-plane pool
   uint64_t resp_bytes = 2048;
-  uint32_t req_credits = 0;   // per-worker credit line, request plane (0 = slots)
-  uint32_t resp_credits = 0;  // per-worker credit line, response plane (0 = slots)
   // One shared tag trio across all request planes + one across all response
   // planes (APL-cache friendly) vs a private trio per channel.
   bool shared_trio = true;
@@ -81,8 +79,6 @@ struct FabricConfig {
   // forever (no retries fire without it).
   sim::Duration call_deadline = sim::Duration::Zero();
   int max_call_retries = 0;  // further attempts after the first
-  sim::Duration backoff_initial = sim::Duration::Micros(20);
-  sim::Duration backoff_cap = sim::Duration::Micros(640);
 };
 
 class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {

@@ -26,13 +26,9 @@ class Cpu {
   CpuId id() const { return id_; }
   TlbModel& tlb() { return tlb_; }
 
-  PageTable::Id active_page_table() const { return active_pt_; }
-  void set_active_page_table(PageTable::Id id) { active_pt_ = id; }
-
  private:
   CpuId id_;
   TlbModel tlb_;
-  PageTable::Id active_pt_ = 0;
 };
 
 class Machine {

@@ -33,8 +33,6 @@ class PhysMem {
   // Copies `size` bytes between physical ranges (may cross frames).
   void Copy(PhysAddr dst, PhysAddr src, uint64_t size);
 
-  uint64_t frames_allocated() const { return next_frame_ - 1; }
-
  private:
   using Frame = std::array<std::byte, kPageSize>;
 

@@ -20,8 +20,6 @@ const char* EventTypeName(EventType t) {
       return "futex_park";
     case EventType::kFutexWake:
       return "futex_wake";
-    case EventType::kCreditGrant:
-      return "credit_grant";
     case EventType::kCreditStall:
       return "credit_stall";
     case EventType::kCapMint:

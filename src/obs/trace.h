@@ -36,7 +36,6 @@ enum class EventType : uint8_t {
   kReleaseBatch,  // arg = slots released
   kFutexPark,     // dur = park time; arg = queue generation/seq
   kFutexWake,     // arg = waiters woken
-  kCreditGrant,   // arg = credits returned
   kCreditStall,   // dur = stall time; arg = receiver index (== receiver count: group gate)
   kCapMint,       // arg = slot index (cold mint through the APL)
   kCapRebind,     // arg = slot index (warm epoch rebind)

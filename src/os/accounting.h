@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "base/check.h"
@@ -33,21 +32,6 @@ enum class TimeCat : uint8_t {
 };
 
 inline constexpr size_t kNumTimeCats = static_cast<size_t>(TimeCat::kCount);
-
-constexpr std::string_view TimeCatName(TimeCat cat) {
-  switch (cat) {
-    case TimeCat::kUser: return "user";
-    case TimeCat::kSyscallCrossing: return "syscall+swapgs+sysret";
-    case TimeCat::kSyscallDispatch: return "syscall dispatch";
-    case TimeCat::kKernel: return "kernel";
-    case TimeCat::kSchedule: return "schedule/ctxt-switch";
-    case TimeCat::kPageTableSwitch: return "page-table switch";
-    case TimeCat::kIdle: return "idle/IO-wait";
-    case TimeCat::kProxy: return "dIPC proxy";
-    case TimeCat::kCount: break;
-  }
-  return "?";
-}
 
 // A snapshot of per-category time, either for one CPU or summed.
 struct TimeBreakdown {

@@ -367,7 +367,6 @@ void Kernel::Dispatch(hw::CpuId cpu, Thread& t, sim::Duration extra, bool standa
       obs::ChargeDomainTime(dom, obs::DomainTimeKind::kKernel, cm.page_table_switch.picos());
       cost += cm.page_table_switch;
     }
-    machine_.cpu(cpu).set_active_page_table(t.process().page_table().id());
   }
   cs.last_process = &t.process();
   ++context_switches_;
@@ -563,7 +562,5 @@ std::shared_ptr<KernelObject> Kernel::LookupPath(const std::string& path) const 
   auto it = name_registry_.find(path);
   return it == name_registry_.end() ? nullptr : it->second;
 }
-
-void Kernel::UnbindPath(const std::string& path) { name_registry_.erase(path); }
 
 }  // namespace dipc::os

@@ -82,7 +82,6 @@ class Kernel {
   // can only kill themselves by returning from their body.
   void KillThread(Thread& t);
 
-  Thread* running_on(hw::CpuId cpu) const { return cpus_[cpu].running; }
   uint64_t context_switches() const { return context_switches_; }
   // Direct switches (HandoffTo), ever; mirrored in "os/sched/handoffs".
   uint64_t handoffs() const { return handoffs_; }
@@ -192,7 +191,6 @@ class Kernel {
   // bare-metal path; the OLTP macro model sets ~1 us for the Linux-IPC
   // configuration.
   void set_wake_latency(sim::Duration d) { wake_latency_ = d; }
-  sim::Duration wake_latency() const { return wake_latency_; }
 
   // L4-style direct handoff: the caller blocks (it must already be parked on
   // a wait structure) and `target` is dispatched immediately on this CPU,
@@ -278,7 +276,6 @@ class Kernel {
   // resolution, §6.2.1) ----
   base::Status BindPath(const std::string& path, std::shared_ptr<KernelObject> obj);
   std::shared_ptr<KernelObject> LookupPath(const std::string& path) const;
-  void UnbindPath(const std::string& path);
 
   // ---- Simulation driving ----
   void Run() { machine_.events().RunUntilIdle(); }

@@ -47,8 +47,6 @@ class FdTable {
     return table_.erase(fd) == 1 ? base::Status::Ok() : base::ErrorCode::kBadHandle;
   }
 
-  size_t open_count() const { return table_.size(); }
-
  private:
   std::unordered_map<Fd, std::shared_ptr<KernelObject>> table_;
   Fd next_fd_ = 3;  // 0..2 notionally reserved for stdio

@@ -4,7 +4,6 @@
 #define DIPC_OS_PIPE_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "base/result.h"
 #include "os/kernel.h"
@@ -44,27 +43,6 @@ class Pipe {
   bool write_closed_ = false;
   WaitQueue readers_;
   WaitQueue writers_;
-};
-
-// fd-table wrappers.
-class PipeReadEnd : public KernelObject {
- public:
-  explicit PipeReadEnd(std::shared_ptr<Pipe> p) : pipe_(std::move(p)) {}
-  std::string_view type_name() const override { return "pipe[read]"; }
-  Pipe& pipe() { return *pipe_; }
-
- private:
-  std::shared_ptr<Pipe> pipe_;
-};
-
-class PipeWriteEnd : public KernelObject {
- public:
-  explicit PipeWriteEnd(std::shared_ptr<Pipe> p) : pipe_(std::move(p)) {}
-  std::string_view type_name() const override { return "pipe[write]"; }
-  Pipe& pipe() { return *pipe_; }
-
- private:
-  std::shared_ptr<Pipe> pipe_;
 };
 
 }  // namespace dipc::os

@@ -78,8 +78,6 @@ class UnixStreamEnd : public KernelObject {
 
   void Close();
 
-  uint64_t rx_fill() const { return core_->dirs_[1 - side_].fill; }
-
  private:
   UnixStreamCore::Direction& tx() { return core_->dirs_[side_]; }
   UnixStreamCore::Direction& rx() { return core_->dirs_[1 - side_]; }

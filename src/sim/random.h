@@ -50,15 +50,6 @@ class Rng {
     return -mean * std::log(1.0 - u);
   }
 
-  // Bounded Pareto-ish heavy tail used for request size/service variation.
-  double HeavyTail(double min, double max, double alpha = 1.5) {
-    DIPC_CHECK(min > 0 && max > min && alpha > 0);
-    double u = NextDouble();
-    double ha = std::pow(min / max, alpha);
-    double x = min / std::pow(1.0 - u * (1.0 - ha), 1.0 / alpha);
-    return x;
-  }
-
  private:
   uint64_t state_;
 };

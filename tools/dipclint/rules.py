@@ -9,11 +9,10 @@ Rules (see README "Static analysis" for the catalog):
                    every path (flow walk over the statement tree); a
                    failed send consumes its buffer only when the plane is
                    broken
-  FUTEX-PREDICATE  FutexBlock[Until] must receive a real still-blocked
+  FUTEX-PREDICATE  FutexBlockUntil must receive a real still-blocked
                    predicate
   DEADLINE-THREAD  public blocking channel/fabric/semaphore APIs must
-                   accept an os::Deadline (and nobody calls the untimed
-                   FutexBlock outside its home header)
+                   accept an os::Deadline
   PROBE-MANIFEST   DIPC_FAULT_POINT idents must exist in probes.def; raw
                    Injector.Probe calls are reserved to src/fault/
   METRIC-SCHEMA    registered metric names must be derivable from
@@ -442,7 +441,7 @@ def rule_cap_leak(fm: FileModel, ctx: RepoContext) -> list[Finding]:
 
 # ---- FUTEX-PREDICATE ------------------------------------------------------
 
-_FUTEX_ARITY = {"FutexBlock": 3, "FutexBlockUntil": 4}
+_FUTEX_ARITY = {"FutexBlockUntil": 4}
 
 
 def rule_futex_predicate(fm: FileModel, ctx: RepoContext) -> list[Finding]:
@@ -532,17 +531,6 @@ def rule_deadline_thread(fm: FileModel, ctx: RepoContext) -> list[Finding]:
         if key not in seen:
             seen.add(key)
             check(f.name, f.line, f.lead, f.params, f.lead_line)
-
-    # Nobody outside the futex header may park without a deadline path.
-    if fm.path != "src/chan/futex.h":
-        toks = fm.code
-        for i, t in enumerate(toks):
-            if t.kind == IDENT and t.text == "FutexBlock" and \
-                    i + 1 < len(toks) and toks[i + 1].text == "(":
-                out.append(Finding(
-                    "DEADLINE-THREAD", fm.path, t.line,
-                    "untimed FutexBlock call; use FutexBlockUntil and thread "
-                    "the caller's os::Deadline through"))
     return out
 
 
