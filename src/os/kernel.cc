@@ -86,9 +86,14 @@ void Kernel::KillThread(Thread& t) {
 
 // ---- Awaitables ----
 
-void Kernel::SpendAwaiter::await_suspend(std::coroutine_handle<> h) {
+bool Kernel::SpendAwaiter::await_suspend(std::coroutine_handle<> h) {
   // The CPU stays assigned to the thread; we just advance virtual time.
-  kernel->machine_.events().ScheduleAfter(d, [h] { h.resume(); });
+  sim::EventQueue& events = kernel->machine_.events();
+  if (events.AdvanceInPlace(d)) {
+    return false;
+  }
+  events.ScheduleAfter(d, [h] { h.resume(); });
+  return true;
 }
 
 void Kernel::BlockAwaiter::await_suspend(std::coroutine_handle<> h) {

@@ -93,12 +93,19 @@ class Kernel {
 
   // Charges `d` to `cat` (and to the thread's current process) and advances
   // virtual time by suspending until now+d. Zero durations don't suspend.
+  // When no other event is due at or before now+d inside the running
+  // horizon, the thread does not suspend either: the event queue advances
+  // now() and counts the resume as fired (sim::EventQueue::AdvanceInPlace),
+  // and the thread goes on inside the event it was resumed by. Every
+  // simulated result is the same as a suspend's, because every resume of a
+  // thread (the three resume lambdas in kernel.cc and ResumeThread) is the
+  // last action of its event.
   struct SpendAwaiter {
     Kernel* kernel;
     Thread* thread;
     sim::Duration d;
     bool await_ready() const { return d <= sim::Duration::Zero(); }
-    void await_suspend(std::coroutine_handle<> h);
+    bool await_suspend(std::coroutine_handle<> h);
     void await_resume() {}
   };
   SpendAwaiter Spend(Thread& t, sim::Duration d, TimeCat cat) {

@@ -26,56 +26,65 @@ bool EventQueue::Cancel(EventId id) {
   return true;
 }
 
-bool EventQueue::RunOne() {
-  while (!heap_.empty()) {
-    const Entry top = heap_.top();
-    heap_.pop();
-    if (!Live(top.id)) {
-      continue;  // cancelled
-    }
-    const auto index = static_cast<uint32_t>(top.id);
-    Slot& s = *slots_[index];
-    // Dead before it runs: a Cancel of its own id finds nothing, pending()
-    // no longer counts it, and no event scheduled meanwhile takes the slot.
-    void (*run)(void*, bool) = std::exchange(s.run, nullptr);
-    --live_count_;
-    DIPC_CHECK(top.at >= now_);
-    now_ = top.at;
-    ++fired_count_;
-    run(s.buf, /*invoke=*/true);
-    Retire(index);
-    return true;
+const EventQueue::Entry* EventQueue::NextLive() {
+  while (!heap_.empty() && !Live(heap_.top().id)) {
+    heap_.pop();  // cancelled
   }
-  return false;
+  return heap_.empty() ? nullptr : &heap_.top();
 }
 
-uint64_t EventQueue::RunUntilIdle(uint64_t max_events) {
-  uint64_t n = 0;
-  while (n < max_events && RunOne()) {
-    ++n;
+bool EventQueue::AdvanceInPlace(Duration d) {
+  const Time at = now_ + d;
+  if (at > horizon_) {
+    return false;
   }
-  return n;
+  const Entry* next = NextLive();
+  if (next != nullptr && next->at <= at) {
+    return false;
+  }
+  now_ = at;
+  ++fired_count_;
+  return true;
+}
+
+bool EventQueue::RunNext(Time horizon) {
+  const Entry* next = NextLive();
+  if (next == nullptr || next->at > horizon) {
+    return false;
+  }
+  const Entry top = *next;
+  heap_.pop();
+  const auto index = static_cast<uint32_t>(top.id);
+  Slot& s = *slots_[index];
+  // Dead before it runs: a Cancel of its own id finds nothing, pending()
+  // no longer counts it, and no event scheduled meanwhile takes the slot.
+  void (*run)(void*, bool) = std::exchange(s.run, nullptr);
+  --live_count_;
+  DIPC_CHECK(top.at >= now_);
+  now_ = top.at;
+  ++fired_count_;
+  const Time outer = std::exchange(horizon_, horizon);
+  run(s.buf, /*invoke=*/true);
+  horizon_ = outer;
+  Retire(index);
+  return true;
+}
+
+uint64_t EventQueue::RunUntilIdle() {
+  const uint64_t before = fired_count_;
+  while (RunOne()) {
+  }
+  return fired_count_ - before;
 }
 
 uint64_t EventQueue::RunUntil(Time deadline) {
-  uint64_t n = 0;
-  while (!heap_.empty()) {
-    // Peek past tombstones to find the next live event time.
-    const Entry& top = heap_.top();
-    if (!Live(top.id)) {
-      heap_.pop();
-      continue;
-    }
-    if (top.at > deadline) {
-      break;
-    }
-    RunOne();
-    ++n;
+  const uint64_t before = fired_count_;
+  while (RunNext(deadline)) {
   }
   if (now_ < deadline) {
     now_ = deadline;
   }
-  return n;
+  return fired_count_ - before;
 }
 
 }  // namespace dipc::sim

@@ -9,6 +9,15 @@
 // nothing. An EventId names a slot and the slot's generation, which
 // advances when the event fires or is cancelled: an old id never matches
 // the slot's next event.
+//
+// The commonest event is a running thread's own resume after it spends
+// time (os::Kernel::Spend). When nothing else is due first, AdvanceInPlace
+// fires it without the heap: now() moves on, the event counts as fired,
+// and the thread goes on inside the event that was already running. That
+// is exact because every coroutine resume in src/ is the last action of its
+// event callback (the three resume lambdas in os/kernel.cc and
+// Kernel::ResumeThread): nothing the callback does after the resume could
+// then run at the later now(). A new resume site must keep that so.
 #ifndef DIPC_SIM_EVENT_QUEUE_H_
 #define DIPC_SIM_EVENT_QUEUE_H_
 
@@ -57,18 +66,29 @@ class EventQueue {
   // Cancels a pending event. Returns false if it already fired or was cancelled.
   bool Cancel(EventId id);
 
-  // Runs the earliest pending event; returns false if the queue is empty.
-  bool RunOne();
+  // The running event's own resume `d` from now, fired in place when it
+  // would fire next: no live event is due at or before now() + d (a tie
+  // goes through the heap, which fires it second), and now() + d lies
+  // inside the running horizon (RunUntil's deadline; none under RunOne and
+  // RunUntilIdle). Then advances now() by `d`, counts one event fired and
+  // returns true, and the caller goes on as the resumed code. Returns
+  // false, changing nothing, otherwise and outside a run.
+  bool AdvanceInPlace(Duration d);
 
-  // Runs events until the queue drains or `max_events` fire. Returns the count.
-  uint64_t RunUntilIdle(uint64_t max_events = UINT64_MAX);
+  // Runs the earliest pending event, and with it every advance it makes in
+  // place; returns false if the queue is empty.
+  bool RunOne() { return RunNext(Time::Max()); }
+
+  // Runs events until the queue drains. Returns the count fired.
+  uint64_t RunUntilIdle();
 
   // Runs events with firing time <= `deadline`; advances now() to `deadline`
-  // even if the queue drains earlier.
+  // even if the queue drains earlier. Returns the count fired.
   uint64_t RunUntil(Time deadline);
 
   bool empty() const { return live_count_ == 0; }
   uint64_t pending() const { return live_count_; }
+  // Every event fired, in place or through the heap.
   uint64_t total_fired() const { return fired_count_; }
 
  private:
@@ -93,6 +113,13 @@ class EventQueue {
     uint32_t gen = 1;  // wraps to 0 when spent: the slot is then retired
   };
 
+  // Runs the earliest live event if it is due at or before `horizon`, which
+  // also bounds the advances it makes in place.
+  bool RunNext(Time horizon);
+  // The earliest live entry, after popping the cancelled ones above it;
+  // null when no event is pending.
+  const Entry* NextLive();
+
   // True while the event `id` names has neither fired nor been cancelled.
   bool Live(EventId id) const {
     const auto index = static_cast<uint32_t>(id);
@@ -112,6 +139,9 @@ class EventQueue {
   std::vector<std::unique_ptr<Slot>> slots_;  // a slot stays put while others are added
   std::vector<uint32_t> free_;  // reusable slot indices
   Time now_;
+  // The latest instant AdvanceInPlace may reach; before time zero while no
+  // event runs.
+  Time horizon_ = Time::FromPicos(-1);
   uint64_t next_seq_ = 1;
   uint64_t live_count_ = 0;
   uint64_t fired_count_ = 0;

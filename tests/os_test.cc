@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codoms/codoms.h"
@@ -554,6 +555,126 @@ TEST_F(OsTest, SpinHoldsTheCpuBillsUserTimeAndCostsOneEvent) {
   // time, and its process's CPU time.
   EXPECT_EQ(kernel_.accounting().cpu(0)[TimeCat::kUser], kernel_.spun());
   EXPECT_EQ(p.cpu_time(), kernel_.spun());
+}
+
+// ---- A Spend resumed in place (sim::EventQueue::AdvanceInPlace) ----
+//
+// A Spend whose resume would fire next goes on inside the running event.
+// Every order and instant must stay what the heap gives.
+
+// A thread that records its start and then spends 100 ns five times,
+// recording the time after each.
+ThreadBody SpendsFiveTimes(std::vector<sim::Time>* stamps) {
+  return [stamps](Env env) -> sim::Task<void> {
+    stamps->push_back(env.kernel->now());
+    for (int i = 0; i < 5; ++i) {
+      co_await env.kernel->Spend(*env.self, Duration::Nanos(100), TimeCat::kUser);
+      stamps->push_back(env.kernel->now());
+    }
+  };
+}
+
+TEST_F(OsTest, SpendDueWithAPendingEventResumesAfterIt) {
+  Process& p = kernel_.CreateProcess("p");
+  sim::EventQueue& events = machine_.events();
+  std::vector<std::string> order;
+  sim::Time event_at;
+  sim::Time resumed_at;
+  kernel_.Spawn(
+      p, "t",
+      [&](Env env) -> sim::Task<void> {
+        events.ScheduleAfter(Duration::Nanos(100), [&] {
+          order.push_back("event");
+          event_at = events.now();
+        });
+        co_await env.kernel->Spend(*env.self, Duration::Nanos(100), TimeCat::kUser);
+        order.push_back("thread");
+        resumed_at = env.kernel->now();
+      },
+      /*pin_cpu=*/0);
+  kernel_.Run();
+  EXPECT_EQ(order, (std::vector<std::string>{"event", "thread"}));
+  EXPECT_EQ(resumed_at, event_at);
+}
+
+TEST_F(OsTest, NoSpendResumesPastTheRunUntilDeadlineInPlace) {
+  Process& p = kernel_.CreateProcess("p");
+  std::vector<sim::Time> stamps;
+  kernel_.Spawn(p, "t", SpendsFiveTimes(&stamps), /*pin_cpu=*/0);
+  // 1 ns steps until the thread starts: its first resume lies past the
+  // step's deadline, so it waits in the heap.
+  while (stamps.empty()) {
+    kernel_.RunFor(Duration::Nanos(1));
+  }
+  const sim::Time t0 = stamps[0];
+  // A resume due at the deadline itself runs in place; the next one, due
+  // past it, does not.
+  machine_.events().RunUntil(t0 + Duration::Nanos(200));
+  EXPECT_EQ(stamps, (std::vector<sim::Time>{t0, t0 + Duration::Nanos(100),
+                                            t0 + Duration::Nanos(200)}));
+  EXPECT_EQ(kernel_.now(), t0 + Duration::Nanos(200));
+  EXPECT_EQ(machine_.events().pending(), 1u);
+  kernel_.Run();
+  ASSERT_EQ(stamps.size(), 6u);
+  EXPECT_EQ(stamps[5], t0 + Duration::Nanos(500));
+}
+
+TEST_F(OsTest, ThreadWhoseSpendsNothingOvertakesFinishesInsideOneRunOne) {
+  Process& p = kernel_.CreateProcess("p");
+  sim::EventQueue& events = machine_.events();
+  std::vector<sim::Time> stamps;
+  Thread& t = kernel_.Spawn(p, "t", SpendsFiveTimes(&stamps), /*pin_cpu=*/0);
+  ASSERT_TRUE(events.RunOne());  // the dispatch
+  EXPECT_TRUE(stamps.empty());
+  ASSERT_TRUE(events.RunOne());  // the start, and the five resumes in place
+  EXPECT_EQ(t.state(), ThreadState::kDead);
+  EXPECT_TRUE(events.empty());
+  ASSERT_EQ(stamps.size(), 6u);
+  EXPECT_EQ(stamps[5], stamps[0] + Duration::Nanos(500));
+}
+
+TEST_F(OsTest, TotalFiredCountsResumesMadeInPlace) {
+  Process& p = kernel_.CreateProcess("p");
+  sim::EventQueue& events = machine_.events();
+  std::vector<sim::Time> stamps;
+  kernel_.Spawn(p, "t", SpendsFiveTimes(&stamps), /*pin_cpu=*/0);
+  ASSERT_TRUE(events.RunOne());
+  ASSERT_TRUE(events.RunOne());
+  ASSERT_EQ(stamps.size(), 6u);
+  // The dispatch, the start and the five resumes, as if each had gone
+  // through the heap.
+  EXPECT_EQ(events.total_fired(), 7u);
+}
+
+TEST_F(OsTest, SpendsOfTwoThreadsOnTwoCpusInterleaveInTimeThenSchedulingOrder) {
+  Process& p = kernel_.CreateProcess("p");
+  std::vector<std::pair<char, double>> seen;  // (thread, ns since A's start)
+  sim::Time t0;
+  auto body = [&](char name, std::vector<double> spends) {
+    return [&, name, spends](Env env) -> sim::Task<void> {
+      if (name == 'A') {
+        t0 = env.kernel->now();
+      }
+      seen.emplace_back(name, (env.kernel->now() - t0).nanos());
+      for (double ns : spends) {
+        co_await env.kernel->Spend(*env.self, Duration::Nanos(ns), TimeCat::kUser);
+        seen.emplace_back(name, (env.kernel->now() - t0).nanos());
+      }
+    };
+  };
+  kernel_.Spawn(p, "A", body('A', {10, 10, 10, 100}), /*pin_cpu=*/0);
+  kernel_.Spawn(p, "B", body('B', {25, 5, 70}), /*pin_cpu=*/1);
+  kernel_.Run();
+  // Both start at one instant, A first. A's resume at 20 is due before B's
+  // at 25 and runs in place. At 30 both resumes are due: A's, scheduled
+  // first, runs first. B's resume at 100 is due before A's at 130 and runs
+  // in place.
+  const std::vector<std::pair<char, double>> want = {
+      {'A', 0},  {'B', 0},  {'A', 10}, {'A', 20},  {'B', 25},
+      {'A', 30}, {'B', 30}, {'B', 100}, {'A', 130}};
+  EXPECT_EQ(seen, want);
+  // Two dispatches, two starts and seven resumes.
+  EXPECT_EQ(machine_.events().total_fired(), 11u);
 }
 
 // ---- Wake-and-park (DeferredWake: FUTEX_SWAP on the semaphore) ----

@@ -209,6 +209,34 @@ TEST(EventQueue, RunUntilStepsPastACancelledHead) {
   EXPECT_EQ(q.now().nanos(), 30.0);
 }
 
+TEST(EventQueue, AdvancesInPlaceOnlyInsideARunAndAheadOfEveryLiveEvent) {
+  EventQueue q;
+  EXPECT_FALSE(q.AdvanceInPlace(Duration::Nanos(5)));  // no event runs
+  EXPECT_EQ(q.now(), Time::Zero());
+  std::vector<bool> advanced;
+  std::vector<double> at;
+  auto try_advances = [&](std::vector<double> steps) {
+    for (double ns : steps) {
+      advanced.push_back(q.AdvanceInPlace(Duration::Nanos(ns)));
+    }
+    at.push_back(q.now().nanos());
+  };
+  q.ScheduleAt(Time::Zero() + Duration::Nanos(20), [] {});
+  q.ScheduleAt(Time::Zero() + Duration::Nanos(10), [&] { try_advances({5}); });
+  // RunUntil's deadline bounds the advance: 15 lies past 14.
+  EXPECT_EQ(q.RunUntil(Time::Zero() + Duration::Nanos(14)), 1u);
+  EXPECT_EQ(advanced, (std::vector<bool>{false}));
+  // Under RunUntilIdle only live events bound it: the cancelled one at 17
+  // overtakes nothing, 18 lies ahead of 20, and 20 ties with it.
+  ASSERT_TRUE(q.Cancel(q.ScheduleAt(Time::Zero() + Duration::Nanos(17), [] {})));
+  q.ScheduleAt(Time::Zero() + Duration::Nanos(16), [&] { try_advances({2, 2, 5}); });
+  EXPECT_EQ(q.RunUntilIdle(), 3u);  // two events and one advance in place
+  EXPECT_EQ(advanced, (std::vector<bool>{false, true, false, false}));
+  EXPECT_EQ(at, (std::vector<double>{10.0, 18.0}));
+  EXPECT_EQ(q.total_fired(), 4u);
+  EXPECT_FALSE(q.AdvanceInPlace(Duration::Nanos(5)));  // no event runs
+}
+
 // --- Task / coroutine tests ---
 
 Task<int> ReturnsValue() { co_return 42; }
