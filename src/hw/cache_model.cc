@@ -1,5 +1,6 @@
 #include "hw/cache_model.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/check.h"
@@ -12,58 +13,41 @@ TagArray::TagArray(uint64_t size_bytes, uint32_t ways, uint64_t line_size) : way
   DIPC_CHECK(sets > 0);
   DIPC_CHECK(std::has_single_bit(sets));
   set_mask_ = sets - 1;
-  slots_.resize(sets * ways_);
+  tags_.assign(sets * ways_, kInvalid);
 }
 
 bool TagArray::Touch(uint64_t line_addr) {
-  uint64_t set = line_addr & set_mask_;
-  Way* base = &slots_[set * ways_];
-  ++clock_;
-  Way* victim = base;
+  // One pass from the front: each way takes the tag before it, until the
+  // line's own way does (a hit) or the last tag falls off the end (a miss).
+  uint64_t* set = Set(line_addr);
+  uint64_t carry = line_addr;
   for (uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].tag == line_addr) {
-      base[w].lru = clock_;
-      ++hits_;
+    const uint64_t tag = set[w];
+    set[w] = carry;
+    if (tag == line_addr) {
       return true;
     }
-    if (base[w].lru < victim->lru) {
-      victim = &base[w];
-    }
+    carry = tag;
   }
-  victim->tag = line_addr;
-  victim->lru = clock_;
-  ++misses_;
   return false;
 }
 
 bool TagArray::Contains(uint64_t line_addr) const {
-  uint64_t set = line_addr & set_mask_;
-  const Way* base = &slots_[set * ways_];
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].tag == line_addr) {
-      return true;
-    }
-  }
-  return false;
+  const uint64_t* set = &tags_[(line_addr & set_mask_) * ways_];
+  return std::find(set, set + ways_, line_addr) != set + ways_;
 }
 
 void TagArray::Invalidate(uint64_t line_addr) {
-  uint64_t set = line_addr & set_mask_;
-  Way* base = &slots_[set * ways_];
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].tag == line_addr) {
-      base[w].tag = UINT64_MAX;
-      base[w].lru = 0;
-    }
+  uint64_t* set = Set(line_addr);
+  uint64_t* const end = set + ways_;
+  uint64_t* const at = std::find(set, end, line_addr);
+  if (at != end) {
+    std::copy(at + 1, end, at);
+    end[-1] = kInvalid;
   }
 }
 
-void TagArray::InvalidateAll() {
-  for (Way& w : slots_) {
-    w.tag = UINT64_MAX;
-    w.lru = 0;
-  }
-}
+void TagArray::InvalidateAll() { std::fill(tags_.begin(), tags_.end(), kInvalid); }
 
 namespace {
 // E3-1220 V2-like geometry: 32 KB 8-way L1D, 256 KB 8-way L2, 8 MB 16-way L3.
@@ -92,25 +76,27 @@ sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool i
   uint64_t first = addr / kCacheLineSize;
   uint64_t last = (addr + size - 1) / kCacheLineSize;
   PrivateLevels& priv = per_cpu_[cpu];
+  uint32_t* owners = OwnerPage(first);
   for (uint64_t line = first; line <= last; ++line) {
-    // Cross-CPU transfer: another core wrote this line since we last held it.
-    uint32_t& owner = DirtyOwner(line);
-    bool remote_dirty = owner != cpu + 1 && owner != 0;
-    if (remote_dirty) {
-      priv.l1.Invalidate(line);
-      priv.l2.Invalidate(line);
+    if ((line & kOwnerPageMask) == 0) {
+      owners = OwnerPage(line);
     }
-    if (priv.l1.Touch(line)) {
-      total += costs_.l1_hit;
-      ++stats_.l1_hits;
-    } else if (priv.l2.Touch(line)) {
-      total += costs_.l2_hit;
-      ++stats_.l2_hits;
-      priv.l1.Touch(line);  // fill upward
-    } else if (remote_dirty) {
+    uint32_t& owner = owners[line & kOwnerPageMask];
+    // Cross-CPU transfer: another core wrote this line since we last held
+    // it. Our copies are stale; the fresh one lands in front of every level.
+    const bool remote_dirty = owner != cpu + 1 && owner != 0;
+    if (remote_dirty) {
+      priv.l1.Touch(line);
+      priv.l2.Touch(line);
+      l3_.Touch(line);
       total += costs_.remote_transfer;
       ++stats_.remote_transfers;
-      l3_.Touch(line);
+    } else if (priv.l1.Touch(line)) {
+      total += costs_.l1_hit;
+      ++stats_.l1_hits;
+    } else if (priv.l2.Touch(line)) {  // the L1 miss filled L1 already
+      total += costs_.l2_hit;
+      ++stats_.l2_hits;
     } else if (l3_.Touch(line)) {
       total += costs_.l3_hit;
       ++stats_.l3_hits;
@@ -127,7 +113,7 @@ sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool i
   return total;
 }
 
-uint32_t& CacheModel::DirtyOwner(uint64_t line) {
+uint32_t* CacheModel::OwnerPage(uint64_t line) {
   const uint64_t page = line >> kOwnerPageBits;
   if (page >= dirty_owner_.size()) {
     dirty_owner_.resize(page + 1);
@@ -135,7 +121,7 @@ uint32_t& CacheModel::DirtyOwner(uint64_t line) {
   if (dirty_owner_[page] == nullptr) {
     dirty_owner_[page] = std::make_unique<uint32_t[]>(size_t{1} << kOwnerPageBits);
   }
-  return dirty_owner_[page][line & ((uint64_t{1} << kOwnerPageBits) - 1)];
+  return dirty_owner_[page].get();
 }
 
 void CacheModel::FlushPrivate(CpuId cpu) {

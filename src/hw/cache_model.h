@@ -26,7 +26,11 @@
 
 namespace dipc::hw {
 
-// One set-associative tag array with LRU replacement.
+// One set-associative tag array with LRU replacement. Each set keeps its
+// tags in recency order, most recent first, with the invalid ways last: a
+// hit moves its tag to the front, and a miss drops the last way (an invalid
+// one while any is left, else the least recently used) and puts the new tag
+// in front. 8 B per way, and no clock.
 class TagArray {
  public:
   TagArray(uint64_t size_bytes, uint32_t ways, uint64_t line_size = kCacheLineSize);
@@ -38,21 +42,14 @@ class TagArray {
   void Invalidate(uint64_t line_addr);
   void InvalidateAll();
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
  private:
-  struct Way {
-    uint64_t tag = UINT64_MAX;
-    uint64_t lru = 0;
-  };
+  static constexpr uint64_t kInvalid = UINT64_MAX;
+
+  uint64_t* Set(uint64_t line_addr) { return &tags_[(line_addr & set_mask_) * ways_]; }
 
   uint64_t set_mask_;  // sets - 1; every geometry has a power-of-two set count
   uint32_t ways_;
-  std::vector<Way> slots_;  // sets * ways_
-  uint64_t clock_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
+  std::vector<uint64_t> tags_;  // sets * ways_, each set most recent first
 };
 
 struct CacheStats {
@@ -91,7 +88,9 @@ class CacheModel {
   // dense, so the table is indexed directly, in pages of 4096 lines that
   // appear on first touch.
   static constexpr unsigned kOwnerPageBits = 12;
-  uint32_t& DirtyOwner(uint64_t line);
+  static constexpr uint64_t kOwnerPageMask = (uint64_t{1} << kOwnerPageBits) - 1;
+  // The owner entries of the page holding `line`, indexed by its low bits.
+  uint32_t* OwnerPage(uint64_t line);
   std::vector<std::unique_ptr<uint32_t[]>> dirty_owner_;
   CacheStats stats_;
 };

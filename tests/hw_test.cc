@@ -1,7 +1,9 @@
 // Unit tests for the machine model: caches, TLB, physical memory, page tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "hw/cache_model.h"
 #include "hw/cost_model.h"
@@ -9,6 +11,7 @@
 #include "hw/page_table.h"
 #include "hw/phys_mem.h"
 #include "hw/tlb_model.h"
+#include "sim/random.h"
 
 namespace dipc::hw {
 namespace {
@@ -44,6 +47,109 @@ TEST(TagArray, InvalidateAll) {
   t.InvalidateAll();
   EXPECT_FALSE(t.Contains(1));
   EXPECT_FALSE(t.Contains(2));
+}
+
+// The clock-LRU TagArray this model had before its sets kept recency
+// order, kept as the reference the current one must match call for call:
+// every touch stamps its way with a 64-bit clock, and a miss evicts the way
+// with the smallest stamp (an invalid way's is 0).
+class ClockLruTagArray {
+ public:
+  ClockLruTagArray(uint64_t size_bytes, uint32_t ways, uint64_t line_size)
+      : set_mask_(size_bytes / line_size / ways - 1), ways_(ways), slots_(size_bytes / line_size) {}
+
+  bool Touch(uint64_t line) {
+    Way* base = &slots_[(line & set_mask_) * ways_];
+    ++clock_;
+    Way* victim = base;
+    for (uint32_t w = 0; w < ways_; ++w) {
+      if (base[w].tag == line) {
+        base[w].lru = clock_;
+        return true;
+      }
+      if (base[w].lru < victim->lru) {
+        victim = &base[w];
+      }
+    }
+    victim->tag = line;
+    victim->lru = clock_;
+    return false;
+  }
+  bool Contains(uint64_t line) const {
+    const Way* base = &slots_[(line & set_mask_) * ways_];
+    for (uint32_t w = 0; w < ways_; ++w) {
+      if (base[w].tag == line) {
+        return true;
+      }
+    }
+    return false;
+  }
+  void Invalidate(uint64_t line) {
+    Way* base = &slots_[(line & set_mask_) * ways_];
+    for (uint32_t w = 0; w < ways_; ++w) {
+      if (base[w].tag == line) {
+        base[w] = Way{};
+      }
+    }
+  }
+  void InvalidateAll() { std::fill(slots_.begin(), slots_.end(), Way{}); }
+
+ private:
+  struct Way {
+    uint64_t tag = UINT64_MAX;
+    uint64_t lru = 0;
+  };
+  uint64_t set_mask_;
+  uint32_t ways_;
+  std::vector<Way> slots_;
+  uint64_t clock_ = 0;
+};
+
+TEST(TagArray, MatchesTheClockLruReferenceCallForCall) {
+  struct Geometry {
+    const char* name;
+    uint64_t size;
+    uint32_t ways;
+    uint64_t line;
+  };
+  // The cache model's three levels and the TLB's two.
+  const Geometry geometries[] = {{"L1", 32 * 1024, 8, kCacheLineSize},
+                                 {"L2", 256 * 1024, 8, kCacheLineSize},
+                                 {"L3", 8 * 1024 * 1024, 16, kCacheLineSize},
+                                 {"L1 TLB", 64 * kPageSize, 4, kPageSize},
+                                 {"L2 TLB", 1536 * kPageSize, 6, kPageSize}};
+  for (const Geometry& g : geometries) {
+    SCOPED_TRACE(g.name);
+    TagArray tags(g.size, g.ways, g.line);
+    ClockLruTagArray ref(g.size, g.ways, g.line);
+    const uint64_t sets = g.size / g.line / g.ways;
+    // Half the keys crowd four sets with twice their ways; the rest spread
+    // over twice the array's capacity.
+    auto crowded = [&](uint64_t set, uint64_t k) { return set + sets * k; };
+    sim::Rng rng(20);
+    for (int i = 0; i < 40000; ++i) {
+      const uint64_t key = rng.Chance(0.5)
+                               ? crowded(rng.UniformInt(0, 3), rng.UniformInt(0, 2 * g.ways - 1))
+                               : rng.UniformInt(0, 2 * sets * g.ways - 1);
+      const double op = rng.NextDouble();
+      if (op < 0.7) {
+        ASSERT_EQ(tags.Touch(key), ref.Touch(key)) << "call " << i << ": Touch(" << key << ")";
+      } else if (op < 0.85) {
+        ASSERT_EQ(tags.Contains(key), ref.Contains(key)) << "call " << i;
+      } else if (op < 0.9995) {
+        tags.Invalidate(key);
+        ref.Invalidate(key);
+      } else {
+        tags.InvalidateAll();
+        ref.InvalidateAll();
+      }
+    }
+    for (uint64_t set = 0; set < 4; ++set) {
+      for (uint64_t k = 0; k < 2 * g.ways; ++k) {
+        EXPECT_EQ(tags.Contains(crowded(set, k)), ref.Contains(crowded(set, k)));
+      }
+    }
+  }
 }
 
 class CacheModelTest : public ::testing::Test {
