@@ -11,7 +11,11 @@ workload and seed, N pairs, alternating which side runs first, and:
     simulated event (host.window_s / sim.events) and peak RSS;
   - prints how many pairs the second driver won on each metric, and whether
     the median difference exceeds the first driver's interquartile range
-    (the rule a claimed gain must pass).
+    (the rule a claimed gain must pass);
+  - prints the median and quartiles of the per-pair ratio new/base. The
+    host's speed drifts within a session, which widens each side's spread
+    but cancels within a pair, so the ratio shows the change more steadily.
+    It is reported, not ruled on: the claim rule stays the one above.
 
 Usage:
   host_pairs.py BASE_DRIVER NEW_DRIVER --workload W [--seed N] [--pairs N]
@@ -50,6 +54,11 @@ def host_view(raw):
     return {"setup_s": statistics.median(raw["host.setup_s"]),
             "ns_per_event": raw["host.window_s"] * 1e9 / raw["sim.events"],
             "peak_rss_mb": raw["host.peak_rss_kb"] / 1024.0}
+
+
+def pair_ratios(base, new):
+    """Quartiles of the per-pair ratio new/base, paired by index."""
+    return summary([n / b for b, n in zip(base, new)])
 
 
 def compare(base, new):
@@ -117,10 +126,11 @@ def main():
         wins, pct, beyond_iqr = compare(base, new)
         bq = summary(base)
         nq = summary(new)
+        rq = pair_ratios(base, new)
         print("%-12s base %.5g [%.5g, %.5g]  new %.5g [%.5g, %.5g]  median %+.1f%%  "
-              "new wins %d/%d  beyond base IQR: %s"
+              "new wins %d/%d  beyond base IQR: %s  pair ratio %.3f [%.3f, %.3f]"
               % (metric, bq[1], bq[0], bq[2], nq[1], nq[0], nq[2], pct, wins, len(base),
-                 "yes" if beyond_iqr else "no"))
+                 "yes" if beyond_iqr else "no", rq[1], rq[0], rq[2]))
     return 0
 
 
@@ -145,6 +155,14 @@ def self_test():
     # Same medians shifted by less than the base spread: no claim.
     wins, pct, beyond = compare(base, [b - 0.005 for b in base])
     check(wins == 10 and not beyond, "a drop inside the base IQR is not beyond it")
+    # Per-pair ratios 0.5, 1.0, 0.8, 0.9 and 0.6, out of order: quartiles
+    # 0.6, 0.8 and 0.9. A drift that scales both sides of a pair alike
+    # leaves its ratio alone.
+    q1, med, q3 = pair_ratios([2.0, 1.0, 5.0, 10.0, 5.0], [1.0, 1.0, 4.0, 9.0, 3.0])
+    check(abs(q1 - 0.6) < 1e-12 and abs(med - 0.8) < 1e-12 and abs(q3 - 0.9) < 1e-12,
+          "per-pair ratio quartiles (%.3f, %.3f, %.3f)" % (q1, med, q3))
+    check(pair_ratios([1.0, 3.0], [0.5, 1.5]) == (0.5, 0.5, 0.5),
+          "a drift shared within each pair cancels")
     raw = {"host.setup_s": [0.3, 0.1, 0.2], "host.window_s": 2.0, "sim.events": 4000000,
            "host.peak_rss_kb": 2048, "sim.ops": 5}
     check(host_view(raw) == {"setup_s": 0.2, "ns_per_event": 500.0, "peak_rss_mb": 2.0},
