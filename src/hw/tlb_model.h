@@ -22,9 +22,12 @@ class TlbModel {
   // Charges translation cost for the page containing `va` in address space
   // `asid`. Translations are tagged by asid, so a page-table switch does not
   // have to flush (matching PCID-less Linux would flush; we model the flush
-  // explicitly in Flush()).
+  // explicitly in Flush()). The key holds the page number in its low bits,
+  // which pick the set, so consecutive pages of one address space spread
+  // over every set; the asid sits above the 36 page-number bits of a 48-bit
+  // VA.
   sim::Duration Translate(VirtAddr va, uint64_t asid) {
-    uint64_t key = (PageNumber(va) << 16) ^ asid;
+    uint64_t key = PageNumber(va) ^ (asid << 40);
     if (l1_.Touch(key)) {
       return sim::Duration::Zero();
     }

@@ -213,6 +213,21 @@ TEST(TlbModel, AsidsDoNotAlias) {
   EXPECT_EQ(tlb.Translate(0x1000, 2), costs.tlb_walk);
 }
 
+TEST(TlbModel, SixtyFourConsecutivePagesOfOneAsidFitTheL1Tlb) {
+  // 64 entries in 16 sets of 4: one address space's consecutive pages
+  // spread over every set, so a second pass walks no page.
+  CostModel costs;
+  TlbModel tlb(costs);
+  for (int pass = 0; pass < 2; ++pass) {
+    sim::Duration total;
+    for (uint64_t page = 0; page < 64; ++page) {
+      total += tlb.Translate(0x400000 + page * kPageSize, 7);
+    }
+    EXPECT_EQ(total, pass == 0 ? costs.tlb_walk * 64 : sim::Duration::Zero());
+  }
+  EXPECT_EQ(tlb.walks(), 64u);
+}
+
 TEST(TlbModel, FlushDropsTranslations) {
   CostModel costs;
   TlbModel tlb(costs);
