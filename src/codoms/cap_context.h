@@ -46,30 +46,33 @@ class CapRegisters {
 // Domain capability stack: where threads spill capabilities. Bounded by two
 // registers; unprivileged code moves the top via push/pop only, while the
 // *base* is privileged — dIPC proxies raise it to hide the caller's entries
-// (DCS integrity) and restore it on return (§5.2.3).
+// (DCS integrity) and restore it on return (§5.2.3). Only pushed entries are
+// stored (host memory: most threads never push), up to `capacity`.
 class Dcs {
  public:
-  explicit Dcs(uint32_t capacity = 1024) : slots_(capacity) {}
+  explicit Dcs(uint32_t capacity = 1024) : capacity_(capacity) {}
 
   base::Status Push(const Capability& cap) {
-    if (top_ >= slots_.size()) {
+    if (entries_.size() >= capacity_) {
       return base::ErrorCode::kResourceExhausted;
     }
-    slots_[top_++] = cap;
+    entries_.push_back(cap);
     return base::Status::Ok();
   }
 
   base::Result<Capability> Pop() {
-    if (top_ <= base_) {
+    if (top() <= base_) {
       return base::ErrorCode::kPermissionDenied;  // cannot pop below the base
     }
-    return slots_[--top_];
+    Capability cap = entries_.back();
+    entries_.pop_back();
+    return cap;
   }
 
   // Privileged: raise the base to `new_base` (<= top), hiding older entries.
   // Returns the previous base so the proxy can restore it.
   uint64_t SetBase(uint64_t new_base) {
-    DIPC_CHECK(new_base <= top_);
+    DIPC_CHECK(new_base <= top());
     uint64_t old = base_;
     base_ = new_base;
     return old;
@@ -78,13 +81,13 @@ class Dcs {
   void RestoreBase(uint64_t saved) { base_ = saved; }
 
   uint64_t base() const { return base_; }
-  uint64_t top() const { return top_; }
-  uint64_t visible_entries() const { return top_ - base_; }
+  uint64_t top() const { return entries_.size(); }
+  uint64_t visible_entries() const { return top() - base_; }
 
  private:
-  std::vector<Capability> slots_;
+  std::vector<Capability> entries_;
+  uint32_t capacity_;
   uint64_t base_ = 0;
-  uint64_t top_ = 0;
 };
 
 // Everything CODOMs keeps per thread.

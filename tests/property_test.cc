@@ -193,35 +193,54 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueProperty, ::testing::Range<uint64_t>(7
 class DcsProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DcsProperty, BoundsInvariantUnderRandomOps) {
-  codoms::Dcs dcs(64);
+  constexpr uint64_t kCapacity = 64;
+  codoms::Dcs dcs(kCapacity);
   Rng rng(GetParam());
-  codoms::Capability cap;
-  cap.base = 0x1000;
-  cap.size = 64;
-  cap.rights = codoms::Perm::kRead;
+  // A shadow stack of what was pushed: each Pop must return its Push's
+  // capability, whether that entry grew the stack or reused a popped slot.
+  std::vector<codoms::Capability> shadow;
   std::vector<uint64_t> saved_bases;
-  for (int i = 0; i < 500; ++i) {
-    switch (rng.UniformInt(0, 3)) {
-      case 0:
-        (void)dcs.Push(cap);
-        break;
-      case 1:
-        (void)dcs.Pop();
-        break;
-      case 2:
-        saved_bases.push_back(dcs.SetBase(dcs.top()));
-        break;
-      default:
-        if (!saved_bases.empty() && saved_bases.back() <= dcs.top()) {
-          dcs.RestoreBase(saved_bases.back());
-          saved_bases.pop_back();
-        }
-        break;
+  uint64_t pushes = 0;
+  uint64_t exhausted = 0;
+  for (int i = 0; i < 2000; ++i) {
+    // Phases of 128 ops alternate between filling and draining the stack.
+    const uint64_t push_below = (i / 128) % 2 == 0 ? 6 : 2;
+    const uint64_t r = rng.UniformInt(0, 9);
+    if (r < push_below) {
+      codoms::Capability cap;
+      cap.base = 0x1000 + (++pushes) * 64;
+      cap.size = 64;
+      cap.rights = codoms::Perm::kRead;
+      base::Status s = dcs.Push(cap);
+      if (shadow.size() < kCapacity) {
+        ASSERT_TRUE(s.ok());
+        shadow.push_back(cap);
+      } else {
+        ASSERT_EQ(s.code(), ErrorCode::kResourceExhausted);
+        ++exhausted;
+      }
+    } else if (r < 8) {
+      auto popped = dcs.Pop();
+      if (shadow.size() > dcs.base()) {
+        ASSERT_TRUE(popped.ok());
+        ASSERT_EQ(popped.value().base, shadow.back().base);
+        ASSERT_EQ(popped.value().size, shadow.back().size);
+        shadow.pop_back();
+      } else {
+        ASSERT_EQ(popped.code(), ErrorCode::kPermissionDenied);
+      }
+    } else if (r == 8) {
+      saved_bases.push_back(dcs.SetBase(dcs.top()));
+    } else if (!saved_bases.empty() && saved_bases.back() <= dcs.top()) {
+      dcs.RestoreBase(saved_bases.back());
+      saved_bases.pop_back();
     }
     ASSERT_LE(dcs.base(), dcs.top());
-    ASSERT_LE(dcs.top(), 64u);
+    ASSERT_EQ(dcs.top(), shadow.size());
+    ASSERT_LE(dcs.top(), kCapacity);
     ASSERT_EQ(dcs.visible_entries(), dcs.top() - dcs.base());
   }
+  EXPECT_GT(exhausted, 0u);  // the runs reached the bound
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DcsProperty, ::testing::Range<uint64_t>(21, 29));
