@@ -11,8 +11,8 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <unordered_map>
 
 #include "base/result.h"
 #include "hw/types.h"
@@ -34,10 +34,10 @@ struct Pte {
   DomainTag tag = kInvalidDomainTag;
 };
 
-// A (single-level, map-backed) page table. An AddressSpaceId stands in for
-// the CR3 value; dIPC-enabled processes share one page table (§6.1.3).
+// A (single-level, hash-map-backed) page table. An AddressSpaceId stands in
+// for the CR3 value; dIPC-enabled processes share one page table (§6.1.3).
 // Lookups go through a small direct-mapped cache of PTE pointers (host speed
-// only): map nodes never move, UnmapPage drops the page's entry, and a
+// only): hash-map nodes never move, UnmapPage drops the page's entry, and a
 // re-tag writes the PTE the cache points at. Like PhysMem's lazy frames, the
 // cache is filled by const lookups, so a table is used from one host thread
 // at a time (as its simulated machine is).
@@ -75,7 +75,7 @@ class PageTable {
     return c.pte;
   }
 
-  // Off the per-access path (re-tags, tests): walks the map.
+  // Off the per-access path (re-tags, tests): looks in the map.
   Pte* LookupMut(VirtAddr va) {
     auto it = ptes_.find(PageNumber(va));
     return it == ptes_.end() ? nullptr : &it->second;
@@ -102,7 +102,7 @@ class PageTable {
 
   uint64_t mapped_pages() const { return ptes_.size(); }
 
-  // Iteration support (used by fork COW marking and dom_remap ranges).
+  // Iteration, in no fixed order (fork copies every mapping).
   auto begin() const { return ptes_.begin(); }
   auto end() const { return ptes_.end(); }
 
@@ -118,7 +118,7 @@ class PageTable {
   }
 
   Id id_;
-  std::map<uint64_t, Pte> ptes_;  // page number -> PTE, ordered for iteration
+  std::unordered_map<uint64_t, Pte> ptes_;  // page number -> PTE
   mutable std::array<CachedPte, 64> cache_{};
 };
 
