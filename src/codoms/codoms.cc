@@ -179,10 +179,17 @@ base::Result<Capability> Codoms::CapFromApl(hw::CpuId cpu, const hw::PageTable& 
   ++mints_;
   m_mints_->Add();
   // Attribute the mint to the minting domain (the runtime domain for
-  // channels, a proxy domain for dIPC calls).
-  obs::Registry::Default()
-      .GetCounter("domain/" + std::to_string(ctx.current_domain) + "/caps_minted")
-      ->Add();
+  // channels, a proxy domain for dIPC calls). Its counter registers on the
+  // domain's first mint.
+  if (ctx.current_domain >= m_caps_minted_.size()) {
+    m_caps_minted_.resize(ctx.current_domain + 1, nullptr);
+  }
+  obs::Counter*& minted = m_caps_minted_[ctx.current_domain];
+  if (minted == nullptr) {
+    minted = obs::Registry::Default().GetCounter("domain/" + std::to_string(ctx.current_domain) +
+                                                 "/caps_minted");
+  }
+  minted->Add();
   return cap;
 }
 

@@ -133,12 +133,13 @@ class Codoms {
   RevocationTable revocations_;
   std::vector<std::unique_ptr<AplCache>> apl_caches_;
   uint64_t mints_ = 0;
-  // Global capability-churn counters, registered in the ctor ("codoms/...");
-  // mints additionally count into "domain/<tag>/caps_minted" for attribution
-  // (per-mint registry lookup — mints are cold by design, so that's fine).
+  // Global capability-churn counters, registered in the ctor ("codoms/...").
   obs::Counter* m_mints_ = nullptr;
   obs::Counter* m_rebinds_ = nullptr;
   obs::Counter* m_revokes_ = nullptr;
+  // Domain tag -> its "domain/<tag>/caps_minted" counter, where mints also
+  // count for attribution; null until the domain's first mint.
+  std::vector<obs::Counter*> m_caps_minted_;
   // Physical address (32 B aligned) -> stored capability.
   std::unordered_map<hw::PhysAddr, Capability> stored_caps_;
   // Frame -> how many of stored_caps_ lie in it (host speed: a plain write

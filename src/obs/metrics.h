@@ -13,8 +13,9 @@
 //     once at object creation and keep the returned handle pointer.
 //   - The handles themselves are single relaxed atomic ops (Counter::Add is
 //     one fetch_add), cheap enough to leave on the steady-state send path.
-//     Handle pointers are stable for the life of the process (deque-backed
-//     storage; the registry never removes entries).
+//     Handle pointers are stable for the life of the process (each metric
+//     is its own heap object, which the registry's name map owns and never
+//     removes).
 //   - Recording charges no simulated time: a relaxed increment is modeled
 //     as disappearing into the superscalar margin. Trace events are the
 //     costed observability primitive (see obs/trace.h).
