@@ -74,9 +74,17 @@ def compare(base, new):
 
 # ---- Running ----
 
+def launched(cmd):
+    """`cmd` started by a shell that forks it. Linux carries the high-water
+    RSS of a forked process into the ru_maxrss of the program it execs, so a
+    driver exec'd from a fork of this Python process would report this
+    process's peak; forked from the small shell, it reports its own."""
+    return ["/bin/sh", "-c", '"$0" "$@"; exit $?'] + cmd
+
+
 def run_driver(driver, workload, seed, ops):
     cmd = [driver, "--workload", workload, "--seed", str(seed), "--ops", str(ops)]
-    p = subprocess.run(cmd, capture_output=True, text=True)
+    p = subprocess.run(launched(cmd), capture_output=True, text=True)
     if p.returncode != 0:
         print("host_pairs: %s failed (%d): %s" % (driver, p.returncode, p.stderr.strip()[-500:]),
               file=sys.stderr)
@@ -167,6 +175,18 @@ def self_test():
            "host.peak_rss_kb": 2048, "sim.ops": 5}
     check(host_view(raw) == {"setup_s": 0.2, "ns_per_event": 500.0, "peak_rss_mb": 2.0},
           "host view of a driver run")
+    # A child started as run_driver starts a driver reports its own peak RSS,
+    # not this process's: with 64 MB held here, a small Python child reads
+    # well under it (started directly, it reads over 64 MB on Linux).
+    ballast = b"x" * (64 << 20)
+    child = [sys.executable, "-c",
+             "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"]
+    child_kb = int(subprocess.run(launched(child), capture_output=True, text=True,
+                                  check=True).stdout)
+    check(child_kb < len(ballast) / 1024 / 2,
+          "a launched child's peak RSS is its own (%d kB, %d kB held by the parent)"
+          % (child_kb, len(ballast) // 1024))
+    del ballast
     for f in failures:
         print("FAIL: " + f)
     print("host_pairs self-test: %d failure(s)" % len(failures))
