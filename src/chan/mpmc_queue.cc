@@ -105,22 +105,15 @@ base::Status MpmcQueue::AccessSlots(os::Env env, uint64_t pos, std::span<const u
     if (span_n == 0) {
       continue;
     }
-    hw::VirtAddr va = seg_.base + start * kSlotBytes;
-    auto c = k.UserAccessCost(self, va, span_n * kSlotBytes,
-                              writing ? hw::AccessType::kWrite : hw::AccessType::kRead);
+    auto c = k.UserAccessCost(
+        self, seg_.base + start * kSlotBytes, span_n * kSlotBytes,
+        writing ? hw::AccessType::kWrite : hw::AccessType::kRead,
+        writing ? os::UserBytes(std::as_bytes(values.subspan(span_off, span_n)))
+                : os::UserBytes(std::as_writable_bytes(out.subspan(span_off, span_n))));
     if (!c.ok()) {
       return c.status();
     }
     *cost += c.value();
-    if (writing) {
-      base::Status ws =
-          k.UserWrite(self, va, std::as_bytes(values.subspan(span_off, span_n)));
-      DIPC_CHECK(ws.ok());
-    } else {
-      base::Status rs =
-          k.UserRead(self, va, std::as_writable_bytes(out.subspan(span_off, span_n)));
-      DIPC_CHECK(rs.ok());
-    }
   }
   return base::Status::Ok();
 }

@@ -138,8 +138,9 @@ class MpmcQueue {
   // someone is (or is about to be) parked on `q`. With an empty `*defer`, a
   // parked waiter is deferred into it instead.
   sim::Task<void> WakeIfWaiting(os::Env env, os::WaitQueue& q, os::DeferredWake* defer = nullptr);
-  // Copies `n` values between `values` and the ring starting at `pos`,
-  // split at the wrap point; accumulates the (batched) slot access cost.
+  // Copies `n` values between `values` and the ring starting at `pos`, in
+  // one user-access walk on each side of the wrap point; accumulates their
+  // (batched) cost.
   base::Status AccessSlots(os::Env env, uint64_t pos, std::span<const uint64_t> values,
                            std::span<uint64_t> out, sim::Duration* cost);
 

@@ -222,8 +222,9 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
     // request plane: the worker's recv hop unpacks the same opid from it.
     chan::SendBuf sb = buf.value();
     sb.tctx = chan::internal::PackTraceWord(obs::TraceCtx{opid, kHopWorkerRecv, att});
-    DIPC_CHECK(k.UserWrite(*env.self, sb.va, std::as_bytes(std::span(&opid, 1))).ok());
-    (void)co_await k.TouchUser(env, sb.va, req_len, hw::AccessType::kWrite);
+    const base::Status wrote = co_await k.TouchUser(env, sb.va, req_len, hw::AccessType::kWrite,
+                                                    std::as_bytes(std::span(&opid, 1)));
+    DIPC_CHECK(wrote.ok());
     // Shard round-robin; a shard that died under the send is retried on the
     // next live worker (the buffer stays owned until a send succeeds). Give
     // the buffer back when no live worker remains or the deadline fired.
@@ -313,14 +314,14 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
                         HopArg(worker, rctx.hop, rctx.attempt), k.now(), k.now() - t_recv,
                         rctx.opid);
     uint64_t opid = 0;
-    if (!k.UserRead(*env.self, msg.value().va, std::as_writable_bytes(std::span(&opid, 1)))
+    if (!(co_await k.TouchUser(env, msg.value().va, msg.value().len, hw::AccessType::kRead,
+                               std::as_writable_bytes(std::span(&opid, 1))))
              .ok()) {
       // This worker incarnation was killed between Recv handing over the
       // message and the header read: its grants are already swept. The
       // client will time out and retry the opid elsewhere.
       co_return;
     }
-    (void)co_await k.TouchUser(env, msg.value().va, msg.value().len, hw::AccessType::kRead);
     const sim::Time t_handler = k.now();
     co_await handler(env, msg.value());
     obs::Trace().Record(env.self->last_cpu(), obs::EventType::kHandler, obs_id_,
@@ -337,10 +338,11 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
     chan::SendBuf rb = buf.value();
     rb.tctx = chan::internal::PackTraceWord(
         obs::TraceCtx{rctx.opid, kHopCompletion, rctx.attempt});
-    if (!k.UserWrite(*env.self, rb.va, std::as_bytes(std::span(&opid, 1))).ok()) {
+    if (!(co_await k.TouchUser(env, rb.va, cfg_.resp_bytes, hw::AccessType::kWrite,
+                               std::as_bytes(std::span(&opid, 1))))
+             .ok()) {
       co_return;  // killed after the acquire; the write grant is gone
     }
-    (void)co_await k.TouchUser(env, rb.va, cfg_.resp_bytes, hw::AccessType::kWrite);
     if (!(co_await resp->Send(env, worker, rb, cfg_.resp_bytes, {}, &wake)).ok()) {
       if (resp->broken() != base::ErrorCode::kOk || !resp->producer_alive(worker)) {
         if (wake) {
@@ -383,13 +385,12 @@ void ServiceFabric::StartDispatcher(uint32_t client) {
                     const obs::TraceCtx cctx =
                         chan::internal::UnpackTraceWord(msg.value().tctx);
                     uint64_t opid = 0;
-                    if (!k.UserRead(*env.self, msg.value().va,
-                                    std::as_writable_bytes(std::span(&opid, 1)))
+                    if (!(co_await k.TouchUser(env, msg.value().va, msg.value().len,
+                                               hw::AccessType::kRead,
+                                               std::as_writable_bytes(std::span(&opid, 1))))
                              .ok()) {
                       co_return;  // client died mid-dispatch; teardown swept us
                     }
-                    (void)co_await k.TouchUser(env, msg.value().va, msg.value().len,
-                                               hw::AccessType::kRead);
                     if (!(co_await resp->Release(env, 0, msg.value())).ok()) {
                       co_return;
                     }

@@ -76,12 +76,16 @@ inline void PhysMem::Write(PhysAddr pa, std::span<const std::byte> data) {
 }
 
 inline void PhysMem::Copy(PhysAddr dst, PhysAddr src, uint64_t size) {
-  std::array<std::byte, 512> buf;
   uint64_t done = 0;
   while (done < size) {
-    uint64_t chunk = std::min<uint64_t>(size - done, buf.size());
-    Read(src + done, std::span(buf.data(), chunk));
-    Write(dst + done, std::span<const std::byte>(buf.data(), chunk));
+    const uint64_t src_off = PageOffset(src + done);
+    const uint64_t dst_off = PageOffset(dst + done);
+    const uint64_t chunk =
+        std::min({size - done, kPageSize - src_off, kPageSize - dst_off});
+    // Frames are separate heap objects, so the first reference survives the
+    // second lookup growing the frame table.
+    Frame& to = FrameFor(dst + done);
+    std::memmove(to.data() + dst_off, FrameFor(src + done).data() + src_off, chunk);
     done += chunk;
   }
 }

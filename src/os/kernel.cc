@@ -407,7 +407,14 @@ void Kernel::OnThreadExit(Thread& t) {
 // ---- User memory ----
 
 base::Result<sim::Duration> Kernel::UserAccessCost(Thread& t, hw::VirtAddr va, uint64_t len,
-                                                   hw::AccessType type) {
+                                                   hw::AccessType type, const UserBytes& bytes) {
+  return WalkUser(t, va, len, type, bytes, /*timed=*/true);
+}
+
+base::Result<sim::Duration> Kernel::WalkUser(Thread& t, hw::VirtAddr va, uint64_t len,
+                                             hw::AccessType type, const UserBytes& bytes,
+                                             bool timed) {
+  DIPC_CHECK(bytes.size <= len);
   if (len == 0) {
     return sim::Duration::Zero();
   }
@@ -418,105 +425,62 @@ base::Result<sim::Duration> Kernel::UserAccessCost(Thread& t, hw::VirtAddr va, u
     return check.code();
   }
   sim::Duration d = check.value();
-  bool is_write = type == hw::AccessType::kWrite;
-  hw::VirtAddr end = va + len;
-  hw::VirtAddr pos = va;
-  while (pos < end) {
-    uint64_t chunk = std::min<uint64_t>(end - pos, hw::kPageSize - hw::PageOffset(pos));
-    d += machine_.cpu(cpu).tlb().Translate(pos, pt.id());
+  const bool is_write = type == hw::AccessType::kWrite;
+  hw::PhysMem& mem = machine_.mem();
+  for (uint64_t done = 0; done < len;) {
+    const hw::VirtAddr pos = va + done;
+    const uint64_t chunk = std::min<uint64_t>(len - done, hw::kPageSize - hw::PageOffset(pos));
+    if (timed) {
+      d += machine_.cpu(cpu).tlb().Translate(pos, pt.id());
+    }
     auto pa = pt.Translate(pos);
     DIPC_CHECK(pa.has_value());  // CheckDataAccess verified presence
-    d += machine_.caches().Access(cpu, *pa, chunk, is_write);
+    if (timed) {
+      d += machine_.caches().Access(cpu, *pa, chunk, is_write);
+    }
+    if (done < bytes.size) {
+      const uint64_t n = std::min(chunk, bytes.size - done);
+      if (bytes.kernel_pa.has_value()) {
+        const hw::PhysAddr kpa = *bytes.kernel_pa + done;
+        mem.Copy(is_write ? *pa : kpa, is_write ? kpa : *pa, n);
+      } else if (is_write) {
+        mem.Write(*pa, std::span(bytes.from + done, n));
+      } else {
+        mem.Read(*pa, std::span(bytes.to + done, n));
+      }
+    }
     if (is_write) {
       codoms_.NotifyPlainWrite(*pa, chunk);
     }
-    pos += chunk;
+    done += chunk;
   }
   return d;
 }
 
 sim::Task<base::Status> Kernel::TouchUser(Env env, hw::VirtAddr va, uint64_t len,
-                                          hw::AccessType type, TimeCat cat) {
-  auto cost = UserAccessCost(*env.self, va, len, type);
+                                          hw::AccessType type, UserBytes bytes) {
+  auto cost = UserAccessCost(*env.self, va, len, type, bytes);
   if (!cost.ok()) {
     co_return cost.status();
   }
-  co_await Spend(*env.self, cost.value(), cat);
+  co_await Spend(*env.self, cost.value(), TimeCat::kUser);
   co_return base::Status::Ok();
 }
 
-sim::Task<base::Status> Kernel::CopyFromUser(Env env, hw::PhysAddr kernel_pa,
-                                             hw::VirtAddr user_va, uint64_t len) {
+sim::Task<base::Status> Kernel::CopyUser(Env env, hw::VirtAddr user_va, hw::PhysAddr kernel_pa,
+                                         uint64_t len, hw::AccessType user_type) {
   Thread& t = *env.self;
-  auto user_cost = UserAccessCost(t, user_va, len, hw::AccessType::kRead);
+  auto user_cost = UserAccessCost(t, user_va, len, user_type, UserBytes(kernel_pa, len));
   if (!user_cost.ok()) {
     co_return user_cost.status();
   }
-  sim::Duration d = user_cost.value();
-  d += machine_.caches().Access(t.last_cpu(), kernel_pa, len, /*is_write=*/true);
-  // Move the actual bytes.
-  std::vector<std::byte> buf(len);
-  base::Status rs = UserRead(t, user_va, buf);
-  DIPC_CHECK(rs.ok());
-  machine_.mem().Write(kernel_pa, buf);
+  const bool kernel_writes = user_type == hw::AccessType::kRead;
+  const sim::Duration d =
+      user_cost.value() + machine_.caches().Access(t.last_cpu(), kernel_pa, len, kernel_writes);
   // Accounting category stays kKernel (the paper's Fig. 2 buckets), but the
   // per-domain attribution calls it what it is: data-plane copy time.
   co_await Spend(t, d, TimeCat::kKernel, obs::DomainTimeKind::kCopy);
   co_return base::Status::Ok();
-}
-
-sim::Task<base::Status> Kernel::CopyToUser(Env env, hw::VirtAddr user_va, hw::PhysAddr kernel_pa,
-                                           uint64_t len) {
-  Thread& t = *env.self;
-  auto user_cost = UserAccessCost(t, user_va, len, hw::AccessType::kWrite);
-  if (!user_cost.ok()) {
-    co_return user_cost.status();
-  }
-  sim::Duration d = user_cost.value();
-  d += machine_.caches().Access(t.last_cpu(), kernel_pa, len, /*is_write=*/false);
-  std::vector<std::byte> buf(len);
-  machine_.mem().Read(kernel_pa, buf);
-  base::Status ws = UserWrite(t, user_va, buf);
-  DIPC_CHECK(ws.ok());
-  co_await Spend(t, d, TimeCat::kKernel, obs::DomainTimeKind::kCopy);
-  co_return base::Status::Ok();
-}
-
-base::Status Kernel::UserWrite(Thread& t, hw::VirtAddr va, std::span<const std::byte> data) {
-  hw::PageTable& pt = t.process().page_table();
-  auto check =
-      codoms_.CheckDataAccess(t.last_cpu(), pt, t.cap_ctx(), va, data.size(), hw::AccessType::kWrite);
-  if (!check.ok()) {
-    return check.status();
-  }
-  uint64_t done = 0;
-  while (done < data.size()) {
-    uint64_t chunk = std::min<uint64_t>(data.size() - done, hw::kPageSize - hw::PageOffset(va + done));
-    auto pa = pt.Translate(va + done);
-    DIPC_CHECK(pa.has_value());
-    machine_.mem().Write(*pa, data.subspan(done, chunk));
-    codoms_.NotifyPlainWrite(*pa, chunk);
-    done += chunk;
-  }
-  return base::Status::Ok();
-}
-
-base::Status Kernel::UserRead(Thread& t, hw::VirtAddr va, std::span<std::byte> out) {
-  hw::PageTable& pt = t.process().page_table();
-  auto check =
-      codoms_.CheckDataAccess(t.last_cpu(), pt, t.cap_ctx(), va, out.size(), hw::AccessType::kRead);
-  if (!check.ok()) {
-    return check.status();
-  }
-  uint64_t done = 0;
-  while (done < out.size()) {
-    uint64_t chunk = std::min<uint64_t>(out.size() - done, hw::kPageSize - hw::PageOffset(va + done));
-    auto pa = pt.Translate(va + done);
-    DIPC_CHECK(pa.has_value());
-    machine_.mem().Read(*pa, out.subspan(done, chunk));
-    done += chunk;
-  }
-  return base::Status::Ok();
 }
 
 // ---- Virtual memory ----

@@ -13,6 +13,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -50,6 +51,23 @@ constexpr obs::DomainTimeKind DomainKindFor(TimeCat cat) {
       return obs::DomainTimeKind::kKernel;
   }
 }
+
+// The bytes a user access moves, from the first byte of its range on:
+// written from `from` (kWrite) or read into `to` (kRead), or for
+// copy_{from,to}_user, to or from the kernel buffer at `kernel_pa`.
+struct UserBytes {
+  UserBytes() = default;
+  template <size_t N>
+  UserBytes(std::span<const std::byte, N> from) : from(from.data()), size(from.size()) {}
+  template <size_t N>
+  UserBytes(std::span<std::byte, N> to) : from(to.data()), to(to.data()), size(to.size()) {}
+  UserBytes(hw::PhysAddr kernel_pa, uint64_t size) : size(size), kernel_pa(kernel_pa) {}
+
+  const std::byte* from = nullptr;
+  std::byte* to = nullptr;
+  uint64_t size = 0;
+  std::optional<hw::PhysAddr> kernel_pa;
+};
 
 class Kernel {
  public:
@@ -248,25 +266,40 @@ class Kernel {
 
   // ---- User memory (checked by CODOMs, charged through TLB + caches) ----
 
-  // Pure protection+translation+cache cost of an access, or kFault.
+  // One walk over [va, va+len): the CODOMs check of the whole range (so a
+  // fault moves and touches nothing), then page by page the translation,
+  // the TLB and cache accesses, `bytes`, and for a write the plain-write
+  // notice that destroys stored capabilities. Returns the protection,
+  // translation and cache cost, or kFault.
   base::Result<sim::Duration> UserAccessCost(Thread& t, hw::VirtAddr va, uint64_t len,
-                                             hw::AccessType type);
+                                             hw::AccessType type, const UserBytes& bytes = {});
 
-  // Charges the cost of touching user memory (no data movement); used by
-  // workload models. Faults become the returned status.
+  // Charges UserAccessCost's walk to kUser; used by workload models. Faults
+  // become the returned status.
   sim::Task<base::Status> TouchUser(Env env, hw::VirtAddr va, uint64_t len, hw::AccessType type,
-                                    TimeCat cat = TimeCat::kUser);
+                                    UserBytes bytes = {});
 
   // Kernel copy_{from,to}_user: moves real bytes between user VA and a
-  // kernel physical buffer, charging both sides' cache costs to kKernel.
+  // kernel physical buffer in one walk of the user pages, then charges the
+  // kernel buffer's cache cost, all to kKernel.
   sim::Task<base::Status> CopyFromUser(Env env, hw::PhysAddr kernel_pa, hw::VirtAddr user_va,
-                                       uint64_t len);
+                                       uint64_t len) {
+    return CopyUser(env, user_va, kernel_pa, len, hw::AccessType::kRead);
+  }
   sim::Task<base::Status> CopyToUser(Env env, hw::VirtAddr user_va, hw::PhysAddr kernel_pa,
-                                     uint64_t len);
+                                     uint64_t len) {
+    return CopyUser(env, user_va, kernel_pa, len, hw::AccessType::kWrite);
+  }
 
-  // Untimed data access (tests, loaders). Protection-checked.
-  base::Status UserWrite(Thread& t, hw::VirtAddr va, std::span<const std::byte> data);
-  base::Status UserRead(Thread& t, hw::VirtAddr va, std::span<std::byte> out);
+  // Untimed access: the same walk without the TLB, the caches or time. For
+  // bytes whose cost is charged elsewhere (RPC's marshalled messages,
+  // netpipe's headers, benchmark drivers' header words) and for tests.
+  base::Status UserWrite(Thread& t, hw::VirtAddr va, std::span<const std::byte> data) {
+    return WalkUser(t, va, data.size(), hw::AccessType::kWrite, data, /*timed=*/false).status();
+  }
+  base::Status UserRead(Thread& t, hw::VirtAddr va, std::span<std::byte> out) {
+    return WalkUser(t, va, out.size(), hw::AccessType::kRead, out, /*timed=*/false).status();
+  }
 
   // ---- Virtual memory ----
 
@@ -321,6 +354,13 @@ class Kernel {
     sim::EventId spin_timer = sim::kInvalidEventId;
     std::coroutine_handle<> spin_resume;
   };
+
+  // UserAccessCost's walk; an untimed one skips the TLB and caches.
+  base::Result<sim::Duration> WalkUser(Thread& t, hw::VirtAddr va, uint64_t len,
+                                       hw::AccessType type, const UserBytes& bytes, bool timed);
+  // copy_{from,to}_user; `user_type` is the user side's access.
+  sim::Task<base::Status> CopyUser(Env env, hw::VirtAddr user_va, hw::PhysAddr kernel_pa,
+                                   uint64_t len, hw::AccessType user_type);
 
   hw::CpuId PickCpu(const Thread& t) const;
   // Publishes `cpu`'s run-queue depth (gauge + trace instant) after a

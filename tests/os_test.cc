@@ -446,6 +446,149 @@ TEST_F(OsTest, SharedPageTableStillIsolatedByDomainTags) {
   EXPECT_EQ(code, base::ErrorCode::kOk);
 }
 
+// --- One walk per timed user access ---
+
+// Three pages of an owner domain that a second domain in the same page table
+// may write through an APL grant: every page the user touches is foreign, so
+// each is checked through the APL cache.
+struct ForeignPages {
+  ForeignPages(Kernel& kernel, codoms::Codoms& codoms) {
+    hw::PageTable& pt = kernel.machine().CreatePageTable();
+    const hw::DomainTag owner_tag = codoms.apl_table().AllocateTag();
+    const hw::DomainTag user_tag = codoms.apl_table().AllocateTag();
+    Process& owner = kernel.CreateProcessIn("owner", pt, owner_tag);
+    user = &kernel.CreateProcessIn("user", pt, user_tag);
+    va = kernel.MapAnonymous(owner, 3 * hw::kPageSize, hw::PageFlags{.writable = true}).value();
+    codoms.apl_table().Grant(user_tag, owner_tag, codoms::Perm::kWrite);
+  }
+  Process* user;
+  hw::VirtAddr va;
+};
+
+std::vector<std::byte> Pattern(uint64_t n) {
+  std::vector<std::byte> bytes(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<std::byte>(i * 7 + 1);
+  }
+  return bytes;
+}
+
+TEST_F(OsTest, TouchUserMovesItsBytesAtTheCostItPricesWithOneCheckPerPage) {
+  // The same access in two identical worlds: here it moves a header of just
+  // over a page, there UserAccessCost only prices it. The range starts
+  // mid-page and spans all three pages.
+  hw::Machine machine2(4);
+  codoms::Codoms codoms2(machine2);
+  Kernel kernel2(machine2, codoms2);
+  ForeignPages pages(kernel_, codoms_);
+  ForeignPages pages2(kernel2, codoms2);
+  const uint64_t len = 2 * hw::kPageSize;
+  const std::vector<std::byte> header = Pattern(hw::kPageSize + 50);
+  std::vector<std::byte> landed(header.size());
+  Duration moved_cost;
+  uint64_t hits = 0;
+  kernel_.Spawn(
+      *pages.user, "mover",
+      [&](Env env) -> sim::Task<void> {
+        Kernel& k = *env.kernel;
+        std::byte warm{};  // fills the APL cache, so the walk below hits it
+        EXPECT_TRUE(k.UserRead(*env.self, pages.va, std::span(&warm, 1)).ok());
+        const uint64_t hits0 = codoms_.apl_cache(0).hits();
+        const sim::Time t0 = k.now();
+        const base::Status s = co_await k.TouchUser(env, pages.va + 100, len,
+                                                    hw::AccessType::kWrite, std::span(header));
+        EXPECT_TRUE(s.ok());
+        moved_cost = k.now() - t0;
+        hits = codoms_.apl_cache(0).hits() - hits0;
+        EXPECT_TRUE(k.UserRead(*env.self, pages.va + 100, landed).ok());
+      },
+      /*pin_cpu=*/0);
+  kernel_.Run();
+  base::Result<Duration> priced = base::ErrorCode::kNotFound;
+  kernel2.Spawn(
+      *pages2.user, "pricer",
+      [&](Env env) -> sim::Task<void> {
+        std::byte warm{};
+        EXPECT_TRUE(env.kernel->UserRead(*env.self, pages2.va, std::span(&warm, 1)).ok());
+        priced = env.kernel->UserAccessCost(*env.self, pages2.va + 100, len,
+                                            hw::AccessType::kWrite);
+        co_return;
+      },
+      /*pin_cpu=*/0);
+  kernel2.Run();
+  EXPECT_EQ(landed, header);
+  ASSERT_TRUE(priced.ok());
+  EXPECT_EQ(moved_cost, priced.value());
+  EXPECT_GT(moved_cost, Duration::Zero());
+  // One APL check per foreign page: moving the bytes checks nothing again.
+  EXPECT_EQ(hits, 3u);
+}
+
+TEST_F(OsTest, FaultingUserRangeMovesNoBytesAndChargesNothing) {
+  ForeignPages pages(kernel_, codoms_);
+  // From the last mapped page into the unmapped one after it.
+  const hw::VirtAddr va = pages.va + 2 * hw::kPageSize + 100;
+  const std::vector<std::byte> src = Pattern(hw::kPageSize);
+  std::vector<std::byte> dst(hw::kPageSize, std::byte{0x11});
+  const hw::PhysAddr kbuf = kernel_.AllocKernelBuffer(hw::kPageSize);
+  std::vector<std::byte> mapped(hw::kPageSize - 100, std::byte{0x22});
+  std::vector<std::byte> kernel_side(hw::kPageSize, std::byte{0x33});
+  kernel_.Spawn(*pages.user, "t", [&](Env env) -> sim::Task<void> {
+    Kernel& k = *env.kernel;
+    const sim::Time t0 = k.now();
+    base::Status s = co_await k.TouchUser(env, va, src.size(), hw::AccessType::kWrite,
+                                          std::span(src));
+    EXPECT_EQ(s.code(), base::ErrorCode::kFault);
+    s = co_await k.TouchUser(env, va, dst.size(), hw::AccessType::kRead, std::span(dst));
+    EXPECT_EQ(s.code(), base::ErrorCode::kFault);
+    s = co_await k.CopyToUser(env, va, kbuf, hw::kPageSize);
+    EXPECT_EQ(s.code(), base::ErrorCode::kFault);
+    s = co_await k.CopyFromUser(env, kbuf, va, hw::kPageSize);
+    EXPECT_EQ(s.code(), base::ErrorCode::kFault);
+    EXPECT_EQ(k.UserWrite(*env.self, va, src).code(), base::ErrorCode::kFault);
+    EXPECT_EQ(k.now(), t0);
+    EXPECT_TRUE(k.UserRead(*env.self, va, mapped).ok());
+  });
+  kernel_.Run();
+  machine_.mem().Read(kbuf, kernel_side);
+  EXPECT_EQ(mapped, std::vector<std::byte>(mapped.size()));  // the mapped part is still zero
+  EXPECT_EQ(dst, std::vector<std::byte>(dst.size(), std::byte{0x11}));
+  EXPECT_EQ(kernel_side, std::vector<std::byte>(kernel_side.size()));
+}
+
+TEST_F(OsTest, CopiesMoveEveryByteWithOneCheckPerForeignPage) {
+  ForeignPages pages(kernel_, codoms_);
+  // A kernel buffer offset that differs from the user range's, so the
+  // frames of the two sides split the copy at different points.
+  const hw::PhysAddr kbuf = kernel_.AllocKernelBuffer(3 * hw::kPageSize) + 10;
+  const uint64_t len = 2 * hw::kPageSize;
+  const hw::VirtAddr va = pages.va + 100;
+  const std::vector<std::byte> src = Pattern(len);
+  std::vector<std::byte> back(len);
+  uint64_t from_hits = 0;
+  uint64_t to_hits = 0;
+  kernel_.Spawn(
+      *pages.user, "t",
+      [&](Env env) -> sim::Task<void> {
+        Kernel& k = *env.kernel;
+        EXPECT_TRUE(k.UserWrite(*env.self, va, src).ok());
+        const codoms::AplCache& apl = codoms_.apl_cache(0);
+        uint64_t hits0 = apl.hits();
+        EXPECT_TRUE((co_await k.CopyFromUser(env, kbuf, va, len)).ok());
+        from_hits = apl.hits() - hits0;
+        EXPECT_TRUE(k.UserWrite(*env.self, va, std::vector<std::byte>(len)).ok());
+        hits0 = apl.hits();
+        EXPECT_TRUE((co_await k.CopyToUser(env, va, kbuf, len)).ok());
+        to_hits = apl.hits() - hits0;
+        EXPECT_TRUE(k.UserRead(*env.self, va, back).ok());
+      },
+      /*pin_cpu=*/0);
+  kernel_.Run();
+  EXPECT_EQ(back, src);
+  EXPECT_EQ(from_hits, 3u);
+  EXPECT_EQ(to_hits, 3u);
+}
+
 TEST_F(OsTest, NoPageTableSwitchCostBetweenSharedPtProcesses) {
   hw::PageTable& shared = machine_.CreatePageTable();
   hw::DomainTag d1 = codoms_.apl_table().AllocateTag();
