@@ -1,7 +1,7 @@
 // Property-based / parameterized sweeps over the core invariants:
 // capability monotonicity, APL-cache coherence, policy-cost monotonicity,
-// proxy-template bijectivity, event-queue time monotonicity, DCS bounds,
-// pipe stream integrity, and scheduler time conservation.
+// proxy-template bijectivity, event-queue time monotonicity, DCS bounds
+// and order, pipe stream integrity, and scheduler time conservation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
