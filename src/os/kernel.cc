@@ -430,12 +430,10 @@ base::Result<sim::Duration> Kernel::WalkUser(Thread& t, hw::VirtAddr va, uint64_
   for (uint64_t done = 0; done < len;) {
     const hw::VirtAddr pos = va + done;
     const uint64_t chunk = std::min<uint64_t>(len - done, hw::kPageSize - hw::PageOffset(pos));
-    if (timed) {
-      d += machine_.cpu(cpu).tlb().Translate(pos, pt.id());
-    }
     auto pa = pt.Translate(pos);
     DIPC_CHECK(pa.has_value());  // CheckDataAccess verified presence
     if (timed) {
+      d += machine_.cpu(cpu).tlb().Translate(pos, pt.id());
       d += machine_.caches().Access(cpu, *pa, chunk, is_write);
     }
     if (done < bytes.size) {
