@@ -13,8 +13,6 @@
 // what this sweep shows shrinking.
 //
 // Pass --json to also write BENCH_chan_batch.json.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "micro_harness.h"
@@ -67,22 +65,10 @@ void PrintBatchSweep(JsonEmitter& json) {
       small_b32 > 0 ? small_b1 / small_b32 : 0);
 }
 
-void BM_ChannelBatch(benchmark::State& state) {
-  int b = static_cast<int>(state.range(0));
-  double ns = MeasureStream({.payload_bytes = 64, .batch = b});
-  for (auto _ : state) {
-    state.SetIterationTime(ns * 1e-9);
-  }
-  state.counters["batch"] = static_cast<double>(b);
-}
-BENCHMARK(BM_ChannelBatch)->Arg(1)->Arg(8)->Arg(32)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  JsonEmitter json("chan_batch", &argc, argv);
+  JsonEmitter json("chan_batch", argc, argv);
   PrintBatchSweep(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -14,8 +14,6 @@
 // the paper's Fig. 6 argument extended to streaming channels.
 //
 // Pass --json to also write BENCH_chan_designpoints.json.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
@@ -168,26 +166,13 @@ void PrintFabricSweep(dipc::bench::JsonEmitter& json) {
       " fan-in response plane over 4 shared worker domains; opid-matched dispatch)\n\n");
 }
 
-void BM_ChannelTransfer(benchmark::State& state) {
-  uint64_t n = static_cast<uint64_t>(state.range(0));
-  double func = MeasureFunction({.arg_bytes = n, .rounds = 60}).roundtrip_ns;
-  double chan = MeasureChannel({.arg_bytes = n, .rounds = 60, .cross_cpu = true}).roundtrip_ns;
-  for (auto _ : state) {
-    state.SetIterationTime((chan - func) * 1e-9);
-  }
-  state.counters["bytes"] = static_cast<double>(n);
-}
-BENCHMARK(BM_ChannelTransfer)->Arg(1)->Arg(1 << 10)->Arg(1 << 20)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  JsonEmitter json("chan_designpoints", &argc, argv);
+  JsonEmitter json("chan_designpoints", argc, argv);
   PrintDesignPoints(json);
   PrintFanOutSweep(json);
   PrintFanInSweep(json);
   PrintFabricSweep(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

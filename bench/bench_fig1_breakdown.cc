@@ -3,8 +3,6 @@
 // The paper reports Linux 51%/23%/24% user/kernel/idle, Ideal 81%/16%/1%,
 // and a 1.92x IPC-overhead gap on the in-memory configuration.
 // Pass --json to also write BENCH_fig1_breakdown.json.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "apps/oltp/oltp.h"
@@ -15,7 +13,6 @@ namespace {
 using dipc::apps::DbStorage;
 using dipc::apps::OltpConfig;
 using dipc::apps::OltpMode;
-using dipc::apps::OltpModeName;
 using dipc::apps::OltpResult;
 using dipc::apps::RunOltp;
 
@@ -61,24 +58,10 @@ void PrintFig1(dipc::bench::JsonEmitter& json) {
               " share of the Linux gap disappears, the false-concurrency share stays)\n\n");
 }
 
-void BM_OltpLatency(benchmark::State& state) {
-  OltpMode mode = state.range(0) == 0 ? OltpMode::kLinuxIpc : OltpMode::kIdeal;
-  OltpResult r = RunOltp(Fig1Config(mode));
-  for (auto _ : state) {
-    state.SetIterationTime(r.avg_latency_ms * 1e-3);
-  }
-  state.counters["ops_per_min"] = r.ops_per_min;
-  state.SetLabel(std::string(OltpModeName(mode)));
-}
-BENCHMARK(BM_OltpLatency)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  dipc::bench::JsonEmitter json("fig1_breakdown", &argc, argv);
+  dipc::bench::JsonEmitter json("fig1_breakdown", argc, argv);
   PrintFig1(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

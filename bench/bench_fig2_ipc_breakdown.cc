@@ -2,8 +2,6 @@
 // into the paper's blocks: (1) user code, (2) syscall+2*swapgs+sysret,
 // (3) syscall dispatch trampoline, (4) kernel/privileged code,
 // (5) schedule/context switch, (6) page table switch, (7) idle/IO wait.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "micro_harness.h"
@@ -12,7 +10,6 @@ namespace {
 
 using dipc::bench::MeasureL4;
 using dipc::bench::MeasureLocalRpc;
-using dipc::bench::MeasurePipe;
 using dipc::bench::MeasureSemaphore;
 using dipc::bench::MicroConfig;
 using dipc::bench::MicroResult;
@@ -61,33 +58,10 @@ void PrintFig2(JsonEmitter& json) {
   std::printf("(reference: function call ~2 ns, empty syscall ~34 ns)\n\n");
 }
 
-void BM_SemBreakdown(benchmark::State& state) {
-  MicroResult r = MeasureSemaphore({.arg_bytes = 1, .rounds = 300,
-                                    .cross_cpu = state.range(0) != 0});
-  for (auto _ : state) {
-    state.SetIterationTime(r.roundtrip_ns * 1e-9);
-  }
-  state.counters["kernel_ns"] = r.breakdown[TimeCat::kKernel].nanos();
-  state.counters["sched_ns"] = r.breakdown[TimeCat::kSchedule].nanos();
-}
-BENCHMARK(BM_SemBreakdown)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1);
-
-void BM_RpcBreakdown(benchmark::State& state) {
-  MicroResult r = MeasureLocalRpc({.arg_bytes = 1, .rounds = 300,
-                                   .cross_cpu = state.range(0) != 0});
-  for (auto _ : state) {
-    state.SetIterationTime(r.roundtrip_ns * 1e-9);
-  }
-  state.counters["user_ns"] = r.breakdown[TimeCat::kUser].nanos();
-}
-BENCHMARK(BM_RpcBreakdown)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  JsonEmitter json("fig2_ipc_breakdown", &argc, argv);
+  JsonEmitter json("fig2_ipc_breakdown", argc, argv);
   PrintFig2(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

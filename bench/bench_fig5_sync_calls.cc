@@ -3,15 +3,12 @@
 // local RPC and 8.87x faster than L4; asymmetric policies span up to 8.47x;
 // cross-process speedups range 14.16x-120.67x; eliding the TLS switch would
 // buy 1.54x-3.22x.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "micro_harness.h"
 
 namespace {
 
-using dipc::bench::DipcMicroConfig;
 using dipc::bench::MeasureDipc;
 using dipc::bench::MeasureDipcUserRpc;
 using dipc::bench::MeasureFunction;
@@ -114,49 +111,10 @@ void PrintFig5Table(JsonEmitter& json) {
   std::printf("\n");
 }
 
-// Benchmark entries report the simulated round-trip time as manual time.
-void ReportManual(benchmark::State& state, double ns) {
-  for (auto _ : state) {
-    state.SetIterationTime(ns * 1e-9);
-  }
-}
-
-void BM_Function(benchmark::State& s) { ReportManual(s, MeasureFunction({}).roundtrip_ns); }
-void BM_Syscall(benchmark::State& s) { ReportManual(s, MeasureSyscall({}).roundtrip_ns); }
-void BM_DipcLow(benchmark::State& s) {
-  ReportManual(s, MeasureDipc({.cross_process = false, .high_policy = false}).roundtrip_ns);
-}
-void BM_DipcHigh(benchmark::State& s) {
-  ReportManual(s, MeasureDipc({.cross_process = false, .high_policy = true}).roundtrip_ns);
-}
-void BM_DipcProcLow(benchmark::State& s) {
-  ReportManual(s, MeasureDipc({.cross_process = true, .high_policy = false}).roundtrip_ns);
-}
-void BM_DipcProcHigh(benchmark::State& s) {
-  ReportManual(s, MeasureDipc({.cross_process = true, .high_policy = true}).roundtrip_ns);
-}
-void BM_Semaphore(benchmark::State& s) { ReportManual(s, MeasureSemaphore({}).roundtrip_ns); }
-void BM_Pipe(benchmark::State& s) { ReportManual(s, MeasurePipe({}).roundtrip_ns); }
-void BM_L4(benchmark::State& s) { ReportManual(s, MeasureL4({}).roundtrip_ns); }
-void BM_LocalRpc(benchmark::State& s) { ReportManual(s, MeasureLocalRpc({}).roundtrip_ns); }
-
-BENCHMARK(BM_Function)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_Syscall)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_DipcLow)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_DipcHigh)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_DipcProcLow)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_DipcProcHigh)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_Semaphore)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_Pipe)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_L4)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_LocalRpc)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  JsonEmitter json("fig5_sync_calls", &argc, argv);
+  JsonEmitter json("fig5_sync_calls", argc, argv);
   PrintFig5Table(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,16 +4,12 @@
 // pays production/consumption; dIPC passes references (capabilities) and
 // stays flat until cache effects. The L1$/L2$ knees come out of the cache
 // model.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <vector>
 
 #include "micro_harness.h"
 
 namespace {
 
-using dipc::bench::DipcMicroConfig;
 using dipc::bench::MeasureDipc;
 using dipc::bench::MeasureDipcUserRpc;
 using dipc::bench::MeasureFunction;
@@ -64,23 +60,10 @@ void PrintFig6(dipc::bench::JsonEmitter& json) {
   std::printf("(L1$ = 32 KB, L2$ = 256 KB: expect knees there for the copying primitives)\n\n");
 }
 
-void BM_AddedTime(benchmark::State& state) {
-  uint64_t n = static_cast<uint64_t>(state.range(0));
-  double func = MeasureFunction({.arg_bytes = n, .rounds = 60}).roundtrip_ns;
-  double pipe = MeasurePipe({.arg_bytes = n, .rounds = 60, .cross_cpu = true}).roundtrip_ns;
-  for (auto _ : state) {
-    state.SetIterationTime((pipe - func) * 1e-9);
-  }
-  state.counters["bytes"] = static_cast<double>(n);
-}
-BENCHMARK(BM_AddedTime)->Arg(1)->Arg(1 << 10)->Arg(1 << 20)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  dipc::bench::JsonEmitter json("fig6_argsize", &argc, argv);
+  dipc::bench::JsonEmitter json("fig6_argsize", argc, argv);
   PrintFig6(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

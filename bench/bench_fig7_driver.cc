@@ -4,8 +4,6 @@
 // overhead); syscalls cost ~10%; full IPC costs >100% latency and >60%
 // bandwidth at 4 KB.
 // Pass --json to also write BENCH_fig7_driver.json.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "apps/netpipe/netpipe.h"
@@ -83,32 +81,10 @@ void PrintFig7(JsonEmitter& json) {
   std::printf("       pipe copies push bandwidth overhead above 60%% at 4 KB.\n\n");
 }
 
-void BM_NetpipeLatency(benchmark::State& state) {
-  DriverIsolation iso = static_cast<DriverIsolation>(state.range(0));
-  NetpipeResult r = RunNetpipe({.isolation = iso, .transfer_bytes = 4});
-  for (auto _ : state) {
-    state.SetIterationTime(r.latency_us * 1e-6);
-  }
-  state.SetLabel(std::string(DriverIsolationName(iso)));
-}
-BENCHMARK(BM_NetpipeLatency)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Arg(4)
-    ->Arg(5)
-    ->Arg(6)
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  JsonEmitter json("fig7_driver", &argc, argv);
+  JsonEmitter json("fig7_driver", argc, argv);
   PrintFig7(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,10 +4,7 @@
 // dIPC speedups up to 3.18x (on-disk) and 5.12x (in-memory), always >= 94%
 // of the Ideal configuration's efficiency.
 // Pass --json to also write BENCH_fig8_oltp.json.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <map>
 #include <string>
 
 #include "apps/oltp/oltp.h"
@@ -128,32 +125,10 @@ void PrintFig8(JsonEmitter& json) {
   std::printf(" are per-operation wall time in ns)\n\n");
 }
 
-void BM_Oltp(benchmark::State& state) {
-  OltpMode mode = static_cast<OltpMode>(state.range(0));
-  DbStorage storage = state.range(1) == 0 ? DbStorage::kDisk : DbStorage::kMemory;
-  int threads = static_cast<int>(state.range(2));
-  OltpResult r = RunOltp(Fig8Config(mode, storage, threads));
-  for (auto _ : state) {
-    state.SetIterationTime(r.operations > 0
-                               ? r.wall_seconds / static_cast<double>(r.operations)
-                               : r.wall_seconds);
-  }
-  state.counters["ops_per_min"] = r.ops_per_min;
-}
-BENCHMARK(BM_Oltp)
-    ->Args({0, 1, 64})   // Linux, memory
-    ->Args({1, 1, 64})   // dIPC, memory
-    ->Args({2, 1, 64})   // Ideal, memory
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  JsonEmitter json("fig8_oltp", &argc, argv);
+  JsonEmitter json("fig8_oltp", argc, argv);
   PrintFig8(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

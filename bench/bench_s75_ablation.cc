@@ -8,8 +8,6 @@
 //      leaving ~1.59x over Linux.
 //  Also reports the measured cross-domain calls per operation (~211).
 // Pass --json to also write BENCH_s75_ablation.json.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -147,29 +145,11 @@ void PrintAplPressure(JsonEmitter& json) {
   std::printf("beyond the cache the 300 ns refill exception dominates.\n\n");
 }
 
-void BM_ProxyScale(benchmark::State& state) {
-  OltpConfig c = BaseConfig(OltpMode::kDipc);
-  c.proxy_cost_scale = static_cast<double>(state.range(0));
-  c.threads = 64;
-  c.measure = dipc::sim::Duration::Millis(200);
-  OltpResult r = RunOltp(c);
-  for (auto _ : state) {
-    state.SetIterationTime(r.operations > 0
-                               ? r.wall_seconds / static_cast<double>(r.operations)
-                               : r.wall_seconds);
-  }
-  state.counters["ops_per_min"] = r.ops_per_min;
-}
-BENCHMARK(BM_ProxyScale)->Arg(1)->Arg(14)->UseManualTime()->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  JsonEmitter json("s75_ablation", &argc, argv);
+  JsonEmitter json("s75_ablation", argc, argv);
   PrintAblation(json);
   PrintAplPressure(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 //                 privileged protection-table writes.
 //   CODOMs:       call + return, capability setup for data.
 // Pass --json to also write BENCH_table1_archcmp.json.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
@@ -20,7 +18,6 @@ namespace {
 
 using dipc::bench::JsonEmitter;
 using dipc::hw::CostModel;
-using dipc::sim::Duration;
 
 struct ArchCosts {
   double switch_ns;   // round-trip domain switch
@@ -82,27 +79,10 @@ void PrintTable1(JsonEmitter& json) {
   std::printf("(CODOMs: call+return with capability setup; no traps, no flushes)\n\n");
 }
 
-void BM_ArchSwitch(benchmark::State& state) {
-  CostModel cm;
-  ArchCosts c{};
-  switch (state.range(0)) {
-    case 0: c = Conventional(cm); break;
-    case 1: c = Cheri(cm); break;
-    case 2: c = Mmp(cm); break;
-    case 3: c = Codoms(cm); break;
-  }
-  for (auto _ : state) {
-    state.SetIterationTime(c.switch_ns * 1e-9);
-  }
-}
-BENCHMARK(BM_ArchSwitch)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  JsonEmitter json("table1_archcmp", &argc, argv);
+  JsonEmitter json("table1_archcmp", argc, argv);
   PrintTable1(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

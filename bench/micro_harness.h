@@ -103,15 +103,15 @@ struct FabricEchoConfig {
 };
 double MeasureFabricEcho(const FabricEchoConfig& config);
 
-// --json flag support: benches record (series, x, value) rows and, when the
-// flag was passed, write them to BENCH_<name>.json on destruction — the
-// machine-readable perf trajectory consumed by CI. The constructor strips
-// the flag from argv so benchmark::Initialize never sees it.
-//
-// Observability flags (also stripped):
-//   --metrics        embed the obs::Registry snapshot as a "metrics" object
-//                    in BENCH_<name>.json (or print it to stdout when --json
-//                    is absent).
+// The bench binaries' command line: each accepts exactly these flags, and
+// JsonEmitter's constructor prints a usage line to stderr and exits with
+// status 2 on any other argument.
+//   --json           write the recorded (series, x, value) rows to
+//                    BENCH_<name>.json on destruction: the machine-readable
+//                    perf trajectory consumed by CI.
+//   --metrics        embed the obs::Registry snapshots as a "metrics" object
+//                    in BENCH_<name>.json (or print them to stdout when
+//                    --json is absent).
 //   --trace[=path]   enable the global obs::TraceRing for the run and export
 //                    Chrome trace_event JSON to `path` on destruction
 //                    (default BENCH_<name>.trace.json). Tracing charges a
@@ -120,7 +120,7 @@ double MeasureFabricEcho(const FabricEchoConfig& config);
 //                    separate invocation.
 class JsonEmitter {
  public:
-  JsonEmitter(std::string name, int* argc, char** argv);
+  JsonEmitter(std::string name, int argc, char** argv);
   JsonEmitter(const JsonEmitter&) = delete;
   JsonEmitter& operator=(const JsonEmitter&) = delete;
   ~JsonEmitter();

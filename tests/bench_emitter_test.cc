@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,7 +21,7 @@
 namespace dipc::bench {
 namespace {
 
-// Builds a mutable argv the emitter can strip flags from.
+// Builds the argc/argv pair a bench's main passes to the emitter.
 struct Argv {
   explicit Argv(std::vector<std::string> args) : storage(std::move(args)) {
     for (auto& a : storage) {
@@ -48,7 +51,7 @@ TEST(BenchEmitter, BeginSeriesIsolatesMetricsPerSeries) {
   std::remove(path.c_str());
   {
     Argv av({"bench", "--json", "--metrics"});
-    JsonEmitter json("emitter_iso_test", &av.argc, av.ptrs.data());
+    JsonEmitter json("emitter_iso_test", av.argc, av.ptrs.data());
     ASSERT_TRUE(json.enabled());
     ASSERT_TRUE(json.metrics());
     json.BeginSeries("window_a");
@@ -100,7 +103,7 @@ TEST(BenchEmitter, Fig2StyleSeriesWindowsIsolateSimulatorCounters) {
   std::remove(path.c_str());
   {
     Argv av({"bench", "--json", "--metrics"});
-    JsonEmitter json("emitter_fig2_test", &av.argc, av.ptrs.data());
+    JsonEmitter json("emitter_fig2_test", av.argc, av.ptrs.data());
     MicroConfig cfg{.arg_bytes = 1, .rounds = 40, .cross_cpu = false};
     json.BeginSeries("sem_first");
     json.Row("sem_first", 0, MeasureSemaphore(cfg).roundtrip_ns);
@@ -133,7 +136,7 @@ TEST(BenchEmitter, NoBeginSeriesKeepsWholeRunSnapshot) {
   std::remove(path.c_str());
   {
     Argv av({"bench", "--json", "--metrics"});
-    JsonEmitter json("emitter_whole_test", &av.argc, av.ptrs.data());
+    JsonEmitter json("emitter_whole_test", av.argc, av.ptrs.data());
     obs::Registry::Default().GetCounter("emitter_test/y")->Add(4);
     json.Row("a", 1, 10.0);
     obs::Registry::Default().GetCounter("emitter_test/y")->Add(4);
@@ -155,7 +158,7 @@ TEST(BenchEmitter, MetricsFlagOffMakesBeginSeriesFree) {
   std::remove(path.c_str());
   {
     Argv av({"bench", "--json"});
-    JsonEmitter json("emitter_off_test", &av.argc, av.ptrs.data());
+    JsonEmitter json("emitter_off_test", av.argc, av.ptrs.data());
     json.BeginSeries("window_a");
     obs::Registry::Default().GetCounter("emitter_test/z")->Add(7);
     json.Row("a", 1, 10.0);
@@ -169,6 +172,53 @@ TEST(BenchEmitter, MetricsFlagOffMakesBeginSeriesFree) {
   ASSERT_FALSE(body.empty());
   EXPECT_EQ(body.find("\"metrics\""), std::string::npos) << body;
   std::remove(path.c_str());
+}
+
+// A bench accepts exactly --json, --metrics and --trace[=path]: anything
+// else, such as a leftover --benchmark_* flag or a typo, prints the usage
+// line and exits 2 instead of silently running the whole bench.
+TEST(BenchEmitter, UnknownArgumentExitsWithStatus2) {
+  Argv av({"bench", "--json", "--benchmark_filter=x"});
+  EXPECT_EXIT(JsonEmitter("emitter_arg_test", av.argc, av.ptrs.data()),
+              ::testing::ExitedWithCode(2), "unknown argument '--benchmark_filter=x'");
+}
+
+// Runs the real bench_fig5_sync_calls (path from CMake) with --json
+// --metrics in a fresh temporary directory. Each dIPC window must count the
+// proxy calls of its own measurement only: 300 timed rounds plus 8 warmup
+// rounds. Measurements run after the last BeginSeries would land in the
+// last window (dipc_proc_high_notls) and inflate its count.
+TEST(BenchEmitter, Fig5DipcWindowsCountOnlyTheirOwnProxyCalls) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#endif
+  std::string dir = (std::filesystem::temp_directory_path() / "bench_fig5_XXXXXX").string();
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const std::string cmd =
+      "cd '" + dir + "' && '" DIPC_BENCH_FIG5_PATH "' --json --metrics > /dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::ifstream in(dir + "/BENCH_fig5_sync_calls.json");
+  std::map<std::string, long long> calls;  // dIPC window -> summed proxy/<id>/calls
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("  \"dipc_", 0) != 0) {
+      continue;
+    }
+    const std::string label = line.substr(3, line.find('"', 3) - 3);
+    long long& sum = calls[label];
+    for (size_t pos = line.find("\"proxy/"); pos != std::string::npos;
+         pos = line.find("\"proxy/", pos + 1)) {
+      const size_t end = line.find('"', pos + 1);
+      if (line.compare(end - 6, 6, "/calls") == 0) {
+        sum += std::atoll(line.c_str() + end + 3);  // skip '": '
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+  calls.erase("dipc_user_rpc");  // a user-level RPC: no proxy calls
+  const std::map<std::string, long long> expected = {
+      {"dipc_low", 308},      {"dipc_high", 308},           {"dipc_proc_low", 308},
+      {"dipc_proc_high", 308}, {"dipc_proc_low_notls", 308}, {"dipc_proc_high_notls", 308}};
+  EXPECT_EQ(calls, expected);
 }
 
 }  // namespace
