@@ -5,6 +5,7 @@
 // stays flat until cache effects. The L1$/L2$ knees come out of the cache
 // model.
 #include <cstdio>
+#include <string>
 
 #include "micro_harness.h"
 
@@ -25,6 +26,9 @@ void PrintFig6(dipc::bench::JsonEmitter& json) {
               "rpc!=", "dipcL=", "dipcH=", "+procL=", "userRPC");
   for (int p = 0; p <= 20; p += 2) {
     uint64_t n = 1ull << p;
+    // One metrics window per argument size: under --metrics the registry is
+    // snapshotted and zeroed here, so each size's counters stand alone.
+    json.BeginSeries("argsize_n" + std::to_string(n));
     int rounds = n >= (1 << 16) ? 40 : 150;
     MicroConfig same{.arg_bytes = n, .rounds = rounds, .cross_cpu = false};
     MicroConfig cross{.arg_bytes = n, .rounds = rounds, .cross_cpu = true};
