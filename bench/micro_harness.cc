@@ -679,15 +679,9 @@ JsonEmitter::~JsonEmitter() {
     open_series_.clear();
   }
   if (!enabled_) {
-    if (metrics_) {
-      // No BENCH json to embed into: print the snapshot(s) for eyeballing.
-      if (series_metrics_.empty()) {
-        std::printf("%s\n", obs::Registry::Default().SnapshotJson().c_str());
-      } else {
-        for (const auto& [label, snap] : series_metrics_) {
-          std::printf("%s: %s\n", label.c_str(), snap.c_str());
-        }
-      }
+    // No BENCH json to embed into: print the snapshots for eyeballing.
+    for (const auto& [label, snap] : series_metrics_) {
+      std::printf("%s: %s\n", label.c_str(), snap.c_str());
     }
     return;
   }
@@ -705,19 +699,14 @@ JsonEmitter::~JsonEmitter() {
   }
   std::fprintf(f, "\n]");
   if (metrics_) {
-    if (series_metrics_.empty()) {
-      // Whole-run snapshot (bench never declared series boundaries).
-      std::fprintf(f, ",\n\"metrics\": %s", obs::Registry::Default().SnapshotJson().c_str());
-    } else {
-      // Per-series snapshots: each label's counters cover only its own
-      // measurement (the registry was reset at every BeginSeries).
-      std::fprintf(f, ",\n\"metrics\": {");
-      for (size_t i = 0; i < series_metrics_.size(); ++i) {
-        std::fprintf(f, "%s\n  \"%s\": %s", i == 0 ? "" : ",",
-                     series_metrics_[i].first.c_str(), series_metrics_[i].second.c_str());
-      }
-      std::fprintf(f, "\n}");
+    // Per-series snapshots: each label's counters cover only its own
+    // measurement (the registry was reset at every BeginSeries).
+    std::fprintf(f, ",\n\"metrics\": {");
+    for (size_t i = 0; i < series_metrics_.size(); ++i) {
+      std::fprintf(f, "%s\n  \"%s\": %s", i == 0 ? "" : ",", series_metrics_[i].first.c_str(),
+                   series_metrics_[i].second.c_str());
     }
+    std::fprintf(f, "\n}");
   }
   std::fprintf(f, "}\n");
   std::fclose(f);

@@ -1,9 +1,11 @@
 // Regression tests for JsonEmitter's --metrics series windows
 // (bench/micro_harness.h): BeginSeries must snapshot the metric registry
 // under the open label and zero it, so each series' counters cover exactly
-// its own measurement — the bug being pinned down is a bench that never
-// calls BeginSeries (or only some sweeps do) silently attributing the whole
-// binary's accumulated counters to every series.
+// its own measurement. The bugs pinned down are a bench that never calls
+// BeginSeries (or only some sweeps do) silently attributing the whole
+// binary's accumulated counters to every series, and a bench that measures
+// more after its last BeginSeries, charging that to its last window. Also
+// covered: the bench command line accepts only the emitter's flags.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -127,25 +129,22 @@ TEST(BenchEmitter, Fig2StyleSeriesWindowsIsolateSimulatorCounters) {
   std::remove(path.c_str());
 }
 
-TEST(BenchEmitter, NoBeginSeriesKeepsWholeRunSnapshot) {
-#ifdef DIPC_OBS_OFF
-  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
-#endif
+// Every bench opens its windows; one that opens none gets an empty map, not
+// a snapshot of whatever the binary ran.
+TEST(BenchEmitter, NoBeginSeriesWritesEmptyMetricsMap) {
   obs::Registry::Default().Reset();
-  const std::string path = "BENCH_emitter_whole_test.json";
+  const std::string path = "BENCH_emitter_empty_test.json";
   std::remove(path.c_str());
   {
     Argv av({"bench", "--json", "--metrics"});
-    JsonEmitter json("emitter_whole_test", av.argc, av.ptrs.data());
+    JsonEmitter json("emitter_empty_test", av.argc, av.ptrs.data());
     obs::Registry::Default().GetCounter("emitter_test/y")->Add(4);
     json.Row("a", 1, 10.0);
-    obs::Registry::Default().GetCounter("emitter_test/y")->Add(4);
-    json.Row("a", 2, 20.0);
   }
   const std::string body = ReadFile(path);
   ASSERT_FALSE(body.empty());
-  // Legacy shape: one cumulative snapshot for the whole binary.
-  EXPECT_NE(body.find("\"emitter_test/y\": 8"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"metrics\": {\n}"), std::string::npos) << body;
+  EXPECT_EQ(body.find("emitter_test/y"), std::string::npos) << body;
   std::remove(path.c_str());
 }
 
