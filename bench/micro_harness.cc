@@ -292,8 +292,10 @@ MicroResult MeasureL4(const MicroConfig& config) {
       /*pin_cpu=*/0);
   w.kernel.Run();
   MicroResult r = win.Finish();
-  // The stop round leaks into the window tail; its cost is sub-1% at 300
-  // rounds and outside [t0, finish) anyway because Finish snapshots first.
+  // Finish reads the clock after Run(), which ends once the server has taken
+  // the stop message and exited, so the window also holds the stop call's
+  // one-way trip, about half a round trip: 470 ns over 400 rounds on one CPU
+  // (945.175 ns per round against a marginal 944.000), 0.12% of the row.
   return r;
 }
 
