@@ -133,9 +133,9 @@ class JsonEmitter {
   // Marks a series boundary for --metrics: snapshots the metric registry
   // under the previously opened label and zeroes it, so each series'
   // counters cover only its own measurement instead of accumulating
-  // everything the binary ran before it. No-op without --metrics. Counters
-  // counted before the first boundary are dropped, and a bench that opens
-  // no series writes an empty "metrics" map.
+  // everything the binary ran before it. No-op without --metrics. Counts made
+  // before the first boundary are dropped, and a bench that opens no series
+  // writes an empty "metrics" map.
   void BeginSeries(const std::string& label);
 
  private:
