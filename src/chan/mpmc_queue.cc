@@ -19,14 +19,13 @@ MpmcQueue::MpmcQueue(os::Kernel& kernel, os::Process& proc, uint32_t capacity, h
   if (obs_name.empty()) {
     obs_name = "mpmc/" + std::to_string(obs_obj_);
   }
-  obs::Registry& reg = obs::Registry::Default();
-  m_blocked_pushes_ = reg.GetCounter(obs_name + "/blocked_pushes");
-  m_blocked_pops_ = reg.GetCounter(obs_name + "/blocked_pops");
-  m_futex_wakes_ = reg.GetCounter(obs_name + "/futex_wakes");
-  m_timeouts_ = reg.GetCounter(obs_name + "/timeouts");
-  spins_.m_hits = reg.GetCounter(obs_name + "/spin_hits");
-  spins_.m_misses = reg.GetCounter(obs_name + "/spin_misses");
-  m_park_ns_ = reg.GetHistogram(obs_name + "/park_ns");
+  m_blocked_pushes_ = metrics_.GetCounter(obs_name + "/blocked_pushes");
+  m_blocked_pops_ = metrics_.GetCounter(obs_name + "/blocked_pops");
+  m_futex_wakes_ = metrics_.GetCounter(obs_name + "/futex_wakes");
+  m_timeouts_ = metrics_.GetCounter(obs_name + "/timeouts");
+  spins_.m_hits = metrics_.GetCounter(obs_name + "/spin_hits");
+  spins_.m_misses = metrics_.GetCounter(obs_name + "/spin_misses");
+  m_park_ns_ = metrics_.GetHistogram(obs_name + "/park_ns");
 }
 
 void MpmcQueue::Prime(uint64_t value) {

@@ -162,6 +162,7 @@ class MpmcQueue {
   // Registry mirrors of the stats above, plus the park-time distribution;
   // trace events carry obs_obj_ so a timeline attributes to this queue.
   uint32_t obs_obj_ = 0;
+  obs::MetricSet metrics_;
   obs::Counter* m_blocked_pushes_ = nullptr;
   obs::Counter* m_blocked_pops_ = nullptr;
   obs::Counter* m_futex_wakes_ = nullptr;

@@ -179,12 +179,11 @@ void Plane::RegisterMetrics() {
   obs_id_ = obs::NewObjectId();
   const bool p2p = !tx_group_ && !rx_group_;
   prefix_ = (p2p ? "chan/" : rx_group_ ? "fanout/" : "fanin/") + std::to_string(obs_id_);
-  obs::Registry& reg = obs::Registry::Default();
   auto counter = [&](bool exported, const std::string& name) {
-    return exported ? reg.GetCounter(prefix_ + name) : &Sink().counter;
+    return exported ? metrics_.GetCounter(prefix_ + name) : &Sink().counter;
   };
   auto histogram = [&](bool exported, const std::string& name) {
-    return exported ? reg.GetHistogram(prefix_ + name) : &Sink().histogram;
+    return exported ? metrics_.GetHistogram(prefix_ + name) : &Sink().histogram;
   };
   m_sends_ = counter(true, "/sends");
   m_recvs_ = counter(true, "/recvs");
@@ -207,7 +206,7 @@ void Plane::RegisterMetrics() {
       const std::string ep = dir + std::to_string(i);
       e.m_msgs = counter(group, ep + (side == &rx_ ? "/deliveries" : "/sends"));
       e.m_drops = counter(group && side == &rx_, ep + "/drops");
-      e.m_credits = group ? reg.GetGauge(prefix_ + ep + "/credits") : &Sink().gauge;
+      e.m_credits = group ? metrics_.GetGauge(prefix_ + ep + "/credits") : &Sink().gauge;
       e.m_stall_ns = histogram(group, ep + "/credit_stall_ns");
     }
   }

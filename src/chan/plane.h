@@ -396,6 +396,7 @@ class Plane : public std::enable_shared_from_this<Plane> {
   // of metrics a shape does not export record into an unregistered sink.
   std::string prefix_;
   uint32_t obs_id_ = 0;
+  obs::MetricSet metrics_;
   obs::Counter* m_sends_ = nullptr;
   obs::Counter* m_recvs_ = nullptr;
   obs::Counter* m_deliveries_ = nullptr;

@@ -13,10 +13,9 @@ Codoms::Codoms(hw::Machine& machine) : machine_(machine) {
   for (uint32_t i = 0; i < machine.num_cpus(); ++i) {
     apl_caches_.push_back(std::make_unique<AplCache>());
   }
-  obs::Registry& reg = obs::Registry::Default();
-  m_mints_ = reg.GetCounter("codoms/mints");
-  m_rebinds_ = reg.GetCounter("codoms/rebinds");
-  m_revokes_ = reg.GetCounter("codoms/revokes");
+  m_mints_ = metrics_.GetCounter("codoms/mints");
+  m_rebinds_ = metrics_.GetCounter("codoms/rebinds");
+  m_revokes_ = metrics_.GetCounter("codoms/revokes");
 }
 
 Codoms::CacheRef Codoms::EnsureCached(hw::CpuId cpu, DomainTag tag) {
@@ -186,8 +185,7 @@ base::Result<Capability> Codoms::CapFromApl(hw::CpuId cpu, const hw::PageTable& 
   }
   obs::Counter*& minted = m_caps_minted_[ctx.current_domain];
   if (minted == nullptr) {
-    minted = obs::Registry::Default().GetCounter("domain/" + std::to_string(ctx.current_domain) +
-                                                 "/caps_minted");
+    minted = metrics_.GetCounter("domain/" + std::to_string(ctx.current_domain) + "/caps_minted");
   }
   minted->Add();
   return cap;

@@ -134,6 +134,7 @@ class Codoms {
   std::vector<std::unique_ptr<AplCache>> apl_caches_;
   uint64_t mints_ = 0;
   // Global capability-churn counters, registered in the ctor ("codoms/...").
+  obs::MetricSet metrics_;
   obs::Counter* m_mints_ = nullptr;
   obs::Counter* m_rebinds_ = nullptr;
   obs::Counter* m_revokes_ = nullptr;

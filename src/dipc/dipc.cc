@@ -9,9 +9,8 @@
 namespace dipc::core {
 
 Dipc::Dipc(os::Kernel& kernel) : kernel_(kernel), vas_(kernel.machine()) {
-  obs::Registry& reg = obs::Registry::Default();
-  m_kill_sweeps_ = reg.GetCounter("dipc/kill_sweeps");
-  m_death_hook_runs_ = reg.GetCounter("dipc/death_hook_runs");
+  m_kill_sweeps_ = metrics_.GetCounter("dipc/kill_sweeps");
+  m_death_hook_runs_ = metrics_.GetCounter("dipc/death_hook_runs");
 }
 
 Dipc::~Dipc() = default;

@@ -149,6 +149,7 @@ class Dipc {
   std::vector<os::Process*> pending_kills_;
   bool in_kill_sweep_ = false;
   // Death-sweep churn, registered in the ctor ("dipc/...").
+  obs::MetricSet metrics_;
   obs::Counter* m_kill_sweeps_ = nullptr;      // processes actually swept
   obs::Counter* m_death_hook_runs_ = nullptr;  // hook invocations across sweeps
   // Proxy code pages are owned by the runtime, not any process; allocate

@@ -58,10 +58,9 @@ Proxy::Proxy(Dipc& dipc, hw::VirtAddr code_va, hw::DomainTag proxy_domain, Entry
   policy_costs_ = ComputePolicyCosts(dipc.kernel().costs(), policy_, target_.signature);
   obs_id_ = obs::NewObjectId();
   const std::string prefix = "proxy/" + std::to_string(obs_id_);
-  obs::Registry& reg = obs::Registry::Default();
-  m_calls_ = reg.GetCounter(prefix + "/calls");
-  m_crashes_ = reg.GetCounter(prefix + "/crashes");
-  m_call_ns_ = reg.GetHistogram(prefix + "/call_ns");
+  m_calls_ = metrics_.GetCounter(prefix + "/calls");
+  m_crashes_ = metrics_.GetCounter(prefix + "/crashes");
+  m_call_ns_ = metrics_.GetHistogram(prefix + "/call_ns");
 }
 
 sim::Task<uint64_t> Proxy::Invoke(os::Env env, CallArgs args) {

@@ -69,6 +69,7 @@ class Proxy {
   bool cross_process_;
   uint64_t invocations_ = 0;
   uint32_t obs_id_ = 0;
+  obs::MetricSet metrics_;
   obs::Counter* m_calls_ = nullptr;     // proxy/<id>/calls
   obs::Counter* m_crashes_ = nullptr;   // proxy/<id>/crashes (callee crash unwinds)
   obs::Histogram* m_call_ns_ = nullptr; // proxy/<id>/call_ns (full in-proxy time)

@@ -49,14 +49,13 @@ ServiceFabric::ServiceFabric(core::Dipc& dipc, std::span<os::Process* const> cli
 void ServiceFabric::RegisterMetrics() {
   obs_id_ = obs::NewObjectId();
   const std::string p = "fabric/" + std::to_string(obs_id_) + "/";
-  obs::Registry& reg = obs::Registry::Default();
-  m_calls_ = reg.GetCounter(p + "calls");
-  m_completions_ = reg.GetCounter(p + "completions");
-  m_retries_ = reg.GetCounter(p + "retries");
-  m_failures_ = reg.GetCounter(p + "failures");
-  m_duplicates_ = reg.GetCounter(p + "duplicate_completions");
-  m_rebinds_ = reg.GetCounter(p + "worker_rebinds");
-  m_call_ns_ = reg.GetHistogram(p + "call_ns");
+  m_calls_ = metrics_.GetCounter(p + "calls");
+  m_completions_ = metrics_.GetCounter(p + "completions");
+  m_retries_ = metrics_.GetCounter(p + "retries");
+  m_failures_ = metrics_.GetCounter(p + "failures");
+  m_duplicates_ = metrics_.GetCounter(p + "duplicate_completions");
+  m_rebinds_ = metrics_.GetCounter(p + "worker_rebinds");
+  m_call_ns_ = metrics_.GetHistogram(p + "call_ns");
 }
 
 base::Result<std::shared_ptr<ServiceFabric>> ServiceFabric::Create(

@@ -171,6 +171,7 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   uint64_t duplicates_ = 0;
   uint64_t rebinds_ = 0;
   uint32_t obs_id_ = 0;
+  obs::MetricSet metrics_;
   obs::Counter* m_calls_ = nullptr;
   obs::Counter* m_completions_ = nullptr;
   obs::Counter* m_retries_ = nullptr;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 
 #include "base/thread_annotations.h"
 #include "obs/metric_schema.h"
@@ -55,11 +56,57 @@ namespace {
 enum class Kind { kCounter, kGauge, kHistogram };
 
 struct Entry {
+  explicit Entry(Kind k) : kind(k) {
+    switch (kind) {
+      case Kind::kCounter:
+        counter = std::make_unique<Counter>();
+        break;
+      case Kind::kGauge:
+        gauge = std::make_unique<Gauge>();
+        break;
+      case Kind::kHistogram:
+        histogram = std::make_unique<Histogram>();
+        break;
+    }
+  }
+
   Kind kind;
+  // Registry::Get* and MetricSet holds; 0 marks a retired total.
+  uint64_t holds = 0;
   std::unique_ptr<Counter> counter;
   std::unique_ptr<Gauge> gauge;
   std::unique_ptr<Histogram> histogram;
 };
+
+template <typename M>
+constexpr Kind kKindOf = std::is_same_v<M, Counter> ? Kind::kCounter
+                         : std::is_same_v<M, Gauge> ? Kind::kGauge
+                                                    : Kind::kHistogram;
+
+// The retired total a name folds into: each all-digit component (an object
+// id) becomes '*', as tools/bench_trend.py normalizes.
+std::string NormalizedName(std::string_view name) {
+  std::string out;
+  out.reserve(name.size());
+  size_t start = 0;
+  while (true) {
+    const size_t slash = name.find('/', start);
+    const std::string_view part = name.substr(start, slash - start);
+    const bool id = !part.empty() && std::all_of(part.begin(), part.end(), [](char c) {
+      return c >= '0' && c <= '9';
+    });
+    if (id) {
+      out += '*';
+    } else {
+      out += part;
+    }
+    if (slash == std::string_view::npos) {
+      return out;
+    }
+    out += '/';
+    start = slash + 1;
+  }
+}
 
 void AppendJsonString(std::string& out, const std::string& s) {
   out += '"';
@@ -95,15 +142,20 @@ std::string FormatDouble(double v) {
 
 struct Registry::Impl {
   mutable base::Mutex mu;
-  // std::map keeps names sorted so SnapshotJson() is deterministic; Entry
-  // values hold unique_ptrs, so handle pointers survive rehash/rebalance.
+  // std::map keeps names sorted so SnapshotJson() is deterministic, and its
+  // nodes are stable, so MetricSet can point at the keys; Entry values hold
+  // unique_ptrs, so handle pointers survive rehash/rebalance. Held names
+  // and retired totals share the map.
   std::map<std::string, Entry, std::less<>> entries DIPC_GUARDED_BY(mu);
   uint64_t kind_collisions DIPC_GUARDED_BY(mu) = 0;
   // First registrations whose name no manifest pattern covers ("<kind>
   // <name>"); drained by Registry::TakeSchemaViolations.
   std::vector<std::string> schema_violations DIPC_GUARDED_BY(mu);
 
-  Entry& GetOrCreate(std::string_view name, Kind kind) DIPC_REQUIRES(mu) {
+  // Takes one hold on `name` as a `kind` metric and returns its node, or
+  // nullptr when the name already names another kind (no hold is taken).
+  std::pair<const std::string, Entry>* Hold(std::string_view name, Kind kind)
+      DIPC_REQUIRES(mu) {
     auto it = entries.find(name);
     if (it == entries.end()) {
       static constexpr MetricKind kSchemaKind[] = {
@@ -113,22 +165,64 @@ struct Registry::Impl {
         schema_violations.push_back(std::string(MetricKindName(schema_kind)) + " " +
                                     std::string(name));
       }
-      Entry e;
-      e.kind = kind;
-      switch (kind) {
-        case Kind::kCounter:
-          e.counter = std::make_unique<Counter>();
-          break;
-        case Kind::kGauge:
-          e.gauge = std::make_unique<Gauge>();
-          break;
-        case Kind::kHistogram:
-          e.histogram = std::make_unique<Histogram>();
-          break;
-      }
-      it = entries.emplace(std::string(name), std::move(e)).first;
+      it = entries.emplace(std::string(name), Entry(kind)).first;
     }
-    return it->second;
+    if (it->second.kind != kind) {
+      ++kind_collisions;
+      return nullptr;
+    }
+    ++it->second.holds;
+    return &*it;
+  }
+
+  // Takes one hold on `name` and returns its handle, recording the hold in
+  // `held` when one is given. A name that already names another kind takes
+  // no hold: the caller gets a detached dummy and the collision is counted.
+  template <typename M>
+  M* Take(std::string_view name, std::vector<const std::string*>* held) DIPC_EXCLUDES(mu) {
+    base::MutexLock lock(&mu);
+    auto* node = Hold(name, kKindOf<M>);
+    if (node == nullptr) {
+      static M* dummy = new M();
+      return dummy;
+    }
+    if (held != nullptr) {
+      held->push_back(&node->first);
+    }
+    if constexpr (std::is_same_v<M, Counter>) {
+      return node->second.counter.get();
+    } else if constexpr (std::is_same_v<M, Gauge>) {
+      return node->second.gauge.get();
+    } else {
+      return node->second.histogram.get();
+    }
+  }
+
+  // Drops one hold on `name`. The last one folds the metric into its
+  // retired total and frees it; a name with no id is its own total.
+  void Release(const std::string& name) DIPC_REQUIRES(mu) {
+    auto it = entries.find(name);
+    Entry& e = it->second;
+    if (--e.holds > 0) {
+      return;
+    }
+    if (e.kind == Kind::kGauge) {
+      entries.erase(it);
+      return;
+    }
+    std::string total_name = NormalizedName(name);
+    if (total_name == name) {
+      return;
+    }
+    auto total = entries.try_emplace(std::move(total_name), e.kind).first;
+    if (total->second.kind != e.kind) {
+      ++kind_collisions;
+    } else if (e.kind == Kind::kCounter) {
+      total->second.counter->Add(e.counter->value());
+    } else {
+      total->second.histogram->Merge(*e.histogram);
+    }
+    entries.erase(it);
   }
 };
 
@@ -142,42 +236,12 @@ Registry& Registry::Default() {
   return *r;
 }
 
-Counter* Registry::GetCounter(std::string_view name) {
-  Impl& im = impl();
-  base::MutexLock lock(&im.mu);
-  Entry& e = im.GetOrCreate(name, Kind::kCounter);
-  if (e.kind != Kind::kCounter) {
-    // Name already taken by a different kind: hand back a detached dummy so
-    // the caller still gets a valid handle, and record the misuse.
-    ++im.kind_collisions;
-    static Counter* dummy = new Counter();
-    return dummy;
-  }
-  return e.counter.get();
-}
+Counter* Registry::GetCounter(std::string_view name) { return impl().Take<Counter>(name, nullptr); }
 
-Gauge* Registry::GetGauge(std::string_view name) {
-  Impl& im = impl();
-  base::MutexLock lock(&im.mu);
-  Entry& e = im.GetOrCreate(name, Kind::kGauge);
-  if (e.kind != Kind::kGauge) {
-    ++im.kind_collisions;
-    static Gauge* dummy = new Gauge();
-    return dummy;
-  }
-  return e.gauge.get();
-}
+Gauge* Registry::GetGauge(std::string_view name) { return impl().Take<Gauge>(name, nullptr); }
 
 Histogram* Registry::GetHistogram(std::string_view name) {
-  Impl& im = impl();
-  base::MutexLock lock(&im.mu);
-  Entry& e = im.GetOrCreate(name, Kind::kHistogram);
-  if (e.kind != Kind::kHistogram) {
-    ++im.kind_collisions;
-    static Histogram* dummy = new Histogram();
-    return dummy;
-  }
-  return e.histogram.get();
+  return impl().Take<Histogram>(name, nullptr);
 }
 
 std::string Registry::SnapshotJson() const {
@@ -229,7 +293,12 @@ std::string Registry::SnapshotJson() const {
 void Registry::Reset() {
   Impl& im = impl();
   base::MutexLock lock(&im.mu);
-  for (auto& [name, e] : im.entries) {
+  for (auto it = im.entries.begin(); it != im.entries.end();) {
+    Entry& e = it->second;
+    if (e.holds == 0) {
+      it = im.entries.erase(it);
+      continue;
+    }
     switch (e.kind) {
       case Kind::kCounter:
         e.counter->Reset();
@@ -241,6 +310,7 @@ void Registry::Reset() {
         e.histogram->Reset();
         break;
     }
+    ++it;
   }
 }
 
@@ -256,6 +326,29 @@ std::vector<std::string> Registry::TakeSchemaViolations() {
   std::vector<std::string> out;
   out.swap(im.schema_violations);
   return out;
+}
+
+MetricSet::~MetricSet() {
+  if (held_.empty()) {
+    return;
+  }
+  Registry::Impl& im = Registry::Default().impl();
+  base::MutexLock lock(&im.mu);
+  for (const std::string* name : held_) {
+    im.Release(*name);
+  }
+}
+
+Counter* MetricSet::GetCounter(std::string_view name) {
+  return Registry::Default().impl().Take<Counter>(name, &held_);
+}
+
+Gauge* MetricSet::GetGauge(std::string_view name) {
+  return Registry::Default().impl().Take<Gauge>(name, &held_);
+}
+
+Histogram* MetricSet::GetHistogram(std::string_view name) {
+  return Registry::Default().impl().Take<Histogram>(name, &held_);
 }
 
 #else  // DIPC_OBS_OFF
@@ -290,6 +383,13 @@ std::string Registry::SnapshotJson() const { return "{}"; }
 void Registry::Reset() {}
 size_t Registry::size() const { return 0; }
 std::vector<std::string> Registry::TakeSchemaViolations() { return {}; }
+
+MetricSet::~MetricSet() = default;
+Counter* MetricSet::GetCounter(std::string_view name) { return Registry::Default().GetCounter(name); }
+Gauge* MetricSet::GetGauge(std::string_view name) { return Registry::Default().GetGauge(name); }
+Histogram* MetricSet::GetHistogram(std::string_view name) {
+  return Registry::Default().GetHistogram(name);
+}
 
 #endif  // DIPC_OBS_OFF
 

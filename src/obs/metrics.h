@@ -13,9 +13,10 @@
 //     once at object creation and keep the returned handle pointer.
 //   - The handles themselves are single relaxed atomic ops (Counter::Add is
 //     one fetch_add), cheap enough to leave on the steady-state send path.
-//     Handle pointers are stable for the life of the process (each metric
-//     is its own heap object, which the registry's name map owns and never
-//     removes).
+//     A handle pointer is valid while its name is held: an object holds the
+//     names it registers through its MetricSet until it dies, and
+//     Registry::Get* holds are never released (each metric is its own heap
+//     object, which the registry frees once its last hold is gone).
 //   - Recording charges no simulated time: a relaxed increment is modeled
 //     as disappearing into the superscalar margin. Trace events are the
 //     costed observability primitive (see obs/trace.h).
@@ -94,6 +95,18 @@ class Histogram {
   uint64_t max_ns() const { return max_ns_.load(std::memory_order_relaxed); }
   uint64_t bucket(int b) const { return buckets_[b].load(std::memory_order_relaxed); }
 
+  // Adds every sample of `other`: buckets, count and sum add; min and max
+  // widen.
+  void Merge(const Histogram& other) {
+    for (int b = 0; b < kBuckets; ++b) {
+      buckets_[b].fetch_add(other.bucket(b), std::memory_order_relaxed);
+    }
+    count_.fetch_add(other.count(), std::memory_order_relaxed);
+    sum_ns_.fetch_add(other.sum_ns(), std::memory_order_relaxed);
+    AtomicMin(min_ns_, other.min_ns_.load(std::memory_order_relaxed));
+    AtomicMax(max_ns_, other.max_ns());
+  }
+
   // Approximate p-th percentile (p in [0, 100]) in ns: finds the bucket the
   // rank falls into and interpolates linearly across its value range.
   double Percentile(double p) const;
@@ -160,11 +173,17 @@ class Histogram {
 
 #endif  // DIPC_OBS_OFF
 
-// Name -> handle registry. Handles are created on first Get* and live for
-// the process; the same name always returns the same pointer (a name names
-// one metric, whoever asks). A name must stick to one kind — asking for a
-// counter named like an existing histogram returns a fresh dummy handle and
-// flags the collision in the snapshot rather than aborting the run.
+// Name -> handle registry. Every Get* takes a hold on its name, and the
+// same name returns the same handle for as long as any hold lives (a name
+// names one metric, whoever asks). Registry::Get* holds are never released,
+// which suits process-lifetime users; an object registers through its
+// MetricSet, whose holds go with it. When a name's last hold goes, the
+// registry folds the metric into a retired total under its normalized name
+// (each all-digit component becomes '*': chan/3/sends -> chan/*/sends) and
+// frees it: counters add, histograms merge, gauges are dropped. A name must
+// stick to one kind — asking for a counter named like an existing histogram
+// returns a fresh dummy handle and flags the collision in the snapshot
+// rather than aborting the run.
 class Registry {
  public:
   // The process-wide default registry every subsystem registers into.
@@ -174,18 +193,22 @@ class Registry {
   Gauge* GetGauge(std::string_view name);
   Histogram* GetHistogram(std::string_view name);
 
-  // One JSON object over every registered metric:
+  // One JSON object over every held name and every retired total:
   //   {"counters": {name: value, ...},
   //    "gauges": {name: value, ...},
   //    "histograms": {name: {"count": c, "sum_ns": s, "min_ns": m,
   //                          "max_ns": M, "p50": .., "p95": .., "p99": ..}}}
-  // Names are emitted sorted, so snapshots diff cleanly.
+  // Names are emitted sorted, so snapshots diff cleanly. A retired total
+  // and a held name that normalize alike and are the same string (a name
+  // with no id, such as os/sched/migrations) are one metric and print as
+  // one sum; a held chan/3/sends prints next to the total chan/*/sends.
   std::string SnapshotJson() const;
 
-  // Zeroes every metric without invalidating handles (bench measurement
-  // windows reset between series).
+  // Zeroes every held metric without invalidating handles and drops the
+  // retired totals (bench measurement windows reset between series).
   void Reset();
 
+  // Held names plus retired totals.
   size_t size() const;
 
   // Every first registration is validated against the manifest schema
@@ -197,8 +220,31 @@ class Registry {
   std::vector<std::string> TakeSchemaViolations();
 
  private:
+  friend class MetricSet;
   struct Impl;
   Impl& impl() const;
+};
+
+// The names one object registered, held for the object's life: its Get*
+// calls return what Registry::Get* returns for the same name, and its
+// destructor releases every hold it took, so the metrics of a dead object
+// fold into their retired totals (see Registry). An object keeps its
+// MetricSet as a member next to the handles it took; they are valid until
+// that member is destroyed.
+class MetricSet {
+ public:
+  MetricSet() = default;
+  ~MetricSet();
+  MetricSet(const MetricSet&) = delete;
+  MetricSet& operator=(const MetricSet&) = delete;
+
+  Counter* GetCounter(std::string_view name);
+  Gauge* GetGauge(std::string_view name);
+  Histogram* GetHistogram(std::string_view name);
+
+ private:
+  // One entry per hold, pointing at the registry's copy of the name.
+  std::vector<const std::string*> held_;
 };
 
 // Per-domain simulated-time attribution, charged by os::Kernel whenever a

@@ -15,16 +15,16 @@ Kernel::Kernel(hw::Machine& machine, codoms::Codoms& codoms)
     cs.idle_since = now();
   }
   // Scheduler observability. Names are machine-scoped (not per Kernel
-  // instance), so sequential sims in one binary share handles — the
-  // registry resets between bench series anyway.
-  obs::Registry& reg = obs::Registry::Default();
-  m_migrations_ = reg.GetCounter("os/sched/migrations");
-  m_handoffs_ = reg.GetCounter("os/sched/handoffs");
-  m_spun_ns_ = reg.GetCounter("os/sched/spun_ns");
-  m_futex_waiters_ = reg.GetGauge("os/sched/futex_waiters");
+  // instance), so kernels alive at once share handles, and the counts of
+  // one that dies stay in the same names — the registry resets between
+  // bench series anyway.
+  m_migrations_ = metrics_.GetCounter("os/sched/migrations");
+  m_handoffs_ = metrics_.GetCounter("os/sched/handoffs");
+  m_spun_ns_ = metrics_.GetCounter("os/sched/spun_ns");
+  m_futex_waiters_ = metrics_.GetGauge("os/sched/futex_waiters");
   m_runq_depth_.resize(cpus_.size());
   for (hw::CpuId c = 0; c < cpus_.size(); ++c) {
-    m_runq_depth_[c] = reg.GetGauge("os/sched/cpu" + std::to_string(c) + "/runq_depth");
+    m_runq_depth_[c] = metrics_.GetGauge("os/sched/cpu" + std::to_string(c) + "/runq_depth");
   }
 }
 

@@ -400,6 +400,7 @@ class Kernel {
   // Scheduler observability handles (registered in the ctor): cross-CPU
   // dispatches of already-running threads, direct switches, spun time, and
   // per-CPU run-queue depth.
+  obs::MetricSet metrics_;
   obs::Counter* m_migrations_ = nullptr;
   obs::Counter* m_handoffs_ = nullptr;
   obs::Counter* m_spun_ns_ = nullptr;

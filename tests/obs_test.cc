@@ -262,6 +262,195 @@ TEST(ObsRegistry, SnapshotJsonIsWellFormed) {
 #endif
 }
 
+// How many snapshot keys are spelled `name`.
+int KeysNamed(const std::string& snap, const std::string& name) {
+  int n = 0;
+  const std::string needle = "\"" + name + "\":";
+  for (size_t pos = snap.find(needle); pos != std::string::npos; pos = snap.find(needle, pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// The value of counter `name` in a snapshot, or -1 when it is absent.
+long long CounterIn(const std::string& snap, const std::string& name) {
+  const std::string needle = "\"" + name + "\": ";
+  const size_t pos = snap.find(needle);
+  return pos == std::string::npos ? -1 : std::atoll(snap.c_str() + pos + needle.size());
+}
+
+// A dead object's counters add into the total of their normalized name,
+// and its histograms merge into theirs sample for sample.
+TEST(ObsRegistry, DeadObjectsFoldCountersAndHistogramsIntoNormalizedTotals) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#else
+  Registry& reg = Registry::Default();
+  Histogram expected;
+  {
+    MetricSet a;
+    MetricSet b;
+    a.GetCounter("obs_fold/11/calls")->Add(3);
+    b.GetCounter("obs_fold/12/calls")->Add(4);
+    for (double ns : {5.0, 900.0}) {
+      a.GetHistogram("obs_fold/11/call_ns")->Record(ns);
+      expected.Record(ns);
+    }
+    for (double ns : {0.0, 70.0, 70000.0}) {
+      b.GetHistogram("obs_fold/12/call_ns")->Record(ns);
+      expected.Record(ns);
+    }
+    const std::string live = reg.SnapshotJson();
+    EXPECT_EQ(CounterIn(live, "obs_fold/11/calls"), 3);
+    EXPECT_EQ(CounterIn(live, "obs_fold/12/calls"), 4);
+    EXPECT_EQ(KeysNamed(live, "obs_fold/*/calls"), 0);
+  }
+  const std::string dead = reg.SnapshotJson();
+  EXPECT_TRUE(JsonIsWellFormed(dead)) << dead.substr(0, 400);
+  for (const char* gone : {"obs_fold/11/calls", "obs_fold/12/calls", "obs_fold/11/call_ns",
+                           "obs_fold/12/call_ns"}) {
+    EXPECT_EQ(KeysNamed(dead, gone), 0) << gone;
+  }
+  EXPECT_EQ(CounterIn(dead, "obs_fold/*/calls"), 7);
+  const Histogram* total = reg.GetHistogram("obs_fold/*/call_ns");
+  EXPECT_EQ(total->count(), expected.count());
+  EXPECT_EQ(total->sum_ns(), expected.sum_ns());
+  EXPECT_EQ(total->min_ns(), expected.min_ns());
+  EXPECT_EQ(total->max_ns(), expected.max_ns());
+  for (int b = 0; b < Histogram::kBuckets; ++b) {
+    EXPECT_EQ(total->bucket(b), expected.bucket(b)) << "bucket " << b;
+  }
+#endif
+}
+
+// A gauge is a level, not a count: a dead object's gauges leave no total.
+TEST(ObsRegistry, DeadObjectGaugesAreDropped) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#else
+  Registry& reg = Registry::Default();
+  {
+    MetricSet s;
+    s.GetGauge("obs_drop/21/depth")->Set(9);
+    s.GetGauge("obs_drop/level")->Set(-2);
+    const std::string live = reg.SnapshotJson();
+    EXPECT_NE(live.find("\"obs_drop/21/depth\": 9"), std::string::npos);
+    EXPECT_NE(live.find("\"obs_drop/level\": -2"), std::string::npos);
+  }
+  const std::string dead = reg.SnapshotJson();
+  for (const char* gone : {"obs_drop/21/depth", "obs_drop/*/depth", "obs_drop/level"}) {
+    EXPECT_EQ(KeysNamed(dead, gone), 0) << gone;
+  }
+#endif
+}
+
+// A name with no id is its own normalized name: the total a dead object
+// left under it and a live object's count print as one key holding the
+// sum, as one shared handle would. A live name with an id prints beside
+// its total, and normalizing sums the two.
+TEST(ObsRegistry, LiveNameAndRetiredTotalOfOneSpellingPrintAsOneSum) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#else
+  Registry& reg = Registry::Default();
+  {
+    MetricSet first;
+    first.GetCounter("obs_merge/calls")->Add(5);
+    first.GetCounter("obs_merge/31/calls")->Add(1);
+  }
+  MetricSet second;
+  second.GetCounter("obs_merge/calls")->Add(2);
+  second.GetCounter("obs_merge/32/calls")->Add(10);
+  const std::string snap = reg.SnapshotJson();
+  EXPECT_EQ(KeysNamed(snap, "obs_merge/calls"), 1);
+  EXPECT_EQ(CounterIn(snap, "obs_merge/calls"), 7);
+  EXPECT_EQ(CounterIn(snap, "obs_merge/32/calls"), 10);
+  EXPECT_EQ(CounterIn(snap, "obs_merge/*/calls"), 1);
+#endif
+}
+
+TEST(ObsRegistry, ResetClearsRetiredTotals) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#else
+  Registry& reg = Registry::Default();
+  MetricSet live;
+  live.GetCounter("obs_reset/41/calls")->Add(2);
+  {
+    MetricSet dead;
+    dead.GetCounter("obs_reset/42/calls")->Add(3);
+  }
+  EXPECT_EQ(CounterIn(reg.SnapshotJson(), "obs_reset/*/calls"), 3);
+  const size_t before = reg.size();
+  reg.Reset();
+  const std::string snap = reg.SnapshotJson();
+  EXPECT_EQ(KeysNamed(snap, "obs_reset/*/calls"), 0);
+  EXPECT_EQ(CounterIn(snap, "obs_reset/41/calls"), 0);  // held: zeroed, still there
+  EXPECT_LT(reg.size(), before);
+#endif
+}
+
+// Objects alive at once share a name's handle, and it stays registered
+// until the last of them dies (ASan flags a use of a freed handle).
+TEST(ObsRegistry, HandleStaysValidWhileAnyHolderLives) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#else
+  Registry& reg = Registry::Default();
+  {
+    auto first = std::make_unique<MetricSet>();
+    MetricSet second;
+    Counter* a = first->GetCounter("obs_hold/51/calls");
+    Counter* b = second.GetCounter("obs_hold/51/calls");
+    ASSERT_EQ(a, b);
+    a->Add(4);
+    first.reset();
+    b->Add(1);
+    EXPECT_EQ(b->value(), 5u);
+    const std::string snap = reg.SnapshotJson();
+    EXPECT_EQ(CounterIn(snap, "obs_hold/51/calls"), 5);
+    EXPECT_EQ(KeysNamed(snap, "obs_hold/*/calls"), 0);
+  }
+  EXPECT_EQ(CounterIn(reg.SnapshotJson(), "obs_hold/*/calls"), 5);
+#endif
+}
+
+// Host threads build and destroy holders concurrently, several on one name
+// at a time: every count lands in the totals exactly once (the TSan gate
+// runs this).
+TEST(ObsRegistry, ConcurrentHoldsAndReleasesFoldExactly) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#else
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < kRounds; ++i) {
+        const std::string prefix = "obs_conc/" + std::to_string(60 + i % 3);
+        MetricSet s;
+        s.GetCounter(prefix + "/calls")->Add(1);
+        s.GetHistogram(prefix + "/call_ns")->Record(i);
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  Registry& reg = Registry::Default();
+  const std::string snap = reg.SnapshotJson();
+  for (const char* gone : {"obs_conc/60/calls", "obs_conc/61/calls", "obs_conc/62/calls"}) {
+    EXPECT_EQ(KeysNamed(snap, gone), 0) << gone;
+  }
+  EXPECT_EQ(reg.GetCounter("obs_conc/*/calls")->value(),
+            static_cast<uint64_t>(kThreads) * kRounds);
+  EXPECT_EQ(reg.GetHistogram("obs_conc/*/call_ns")->count(),
+            static_cast<uint64_t>(kThreads) * kRounds);
+#endif
+}
+
 TEST(ObsTrace, WraparoundKeepsTheNewestEvents) {
   TraceRing ring;
   ring.Enable(/*capacity_per_cpu=*/16);
@@ -414,9 +603,14 @@ struct FabricRig {
   explicit FabricRig(fabric::FabricConfig cfg = {.req_slots = 8,
                                                  .req_bytes = 64,
                                                  .resp_slots = 8,
-                                                 .resp_bytes = 64}) {
-    clients.push_back(&dipc.CreateDipcProcess("tenant"));
-    workers.push_back(&dipc.CreateDipcProcess("worker"));
+                                                 .resp_bytes = 64},
+                     uint32_t tenants = 1, uint32_t worker_count = 1) {
+    for (uint32_t c = 0; c < tenants; ++c) {
+      clients.push_back(&dipc.CreateDipcProcess("tenant"));
+    }
+    for (uint32_t w = 0; w < worker_count; ++w) {
+      workers.push_back(&dipc.CreateDipcProcess("worker"));
+    }
     auto f = fabric::ServiceFabric::Create(dipc, clients, workers, cfg);
     DIPC_CHECK(f.ok());
     fab = f.value();
@@ -430,6 +624,97 @@ struct FabricRig {
     });
   }
 };
+
+// The per-object names in a snapshot of the objects that took ids after
+// `base`, each id rebased to its offset from `base` (fabric/<base+1>/calls
+// reads fabric/1/calls), so two worlds built alike list the same names.
+std::set<std::string> WorldNames(const std::string& snap, uint32_t base) {
+  static const std::string kPrefixes[] = {"chan/", "fanout/", "fanin/", "mpmc/", "proxy/",
+                                          "fabric/"};
+  std::set<std::string> out;
+  for (size_t open = snap.find('"'); open != std::string::npos;
+       open = snap.find('"', snap.find('"', open + 1) + 1)) {
+    const std::string name = snap.substr(open + 1, snap.find('"', open + 1) - open - 1);
+    for (const std::string& prefix : kPrefixes) {
+      if (name.rfind(prefix, 0) != 0) {
+        continue;
+      }
+      const uint64_t id = std::strtoull(name.c_str() + prefix.size(), nullptr, 10);
+      const size_t rest = name.find('/', prefix.size());
+      if (id > base && rest != std::string::npos) {
+        out.insert(prefix + std::to_string(id - base) + name.substr(rest));
+      }
+    }
+  }
+  return out;
+}
+
+// Regression: a destroyed world's metrics stayed registered, so every world
+// a process built added its per-object names for good (perfbench
+// fabric_rpc's nine 16-tenant x 4-worker set-up worlds left 14,624 names).
+// Now each destruction folds them into their totals: the registry returns
+// to one size after every destruction, and a live world lists every name
+// the first world listed.
+TEST(ObsRegistry, DestroyedFabricWorldsLeaveTheRegistryAtOneSize) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#else
+  constexpr uint32_t kTenants = 16;
+  constexpr uint32_t kWorkers = 4;
+  Registry& reg = Registry::Default();
+  std::set<std::string> first_world;
+  std::vector<size_t> sizes;
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const uint32_t base = NewObjectId();
+    {
+      FabricRig rig({.req_slots = 8, .req_bytes = 64, .resp_slots = 8, .resp_bytes = 64},
+                    kTenants, kWorkers);
+      auto fab = rig.fab;
+      for (uint32_t c = 0; c < kTenants; ++c) {
+        for (uint32_t w = 0; w < kWorkers; ++w) {
+          rig.kernel.Spawn(*rig.workers[w], "serve", [fab, c, w](os::Env env) -> sim::Task<void> {
+            co_await fab->Serve(env, c, w, [](os::Env, const chan::Msg&) -> sim::Task<void> {
+              co_return;
+            });
+          });
+        }
+      }
+      auto done = std::make_shared<uint32_t>(0);
+      for (uint32_t c = 0; c < kTenants; ++c) {
+        rig.kernel.Spawn(*rig.clients[c], "web", [fab, c, done](os::Env env) -> sim::Task<void> {
+          EXPECT_TRUE((co_await fab->Call(env, c, 16)).ok());
+          if (++*done == kTenants) {
+            fab->Close();
+          }
+        });
+      }
+      rig.kernel.Run();
+      ASSERT_EQ(*done, kTenants);
+      const std::set<std::string> names = WorldNames(reg.SnapshotJson(), base);
+      EXPECT_EQ(names.count("fabric/" + std::to_string(fab->obs_id() - base) + "/calls"), 1u);
+      for (uint32_t c = 0; c < kTenants; ++c) {
+        for (uint32_t id : {fab->request_plane(c)->obs_id(), fab->response_plane(c)->obs_id()}) {
+          const std::string sends = "/" + std::to_string(id - base) + "/sends";
+          EXPECT_EQ(names.count("chan" + sends) + names.count("fanout" + sends) +
+                        names.count("fanin" + sends),
+                    1u)
+              << "tenant " << c << " plane " << id;
+        }
+      }
+      if (round == 0) {
+        first_world = names;
+      } else {
+        EXPECT_EQ(names, first_world);
+      }
+    }
+    sizes.push_back(reg.size());
+    EXPECT_TRUE(WorldNames(reg.SnapshotJson(), base).empty());
+  }
+  EXPECT_EQ(sizes[1], sizes[0]);
+  EXPECT_EQ(sizes[2], sizes[0]);
+#endif
+}
 
 // The tentpole's core property: a single fabric Call under tracing yields a
 // span for every hop — client acquire, request send, worker recv, handler,

@@ -32,7 +32,7 @@ New series (no baseline) and removed series are reported but never fail the
 gate: trajectory files are expected to grow.
 
 Counter deltas. The "metrics" object optionally embedded by --metrics holds
-per-series (or whole-run) counter snapshots. Counters are workload-sized, so
+per-series counter snapshots. Counters are workload-sized, so
 they are NOT gated by default — but a drifting counter (retries, faults,
 migrations) often regresses long before latency does. --counter-threshold
 PREFIX=PCT opts specific counters into gating: every counter whose
@@ -40,7 +40,8 @@ PREFIX=PCT opts specific counters into gating: every counter whose
 grew more than PCT percent over baseline (longest matching prefix wins;
 shrinking is never a failure). All-digit name components (object ids like
 fabric/17/calls) are normalized to '*' and summed, so ids that differ run to
-run still match:
+run still match, and a live object's counter sums with the retired total the
+registry keeps for dead objects under the normalized name (fabric/*/calls):
   --counter-threshold 'fabric_echo/fabric/*/retries=0'
 fails on ANY new retry in the fabric_echo bench.
 """
@@ -148,8 +149,7 @@ def normalize_counter(name):
 
 def load_counters(path):
     """Returns {(bench, series_label, normalized_counter): summed value} from
-    the metrics maps embedded by --metrics. Whole-run snapshots (no
-    BeginSeries boundaries) use the empty series label. Counters whose ids
+    the per-series metrics maps embedded by --metrics. Counters whose ids
     normalize to the same name are summed."""
     counters = {}
     for f in bench_files(path):
@@ -162,11 +162,9 @@ def load_counters(path):
         metrics = doc.get("metrics")
         if not isinstance(metrics, dict):
             continue
-        if isinstance(metrics.get("counters"), dict):
-            snapshots = {"": metrics}  # whole-run shape
-        else:
-            snapshots = {k: v for k, v in metrics.items() if isinstance(v, dict)}
-        for label, snap in snapshots.items():
+        for label, snap in metrics.items():
+            if not isinstance(snap, dict):
+                continue
             for cname, val in (snap.get("counters") or {}).items():
                 key = (bench, label, normalize_counter(cname))
                 try:
@@ -178,9 +176,8 @@ def load_counters(path):
 
 
 def counter_name(key):
-    """Flat name for prefix matching and display: bench/series/counter with
-    the empty whole-run label elided."""
-    return "/".join(part for part in key if part)
+    """Flat name for prefix matching and display: bench/series/counter."""
+    return "/".join(key)
 
 
 def compare_counters(baseline, current, counter_thresholds):
@@ -409,7 +406,15 @@ def self_test():
         cc = load_counters(cdir)
         assert bc[("t", "hot", "chan/*/sends")] == 100.0, bc
         assert cc[("t", "hot", "chan/*/sends")] == 120.0, cc
-        assert counter_name(("t", "", "chan/*/sends")) == "t/chan/*/sends"
+        # A window's retired total of dead channels (chan/*/sends) and a
+        # live channel's own counter (chan/3/sends) are one counter.
+        retired_dir = os.path.join(tmp, "retired")
+        os.mkdir(retired_dir)
+        with open(os.path.join(retired_dir, "BENCH_t.json"), "w") as f:
+            json.dump({"bench": "t", "unit": "ns", "rows": [], "metrics": {
+                "hot": {"counters": {"chan/*/sends": 90, "chan/3/sends": 30}}}}, f)
+        assert load_counters(retired_dir) == {("t", "hot", "chan/*/sends"): 120.0}
+        assert counter_name(("t", "hot", "chan/*/sends")) == "t/hot/chan/*/sends"
         # Ungated by default: no thresholds, no counter regressions.
         assert compare_counters(bc, cc, []) == []
         # Retries grew 0 -> 2 = +200% over max(base, 1).
