@@ -2,8 +2,8 @@
 // src/obs/metric_schema.def (see that file for the pattern grammar).
 //
 // Two consumers keep registration honest:
-//   - Registry::Get{Counter,Gauge,Histogram} validate every first
-//     registration against the schema and record misses; the obs tests
+//   - The registry validates every first registration (Registry::Get* or
+//     MetricSet::Get*) against the schema and records misses; the obs tests
 //     drain Registry::TakeSchemaViolations() after exercising each
 //     subsystem and assert nothing drifted.
 //   - tools/dipclint's METRIC-SCHEMA rule checks the literal fragments of

@@ -87,19 +87,12 @@ constexpr Kind kKindOf = std::is_same_v<M, Counter> ? Kind::kCounter
 // id) becomes '*', as tools/bench_trend.py normalizes.
 std::string NormalizedName(std::string_view name) {
   std::string out;
-  out.reserve(name.size());
   size_t start = 0;
   while (true) {
     const size_t slash = name.find('/', start);
     const std::string_view part = name.substr(start, slash - start);
-    const bool id = !part.empty() && std::all_of(part.begin(), part.end(), [](char c) {
-      return c >= '0' && c <= '9';
-    });
-    if (id) {
-      out += '*';
-    } else {
-      out += part;
-    }
+    const bool id = !part.empty() && part.find_first_not_of("0123456789") == std::string_view::npos;
+    out += id ? std::string_view("*") : part;
     if (slash == std::string_view::npos) {
       return out;
     }
@@ -329,9 +322,6 @@ std::vector<std::string> Registry::TakeSchemaViolations() {
 }
 
 MetricSet::~MetricSet() {
-  if (held_.empty()) {
-    return;
-  }
   Registry::Impl& im = Registry::Default().impl();
   base::MutexLock lock(&im.mu);
   for (const std::string* name : held_) {
@@ -385,8 +375,13 @@ size_t Registry::size() const { return 0; }
 std::vector<std::string> Registry::TakeSchemaViolations() { return {}; }
 
 MetricSet::~MetricSet() = default;
-Counter* MetricSet::GetCounter(std::string_view name) { return Registry::Default().GetCounter(name); }
+
+Counter* MetricSet::GetCounter(std::string_view name) {
+  return Registry::Default().GetCounter(name);
+}
+
 Gauge* MetricSet::GetGauge(std::string_view name) { return Registry::Default().GetGauge(name); }
+
 Histogram* MetricSet::GetHistogram(std::string_view name) {
   return Registry::Default().GetHistogram(name);
 }

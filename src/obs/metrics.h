@@ -198,10 +198,10 @@ class Registry {
   //    "gauges": {name: value, ...},
   //    "histograms": {name: {"count": c, "sum_ns": s, "min_ns": m,
   //                          "max_ns": M, "p50": .., "p95": .., "p99": ..}}}
-  // Names are emitted sorted, so snapshots diff cleanly. A retired total
-  // and a held name that normalize alike and are the same string (a name
-  // with no id, such as os/sched/migrations) are one metric and print as
-  // one sum; a held chan/3/sends prints next to the total chan/*/sends.
+  // Names are emitted sorted, so snapshots diff cleanly. A name with no id
+  // (os/sched/migrations) is its own retired total, so what its dead and
+  // live holders counted prints as one sum; a held chan/3/sends prints
+  // next to the total chan/*/sends.
   std::string SnapshotJson() const;
 
   // Zeroes every held metric without invalidating handles and drops the

@@ -15,9 +15,9 @@ Kernel::Kernel(hw::Machine& machine, codoms::Codoms& codoms)
     cs.idle_since = now();
   }
   // Scheduler observability. Names are machine-scoped (not per Kernel
-  // instance), so kernels alive at once share handles, and the counts of
-  // one that dies stay in the same names — the registry resets between
-  // bench series anyway.
+  // instance), so kernels alive at once share handles and a dead kernel's
+  // counts stay in the same names — the registry resets between bench
+  // series anyway.
   m_migrations_ = metrics_.GetCounter("os/sched/migrations");
   m_handoffs_ = metrics_.GetCounter("os/sched/handoffs");
   m_spun_ns_ = metrics_.GetCounter("os/sched/spun_ns");

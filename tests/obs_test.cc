@@ -14,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -262,6 +263,16 @@ TEST(ObsRegistry, SnapshotJsonIsWellFormed) {
 #endif
 }
 
+// prefix + id + rest, built by appending: GCC 12's -O3 -Wrestrict flags the
+// memcpy of `"literal" + std::to_string(id)` inlined into a test body (a
+// false positive).
+std::string IdName(std::string_view prefix, uint64_t id, std::string_view rest) {
+  std::string name(prefix);
+  name += std::to_string(id);
+  name += rest;
+  return name;
+}
+
 // How many snapshot keys are spelled `name`.
 int KeysNamed(const std::string& snap, const std::string& name) {
   int n = 0;
@@ -429,10 +440,9 @@ TEST(ObsRegistry, ConcurrentHoldsAndReleasesFoldExactly) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([] {
       for (int i = 0; i < kRounds; ++i) {
-        const std::string prefix = "obs_conc/" + std::to_string(60 + i % 3);
         MetricSet s;
-        s.GetCounter(prefix + "/calls")->Add(1);
-        s.GetHistogram(prefix + "/call_ns")->Record(i);
+        s.GetCounter(IdName("obs_conc/", 60 + i % 3, "/calls"))->Add(1);
+        s.GetHistogram(IdName("obs_conc/", 60 + i % 3, "/call_ns"))->Record(i);
       }
     });
   }
@@ -642,7 +652,7 @@ std::set<std::string> WorldNames(const std::string& snap, uint32_t base) {
       const uint64_t id = std::strtoull(name.c_str() + prefix.size(), nullptr, 10);
       const size_t rest = name.find('/', prefix.size());
       if (id > base && rest != std::string::npos) {
-        out.insert(prefix + std::to_string(id - base) + name.substr(rest));
+        out.insert(IdName(prefix, id - base, std::string_view(name).substr(rest)));
       }
     }
   }
@@ -665,7 +675,7 @@ TEST(ObsRegistry, DestroyedFabricWorldsLeaveTheRegistryAtOneSize) {
   std::set<std::string> first_world;
   std::vector<size_t> sizes;
   for (int round = 0; round < 3; ++round) {
-    SCOPED_TRACE("round " + std::to_string(round));
+    SCOPED_TRACE(IdName("round ", round, ""));
     const uint32_t base = NewObjectId();
     {
       FabricRig rig({.req_slots = 8, .req_bytes = 64, .resp_slots = 8, .resp_bytes = 64},
@@ -692,12 +702,12 @@ TEST(ObsRegistry, DestroyedFabricWorldsLeaveTheRegistryAtOneSize) {
       rig.kernel.Run();
       ASSERT_EQ(*done, kTenants);
       const std::set<std::string> names = WorldNames(reg.SnapshotJson(), base);
-      EXPECT_EQ(names.count("fabric/" + std::to_string(fab->obs_id() - base) + "/calls"), 1u);
+      EXPECT_EQ(names.count(IdName("fabric/", fab->obs_id() - base, "/calls")), 1u);
       for (uint32_t c = 0; c < kTenants; ++c) {
         for (uint32_t id : {fab->request_plane(c)->obs_id(), fab->response_plane(c)->obs_id()}) {
-          const std::string sends = "/" + std::to_string(id - base) + "/sends";
-          EXPECT_EQ(names.count("chan" + sends) + names.count("fanout" + sends) +
-                        names.count("fanin" + sends),
+          EXPECT_EQ(names.count(IdName("chan/", id - base, "/sends")) +
+                        names.count(IdName("fanout/", id - base, "/sends")) +
+                        names.count(IdName("fanin/", id - base, "/sends")),
                     1u)
               << "tenant " << c << " plane " << id;
         }
