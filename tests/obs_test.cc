@@ -295,7 +295,7 @@ long long CounterIn(const std::string& snap, const std::string& name) {
 TEST(ObsRegistry, DeadObjectsFoldCountersAndHistogramsIntoNormalizedTotals) {
 #ifdef DIPC_OBS_OFF
   GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
-#else
+#endif
   Registry& reg = Registry::Default();
   Histogram expected;
   {
@@ -331,14 +331,13 @@ TEST(ObsRegistry, DeadObjectsFoldCountersAndHistogramsIntoNormalizedTotals) {
   for (int b = 0; b < Histogram::kBuckets; ++b) {
     EXPECT_EQ(total->bucket(b), expected.bucket(b)) << "bucket " << b;
   }
-#endif
 }
 
 // A gauge is a level, not a count: a dead object's gauges leave no total.
 TEST(ObsRegistry, DeadObjectGaugesAreDropped) {
 #ifdef DIPC_OBS_OFF
   GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
-#else
+#endif
   Registry& reg = Registry::Default();
   {
     MetricSet s;
@@ -352,7 +351,6 @@ TEST(ObsRegistry, DeadObjectGaugesAreDropped) {
   for (const char* gone : {"obs_drop/21/depth", "obs_drop/*/depth", "obs_drop/level"}) {
     EXPECT_EQ(KeysNamed(dead, gone), 0) << gone;
   }
-#endif
 }
 
 // A name with no id is its own normalized name: the total a dead object
@@ -362,7 +360,7 @@ TEST(ObsRegistry, DeadObjectGaugesAreDropped) {
 TEST(ObsRegistry, LiveNameAndRetiredTotalOfOneSpellingPrintAsOneSum) {
 #ifdef DIPC_OBS_OFF
   GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
-#else
+#endif
   Registry& reg = Registry::Default();
   {
     MetricSet first;
@@ -377,13 +375,12 @@ TEST(ObsRegistry, LiveNameAndRetiredTotalOfOneSpellingPrintAsOneSum) {
   EXPECT_EQ(CounterIn(snap, "obs_merge/calls"), 7);
   EXPECT_EQ(CounterIn(snap, "obs_merge/32/calls"), 10);
   EXPECT_EQ(CounterIn(snap, "obs_merge/*/calls"), 1);
-#endif
 }
 
 TEST(ObsRegistry, ResetClearsRetiredTotals) {
 #ifdef DIPC_OBS_OFF
   GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
-#else
+#endif
   Registry& reg = Registry::Default();
   MetricSet live;
   live.GetCounter("obs_reset/41/calls")->Add(2);
@@ -398,7 +395,6 @@ TEST(ObsRegistry, ResetClearsRetiredTotals) {
   EXPECT_EQ(KeysNamed(snap, "obs_reset/*/calls"), 0);
   EXPECT_EQ(CounterIn(snap, "obs_reset/41/calls"), 0);  // held: zeroed, still there
   EXPECT_LT(reg.size(), before);
-#endif
 }
 
 // Objects alive at once share a name's handle, and it stays registered
@@ -406,7 +402,7 @@ TEST(ObsRegistry, ResetClearsRetiredTotals) {
 TEST(ObsRegistry, HandleStaysValidWhileAnyHolderLives) {
 #ifdef DIPC_OBS_OFF
   GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
-#else
+#endif
   Registry& reg = Registry::Default();
   {
     auto first = std::make_unique<MetricSet>();
@@ -423,7 +419,6 @@ TEST(ObsRegistry, HandleStaysValidWhileAnyHolderLives) {
     EXPECT_EQ(KeysNamed(snap, "obs_hold/*/calls"), 0);
   }
   EXPECT_EQ(CounterIn(reg.SnapshotJson(), "obs_hold/*/calls"), 5);
-#endif
 }
 
 // Host threads build and destroy holders concurrently, several on one name
@@ -432,7 +427,7 @@ TEST(ObsRegistry, HandleStaysValidWhileAnyHolderLives) {
 TEST(ObsRegistry, ConcurrentHoldsAndReleasesFoldExactly) {
 #ifdef DIPC_OBS_OFF
   GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
-#else
+#endif
   constexpr int kThreads = 4;
   constexpr int kRounds = 2000;
   std::vector<std::thread> threads;
@@ -458,7 +453,6 @@ TEST(ObsRegistry, ConcurrentHoldsAndReleasesFoldExactly) {
             static_cast<uint64_t>(kThreads) * kRounds);
   EXPECT_EQ(reg.GetHistogram("obs_conc/*/call_ns")->count(),
             static_cast<uint64_t>(kThreads) * kRounds);
-#endif
 }
 
 TEST(ObsTrace, WraparoundKeepsTheNewestEvents) {
@@ -668,7 +662,7 @@ std::set<std::string> WorldNames(const std::string& snap, uint32_t base) {
 TEST(ObsRegistry, DestroyedFabricWorldsLeaveTheRegistryAtOneSize) {
 #ifdef DIPC_OBS_OFF
   GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
-#else
+#endif
   constexpr uint32_t kTenants = 16;
   constexpr uint32_t kWorkers = 4;
   Registry& reg = Registry::Default();
@@ -723,7 +717,6 @@ TEST(ObsRegistry, DestroyedFabricWorldsLeaveTheRegistryAtOneSize) {
   }
   EXPECT_EQ(sizes[1], sizes[0]);
   EXPECT_EQ(sizes[2], sizes[0]);
-#endif
 }
 
 // The tentpole's core property: a single fabric Call under tracing yields a
