@@ -145,10 +145,12 @@ struct Registry::Impl {
   // <name>"); drained by Registry::TakeSchemaViolations.
   std::vector<std::string> schema_violations DIPC_GUARDED_BY(mu);
 
-  // Takes one hold on `name` as a `kind` metric and returns its node, or
-  // nullptr when the name already names another kind (no hold is taken).
-  std::pair<const std::string, Entry>* Hold(std::string_view name, Kind kind)
-      DIPC_REQUIRES(mu) {
+  // Takes one hold on `name` and returns its handle, recording the hold in
+  // `held` when one is given.
+  template <typename M>
+  M* Take(std::string_view name, std::vector<const std::string*>* held) DIPC_EXCLUDES(mu) {
+    constexpr Kind kind = kKindOf<M>;
+    base::MutexLock lock(&mu);
     auto it = entries.find(name);
     if (it == entries.end()) {
       static constexpr MetricKind kSchemaKind[] = {
@@ -160,34 +162,25 @@ struct Registry::Impl {
       }
       it = entries.emplace(std::string(name), Entry(kind)).first;
     }
-    if (it->second.kind != kind) {
+    Entry& e = it->second;
+    if (e.kind != kind) {
+      // Name already taken by a different kind: hand back a detached dummy
+      // (no hold) so the caller still gets a valid handle, and record the
+      // misuse.
       ++kind_collisions;
-      return nullptr;
-    }
-    ++it->second.holds;
-    return &*it;
-  }
-
-  // Takes one hold on `name` and returns its handle, recording the hold in
-  // `held` when one is given. A name that already names another kind takes
-  // no hold: the caller gets a detached dummy and the collision is counted.
-  template <typename M>
-  M* Take(std::string_view name, std::vector<const std::string*>* held) DIPC_EXCLUDES(mu) {
-    base::MutexLock lock(&mu);
-    auto* node = Hold(name, kKindOf<M>);
-    if (node == nullptr) {
       static M* dummy = new M();
       return dummy;
     }
+    ++e.holds;
     if (held != nullptr) {
-      held->push_back(&node->first);
+      held->push_back(&it->first);
     }
-    if constexpr (std::is_same_v<M, Counter>) {
-      return node->second.counter.get();
-    } else if constexpr (std::is_same_v<M, Gauge>) {
-      return node->second.gauge.get();
+    if constexpr (kind == Kind::kCounter) {
+      return e.counter.get();
+    } else if constexpr (kind == Kind::kGauge) {
+      return e.gauge.get();
     } else {
-      return node->second.histogram.get();
+      return e.histogram.get();
     }
   }
 
