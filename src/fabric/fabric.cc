@@ -55,6 +55,7 @@ void ServiceFabric::RegisterMetrics() {
   m_failures_ = metrics_.GetCounter(p + "failures");
   m_duplicates_ = metrics_.GetCounter(p + "duplicate_completions");
   m_rebinds_ = metrics_.GetCounter(p + "worker_rebinds");
+  m_busy_dispatches_ = metrics_.GetCounter(p + "busy_dispatches");
   m_call_ns_ = metrics_.GetHistogram(p + "call_ns");
 }
 
@@ -99,7 +100,80 @@ base::Result<std::shared_ptr<ServiceFabric>> ServiceFabric::Create(
     fab->req_.push_back(req.value());
     fab->resp_.push_back(resp.value());
   }
+  // The load segment (see the header): fresh memory, so every count starts
+  // at zero.
+  codoms::AplTable& apl = dipc.kernel().codoms().apl_table();
+  const hw::DomainTag load_tag = apl.AllocateTag();
+  for (auto side : {clients, workers}) {
+    for (os::Process* proc : side) {
+      apl.Grant(proc->default_domain(), load_tag, codoms::Perm::kWrite);
+    }
+  }
+  auto load = chan::MapSegment(fab->kernel_, *clients[0], workers.size() * hw::kCacheLineSize,
+                               load_tag);
+  if (!load.ok()) {
+    return load.code();
+  }
+  fab->load_seg_ = load.value();
   return fab;
+}
+
+hw::PhysAddr ServiceFabric::LoadPa(uint32_t w) const {
+  auto pa = client_procs_[0]->page_table().Translate(LoadVa(w));
+  DIPC_CHECK(pa.has_value());
+  return *pa;
+}
+
+int64_t ServiceFabric::WorkerLoad(uint32_t w) const {
+  int64_t n = 0;
+  kernel_.machine().mem().Read(LoadPa(w), std::as_writable_bytes(std::span(&n, 1)));
+  return n;
+}
+
+sim::Task<ServiceFabric::Pick> ServiceFabric::PickWorker(os::Env env, chan::Plane& req) {
+  os::Kernel& k = *env.kernel;
+  const uint32_t n = worker_count();
+  Pick pick{n, true};
+  const uint32_t start = req.NextShard();
+  if (start >= n) {
+    co_return pick;
+  }
+  int64_t least = 0;
+  sim::Duration cost;
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t w = (start + i) % n;
+    if (!req.receiver_alive(w)) {
+      continue;
+    }
+    int64_t load = 0;
+    auto c = k.UserAccessCost(*env.self, LoadVa(w), sizeof(load), hw::AccessType::kRead,
+                              std::as_writable_bytes(std::span(&load, 1)));
+    DIPC_CHECK(c.ok());
+    cost += c.value();
+    if (pick.worker == n || load < least) {
+      pick.worker = w;
+      least = load;
+    }
+    if (load <= 0) {
+      pick.busy = false;
+      break;
+    }
+  }
+  co_await k.Spend(*env.self, cost, TimeCat::kUser);
+  co_return pick;
+}
+
+sim::Task<void> ServiceFabric::AddLoad(os::Env env, uint32_t w, int64_t delta) {
+  os::Kernel& k = *env.kernel;
+  int64_t load = 0;
+  auto rd = k.UserAccessCost(*env.self, LoadVa(w), sizeof(load), hw::AccessType::kRead,
+                             std::as_writable_bytes(std::span(&load, 1)));
+  DIPC_CHECK(rd.ok());
+  load += delta;
+  auto wr = k.UserAccessCost(*env.self, LoadVa(w), sizeof(load), hw::AccessType::kWrite,
+                             std::as_bytes(std::span(&load, 1)));
+  DIPC_CHECK(wr.ok());
+  co_await k.Spend(*env.self, rd.value() + wr.value(), TimeCat::kUser);
 }
 
 bool ServiceFabric::client_broken(uint32_t c) const {
@@ -151,6 +225,11 @@ base::Status ServiceFabric::RebindWorker(uint32_t worker, os::Process& proc) {
   if (!any_live) {
     return st;
   }
+  // The old incarnation's requests died with it: the new one starts idle.
+  kernel_.codoms().apl_table().Grant(proc.default_domain(), load_seg_.tag,
+                                     codoms::Perm::kWrite);
+  const int64_t zero = 0;
+  kernel_.machine().mem().Write(LoadPa(worker), std::as_bytes(std::span(&zero, 1)));
   worker_procs_[worker] = &proc;
   ++rebinds_;
   m_rebinds_->Add();
@@ -224,8 +303,8 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
     const base::Status wrote = co_await k.TouchUser(env, sb.va, req_len, hw::AccessType::kWrite,
                                                     std::as_bytes(std::span(&opid, 1)));
     DIPC_CHECK(wrote.ok());
-    // Shard round-robin; a shard that died under the send is retried on the
-    // next live worker (the buffer stays owned until a send succeeds). Give
+    // Least-loaded dispatch; a worker that died under the send is replaced
+    // by the next pick (the buffer stays owned until a send succeeds). Give
     // the buffer back when no live worker remains or the deadline fired.
     bool sent = false;
     uint32_t shard_used = 0;
@@ -234,14 +313,19 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
     os::DeferredWake wake;
     const sim::Time t_send = k.now();
     while (req->broken() == base::ErrorCode::kOk) {
-      uint32_t shard = req->NextShard();
-      if (shard >= req->receiver_count()) {
+      const Pick pick = co_await PickWorker(env, *req);
+      if (pick.worker >= worker_count()) {
         break;
       }
-      auto s = co_await req->SendTo(env, 0, sb, req_len, shard, dl, &wake);
+      auto s = co_await req->SendTo(env, 0, sb, req_len, pick.worker, dl, &wake);
       if (s.ok()) {
         sent = true;
-        shard_used = shard;
+        shard_used = pick.worker;
+        if (pick.busy) {
+          ++busy_dispatches_;
+          m_busy_dispatches_->Add();
+        }
+        co_await AddLoad(env, pick.worker, 1);
         break;
       }
       if (s.code() != base::ErrorCode::kCalleeFailed) {
@@ -326,6 +410,9 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
     obs::Trace().Record(env.self->last_cpu(), obs::EventType::kHandler, obs_id_,
                         HopArg(worker, kHopHandler, rctx.attempt), k.now(),
                         k.now() - t_handler, rctx.opid);
+    if (env.self->process().alive()) {
+      co_await AddLoad(env, worker, -1);  // a dead incarnation's count was reset
+    }
     if (!(co_await req->Release(env, worker, msg.value())).ok()) {
       co_return;
     }

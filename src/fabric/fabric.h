@@ -10,12 +10,12 @@
 //        <======================================== responses
 //        (the workers as a producer group, the client receiving)
 //
-//   - Call(): the client-side request path — opid-stamped request, shard
-//     round-robin with re-shard on dead workers, per-attempt deadline and
-//     capped-backoff retry under the SAME opid, blocking on a per-operation
-//     completion semaphore. Exactly-once: one completions-map entry per
-//     operation; late completions of earlier attempts are dropped at
-//     dispatch and counted.
+//   - Call(): the client-side request path — opid-stamped request, sent to
+//     the least-loaded live worker (below) with re-dispatch when the chosen
+//     worker dies, per-attempt deadline and capped-backoff retry under the
+//     SAME opid, blocking on a per-operation completion semaphore.
+//     Exactly-once: one completions-map entry per operation; late
+//     completions of earlier attempts are dropped at dispatch and counted.
 //   - Serve(): the worker-side loop for one (client, worker) pair — drain
 //     the request shard, run the app handler, respond with the matching
 //     opid into the client's response plane as that worker's producer.
@@ -39,11 +39,33 @@
 // scheduler pick; a hop whose holder does not park (work already queued, a
 // close) wakes as before.
 //
+// Least-loaded dispatch: Call reads the live workers' in-flight counts in
+// round-robin order, starting at the client plane's NextShard() pick, and
+// sends to the first idle worker, else to the one with the fewest in
+// flight (the first of them in scan order). At zero load the pick is the
+// round-robin one. A successful send adds one to the chosen worker's count
+// and Serve subtracts one when the handler returns; a send that found no
+// idle worker counts in fabric/<id>/busy_dispatches.
+//
+// Load segment: the counts live only in simulated memory, one signed 8-B
+// count per worker at the start of its own 64-B line, in one segment under
+// a tag of the fabric's own that every client and worker domain may write.
+// Every read and update is a timed user access (Kernel::UserAccessCost,
+// spent as user time), so a count another CPU just wrote costs the reader
+// one coherence transfer; one line per worker keeps a worker's updates from
+// invalidating the other counts. An update reads and writes its line in one
+// host step before its spend: it behaves as an atomic add. A dead worker is
+// skipped, a dead incarnation's late handler leaves the count alone, and
+// RebindWorker zeroes the count for the new incarnation. The counts only
+// steer dispatch: one a death leaves off by one costs balance, never a
+// completion.
+//
 // Tag strategy: with FabricConfig::shared_trio (default) all request
-// planes share one domain-tag trio and all response planes another —
-// 6 tags total no matter how many clients, so hundreds of tenants stay
-// within the 32-entry per-CPU APL cache. Disabling it gives every channel
-// its own trio (the cache-thrash design point the benches sweep).
+// planes share one domain-tag trio and all response planes another; with
+// the load segment's tag that is 7 tags total no matter how many clients,
+// so hundreds of tenants stay within the 32-entry per-CPU APL cache.
+// Disabling it gives every channel its own trio (the cache-thrash design
+// point the benches sweep).
 #ifndef DIPC_FABRIC_FABRIC_H_
 #define DIPC_FABRIC_FABRIC_H_
 
@@ -136,6 +158,11 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   uint64_t failures() const { return failed_; }
   uint64_t duplicate_completions() const { return duplicates_; }
   uint64_t worker_rebinds() const { return rebinds_; }
+  // Requests sent while no live worker was idle (each queued behind work).
+  uint64_t busy_dispatches() const { return busy_dispatches_; }
+  // Worker w's in-flight count as its load line holds it: requests sent to
+  // it and not yet through its handler (an untimed read, for tests).
+  int64_t WorkerLoad(uint32_t w) const;
   const FabricConfig& config() const { return cfg_; }
   uint32_t obs_id() const { return obs_id_; }
   // Plane access (tests / stress harness).
@@ -146,6 +173,20 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   ServiceFabric(core::Dipc& dipc, std::span<os::Process* const> clients,
                 std::span<os::Process* const> workers, FabricConfig cfg);
   void RegisterMetrics();
+
+  // The worker a request goes to: the first idle live worker in `req`'s
+  // round-robin order, else the least-loaded one; `busy` when none was
+  // idle. worker == worker_count() when no worker is live.
+  struct Pick {
+    uint32_t worker = 0;
+    bool busy = false;
+  };
+  sim::Task<Pick> PickWorker(os::Env env, chan::Plane& req);
+  // Adds `delta` to worker w's count: one atomic add, spent as user time.
+  sim::Task<void> AddLoad(os::Env env, uint32_t w, int64_t delta);
+  hw::VirtAddr LoadVa(uint32_t w) const { return load_seg_.base + w * hw::kCacheLineSize; }
+  // Worker w's count line in physical memory, for the untimed accesses.
+  hw::PhysAddr LoadPa(uint32_t w) const;
 
   core::Dipc& dipc_;
   os::Kernel& kernel_;
@@ -164,12 +205,14 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   std::unordered_map<uint64_t, std::shared_ptr<os::Semaphore>> completions_
       DIPC_GUARDED_BY(completions_mu_);
   std::vector<uint64_t> progress_;  // per worker slot
+  chan::Segment load_seg_;          // one count line per worker slot
   uint64_t calls_ = 0;
   uint64_t completed_ = 0;
   uint64_t retried_ = 0;
   uint64_t failed_ = 0;
   uint64_t duplicates_ = 0;
   uint64_t rebinds_ = 0;
+  uint64_t busy_dispatches_ = 0;
   uint32_t obs_id_ = 0;
   obs::MetricSet metrics_;
   obs::Counter* m_calls_ = nullptr;
@@ -178,6 +221,7 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   obs::Counter* m_failures_ = nullptr;
   obs::Counter* m_duplicates_ = nullptr;
   obs::Counter* m_rebinds_ = nullptr;
+  obs::Counter* m_busy_dispatches_ = nullptr;
   obs::Histogram* m_call_ns_ = nullptr;
 };
 

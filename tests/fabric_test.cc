@@ -1,6 +1,9 @@
 // Tests for the N x M service fabric (src/fabric/fabric.h): opid-matched
-// request/response round trips across tenants, shard fairness, and the
-// multi-tenant acceptance run — >= 100 tenants on >= 4 workers surviving
+// request/response round trips across tenants, least-loaded dispatch (an
+// idle fabric alternates its workers, a parked worker gets no request while
+// another is idle, a busy dispatch takes the least-loaded worker, and every
+// in-flight count returns to zero after completions, retries and rebinds),
+// the multi-tenant acceptance run — >= 100 tenants on >= 4 workers surviving
 // scripted worker kills (which take out both the worker's request-plane
 // receiver slot and its response-plane producer slot) with exactly-once
 // completions and a fully drained RevocationTable — plus the worker-side
@@ -18,6 +21,7 @@
 #include "fault/fault.h"
 #include "hw/machine.h"
 #include "os/kernel.h"
+#include "os/semaphore.h"
 
 namespace dipc::fabric {
 namespace {
@@ -54,7 +58,7 @@ class FabricTest : public ::testing::Test {
   core::Dipc dipc_;
 };
 
-TEST_F(FabricTest, CallsRoundTripAndShardEvenlyAcrossWorkers) {
+TEST_F(FabricTest, CallsRoundTripAcrossTenantsAndWorkers) {
   auto clients = MakeProcs("tenant", 3);
   auto workers = MakeProcs("worker", 2);
   auto f = ServiceFabric::Create(dipc_, clients, workers,
@@ -93,15 +97,264 @@ TEST_F(FabricTest, CallsRoundTripAndShardEvenlyAcrossWorkers) {
   EXPECT_EQ(fab->failures(), 0u);
   EXPECT_EQ(fab->retries(), 0u);
   EXPECT_EQ(fab->duplicate_completions(), 0u);
-  // Each tenant's round-robin cursor alternates its two workers: an even
-  // per-tenant count lands exactly half on each slot.
-  EXPECT_EQ(fab->WorkerProgress(0), static_cast<uint64_t>(3 * kPerTenant / 2));
-  EXPECT_EQ(fab->WorkerProgress(1), static_cast<uint64_t>(3 * kPerTenant / 2));
+  // Concurrent tenants see each other's load, so the split need not be even
+  // (OneTenantsSequentialCallsAlternateWorkers pins the idle-fabric order).
+  EXPECT_EQ(fab->WorkerProgress(0) + fab->WorkerProgress(1),
+            static_cast<uint64_t>(3 * kPerTenant));
   for (uint32_t c = 0; c < 3; ++c) {
     EXPECT_EQ(fab->request_plane(c)->LiveGrantCount(), 0u);
     EXPECT_EQ(fab->response_plane(c)->LiveGrantCount(), 0u);
   }
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
+}
+
+// One tenant calling sequentially finds every worker idle at each dispatch,
+// so least-loaded dispatch makes the round-robin pick: the calls alternate.
+TEST_F(FabricTest, OneTenantsSequentialCallsAlternateWorkers) {
+  auto clients = MakeProcs("tenant", 1);
+  auto workers = MakeProcs("worker", 3);
+  auto f = ServiceFabric::Create(dipc_, clients, workers,
+                                 {.req_slots = 4, .req_bytes = 64, .resp_slots = 4,
+                                  .resp_bytes = 64});
+  ASSERT_TRUE(f.ok());
+  std::shared_ptr<ServiceFabric> fab = f.value();
+  fab->StartAllDispatchers();
+  std::vector<uint32_t> served;
+  for (uint32_t w = 0; w < 3; ++w) {
+    SpawnServeLoops(fab, w, *workers[w],
+                    [&served, w](os::Env, const chan::Msg&) -> sim::Task<void> {
+                      served.push_back(w);
+                      co_return;
+                    });
+  }
+  kernel_.Spawn(*clients[0], "web", [&, fab](os::Env env) -> sim::Task<void> {
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_TRUE((co_await fab->Call(env, 0, 16)).ok()) << "call " << i;
+    }
+    fab->Close();
+  });
+  kernel_.Run();
+  EXPECT_EQ(served, (std::vector<uint32_t>{0, 1, 2, 0, 1, 2}));
+  for (uint32_t w = 0; w < 3; ++w) {
+    EXPECT_EQ(fab->WorkerProgress(w), 2u) << "worker " << w;
+  }
+  EXPECT_EQ(fab->busy_dispatches(), 0u);
+}
+
+// Worker 0's handler is held parked on its first request. Tenant 1's
+// round-robin cursor starts at worker 0 too, but every one of its calls
+// finds worker 0 loaded and worker 1 idle, so worker 0 gets none of them.
+TEST_F(FabricTest, ParkedWorkerGetsNoRequestWhileAnotherWorkerIsIdle) {
+  auto clients = MakeProcs("tenant", 2);
+  auto workers = MakeProcs("worker", 2);
+  auto f = ServiceFabric::Create(dipc_, clients, workers,
+                                 {.req_slots = 4, .req_bytes = 64, .resp_slots = 4,
+                                  .resp_bytes = 64});
+  ASSERT_TRUE(f.ok());
+  std::shared_ptr<ServiceFabric> fab = f.value();
+  fab->StartAllDispatchers();
+  auto gate = std::make_shared<os::Semaphore>(0);
+  int served0 = 0;
+  SpawnServeLoops(fab, 0, *workers[0],
+                  [&served0, gate](os::Env env, const chan::Msg&) -> sim::Task<void> {
+                    if (served0++ == 0) {
+                      co_await gate->Wait(env);
+                    }
+                  });
+  SpawnServeLoops(fab, 1, *workers[1], [](os::Env, const chan::Msg&) -> sim::Task<void> {
+    co_return;
+  });
+  int ok_calls = 0;
+  kernel_.Spawn(*clients[0], "web", [&, fab](os::Env env) -> sim::Task<void> {
+    ok_calls += (co_await fab->Call(env, 0, 16)).ok() ? 1 : 0;
+  });
+  kernel_.Spawn(*clients[1], "web", [&, fab, gate](os::Env env) -> sim::Task<void> {
+    co_await env.kernel->Sleep(env, Duration::Micros(10));  // worker 0 is parked by now
+    EXPECT_EQ(fab->WorkerLoad(0), 1);
+    for (int i = 0; i < 4; ++i) {
+      ok_calls += (co_await fab->Call(env, 1, 16)).ok() ? 1 : 0;
+    }
+    EXPECT_EQ(served0, 1);
+    EXPECT_EQ(fab->WorkerProgress(0), 0u);
+    EXPECT_EQ(fab->WorkerProgress(1), 4u);
+    EXPECT_EQ(fab->WorkerLoad(0), 1);
+    EXPECT_EQ(fab->WorkerLoad(1), 0);
+    co_await gate->Post(env);
+    co_await env.kernel->Sleep(env, Duration::Micros(10));
+    fab->Close();
+  });
+  kernel_.Run();
+  EXPECT_EQ(ok_calls, 5);
+  EXPECT_EQ(fab->WorkerProgress(0), 1u);
+  EXPECT_EQ(fab->busy_dispatches(), 0u);
+  EXPECT_EQ(fab->WorkerLoad(0), 0);
+  EXPECT_EQ(fab->WorkerLoad(1), 0);
+}
+
+// With no worker idle a call goes to the least-loaded one, the first of
+// them in the caller's round-robin order, and counts as a busy dispatch.
+TEST_F(FabricTest, BusyDispatchTakesTheLeastLoadedWorker) {
+  auto clients = MakeProcs("tenant", 4);
+  auto workers = MakeProcs("worker", 2);
+  auto f = ServiceFabric::Create(dipc_, clients, workers,
+                                 {.req_slots = 4, .req_bytes = 64, .resp_slots = 4,
+                                  .resp_bytes = 64});
+  ASSERT_TRUE(f.ok());
+  std::shared_ptr<ServiceFabric> fab = f.value();
+  fab->StartAllDispatchers();
+  auto gate = std::make_shared<os::Semaphore>(0);
+  ServiceFabric::Handler parked = [gate](os::Env env, const chan::Msg&) -> sim::Task<void> {
+    co_await gate->Wait(env);
+  };
+  for (uint32_t w = 0; w < 2; ++w) {
+    SpawnServeLoops(fab, w, *workers[w], parked);
+  }
+  // Tenant c calls at c x 10 us; every cursor starts at worker 0. Loads
+  // after each dispatch: (1,0) idle pick, (1,1) idle pick, (2,1) busy pick
+  // of worker 0, (2,2) busy pick of worker 1.
+  const std::vector<std::pair<int64_t, int64_t>> loads_after = {{1, 0}, {1, 1}, {2, 1}, {2, 2}};
+  int ok_calls = 0;
+  for (uint32_t c = 0; c < 4; ++c) {
+    kernel_.Spawn(*clients[c], "web", [&, fab, c](os::Env env) -> sim::Task<void> {
+      co_await env.kernel->Sleep(env, Duration::Micros(10 * c));
+      ok_calls += (co_await fab->Call(env, c, 16)).ok() ? 1 : 0;
+    });
+  }
+  os::Process& checker = dipc_.CreateDipcProcess("checker");
+  kernel_.Spawn(checker, "checker", [&, fab, gate](os::Env env) -> sim::Task<void> {
+    for (uint32_t c = 0; c < 4; ++c) {
+      co_await env.kernel->Sleep(env, Duration::Micros(c == 0 ? 5 : 10));
+      EXPECT_EQ(fab->WorkerLoad(0), loads_after[c].first) << "after tenant " << c;
+      EXPECT_EQ(fab->WorkerLoad(1), loads_after[c].second) << "after tenant " << c;
+    }
+    for (int i = 0; i < 4; ++i) {
+      co_await gate->Post(env);
+    }
+    co_await env.kernel->Sleep(env, Duration::Micros(20));
+    fab->Close();
+  });
+  kernel_.Run();
+  EXPECT_EQ(ok_calls, 4);
+  EXPECT_EQ(fab->busy_dispatches(), 2u);
+  EXPECT_EQ(fab->WorkerProgress(0), 2u);
+  EXPECT_EQ(fab->WorkerProgress(1), 2u);
+  EXPECT_EQ(fab->WorkerLoad(0), 0);
+  EXPECT_EQ(fab->WorkerLoad(1), 0);
+}
+
+// Every in-flight count returns to zero: after concurrent calls complete,
+// after a call retried under call_deadline (its first worker finishes late),
+// and after a kill plus RebindWorker (the dead incarnation's late handler
+// leaves the count alone and the new one updates it without a fault).
+TEST_F(FabricTest, WorkerLoadsReadZeroAfterCompletionRetryAndRebind) {
+  auto expect_idle = [](const ServiceFabric& fab, const char* when) {
+    for (uint32_t w = 0; w < fab.worker_count(); ++w) {
+      EXPECT_EQ(fab.WorkerLoad(w), 0) << when << ", worker " << w;
+    }
+  };
+  const FabricConfig cfg{.req_slots = 4, .req_bytes = 64, .resp_slots = 4, .resp_bytes = 64,
+                         .call_deadline = Duration::Micros(30), .max_call_retries = 5};
+  ServiceFabric::Handler echo = [](os::Env, const chan::Msg&) -> sim::Task<void> {
+    co_return;
+  };
+  // Handlers that park on their worker's first request only.
+  auto slow_first = [](int* served, Duration d) -> ServiceFabric::Handler {
+    return [served, d](os::Env env, const chan::Msg&) -> sim::Task<void> {
+      if ((*served)++ == 0) {
+        co_await env.kernel->Sleep(env, d);
+      }
+    };
+  };
+
+  {  // Completion: three tenants' concurrent calls.
+    auto clients = MakeProcs("tenant-a", 3);
+    auto workers = MakeProcs("worker-a", 2);
+    auto f = ServiceFabric::Create(dipc_, clients, workers, cfg);
+    ASSERT_TRUE(f.ok());
+    std::shared_ptr<ServiceFabric> fab = f.value();
+    fab->StartAllDispatchers();
+    ServiceFabric::Handler work = [](os::Env env, const chan::Msg&) -> sim::Task<void> {
+      co_await env.kernel->Spend(*env.self, Duration::Micros(1), os::TimeCat::kUser);
+    };
+    for (uint32_t w = 0; w < 2; ++w) {
+      SpawnServeLoops(fab, w, *workers[w], work);
+    }
+    int remaining = 3;
+    for (uint32_t c = 0; c < 3; ++c) {
+      kernel_.Spawn(*clients[c], "web", [&, fab, c](os::Env env) -> sim::Task<void> {
+        for (int i = 0; i < 4; ++i) {
+          EXPECT_TRUE((co_await fab->Call(env, c, 16)).ok());
+        }
+        if (--remaining == 0) {
+          fab->Close();
+        }
+      });
+    }
+    kernel_.Run();
+    EXPECT_EQ(fab->completions(), 12u);
+    expect_idle(*fab, "after completions");
+  }
+
+  {  // Retry: worker 0 outlasts the deadline; the retry goes to worker 1.
+    auto clients = MakeProcs("tenant-b", 1);
+    auto workers = MakeProcs("worker-b", 2);
+    auto f = ServiceFabric::Create(dipc_, clients, workers, cfg);
+    ASSERT_TRUE(f.ok());
+    std::shared_ptr<ServiceFabric> fab = f.value();
+    fab->StartAllDispatchers();
+    int served0 = 0;
+    SpawnServeLoops(fab, 0, *workers[0], slow_first(&served0, Duration::Micros(100)));
+    SpawnServeLoops(fab, 1, *workers[1], echo);
+    kernel_.Spawn(*clients[0], "web", [&, fab](os::Env env) -> sim::Task<void> {
+      EXPECT_TRUE((co_await fab->Call(env, 0, 16)).ok());
+      EXPECT_EQ(fab->WorkerLoad(0), 1);  // still in its handler
+      co_await env.kernel->Sleep(env, Duration::Micros(200));
+      fab->Close();
+    });
+    kernel_.Run();
+    EXPECT_EQ(fab->retries(), 1u);
+    EXPECT_EQ(fab->duplicate_completions(), 1u);
+    EXPECT_EQ(fab->WorkerProgress(0), 1u);
+    EXPECT_EQ(fab->WorkerProgress(1), 1u);
+    expect_idle(*fab, "after a retry");
+  }
+
+  {  // Kill and rebind: worker 1 dies inside its handler.
+    auto clients = MakeProcs("tenant-c", 1);
+    auto workers = MakeProcs("worker-c", 2);
+    auto f = ServiceFabric::Create(dipc_, clients, workers, cfg);
+    ASSERT_TRUE(f.ok());
+    std::shared_ptr<ServiceFabric> fab = f.value();
+    fab->StartAllDispatchers();
+    int served1 = 0;
+    SpawnServeLoops(fab, 0, *workers[0], echo);
+    SpawnServeLoops(fab, 1, *workers[1], slow_first(&served1, Duration::Millis(1)));
+    os::Process& fresh = dipc_.CreateDipcProcess("worker-c-1b");
+    os::Process& sup = dipc_.CreateDipcProcess("supervisor");
+    kernel_.Spawn(sup, "supervisor", [&, fab](os::Env env) -> sim::Task<void> {
+      co_await env.kernel->Sleep(env, Duration::Micros(10));
+      EXPECT_EQ(fab->WorkerLoad(1), 1);  // the second call is in its handler
+      dipc_.KillProcess(*workers[1]);
+      co_await env.kernel->Sleep(env, Duration::Micros(10));
+      EXPECT_TRUE(fab->RebindWorker(1, fresh).ok());
+      EXPECT_EQ(fab->WorkerLoad(1), 0);
+      SpawnServeLoops(fab, 1, fresh, echo);
+    });
+    kernel_.Spawn(*clients[0], "web", [&, fab](os::Env env) -> sim::Task<void> {
+      for (int i = 0; i < 6; ++i) {
+        EXPECT_TRUE((co_await fab->Call(env, 0, 16)).ok()) << "call " << i;
+      }
+      // Outlive the dead incarnation's parked handler.
+      co_await env.kernel->Sleep(env, Duration::Millis(2));
+      fab->Close();
+    });
+    kernel_.Run();
+    EXPECT_EQ(fab->completions(), 6u);
+    EXPECT_EQ(fab->retries(), 1u);
+    EXPECT_EQ(fab->worker_rebinds(), 1u);
+    EXPECT_GE(fab->WorkerProgress(1), 1u);  // the new incarnation served
+    expect_idle(*fab, "after a kill and a rebind");
+  }
 }
 
 TEST_F(FabricTest, SharedTrioKeepsTagFootprintConstantAcrossTenants) {
