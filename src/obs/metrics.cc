@@ -7,6 +7,7 @@
 #include <mutex>
 #include <sstream>
 #include <type_traits>
+#include <unordered_set>
 
 #include "base/thread_annotations.h"
 #include "obs/metric_schema.h"
@@ -144,6 +145,12 @@ struct Registry::Impl {
   // First registrations whose name no manifest pattern covers ("<kind>
   // <name>"); drained by Registry::TakeSchemaViolations.
   std::vector<std::string> schema_violations DIPC_GUARDED_BY(mu);
+  // Per kind, the normalized names of registrations that passed the schema.
+  // Every spelling of a normalized name then passes too, since no pattern
+  // has an all-digit component (an ObsSchema test checks it), so a name
+  // freed and registered again, or another object's spelling of it, skips
+  // the scan. A failing name is scanned and recorded every time.
+  std::array<std::unordered_set<std::string>, 3> schema_passed DIPC_GUARDED_BY(mu);
 
   // Takes one hold on `name` and returns its handle, recording the hold in
   // `held` when one is given.
@@ -156,9 +163,15 @@ struct Registry::Impl {
       static constexpr MetricKind kSchemaKind[] = {
           MetricKind::kCounter, MetricKind::kGauge, MetricKind::kHistogram};
       MetricKind schema_kind = kSchemaKind[static_cast<int>(kind)];
-      if (!NameMatchesSchema(name, schema_kind)) {
-        schema_violations.push_back(std::string(MetricKindName(schema_kind)) + " " +
-                                    std::string(name));
+      std::unordered_set<std::string>& passed = schema_passed[static_cast<int>(kind)];
+      std::string normalized = NormalizedName(name);
+      if (!passed.contains(normalized)) {
+        if (NameMatchesSchema(name, schema_kind)) {
+          passed.insert(std::move(normalized));
+        } else {
+          schema_violations.push_back(std::string(MetricKindName(schema_kind)) + " " +
+                                      std::string(name));
+        }
       }
       it = entries.emplace(std::string(name), Entry(kind)).first;
     }

@@ -290,6 +290,45 @@ long long CounterIn(const std::string& snap, const std::string& name) {
   return pos == std::string::npos ? -1 : std::atoll(snap.c_str() + pos + needle.size());
 }
 
+// The registry remembers the normalized names that passed the schema, and
+// only those: a failing name is checked and recorded at every first
+// registration, under each spelling and again after it was freed.
+TEST(ObsRegistry, OffSchemaNameIsRecordedOnEveryRegistration) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#endif
+  Registry& reg = Registry::Default();
+  (void)reg.TakeSchemaViolations();
+  for (int id : {71, 71, 72}) {
+    MetricSet s;
+    (void)s.GetCounter(IdName("obs_unlisted/", id, "/calls"));
+    (void)s.GetCounter(IdName("mpmc/", id, "/spin_hits"));  // in the schema
+  }
+  EXPECT_EQ(reg.TakeSchemaViolations(),
+            (std::vector<std::string>{"counter obs_unlisted/71/calls",
+                                      "counter obs_unlisted/71/calls",
+                                      "counter obs_unlisted/72/calls"}));
+}
+
+// The remembered passes are exact only while no pattern component tells
+// one id from another: a component that is all digits, or all digits
+// before a trailing '*', would match some ids and not others.
+TEST(ObsRegistry, NoSchemaPatternHasAnAllDigitComponent) {
+  for (const MetricSchemaEntry& e : kMetricSchema) {
+    std::string_view rest = e.pattern;
+    while (!rest.empty()) {
+      const size_t slash = rest.find('/');
+      std::string_view part = rest.substr(0, slash);
+      rest = slash == std::string_view::npos ? std::string_view() : rest.substr(slash + 1);
+      if (!part.empty() && part.back() == '*') {
+        part.remove_suffix(1);
+      }
+      EXPECT_FALSE(!part.empty() && part.find_first_not_of("0123456789") == std::string_view::npos)
+          << e.pattern;
+    }
+  }
+}
+
 // A dead object's counters add into the total of their normalized name,
 // and its histograms merge into theirs sample for sample.
 TEST(ObsRegistry, DeadObjectsFoldCountersAndHistogramsIntoNormalizedTotals) {
