@@ -192,8 +192,11 @@ class Plane : public std::enable_shared_from_this<Plane> {
   sim::Task<base::Status> Abandon(os::Env env, uint32_t p, const SendBuf& buf);
   sim::Task<base::Status> AbandonBatch(os::Env env, uint32_t p, std::span<const SendBuf> bufs);
 
-  // Round-robin over live receivers (sharding helper). Returns
-  // receiver_count() if none is alive.
+  // Round-robin over live receivers (sharding helper): each call returns the
+  // next live receiver after the previous pick. ServiceFabric starts its
+  // least-loaded scan there, so it gives the scan order, and the pick
+  // itself when every worker is idle. Returns receiver_count() if none is
+  // alive.
   uint32_t NextShard();
 
   // Re-loads `buf`'s write capability into kSenderCapReg (a register move —
