@@ -257,7 +257,7 @@ TEST_F(FabricTest, WorkerLoadsReadZeroAfterCompletionRetryAndRebind) {
   ServiceFabric::Handler echo = [](os::Env, const chan::Msg&) -> sim::Task<void> {
     co_return;
   };
-  // Handlers that park on their worker's first request only.
+  // A handler that sleeps `d` on its worker's first request only.
   auto slow_first = [](int* served, Duration d) -> ServiceFabric::Handler {
     return [served, d](os::Env env, const chan::Msg&) -> sim::Task<void> {
       if ((*served)++ == 0) {
