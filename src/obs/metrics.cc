@@ -4,9 +4,9 @@
 #include <array>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <type_traits>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "base/thread_annotations.h"
@@ -414,51 +414,58 @@ const char* DomainTimeKindName(DomainTimeKind kind) {
 
 #ifndef DIPC_OBS_OFF
 
-void ChargeDomainTime(uint32_t domain_tag, DomainTimeKind kind, int64_t ps) {
+namespace {
+
+// The sub-ns residues dead tables left, by (tag, kind).
+struct Residues {
+  base::Mutex mu;
+  std::unordered_map<uint64_t, uint64_t> carry_ps DIPC_GUARDED_BY(mu);
+};
+
+Residues& LeftResidues() {
+  static Residues* residues = new Residues();
+  return *residues;
+}
+
+uint64_t ResidueKey(size_t tag, size_t kind) { return (uint64_t{tag} << 3) | kind; }
+
+}  // namespace
+
+DomainTime::~DomainTime() {
+  Residues& left = LeftResidues();
+  base::MutexLock lock(&left.mu);
+  for (size_t tag = 0; tag < slots_.size(); ++tag) {
+    for (size_t kind = 0; kind < slots_[tag].size(); ++kind) {
+      if (slots_[tag][kind].counter != nullptr) {
+        left.carry_ps[ResidueKey(tag, kind)] = slots_[tag][kind].carry_ps;
+      }
+    }
+  }
+}
+
+void DomainTime::Charge(uint32_t domain_tag, DomainTimeKind kind, int64_t ps) {
   if (ps <= 0 || kind >= DomainTimeKind::kCount) {
     return;
   }
-  // (tag, kind) -> {counter handle, sub-ns carry}. The carry survives
-  // Registry::Reset on purpose: it is residue below the counter's unit, not
-  // a value a series window could meaningfully claim. Slots live in a
-  // node-stable map under a mutex and are never freed; each host thread
-  // keeps a direct-mapped cache of slot pointers in front of it, so a
-  // repeat charge takes no lock and no lookup.
-  struct Slot {
-    Counter* counter = nullptr;
-    std::atomic<uint64_t> carry_ps{0};
-  };
-  static_assert(static_cast<int>(DomainTimeKind::kCount) <= 8);
-  thread_local std::array<std::pair<uint64_t, Slot*>, 1024> cache;  // (key, slot)
-  const uint64_t key = (static_cast<uint64_t>(domain_tag) << 3) | static_cast<uint64_t>(kind);
-  auto& [cached_key, slot] = cache[key & (cache.size() - 1)];
-  if (slot == nullptr || cached_key != key) {
-    static std::mutex* mu = new std::mutex();
-    static std::map<uint64_t, Slot>* slots = new std::map<uint64_t, Slot>();
-    std::lock_guard<std::mutex> lock(*mu);
-    Slot& s = (*slots)[key];
-    if (s.counter == nullptr) {
-      s.counter = Registry::Default().GetCounter("domain/" + std::to_string(domain_tag) +
-                                                 "/time_ns/" + DomainTimeKindName(kind));
+  if (domain_tag >= slots_.size()) {
+    slots_.resize(domain_tag + 1);
+  }
+  Slot& slot = slots_[domain_tag][static_cast<size_t>(kind)];
+  if (slot.counter == nullptr) {
+    slot.counter = metrics_.GetCounter("domain/" + std::to_string(domain_tag) + "/time_ns/" +
+                                       DomainTimeKindName(kind));
+    Residues& left = LeftResidues();
+    base::MutexLock lock(&left.mu);
+    auto it = left.carry_ps.find(ResidueKey(domain_tag, static_cast<size_t>(kind)));
+    if (it != left.carry_ps.end()) {
+      slot.carry_ps = it->second;
+      left.carry_ps.erase(it);
     }
-    cached_key = key;
-    slot = &s;
   }
-  // The carry is a running picosecond sum whose residue mod 1000 is the
-  // sub-ns remainder: a charge adds to it atomically and counts the ns
-  // boundaries it crossed, so concurrent charges still sum exactly. Whole
-  // ns are folded out long before the sum could wrap.
-  // relaxed: the carry orders nothing else; the counter handle was
-  // published under the mutex.
-  std::atomic<uint64_t>& carry = slot->carry_ps;
-  const uint64_t before = carry.fetch_add(static_cast<uint64_t>(ps), std::memory_order_relaxed);
-  const uint64_t after = before + static_cast<uint64_t>(ps);
-  // relaxed: as above.
-  for (uint64_t v = after; v >= (uint64_t{1} << 62) &&
-                           !carry.compare_exchange_weak(v, v % 1000, std::memory_order_relaxed);) {
-  }
-  if (after / 1000 > before / 1000) {
-    slot->counter->Add(after / 1000 - before / 1000);
+  slot.carry_ps += static_cast<uint64_t>(ps);
+  if (slot.carry_ps >= 1000) {
+    slot.counter->Add(slot.carry_ps / 1000);
+    slot.carry_ps %= 1000;
   }
 }
 

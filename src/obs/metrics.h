@@ -29,6 +29,7 @@
 #ifndef DIPC_OBS_METRICS_H_
 #define DIPC_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -264,14 +265,40 @@ enum class DomainTimeKind : uint8_t {
 // Metric-name component for one kind ("user", "kernel", ...).
 const char* DomainTimeKindName(DomainTimeKind kind);
 
+// One kernel's per-domain time counters, "domain/<tag>/time_ns/<kind>".
+// The table holds them in its MetricSet, so when its kernel dies they fold
+// into "domain/*/time_ns/<kind>" and a later world's windows do not list
+// them. Counters hold nanoseconds; sub-ns residue carries over per (tag,
+// kind) so long runs don't systematically truncate (the acceptance bound
+// joins these sums against wall sim-time at 5%). A dying table leaves its
+// residues to the next table that charges the same pair, so a sequence of
+// worlds rounds as one carry would. Charge is not thread-safe: one kernel's
+// simulation runs on one host thread.
 #ifndef DIPC_OBS_OFF
-// Adds `ps` picoseconds of `kind` time to the default-registry counter
-// "domain/<tag>/time_ns/<kind>". Counters hold nanoseconds; sub-ns residue
-// carries over per (tag, kind) so long runs don't systematically truncate
-// (the acceptance bound joins these sums against wall sim-time at 5%).
-void ChargeDomainTime(uint32_t domain_tag, DomainTimeKind kind, int64_t ps);
+class DomainTime {
+ public:
+  DomainTime() = default;
+  ~DomainTime();
+  DomainTime(const DomainTime&) = delete;
+  DomainTime& operator=(const DomainTime&) = delete;
+
+  // Adds `ps` picoseconds of `kind` time to domain `domain_tag`'s counter.
+  void Charge(uint32_t domain_tag, DomainTimeKind kind, int64_t ps);
+
+ private:
+  struct Slot {
+    Counter* counter = nullptr;
+    uint64_t carry_ps = 0;  // residue below the counter's nanosecond
+  };
+  // Indexed by tag, which AplTable allocates densely from 1.
+  std::vector<std::array<Slot, static_cast<size_t>(DomainTimeKind::kCount)>> slots_;
+  MetricSet metrics_;
+};
 #else
-inline void ChargeDomainTime(uint32_t, DomainTimeKind, int64_t) {}
+class DomainTime {
+ public:
+  void Charge(uint32_t, DomainTimeKind, int64_t) {}
+};
 #endif
 
 }  // namespace dipc::obs

@@ -211,8 +211,8 @@ sim::Task<bool> FutexBlockUntil(Env env, WaitQueue& q, Deadline deadline, Deferr
       }
       const sim::Duration parked = k.now() - park_start;
       k.futex_waiters()->Sub(1);
-      obs::ChargeDomainTime(static_cast<uint32_t>(env.self->cap_ctx().current_domain),
-                            obs::DomainTimeKind::kFutexWait, parked.picos());
+      k.domain_time().Charge(static_cast<uint32_t>(env.self->cap_ctx().current_domain),
+                             obs::DomainTimeKind::kFutexWait, parked.picos());
       if (park_obs.park_ns != nullptr) {
         park_obs.park_ns->Record(parked.nanos());
         obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexPark, park_obs.obj, 0,

@@ -353,23 +353,23 @@ void Kernel::Dispatch(hw::CpuId cpu, Thread& t, sim::Duration extra, bool standa
   if (standard_path) {
     sim::Duration sched = cm.schedule_pick + cm.register_save + cm.register_restore;
     accounting_.Charge(cpu, TimeCat::kSchedule, sched);
-    obs::ChargeDomainTime(dom, obs::DomainTimeKind::kKernel, sched.picos());
+    domain_time_.Charge(dom, obs::DomainTimeKind::kKernel, sched.picos());
     cost += sched;
   } else if (extra > sim::Duration::Zero()) {
     accounting_.Charge(cpu, TimeCat::kSchedule, extra);
-    obs::ChargeDomainTime(dom, obs::DomainTimeKind::kKernel, extra.picos());
+    domain_time_.Charge(dom, obs::DomainTimeKind::kKernel, extra.picos());
   }
   if (cs.last_process != &t.process()) {
     if (standard_path) {
       accounting_.Charge(cpu, TimeCat::kSchedule, cm.current_switch);
-      obs::ChargeDomainTime(dom, obs::DomainTimeKind::kKernel, cm.current_switch.picos());
+      domain_time_.Charge(dom, obs::DomainTimeKind::kKernel, cm.current_switch.picos());
       cost += cm.current_switch;
     }
     if (cs.last_process != nullptr &&
         cs.last_process->page_table().id() != t.process().page_table().id()) {
       // CR3 write. dIPC-enabled processes share a page table and skip this.
       accounting_.Charge(cpu, TimeCat::kPageTableSwitch, cm.page_table_switch);
-      obs::ChargeDomainTime(dom, obs::DomainTimeKind::kKernel, cm.page_table_switch.picos());
+      domain_time_.Charge(dom, obs::DomainTimeKind::kKernel, cm.page_table_switch.picos());
       cost += cm.page_table_switch;
     }
   }

@@ -106,6 +106,9 @@ class Kernel {
   // "os/sched/futex_waiters": threads parked in any futex wait, across the
   // channel and semaphore paths (registered once, shared by every park).
   obs::Gauge* futex_waiters() const { return m_futex_waiters_; }
+  // Per-domain time attribution ("domain/<tag>/time_ns/<kind>"), charged
+  // with every Spend and by the scheduler and the futex park.
+  obs::DomainTime& domain_time() { return domain_time_; }
 
   // ---- Time ----
 
@@ -146,7 +149,7 @@ class Kernel {
     accounting_.Charge(t.last_cpu(), cat, d);
     t.process().ChargeCpu(d);
     if (kind != obs::DomainTimeKind::kCount) {
-      obs::ChargeDomainTime(static_cast<uint32_t>(t.cap_ctx().current_domain), kind, d.picos());
+      domain_time_.Charge(static_cast<uint32_t>(t.cap_ctx().current_domain), kind, d.picos());
     }
   }
   // Charges each (cat, d) pair, suspending once for the summed duration.
@@ -406,6 +409,7 @@ class Kernel {
   obs::Counter* m_spun_ns_ = nullptr;
   obs::Gauge* m_futex_waiters_ = nullptr;
   std::vector<obs::Gauge*> m_runq_depth_;
+  obs::DomainTime domain_time_;
 };
 
 // A wake its publisher took instead of issuing: the FUTEX_SWAP-style

@@ -8,9 +8,12 @@
 // -DDIPC_OBS_OFF, guarded where the assertions require live metrics.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -912,30 +915,51 @@ TEST(ObsDomainTime, DomainCpuTimeSumsMatchBusyAccounting) {
   EXPECT_NE(snap.find("\"os/sched/cpu0/runq_depth\""), std::string::npos);
 }
 
-// obs is thread-safe by contract: charges to the same (tag, kind) pairs from
-// several host threads, each below a nanosecond, end at the exact
-// nanosecond total (the sub-ns carry loses nothing to a race).
+// The "domain/<tag>/time_ns/<kind>" counters of SnapshotJson's counter map,
+// name -> value; `normalized` collects the "domain/*/time_ns/<kind>" totals
+// instead.
+std::map<std::string, uint64_t> DomainTimeCounters(const std::string& snap, bool normalized) {
+  std::map<std::string, uint64_t> out;
+  const size_t end = snap.find("\"gauges\"");
+  for (size_t pos = 0; (pos = snap.find("\"domain/", pos)) != std::string::npos && pos < end;) {
+    const size_t name_end = snap.find('"', pos + 1);
+    const std::string name = snap.substr(pos + 1, name_end - pos - 1);
+    pos = name_end + 1;
+    if (name.find("/time_ns/") == std::string::npos ||
+        (name.rfind("domain/*/", 0) == 0) != normalized) {
+      continue;
+    }
+    out[name] = std::strtoull(snap.c_str() + snap.find(':', name_end) + 1, nullptr, 10);
+  }
+  return out;
+}
+
+// obs is thread-safe by contract: the tables of several host threads (one
+// kernel's each) charging the same (tag, kind) names share the registry's
+// counters, and each counter ends at the exact sum of every table's whole
+// nanoseconds (a table's sub-ns carry is its own).
 TEST(ObsDomainTime, ConcurrentChargesSumExactly) {
 #ifdef DIPC_OBS_OFF
   GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
 #endif
-  // Tags no simulation in this binary reaches, so every carry starts at 0.
-  constexpr uint32_t kTags[] = {900001, 900002, 901025};
+  // Tags no simulation in this binary reaches.
+  constexpr uint32_t kTags[] = {901, 902, 1025};
   constexpr DomainTimeKind kKinds[] = {DomainTimeKind::kUser, DomainTimeKind::kCopy};
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
   auto charge_ps = [](int thread, int i, int pair) {
     return static_cast<int64_t>(1 + (i * 37 + thread * 11 + pair * 5) % 999);
   };
+  std::array<DomainTime, kThreads> tables;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &charge_ps, &kTags, &kKinds] {
+    threads.emplace_back([t, &tables, &charge_ps, &kTags, &kKinds] {
       for (int i = 0; i < kPerThread; ++i) {
         int pair = 0;
         for (uint32_t tag : kTags) {
           for (DomainTimeKind kind : kKinds) {
-            ChargeDomainTime(tag, kind, charge_ps(t, i, pair++));
+            tables[t].Charge(tag, kind, charge_ps(t, i, pair++));
           }
         }
       }
@@ -944,22 +968,73 @@ TEST(ObsDomainTime, ConcurrentChargesSumExactly) {
   for (auto& t : threads) {
     t.join();
   }
+  // Read while the tables hold the names (a Registry::GetCounter hold
+  // would outlive this test).
+  std::map<std::string, uint64_t> counters =
+      DomainTimeCounters(Registry::Default().SnapshotJson(), false);
   int pair = 0;
   for (uint32_t tag : kTags) {
     for (DomainTimeKind kind : kKinds) {
-      int64_t total_ps = 0;
+      uint64_t total_ns = 0;
       for (int t = 0; t < kThreads; ++t) {
+        int64_t table_ps = 0;
         for (int i = 0; i < kPerThread; ++i) {
-          total_ps += charge_ps(t, i, pair);
+          table_ps += charge_ps(t, i, pair);
         }
+        total_ns += static_cast<uint64_t>(table_ps / 1000);
       }
       ++pair;
       const std::string name = "domain/" + std::to_string(tag) + "/time_ns/" +
                                DomainTimeKindName(kind);
-      EXPECT_EQ(Registry::Default().GetCounter(name)->value(),
-                static_cast<uint64_t>(total_ps / 1000))
-          << name;
+      EXPECT_EQ(counters[name], total_ns) << name;
     }
+  }
+}
+
+// A kernel's per-domain time counters die with it: while a world runs, the
+// snapshot lists the tags it charged and no other world's, and once it is
+// destroyed they are folded into "domain/*/time_ns/<kind>". Two worlds are
+// built, charged and destroyed in turn, the first with more domains.
+TEST(ObsDomainTime, DestroyedWorldsFoldTheirCountersAndListNoOtherWorldsTags) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#endif
+  Registry::Default().Reset();
+  std::map<std::string, uint64_t> folded;  // what the destroyed worlds charged
+  for (int procs : {6, 2}) {
+    SCOPED_TRACE("world of " + std::to_string(procs) + " processes");
+    std::map<std::string, uint64_t> live;
+    {
+      hw::Machine machine(2);
+      codoms::Codoms codoms(machine);
+      os::Kernel kernel(machine, codoms);
+      core::Dipc dipc(kernel);
+      std::set<std::string> tags;
+      for (int i = 0; i < procs; ++i) {
+        os::Process& proc = dipc.CreateDipcProcess("spender");
+        tags.insert(std::to_string(proc.default_domain()));
+        kernel.Spawn(proc, "spender", [i](os::Env env) -> sim::Task<void> {
+          co_await env.kernel->Spend(*env.self, sim::Duration::Micros(i + 1), os::TimeCat::kUser);
+        });
+      }
+      kernel.Run();
+      live = DomainTimeCounters(Registry::Default().SnapshotJson(), false);
+      ASSERT_FALSE(live.empty());
+      for (const auto& [name, ns] : live) {
+        const std::string tag = name.substr(7, name.find('/', 7) - 7);
+        EXPECT_EQ(tags.count(tag), 1u) << name << " was not charged by this world";
+      }
+      for (int i = 0; i < procs; ++i) {
+        EXPECT_GE(live.count("domain/" + *std::next(tags.begin(), i) + "/time_ns/user"), 1u);
+      }
+    }
+    for (const auto& [name, ns] : live) {
+      const std::string kind = name.substr(name.find("/time_ns/"));
+      folded["domain/*" + kind] += ns;
+    }
+    const std::string snap = Registry::Default().SnapshotJson();
+    EXPECT_TRUE(DomainTimeCounters(snap, false).empty()) << "a dead world's tags are listed";
+    EXPECT_EQ(DomainTimeCounters(snap, true), folded);
   }
 }
 
