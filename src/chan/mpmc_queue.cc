@@ -9,10 +9,11 @@ namespace dipc::chan {
 using os::TimeCat;
 
 MpmcQueue::MpmcQueue(os::Kernel& kernel, os::Process& proc, uint32_t capacity, hw::DomainTag tag,
-                     std::string obs_name, uint32_t obs_obj)
+                     std::string obs_name, uint32_t obs_obj, uint64_t spare_bytes)
     : kernel_(kernel), pt_(&proc.page_table()), capacity_(capacity) {
   DIPC_CHECK(capacity > 0);
-  auto seg = MapSegment(kernel, proc, uint64_t{capacity} * kSlotBytes, tag);
+  const uint64_t ring = uint64_t{capacity} * kSlotBytes;
+  auto seg = MapSegment(kernel, proc, spare_bytes == 0 ? ring : RingBytes() + spare_bytes, tag);
   DIPC_CHECK(seg.ok());
   seg_ = seg.value();
   obs_obj_ = obs_obj != 0 ? obs_obj : obs::NewObjectId();
@@ -206,6 +207,16 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
 
 sim::Task<base::Result<uint64_t>> MpmcQueue::PopN(os::Env env, std::span<uint64_t> out,
                                                   os::Deadline deadline, os::DeferredWake wake) {
+  return PopSome(env, out, deadline, std::move(wake), /*may_wait=*/true);
+}
+
+sim::Task<base::Result<uint64_t>> MpmcQueue::TryPopN(os::Env env, std::span<uint64_t> out) {
+  return PopSome(env, out, os::Deadline(), os::DeferredWake(), /*may_wait=*/false);
+}
+
+sim::Task<base::Result<uint64_t>> MpmcQueue::PopSome(os::Env env, std::span<uint64_t> out,
+                                                     os::Deadline deadline, os::DeferredWake wake,
+                                                     bool may_wait) {
   os::Kernel& k = *env.kernel;
   os::Thread& self = *env.self;
   if (out.empty()) {
@@ -227,6 +238,9 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopN(os::Env env, std::span<uint64_
   while (count_ == 0) {
     if (closed_) {
       co_return code_;
+    }
+    if (!may_wait) {
+      co_return uint64_t{0};
     }
     const bool expired = co_await Wait(env, /*push=*/false, deadline, std::exchange(wake, {}));
     if (expired && Blocked(/*push=*/false)) {

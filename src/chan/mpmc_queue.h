@@ -62,9 +62,10 @@ class MpmcQueue {
   // queue's metrics ("<obs_name>/blocked_pushes", ...; empty picks
   // "mpmc/<fresh id>") and `obs_obj` is the trace-event object id (0
   // allocates a fresh one); owners pass their own id so queue events
-  // attribute to the channel they serve.
+  // attribute to the channel they serve. `spare_bytes` more are mapped for
+  // the owner at spare_va(), from the first cache line past the ring.
   MpmcQueue(os::Kernel& kernel, os::Process& proc, uint32_t capacity, hw::DomainTag tag,
-            std::string obs_name = {}, uint32_t obs_obj = 0);
+            std::string obs_name = {}, uint32_t obs_obj = 0, uint64_t spare_bytes = 0);
 
   // Setup-time enqueue: no cost, no blocking (used to pre-fill free lists).
   void Prime(uint64_t value);
@@ -107,6 +108,8 @@ class MpmcQueue {
   sim::Task<base::Result<uint64_t>> PopN(os::Env env, std::span<uint64_t> out,
                                          os::Deadline deadline = {},
                                          os::DeferredWake wake = {});
+  // PopN that never waits: 0 when the queue is empty and open.
+  sim::Task<base::Result<uint64_t>> TryPopN(os::Env env, std::span<uint64_t> out);
 
   void Close(base::ErrorCode code = base::ErrorCode::kBrokenChannel);
   void Fail(base::ErrorCode code);
@@ -121,9 +124,19 @@ class MpmcQueue {
   uint64_t spin_hits() const { return spins_.hits; }
   uint64_t spin_misses() const { return spins_.misses; }
   uint32_t obs_obj() const { return obs_obj_; }
+  // Pops between the start of a park on the empty queue and its return.
+  uint64_t parked_pops() const { return consumers_.waiting(); }
+  hw::VirtAddr spare_va() const { return seg_.base + RingBytes(); }
 
  private:
   hw::VirtAddr SlotVa(uint64_t pos) const { return seg_.base + (pos % capacity_) * kSlotBytes; }
+  uint64_t RingBytes() const {
+    return (uint64_t{capacity_} * kSlotBytes + hw::kCacheLineSize - 1) & ~(hw::kCacheLineSize - 1);
+  }
+  // PopN's body; `may_wait` false makes it TryPopN.
+  sim::Task<base::Result<uint64_t>> PopSome(os::Env env, std::span<uint64_t> out,
+                                            os::Deadline deadline, os::DeferredWake wake,
+                                            bool may_wait);
   void WakeAllNoEnv();
   // Whether a push (full queue) or a pop (empty queue) has to wait.
   bool Blocked(bool push) const { return !closed_ && count_ == (push ? capacity_ : 0); }

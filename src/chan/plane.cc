@@ -139,8 +139,13 @@ base::Status Plane::Init(core::Dipc& dipc, std::span<os::Process* const> produce
   if (!tx_group && !rx_group) {
     rx_[0].desc = NewDescQueue(0);
   }
+  // A 1x1 plane's pool page also holds the producer's slot reserve: a count
+  // word and room for every slot.
+  const bool reserve = !tx_group && !rx_group;
   free_ = std::make_unique<MpmcQueue>(kernel_, *home_, cfg.slots, ctrl_tag_, prefix_ + "/free",
-                                      obs_id_);
+                                      obs_id_,
+                                      reserve ? MpmcQueue::kSlotBytes * (1 + cfg.slots) : 0);
+  reserve_va_ = reserve ? free_->spare_va() : 0;
   for (uint32_t i = 0; i < cfg.slots; ++i) {
     free_->Prime(i);
   }
@@ -189,6 +194,7 @@ void Plane::RegisterMetrics() {
   m_recvs_ = counter(true, "/recvs");
   m_deliveries_ = counter(rx_group_, "/deliveries");
   m_acquires_ = counter(p2p, "/acquires");
+  m_pool_pops_ = counter(p2p, "/pool_pops");
   m_releases_ = counter(p2p, "/releases");
   m_cold_mints_ = counter(p2p, "/cold_mints");
   m_rebinds_ = counter(p2p, "/rebinds");
@@ -417,8 +423,11 @@ sim::Task<base::Result<std::vector<SendBuf>>> Plane::AcquireBufBatch(os::Env env
     want = static_cast<uint32_t>(std::min<uint64_t>(want, tx.credits));
     AddCredits(tx, -int64_t{want});
   }
+  // One cross-domain call into the runtime covers the whole batch, the
+  // reserve accesses included.
+  sim::Duration cost = k.costs().function_call + k.costs().domain_switch * 2;
   std::vector<uint64_t> indices(want);
-  auto popped = co_await free_->PopN(env, std::span(indices), deadline);
+  auto popped = co_await TakeFree(env, std::span(indices), deadline, &cost);
   const bool excised = !tx.alive || tx.owner != gen;
   if (!popped.ok() || excised) {
     if (!excised) {
@@ -435,8 +444,6 @@ sim::Task<base::Result<std::vector<SendBuf>>> Plane::AcquireBufBatch(os::Env env
   }
   indices.resize(popped.value());
   AddCredits(tx, static_cast<int64_t>(want - indices.size()));
-  // One cross-domain call into the runtime covers the whole batch.
-  sim::Duration cost = k.costs().function_call + k.costs().domain_switch * 2;
   std::vector<codoms::Capability> caps;
   caps.reserve(indices.size());
   for (uint64_t idx : indices) {
@@ -482,6 +489,84 @@ sim::Task<base::Result<std::vector<SendBuf>>> Plane::AcquireBufBatch(os::Env env
   }
   env.self->cap_ctx().regs.Set(kSenderCapReg, caps.back());
   co_return out;
+}
+
+sim::Task<base::Result<uint64_t>> Plane::TakeFree(os::Env env, std::span<uint64_t> out,
+                                                  os::Deadline deadline, sim::Duration* cost) {
+  if (reserve_va_ == 0) {
+    m_pool_pops_->Add();
+    co_return co_await free_->PopN(env, out, deadline);
+  }
+  const uint64_t got = std::min<uint64_t>(out.size(), reserve_n_);
+  if (got > 0) {
+    base::Status taken = MoveReserve(env, out.first(got), /*deposit=*/false, cost);
+    if (!taken.ok()) {
+      co_return taken.code();
+    }
+    if (got == out.size()) {
+      co_return got;
+    }
+  }
+  // Every free slot in one pop, which waits only when the reserve gave
+  // nothing (so a caller holding slots never parks).
+  std::vector<uint64_t> pool(cfg_.slots);
+  ++pool_poppers_;
+  m_pool_pops_->Add();
+  auto popped = got == 0 ? co_await free_->PopN(env, std::span(pool), deadline)
+                         : co_await free_->TryPopN(env, std::span(pool));
+  --pool_poppers_;
+  if (!popped.ok()) {
+    // A closed, drained pool leaves the caller what the reserve gave; a
+    // failed one (the plane broke) leaves nothing.
+    if (got == 0 || broken_ != base::ErrorCode::kOk) {
+      co_return popped.code();
+    }
+    co_return got;
+  }
+  const uint64_t keep = std::min<uint64_t>(popped.value(), out.size() - got);
+  std::copy_n(pool.begin(), keep, out.begin() + static_cast<std::ptrdiff_t>(got));
+  std::span<uint64_t> extras(pool.data() + keep, popped.value() - keep);
+  if (!extras.empty() && pool_poppers_ > 0 && !free_->closed()) {
+    // A sibling producer thread is inside the pop, maybe parked on the
+    // empty pool: the push hands it the extras and wakes it.
+    uint64_t pushed = 0;
+    (void)co_await free_->PushN(env, extras, &pushed);
+    if (broken_ != base::ErrorCode::kOk) {
+      co_return broken_;
+    }
+    extras = extras.subspan(pushed);  // a Close raced the push: keep the rest
+  }
+  if (!extras.empty()) {
+    // This thread just accessed the pool's page from the same domain, so
+    // the reserve on that page cannot fault.
+    DIPC_CHECK(MoveReserve(env, extras, /*deposit=*/true, cost).ok());
+  }
+  co_return got + keep;
+}
+
+base::Status Plane::MoveReserve(os::Env env, std::span<uint64_t> slots, bool deposit,
+                                sim::Duration* cost) {
+  os::Kernel& k = *env.kernel;
+  const uint64_t n = slots.size();
+  const uint64_t count = deposit ? reserve_n_ + n : reserve_n_ - n;
+  const hw::VirtAddr top =
+      reserve_va_ + MpmcQueue::kSlotBytes * (1 + std::min<uint64_t>(count, reserve_n_));
+  auto moved = k.UserAccessCost(*env.self, top, n * MpmcQueue::kSlotBytes,
+                                deposit ? hw::AccessType::kWrite : hw::AccessType::kRead,
+                                deposit ? os::UserBytes(std::as_bytes(slots))
+                                        : os::UserBytes(std::as_writable_bytes(slots)));
+  if (!moved.ok()) {
+    return moved.status();
+  }
+  auto counted = k.UserAccessCost(*env.self, reserve_va_, MpmcQueue::kSlotBytes,
+                                  hw::AccessType::kWrite,
+                                  os::UserBytes(std::as_bytes(std::span(&count, 1))));
+  if (!counted.ok()) {
+    return counted.status();
+  }
+  reserve_n_ = static_cast<uint32_t>(count);
+  *cost += moved.value() + counted.value();
+  return base::Status::Ok();
 }
 
 void Plane::BindSendCap(os::Thread& t, const SendBuf& buf) const {

@@ -33,6 +33,31 @@
 // queue operation per queue touched, one cost-accounting charge, one runtime
 // entry and at most one futex wake per batch.
 //
+// Producer slot reserve (1x1 planes). The free pool's line is written by the
+// receiver's Release, so every pool pop reads a line another CPU just wrote.
+// A 1x1 plane's producer therefore keeps a reserve of free slots in the
+// pool's own page, past its ring: a count word and a stack of slot indices.
+// An acquire takes from the reserve first; only when the reserve is empty
+// does it pop the pool, taking every free slot there in one pop and
+// depositing the ones it does not need, so a lockstep round trip reads the
+// pool's line once per pool-full of acquires instead of once per acquire.
+// The pop waits only when the reserve gave nothing, so AcquireBufBatch still
+// returns every free slot up to `max_n` and blocks only when none is free.
+// Every take and deposit is a timed user access (the indices and the count
+// word) charged with the acquire's runtime entry, so producer threads that
+// share the reserve from different CPUs pay its line transfers. Deposit
+// rule: extras go into the reserve only when no other producer thread is
+// inside the pool pop; otherwise they are pushed back to the pool, which
+// wakes that thread. So while the plane is open and the reserve holds a
+// slot, no producer thread is in the pop, and none parks on an empty pool.
+// The reserve changes no semantics: Abandon and Release return slots to the
+// pool, Close leaves the reserve's slots acquirable as it leaves the pool's,
+// and teardown retires both. Group planes keep the plain pool. A fan-in
+// plane's producers are separate processes, each bounded by its own credit
+// line, so slots one kept back would be slots the others cannot take. A
+// fan-out prototype with a reserve parked fig8's request-plane producers on
+// an empty pool (`fanout/*/free/futex_wakes` 0 -> 523 in `chan_disk_t512`).
+//
 // Shapes and policies. Each side is given either as one process or as a
 // group of processes, and that alone sets its policy (at most one side is a
 // group):
@@ -157,8 +182,9 @@ class Plane : public std::enable_shared_from_this<Plane> {
   // ---- Producer side (every call names the producer endpoint) ----
 
   // Blocks until admitted (group receivers: the lag-policy gate; group
-  // producers: one credit of p's line), then pops up to `max_n` free buffers
-  // without blocking again and grants p's write capabilities (epoch rebind
+  // producers: one credit of p's line), then takes up to `max_n` free
+  // buffers (a 1x1 plane's reserve first, see above), blocking only while
+  // none is free, and grants p's write capabilities (epoch rebind
   // on the warm path). The write capability of the *last* buffer is loaded
   // into kSenderCapReg; BindSendCap switches between the batch's buffers. A
   // finite `deadline` bounds every wait with kTimedOut (no grants held).
@@ -256,6 +282,13 @@ class Plane : public std::enable_shared_from_this<Plane> {
   uint64_t sends() const { return sends_; }            // messages published
   uint64_t deliveries() const { return deliveries_; }  // per-receiver deliveries
   uint64_t recvs() const { return recvs_; }
+  // Where the free slots are (test support): the pool's, the producer
+  // reserve's (1x1 planes), and the acquires parked on the empty pool.
+  uint64_t pool_free() const { return free_->size(); }
+  uint32_t reserved() const { return reserve_n_; }
+  uint64_t pool_parked() const { return free_->parked_pops(); }
+  // Descriptors published to receiver r and not yet received.
+  uint64_t queued(uint32_t r) const { return rx_[r].desc->size(); }
   // Full capability mints (one per endpoint and slot once warm).
   uint64_t cold_mints() const { return cold_mints_; }
   uint64_t blocked_on_credit() const { return blocked_on_credit_; }
@@ -336,6 +369,16 @@ class Plane : public std::enable_shared_from_this<Plane> {
   // callers charge the runtime entry once per batch.
   base::Result<codoms::Capability> GrantCap(os::Env env, Endpoint& e, uint32_t index,
                                             codoms::Perm rights, sim::Duration* cost);
+  // Fills `out` with free slots: a 1x1 plane takes from its reserve first
+  // and pops the pool for the rest, keeping the extras (see the header); a
+  // group plane pops the pool. Adds the reserve's accesses to `*cost`.
+  sim::Task<base::Result<uint64_t>> TakeFree(os::Env env, std::span<uint64_t> out,
+                                             os::Deadline deadline, sim::Duration* cost);
+  // Moves `slots` onto the reserve's top (deposit) or off it (take), with
+  // the count word, as timed user accesses added to `*cost`. Synchronous:
+  // the count changes before any suspension.
+  base::Status MoveReserve(os::Env env, std::span<uint64_t> slots, bool deposit,
+                           sim::Duration* cost);
   // Shared body of every send; `target` == receiver_count() broadcasts.
   sim::Task<base::Status> SendCommon(os::Env env, uint32_t p, std::span<const SendItem> items,
                                      uint32_t target, os::Deadline deadline,
@@ -369,6 +412,12 @@ class Plane : public std::enable_shared_from_this<Plane> {
   Segment data_seg_;
   Segment cap_seg_;  // receivers x slots capability-storage slots
   std::unique_ptr<MpmcQueue> free_;
+  // 1x1 planes: the producer's slot reserve past the pool's ring, a count
+  // word then a stack of slot indices, reserve_n_ of them live (0 = no
+  // reserve: a group plane).
+  hw::VirtAddr reserve_va_ = 0;
+  uint32_t reserve_n_ = 0;
+  uint32_t pool_poppers_ = 0;  // producer threads inside a pool pop
   // Failed FIFOs parked by RebindReceiver: threads blocked in a retired
   // queue may resume after the swap, so the queue must outlive the rebind.
   std::vector<std::unique_ptr<MpmcQueue>> retired_desc_;
@@ -404,6 +453,7 @@ class Plane : public std::enable_shared_from_this<Plane> {
   obs::Counter* m_recvs_ = nullptr;
   obs::Counter* m_deliveries_ = nullptr;
   obs::Counter* m_acquires_ = nullptr;
+  obs::Counter* m_pool_pops_ = nullptr;
   obs::Counter* m_releases_ = nullptr;
   obs::Counter* m_cold_mints_ = nullptr;
   obs::Counter* m_rebinds_ = nullptr;

@@ -276,6 +276,207 @@ TEST(ChanStress, ChannelRandomBatchStreamDeliversExactlyOnceAndRecyclesPool) {
   }
 }
 
+// --- Channel slot census: every slot is in the pool, the producer's
+// --- reserve, the descriptor FIFO, a receiver's hands or a producer's,
+// --- through Close, Abandon and a consumer kill ---
+
+TEST(ChanStress, ChannelRandomRunsCountEverySlotThroughCloseAbandonAndKill) {
+  enum class End { kClose, kAbandon, kKill };
+  int ends_with_reserve[3] = {0, 0, 0};
+  int abandons_with_reserve = 0;
+  int total_checks = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SeedTraceGuard trace_guard("chan_census", seed);
+    Rng rng(seed);
+    hw::Machine machine(4);
+    codoms::Codoms codoms(machine);
+    os::Kernel kernel(machine, codoms);
+    core::Dipc dipc(kernel);
+    os::Process& prod = dipc.CreateDipcProcess("producer");
+    os::Process& cons = dipc.CreateDipcProcess("consumer");
+    os::Process& director = dipc.CreateDipcProcess("director");
+    const uint32_t slots = static_cast<uint32_t>(rng.UniformInt(2, 6));
+    const int n_prod = static_cast<int>(rng.UniformInt(1, 3));
+    const int per_producer = 20 + static_cast<int>(rng.UniformInt(0, 20));
+    const End end = static_cast<End>(seed % 3);
+    auto ch = Channel::Create(dipc, prod, cons, {.slots = slots, .buf_bytes = 4096});
+    ASSERT_TRUE(ch.ok());
+    std::shared_ptr<Channel> chan = ch.value();
+    // What the threads hold between plane calls; `retired` counts slots
+    // released or abandoned after Close (the closed pool takes no push).
+    // Close and the kill happen only while no thread is inside a call, and
+    // the threads call only when the call will not wait, so nearly every
+    // return leaves the plane with no slot in transit.
+    uint64_t acquired = 0, held = 0, retired = 0;
+    int in_call = 0, producers_done = 0, checks = 0;
+    bool closed = false, killed = false;
+    auto check = [&] {
+      if (in_call != 0) {
+        return;
+      }
+      ++checks;
+      EXPECT_EQ(chan->pool_free() + chan->reserved() + chan->queued(0) + held + acquired + retired,
+                slots)
+          << "pool " << chan->pool_free() << " reserve " << chan->reserved() << " fifo "
+          << chan->queued(0) << " held " << held << " acquired " << acquired << " retired "
+          << retired;
+    };
+    for (int p = 0; p < n_prod; ++p) {
+      kernel.Spawn(
+          prod, "producer",
+          [&, chan, prod_seed = rng.Next()](os::Env env) -> sim::Task<void> {
+            os::Kernel& k = *env.kernel;
+            Rng prng(prod_seed);
+            int done = 0;
+            while (done < per_producer && !killed) {
+              if (chan->pool_free() + chan->reserved() == 0) {
+                if (closed) {
+                  break;
+                }
+                co_await k.Sleep(env, Duration::Nanos(prng.UniformInt(20, 200)));
+                continue;
+              }
+              ++in_call;
+              auto bufs = co_await chan->AcquireBufBatch(
+                  env, static_cast<uint32_t>(prng.UniformInt(1, slots)));
+              --in_call;
+              if (!bufs.ok()) {
+                EXPECT_TRUE(killed || closed) << static_cast<int>(bufs.code());
+                break;
+              }
+              std::vector<SendBuf> got = bufs.value();
+              acquired += got.size();
+              check();
+              const size_t n_abandon =
+                  end == End::kAbandon || closed ? prng.UniformInt(0, got.size()) : 0;
+              for (auto [first, n] : {std::pair{size_t{0}, n_abandon},
+                                      std::pair{n_abandon, got.size() - n_abandon}}) {
+                if (n == 0 || killed) {
+                  continue;
+                }
+                std::span<const SendBuf> part(got.data() + first, n);
+                std::vector<SendItem> items;
+                for (const SendBuf& b : part) {
+                  items.push_back(SendItem{b, 64});
+                }
+                const bool abandon = first == 0 && n_abandon > 0;
+                abandons_with_reserve += abandon && chan->reserved() > 0 ? 1 : 0;
+                const bool was_closed = closed;
+                ++in_call;
+                base::Status st = abandon ? co_await chan->AbandonBatch(env, part)
+                                          : co_await chan->SendBatch(env, items);
+                if (!st.ok() && !killed) {
+                  // A send after Close fails with the buffers still ours.
+                  EXPECT_EQ(st.code(), ErrorCode::kBrokenChannel);
+                  EXPECT_TRUE(closed && !abandon);
+                  st = co_await chan->AbandonBatch(env, part);
+                  EXPECT_TRUE(st.ok());
+                  retired += n;
+                } else if (st.ok() && abandon && was_closed) {
+                  retired += n;
+                }
+                --in_call;
+                if (!st.ok()) {
+                  EXPECT_TRUE(killed);
+                  break;
+                }
+                acquired -= n;
+                done += abandon ? 0 : static_cast<int>(n);
+                check();
+              }
+              if (prng.Chance(0.3)) {
+                co_await k.Sleep(env, Duration::Nanos(prng.UniformInt(20, 800)));
+              }
+            }
+            ++producers_done;
+          },
+          /*pin_cpu=*/p % 2);
+    }
+    kernel.Spawn(
+        cons, "consumer",
+        [&, chan, cons_seed = rng.Next()](os::Env env) -> sim::Task<void> {
+          os::Kernel& k = *env.kernel;
+          Rng crng(cons_seed);
+          while (!killed) {
+            if (chan->queued(0) == 0) {
+              if (closed) {
+                break;
+              }
+              co_await k.Sleep(env, Duration::Nanos(crng.UniformInt(20, 200)));
+              continue;
+            }
+            ++in_call;
+            auto msgs =
+                co_await chan->RecvBatch(env, static_cast<uint32_t>(crng.UniformInt(1, slots)));
+            --in_call;
+            if (!msgs.ok()) {
+              EXPECT_TRUE(killed) << static_cast<int>(msgs.code());
+              co_return;
+            }
+            held += msgs.value().size();
+            check();
+            if (crng.Chance(0.4)) {
+              co_await k.Sleep(env, Duration::Nanos(crng.UniformInt(50, 1500)));
+            }
+            const bool was_closed = closed;
+            ++in_call;
+            auto rel = co_await chan->ReleaseBatch(env, msgs.value());
+            --in_call;
+            if (!rel.ok()) {
+              // The kill caught this thread between its recv and release.
+              EXPECT_TRUE(killed) << static_cast<int>(rel.code());
+              co_return;
+            }
+            held -= msgs.value().size();
+            retired += was_closed ? msgs.value().size() : 0;
+            check();
+          }
+        },
+        /*pin_cpu=*/2);
+    kernel.Spawn(
+        director, "director",
+        [&, chan, wait_ns = rng.UniformInt(500, 20000)](os::Env env) -> sim::Task<void> {
+          os::Kernel& k = *env.kernel;
+          co_await k.Sleep(env, Duration::Nanos(static_cast<double>(wait_ns)));
+          // Close or kill once no thread is inside a call and the reserve
+          // holds a slot (or, if the producers finished first, once the
+          // plane is quiet); an abandon run closes after the drain.
+          while (in_call != 0 ||
+                 (end == End::kAbandon ? producers_done < n_prod || held + acquired > 0 ||
+                                             chan->queued(0) > 0
+                                       : chan->reserved() == 0 && producers_done < n_prod)) {
+            co_await k.Sleep(env, Duration::Nanos(30));
+          }
+          check();
+          ends_with_reserve[static_cast<int>(end)] += chan->reserved() > 0 ? 1 : 0;
+          if (end == End::kKill) {
+            killed = true;
+            dipc.KillProcess(cons);
+          } else {
+            closed = true;
+            chan->Close();
+          }
+          check();
+        },
+        /*pin_cpu=*/3);
+    kernel.Run();
+    check();
+    total_checks += checks;
+    EXPECT_EQ(chan->LiveGrantCount(), end == End::kKill ? 0u : acquired);
+    if (end != End::kKill) {
+      EXPECT_EQ(held + acquired, 0u);
+    }
+    if (trace_guard.DumpIfFailed()) {
+      break;
+    }
+  }
+  EXPECT_GT(ends_with_reserve[static_cast<int>(End::kClose)], 0);
+  EXPECT_GT(ends_with_reserve[static_cast<int>(End::kKill)], 0);
+  EXPECT_GT(abandons_with_reserve, 0);
+  EXPECT_GT(total_checks, 24 * 20);
+}
+
 // --- Channel batch ops under mid-run KillProcess: duplicate-free subset
 // --- delivery and total grant revocation ---
 

@@ -14,6 +14,7 @@
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "hw/machine.h"
+#include "obs/metrics.h"
 #include "os/kernel.h"
 #include "sim/random.h"
 
@@ -1167,6 +1168,129 @@ TEST_F(ChanTest, AbandonedBufferIsSendableAfterReacquire) {
   });
   kernel_.Run();
   EXPECT_EQ(received, "recycled slot");
+}
+
+// --- The producer's slot reserve (1x1 planes) ---
+
+// Several producer threads share one 2-slot Channel while a slow consumer
+// receives and releases two messages at a time. A pop that finds both
+// freed slots keeps one; the other goes to the reserve only when no
+// sibling is inside the pool pop, and is pushed back to the pool (waking
+// that sibling) otherwise. So every send completes, and no producer is
+// ever parked on the empty pool while the reserve holds a slot.
+TEST_F(ChanTest, ProducerThreadsNeverParkOnTheEmptyPoolWhileTheReserveHoldsASlot) {
+  constexpr int kProducers = 4;
+  constexpr int kSends = 12;
+  constexpr int kTotal = kProducers * kSends;
+  os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process& cons = dipc_.CreateDipcProcess("consumer");
+  os::Process& watch = dipc_.CreateDipcProcess("monitor");
+  auto ch = Channel::Create(dipc_, prod, cons, {.slots = 2, .buf_bytes = 256});
+  ASSERT_TRUE(ch.ok());
+  std::shared_ptr<Channel> chan = ch.value();
+  int sent = 0;
+  int received = 0;
+  int samples_parked = 0;
+  int samples_reserved = 0;
+  int parked_with_reserve = 0;
+  for (int p = 0; p < kProducers; ++p) {
+    kernel_.Spawn(
+        prod, "producer",
+        [&, chan](os::Env env) -> sim::Task<void> {
+          for (int i = 0; i < kSends; ++i) {
+            auto buf = co_await chan->AcquireBuf(env);
+            DIPC_CHECK(buf.ok());
+            EXPECT_TRUE((co_await chan->Send(env, buf.value(), 64)).ok());
+            ++sent;
+          }
+        },
+        /*pin_cpu=*/p % 2);
+  }
+  kernel_.Spawn(
+      cons, "consumer",
+      [&, chan](os::Env env) -> sim::Task<void> {
+        while (received < kTotal) {
+          co_await env.kernel->Sleep(env, Duration::Micros(2));
+          auto msgs = co_await chan->RecvBatch(env, 2);
+          DIPC_CHECK(msgs.ok());
+          received += static_cast<int>(msgs.value().size());
+          EXPECT_TRUE((co_await chan->ReleaseBatch(env, msgs.value())).ok());
+        }
+      },
+      /*pin_cpu=*/2);
+  kernel_.Spawn(
+      watch, "monitor",
+      [&, chan](os::Env env) -> sim::Task<void> {
+        while (received < kTotal) {
+          const bool parked = chan->pool_parked() > 0;
+          samples_parked += parked ? 1 : 0;
+          samples_reserved += chan->reserved() > 0 ? 1 : 0;
+          parked_with_reserve += parked && chan->reserved() > 0 ? 1 : 0;
+          co_await env.kernel->Sleep(env, Duration::Nanos(20));
+        }
+      },
+      /*pin_cpu=*/3);
+  kernel_.Run();
+  EXPECT_EQ(sent, kTotal);
+  EXPECT_EQ(received, kTotal);
+  EXPECT_GT(samples_parked, 0) << "no producer ever waited: the test exercises nothing";
+  EXPECT_GT(samples_reserved, 0) << "the reserve never held a slot";
+  EXPECT_EQ(parked_with_reserve, 0) << "a producer parked while the reserve held a slot";
+}
+
+// A lockstep one-message round trip over a DuplexChannel pops each ring's
+// shared free pool once per `slots` acquires: the first pop takes every
+// free slot and the reserve serves the next slots - 1 acquires, so the
+// pool's line, which the peer's Release writes, is read once per pool-full.
+TEST_F(ChanTest, LockstepDuplexRoundTripsPopEachPoolOncePerSlotsAcquires) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#endif
+  constexpr uint32_t kSlots = 8;
+  constexpr int kCalls = 64;
+  os::Process& client = dipc_.CreateDipcProcess("client");
+  os::Process& server = dipc_.CreateDipcProcess("server");
+  auto dx = DuplexChannel::Create(dipc_, client, server, {.slots = kSlots, .buf_bytes = 256});
+  ASSERT_TRUE(dx.ok());
+  std::shared_ptr<DuplexEndpoint> cli = dx.value()->a_end();
+  std::shared_ptr<DuplexEndpoint> srv = dx.value()->b_end();
+  kernel_.Spawn(
+      server, "server",
+      [srv](os::Env env) -> sim::Task<void> {
+        while (true) {
+          auto req = co_await srv->Recv(env);
+          if (!req.ok()) {
+            co_return;
+          }
+          EXPECT_TRUE((co_await srv->Release(env, req.value())).ok());
+          auto buf = co_await srv->AcquireBuf(env);
+          DIPC_CHECK(buf.ok());
+          EXPECT_TRUE((co_await srv->Send(env, buf.value(), 64)).ok());
+        }
+      },
+      /*pin_cpu=*/1);
+  kernel_.Spawn(
+      client, "client",
+      [cli, dx = dx.value()](os::Env env) -> sim::Task<void> {
+        for (int i = 0; i < kCalls; ++i) {
+          auto buf = co_await cli->AcquireBuf(env);
+          DIPC_CHECK(buf.ok());
+          EXPECT_TRUE((co_await cli->Send(env, buf.value(), 64)).ok());
+          auto resp = co_await cli->Recv(env);
+          DIPC_CHECK(resp.ok());
+          EXPECT_TRUE((co_await cli->Release(env, resp.value())).ok());
+        }
+        dx->Close();
+      },
+      /*pin_cpu=*/0);
+  kernel_.Run();
+  for (Channel* ring : {&dx.value()->forward(), &dx.value()->reverse()}) {
+    const std::string prefix = "chan/" + std::to_string(ring->obs_id());
+    SCOPED_TRACE(prefix);
+    EXPECT_EQ(obs::Registry::Default().GetCounter(prefix + "/acquires")->value(), kCalls);
+    EXPECT_EQ(obs::Registry::Default().GetCounter(prefix + "/pool_pops")->value(),
+              kCalls / kSlots);
+  }
 }
 
 // --- Deadlines on the blocking primitives ---
