@@ -54,9 +54,9 @@
 // pool, Close leaves the reserve's slots acquirable as it leaves the pool's,
 // and teardown retires both. Group planes keep the plain pool. A fan-in
 // plane's producers are separate processes, each bounded by its own credit
-// line, so slots one kept back would be slots the others cannot take. A
-// fan-out prototype with a reserve parked fig8's request-plane producers on
-// an empty pool (`fanout/*/free/futex_wakes` 0 -> 523 in `chan_disk_t512`).
+// line, so slots one kept back would be slots the others cannot take. With
+// a reserve, fig8's fan-out request planes parked their producers on an
+// empty pool (`fanout/*/free/futex_wakes` 0 -> 523 in `chan_disk_t512`).
 //
 // Shapes and policies. Each side is given either as one process or as a
 // group of processes, and that alone sets its policy (at most one side is a
