@@ -29,22 +29,25 @@ MpmcQueue::MpmcQueue(os::Kernel& kernel, os::Process& proc, uint32_t capacity, h
   m_park_ns_ = metrics_.GetHistogram(obs_name + "/park_ns");
 }
 
+hw::PhysAddr MpmcQueue::SlotPa(uint64_t pos) const {
+  // Slots never straddle pages (8-byte slots, page-aligned base).
+  auto pa = pt_->Translate(SlotVa(pos));
+  DIPC_CHECK(pa.has_value());
+  return *pa;
+}
+
 void MpmcQueue::Prime(uint64_t value) {
   DIPC_CHECK(count_ < capacity_);
   // Setup-time direct store through physical memory: no thread context, no
-  // cost. Slots never straddle pages (8-byte slots, page-aligned base).
-  auto pa = pt_->Translate(SlotVa(tail_));
-  DIPC_CHECK(pa.has_value());
-  kernel_.machine().mem().Write(*pa, std::as_bytes(std::span(&value, 1)));
+  // cost.
+  kernel_.machine().mem().Write(SlotPa(tail_), std::as_bytes(std::span(&value, 1)));
   ++tail_;
   ++count_;
 }
 
 void MpmcQueue::PushNoEnv(uint64_t value) {
   DIPC_CHECK(count_ < capacity_);
-  auto pa = pt_->Translate(SlotVa(tail_));
-  DIPC_CHECK(pa.has_value());
-  kernel_.machine().mem().Write(*pa, std::as_bytes(std::span(&value, 1)));
+  kernel_.machine().mem().Write(SlotPa(tail_), std::as_bytes(std::span(&value, 1)));
   ++tail_;
   ++count_;
   if (consumers_.EndSpins(kernel_, 1) == 0) {
@@ -189,10 +192,11 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
       *pushed = done;
     }
     co_await k.Spend(self, cost, TimeCat::kUser);
-    // Spinners take the chunk first, with no syscall. Values left over get
-    // one (suppressed) futex wake; the woken consumer chains further wakes
+    // Spinners take the chunk first, with no syscall: each spin ends when
+    // the head cell's line reaches the spinner. Values left over get one
+    // (suppressed) futex wake; the woken consumer chains further wakes
     // while a backlog remains (see PopN), so one is enough.
-    if (consumers_.Publish(env, n)) {
+    if (consumers_.Publish(env, n, SlotPa(head_))) {
       co_await WakeIfWaiting(env, consumers_, defer);
     }
   }
@@ -269,8 +273,9 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopSome(os::Env env, std::span<uint
     co_await WakeIfWaiting(env, producers_);
   }
   // Wake chaining, consumer side: a batched push woke only one consumer; if
-  // a backlog remains, pass it on to spinners, then to a parked consumer.
-  if (count_ > 0 && consumers_.EndSpins(k, count_) < count_) {
+  // a backlog remains, pass it on to spinners (each reads the new head
+  // cell, as after a push), then to a parked consumer.
+  if (count_ > 0 && consumers_.EndSpins(k, count_, SlotPa(head_)) < count_) {
     co_await WakeIfWaiting(env, consumers_);
   }
   co_return n;

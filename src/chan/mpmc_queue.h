@@ -19,8 +19,12 @@
 // through os::FutexBlockUntil, which spins while the wait's publisher is on
 // a CPU (os/futex.h's rule) and parks otherwise. A pop's publisher is the
 // last pusher and a push's the last popper. A publish ends spins first,
-// with no syscall, and wakes parked waiters only for the rest. A spinner is
-// billed user time and is not a futex waiter.
+// with no syscall, and wakes parked waiters only for the rest. A spinning
+// pop watches the head cell: a push, or a pop that leaves a backlog, ends
+// it when that cell's line reaches the spinner (Kernel::EndSpinOnRead), one
+// line transfer for a cell just written on another CPU, and the pop's own
+// read of the cell is then an L1 hit. A spinning push sees a pop one line
+// transfer later. A spinner is billed user time and is not a futex waiter.
 //
 // Wake-and-park (os/kernel.h's DeferredWake): a push given a `defer` slot
 // hands back the consumer it would have woken instead of waking it, and a
@@ -130,6 +134,9 @@ class MpmcQueue {
 
  private:
   hw::VirtAddr SlotVa(uint64_t pos) const { return seg_.base + (pos % capacity_) * kSlotBytes; }
+  // The slot's physical address: for direct stores with no thread context,
+  // and for the head cell a spinning pop watches.
+  hw::PhysAddr SlotPa(uint64_t pos) const;
   uint64_t RingBytes() const {
     return (uint64_t{capacity_} * kSlotBytes + hw::kCacheLineSize - 1) & ~(hw::kCacheLineSize - 1);
   }

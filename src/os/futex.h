@@ -13,11 +13,17 @@
 // mutex_spin_on_owner): a waiter busy-waits in user space while the wait
 // queue's publisher (WaitQueue::publisher(), the thread whose last publish
 // there could have ended the wait) is on a CPU and not itself spinning, and
-// no other thread waits for the spinner's CPU. A publish ends the spin one
-// cache-line transfer later and pays no FUTEX_WAKE (WaitQueue::Publish).
-// The spin also ends when the publisher leaves its CPU (it parks, swaps,
-// sleeps, exits or spins), on need_resched, on WakeAll (Close/Fail) and at
-// the deadline; no time budget bounds it. A wait that holds a deferred
+// no other thread waits for the spinner's CPU. A publish ends the spin and
+// pays no FUTEX_WAKE (WaitQueue::Publish). A publish that names the cell
+// the waiters read next (a queue pop's head cell) ends it when that cell's
+// line reaches the spinner: the kernel does the spinner's bare read of the
+// line (Kernel::EndSpinOnRead), one transfer when the publisher wrote it
+// last, and the read that follows is an L1 hit, so one transfer carries
+// both the signal and the data. Other publishes (a pop that frees room for
+// a spinning push, a credit line's refill) end it one cache-line transfer
+// later. The spin also ends when the publisher leaves its CPU (it parks,
+// swaps, sleeps, exits or spins), on need_resched, on WakeAll (Close/Fail)
+// and at the deadline; no time budget bounds it. A wait that holds a deferred
 // wake never spins: its CPU is owed to that wake's waiter. A queue nobody
 // publishes to, like os::Semaphore's, parks at once.
 //

@@ -157,6 +157,13 @@ void Kernel::EndSpin(Thread& t, sim::Duration delay) {
   machine_.events().ScheduleAt(end, [h] { h.resume(); });
 }
 
+void Kernel::EndSpinOnRead(Thread& t, hw::PhysAddr cell) {
+  if (cpus_[t.last_cpu()].spinner != &t) {
+    return;
+  }
+  EndSpin(t, machine_.caches().Access(t.last_cpu(), cell, 1, /*is_write=*/false));
+}
+
 std::coroutine_handle<> Kernel::FinishSpin(CpuState& cs, sim::Time end) {
   Thread& t = *cs.spinner;
   cs.spinner = nullptr;

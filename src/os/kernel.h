@@ -259,10 +259,22 @@ class Kernel {
     void await_resume() {}
   };
   SpinAwaiter SpinUntil(Env env, sim::Time until) { return SpinAwaiter{this, env.self, until}; }
-  // Ends `t`'s spin: it resumes `delay` from now (the cache-line transfer
-  // that shows it the change it watches). A no-op when `t` is not spinning
-  // or its timer fires first.
+  // Ends `t`'s spin: it resumes `delay` from now (the time the change it
+  // watches takes to reach it: one cache-line transfer for a close, a
+  // publisher leaving its CPU or a publish of no particular cell; zero for
+  // need_resched). A no-op when `t` is not spinning or its timer fires
+  // first.
   void EndSpin(Thread& t, sim::Duration delay);
+  // Ends `t`'s spin when the line holding physical address `cell` reaches
+  // it: the kernel does the spinner's bare read of that line in the cache
+  // model (no TLB walk, CODOMs check or byte move) and ends the spin after
+  // that read's cost. That is one remote_transfer when a write from another
+  // CPU is the line's newest, and it leaves the line in the spinner's L1,
+  // so the spinner's own access to the cell that follows is an L1 hit: one
+  // line transfer carries both the signal and the data. A no-op, with no
+  // read, when `t` is not spinning; when its timer fires before the read
+  // completes, the timer ends the spin and the read still lands.
+  void EndSpinOnRead(Thread& t, hw::PhysAddr cell);
   // Cumulative busy-wait time over every spin that has ended; mirrored in
   // "os/sched/spun_ns".
   sim::Duration spun() const { return spun_; }
@@ -543,19 +555,26 @@ class WaitQueue {
            cpus[env.self->last_cpu()].runq.empty();
   }
   // A publish of `n` items by `env.self`, which becomes the queue's
-  // publisher: up to `n` spinning waiters see it one cache-line transfer
-  // later, with no FUTEX_WAKE. True when parked waiters still need a wake
-  // for the rest.
-  bool Publish(Env env, uint64_t n = UINT64_MAX) {
+  // publisher: up to `n` spinning waiters see it with no FUTEX_WAKE. True
+  // when parked waiters still need a wake for the rest. With a `cell` (the
+  // physical address of the item the waiters read next), a spin ends when
+  // that cell's line reaches the spinner (Kernel::EndSpinOnRead); without
+  // one, one cache-line transfer later.
+  bool Publish(Env env, uint64_t n = UINT64_MAX, std::optional<hw::PhysAddr> cell = {}) {
     publisher_ = env.self;
-    return EndSpins(*env.kernel, n) < n && waiting_ > 0;
+    return EndSpins(*env.kernel, n, cell) < n && waiting_ > 0;
   }
   // Ends up to `n` spins in FIFO order without naming a publisher (wake
-  // chaining, stores from teardown hooks) and unlists them.
-  uint64_t EndSpins(Kernel& kernel, uint64_t n) {
+  // chaining, stores from teardown hooks) and unlists them; `cell` as in
+  // Publish.
+  uint64_t EndSpins(Kernel& kernel, uint64_t n, std::optional<hw::PhysAddr> cell = {}) {
     uint64_t ended = 0;
     for (; ended < n && ended < spinners_.size(); ++ended) {
-      kernel.EndSpin(*spinners_[ended], kernel.costs().remote_transfer);
+      if (cell.has_value()) {
+        kernel.EndSpinOnRead(*spinners_[ended], *cell);
+      } else {
+        kernel.EndSpin(*spinners_[ended], kernel.costs().remote_transfer);
+      }
     }
     spinners_.erase(spinners_.begin(), spinners_.begin() + static_cast<std::ptrdiff_t>(ended));
     return ended;

@@ -20,7 +20,10 @@
 //     published message: the producer's credit waits spin on the receiver
 //     that releases last instead of parking;
 //   - a stream's per-message cost must not depend on how many messages it
-//     runs: the window counts every message released inside it.
+//     runs: the window counts every message released inside it;
+//   - a one-slot channel round trip across two CPUs must cost under four
+//     cache-line transfers: it moves three lines, and a spinning waiter's
+//     transfer of the cell it watches is also its read of that cell.
 // The measurements are the bench harness's own (bench/micro_harness.cc), so
 // the gate and the reported numbers can never drift apart; the simulation
 // is deterministic, so the ratios are stable.
@@ -126,6 +129,20 @@ TEST(BenchBounds, EightReceiverBroadcastAtBatch1CostsUnderOneMicrosecond) {
   // designpoints' fanout_bcast_b1@8 row.
   const double bcast8 = FanOutPerMessageNs(8, 1, 768);
   EXPECT_LT(bcast8, 1000.0) << "fanout bcast N=8 batch=1: " << bcast8 << " ns/msg";
+}
+
+TEST(BenchBounds, CrossCpuOneSlotRoundTripCostsUnderFourLineTransfers) {
+  // designpoints' chan_cross_cpu@64 row: a one-slot Channel across two
+  // CPUs. A round trip moves three lines between them (the descriptor
+  // cell, the payload line and the free pool's cell), and a spinning
+  // waiter's transfer of the cell it watches is also its read of that
+  // cell, so the round trip costs under four remote transfers.
+  const MicroConfig cross{.arg_bytes = 64, .rounds = 150, .cross_cpu = true};
+  const double func = MeasureFunction({.arg_bytes = 64, .rounds = 150}).roundtrip_ns;
+  const double round_trip = MeasureChannel(cross).roundtrip_ns - func;
+  const double bound = 4 * hw::CostModel{}.remote_transfer.nanos();
+  EXPECT_LT(round_trip, bound) << "chan_cross_cpu@64: " << round_trip << " ns, bound: " << bound
+                               << " ns";
 }
 
 TEST(BenchBounds, StreamCostDoesNotDependOnRunLength) {

@@ -209,6 +209,166 @@ TEST_F(ChanSpinTest, SpinLastsWhileThePublisherRuns) {
   (void)spun_ns_before;
 }
 
+// The cache-model accesses between two snapshots.
+hw::CacheStats Delta(const hw::CacheStats& after, const hw::CacheStats& before) {
+  return {after.l1_hits - before.l1_hits, after.l2_hits - before.l2_hits,
+          after.l3_hits - before.l3_hits, after.mem_accesses - before.mem_accesses,
+          after.remote_transfers - before.remote_transfers};
+}
+
+TEST_F(ChanSpinTest, SpunPopPaysOneLineTransferForItsCellAndReadsItFromL1) {
+  // The push that ends the spin writes value 2 into the line the producer
+  // already holds (an L1 hit on its CPU). The spin ends when that line
+  // reaches the consumer: its one remote transfer. The pop's own read of
+  // the cell that follows is an L1 hit, not a second transfer.
+  SpawnProducer(Duration::Micros(2));
+  hw::CacheStats before;
+  hw::CacheStats after;
+  Time returned;
+  SpawnConsumer([&](os::Env env) -> sim::Task<void> {
+    before = machine_.caches().stats();
+    auto v = co_await q_->Pop(env);
+    EXPECT_TRUE(v.ok() && v.value() == 2u);
+    after = machine_.caches().stats();
+    returned = env.kernel->now();
+  });
+  kernel_.Run();
+  const hw::CostModel& cm = kernel_.costs();
+  EXPECT_EQ(q_->spin_hits(), 1u);
+  const hw::CacheStats d = Delta(after, before);
+  EXPECT_EQ(d.remote_transfers, 1u);
+  EXPECT_EQ(d.l1_hits, 2u);  // the push's write and the pop's read
+  EXPECT_EQ(d.l2_hits + d.l3_hits + d.mem_accesses, 0u);
+  // After the spin, the pop pays its read's L1 hit and APL check only.
+  const Time spin_end = push_done_ + cm.remote_transfer;
+  EXPECT_EQ(kernel_.spun(), spin_end - (pop_called_ + cm.chan_fast_path));
+  EXPECT_EQ(returned - spin_end, cm.l1_hit + cm.apl_cache_lookup);
+}
+
+TEST_F(ChanSpinTest, EachSpinEndsWhenTheHeadCellReachesItsSpinnerAlsoThroughAWakeChain) {
+  // A 16-slot queue. Eight warm-up values fill the first line of its ring
+  // (slots 0-7) and give each consumer's CPU its TLB and APL entries; the
+  // next two values land in slots 8 and 9, a line no consumer has read.
+  // Consumers A, B and C (CPUs 1, 2, 3) then spin on the empty queue in
+  // that order while the producer runs, and one push of two values ends
+  // A's and B's spins. A's read of the line is the remote transfer; B's,
+  // after it, finds the line in L3, so B resumes first and takes value 9.
+  // Its pop leaves value 10 queued with C still spinning: the wake chain
+  // ends C's spin when the new head cell's line reaches C, from L3 too. A
+  // finds the queue empty and times out.
+  const hw::DomainTag tag = codoms_.apl_table().AllocateTag();
+  codoms_.apl_table().Grant(prod_.default_domain(), tag, codoms::Perm::kWrite);
+  codoms_.apl_table().Grant(cons_.default_domain(), tag, codoms::Perm::kWrite);
+  MpmcQueue q(kernel_, prod_, 16, tag);
+  Time push_done;
+  kernel_.Spawn(
+      prod_, "producer",
+      [&](os::Env env) -> sim::Task<void> {
+        const uint64_t warm[] = {1, 2, 3, 4, 5, 6, 7, 8};
+        EXPECT_TRUE((co_await q.PushN(env, warm)).ok());
+        co_await env.kernel->Spend(*env.self, Duration::Micros(3), os::TimeCat::kUser);
+        const uint64_t two[] = {9, 10};
+        EXPECT_TRUE((co_await q.PushN(env, two)).ok());
+        push_done = env.kernel->now();
+        co_await env.kernel->Spend(*env.self, Duration::Micros(5), os::TimeCat::kUser);
+      },
+      /*pin_cpu=*/0);
+  uint64_t got[3] = {};
+  Time returned[3];
+  ErrorCode a_got = ErrorCode::kOk;
+  for (int c = 0; c < 3; ++c) {
+    kernel_.Spawn(
+        cons_, "consumer",
+        [&, c](os::Env env) -> sim::Task<void> {
+          co_await env.kernel->Sleep(env, Duration::Nanos(500 + 100 * c));
+          for (int i = 0; i < (c == 0 ? 6 : 1); ++i) {
+            EXPECT_TRUE((co_await q.Pop(env)).ok());
+          }
+          auto v = co_await q.Pop(env, os::Deadline::At(Time::Zero() + Duration::Micros(20)));
+          returned[c] = env.kernel->now();
+          if (c == 0) {
+            a_got = v.code();
+          } else if (v.ok()) {
+            got[c] = v.value();
+          }
+        },
+        /*pin_cpu=*/1 + c);
+  }
+  kernel_.Run();
+  const hw::CostModel& cm = kernel_.costs();
+  EXPECT_EQ(got[1], 9u);
+  EXPECT_EQ(got[2], 10u);
+  EXPECT_EQ(a_got, ErrorCode::kTimedOut);
+  // After each spin, the pop's read of the cell is an L1 hit.
+  const Duration read = cm.l1_hit + cm.apl_cache_lookup;
+  EXPECT_EQ(returned[1] - push_done, cm.l3_hit + read);
+  EXPECT_EQ(returned[2] - returned[1], cm.l3_hit + read);
+  EXPECT_EQ(q.spin_hits(), 2u);
+  EXPECT_EQ(q.spin_misses(), 1u);  // A's spins fell through to a park when the producer left
+}
+
+TEST_F(ChanSpinTest, AcquireThatSpunOnAnEmptyPoolPaysOneLineTransferForItsSlot) {
+  // One slot. The receiver holds message 1 on its CPU for 3 us, so the
+  // sender's third AcquireBuf finds the free pool empty with its last
+  // publisher running, and spins until the receiver's Release pushes the
+  // slot back (an L1 hit on the receiver's CPU, which pushed it last time
+  // too). The spin ends when the pool's head cell reaches the sender: one
+  // remote transfer, and the pop's read of the cell is an L1 hit.
+  auto ch = Channel::Create(dipc_, prod_, cons_, {.slots = 1, .buf_bytes = 64});
+  ASSERT_TRUE(ch.ok());
+  std::shared_ptr<Channel> c = ch.value();
+  hw::CacheStats before;
+  hw::CacheStats after;
+  Time acquire_called;
+  Time released;
+  Duration spun_in_acquire;
+  kernel_.Spawn(
+      prod_, "sender",
+      [&, c](os::Env env) -> sim::Task<void> {
+        for (int i = 0; i < 3; ++i) {
+          if (i == 2) {
+            co_await env.kernel->Spend(*env.self, Duration::Micros(1), os::TimeCat::kUser);
+            before = machine_.caches().stats();
+            acquire_called = env.kernel->now();
+          }
+          const Duration spun_before = env.kernel->spun();
+          auto b = co_await c->AcquireBuf(env);
+          DIPC_CHECK(b.ok());
+          if (i == 2) {
+            after = machine_.caches().stats();
+            spun_in_acquire = env.kernel->spun() - spun_before;
+          }
+          EXPECT_TRUE((co_await c->Send(env, b.value(), 8)).ok());
+        }
+      },
+      0);
+  kernel_.Spawn(
+      cons_, "receiver",
+      [&, c](os::Env env) -> sim::Task<void> {
+        for (int i = 0; i < 3; ++i) {
+          auto m = co_await c->Recv(env);
+          DIPC_CHECK(m.ok());
+          if (i == 1) {
+            co_await env.kernel->Spend(*env.self, Duration::Micros(3), os::TimeCat::kUser);
+          }
+          EXPECT_TRUE((co_await c->Release(env, m.value())).ok());
+          if (i == 1) {
+            released = env.kernel->now();
+          }
+        }
+      },
+      1);
+  kernel_.Run();
+  const hw::CostModel& cm = kernel_.costs();
+  EXPECT_EQ(spun_in_acquire,
+            (released + cm.remote_transfer) - (acquire_called + cm.chan_fast_path));
+  const hw::CacheStats d = Delta(after, before);
+  EXPECT_EQ(d.remote_transfers, 1u);
+  EXPECT_EQ(d.l1_hits, 2u);  // the release's write and the acquire's read
+  EXPECT_EQ(d.l2_hits + d.l3_hits + d.mem_accesses, 0u);
+  EXPECT_EQ(c->LiveGrantCount(), 0u);
+}
+
 TEST_F(ChanSpinTest, PublisherThatParksEndsTheSpinAndTheWaiterParks) {
   os::WaitQueue elsewhere;
   bool blocked = true;
