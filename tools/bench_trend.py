@@ -11,6 +11,7 @@ Usage:
   bench_trend.py BASELINE_DIR CURRENT_DIR [--threshold PCT] [--warn-only]
                  [--prefix-threshold PREFIX=PCT ...]
   bench_trend.py BASELINE_DIR CURRENT_DIR --exact
+  bench_trend.py BASELINE_DIR CURRENT_DIR --explain WINDOW
   bench_trend.py --self-test
 
 --exact gates a deterministic simulation against a committed baseline
@@ -44,6 +45,13 @@ run still match, and a live object's counter sums with the retired total the
 registry keeps for dead objects under the normalized name (fabric/*/calls):
   --counter-threshold 'fabric_echo/fabric/*/retries=0'
 fails on ANY new retry in the fabric_echo bench.
+
+--explain WINDOW prints what moved inside one --metrics window between the
+two directories: every counter and histogram that differs, by normalized
+name (ids summed as above), largest change first. A histogram shows its
+count and its sum of recorded values; percentiles do not add across
+objects, so they are left out. WINDOW is a window label (designpoints_n64,
+fanout_shard_b1@2) or bench/label when several benches have the label.
 """
 
 import argparse
@@ -147,31 +155,35 @@ def normalize_counter(name):
     return "/".join("*" if part.isdigit() else part for part in name.split("/"))
 
 
-def load_counters(path):
-    """Returns {(bench, series_label, normalized_counter): summed value} from
-    the per-series metrics maps embedded by --metrics. Counters whose ids
-    normalize to the same name are summed."""
-    counters = {}
+def iter_windows(path):
+    """Yields (bench, label, snapshot) for every --metrics window embedded in
+    path's BENCH_*.json files."""
     for f in bench_files(path):
         try:
             with open(f) as fh:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError):
             continue  # load_dir already warned about this file
-        bench = doc.get("bench")
         metrics = doc.get("metrics")
         if not isinstance(metrics, dict):
             continue
         for label, snap in metrics.items():
-            if not isinstance(snap, dict):
-                continue
-            for cname, val in (snap.get("counters") or {}).items():
-                key = (bench, label, normalize_counter(cname))
-                try:
-                    counters[key] = counters.get(key, 0.0) + float(val)
-                except (TypeError, ValueError):
-                    print(f"warning: non-numeric counter {cname} in {f}",
-                          file=sys.stderr)
+            if isinstance(snap, dict):
+                yield doc.get("bench"), label, snap
+
+
+def load_counters(path):
+    """Returns {(bench, series_label, normalized_counter): summed value} from
+    the per-series metrics maps embedded by --metrics. Counters whose ids
+    normalize to the same name are summed."""
+    counters = {}
+    for bench, label, snap in iter_windows(path):
+        for cname, val in (snap.get("counters") or {}).items():
+            key = (bench, label, normalize_counter(cname))
+            try:
+                counters[key] = counters.get(key, 0.0) + float(val)
+            except (TypeError, ValueError):
+                print(f"warning: non-numeric counter {cname} in {path}", file=sys.stderr)
     return counters
 
 
@@ -310,6 +322,66 @@ def run(baseline_dir, current_dir, threshold_pct, warn_only, prefix_thresholds=(
               f"{len(counter_regressions)} counter(s) regressed past their threshold")
         return 0 if warn_only else 1
     print("ok: no regressions")
+    return 0
+
+
+def load_windows(path, window):
+    """Returns {"bench/label": (counters, histograms)} for every --metrics
+    window in path named `window` or "bench/window": counters map a
+    normalized name to its summed value (as load_counters sums them),
+    histograms to [count, sum]."""
+    found = {}
+    counters = load_counters(path)
+    for bench, label, snap in iter_windows(path):
+        if window not in (label, f"{bench}/{label}"):
+            continue
+        histograms = {}
+        for hname, h in (snap.get("histograms") or {}).items():
+            merged = histograms.setdefault(normalize_counter(hname), [0.0, 0.0])
+            merged[0] += float(h.get("count", 0))
+            merged[1] += float(h.get("sum_ns", 0))
+        found[f"{bench}/{label}"] = (
+            {k[2]: v for k, v in counters.items() if k[:2] == (bench, label)}, histograms)
+    return found
+
+
+def fmt_num(v, sign=""):
+    return f"{v:{sign}.0f}" if v == int(v) else f"{v:{sign}.3f}"
+
+
+def explain(baseline_dir, current_dir, window):
+    """--explain: one window's counter and histogram deltas, largest first.
+    Returns 2 when no directory has the window, else 0."""
+    base = load_windows(baseline_dir, window)
+    cur = load_windows(current_dir, window)
+    names = sorted(set(base) | set(cur))
+    if not names:
+        print(f"error: no --metrics window {window!r} in {baseline_dir} or {current_dir}",
+              file=sys.stderr)
+        return 2
+    for name in names:
+        bc, bh = base.get(name, ({}, {}))
+        cc, ch = cur.get(name, ({}, {}))
+        print(f"explain {name}: {baseline_dir} -> {current_dir}")
+        moved = []
+        for key in set(bc) | set(cc):
+            b, c = bc.get(key, 0.0), cc.get(key, 0.0)
+            if b != c:
+                moved.append((-abs(c - b), key, b, c))
+        for _, key, b, c in sorted(moved):
+            print(f"  counter   {key}: {fmt_num(b)} -> {fmt_num(c)} ({fmt_num(c - b, '+')})")
+        hmoved = []
+        for key in set(bh) | set(ch):
+            (bn, bs), (cn, cs) = bh.get(key, (0.0, 0.0)), ch.get(key, (0.0, 0.0))
+            if (bn, bs) != (cn, cs):
+                hmoved.append((-abs(cs - bs), -abs(cn - bn), key, bn, bs, cn, cs))
+        for _, _, key, bn, bs, cn, cs in sorted(hmoved):
+            print(f"  histogram {key}: count {fmt_num(bn)} -> {fmt_num(cn)} "
+                  f"({fmt_num(cn - bn, '+')}), sum {fmt_num(bs)} -> {fmt_num(cs)} "
+                  f"({fmt_num(cs - bs, '+')})")
+        same = len(set(bc) | set(cc)) - len(moved) + len(set(bh) | set(ch)) - len(hmoved)
+        print(f"  {len(moved)} counter(s) and {len(hmoved)} histogram(s) moved, "
+              f"{same} unchanged")
     return 0
 
 
@@ -498,6 +570,39 @@ def self_test():
         assert got == 0, got
         assert out.getvalue().splitlines()[-1] == (
             "exact: 0 row(s) better and 0 row(s) worse than the baseline by more than 2%")
+        # --explain: one window's moves by normalized name, largest first;
+        # ids sum, a name on one side only counts as 0 on the other, and
+        # unchanged names and other windows stay out.
+        xdir = os.path.join(tmp, "explain")
+        windows = {
+            "base": {"w@2": {"counters": {"q/1/spin_hits": 136, "q/2/spin_hits": 0,
+                                          "q/*/pops": 50, "gone": 3},
+                             "histograms": {"q/1/park_ns": {"count": 4, "sum_ns": 4000}}},
+                     "other": {"counters": {"q/1/spin_hits": 1}}},
+            "cur": {"w@2": {"counters": {"q/7/spin_hits": 600, "q/8/spin_hits": 47,
+                                         "q/*/pops": 50, "new": 5},
+                            "histograms": {"q/7/park_ns": {"count": 1, "sum_ns": 900}}},
+                    "other": {"counters": {"q/1/spin_hits": 9}}},
+        }
+        for sub, metrics in windows.items():
+            os.makedirs(os.path.join(xdir, sub))
+            with open(os.path.join(xdir, sub, "BENCH_t.json"), "w") as f:
+                json.dump({"bench": "t", "unit": "ns", "rows": [], "metrics": metrics}, f)
+        for window in ("w@2", "t/w@2"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                got = explain(os.path.join(xdir, "base"), os.path.join(xdir, "cur"), window)
+            lines = out.getvalue().splitlines()
+            assert got == 0, got
+            assert lines[1:] == [
+                "  counter   q/*/spin_hits: 136 -> 647 (+511)",
+                "  counter   new: 0 -> 5 (+5)",
+                "  counter   gone: 3 -> 0 (-3)",
+                "  histogram q/*/park_ns: count 4 -> 1 (-3), sum 4000 -> 900 (-3100)",
+                "  3 counter(s) and 1 histogram(s) moved, 1 unchanged",
+            ], lines
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert explain(os.path.join(xdir, "base"), os.path.join(xdir, "cur"), "w@3") == 2
     print("self-test ok")
     return 0
 
@@ -541,6 +646,12 @@ def main():
         help="fail on any changed, new or removed row of a bench that has a "
         "baseline file (deterministic benches against bench/baseline/)",
     )
+    ap.add_argument(
+        "--explain",
+        metavar="WINDOW",
+        help="print the counter and histogram deltas of one --metrics window "
+        "(label or bench/label), largest first",
+    )
     ap.add_argument("--self-test", action="store_true", help="run the built-in checks")
     args = ap.parse_args()
     if args.self_test:
@@ -549,6 +660,8 @@ def main():
         ap.error("baseline and current directories are required (or --self-test)")
     if args.exact:
         sys.exit(run_exact(args.baseline, args.current))
+    if args.explain:
+        sys.exit(explain(args.baseline, args.current, args.explain))
     try:
         prefix_thresholds = [parse_prefix_threshold(s) for s in args.prefix_threshold]
         counter_thresholds = [parse_prefix_threshold(s) for s in args.counter_threshold]
