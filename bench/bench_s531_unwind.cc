@@ -6,11 +6,13 @@
 //
 // This is the one bench in the suite measuring *real* host time: each
 // variant runs a fixed loop timed with std::chrono::steady_clock, and the
-// per-call ns are printed. Pass --json to also write
-// BENCH_s531_unwind.json.
+// per-call ns of its fastest repetition are printed. Pass --json to also
+// write BENCH_s531_unwind.json.
+#include <algorithm>
 #include <chrono>
 #include <csetjmp>
 #include <cstdio>
+#include <utility>
 
 #include "micro_harness.h"
 
@@ -26,10 +28,10 @@ __attribute__((noinline)) int SimpleFunction(int x) {
   return x * 3 + 1;
 }
 
-// Host-timed per-call ns over a fixed number of calls.
+// Host-timed per-call ns of one loop of kIters calls.
+constexpr int kIters = 2000000;
 template <typename Fn>
-double TimePerCallNs(Fn&& fn) {
-  constexpr int kIters = 2000000;
+double LoopNsPerCall(Fn& fn) {
   auto t0 = std::chrono::steady_clock::now();
   int acc = 0;
   for (int i = 0; i < kIters; ++i) {
@@ -40,33 +42,54 @@ double TimePerCallNs(Fn&& fn) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / kIters;
 }
 
+// Each variant's fastest of kRepetitions loops, after one untimed warm-up
+// loop of each. The fastest loop drops the ones an interrupt or a
+// preemption slowed. The variants take turns, so a stretch in which the
+// host runs this CPU slower (another tenant on its sibling thread, a lower
+// clock) hits both alike; such a stretch can outlast a whole run, so the
+// rows still move between runs while their ratio moves less.
+template <typename Fa, typename Fb>
+std::pair<double, double> FastestNsPerCall(Fa a, Fb b) {
+  constexpr int kRepetitions = 15;
+  (void)LoopNsPerCall(a);  // warm-up
+  (void)LoopNsPerCall(b);
+  double best_a = LoopNsPerCall(a);
+  double best_b = LoopNsPerCall(b);
+  for (int rep = 1; rep < kRepetitions; ++rep) {
+    best_a = std::min(best_a, LoopNsPerCall(a));
+    best_b = std::min(best_b, LoopNsPerCall(b));
+  }
+  return {best_a, best_b};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   dipc::bench::JsonEmitter json("s531_unwind", argc, argv);
   std::printf("=== §5.3.1: setjmp vs C++ try recovery around a simple call ===\n");
   std::printf("paper: try-based code ~2.5x faster (compiler co-optimization).\n");
-  // Host-timed code emits no simulator counters; the series boundaries keep
-  // the --metrics schema uniform with the simulated benches.
-  json.BeginSeries("setjmp_guarded_call");
-  double setjmp_ns = TimePerCallNs([](int acc) {
-    std::jmp_buf env;
-    if (setjmp(env) == 0) {  // always saves the register state
-      acc += SimpleFunction(acc);
-    } else {
-      acc = 0;  // recovery path (never taken here)
-    }
-    return acc;
-  });
-  json.BeginSeries("try_guarded_call");
-  double try_ns = TimePerCallNs([](int acc) {
-    try {  // zero-cost until thrown: nothing saved on the hot path
-      acc += SimpleFunction(acc);
-    } catch (...) {
-      acc = 0;
-    }
-    return acc;
-  });
+  // Host-timed code emits no simulator counters; one window, in which the
+  // variants take turns, keeps the --metrics schema uniform with the
+  // simulated benches.
+  json.BeginSeries("guarded_calls");
+  const auto [setjmp_ns, try_ns] = FastestNsPerCall(
+      [](int acc) {
+        std::jmp_buf env;
+        if (setjmp(env) == 0) {  // always saves the register state
+          acc += SimpleFunction(acc);
+        } else {
+          acc = 0;  // recovery path (never taken here)
+        }
+        return acc;
+      },
+      [](int acc) {
+        try {  // zero-cost until thrown: nothing saved on the hot path
+          acc += SimpleFunction(acc);
+        } catch (...) {
+          acc = 0;
+        }
+        return acc;
+      });
   double ratio = try_ns > 0 ? setjmp_ns / try_ns : 0;
   std::printf("%-22s %10s\n", "variant", "ns/call");
   std::printf("%-22s %10.2f\n", "setjmp-guarded call", setjmp_ns);
