@@ -320,6 +320,7 @@ TEST_F(ChanSpinTest, AcquireThatSpunOnAnEmptyPoolPaysOneLineTransferForItsSlot) 
   hw::CacheStats before;
   hw::CacheStats after;
   Time acquire_called;
+  Time acquired;
   Time released;
   Duration spun_in_acquire;
   kernel_.Spawn(
@@ -336,6 +337,7 @@ TEST_F(ChanSpinTest, AcquireThatSpunOnAnEmptyPoolPaysOneLineTransferForItsSlot) 
           DIPC_CHECK(b.ok());
           if (i == 2) {
             after = machine_.caches().stats();
+            acquired = env.kernel->now();
             spun_in_acquire = env.kernel->spun() - spun_before;
           }
           EXPECT_TRUE((co_await c->Send(env, b.value(), 8)).ok());
@@ -360,8 +362,10 @@ TEST_F(ChanSpinTest, AcquireThatSpunOnAnEmptyPoolPaysOneLineTransferForItsSlot) 
       1);
   kernel_.Run();
   const hw::CostModel& cm = kernel_.costs();
-  EXPECT_EQ(spun_in_acquire,
-            (released + cm.remote_transfer) - (acquire_called + cm.chan_fast_path));
+  const Time spin_end = released + cm.remote_transfer;
+  EXPECT_EQ(spun_in_acquire, spin_end - (acquire_called + cm.chan_fast_path));
+  // After its spin the acquire pays no second transfer for the pool's cell.
+  EXPECT_LT(acquired - spin_end, cm.remote_transfer) << (acquired - spin_end).nanos() << " ns";
   const hw::CacheStats d = Delta(after, before);
   EXPECT_EQ(d.remote_transfers, 1u);
   EXPECT_EQ(d.l1_hits, 2u);  // the release's write and the acquire's read
