@@ -184,12 +184,7 @@ MicroResult MeasurePipe(const MicroConfig& config) {
       server, "server",
       [&, to_srv, to_cli](os::Env env) -> sim::Task<void> {
         for (int i = -kWarmup; i < config.rounds; ++i) {
-          uint64_t got = 0;
-          while (got < config.arg_bytes) {
-            auto n = co_await to_srv->Read(env, sbuf.value() + got, config.arg_bytes - got);
-            DIPC_CHECK(n.ok() && n.value() > 0);
-            got += n.value();
-          }
+          DIPC_CHECK((co_await to_srv->ReadExact(env, sbuf.value(), config.arg_bytes)).ok());
           (void)co_await to_cli->Write(env, sbuf.value(), 1);
         }
       },

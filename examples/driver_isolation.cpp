@@ -2,7 +2,7 @@
 // Infiniband-like NIC with the user-level driver isolated six different
 // ways, and compare the latency each mechanism costs.
 //
-// Build & run:  ./build/examples/driver_isolation
+// Build & run:  ./build/example_driver_isolation
 #include <cstdio>
 
 #include <string>

@@ -2,7 +2,7 @@
 // the three configurations, printing throughput, latency, and time
 // breakdowns side by side.
 //
-// Build & run:  ./build/examples/oltp_stack
+// Build & run:  ./build/example_oltp_stack
 #include <cstdio>
 
 #include <string>

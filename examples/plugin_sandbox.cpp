@@ -4,7 +4,7 @@
 // touch the app, and a plugin crash unwinds cleanly to the app with an
 // errno-like flag instead of killing it.
 //
-// Build & run:  ./build/examples/plugin_sandbox
+// Build & run:  ./build/example_plugin_sandbox
 #include <cstdio>
 #include <string>
 

@@ -1,7 +1,7 @@
 // Quickstart: two dIPC-enabled processes, one exported entry point, one
 // cross-process call that runs in place on the caller's thread.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/example_quickstart
 #include <cstdio>
 
 #include "codoms/codoms.h"

@@ -342,8 +342,7 @@ NetpipeResult RunNetpipe(const NetpipeConfig& config) {
             DIPC_CHECK(buf.ok());
             while (true) {
               // Request header: opcode + size (16 B), then payload for sends.
-              auto n = co_await to_drv->Read(env, buf.value(), 16);
-              if (!n.ok() || n.value() == 0) {
+              if (!(co_await to_drv->ReadExact(env, buf.value(), 16)).ok()) {
                 co_return;
               }
               uint64_t hdr[2];
@@ -352,13 +351,8 @@ NetpipeResult RunNetpipe(const NetpipeConfig& config) {
                              .ok());
               uint64_t opcode = hdr[0];
               uint64_t len = hdr[1];
-              if (opcode == kOpPostSend && len > 0) {
-                uint64_t got = 0;
-                while (got < len) {
-                  auto r = co_await to_drv->Read(env, buf.value() + got, len - got);
-                  DIPC_CHECK(r.ok() && r.value() > 0);
-                  got += r.value();
-                }
+              if (opcode == kOpPostSend) {
+                DIPC_CHECK((co_await to_drv->ReadExact(env, buf.value(), len)).ok());
               }
               (void)co_await DriverWork(env, opcode, len, TimeCat::kUser);
               if (opcode == kOpCompleteRecv && len > 0) {
@@ -381,12 +375,7 @@ NetpipeResult RunNetpipe(const NetpipeConfig& config) {
           (void)co_await to_drv->Write(env, appbuf.value(), n);  // payload to driver
         }
         uint64_t expect = (opcode == kOpCompleteRecv && n > 0) ? n : 16;
-        uint64_t got = 0;
-        while (got < expect) {
-          auto r = co_await from_drv->Read(env, appbuf.value() + got, expect - got);
-          DIPC_CHECK(r.ok() && r.value() > 0);
-          got += r.value();
-        }
+        DIPC_CHECK((co_await from_drv->ReadExact(env, appbuf.value(), expect)).ok());
         co_return 0;
       };
       kernel.Spawn(

@@ -1,9 +1,14 @@
-// POSIX pipe: a kernel ring buffer with copy-in/copy-out semantics — the
-// "argument immutability by copying" IPC design point of §2.2.
+// The kernel byte ring: copy-in/copy-out IPC, the "argument immutability by
+// copying" design point of §2.2. One implementation serves both Linux
+// baselines: a POSIX pipe is one ring with the pipe's kernel path, and each
+// direction of a UNIX-domain stream socket (os/unix_socket.h) is one ring
+// with af_unix's path that also carries SCM_RIGHTS-style handles.
 #ifndef DIPC_OS_PIPE_H_
 #define DIPC_OS_PIPE_H_
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "base/result.h"
 #include "os/kernel.h"
@@ -13,36 +18,49 @@ namespace dipc::os {
 
 class Pipe {
  public:
+  using Handles = std::vector<std::shared_ptr<KernelObject>>;
+
   static constexpr uint64_t kCapacity = 64 * 1024;
   // Kernel pipe path per op: locking, vfs dispatch, buffer management.
   static constexpr sim::Duration kKernelPath = sim::Duration::Nanos(260.0);
 
-  explicit Pipe(Kernel& kernel) : kernel_(kernel), buf_pa_(kernel.AllocKernelBuffer(kCapacity)) {}
+  // Every Write and Read charges `kernel_path` once on entry.
+  explicit Pipe(Kernel& kernel, sim::Duration kernel_path = kKernelPath)
+      : kernel_(kernel), kernel_path_(kernel_path), buf_pa_(kernel.AllocKernelBuffer(kCapacity)) {}
 
   // Blocking write of the full `len` bytes (POSIX semantics for <= PIPE_BUF
-  // generalized: we loop until everything is in the ring).
-  sim::Task<base::Result<uint64_t>> Write(Env env, hw::VirtAddr va, uint64_t len);
+  // generalized: we loop until everything is in the ring). `handles`, if
+  // any, reach the next Read as ancillary data, also with `len` 0. Fails
+  // with kBrokenChannel once the ring is closed, also when parked on a full
+  // ring.
+  sim::Task<base::Result<uint64_t>> Write(Env env, hw::VirtAddr va, uint64_t len,
+                                          Handles handles = {});
 
-  // Blocking read of up to `len` bytes; returns 0 at EOF (writer closed).
-  sim::Task<base::Result<uint64_t>> Read(Env env, hw::VirtAddr va, uint64_t len);
+  // Blocking read of up to `len` bytes; returns 0 at EOF (closed and
+  // drained). Pending handles end the wait too; they move into
+  // `handles_out` when it is non-null.
+  sim::Task<base::Result<uint64_t>> Read(Env env, hw::VirtAddr va, uint64_t len,
+                                         Handles* handles_out = nullptr);
 
-  void CloseWriteEnd();
+  // Reads exactly `len` bytes (loops; kBrokenChannel on premature EOF).
+  sim::Task<base::Status> ReadExact(Env env, hw::VirtAddr va, uint64_t len,
+                                    Handles* handles_out = nullptr);
 
-  uint64_t fill() const { return fill_; }
+  // Hangs the ring up: parked readers see EOF once it drains, and writers
+  // fail.
+  void Close();
 
  private:
-  // Copies between user memory and the ring, splitting at the wrap point.
-  sim::Task<base::Status> RingIn(Env env, hw::VirtAddr va, uint64_t len);
-  sim::Task<base::Status> RingOut(Env env, hw::VirtAddr va, uint64_t len);
-
   Kernel& kernel_;
+  sim::Duration kernel_path_;
   hw::PhysAddr buf_pa_;
   uint64_t rpos_ = 0;
   uint64_t wpos_ = 0;
   uint64_t fill_ = 0;
-  bool write_closed_ = false;
+  bool closed_ = false;
   WaitQueue readers_;
   WaitQueue writers_;
+  Handles passed_;
 };
 
 }  // namespace dipc::os

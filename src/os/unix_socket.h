@@ -1,5 +1,6 @@
 // UNIX-domain stream sockets, including SCM_RIGHTS-style kernel-object
-// passing and a named-socket registry.
+// passing and a named-socket registry. Each direction of a connection is one
+// kernel byte ring (os::Pipe) charging af_unix's kernel path.
 //
 // This is the substrate under glibc-rpcgen local RPC (§2.2, §7.2), under the
 // OLTP baseline's FastCGI/DB connections (§7.4), and under dIPC's default
@@ -12,24 +13,25 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "base/result.h"
 #include "os/kernel.h"
+#include "os/pipe.h"
 #include "sim/task.h"
 
 namespace dipc::os {
 
 class UnixStreamEnd;
 
-// Shared state of a connected socket pair: one ring + waiters per direction.
+// Shared state of a connected socket pair: one ring per direction.
 class UnixStreamCore {
  public:
-  static constexpr uint64_t kBufSize = 64 * 1024;
   // af_unix kernel path per op: socket locks, skb management, queue work.
   static constexpr sim::Duration kKernelPath = sim::Duration::Nanos(450.0);
 
-  explicit UnixStreamCore(Kernel& kernel);
+  explicit UnixStreamCore(Kernel& kernel)
+      : dirs_{Pipe(kernel, kKernelPath), Pipe(kernel, kKernelPath)} {}
 
   // Creates the two connected endpoints.
   static std::pair<std::shared_ptr<UnixStreamEnd>, std::shared_ptr<UnixStreamEnd>> CreatePair(
@@ -38,19 +40,7 @@ class UnixStreamCore {
  private:
   friend class UnixStreamEnd;
 
-  struct Direction {
-    hw::PhysAddr buf_pa = 0;
-    uint64_t rpos = 0;
-    uint64_t wpos = 0;
-    uint64_t fill = 0;
-    bool closed = false;
-    WaitQueue readers;
-    WaitQueue writers;
-    std::deque<std::shared_ptr<KernelObject>> passed_objects;
-  };
-
-  Kernel& kernel_;
-  Direction dirs_[2];  // dirs_[i]: data flowing *from* endpoint i
+  Pipe dirs_[2];  // dirs_[i]: data flowing *from* endpoint i
 };
 
 class UnixStreamEnd : public KernelObject {
@@ -61,26 +51,36 @@ class UnixStreamEnd : public KernelObject {
   std::string_view type_name() const override { return "unix-stream"; }
 
   // Blocking send of all `len` bytes. `handles`, if any, are delivered to
-  // the peer as ancillary data (SCM_RIGHTS).
+  // the peer as ancillary data (SCM_RIGHTS). kBrokenChannel once either end
+  // has closed.
   sim::Task<base::Result<uint64_t>> Send(Env env, hw::VirtAddr va, uint64_t len,
-                                         std::vector<std::shared_ptr<KernelObject>> handles = {});
+                                         Pipe::Handles handles = {}) {
+    return tx().Write(env, va, len, std::move(handles));
+  }
 
   // Blocking receive of up to `len` bytes; drains any pending ancillary
   // handles into `handles_out` when non-null. Returns 0 at EOF.
   sim::Task<base::Result<uint64_t>> Recv(Env env, hw::VirtAddr va, uint64_t len,
-                                         std::vector<std::shared_ptr<KernelObject>>* handles_out =
-                                             nullptr);
+                                         Pipe::Handles* handles_out = nullptr) {
+    return rx().Read(env, va, len, handles_out);
+  }
 
   // Receives exactly `len` bytes (loops; kBrokenChannel on premature EOF).
   sim::Task<base::Status> RecvExact(Env env, hw::VirtAddr va, uint64_t len,
-                                    std::vector<std::shared_ptr<KernelObject>>* handles_out =
-                                        nullptr);
+                                    Pipe::Handles* handles_out = nullptr) {
+    return rx().ReadExact(env, va, len, handles_out);
+  }
 
-  void Close();
+  // Both directions see the hangup.
+  void Close() {
+    for (Pipe& d : core_->dirs_) {
+      d.Close();
+    }
+  }
 
  private:
-  UnixStreamCore::Direction& tx() { return core_->dirs_[side_]; }
-  UnixStreamCore::Direction& rx() { return core_->dirs_[1 - side_]; }
+  Pipe& tx() { return core_->dirs_[side_]; }
+  Pipe& rx() { return core_->dirs_[1 - side_]; }
 
   std::shared_ptr<UnixStreamCore> core_;
   int side_;

@@ -248,7 +248,7 @@ TEST_F(OsTest, PipeTransfersBytesIntact) {
     auto n = co_await pipe->Write(env, wbuf.value(), msg.size());
     EXPECT_TRUE(n.ok());
     EXPECT_EQ(n.value(), msg.size());
-    pipe->CloseWriteEnd();
+    pipe->Close();
   });
   kernel_.Spawn(p, "reader", [&, pipe](Env env) -> sim::Task<void> {
     std::vector<char> buf(64);
@@ -275,7 +275,7 @@ TEST_F(OsTest, PipeReaderSeesEofAfterClose) {
   });
   kernel_.Spawn(p, "closer", [&, pipe](Env env) -> sim::Task<void> {
     co_await env.kernel->Sleep(env, Duration::Micros(50));
-    pipe->CloseWriteEnd();
+    pipe->Close();
   });
   kernel_.Run();
   EXPECT_TRUE(eof);
@@ -293,7 +293,7 @@ TEST_F(OsTest, PipeBlocksWriterWhenFull) {
     auto n = co_await pipe->Write(env, wbuf.value(), total);
     EXPECT_TRUE(n.ok());
     EXPECT_EQ(n.value(), total);
-    pipe->CloseWriteEnd();
+    pipe->Close();
   });
   kernel_.Spawn(p, "reader", [&, pipe](Env env) -> sim::Task<void> {
     co_await env.kernel->Sleep(env, Duration::Micros(100));  // let the pipe fill
@@ -367,6 +367,63 @@ TEST_F(OsTest, SocketPassesKernelObjects) {
   });
   kernel_.Run();
   EXPECT_EQ(received_type, "semaphore");
+}
+
+TEST_F(OsTest, AncillaryOnlySendWakesAParkedReceiver) {
+  Process& p = kernel_.CreateProcess("p");
+  auto [a, b] = UnixStreamCore::CreatePair(kernel_);
+  auto buf = kernel_.MapAnonymous(p, hw::kPageSize, hw::PageFlags{.writable = true});
+  ASSERT_TRUE(buf.ok());
+  bool returned = false;
+  uint64_t got = 1;
+  std::vector<std::shared_ptr<KernelObject>> received;
+  kernel_.Spawn(p, "receiver", [&, b = b](Env env) -> sim::Task<void> {
+    auto n = co_await b->Recv(env, buf.value(), 16, &received);
+    EXPECT_TRUE(n.ok());
+    got = n.value();
+    returned = true;
+  });
+  kernel_.Spawn(p, "sender", [&, a = a](Env env) -> sim::Task<void> {
+    co_await env.kernel->Sleep(env, Duration::Micros(50));  // the receiver parks first
+    std::vector<std::shared_ptr<KernelObject>> handles{std::make_shared<Semaphore>(1)};
+    auto n = co_await a->Send(env, buf.value(), 0, std::move(handles));
+    EXPECT_TRUE(n.ok());
+  });
+  kernel_.Run();
+  ASSERT_TRUE(returned) << "receiver still parked at " << kernel_.now().micros() << " us";
+  EXPECT_EQ(got, 0u);
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0]->type_name(), "semaphore");
+}
+
+TEST_F(OsTest, ClosedRingsFailTheirWriters) {
+  Process& p = kernel_.CreateProcess("p");
+  auto [a, b] = UnixStreamCore::CreatePair(kernel_);
+  auto pipe = std::make_shared<Pipe>(kernel_);
+  uint64_t total = Pipe::kCapacity + 4096;  // fills the ring and parks the sender
+  auto buf = kernel_.MapAnonymous(p, total, hw::PageFlags{.writable = true});
+  ASSERT_TRUE(buf.ok());
+  bool sent = false;
+  base::ErrorCode send_code = base::ErrorCode::kOk;
+  base::ErrorCode write_code = base::ErrorCode::kOk;
+  kernel_.Spawn(p, "sender", [&, a = a](Env env) -> sim::Task<void> {
+    auto n = co_await a->Send(env, buf.value(), total);
+    send_code = n.code();
+    sent = true;
+  });
+  kernel_.Spawn(p, "closer", [&, b = b](Env env) -> sim::Task<void> {
+    co_await env.kernel->Sleep(env, Duration::Millis(2));
+    b->Close();
+  });
+  kernel_.Spawn(p, "pipe-writer", [&, pipe](Env env) -> sim::Task<void> {
+    pipe->Close();
+    auto n = co_await pipe->Write(env, buf.value(), 16);
+    write_code = n.code();
+  });
+  kernel_.Run();
+  EXPECT_TRUE(sent) << "sender still parked at " << kernel_.now().micros() << " us";
+  EXPECT_EQ(send_code, base::ErrorCode::kBrokenChannel);
+  EXPECT_EQ(write_code, base::ErrorCode::kBrokenChannel);
 }
 
 TEST_F(OsTest, NamedListenerAcceptsConnections) {

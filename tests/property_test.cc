@@ -275,7 +275,7 @@ TEST_P(PipeStreamProperty, ChunkedTransferPreservesBytes) {
       EXPECT_TRUE(r.ok());
       off += n;
     }
-    pipe->CloseWriteEnd();
+    pipe->Close();
   });
   std::vector<std::byte> got;
   kernel.Spawn(p, "reader", [&, pipe](os::Env env) -> sim::Task<void> {
