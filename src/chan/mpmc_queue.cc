@@ -20,7 +20,6 @@ MpmcQueue::MpmcQueue(os::Kernel& kernel, os::Process& proc, uint32_t capacity, h
   if (obs_name.empty()) {
     obs_name = "mpmc/" + std::to_string(obs_obj_);
   }
-  m_blocked_pushes_ = metrics_.GetCounter(obs_name + "/blocked_pushes");
   m_blocked_pops_ = metrics_.GetCounter(obs_name + "/blocked_pops");
   m_futex_wakes_ = metrics_.GetCounter(obs_name + "/futex_wakes");
   m_timeouts_ = metrics_.GetCounter(obs_name + "/timeouts");
@@ -57,8 +56,8 @@ void MpmcQueue::PushNoEnv(uint64_t value) {
   }
 }
 
-sim::Task<void> MpmcQueue::WakeIfWaiting(os::Env env, os::WaitQueue& q, os::DeferredWake* defer) {
-  if (q.waiting() == 0) {
+sim::Task<void> MpmcQueue::WakeIfWaiting(os::Env env, os::DeferredWake* defer) {
+  if (consumers_.waiting() == 0) {
     co_return;  // suppressed: no syscall, no kernel work
   }
   if (DIPC_FAULT_POINT(kFutexWake, env.self->last_cpu()).drop_wake()) {
@@ -66,33 +65,15 @@ sim::Task<void> MpmcQueue::WakeIfWaiting(os::Env env, os::WaitQueue& q, os::Defe
   }
   ++futex_wakes_;
   m_futex_wakes_->Add();
-  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_obj_, q.waiting(),
-                      env.kernel->now());
+  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_obj_,
+                      consumers_.waiting(), env.kernel->now());
   if (defer != nullptr && !*defer) {
-    *defer = q.TakeForSwap(env);
+    *defer = consumers_.TakeForSwap(env);
     if (*defer) {
       co_return;  // the publisher's next park switches to the waiter
     }
   }
-  co_await os::FutexWake(env, q);
-}
-
-sim::Task<bool> MpmcQueue::Wait(os::Env env, bool push, os::Deadline deadline,
-                                os::DeferredWake wake) {
-  const os::ParkObs park_obs{obs_obj_, nullptr, m_park_ns_, &spins_,
-                             push ? &blocked_pushes_ : &blocked_pops_,
-                             push ? m_blocked_pushes_ : m_blocked_pops_};
-  co_return co_await os::FutexBlockUntil(env, push ? producers_ : consumers_, deadline,
-                                         std::move(wake), park_obs,
-                                         [this, push] { return Blocked(push); });
-}
-
-base::ErrorCode MpmcQueue::TimedOut(os::Env env, uint64_t left) {
-  ++timeouts_;
-  m_timeouts_->Add();
-  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kTimeout, obs_obj_, left,
-                      env.kernel->now());
-  return base::ErrorCode::kTimedOut;
+  co_await os::FutexWake(env, consumers_);
 }
 
 base::Status MpmcQueue::AccessSlots(os::Env env, uint64_t pos, std::span<const uint64_t> values,
@@ -121,8 +102,8 @@ base::Status MpmcQueue::AccessSlots(os::Env env, uint64_t pos, std::span<const u
   return base::Status::Ok();
 }
 
-sim::Task<base::Status> MpmcQueue::Push(os::Env env, uint64_t value, os::Deadline deadline) {
-  co_return co_await PushN(env, std::span(&value, 1), nullptr, deadline);
+sim::Task<base::Status> MpmcQueue::Push(os::Env env, uint64_t value) {
+  co_return co_await PushN(env, std::span(&value, 1));
 }
 
 sim::Task<base::Result<uint64_t>> MpmcQueue::Pop(os::Env env, os::Deadline deadline) {
@@ -135,13 +116,9 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::Pop(os::Env env, os::Deadline deadl
 }
 
 sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> values,
-                                         uint64_t* pushed, os::Deadline deadline,
                                          os::DeferredWake* defer) {
   os::Kernel& k = *env.kernel;
   os::Thread& self = *env.self;
-  if (pushed != nullptr) {
-    *pushed = 0;
-  }
   if (values.empty()) {
     co_return base::ErrorCode::kInvalidArgument;
   }
@@ -149,62 +126,34 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
   // per batch — the O(1/batch) half of the batching argument.
   co_await k.Spend(self, k.costs().chan_fast_path, TimeCat::kUser);
   {
-    // Perturbs *timing* only, before the full/empty check — the claim itself
-    // stays synchronous with the check, so the queue invariant holds.
+    // Perturbs *timing* only, before the claim — the claim itself stays
+    // synchronous with its room check, so the queue invariant holds.
     fault::Decision d = DIPC_FAULT_POINT(kSlotClaim, self.last_cpu());
     if (d.action == fault::Action::kDelay) {
       co_await k.Spend(self, d.delay, TimeCat::kUser);
     }
   }
-  uint64_t done = 0;
-  while (done < values.size()) {
-    while (count_ == capacity_) {
-      if (closed_) {
-        co_return code_;
-      }
-      // A consumer wake deferred by an earlier chunk is the one that frees
-      // room: this park swaps to it.
-      os::DeferredWake wake;
-      if (defer != nullptr) {
-        wake = std::move(*defer);
-      }
-      const bool expired = co_await Wait(env, /*push=*/true, deadline, std::move(wake));
-      if (expired && Blocked(/*push=*/true)) {
-        co_return TimedOut(env, values.size() - done);
-      }
-    }
-    if (closed_) {
-      co_return code_;
-    }
-    // Claim up to the free room in one synchronous block with the full check
-    // above: a co_await between the check and the tail_/count_ update is a
-    // scheduling point where another producer could claim the same slots.
-    uint64_t n = std::min<uint64_t>(values.size() - done, capacity_ - count_);
-    sim::Duration cost;
-    base::Status s = AccessSlots(env, tail_, values.subspan(done, n), {}, &cost);
-    if (!s.ok()) {
-      co_return s;
-    }
-    tail_ += n;
-    count_ += n;
-    done += n;
-    if (pushed != nullptr) {
-      *pushed = done;
-    }
-    co_await k.Spend(self, cost, TimeCat::kUser);
-    // Spinners take the chunk first, with no syscall: each spin ends when
-    // the head cell's line reaches the spinner. Values left over get one
-    // (suppressed) futex wake; the woken consumer chains further wakes
-    // while a backlog remains (see PopN), so one is enough.
-    if (consumers_.Publish(env, n, SlotPa(head_))) {
-      co_await WakeIfWaiting(env, consumers_, defer);
-    }
+  if (closed_) {
+    co_return code_;
   }
-  // Wake chaining, producer side: when a consumer freed a multi-slot run it
-  // woke only one producer; if room remains after this push, pass the wake
-  // on so parked peers don't wait for the next pop.
-  if (count_ < capacity_ && !closed_) {
-    co_await WakeIfWaiting(env, producers_);
+  // Claim the whole batch in one synchronous block with the room check: a
+  // co_await between the check and the tail_/count_ update is a scheduling
+  // point where another producer could claim the same slots.
+  DIPC_CHECK(values.size() <= capacity_ - count_);
+  sim::Duration cost;
+  base::Status s = AccessSlots(env, tail_, values, {}, &cost);
+  if (!s.ok()) {
+    co_return s;
+  }
+  tail_ += values.size();
+  count_ += values.size();
+  co_await k.Spend(self, cost, TimeCat::kUser);
+  // Spinners take the batch first, with no syscall: each spin ends when the
+  // head cell's line reaches the spinner. Values left over get one
+  // (suppressed) futex wake; the woken consumer chains further wakes while a
+  // backlog remains (see PopSome), so one is enough.
+  if (consumers_.Publish(env, values.size(), SlotPa(head_))) {
+    co_await WakeIfWaiting(env, defer);
   }
   co_return base::Status::Ok();
 }
@@ -246,9 +195,17 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopSome(os::Env env, std::span<uint
     if (!may_wait) {
       co_return uint64_t{0};
     }
-    const bool expired = co_await Wait(env, /*push=*/false, deadline, std::exchange(wake, {}));
-    if (expired && Blocked(/*push=*/false)) {
-      co_return TimedOut(env, out.size());
+    const os::ParkObs park_obs{obs_obj_, nullptr, m_park_ns_, &spins_, &blocked_pops_,
+                               m_blocked_pops_};
+    const bool expired =
+        co_await os::FutexBlockUntil(env, consumers_, deadline, std::exchange(wake, {}), park_obs,
+                                     [this] { return Blocked(); });
+    if (expired && Blocked()) {
+      ++timeouts_;
+      m_timeouts_->Add();
+      obs::Trace().Record(env.self->last_cpu(), obs::EventType::kTimeout, obs_obj_, out.size(),
+                          env.kernel->now());
+      co_return base::ErrorCode::kTimedOut;
     }
   }
   if (!drain_allowed_) {
@@ -258,8 +215,8 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopSome(os::Env env, std::span<uint
   // with the empty check, then pay the (batched) access cost. Suspending
   // before the claim would let a second consumer pop the same slots;
   // suspending between the claim and the read would let a producer
-  // overwrite them (freed slots are immediately reusable when the queue was
-  // full). Never blocks for a full batch: drains what is there.
+  // overwrite them (freed slots are immediately reusable). Never blocks for
+  // a full batch: drains what is there.
   uint64_t n = std::min<uint64_t>(out.size(), count_);
   sim::Duration cost;
   base::Status s = AccessSlots(env, head_, {}, out.subspan(0, n), &cost);
@@ -269,14 +226,11 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopSome(os::Env env, std::span<uint
   head_ += n;
   count_ -= n;
   co_await k.Spend(self, cost, TimeCat::kUser);
-  if (producers_.Publish(env, n)) {
-    co_await WakeIfWaiting(env, producers_);
-  }
-  // Wake chaining, consumer side: a batched push woke only one consumer; if
-  // a backlog remains, pass it on to spinners (each reads the new head
-  // cell, as after a push), then to a parked consumer.
+  // Wake chaining: a batched push woke only one consumer; if a backlog
+  // remains, pass it on to spinners (each reads the new head cell, as after
+  // a push), then to a parked consumer.
   if (count_ > 0 && consumers_.EndSpins(k, count_, SlotPa(head_)) < count_) {
-    co_await WakeIfWaiting(env, consumers_);
+    co_await WakeIfWaiting(env);
   }
   co_return n;
 }
@@ -287,20 +241,15 @@ void MpmcQueue::Close(base::ErrorCode code) {
   }
   closed_ = true;
   code_ = code;
-  WakeAllNoEnv();
+  // Close/Fail have no Env (they may run from teardown hooks); wakeups go
+  // through the scheduler with no waker-side cost, like Pipe close.
+  consumers_.WakeAll(kernel_);
 }
 
 void MpmcQueue::Fail(base::ErrorCode code) {
   closed_ = true;
   drain_allowed_ = false;
   code_ = code;
-  WakeAllNoEnv();
-}
-
-void MpmcQueue::WakeAllNoEnv() {
-  // Close/Fail have no Env (they may run from teardown hooks); wakeups go
-  // through the scheduler with no waker-side cost, like Pipe close.
-  producers_.WakeAll(kernel_);
   consumers_.WakeAll(kernel_);
 }
 

@@ -3,28 +3,29 @@
 // A bounded queue of 8-byte slots (values or packed descriptors) shared by
 // any number of producer/consumer threads across dIPC processes. The
 // uncontended path is user-level (atomics on head/tail plus one slot
-// access); full/empty block through the futex path with FIFO wakeups, which
-// makes consumer scheduling fair and deterministic under the event queue.
+// access); an empty queue blocks its pops through the futex path with FIFO
+// wakeups, which makes consumer scheduling fair and deterministic under the
+// event queue. A push never waits: every user pushes only slots it holds
+// (a plane's pool and FIFOs each have room for all of its buffers), so a
+// push that finds too little room is a lost or duplicated slot and aborts.
 //
 // Batching: PushN/PopN move N slots per call, paying the fixed per-op
 // software toll (fast-path accounting + at most one futex wake) once per
-// batch instead of once per slot. Wakes are *suppressed* through live
-// waiter counters (WaitQueue::waiting(), the user-level futex convention):
-// a waker that reads a zero counter skips the FUTEX_WAKE
-// syscall entirely, and a woken thread chains the wake onward when work or
-// space remains for further parked peers, so one wake per batch is enough
-// for liveness.
+// batch instead of once per slot. Wakes are *suppressed* through a live
+// waiter counter (WaitQueue::waiting(), the user-level futex convention):
+// a waker that reads a zero counter skips the FUTEX_WAKE syscall entirely,
+// and a woken consumer chains the wake onward while a backlog remains for
+// further parked peers, so one wake per batch is enough for liveness.
 //
-// Spin-then-park: a pop of an empty queue and a push to a full one wait
-// through os::FutexBlockUntil, which spins while the wait's publisher is on
-// a CPU (os/futex.h's rule) and parks otherwise. A pop's publisher is the
-// last pusher and a push's the last popper. A publish ends spins first,
-// with no syscall, and wakes parked waiters only for the rest. A spinning
-// pop watches the head cell: a push, or a pop that leaves a backlog, ends
-// it when that cell's line reaches the spinner (Kernel::EndSpinOnRead), one
-// line transfer for a cell just written on another CPU, and the pop's own
-// read of the cell is then an L1 hit. A spinning push sees a pop one line
-// transfer later. A spinner is billed user time and is not a futex waiter.
+// Spin-then-park: a pop of an empty queue waits through
+// os::FutexBlockUntil, which spins while the wait's publisher, the last
+// pusher, is on a CPU (os/futex.h's rule) and parks otherwise. A push ends
+// spins first, with no syscall, and wakes parked pops only for the rest. A
+// spinning pop watches the head cell: a push, or a pop that leaves a
+// backlog, ends it when that cell's line reaches the spinner
+// (Kernel::EndSpinOnRead), one line transfer for a cell just written on
+// another CPU, and the pop's own read of the cell is then an L1 hit. A
+// spinner is billed user time and is not a futex waiter.
 //
 // Wake-and-park (os/kernel.h's DeferredWake): a push given a `defer` slot
 // hands back the consumer it would have woken instead of waking it, and a
@@ -63,7 +64,7 @@ class MpmcQueue {
 
   // Maps a `capacity`-slot segment through `proc`, tagged `tag` (callers
   // grant `tag` to every participating domain). `obs_name` prefixes the
-  // queue's metrics ("<obs_name>/blocked_pushes", ...; empty picks
+  // queue's metrics ("<obs_name>/blocked_pops", ...; empty picks
   // "mpmc/<fresh id>") and `obs_obj` is the trace-event object id (0
   // allocates a fresh one); owners pass their own id so queue events
   // attribute to the channel they serve. `spare_bytes` more are mapped for
@@ -80,27 +81,21 @@ class MpmcQueue {
   // charged (the work happens inside the kill sweep, like Close/Fail wakes).
   void PushNoEnv(uint64_t value);
 
-  // Blocking push; fails with the close/fail code once closed. A finite
-  // `deadline` bounds the full-queue park with kTimedOut.
-  sim::Task<base::Status> Push(os::Env env, uint64_t value, os::Deadline deadline = {});
+  // PushN of one value.
+  sim::Task<base::Status> Push(os::Env env, uint64_t value);
 
   // Blocking pop. After Close() it drains remaining slots, then fails with
   // the close code; after Fail() it fails immediately. A finite `deadline`
   // bounds the empty-queue park with kTimedOut.
   sim::Task<base::Result<uint64_t>> Pop(os::Env env, os::Deadline deadline = {});
 
-  // Batched push of all of `values` (blocking for space between chunks when
-  // the batch exceeds the free room). One fast-path accounting charge and at
-  // most one futex wake per chunk — one per call in the common non-blocking
-  // case. On failure, `*pushed` (when non-null) reports how many values were
-  // published before the queue closed under the call. A finite `deadline`
-  // bounds every park: an expired park where the queue is still full fails
-  // with kTimedOut (partial progress reported through `*pushed`). With an
-  // empty `*defer`, the first consumer wake is deferred into it (see above);
-  // the caller must consume it, whatever the push returns. A push that must
-  // park for room swaps to that consumer itself.
+  // Batched push of all of `values` in one claim, which never waits: the
+  // queue must have room for the whole batch (it aborts otherwise, see
+  // above). One fast-path accounting charge and at most one futex wake per
+  // call. Publishes every value or, once the queue is closed, none. With an
+  // empty `*defer`, the consumer wake is deferred into it (see above); the
+  // caller must consume it, whatever the push returns.
   sim::Task<base::Status> PushN(os::Env env, std::span<const uint64_t> values,
-                                uint64_t* pushed = nullptr, os::Deadline deadline = {},
                                 os::DeferredWake* defer = nullptr);
 
   // Batched pop of up to `out.size()` slots: blocks until at least one slot
@@ -121,7 +116,6 @@ class MpmcQueue {
   uint64_t size() const { return count_; }
   uint32_t capacity() const { return capacity_; }
   bool closed() const { return closed_; }
-  uint64_t blocked_pushes() const { return blocked_pushes_; }
   uint64_t blocked_pops() const { return blocked_pops_; }
   uint64_t futex_wakes() const { return futex_wakes_; }
   uint64_t timeouts() const { return timeouts_; }
@@ -144,20 +138,12 @@ class MpmcQueue {
   sim::Task<base::Result<uint64_t>> PopSome(os::Env env, std::span<uint64_t> out,
                                             os::Deadline deadline, os::DeferredWake wake,
                                             bool may_wait);
-  void WakeAllNoEnv();
-  // Whether a push (full queue) or a pop (empty queue) has to wait.
-  bool Blocked(bool push) const { return !closed_ && count_ == (push ? capacity_ : 0); }
-  // Waits a push on producers_ or a pop on consumers_ through the futex
-  // core, with that side's telemetry. Returns the wait's timed-out hint;
-  // the caller re-checks Blocked.
-  sim::Task<bool> Wait(os::Env env, bool push, os::Deadline deadline, os::DeferredWake wake);
-  // Counts a park that timed out with the queue still blocked (`left`
-  // slots unmoved) and returns kTimedOut.
-  base::ErrorCode TimedOut(os::Env env, uint64_t left);
-  // Wake-suppression gate: pays the FUTEX_WAKE only when q.waiting() says
-  // someone is (or is about to be) parked on `q`. With an empty `*defer`, a
-  // parked waiter is deferred into it instead.
-  sim::Task<void> WakeIfWaiting(os::Env env, os::WaitQueue& q, os::DeferredWake* defer = nullptr);
+  // Whether a pop has to wait.
+  bool Blocked() const { return !closed_ && count_ == 0; }
+  // Wake-suppression gate: pays the FUTEX_WAKE only when consumers_.waiting()
+  // says someone is (or is about to be) parked. With an empty `*defer`, a
+  // parked consumer is deferred into it instead.
+  sim::Task<void> WakeIfWaiting(os::Env env, os::DeferredWake* defer = nullptr);
   // Copies `n` values between `values` and the ring starting at `pos`, in
   // one user-access walk on each side of the wrap point; accumulates their
   // (batched) cost.
@@ -174,21 +160,18 @@ class MpmcQueue {
   bool closed_ = false;
   bool drain_allowed_ = true;
   base::ErrorCode code_ = base::ErrorCode::kBrokenChannel;
-  uint64_t blocked_pushes_ = 0;  // cumulative (stats)
-  uint64_t blocked_pops_ = 0;    // cumulative (stats)
-  uint64_t futex_wakes_ = 0;     // wake syscalls actually issued (stats)
-  uint64_t timeouts_ = 0;        // parks that expired with the predicate still true
-  os::SpinCounts spins_;         // both sides' spins
+  uint64_t blocked_pops_ = 0;  // cumulative (stats)
+  uint64_t futex_wakes_ = 0;   // wake syscalls actually issued (stats)
+  uint64_t timeouts_ = 0;      // parks that expired with the queue still empty
+  os::SpinCounts spins_;
   // Registry mirrors of the stats above, plus the park-time distribution;
   // trace events carry obs_obj_ so a timeline attributes to this queue.
   uint32_t obs_obj_ = 0;
   obs::MetricSet metrics_;
-  obs::Counter* m_blocked_pushes_ = nullptr;
   obs::Counter* m_blocked_pops_ = nullptr;
   obs::Counter* m_futex_wakes_ = nullptr;
   obs::Counter* m_timeouts_ = nullptr;
   obs::Histogram* m_park_ns_ = nullptr;
-  os::WaitQueue producers_;
   os::WaitQueue consumers_;
 };
 

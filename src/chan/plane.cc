@@ -82,9 +82,7 @@ base::Status Plane::Init(core::Dipc& dipc, std::span<os::Process* const> produce
                          bool tx_group, std::span<os::Process* const> receivers, bool rx_group) {
   const PlaneConfig& cfg = cfg_;
   if (cfg.slots == 0 || cfg.slots > kMaxSlots || cfg.buf_bytes == 0 ||
-      cfg.buf_bytes > kLenMask || cfg.credits > cfg.slots || producers.empty() ||
-      receivers.empty() || (cfg.credits != 0 && !tx_group && !rx_group) ||
-      (cfg.lag_policy != LagPolicy::kBlock && !rx_group)) {
+      cfg.buf_bytes > kLenMask || producers.empty() || receivers.empty()) {
     return base::ErrorCode::kInvalidArgument;
   }
   for (auto side : {producers, receivers}) {
@@ -134,7 +132,7 @@ base::Status Plane::Init(core::Dipc& dipc, std::span<os::Process* const> produce
     return caps.code();
   }
   cap_seg_ = caps.value();
-  credit_line_ = tx_group || rx_group ? (cfg.credits != 0 ? cfg.credits : cfg.slots) : 0;
+  credit_line_ = tx_group || rx_group ? cfg.slots : 0;
   RegisterMetrics();
   if (!tx_group && !rx_group) {
     rx_[0].desc = NewDescQueue(0);
@@ -211,7 +209,6 @@ void Plane::RegisterMetrics() {
       Endpoint& e = (*side)[i];
       const std::string ep = dir + std::to_string(i);
       e.m_msgs = counter(group, ep + (side == &rx_ ? "/deliveries" : "/sends"));
-      e.m_drops = counter(group && side == &rx_, ep + "/drops");
       e.m_credits = group ? metrics_.GetGauge(prefix_ + ep + "/credits") : &Sink().gauge;
       e.m_stall_ns = histogram(group, ep + "/credit_stall_ns");
     }
@@ -219,11 +216,10 @@ void Plane::RegisterMetrics() {
 }
 
 std::unique_ptr<MpmcQueue> Plane::NewDescQueue(uint32_t r) {
-  // A group receiver's credit line bounds its outstanding deliveries, and a
-  // single receiver's come out of the `slots`-deep pool, so publishes never
-  // block for ring space.
+  // A receiver's outstanding deliveries are slots of the `slots`-deep pool,
+  // so its FIFO always has room for a publish.
   return std::make_unique<MpmcQueue>(
-      kernel_, *home_, rx_group_ ? credit_line_ : cfg_.slots, ctrl_tag_,
+      kernel_, *home_, cfg_.slots, ctrl_tag_,
       prefix_ + (rx_group_ ? "/rx/" + std::to_string(r) + "/desc" : "/desc"), obs_id_);
 }
 
@@ -260,23 +256,10 @@ bool Plane::GateClosed(const Gate& g) const {
   if (g.idx < receiver_count()) {
     return rx_[g.idx].alive && rx_[g.idx].credits < g.need;
   }
-  uint32_t live = 0;
-  uint32_t satisfied = 0;
-  uint32_t nonzero = 0;
-  for (const Endpoint& e : rx_) {
-    if (!e.alive) {
-      continue;
-    }
-    ++live;
-    satisfied += e.credits >= g.need ? 1 : 0;
-    nonzero += e.credits > 0 ? 1 : 0;
-  }
-  if (live == 0) {
-    return false;  // nothing gates; the send itself fails with kCalleeFailed
-  }
-  // kBlock waits for the slowest live receiver; kDropSlowest only needs one
-  // receiver that can take the message (laggards are skipped).
-  return cfg_.lag_policy == LagPolicy::kBlock ? satisfied < live : nonzero == 0;
+  // Waits for the slowest live receiver. With none left nothing gates; the
+  // send itself fails with kCalleeFailed.
+  return std::any_of(rx_.begin(), rx_.end(),
+                     [&g](const Endpoint& e) { return e.alive && e.credits < g.need; });
 }
 
 bool Plane::Waiting(const Gate& g) const {
@@ -529,12 +512,13 @@ sim::Task<base::Result<uint64_t>> Plane::TakeFree(os::Env env, std::span<uint64_
   if (!extras.empty() && pool_poppers_ > 0 && !free_->closed()) {
     // A sibling producer thread is inside the pop, maybe parked on the
     // empty pool: the push hands it the extras and wakes it.
-    uint64_t pushed = 0;
-    (void)co_await free_->PushN(env, extras, &pushed);
+    const bool pushed = (co_await free_->PushN(env, extras)).ok();
     if (broken_ != base::ErrorCode::kOk) {
       co_return broken_;
     }
-    extras = extras.subspan(pushed);  // a Close raced the push: keep the rest
+    if (pushed) {
+      extras = {};  // else a Close raced the push: keep them
+    }
   }
   if (!extras.empty()) {
     // This thread just accessed the pool's page from the same domain, so
@@ -640,11 +624,7 @@ sim::Task<base::Status> Plane::SendCommon(os::Env env, uint32_t p,
     }
   }
   const uint32_t n_recv = receiver_count();
-  if (p >= producer_count() || target > n_recv ||
-      (rx_group_ && items.size() > credit_line_ &&
-       (cfg_.lag_policy == LagPolicy::kBlock || target < n_recv))) {
-    // (The last case is a batch no credit line can ever admit: it would
-    // wait forever.)
+  if (p >= producer_count() || target > n_recv) {
     co_return base::ErrorCode::kInvalidArgument;
   }
   if (broken_ != base::ErrorCode::kOk) {
@@ -668,10 +648,9 @@ sim::Task<base::Status> Plane::SendCommon(os::Env env, uint32_t p,
       co_return base::ErrorCode::kInvalidArgument;
     }
   }
-  // Credit wait. A sharded message is never dropped, so it waits for the
-  // whole batch's worth of its target's credit; a broadcast waits per the
-  // lag policy (kBlock: everyone can take the batch, kDropSlowest: someone
-  // can take something). A producer's line was paid at acquire.
+  // Credit wait: for the whole batch's worth of its target's credit, or of
+  // every live receiver's for a broadcast. A producer's line was paid at
+  // acquire.
   if (rx_group_) {
     base::ErrorCode gate =
         co_await AwaitCredit(env, Gate{false, target, items.size(), 0}, deadline);
@@ -697,13 +676,6 @@ sim::Task<base::Status> Plane::SendCommon(os::Env env, uint32_t p,
     for (uint32_t r = first; r < last; ++r) {
       Endpoint& rx = rx_[r];
       if (!rx.alive) {
-        continue;
-      }
-      if (rx.line != 0 && rx.credits == 0) {
-        // Only reachable for broadcast under kDropSlowest (the gate blocked
-        // every other case): this receiver lags too far — skip it.
-        ++rx.dropped;
-        rx.m_drops->Add();
         continue;
       }
       auto rcap = GrantCap(env, rx, index, codoms::Perm::kRead, &cost);
@@ -776,9 +748,9 @@ sim::Task<base::Status> Plane::SendCommon(os::Env env, uint32_t p,
     DIPC_CHECK(k.codoms().CapRevoke(*wcaps_[index]).ok());
     wcaps_[index].reset();
     if (!Deliverable(index)) {
-      // Dropped by every laggard at plan time, or every planned destination
-      // of this item died mid-Spend while a sibling item still delivers
-      // (broadcast at-most-once): the slot has no holder left.
+      // Every planned destination of this item died mid-Spend while a
+      // sibling item still delivers (broadcast at-most-once): the slot has
+      // no holder left.
       orphaned.push_back(index);
     }
   }
@@ -791,8 +763,7 @@ sim::Task<base::Status> Plane::SendCommon(os::Env env, uint32_t p,
   }
   // Publish: one batched descriptor push (and at most one futex wake) per
   // receiver touched; the first wake goes into `defer` when the caller gave
-  // one. Credits and the pool bound every FIFO, so these never block for
-  // room.
+  // one.
   uint64_t delivered = 0;
   base::ErrorCode failed = base::ErrorCode::kOk;
   for (uint32_t r = first; r < last; ++r) {
@@ -809,19 +780,19 @@ sim::Task<base::Status> Plane::SendCommon(os::Env env, uint32_t p,
     if (descs.empty()) {
       continue;
     }
-    uint64_t published = 0;
-    auto pushed = co_await rx.desc->PushN(env, std::span(descs), &published, deadline, defer);
-    delivered += published;
-    rx.m_msgs->Add(published);
-    if (!pushed.ok() && broken_ == base::ErrorCode::kOk && rx.alive) {
-      // An orderly Close raced the publish: the unpublished descriptors
-      // never reached the receiver and no sweep will run, so revoke their
-      // grants here and hand slots nobody holds back to the pool (after
-      // Close the give-back push fails harmlessly — the pool is retired).
+    auto pushed = co_await rx.desc->PushN(env, std::span(descs), defer);
+    if (pushed.ok()) {
+      delivered += descs.size();
+      rx.m_msgs->Add(descs.size());
+    } else if (broken_ == base::ErrorCode::kOk && rx.alive) {
+      // An orderly Close raced the publish: the descriptors never reached
+      // the receiver and no sweep will run, so revoke their grants here and
+      // hand slots nobody holds back to the pool (after Close the give-back
+      // push fails harmlessly — the pool is retired).
       failed = pushed.code();
       std::vector<uint64_t> freed;
-      for (size_t j = published; j < descs.size(); ++j) {
-        DropDelivery(r, DescIndex(descs[j]), &freed);
+      for (uint64_t desc : descs) {
+        DropDelivery(r, DescIndex(desc), &freed);
         AddCredits(rx, 1);
       }
       if (!freed.empty()) {
@@ -840,7 +811,7 @@ sim::Task<base::Status> Plane::SendCommon(os::Env env, uint32_t p,
   m_send_batch_->Record(static_cast<double>(items.size()));
   if (delivered == 0 && (live_receiver_count() == 0 || target < n_recv)) {
     // Everyone died before publication: for sharded sends the caller
-    // reshards. (A broadcast whose laggards all dropped it succeeded.)
+    // reshards.
     co_return base::ErrorCode::kCalleeFailed;
   }
   co_return base::Status::Ok();

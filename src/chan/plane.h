@@ -53,10 +53,10 @@
 // The reserve changes no semantics: Abandon and Release return slots to the
 // pool, Close leaves the reserve's slots acquirable as it leaves the pool's,
 // and teardown retires both. Group planes keep the plain pool. A fan-in
-// plane's producers are separate processes, each bounded by its own credit
-// line, so slots one kept back would be slots the others cannot take. With
-// a reserve, fig8's fan-out request planes parked their producers on an
-// empty pool (`fanout/*/free/futex_wakes` 0 -> 523 in `chan_disk_t512`).
+// plane's producers are separate processes sharing one pool, so slots one
+// kept back would be slots the others cannot take. With a reserve, fig8's
+// fan-out request planes parked their producers on an empty pool
+// (`fanout/*/free/futex_wakes` 0 -> 523 in `chan_disk_t512`).
 //
 // Shapes and policies. Each side is given either as one process or as a
 // group of processes, and that alone sets its policy (at most one side is a
@@ -67,20 +67,22 @@
 //     and every blocked call wakes with kCalleeFailed (KCS-style unwinding
 //     surfaced as an error code, §5.2.1). Channel (channel.h) is the 1x1
 //     plane.
-//   - A group side gets one credit line per endpoint (`credits`, default
-//     `slots`). A receiver's line is consumed at delivery and gates both
-//     acquire and send under the lag policy (kBlock waits for the slowest
-//     live receiver, kDropSlowest skips zero-credit receivers); a producer's
-//     line is reserved at acquire, so one flooding producer pins at most its
-//     own line of the shared pool. A group endpoint's death excises it
-//     alone — a dead receiver's deliveries are dropped and its FIFO failed, a
-//     dead producer's unsent slots recycled while its published messages
-//     stay deliverable — and Rebind{Receiver,Producer} splices a fresh
-//     process into the slot.
+//   - A group side gets one credit line per endpoint, as deep as the pool
+//     (`slots`). A receiver's line is consumed at delivery and gates both
+//     acquire and send, which wait for the slowest live receiver; a
+//     producer's line is reserved at acquire. A group endpoint's death
+//     excises it alone — a dead receiver's deliveries are dropped and its
+//     FIFO failed, a dead producer's unsent slots recycled while its
+//     published messages stay deliverable — and Rebind{Receiver,Producer}
+//     splices a fresh process into the slot.
 //
-// Sends route to one receiver (SendTo: sharding, never dropped) or to every
-// live receiver (Send: broadcast; a slot returns to the pool when its last
-// holder releases it). Ownership contract on failure, for every send: while
+// Every slot is in the pool, held by a producer, or on its way to and back
+// from its receivers, so the pool and every FIFO have room for every slot
+// and no push onto them waits (MpmcQueue aborts on one that would).
+//
+// Sends route to one receiver (SendTo: sharding) or to every live receiver
+// (Send: broadcast; a slot returns to the pool when its last holder
+// releases it). Ownership contract on failure, for every send: while
 // broken() == kOk the producer still owns every buffer of a failed send and
 // may retry it or hand it back with Abandon. Once broken() != kOk teardown
 // has swept the grants and the buffers are gone with the plane.
@@ -113,21 +115,9 @@
 
 namespace dipc::chan {
 
-// What a broadcast does when a live group receiver has no credit left.
-enum class LagPolicy : uint8_t {
-  kBlock,        // wait for the slowest live receiver to return credit
-  kDropSlowest,  // skip zero-credit receivers (their messages are dropped)
-};
-
 struct PlaneConfig {
   uint32_t slots = 8;            // in-flight message buffers (shared pool)
   uint64_t buf_bytes = 1 << 16;  // payload capacity per buffer
-  // Per-endpoint credit line of the group side (0 = slots). Set it below
-  // `slots` so one laggard receiver or greedy producer cannot pin the whole
-  // pool. A plane without a group side rejects a nonzero value.
-  uint32_t credits = 0;
-  // Group receivers only; any other plane rejects kDropSlowest.
-  LagPolicy lag_policy = LagPolicy::kBlock;
   // Optional pre-allocated domain-tag trio, shared between planes that
   // express the same trust relationship (e.g. many per-tenant planes between
   // the same two tiers). Sharing keeps the per-CPU APL cache (32 entries,
@@ -181,13 +171,14 @@ class Plane : public std::enable_shared_from_this<Plane> {
 
   // ---- Producer side (every call names the producer endpoint) ----
 
-  // Blocks until admitted (group receivers: the lag-policy gate; group
-  // producers: one credit of p's line), then takes up to `max_n` free
-  // buffers (a 1x1 plane's reserve first, see above), blocking only while
-  // none is free, and grants p's write capabilities (epoch rebind
-  // on the warm path). The write capability of the *last* buffer is loaded
-  // into kSenderCapReg; BindSendCap switches between the batch's buffers. A
-  // finite `deadline` bounds every wait with kTimedOut (no grants held).
+  // Blocks until admitted (group receivers: one credit of every live
+  // receiver's line; group producers: one credit of p's line), then takes
+  // up to `max_n` free buffers (a 1x1 plane's reserve first, see above),
+  // blocking only while none is free, and grants p's write capabilities
+  // (epoch rebind on the warm path). The write capability of the *last*
+  // buffer is loaded into kSenderCapReg; BindSendCap switches between the
+  // batch's buffers. A finite `deadline` bounds every wait with kTimedOut
+  // (no grants held).
   sim::Task<base::Result<SendBuf>> AcquireBuf(os::Env env, uint32_t p, os::Deadline deadline = {});
   sim::Task<base::Result<std::vector<SendBuf>>> AcquireBufBatch(os::Env env, uint32_t p,
                                                                 uint32_t max_n,
@@ -273,7 +264,6 @@ class Plane : public std::enable_shared_from_this<Plane> {
   // endpoint i's balance on it.
   uint32_t credit_line() const { return credit_line_; }
   uint64_t credits(uint32_t i) const { return (tx_group_ ? tx_ : rx_)[i].credits; }
-  uint64_t dropped(uint32_t r) const { return rx_[r].dropped; }
   // RevocationTable owner keys of an endpoint's grants (test support).
   uint64_t producer_owner(uint32_t p) const { return tx_[p].owner; }
   uint64_t receiver_owner(uint32_t r) const { return rx_[r].owner; }
@@ -320,7 +310,6 @@ class Plane : public std::enable_shared_from_this<Plane> {
     uint64_t owner = 0;    // RevocationTable owner key of this incarnation
     uint32_t line = 0;     // credit line; 0 on a single side
     uint64_t credits = 0;  // balance on `line`
-    uint64_t dropped = 0;  // kDropSlowest skips (receivers)
     // Per-slot capability templates (write for producers, read for
     // receivers), minted once and re-snapshotted on every rotation.
     std::vector<std::optional<codoms::Capability>> tmpl;
@@ -329,14 +318,13 @@ class Plane : public std::enable_shared_from_this<Plane> {
     std::unique_ptr<MpmcQueue> desc;
     // Exported only on a group side (see RegisterMetrics).
     obs::Counter* m_msgs = nullptr;  // receivers: deliveries, producers: sends
-    obs::Counter* m_drops = nullptr;
     obs::Gauge* m_credits = nullptr;
     obs::Histogram* m_stall_ns = nullptr;
   };
 
   // A credit gate: producer `idx`'s own line (tx), receiver `idx`'s line, or
-  // — idx == receiver_count() — the lag-policy gate over every live
-  // receiver. `gen` pins a producer gate to the caller's incarnation.
+  // — idx == receiver_count() — every live receiver's line. `gen` pins a
+  // producer gate to the caller's incarnation.
   struct Gate {
     bool tx = false;
     uint32_t idx = 0;

@@ -231,6 +231,15 @@ Decision Injector::Probe(std::string_view point, uint32_t cpu) {
   return {};
 }
 
+uint64_t Injector::probes(std::string_view point) const {
+  for (const auto& [name, count] : point_probes_) {
+    if (name == point) {
+      return count;
+    }
+  }
+  return 0;
+}
+
 Decision Injector::Fire(size_t rule_index, std::string_view point, uint32_t cpu) {
   const Rule& rule = plan_.rules[rule_index];
   const sim::Time now = clock_ != nullptr ? clock_->now() : sim::Time::Zero();

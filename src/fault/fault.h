@@ -155,6 +155,8 @@ class Injector {
   Decision Probe(std::string_view point, uint32_t cpu = 0);
 
   uint64_t probe_count() const { return probe_count_; }
+  // Probes of `point` since the last Arm: 0 means no rule on it could fire.
+  uint64_t probes(std::string_view point) const;
   uint64_t fire_count() const { return log_.size(); }
   const std::vector<FiredRecord>& log() const { return log_; }
 
@@ -191,6 +193,7 @@ class Injector {
   void SetKillHandler(std::function<void(const std::string&)>) {}
   Decision Probe(std::string_view, uint32_t = 0) { return {}; }
   uint64_t probe_count() const { return 0; }
+  uint64_t probes(std::string_view) const { return 0; }
   uint64_t fire_count() const { return 0; }
   const std::vector<FiredRecord>& log() const {
     static const std::vector<FiredRecord> empty;

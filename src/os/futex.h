@@ -19,17 +19,17 @@
 // line reaches the spinner: the kernel does the spinner's bare read of the
 // line (Kernel::EndSpinOnRead), one transfer when the publisher wrote it
 // last, and the read that follows is an L1 hit, so one transfer carries
-// both the signal and the data. Other publishes (a pop that frees room for
-// a spinning push, a credit line's refill) end it one cache-line transfer
-// later. The spin also ends when the publisher leaves its CPU (it parks,
-// swaps, sleeps, exits or spins), on need_resched, on WakeAll (Close/Fail)
-// and at the deadline; no time budget bounds it. A wait that holds a deferred
-// wake never spins: its CPU is owed to that wake's waiter. A queue nobody
-// publishes to, like os::Semaphore's, parks at once.
+// both the signal and the data. Other publishes (a credit line's refill)
+// end it one cache-line transfer later. The spin also ends when the
+// publisher leaves its CPU (it parks, swaps, sleeps, exits or spins), on
+// need_resched, on WakeAll (Close/Fail) and at the deadline; no time budget
+// bounds it. A wait that holds a deferred wake never spins: its CPU is owed
+// to that wake's waiter. A queue nobody publishes to, like os::Semaphore's,
+// parks at once.
 //
-// os::Semaphore, chan::MpmcQueue and chan::Plane's credit lines all wait
-// through FutexBlockUntil and wake through FutexWakeWith, the body behind
-// both FutexWake flavors. Each keeps only its own decisions: who publishes
+// os::Semaphore, chan::MpmcQueue's pops and chan::Plane's credit lines all
+// wait through FutexBlockUntil and wake through FutexWakeWith, the body
+// behind both FutexWake flavors. Each keeps only its own decisions: who publishes
 // (WaitQueue::Publish), when a publisher defers a wake into an
 // os::DeferredWake, and the semaphore's token hand-off.
 #ifndef DIPC_OS_FUTEX_H_

@@ -69,16 +69,22 @@ sim::Task<base::Result<uint64_t>> Pipe::Read(Env env, hw::VirtAddr va, uint64_t 
   Kernel& k = *env.kernel;
   co_await k.SyscallEnter(env);
   co_await k.Spend(*env.self, kernel_path_, TimeCat::kKernel);
-  while (fill_ == 0 && passed_.empty()) {
+  while (true) {
+    // Handles a read has no room for are discarded (Linux's MSG_CTRUNC) and
+    // do not end its wait.
+    const bool got_handles = handles_out != nullptr && !passed_.empty();
+    if (got_handles) {
+      std::move(passed_.begin(), passed_.end(), std::back_inserter(*handles_out));
+    }
+    passed_.clear();
+    if (fill_ > 0 || got_handles) {
+      break;
+    }
     if (closed_) {
       co_await k.SyscallExit(env);
       co_return uint64_t{0};  // EOF
     }
     co_await readers_.Wait(env);
-  }
-  if (handles_out != nullptr) {
-    std::move(passed_.begin(), passed_.end(), std::back_inserter(*handles_out));
-    passed_.clear();
   }
   uint64_t chunk = std::min(len, fill_);
   if (chunk > 0) {
@@ -105,12 +111,13 @@ sim::Task<base::Status> Pipe::ReadExact(Env env, hw::VirtAddr va, uint64_t len,
                                         Handles* handles_out) {
   uint64_t done = 0;
   while (done < len) {
+    const size_t handles_before = handles_out != nullptr ? handles_out->size() : 0;
     auto r = co_await Read(env, va + done, len - done, handles_out);
     if (!r.ok()) {
       co_return r.status();
     }
-    if (r.value() == 0) {
-      co_return base::ErrorCode::kBrokenChannel;
+    if (r.value() == 0 && (handles_out == nullptr || handles_out->size() == handles_before)) {
+      co_return base::ErrorCode::kBrokenChannel;  // EOF, not a handles-only read
     }
     done += r.value();
   }

@@ -37,12 +37,15 @@ class Pipe {
                                           Handles handles = {});
 
   // Blocking read of up to `len` bytes; returns 0 at EOF (closed and
-  // drained). Pending handles end the wait too; they move into
-  // `handles_out` when it is non-null.
+  // drained). With a non-null `handles_out`, pending handles move into it
+  // and end the wait too (a 0-byte read that returns handles is no EOF);
+  // without one they are discarded, as Linux truncates the ancillary data a
+  // read has no room for (MSG_CTRUNC).
   sim::Task<base::Result<uint64_t>> Read(Env env, hw::VirtAddr va, uint64_t len,
                                          Handles* handles_out = nullptr);
 
-  // Reads exactly `len` bytes (loops; kBrokenChannel on premature EOF).
+  // Reads exactly `len` bytes (loops; kBrokenChannel on premature EOF),
+  // collecting handles as Read does.
   sim::Task<base::Status> ReadExact(Env env, hw::VirtAddr va, uint64_t len,
                                     Handles* handles_out = nullptr);
 

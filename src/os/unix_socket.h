@@ -59,7 +59,8 @@ class UnixStreamEnd : public KernelObject {
   }
 
   // Blocking receive of up to `len` bytes; drains any pending ancillary
-  // handles into `handles_out` when non-null. Returns 0 at EOF.
+  // handles into `handles_out`, or discards them when it is null (see
+  // Pipe::Read). Returns 0 at EOF.
   sim::Task<base::Result<uint64_t>> Recv(Env env, hw::VirtAddr va, uint64_t len,
                                          Pipe::Handles* handles_out = nullptr) {
     return rx().Read(env, va, len, handles_out);

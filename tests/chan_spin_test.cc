@@ -551,43 +551,6 @@ TEST_F(ChanSpinTest, ThreadsWaitingOnEachOthersQueuesBothParkInsteadOfSpinning) 
   EXPECT_EQ(qb.blocked_pops(), 1u);
 }
 
-TEST_F(ChanSpinTest, PushToAFullQueueSpinsWhileTheLastPopperRunsAndItsPopEndsTheSpin) {
-  // The consumer pops once (the producer side's publisher), then stays busy
-  // on its CPU; the producer refills the queue and its next push finds it
-  // full, so it spins until the consumer's next pop frees a slot.
-  Time push_called;
-  Time pop_done;
-  kernel_.Spawn(
-      prod_, "producer",
-      [&](os::Env env) -> sim::Task<void> {
-        const uint64_t four[] = {1, 2, 3, 4};
-        EXPECT_TRUE((co_await q_->PushN(env, four)).ok());
-        co_await env.kernel->Spend(*env.self, Duration::Micros(2), os::TimeCat::kUser);
-        EXPECT_TRUE((co_await q_->Push(env, 5)).ok());
-        push_called = env.kernel->now();
-        EXPECT_TRUE((co_await q_->Push(env, 6)).ok());
-      },
-      /*pin_cpu=*/0);
-  kernel_.Spawn(
-      cons_, "consumer",
-      [&](os::Env env) -> sim::Task<void> {
-        co_await env.kernel->Sleep(env, Duration::Micros(1));
-        EXPECT_TRUE((co_await q_->Pop(env)).ok());
-        co_await env.kernel->Spend(*env.self, Duration::Micros(3), os::TimeCat::kUser);
-        EXPECT_TRUE((co_await q_->Pop(env)).ok());
-        pop_done = env.kernel->now();
-      },
-      /*pin_cpu=*/1);
-  kernel_.Run();
-  const hw::CostModel& cm = kernel_.costs();
-  EXPECT_EQ(kernel_.spun(), (pop_done + cm.remote_transfer) - (push_called + cm.chan_fast_path));
-  EXPECT_EQ(q_->spin_hits(), 1u);
-  EXPECT_EQ(q_->spin_misses(), 0u);
-  EXPECT_EQ(q_->blocked_pushes(), 0u);
-  EXPECT_EQ(q_->futex_wakes(), 0u);
-  EXPECT_EQ(q_->size(), 4u);
-}
-
 TEST_F(ChanSpinTest, CloseAndFailEndTheSpinWithTheirCode) {
   for (ErrorCode code : {ErrorCode::kBrokenChannel, ErrorCode::kCalleeFailed}) {
     SCOPED_TRACE(static_cast<int>(code));
@@ -690,10 +653,10 @@ TEST_F(ChanSpinTest, AcquireThatTimesOutMidSpinLeaksNoGrant) {
 
 // ---- Credit lines ----
 //
-// A fan-out plane with one receiver and a credit line of 1: the producer
-// sends message 1, which the receiver releases (naming itself the credit
-// line's publisher), then message 2, which the receiver holds while it
-// stays busy for `hold`. The producer's third AcquireBuf finds no credit
+// A one-slot fan-out plane with one receiver, so a credit line of 1: the
+// producer sends message 1, which the receiver releases (naming itself the
+// credit line's publisher), then message 2, which the receiver holds while
+// it stays busy for `hold`. The producer's third AcquireBuf finds no credit
 // and spins on the busy receiver.
 struct CreditSpinRun {
   std::shared_ptr<Plane> plane;
@@ -710,7 +673,7 @@ void RunCreditSpin(core::Dipc& dipc, os::Process& prod, os::Process& cons, Durat
   os::Kernel& kernel = dipc.kernel();
   std::vector<os::Process*> receivers = {&cons};
   auto made = Plane::Create(dipc, prod, std::span(receivers),
-                            {.slots = 2, .buf_bytes = 64, .credits = 1});
+                            {.slots = 1, .buf_bytes = 64});
   DIPC_CHECK(made.ok());
   run->plane = made.value();
   std::shared_ptr<Plane> plane = run->plane;
@@ -959,7 +922,7 @@ os::TimeBreakdown WakerPopCost(os::Kernel& kernel, os::Process& prod, os::Proces
         co_await env.kernel->Sleep(env, Duration::Micros(1));
         os::DeferredWake wake;
         const uint64_t v = 1;
-        EXPECT_TRUE((co_await q.PushN(env, std::span(&v, 1), nullptr, {}, &wake)).ok());
+        EXPECT_TRUE((co_await q.PushN(env, std::span(&v, 1), &wake)).ok());
         EXPECT_TRUE(static_cast<bool>(wake));
         between();
         const os::TimeBreakdown before = env.kernel->accounting().cpu(1);
@@ -1025,7 +988,7 @@ TEST_F(ChanSpinTest, InjectedWakeDropAlsoDropsADeferredWakeAndTheDeadlineRecover
         co_await env.kernel->Sleep(env, Duration::Micros(1));
         os::DeferredWake wake;
         const uint64_t v = 1;
-        EXPECT_TRUE((co_await q_->PushN(env, std::span(&v, 1), nullptr, {}, &wake)).ok());
+        EXPECT_TRUE((co_await q_->PushN(env, std::span(&v, 1), &wake)).ok());
         deferred = static_cast<bool>(wake);
       },
       /*pin_cpu=*/1);
@@ -1065,7 +1028,7 @@ TEST_F(ChanSpinTest, PopHoldingADeferredWakeNeverSpins) {
         EXPECT_TRUE((co_await mine.Pop(env)).ok());
         os::DeferredWake wake;
         const uint64_t v = 1;
-        EXPECT_TRUE((co_await q_->PushN(env, std::span(&v, 1), nullptr, {}, &wake)).ok());
+        EXPECT_TRUE((co_await q_->PushN(env, std::span(&v, 1), &wake)).ok());
         uint64_t out = 0;
         EXPECT_TRUE((co_await mine.PopN(env, std::span(&out, 1), {}, std::move(wake))).ok());
         second = out;
@@ -1078,36 +1041,6 @@ TEST_F(ChanSpinTest, PopHoldingADeferredWakeNeverSpins) {
   EXPECT_EQ(mine.blocked_pops(), 1u);
   EXPECT_EQ(kernel_.handoffs(), 1u);
   EXPECT_EQ(consumer_cpu, 1u);
-}
-
-TEST_F(ChanSpinTest, PushThatParksForRoomSwapsToTheConsumerItDeferred) {
-  // Six values into a 4-slot queue: the first chunk fills it and defers the
-  // parked consumer's wake, so the push's own park for room must switch to
-  // that consumer — it is the only thread that can free a slot.
-  std::vector<uint64_t> got;
-  kernel_.Spawn(cons_, "consumer", [&](os::Env env) -> sim::Task<void> {
-    while (got.size() < 6) {
-      auto v = co_await q_->Pop(env);
-      EXPECT_TRUE(v.ok());
-      got.push_back(v.ok() ? v.value() : 0);
-    }
-  });
-  kernel_.Spawn(
-      prod_, "producer",
-      [&](os::Env env) -> sim::Task<void> {
-        co_await env.kernel->Sleep(env, Duration::Micros(1));
-        os::DeferredWake wake;
-        const uint64_t values[] = {1, 2, 3, 4, 5, 6};
-        EXPECT_TRUE((co_await q_->PushN(env, values, nullptr, {}, &wake)).ok());
-        if (wake) {
-          co_await os::FutexWake(env, *wake.Take());
-        }
-      },
-      /*pin_cpu=*/1);
-  kernel_.Run();
-  EXPECT_EQ(got, (std::vector<uint64_t>{1, 2, 3, 4, 5, 6}));
-  EXPECT_GE(q_->blocked_pushes(), 1u);
-  EXPECT_GE(kernel_.handoffs(), 1u);
 }
 
 // A DuplexChannel ping-pong between a client and a server thread; returns

@@ -93,12 +93,17 @@ TEST(ChanStress, MpmcQueueRandomBatchTrafficLosesAndDuplicatesNothing) {
     const int n_prod = static_cast<int>(rng.UniformInt(1, 3));
     const int n_cons = static_cast<int>(rng.UniformInt(1, 3));
     const int per_producer = 40 + static_cast<int>(rng.UniformInt(0, 40));
+    MpmcQueue free(kernel, proc, capacity, proc.default_domain());
     MpmcQueue q(kernel, proc, capacity, proc.default_domain());
+    for (uint32_t i = 0; i < capacity; ++i) {
+      free.Prime(i);
+    }
     std::vector<uint64_t> pushed;
     std::vector<uint64_t> popped;
     int producers_done = 0;
-    // Producers push tagged values in randomly sized batches (some larger
-    // than the queue capacity, so PushN must chunk and block mid-batch).
+    // Producers push tagged values in randomly sized batches, each once its
+    // room was popped from the free queue (as a plane's producers acquire
+    // buffers); consumers hand the room back after every pop.
     for (int p = 0; p < n_prod; ++p) {
       uint64_t batch_seed = rng.Next();
       kernel.Spawn(
@@ -107,8 +112,11 @@ TEST(ChanStress, MpmcQueueRandomBatchTrafficLosesAndDuplicatesNothing) {
             Rng prng(batch_seed);
             int sent = 0;
             while (sent < per_producer) {
-              int n = static_cast<int>(
+              std::vector<uint64_t> room(
                   prng.UniformInt(1, std::min<uint64_t>(per_producer - sent, 6)));
+              auto got = co_await free.PopN(env, std::span(room));
+              DIPC_CHECK(got.ok());  // the free queue never closes
+              const int n = static_cast<int>(got.value());
               std::vector<uint64_t> vals;
               for (int i = 0; i < n; ++i) {
                 vals.push_back((static_cast<uint64_t>(p) << 32) |
@@ -141,6 +149,7 @@ TEST(ChanStress, MpmcQueueRandomBatchTrafficLosesAndDuplicatesNothing) {
                 co_return;
               }
               popped.insert(popped.end(), out.begin(), out.begin() + n.value());
+              EXPECT_TRUE((co_await free.PushN(env, std::span(out.data(), n.value()))).ok());
               if (crng.Chance(0.3)) {
                 co_await env.kernel->Sleep(env, Duration::Nanos(crng.UniformInt(10, 400)));
               }
@@ -605,11 +614,7 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
       receivers.push_back(&dipc.CreateDipcProcess("worker"));
     }
     const uint32_t slots = static_cast<uint32_t>(rng.UniformInt(2, 6));
-    const bool drop_policy = rng.Chance(0.5);
-    auto ch = Plane::Create(
-        dipc, prod, receivers,
-        {.slots = slots, .buf_bytes = 4096,
-         .lag_policy = drop_policy ? LagPolicy::kDropSlowest : LagPolicy::kBlock});
+    auto ch = Plane::Create(dipc, prod, receivers, {.slots = slots, .buf_bytes = 4096});
     ASSERT_TRUE(ch.ok());
     std::shared_ptr<Plane> fan = ch.value();
     std::vector<std::vector<uint64_t>> got(n_recv);
@@ -773,9 +778,7 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
     }
     os::Process& cons = dipc.CreateDipcProcess("server");
     const uint32_t slots = static_cast<uint32_t>(rng.UniformInt(2, 6));
-    const uint32_t credits = rng.Chance(0.5) ? static_cast<uint32_t>(rng.UniformInt(1, slots)) : 0;
-    auto ch = Plane::Create(dipc, producers, cons,
-                            {.slots = slots, .buf_bytes = 4096, .credits = credits});
+    auto ch = Plane::Create(dipc, producers, cons, {.slots = slots, .buf_bytes = 4096});
     ASSERT_TRUE(ch.ok());
     std::shared_ptr<Plane> fan = ch.value();
     std::vector<std::vector<uint64_t>> got(n_prod);

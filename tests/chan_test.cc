@@ -36,18 +36,14 @@ class ChanTest : public ::testing::Test {
 
 // --- MPMC queue ---
 
+// Every user pushes only slots it holds, so a queue always has room for a
+// push: a pop on an empty queue blocks until a push, and a push past
+// capacity is a lost or duplicated slot, which aborts.
 TEST_F(ChanTest, MpmcBlockingPushOnFullAndPopOnEmpty) {
   os::Process& proc = dipc_.CreateDipcProcess("p");
   MpmcQueue q(kernel_, proc, 2, proc.default_domain());
   std::vector<uint64_t> popped;
-  kernel_.Spawn(proc, "producer", [&](os::Env env) -> sim::Task<void> {
-    for (uint64_t v = 1; v <= 5; ++v) {
-      EXPECT_TRUE((co_await q.Push(env, v)).ok());
-    }
-    q.Close();
-  });
   kernel_.Spawn(proc, "consumer", [&](os::Env env) -> sim::Task<void> {
-    co_await env.kernel->Sleep(env, Duration::Micros(20));  // force pushes to block
     while (true) {
       auto v = co_await q.Pop(env);
       if (!v.ok()) {
@@ -57,15 +53,34 @@ TEST_F(ChanTest, MpmcBlockingPushOnFullAndPopOnEmpty) {
       popped.push_back(v.value());
     }
   });
+  kernel_.Spawn(proc, "producer", [&](os::Env env) -> sim::Task<void> {
+    for (uint64_t v = 1; v <= 5; v += 2) {
+      co_await env.kernel->Sleep(env, Duration::Micros(20));  // the consumer parks first
+      const uint64_t two[] = {v, v + 1};
+      EXPECT_TRUE((co_await q.PushN(env, std::span(two, v < 5 ? 2 : 1))).ok());
+    }
+    q.Close();
+  });
   kernel_.Run();
   EXPECT_EQ(popped, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
-  EXPECT_GT(q.blocked_pushes(), 0u);  // capacity 2 forced producer blocking
+  EXPECT_EQ(q.blocked_pops(), 3u);  // one park for each batch
+
+  EXPECT_DEATH(
+      {
+        MpmcQueue full(kernel_, proc, 2, proc.default_domain());
+        kernel_.Spawn(proc, "overflow", [&](os::Env env) -> sim::Task<void> {
+          const uint64_t three[] = {1, 2, 3};
+          (void)co_await full.PushN(env, three);
+        });
+        kernel_.Run();
+      },
+      "DIPC_CHECK failed");
 }
 
 TEST_F(ChanTest, MpmcFifoWakeupsAreFairAcrossConsumers) {
-  os::Process& proc = dipc_.CreateDipcProcess("p");
-  MpmcQueue q(kernel_, proc, 4, proc.default_domain());
   constexpr uint64_t kItems = 10;
+  os::Process& proc = dipc_.CreateDipcProcess("p");
+  MpmcQueue q(kernel_, proc, kItems, proc.default_domain());
   std::vector<uint64_t> got_a, got_b;
   auto consumer = [&](std::vector<uint64_t>& out) {
     return [&q, &out](os::Env env) -> sim::Task<void> {
@@ -102,17 +117,21 @@ TEST_F(ChanTest, MpmcTightCapacityStressLosesNoWakeups) {
   // Regression: the futex park used to park unconditionally after its syscall
   // suspension points, so a wake issued while the blocker was still
   // entering the kernel found no parked thread and was lost — both sides
-  // could park forever. Capacity 1 with peers on different CPUs crosses
-  // that window on every item; a lost wake leaves the sim idle with items
-  // undelivered.
+  // could park forever. One slot circulates between a free queue and a
+  // data queue, as a plane's buffers do, so with the peers on different
+  // CPUs each waits for the other on every item and crosses that window; a
+  // lost wake leaves the sim idle with items undelivered.
   os::Process& proc = dipc_.CreateDipcProcess("p");
+  MpmcQueue free(kernel_, proc, 1, proc.default_domain());
   MpmcQueue q(kernel_, proc, 1, proc.default_domain());
+  free.Prime(0);
   constexpr uint64_t kItems = 64;
   std::vector<uint64_t> popped;
   kernel_.Spawn(
       proc, "producer",
       [&](os::Env env) -> sim::Task<void> {
         for (uint64_t v = 0; v < kItems; ++v) {
+          EXPECT_TRUE((co_await free.Pop(env)).ok());
           EXPECT_TRUE((co_await q.Push(env, v)).ok());
         }
         q.Close();
@@ -127,6 +146,7 @@ TEST_F(ChanTest, MpmcTightCapacityStressLosesNoWakeups) {
             co_return;
           }
           popped.push_back(v.value());
+          EXPECT_TRUE((co_await free.Push(env, 0)).ok());
         }
       },
       /*pin_cpu=*/1);
@@ -138,12 +158,12 @@ TEST_F(ChanTest, MpmcTightCapacityStressLosesNoWakeups) {
 }
 
 TEST_F(ChanTest, MpmcConcurrentProducersNeverDoubleClaimASlot) {
-  // Regression: Push used to suspend (co_await Spend) between the full check
+  // Regression: Push used to suspend (co_await Spend) between the room check
   // and the tail_/count_ update, so two producers resuming at the same sim
-  // time could both pass the check and write the same slot. With capacity 1
-  // the second producer must block instead, and both values must survive.
+  // time could both pass the check and write the same slot. Each claim must
+  // take its own slot, and both values must survive.
   os::Process& proc = dipc_.CreateDipcProcess("p");
-  MpmcQueue q(kernel_, proc, 1, proc.default_domain());
+  MpmcQueue q(kernel_, proc, 2, proc.default_domain());
   auto producer = [&q](uint64_t v) {
     return [&q, v](os::Env env) -> sim::Task<void> {
       EXPECT_TRUE((co_await q.Push(env, v)).ok());
@@ -531,26 +551,37 @@ TEST_F(ChanTest, ReceiverWindowsSweptByPeerDeathLeakNoGrant) {
 // --- Batched queue operations ---
 
 TEST_F(ChanTest, MpmcPushNPopNMoveValuesInOrder) {
+  // Ten values in batches of up to three through a four-slot ring, each
+  // batch pushed once its room was popped from a free queue (as a plane's
+  // buffers move): the batches wrap the ring's end and arrive in order.
   os::Process& proc = dipc_.CreateDipcProcess("p");
+  MpmcQueue free(kernel_, proc, 4, proc.default_domain());
   MpmcQueue q(kernel_, proc, 4, proc.default_domain());
+  for (uint64_t i = 0; i < 4; ++i) {
+    free.Prime(i);
+  }
   std::vector<uint64_t> popped;
   kernel_.Spawn(
       proc, "producer",
       [&](os::Env env) -> sim::Task<void> {
-        std::vector<uint64_t> vals(10);
-        for (uint64_t v = 0; v < 10; ++v) {
-          vals[v] = v;
+        uint64_t next = 0;
+        while (next < 10) {
+          uint64_t room[3];
+          auto n = co_await free.PopN(env, std::span(room, std::min<uint64_t>(3, 10 - next)));
+          DIPC_CHECK(n.ok());
+          std::vector<uint64_t> vals;
+          for (uint64_t i = 0; i < n.value(); ++i) {
+            vals.push_back(next++);
+          }
+          EXPECT_TRUE((co_await q.PushN(env, std::span(vals))).ok());
         }
-        // The batch exceeds the capacity: PushN must block mid-batch and
-        // still deliver everything in order.
-        EXPECT_TRUE((co_await q.PushN(env, std::span(vals))).ok());
         q.Close();
       },
       /*pin_cpu=*/0);
   kernel_.Spawn(
       proc, "consumer",
       [&](os::Env env) -> sim::Task<void> {
-        co_await env.kernel->Sleep(env, Duration::Micros(10));  // force blocking
+        co_await env.kernel->Sleep(env, Duration::Micros(10));  // the producer waits for room
         while (true) {
           uint64_t out[3];
           auto n = co_await q.PopN(env, std::span(out));
@@ -560,6 +591,7 @@ TEST_F(ChanTest, MpmcPushNPopNMoveValuesInOrder) {
           for (uint64_t i = 0; i < n.value(); ++i) {
             popped.push_back(out[i]);
           }
+          EXPECT_TRUE((co_await free.PushN(env, std::span(out, n.value()))).ok());
         }
       },
       /*pin_cpu=*/1);
@@ -1296,13 +1328,11 @@ TEST_F(ChanTest, LockstepDuplexRoundTripsPopEachPoolOncePerSlotsAcquires) {
 // --- Deadlines on the blocking primitives ---
 
 TEST_F(ChanTest, MpmcPushAndPopHonorDeadlines) {
+  // A push never waits, so only the pop has a deadline to honor.
   os::Process& proc = dipc_.CreateDipcProcess("p");
   MpmcQueue q(kernel_, proc, 1, proc.default_domain());
   kernel_.Spawn(proc, "solo", [&](os::Env env) -> sim::Task<void> {
     EXPECT_TRUE((co_await q.Push(env, 7)).ok());
-    auto full = co_await q.Push(
-        env, 8, os::Deadline::After(env.kernel->now(), Duration::Micros(5)));
-    EXPECT_EQ(full.code(), ErrorCode::kTimedOut);
     auto v = co_await q.Pop(env);
     EXPECT_TRUE(v.ok());
     EXPECT_EQ(v.value(), 7u);
@@ -1311,7 +1341,7 @@ TEST_F(ChanTest, MpmcPushAndPopHonorDeadlines) {
     EXPECT_EQ(empty.code(), ErrorCode::kTimedOut);
   });
   kernel_.Run();
-  EXPECT_EQ(q.timeouts(), 2u);
+  EXPECT_EQ(q.timeouts(), 1u);
 }
 
 }  // namespace

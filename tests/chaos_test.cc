@@ -41,13 +41,25 @@ OltpConfig ChaosConfig(std::string plan) {
   return cfg;
 }
 
+// Every point a plan arms must be probed in the run: a rule on a point the
+// run never reaches tests nothing.
+void ExpectEveryArmedPointProbed(const OltpConfig& cfg) {
+  auto plan = fault::Plan::Parse(cfg.fault_plan);
+  ASSERT_TRUE(plan.ok());
+  for (const fault::Rule& rule : plan.value().rules) {
+    EXPECT_GE(fault::Injector::Global().probes(rule.point), 1u) << rule.point << " never probed";
+  }
+}
+
 TEST(ChaosTest, SupervisedFabricSurvivesWorkerMurder) {
 #ifdef DIPC_FAULT_OFF
   GTEST_SKIP() << "fault injection compiled out (-DDIPC_FAULT_OFF)";
 #endif
-  OltpResult r = RunOltp(ChaosConfig(
+  const OltpConfig cfg = ChaosConfig(
       "seed 11\n"
-      "rule chan/send kill every=800 victim=php-worker max=4\n"));
+      "rule chan/send kill every=800 victim=php-worker max=4\n");
+  OltpResult r = RunOltp(cfg);
+  ExpectEveryArmedPointProbed(cfg);
   EXPECT_GT(r.operations, 0u);
   EXPECT_EQ(r.requests_failed, 0u) << "a murdered worker lost a request";
   EXPECT_GE(r.faults_injected, 1u);
@@ -65,19 +77,20 @@ TEST(ChaosTest, FullSweepCompletesEveryRequestExactlyOnce) {
   if (trace_out != nullptr) {
     obs::Trace().Enable();
   }
-  OltpResult r = RunOltp(ChaosConfig(
+  const OltpConfig cfg = ChaosConfig(
       "seed 7\n"
       "rule chan/send kill every=900 victim=php-worker max=3\n"
-      "rule fanout/credit_grant drop_wake p=0.01\n"
       "rule chan/futex_wake drop_wake p=0.005\n"
       "rule codoms/mint fail p=0.002\n"
-      "rule chan/slot_claim delay p=0.01 delay_ns=2000\n"));
+      "rule chan/slot_claim delay p=0.01 delay_ns=2000\n");
+  OltpResult r = RunOltp(cfg);
   if (trace_out != nullptr) {
     if (r.requests_failed != 0 || r.operations == 0) {
       obs::Trace().ExportChromeTrace(trace_out);
     }
     obs::Trace().Disable();
   }
+  ExpectEveryArmedPointProbed(cfg);
   EXPECT_GT(r.operations, 0u);
   // Exactly-once: no request was given up (lost), and any completion that
   // raced a retry was dropped at dispatch (counted, never double-posted) —
@@ -94,8 +107,8 @@ TEST(ChaosTest, MultiTenantFabricSweepKeepsExactlyOnce) {
   // one murdered worker tears a receiver slot out of 8 fan-out request
   // planes and a producer line out of 8 fan-in response planes at once —
   // every plane must excise and rebind without losing a single opid. On top
-  // of the kills, wake drops on both credit paths and scripted dispatch
-  // failures exercise the retry/backoff seam under the SAME opid.
+  // of the kills, scripted dispatch failures exercise the retry/backoff seam
+  // under the SAME opid.
   const char* trace_out = std::getenv("DIPC_CHAOS_TRACE");
   if (trace_out != nullptr) {
     obs::Trace().Enable();
@@ -103,8 +116,6 @@ TEST(ChaosTest, MultiTenantFabricSweepKeepsExactlyOnce) {
   OltpConfig cfg = ChaosConfig(
       "seed 19\n"
       "rule chan/send kill every=900 victim=php-worker max=3\n"
-      "rule fanin/credit_grant drop_wake p=0.01\n"
-      "rule fanout/credit_grant drop_wake p=0.01\n"
       "rule fabric/dispatch fail p=0.005\n");
   cfg.tenants = 8;
   cfg.chan_workers = 4;
@@ -116,6 +127,7 @@ TEST(ChaosTest, MultiTenantFabricSweepKeepsExactlyOnce) {
     }
     obs::Trace().Disable();
   }
+  ExpectEveryArmedPointProbed(cfg);
   EXPECT_GT(r.operations, 0u);
   EXPECT_EQ(r.requests_failed, 0u) << "a tenant plane lost an operation";
   EXPECT_GE(r.faults_injected, 1u);
@@ -137,6 +149,7 @@ TEST(ChaosTest, SameSeedAndPlanReplaysIdentically) {
   std::vector<fault::FiredRecord> log1 = fault::Injector::Global().log();
   OltpResult r2 = RunOltp(cfg);
   std::vector<fault::FiredRecord> log2 = fault::Injector::Global().log();
+  ExpectEveryArmedPointProbed(cfg);
 
   EXPECT_EQ(r1.operations, r2.operations);
   EXPECT_EQ(r1.requests_retried, r2.requests_retried);

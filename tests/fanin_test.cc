@@ -1,8 +1,7 @@
 // Unit tests for planes with a producer group (src/chan/plane.h): M->1 delivery with
-// per-producer grants, per-producer credit isolation, the death matrix
-// (producer dies mid-send, consumer dies with queued descriptors,
-// credit-exhaustion timeouts), supervisor-style RebindProducer, and the
-// config fields a plane without a group side rejects.
+// per-producer grants, the death matrix (producer dies mid-send, consumer
+// dies with queued descriptors, credit-exhaustion timeouts) and
+// supervisor-style RebindProducer.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "chan/channel.h"
 #include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
@@ -101,60 +99,6 @@ TEST_F(FanInTest, ManyProducersDeliverIntoOneConsumerFifo) {
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
 }
 
-TEST_F(FanInTest, CreditLineBoundsOneGreedyProducerWithoutStarvingTheGroup) {
-  auto producers = MakeProducers(2);
-  os::Process& cons = dipc_.CreateDipcProcess("server");
-  // Shared pool of 8 slots, but each producer may pin at most 2 at a time.
-  auto ch = Plane::Create(dipc_, producers, cons,
-                          {.slots = 8, .buf_bytes = 4096, .credits = 2});
-  ASSERT_TRUE(ch.ok());
-  std::shared_ptr<Plane> fan = ch.value();
-  bool greedy_timed_out = false;
-  int delivered = 0;
-  kernel_.Spawn(*producers[0], "greedy", [&, fan](os::Env env) -> sim::Task<void> {
-    // Hoard the full credit line without ever sending...
-    auto a = co_await fan->AcquireBuf(env, 0);
-    auto b = co_await fan->AcquireBuf(env, 0);
-    DIPC_CHECK(a.ok() && b.ok());
-    EXPECT_EQ(fan->credits(0), 0u);
-    // ...then the third acquire must starve on *credit*, not pool space.
-    auto c = co_await fan->AcquireBuf(
-        env, 0, os::Deadline::After(env.kernel->now(), Duration::Micros(200)));
-    EXPECT_EQ(c.code(), ErrorCode::kTimedOut);
-    greedy_timed_out = true;
-    EXPECT_EQ(fan->credits(0), 0u);  // a timeout consumes no credit
-    // Hand the hoard back so teardown is clean.
-    EXPECT_TRUE((co_await fan->Abandon(env, 0, a.value())).ok());
-    EXPECT_TRUE((co_await fan->Abandon(env, 0, b.value())).ok());
-    EXPECT_EQ(fan->credits(0), 2u);
-    fan->Close();
-  });
-  kernel_.Spawn(*producers[1], "polite", [&, fan](os::Env env) -> sim::Task<void> {
-    // The greedy neighbour's exhausted line must not block this producer:
-    // six of the eight pool slots are still free and p1 has its own credits.
-    co_await env.kernel->Sleep(env, Duration::Micros(50));
-    auto buf = co_await fan->AcquireBuf(env, 1);
-    DIPC_CHECK(buf.ok());
-    DIPC_CHECK((co_await fan->Send(env, 1, buf.value(), 64)).ok());
-  });
-  kernel_.Spawn(cons, "server", [&, fan](os::Env env) -> sim::Task<void> {
-    while (true) {
-      auto msg = co_await fan->Recv(env, 0);
-      if (!msg.ok()) {
-        co_return;
-      }
-      ++delivered;
-      EXPECT_TRUE((co_await fan->Release(env, 0, msg.value())).ok());
-    }
-  });
-  kernel_.Run();
-  EXPECT_TRUE(greedy_timed_out);
-  EXPECT_EQ(delivered, 1);
-  EXPECT_GE(fan->blocked_on_credit(), 1u);
-  EXPECT_EQ(fan->LiveGrantCount(), 0u);
-  EXPECT_EQ(codoms_.revocations().live_count(), 0u);
-}
-
 TEST_F(FanInTest, ProducerDeathMidSendExcisesOnlyThatProducer) {
   // Death matrix row 1: a producer dies while suspended inside Send's
   // runtime charge. Its grants must be revoked (its owner key fully drained
@@ -221,8 +165,7 @@ TEST_F(FanInTest, ConsumerDeathWithQueuedDescriptorsRevokesEverything) {
   // parked producer is woken with the breakage instead of wedging.
   auto producers = MakeProducers(2);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = Plane::Create(dipc_, producers, cons,
-                          {.slots = 4, .buf_bytes = 4096, .credits = 2});
+  auto ch = Plane::Create(dipc_, producers, cons, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
   std::shared_ptr<Plane> fan = ch.value();
   const uint64_t p0_owner = fan->producer_owner(0);
@@ -268,8 +211,7 @@ TEST_F(FanInTest, CreditExhaustionTimeoutLeaksNoGrantsOrCredits) {
   // able to proceed normally once the consumer frees a slot.
   auto producers = MakeProducers(1);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = Plane::Create(dipc_, producers, cons,
-                          {.slots = 2, .buf_bytes = 4096, .credits = 1});
+  auto ch = Plane::Create(dipc_, producers, cons, {.slots = 1, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
   std::shared_ptr<Plane> fan = ch.value();
   int delivered = 0;
@@ -318,8 +260,7 @@ TEST_F(FanInTest, RebindProducerSplicesFreshIncarnationWithFullCreditLine) {
   // incarnation's late-released message refunds nobody.
   auto producers = MakeProducers(2);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = Plane::Create(dipc_, producers, cons,
-                          {.slots = 4, .buf_bytes = 4096, .credits = 2});
+  auto ch = Plane::Create(dipc_, producers, cons, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
   std::shared_ptr<Plane> fan = ch.value();
   const uint64_t old_owner = fan->producer_owner(0);
@@ -380,29 +321,6 @@ TEST_F(FanInTest, RebindProducerSplicesFreshIncarnationWithFullCreditLine) {
   EXPECT_EQ(codoms_.revocations().LiveCountForOwner(old_owner), 0u);
   EXPECT_EQ(fan->LiveGrantCount(), 0u);
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
-}
-
-TEST_F(FanInTest, CreditAndLagSettingsNeedAGroupSideToApplyTo) {
-  // No config field is silently ignored: a credit line needs a group side,
-  // and the lag policy a receiver group.
-  auto producers = MakeProducers(2);
-  os::Process& cons = dipc_.CreateDipcProcess("consumer");
-  EXPECT_EQ(Channel::Create(dipc_, *producers[0], cons, {.slots = 4, .credits = 2}).code(),
-            ErrorCode::kInvalidArgument);
-  EXPECT_EQ(Channel::Create(dipc_, *producers[0], cons,
-                            {.slots = 4, .lag_policy = LagPolicy::kDropSlowest})
-                .code(),
-            ErrorCode::kInvalidArgument);
-  EXPECT_EQ(Plane::Create(dipc_, producers, cons,
-                          {.slots = 4, .lag_policy = LagPolicy::kDropSlowest})
-                .code(),
-            ErrorCode::kInvalidArgument);
-  EXPECT_EQ(Plane::Create(dipc_, producers, cons, {.slots = 4, .credits = 5}).code(),
-            ErrorCode::kInvalidArgument);
-  EXPECT_TRUE(Plane::Create(dipc_, producers, cons, {.slots = 4, .credits = 2}).ok());
-  EXPECT_TRUE(Plane::Create(dipc_, cons, producers,
-                            {.slots = 4, .credits = 2, .lag_policy = LagPolicy::kDropSlowest})
-                  .ok());
 }
 
 }  // namespace

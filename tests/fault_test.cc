@@ -136,6 +136,9 @@ TEST_F(FaultTest, PointsAreCountedIndependently) {
   EXPECT_FALSE(inj.Probe(points::kChanSend).fail());  // chan/send probe #1
   EXPECT_FALSE(inj.Probe(points::kCapMint).fail());
   EXPECT_TRUE(inj.Probe(points::kChanSend).fail());  // chan/send probe #2
+  EXPECT_EQ(inj.probes(points::kChanSend), 2u);
+  EXPECT_EQ(inj.probes(points::kFutexWake), 1u);
+  EXPECT_EQ(inj.probes(points::kDeathSweep), 0u);
 }
 
 TEST_F(FaultTest, KillRunsHandlerAndLetsOperationProceed) {
@@ -224,6 +227,7 @@ TEST_F(FaultTest, RearmResetsAllState) {
   EXPECT_FALSE(inj.Probe(points::kChanSend).fail());  // max=1 spent
   inj.Arm(plan.value(), nullptr);                     // re-arm: counters reset
   EXPECT_EQ(inj.fire_count(), 0u);
+  EXPECT_EQ(inj.probes(points::kChanSend), 0u);
   EXPECT_TRUE(inj.Probe(points::kChanSend).fail());
 }
 
@@ -264,15 +268,15 @@ TEST_F(FaultTest, FutexParkDelayFiresOncePerParkAndBillsKernelTime) {
            EXPECT_TRUE((co_await q.Push(env, 7)).ok());
          });
          kernel.Run();
-         return q.blocked_pops() + q.blocked_pushes();
+         return q.blocked_pops();
        }},
       {"credit-line wait",
        [](core::Dipc& dipc, os::Kernel& kernel) -> uint64_t {
          os::Process& prod = dipc.CreateDipcProcess("producer");
          os::Process& recv = dipc.CreateDipcProcess("receiver");
          std::vector<os::Process*> receivers = {&recv};
-         auto created = chan::Plane::Create(dipc, prod, receivers,
-                                            {.slots = 4, .buf_bytes = 4096, .credits = 1});
+         auto created =
+             chan::Plane::Create(dipc, prod, receivers, {.slots = 1, .buf_bytes = 4096});
          DIPC_CHECK(created.ok());
          std::shared_ptr<chan::Plane> plane = created.value();
          kernel.Spawn(prod, "producer", [&](os::Env env) -> sim::Task<void> {
@@ -324,6 +328,120 @@ TEST_F(FaultTest, FutexParkDelayFiresOncePerParkAndBillsKernelTime) {
     EXPECT_EQ(inj.fire_count(), delayed.parks);
     EXPECT_EQ((delayed.kernel - plain.kernel).picos(), (kDelay * delayed.parks).picos());
   }
+}
+
+// A producer parked on a credit line whose release wake the plan drops: on
+// a 2-slot plane, fan-out (the receiver's line) or fan-in (the producer's
+// own line), the producer sends two messages and its third AcquireBuf parks
+// (nobody has returned credit yet, so it does not spin). The receiver
+// releases the first message 20 us later, a wake the plan's one rule drops,
+// and the second 40 us after that.
+struct CreditDropRun {
+  base::ErrorCode code = base::ErrorCode::kWouldBlock;  // until the acquire returns
+  sim::Time deadline_at;                               // the acquire's, if finite
+  sim::Time acquired;
+  sim::Time released[2];
+  uint64_t parks = 0;
+  uint64_t grant_probes = 0;
+  uint64_t live_grants = 0;
+  uint64_t live_counters = 0;
+};
+
+CreditDropRun RunCreditDrop(bool fan_in, bool with_deadline) {
+  hw::Machine machine(4);
+  codoms::Codoms codoms(machine);
+  os::Kernel kernel(machine, codoms);
+  core::Dipc dipc(kernel);
+  os::Process& prod = dipc.CreateDipcProcess("producer");
+  os::Process& recv = dipc.CreateDipcProcess("receiver");
+  std::vector<os::Process*> group = {fan_in ? &prod : &recv};
+  const chan::PlaneConfig cfg{.slots = 2, .buf_bytes = 4096};
+  auto created = fan_in ? chan::Plane::Create(dipc, group, recv, cfg)
+                        : chan::Plane::Create(dipc, prod, group, cfg);
+  DIPC_CHECK(created.ok());
+  std::shared_ptr<chan::Plane> plane = created.value();
+  const std::string_view point = fan_in ? points::kFanInCreditGrant : points::kCreditGrant;
+  auto plan = Plan::Parse("rule " + std::string(point) + " drop_wake at=1\n");
+  DIPC_CHECK(plan.ok());
+  Injector::Global().Arm(plan.value(), nullptr);
+  CreditDropRun run;
+  kernel.Spawn(
+      prod, "producer",
+      [&](os::Env env) -> sim::Task<void> {
+        for (int i = 0; i < 2; ++i) {
+          auto buf = co_await plane->AcquireBuf(env, 0);
+          DIPC_CHECK(buf.ok());
+          EXPECT_TRUE((co_await plane->Send(env, 0, buf.value(), 64)).ok());
+        }
+        os::Deadline deadline;
+        if (with_deadline) {
+          deadline = os::Deadline::After(env.kernel->now(), Duration::Micros(30));
+          run.deadline_at = deadline.at();
+        }
+        auto third = co_await plane->AcquireBuf(env, 0, deadline);
+        run.acquired = env.kernel->now();
+        run.code = third.code();
+        if (third.ok()) {
+          EXPECT_TRUE((co_await plane->Send(env, 0, third.value(), 64)).ok());
+        }
+      },
+      /*pin_cpu=*/0);
+  kernel.Spawn(
+      recv, "receiver",
+      [&](os::Env env) -> sim::Task<void> {
+        for (int i = 0; i < 3; ++i) {
+          auto msg = co_await plane->Recv(env, 0);
+          DIPC_CHECK(msg.ok());
+          if (i < 2) {
+            co_await env.kernel->Sleep(env, Duration::Micros(i == 0 ? 20 : 40));
+          }
+          EXPECT_TRUE((co_await plane->Release(env, 0, msg.value())).ok());
+          if (i < 2) {
+            run.released[i] = env.kernel->now();
+          }
+        }
+        plane->Close();
+      },
+      /*pin_cpu=*/1);
+  kernel.Run();
+  run.parks = plane->blocked_on_credit();
+  run.grant_probes = Injector::Global().probes(point);
+  run.live_grants = plane->LiveGrantCount();
+  run.live_counters = codoms.revocations().live_count();
+  return run;
+}
+
+// The dropped wake leaves the producer parked with its credit back: with a
+// finite deadline it recovers at that deadline, before the next release;
+// without one, the next release wakes it. Either way it parked once, the
+// drop was the rule's one fire, and no grant outlives the run.
+void ExpectCreditDropRecovers(bool fan_in) {
+  for (bool with_deadline : {true, false}) {
+    SCOPED_TRACE(with_deadline ? "deadline" : "no deadline");
+    const CreditDropRun run = RunCreditDrop(fan_in, with_deadline);
+    EXPECT_EQ(run.code, base::ErrorCode::kOk);
+    EXPECT_GT(run.acquired, run.released[0]);
+    if (with_deadline) {
+      EXPECT_GE(run.acquired, run.deadline_at);
+      EXPECT_LT(run.acquired, run.released[1]);
+      EXPECT_EQ(run.grant_probes, 1u);
+    } else {
+      EXPECT_GE(run.acquired, run.released[1]);
+      EXPECT_EQ(run.grant_probes, 2u);  // the second release's wake is delivered
+    }
+    EXPECT_EQ(Injector::Global().fire_count(), 1u);
+    EXPECT_EQ(run.parks, 1u);
+    EXPECT_EQ(run.live_grants, 0u);
+    EXPECT_EQ(run.live_counters, 0u);
+  }
+}
+
+TEST_F(FaultTest, DroppedFanOutCreditWakeRecoversAtTheDeadlineOrTheNextRelease) {
+  ExpectCreditDropRecovers(/*fan_in=*/false);
+}
+
+TEST_F(FaultTest, DroppedFanInCreditWakeRecoversAtTheDeadlineOrTheNextRelease) {
+  ExpectCreditDropRecovers(/*fan_in=*/true);
 }
 
 #endif  // !DIPC_FAULT_OFF

@@ -396,6 +396,51 @@ TEST_F(OsTest, AncillaryOnlySendWakesAParkedReceiver) {
   EXPECT_EQ(received[0]->type_name(), "semaphore");
 }
 
+TEST_F(OsTest, ReadWithNoRoomForHandlesDiscardsThemAndWaitsForBytes) {
+  // A 0-byte send carrying a handle, then 4 bytes, then 4 more and a close:
+  // reads that pass no handles_out discard the handle (MSG_CTRUNC) instead
+  // of returning 0 for it, so RecvExact gets its 4 bytes, the next Recv the
+  // other 4, and only the close reads as EOF.
+  Process& p = kernel_.CreateProcess("p");
+  auto [a, b] = UnixStreamCore::CreatePair(kernel_);
+  auto sbuf = kernel_.MapAnonymous(p, hw::kPageSize, hw::PageFlags{.writable = true});
+  auto rbuf = kernel_.MapAnonymous(p, hw::kPageSize, hw::PageFlags{.writable = true});
+  ASSERT_TRUE(sbuf.ok() && rbuf.ok());
+  std::vector<uint32_t> got;
+  base::ErrorCode exact = base::ErrorCode::kWouldBlock;  // until RecvExact returns
+  std::vector<uint64_t> lens;
+  auto handle = std::make_shared<Semaphore>(1);
+  kernel_.Spawn(p, "sender", [&, a = a](Env env) -> sim::Task<void> {
+    Pipe::Handles handles{handle};
+    EXPECT_TRUE((co_await a->Send(env, sbuf.value(), 0, std::move(handles))).ok());
+    for (uint32_t word : {0x01020304u, 0x05060708u}) {
+      co_await env.kernel->Sleep(env, Duration::Micros(10));
+      EXPECT_TRUE(
+          env.kernel->UserWrite(*env.self, sbuf.value(), std::as_bytes(std::span(&word, 1))).ok());
+      EXPECT_TRUE((co_await a->Send(env, sbuf.value(), sizeof(word))).ok());
+    }
+    a->Close();
+  });
+  kernel_.Spawn(p, "receiver", [&, b = b](Env env) -> sim::Task<void> {
+    exact = (co_await b->RecvExact(env, rbuf.value(), 4)).code();
+    for (int i = 0; i < 2; ++i) {
+      uint32_t word = 0;
+      EXPECT_TRUE(
+          env.kernel->UserRead(*env.self, rbuf.value(), std::as_writable_bytes(std::span(&word, 1)))
+              .ok());
+      got.push_back(word);
+      auto n = co_await b->Recv(env, rbuf.value(), 4);
+      EXPECT_TRUE(n.ok());
+      lens.push_back(n.value());
+    }
+  });
+  kernel_.Run();
+  EXPECT_EQ(exact, base::ErrorCode::kOk);
+  EXPECT_EQ(got, (std::vector<uint32_t>{0x01020304u, 0x05060708u}));
+  EXPECT_EQ(lens, (std::vector<uint64_t>{4, 0}));  // then EOF
+  EXPECT_EQ(handle.use_count(), 1);                // the ring dropped it
+}
+
 TEST_F(OsTest, ClosedRingsFailTheirWriters) {
   Process& p = kernel_.CreateProcess("p");
   auto [a, b] = UnixStreamCore::CreatePair(kernel_);

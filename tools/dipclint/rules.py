@@ -488,7 +488,10 @@ def rule_futex_predicate(fm: FileModel, ctx: RepoContext) -> list[Finding]:
 
 _DEADLINE_SCOPE = ("src/chan/", "src/fabric/")
 _DEADLINE_FILES = ("src/os/semaphore.h",)
-_BLOCKING_VERB = re.compile(r"^(Acquire|Recv|Push|Pop|Wait|Write|Read|Call)")
+# A queue push is not among them: MpmcQueue::PushN never waits for room (a
+# plane's pool and FIFOs have room for every slot, and a push past capacity
+# aborts).
+_BLOCKING_VERB = re.compile(r"^(Acquire|Recv|Pop|Wait|Write|Read|Call)")
 
 
 def _deadline_in_scope(path: str) -> bool:
