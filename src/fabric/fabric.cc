@@ -2,6 +2,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "base/check.h"
 #include "chan/desc.h"
@@ -54,6 +55,7 @@ void ServiceFabric::RegisterMetrics() {
   m_retries_ = metrics_.GetCounter(p + "retries");
   m_failures_ = metrics_.GetCounter(p + "failures");
   m_duplicates_ = metrics_.GetCounter(p + "duplicate_completions");
+  m_relayed_ = metrics_.GetCounter(p + "relayed_completions");
   m_rebinds_ = metrics_.GetCounter(p + "worker_rebinds");
   m_busy_dispatches_ = metrics_.GetCounter(p + "busy_dispatches");
   m_call_ns_ = metrics_.GetHistogram(p + "call_ns");
@@ -69,6 +71,10 @@ base::Result<std::shared_ptr<ServiceFabric>> ServiceFabric::Create(
   auto fab = std::shared_ptr<ServiceFabric>(new ServiceFabric(dipc, clients, workers, cfg));
   fab->RegisterMetrics();
   fab->progress_.assign(workers.size(), 0);
+  {
+    base::MutexLock lock(&fab->completions_mu_);
+    fab->waits_.resize(clients.size());
+  }
 
   // Tag trios: shared across planes by default (identical trust relationship
   // for every tenant), so the per-CPU APL cache sees 6 tags no matter how
@@ -159,6 +165,15 @@ sim::Task<ServiceFabric::Pick> ServiceFabric::PickWorker(os::Env env, chan::Plan
       break;
     }
   }
+  if (pick.worker < n) {
+    // The claim, written before the spend as AddLoad's update is: a pick
+    // that scans after this one, even at the same instant, reads it.
+    const int64_t claimed = least + 1;
+    auto c = k.UserAccessCost(*env.self, LoadVa(pick.worker), sizeof(claimed),
+                              hw::AccessType::kWrite, std::as_bytes(std::span(&claimed, 1)));
+    DIPC_CHECK(c.ok());
+    cost += c.value();
+  }
   co_await k.Spend(*env.self, cost, TimeCat::kUser);
   co_return pick;
 }
@@ -243,25 +258,24 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
   }
   const std::shared_ptr<chan::Plane>& req = req_[client];
   const uint64_t opid = ++next_opid_;
-  auto sem = std::make_shared<os::Semaphore>(0);
+  auto op = std::make_shared<Completion>(client);
   {
     base::MutexLock lock(&completions_mu_);
-    completions_[opid] = sem;
+    completions_[opid] = op;
   }
   ++calls_;
   m_calls_->Add();
   const sim::Time t0 = k.now();
   Duration backoff = kBackoffInitial;
-  bool done = false;
+  bool exhausted = false;
   // Every blocking step of an attempt carries the per-attempt deadline; a
   // kTimedOut/kCalleeFailed/kFault attempt is retried under the SAME opid
   // with capped exponential backoff — the single completions-map entry keeps
   // delivery exactly-once no matter how many attempts race.
-  for (int attempt = 0; !done && !stopped_; ++attempt) {
+  for (int attempt = 0; !stopped_; ++attempt) {
     if (attempt > 0) {
       if (attempt > cfg_.max_call_retries) {
-        ++failed_;
-        m_failures_->Add();
+        exhausted = true;
         break;
       }
       ++retried_;
@@ -270,6 +284,9 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
       backoff = backoff * 2;
       if (backoff > kBackoffCap) {
         backoff = kBackoffCap;
+      }
+      if (Delivered(*op)) {
+        break;  // an earlier attempt's completion landed during the back-off
       }
     }
     {
@@ -308,8 +325,8 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
     // the buffer back when no live worker remains or the deadline fired.
     bool sent = false;
     uint32_t shard_used = 0;
-    // The serve thread the request would have woken: the completion wait
-    // below switches this CPU straight to it.
+    // The serve thread the request would have woken: the completion wait's
+    // first park switches this CPU straight to it.
     os::DeferredWake wake;
     const sim::Time t_send = k.now();
     while (req->broken() == base::ErrorCode::kOk) {
@@ -325,8 +342,10 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
           ++busy_dispatches_;
           m_busy_dispatches_->Add();
         }
-        co_await AddLoad(env, pick.worker, 1);
         break;
+      }
+      if (req->receiver_alive(pick.worker)) {
+        co_await AddLoad(env, pick.worker, -1);  // a dead worker's count is reset
       }
       if (s.code() != base::ErrorCode::kCalleeFailed) {
         break;  // timeout, close or a caller bug — resharding won't help
@@ -344,26 +363,25 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
     }
     obs::Trace().Record(env.self->last_cpu(), obs::EventType::kReqSend, obs_id_,
                         HopArg(shard_used, kHopReqSend, att), k.now(), k.now() - t_send, opid);
-    auto w = co_await sem->WaitUntil(env, dl, std::move(wake));
-    if (w.ok()) {
-      done = true;
+    if (co_await WaitForCompletion(env, op, dl, std::move(wake))) {
+      break;
     }
-    // kTimedOut: the worker wedged or died mid-request. Back off and resend
-    // the same opid — the supervisor restores capacity and the dispatcher
-    // drops any late duplicate completion. kBrokenChannel: Close() failed
-    // the semaphore, and the loop ends on stopped_.
+    // Timed out: the worker wedged or died mid-request. Back off and resend
+    // the same opid — the supervisor restores capacity, and a late duplicate
+    // completion is dropped where it is received. Closed: the loop ends on
+    // stopped_.
   }
-  if (sem->count() > 0) {
-    // A retry raced with a late completion of an earlier attempt and both
-    // landed: the extra tokens are duplicates.
-    duplicates_ += static_cast<uint64_t>(sem->count());
-    m_duplicates_->Add(static_cast<uint64_t>(sem->count()));
-  }
+  bool done = false;
   {
     base::MutexLock lock(&completions_mu_);
+    done = op->delivered;
     completions_.erase(opid);
   }
   if (!done) {
+    if (exhausted) {
+      ++failed_;
+      m_failures_->Add();
+    }
     co_return stopped_ ? base::ErrorCode::kBrokenChannel : base::ErrorCode::kCalleeFailed;
   }
   ++completed_;
@@ -381,8 +399,8 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
   DIPC_CHECK(client < client_count() && worker < worker_count());
   const std::shared_ptr<chan::Plane>& req = req_[client];
   const std::shared_ptr<chan::Plane>& resp = resp_[client];
-  // The dispatcher the last response would have woken: the Recv of the next
-  // request switches this CPU straight to it.
+  // The receiving caller the last response would have woken: the Recv of
+  // the next request switches this CPU straight to it.
   os::DeferredWake wake;
   while (!stopped_) {
     const sim::Time t_recv = k.now();
@@ -452,58 +470,159 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
   }
 }
 
+bool ServiceFabric::Delivered(const Completion& op) {
+  base::MutexLock lock(&completions_mu_);
+  return op.delivered;
+}
+
+std::shared_ptr<ServiceFabric::Completion> ServiceFabric::NextReceiver(ClientWaits& cw) {
+  if (cw.receiving || stopped_) {
+    return nullptr;
+  }
+  for (const std::shared_ptr<Completion>& op : cw.waiting) {
+    if (!op->delivered && !op->signalled) {
+      op->signalled = true;
+      return op;
+    }
+  }
+  return nullptr;
+}
+
+sim::Task<bool> ServiceFabric::WaitForCompletion(os::Env env, std::shared_ptr<Completion> op,
+                                                 os::Deadline dl, os::DeferredWake wake) {
+  os::Kernel& k = *env.kernel;
+  const uint32_t client = op->client;
+  {
+    base::MutexLock lock(&completions_mu_);
+    waits_[client].waiting.push_back(op);
+  }
+  // A follower parks on its semaphore until it is delivered or handed the
+  // role; a token only wakes it, so each wake re-checks both.
+  bool receiver = false;
+  while (true) {
+    {
+      base::MutexLock lock(&completions_mu_);
+      if (op->delivered) {
+        break;
+      }
+      receiver = !waits_[client].receiving;
+      waits_[client].receiving = true;
+    }
+    if (receiver) {
+      break;
+    }
+    if (!(co_await op->sem.WaitUntil(env, dl, std::move(wake))).ok()) {
+      break;  // timed out, or Close() failed the semaphore
+    }
+    base::MutexLock lock(&completions_mu_);
+    op->signalled = false;
+  }
+  // The receiver: the serve thread's response send swaps straight back to
+  // this park, and each relayed completion's wake rides into the next one.
+  while (receiver && !stopped_ && !Delivered(*op)) {
+    const sim::Time t_recv = k.now();
+    auto msg = co_await resp_[client]->Recv(env, 0, dl, std::exchange(wake, {}));
+    if (!msg.ok()) {
+      break;  // timed out, closed, or the client's plane broke
+    }
+    if (!(co_await Deliver(env, client, msg.value(), t_recv, op.get(), &wake))) {
+      break;
+    }
+  }
+  if (wake) {
+    co_await os::FutexWake(env, *wake.Take());  // no park took it
+  }
+  // Leaving: a receiver hands the role on, and so does a follower whose
+  // hand-off token came too late for it.
+  std::shared_ptr<Completion> next;
+  bool delivered = false;
+  {
+    base::MutexLock lock(&completions_mu_);
+    ClientWaits& cw = waits_[client];
+    std::erase(cw.waiting, op);
+    if (receiver) {
+      cw.receiving = false;
+    }
+    if (receiver || (op->signalled && !op->delivered)) {
+      next = NextReceiver(cw);
+    }
+    delivered = op->delivered;
+  }
+  if (next != nullptr) {
+    co_await next->sem.Post(env);
+  }
+  co_return delivered;
+}
+
+sim::Task<bool> ServiceFabric::Deliver(os::Env env, uint32_t client, const chan::Msg& msg,
+                                       sim::Time t_recv, const Completion* self,
+                                       os::DeferredWake* wake) {
+  os::Kernel& k = *env.kernel;
+  const obs::TraceCtx cctx = chan::internal::UnpackTraceWord(msg.tctx);
+  uint64_t opid = 0;
+  if (!(co_await k.TouchUser(env, msg.va, msg.len, hw::AccessType::kRead,
+                             std::as_writable_bytes(std::span(&opid, 1))))
+           .ok()) {
+    co_return false;  // the client died mid-delivery; teardown swept the grant
+  }
+  if (!(co_await resp_[client]->Release(env, 0, msg)).ok()) {
+    co_return false;
+  }
+  std::shared_ptr<Completion> op;
+  bool post = false;
+  {
+    base::MutexLock lock(&completions_mu_);
+    auto it = completions_.find(opid);
+    if (it != completions_.end() && !it->second->delivered) {
+      op = it->second;
+      op->delivered = true;
+      if (op.get() != self && !op->signalled) {
+        op->signalled = true;
+        post = true;
+      }
+    }
+  }
+  if (op == nullptr) {
+    // The client already retried and its retry won the race, or the call
+    // ended: this late completion of an earlier attempt is dropped, keeping
+    // completion delivery exactly-once per operation.
+    ++duplicates_;
+    m_duplicates_->Add();
+  } else if (self != nullptr && op.get() != self) {
+    ++relayed_;
+    m_relayed_->Add();
+  }
+  if (post) {
+    co_await op->sem.Post(env, wake);
+  }
+  // Recorded even for dropped duplicates — the forensic value of a late
+  // completion is exactly why it's traced.
+  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kCompletionDispatch, obs_id_,
+                      HopArg(client, cctx.hop, cctx.attempt), k.now(), k.now() - t_recv,
+                      cctx.opid);
+  co_return true;
+}
+
 void ServiceFabric::StartDispatcher(uint32_t client) {
   DIPC_CHECK(client < client_count());
   auto self = shared_from_this();
   kernel_.Spawn(*client_procs_[client], "fabric-disp",
                 [self, client](os::Env env) -> sim::Task<void> {
-                  os::Kernel& k = *env.kernel;
-                  const std::shared_ptr<chan::Plane>& resp = self->resp_[client];
-                  // The caller the last completion would have woken: the
-                  // Recv of the next response switches this CPU to it.
+                  (void)co_await self->closed_.WaitUntil(env);
+                  // Drain: every response no caller received, until the
+                  // closed plane fails the Recv.
                   os::DeferredWake wake;
                   while (true) {
-                    const sim::Time t_disp = k.now();
-                    auto msg = co_await resp->Recv(env, 0, {}, std::exchange(wake, {}));
+                    const sim::Time t_recv = env.kernel->now();
+                    auto msg = co_await self->resp_[client]->Recv(env, 0, {},
+                                                                  std::exchange(wake, {}));
                     if (!msg.ok()) {
                       co_return;
                     }
-                    const obs::TraceCtx cctx =
-                        chan::internal::UnpackTraceWord(msg.value().tctx);
-                    uint64_t opid = 0;
-                    if (!(co_await k.TouchUser(env, msg.value().va, msg.value().len,
-                                               hw::AccessType::kRead,
-                                               std::as_writable_bytes(std::span(&opid, 1))))
-                             .ok()) {
-                      co_return;  // client died mid-dispatch; teardown swept us
+                    if (!(co_await self->Deliver(env, client, msg.value(), t_recv, nullptr,
+                                                 &wake))) {
+                      co_return;  // the client died mid-drain
                     }
-                    if (!(co_await resp->Release(env, 0, msg.value())).ok()) {
-                      co_return;
-                    }
-                    std::shared_ptr<os::Semaphore> sem;
-                    {
-                      base::MutexLock lock(&self->completions_mu_);
-                      auto it = self->completions_.find(opid);
-                      if (it != self->completions_.end()) {
-                        sem = it->second;
-                      }
-                    }
-                    if (sem != nullptr) {
-                      co_await sem->Post(env, &wake);
-                    } else {
-                      // The client already retried and its retry won the
-                      // race: this late completion of the earlier attempt is
-                      // dropped, keeping completion delivery exactly-once
-                      // per operation.
-                      ++self->duplicates_;
-                      self->m_duplicates_->Add();
-                    }
-                    // Recorded even for dropped duplicates — the forensic
-                    // value of a late completion is exactly why it's traced.
-                    obs::Trace().Record(env.self->last_cpu(),
-                                        obs::EventType::kCompletionDispatch, self->obs_id_,
-                                        HopArg(client, cctx.hop, cctx.attempt), k.now(),
-                                        k.now() - t_disp, cctx.opid);
                   }
                 });
 }
@@ -524,10 +643,13 @@ void ServiceFabric::Close() {
   }
   // A Call parked on its completion would wait for a response that may
   // never come.
-  base::MutexLock lock(&completions_mu_);
-  for (const auto& [opid, sem] : completions_) {
-    sem->Fail(kernel_, base::ErrorCode::kBrokenChannel);
+  {
+    base::MutexLock lock(&completions_mu_);
+    for (const auto& [opid, op] : completions_) {
+      op->sem.Fail(kernel_, base::ErrorCode::kBrokenChannel);
+    }
   }
+  closed_.Fail(kernel_, base::ErrorCode::kBrokenChannel);
 }
 
 }  // namespace dipc::fabric

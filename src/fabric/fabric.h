@@ -13,14 +13,16 @@
 //   - Call(): the client-side request path — opid-stamped request, sent to
 //     the least-loaded live worker (below) with re-dispatch when the chosen
 //     worker dies, per-attempt deadline and capped-backoff retry under the
-//     SAME opid, blocking on a per-operation completion semaphore.
-//     Exactly-once: one completions-map entry per operation; late
-//     completions of earlier attempts are dropped at dispatch and counted.
+//     SAME opid, then the wait for its completion (below).
+//     Exactly-once: one completions-map entry per operation, delivered at
+//     most once; late completions of earlier attempts are dropped and
+//     counted.
 //   - Serve(): the worker-side loop for one (client, worker) pair — drain
 //     the request shard, run the app handler, respond with the matching
 //     opid into the client's response plane as that worker's producer.
-//   - StartDispatcher(): per-client completion pump draining the response
-//     plane and posting the matching semaphore.
+//   - StartDispatcher(): per-client drain thread. It waits for Close(), then
+//     receives what is left on the response plane, so a late duplicate that
+//     no caller received is still counted and every grant drains.
 //   - RebindWorker(): the supervisor's respawn path — one call splices a
 //     fresh process into worker w's receiver slot on every client's
 //     request plane AND its producer slot on every client's response
@@ -28,24 +30,42 @@
 //   - Close(): closes every plane and fails every registered completion
 //     semaphore, so a Call parked on one returns kBrokenChannel.
 //
-// Direct hops: each of a call's three wakes is a wake-and-park handoff
+// Completion: the caller that waits for a completion receives it. A caller
+// whose completion has not arrived becomes its client's receiver when no
+// other caller is receiving: it parks in the response plane's Recv, then
+// reads each response's opid, releases it and delivers it. Otherwise it is
+// a follower and parks on its own completion semaphore. A receiver that
+// delivers another caller's completion posts that caller's semaphore
+// (fabric/<id>/relayed_completions). A receiver whose own completion
+// arrived, or whose Recv failed or timed out, hands the role to the first
+// waiting caller of its client that is neither delivered nor signalled, by
+// posting its semaphore; a woken follower re-checks both, and one that
+// leaves with that token untaken (its deadline fired) passes the role on
+// the same way. The tokens only wake: the entry's delivered flag says
+// whether the call completed, so a completion that lands during a retry's
+// back-off ends the call without another request.
+//
+// Direct hops: each of a call's two wakes is a wake-and-park handoff
 // (os::DeferredWake, FUTEX_SWAP-style). Call's request publish defers the
-// serve thread it would wake, and the completion wait switches the
-// caller's CPU straight to it. Serve's response publish defers the
-// dispatcher, and the Recv of its next request switches to it. The
-// dispatcher's completion Post defers the caller, and the Recv of its next
-// response switches to it. A swap costs a syscall entry, the futex wait and
-// wake work and a register save/restore, with no IPI, idle exit or
-// scheduler pick; a hop whose holder does not park (work already queued, a
-// close) wakes as before.
+// serve thread it would wake, and the caller's first park (the receiver's
+// Recv or the follower's semaphore wait) switches its CPU straight to it.
+// Serve's response publish defers the receiving caller, and the Recv of its
+// next request switches to it. A relayed completion's Post defers the
+// follower, and the receiver's next Recv switches to it. A swap costs a
+// syscall entry, the futex wait and wake work and a register save/restore,
+// with no IPI, idle exit or scheduler pick; a hop whose holder does not
+// park (work already queued, a close) wakes as before, and so does a role
+// hand-off, whose poster returns from its call.
 //
 // Least-loaded dispatch: Call reads the live workers' in-flight counts in
 // round-robin order, starting at the client plane's NextShard() pick, and
 // sends to the first idle worker, else to the one with the fewest in
 // flight (the first of them in scan order). At zero load the pick is the
-// round-robin one. A successful send adds one to the chosen worker's count
-// and Serve subtracts one when the handler returns; a send that found no
-// idle worker counts in fabric/<id>/busy_dispatches.
+// round-robin one. The pick claims its worker: it adds one to the chosen
+// count in the host step of its reads, so a concurrent pick reads the claim.
+// A failed send gives the claim back while the worker is alive, and Serve
+// subtracts one when the handler returns; a send that found no idle worker
+// counts in fabric/<id>/busy_dispatches.
 //
 // Load segment: the counts live only in simulated memory, one signed 8-B
 // count per worker at the start of its own 64-B line, in one segment under
@@ -128,7 +148,8 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   // Exits when the fabric closes or either plane fails for this endpoint.
   sim::Task<void> Serve(os::Env env, uint32_t client, uint32_t worker, Handler handler);
 
-  // Spawns client c's completion dispatcher thread (named "fabric-disp").
+  // Spawns client c's drain thread (named "fabric-disp"): after Close() it
+  // receives the responses no caller received.
   void StartDispatcher(uint32_t client);
   void StartAllDispatchers();
 
@@ -157,6 +178,8 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   uint64_t retries() const { return retried_; }
   uint64_t failures() const { return failed_; }
   uint64_t duplicate_completions() const { return duplicates_; }
+  // Completions a receiving caller delivered to another caller of its client.
+  uint64_t relayed_completions() const { return relayed_; }
   uint64_t worker_rebinds() const { return rebinds_; }
   // Requests sent while no live worker was idle (each queued behind work).
   uint64_t busy_dispatches() const { return busy_dispatches_; }
@@ -181,12 +204,47 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
     uint32_t worker = 0;
     bool busy = false;
   };
+  // Claims the pick: the chosen count goes up by one in the scan's host step.
   sim::Task<Pick> PickWorker(os::Env env, chan::Plane& req);
   // Adds `delta` to worker w's count: one atomic add, spent as user time.
   sim::Task<void> AddLoad(os::Env env, uint32_t w, int64_t delta);
   hw::VirtAddr LoadVa(uint32_t w) const { return load_seg_.base + w * hw::kCacheLineSize; }
   // Worker w's count line in physical memory, for the untimed accesses.
   hw::PhysAddr LoadPa(uint32_t w) const;
+
+  // One call's completion entry. `signalled`: a Post to `sem` is
+  // outstanding (its caller has not yet taken the token).
+  struct Completion {
+    explicit Completion(uint32_t c) : client(c) {}
+    const uint32_t client;
+    os::Semaphore sem;
+    bool delivered = false;
+    bool signalled = false;
+  };
+  // Per client: whether a caller receives (it is in Recv or on its way in),
+  // and the callers waiting for their completions, in arrival order.
+  struct ClientWaits {
+    bool receiving = false;
+    std::vector<std::shared_ptr<Completion>> waiting;
+  };
+  // One attempt's wait for `op`, bounded by `dl`: as its client's receiver
+  // when no other caller receives, else as a follower. `wake` goes to the
+  // first park. True once `op` is delivered.
+  sim::Task<bool> WaitForCompletion(os::Env env, std::shared_ptr<Completion> op, os::Deadline dl,
+                                    os::DeferredWake wake);
+  // Reads a received response's opid, releases it and delivers it: marks
+  // its entry delivered and, when the entry is another caller's with no
+  // post outstanding, posts that caller's semaphore with the wake deferred
+  // into *wake. No entry, or one already delivered, is a duplicate. `self`
+  // is the receiving caller's entry (null for the drain thread). False
+  // when the read or the release failed.
+  sim::Task<bool> Deliver(os::Env env, uint32_t client, const chan::Msg& msg, sim::Time t_recv,
+                          const Completion* self, os::DeferredWake* wake);
+  bool Delivered(const Completion& op);
+  // The caller to take over `cw`'s vacant receiving role, marked signalled:
+  // the first waiting one neither delivered nor signalled. Null when the
+  // role is taken, nobody qualifies or the fabric stopped.
+  std::shared_ptr<Completion> NextReceiver(ClientWaits& cw) DIPC_REQUIRES(completions_mu_);
 
   core::Dipc& dipc_;
   os::Kernel& kernel_;
@@ -196,14 +254,18 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   std::vector<std::shared_ptr<chan::Plane>> req_;   // per client
   std::vector<std::shared_ptr<chan::Plane>> resp_;  // per client
   bool stopped_ = false;
-  // Opid-matched completion delivery (fabric-wide unique opids). The map is
-  // the one fabric structure shared between caller and dispatcher coroutine
-  // contexts; its mutex is held only across map lookups/updates — never
-  // across a co_await (Post happens on a handle copied out under the lock).
+  // The drain threads wait on it; Close() fails it.
+  os::Semaphore closed_;
+  // Opid-matched completion delivery (fabric-wide unique opids). The map
+  // and the per-client waits are shared between the callers of a client and
+  // its drain thread; the mutex is held only across lookups and updates,
+  // never across a co_await (a Post happens on an entry copied out under
+  // the lock).
   uint64_t next_opid_ = 0;
-  mutable base::Mutex completions_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<os::Semaphore>> completions_
+  base::Mutex completions_mu_;
+  std::unordered_map<uint64_t, std::shared_ptr<Completion>> completions_
       DIPC_GUARDED_BY(completions_mu_);
+  std::vector<ClientWaits> waits_ DIPC_GUARDED_BY(completions_mu_);
   std::vector<uint64_t> progress_;  // per worker slot
   chan::Segment load_seg_;          // one count line per worker slot
   uint64_t calls_ = 0;
@@ -211,6 +273,7 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   uint64_t retried_ = 0;
   uint64_t failed_ = 0;
   uint64_t duplicates_ = 0;
+  uint64_t relayed_ = 0;
   uint64_t rebinds_ = 0;
   uint64_t busy_dispatches_ = 0;
   uint32_t obs_id_ = 0;
@@ -220,6 +283,7 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   obs::Counter* m_retries_ = nullptr;
   obs::Counter* m_failures_ = nullptr;
   obs::Counter* m_duplicates_ = nullptr;
+  obs::Counter* m_relayed_ = nullptr;
   obs::Counter* m_rebinds_ = nullptr;
   obs::Counter* m_busy_dispatches_ = nullptr;
   obs::Histogram* m_call_ns_ = nullptr;

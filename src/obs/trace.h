@@ -54,7 +54,7 @@ enum class EventType : uint8_t {
   kWorkerRecv,          // dur = worker recv incl. idle wait for the request
   kHandler,             // dur = handler body on the worker
   kRespSend,            // dur = response-plane send (worker -> client)
-  kCompletionDispatch,  // dur = completion recv+post on the client dispatcher
+  kCompletionDispatch,  // dur = completion recv+delivery by the receiving caller
   // Scheduler observability: why a wedged worker stalled.
   kSchedMigrate,  // instant; obj = tid, arg = (from_cpu << 32) | to_cpu
   kRunqDepth,     // instant; arg = run-queue depth after the change

@@ -1,14 +1,18 @@
 // Tests for the N x M service fabric (src/fabric/fabric.h): opid-matched
 // request/response round trips across tenants, least-loaded dispatch (an
 // idle fabric alternates its workers, a parked worker gets no request while
-// another is idle, a busy dispatch takes the least-loaded worker, and every
-// in-flight count returns to zero after completions, retries and rebinds),
-// the multi-tenant acceptance run — >= 100 tenants on >= 4 workers surviving
-// scripted worker kills (which take out both the worker's request-plane
-// receiver slot and its response-plane producer slot) with exactly-once
-// completions and a fully drained RevocationTable — plus the worker-side
-// recovery from a response send that fails on a healthy plane, and Close()
-// releasing a call parked on its completion.
+// another is idle, a busy dispatch takes the least-loaded worker, two
+// simultaneous picks claim different idle workers, and every in-flight
+// count returns to zero after completions, retries and rebinds), direct
+// completion (an idle call hands the CPU over twice; overlapping callers
+// of one client relay each other's completions; a receiver whose deadline
+// fires hands the role on; a late duplicate nobody receives is counted
+// after Close), the multi-tenant acceptance run — >= 100 tenants on >= 4
+// workers surviving scripted worker kills (which take out both the worker's
+// request-plane receiver slot and its response-plane producer slot) with
+// exactly-once completions and a fully drained RevocationTable — plus the
+// worker-side recovery from a response send that fails on a healthy plane,
+// and Close() releasing a call parked on its completion.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -191,6 +195,48 @@ TEST_F(FabricTest, ParkedWorkerGetsNoRequestWhileAnotherWorkerIsIdle) {
   EXPECT_EQ(fab->WorkerLoad(1), 0);
 }
 
+// Two tenants' first calls start at the same instant on two CPUs, and both
+// round-robin cursors start at worker 0. The first pick claims worker 0 in
+// the host step of its scan, so the second reads the claim and takes the
+// idle worker 1 instead of queueing behind the first request.
+TEST_F(FabricTest, SimultaneousFirstCallsGoToDifferentIdleWorkers) {
+  auto clients = MakeProcs("tenant", 2);
+  auto workers = MakeProcs("worker", 2);
+  auto f = ServiceFabric::Create(dipc_, clients, workers,
+                                 {.req_slots = 4, .req_bytes = 64, .resp_slots = 4,
+                                  .resp_bytes = 64});
+  ASSERT_TRUE(f.ok());
+  std::shared_ptr<ServiceFabric> fab = f.value();
+  int ok_calls = 0;
+  std::vector<sim::Time> started(2);
+  for (uint32_t c = 0; c < 2; ++c) {
+    kernel_.Spawn(
+        *clients[c], "web",
+        [&, fab, c](os::Env env) -> sim::Task<void> {
+          started[c] = env.kernel->now();
+          ok_calls += (co_await fab->Call(env, c, 16)).ok() ? 1 : 0;
+          if (ok_calls == 2) {
+            fab->Close();
+          }
+        },
+        /*pin_cpu=*/static_cast<int>(c));
+  }
+  fab->StartAllDispatchers();
+  for (uint32_t w = 0; w < 2; ++w) {
+    SpawnServeLoops(fab, w, *workers[w], [](os::Env, const chan::Msg&) -> sim::Task<void> {
+      co_return;
+    });
+  }
+  kernel_.Run();
+  EXPECT_EQ(started[0], started[1]);
+  EXPECT_EQ(ok_calls, 2);
+  EXPECT_EQ(fab->WorkerProgress(0), 1u);
+  EXPECT_EQ(fab->WorkerProgress(1), 1u);
+  EXPECT_EQ(fab->busy_dispatches(), 0u);
+  EXPECT_EQ(fab->WorkerLoad(0), 0);
+  EXPECT_EQ(fab->WorkerLoad(1), 0);
+}
+
 // With no worker idle a call goes to the least-loaded one, the first of
 // them in the caller's round-robin order, and counts as a busy dispatch.
 TEST_F(FabricTest, BusyDispatchTakesTheLeastLoadedWorker) {
@@ -355,6 +401,178 @@ TEST_F(FabricTest, WorkerLoadsReadZeroAfterCompletionRetryAndRebind) {
     EXPECT_GE(fab->WorkerProgress(1), 1u);  // the new incarnation served
     expect_idle(*fab, "after a kill and a rebind");
   }
+}
+
+// One tenant calling idle workers: the caller's completion wait swaps its
+// CPU to the serve thread, whose next Recv swaps straight back to the
+// caller, its client's receiver. Two direct switches per call; a completion
+// relayed through a third thread would make three.
+TEST_F(FabricTest, IdleCallHandsTheCpuOverTwice) {
+  auto clients = MakeProcs("tenant", 1);
+  auto workers = MakeProcs("worker", 4);
+  auto f = ServiceFabric::Create(dipc_, clients, workers,
+                                 {.req_slots = 4, .req_bytes = 64, .resp_slots = 4,
+                                  .resp_bytes = 64});
+  ASSERT_TRUE(f.ok());
+  std::shared_ptr<ServiceFabric> fab = f.value();
+  fab->StartAllDispatchers();
+  for (uint32_t w = 0; w < 4; ++w) {
+    SpawnServeLoops(fab, w, *workers[w], [](os::Env, const chan::Msg&) -> sim::Task<void> {
+      co_return;
+    });
+  }
+  int ok_calls = 0;
+  kernel_.Spawn(*clients[0], "web", [&, fab](os::Env env) -> sim::Task<void> {
+    for (int i = 0; i < 8; ++i) {
+      const uint64_t before = env.kernel->handoffs();
+      ok_calls += (co_await fab->Call(env, 0, 16)).ok() ? 1 : 0;
+      EXPECT_EQ(env.kernel->handoffs() - before, 2u) << "call " << i;
+    }
+    fab->Close();
+  });
+  kernel_.Run();
+  EXPECT_EQ(ok_calls, 8);
+  EXPECT_EQ(fab->relayed_completions(), 0u);
+}
+
+// Four callers of one client overlap on one worker whose handler sleeps, so
+// one caller receives while the others follow on their semaphores. The
+// receiver relays the others' completions, hands the role on when its own
+// arrives, and every call completes exactly once with every caller back.
+TEST_F(FabricTest, OverlappingCallersOfOneClientEachCompleteOnce) {
+  auto clients = MakeProcs("tenant", 1);
+  auto workers = MakeProcs("worker", 1);
+  auto f = ServiceFabric::Create(dipc_, clients, workers,
+                                 {.req_slots = 8, .req_bytes = 64, .resp_slots = 8,
+                                  .resp_bytes = 64});
+  ASSERT_TRUE(f.ok());
+  std::shared_ptr<ServiceFabric> fab = f.value();
+  fab->StartAllDispatchers();
+  SpawnServeLoops(fab, 0, *workers[0], [](os::Env env, const chan::Msg&) -> sim::Task<void> {
+    co_await env.kernel->Sleep(env, Duration::Micros(5));
+  });
+  constexpr int kCallers = 4;
+  constexpr int kPerCaller = 3;
+  int ok_calls = 0;
+  int returned = 0;
+  for (int i = 0; i < kCallers; ++i) {
+    kernel_.Spawn(*clients[0], "web", [&, fab, i](os::Env env) -> sim::Task<void> {
+      co_await env.kernel->Sleep(env, Duration::Nanos(500 * i));
+      for (int j = 0; j < kPerCaller; ++j) {
+        ok_calls += (co_await fab->Call(env, 0, 16)).ok() ? 1 : 0;
+      }
+      if (++returned == kCallers) {
+        fab->Close();
+      }
+    });
+  }
+  kernel_.Run();
+  constexpr uint64_t kTotal = kCallers * kPerCaller;
+  EXPECT_EQ(returned, kCallers);
+  EXPECT_EQ(ok_calls, static_cast<int>(kTotal));
+  EXPECT_EQ(fab->calls(), kTotal);
+  EXPECT_EQ(fab->completions(), kTotal);
+  EXPECT_EQ(fab->duplicate_completions(), 0u);
+  EXPECT_EQ(fab->retries(), 0u);
+  EXPECT_GT(fab->relayed_completions(), 0u);
+  EXPECT_EQ(fab->request_plane(0)->LiveGrantCount(), 0u);
+  EXPECT_EQ(fab->response_plane(0)->LiveGrantCount(), 0u);
+  EXPECT_EQ(codoms_.revocations().live_count(), 0u);
+}
+
+// Caller A receives; caller B follows. A's deadline fires before either
+// response lands, so A hands the role to B, and B receives its own
+// completion before its own deadline, with no retry. A retries on the idle
+// worker, and its first attempt's late response is a duplicate.
+TEST_F(FabricTest, ReceiverWhoseDeadlineFiresHandsTheRoleToAWaitingCaller) {
+  auto clients = MakeProcs("tenant", 1);
+  auto workers = MakeProcs("worker", 2);
+  const Duration deadline = Duration::Micros(50);
+  auto f = ServiceFabric::Create(dipc_, clients, workers,
+                                 {.req_slots = 4, .req_bytes = 64, .resp_slots = 4,
+                                  .resp_bytes = 64, .call_deadline = deadline,
+                                  .max_call_retries = 3});
+  ASSERT_TRUE(f.ok());
+  std::shared_ptr<ServiceFabric> fab = f.value();
+  fab->StartAllDispatchers();
+  // Each worker sleeps through its first request only: A's first attempt
+  // outlasts every deadline, B's lands after A's deadline and before B's.
+  for (uint32_t w = 0; w < 2; ++w) {
+    auto served = std::make_shared<int>(0);
+    const Duration first = w == 0 ? Duration::Micros(300) : Duration::Micros(40);
+    SpawnServeLoops(fab, w, *workers[w],
+                    [served, first](os::Env env, const chan::Msg&) -> sim::Task<void> {
+                      if ((*served)++ == 0) {
+                        co_await env.kernel->Sleep(env, first);
+                      }
+                    });
+  }
+  base::Status a = ErrorCode::kFault;
+  base::Status b = ErrorCode::kFault;
+  sim::Time b_start;
+  sim::Time b_end;
+  kernel_.Spawn(*clients[0], "web-a", [&, fab](os::Env env) -> sim::Task<void> {
+    a = co_await fab->Call(env, 0, 16);
+  });
+  kernel_.Spawn(*clients[0], "web-b", [&, fab](os::Env env) -> sim::Task<void> {
+    co_await env.kernel->Sleep(env, Duration::Micros(20));
+    b_start = env.kernel->now();
+    b = co_await fab->Call(env, 0, 16);
+    b_end = env.kernel->now();
+  });
+  machine_.events().ScheduleAt(sim::Time::Zero() + Duration::Micros(500), [fab] { fab->Close(); });
+  kernel_.Run();
+  EXPECT_TRUE(a.ok());
+  EXPECT_TRUE(b.ok());
+  EXPECT_LT(b_end, b_start + deadline);
+  EXPECT_EQ(fab->calls(), 2u);
+  EXPECT_EQ(fab->completions(), 2u);
+  EXPECT_EQ(fab->retries(), 1u);  // A's alone
+  EXPECT_EQ(fab->relayed_completions(), 0u);
+  EXPECT_EQ(fab->duplicate_completions(), 1u);
+  EXPECT_EQ(fab->WorkerProgress(0), 1u);
+  EXPECT_EQ(fab->WorkerProgress(1), 2u);
+  EXPECT_EQ(fab->response_plane(0)->LiveGrantCount(), 0u);
+  EXPECT_EQ(codoms_.revocations().live_count(), 0u);
+}
+
+// A late completion that lands while no call is in flight has no caller to
+// receive it: it waits on the response plane, and the drain thread counts
+// it as a duplicate and releases its grant once the fabric closes.
+TEST_F(FabricTest, LateDuplicateWithNoCallInFlightIsCountedAfterClose) {
+  auto clients = MakeProcs("tenant", 1);
+  auto workers = MakeProcs("worker", 2);
+  auto f = ServiceFabric::Create(dipc_, clients, workers,
+                                 {.req_slots = 4, .req_bytes = 64, .resp_slots = 4,
+                                  .resp_bytes = 64, .call_deadline = Duration::Micros(30),
+                                  .max_call_retries = 5});
+  ASSERT_TRUE(f.ok());
+  std::shared_ptr<ServiceFabric> fab = f.value();
+  fab->StartAllDispatchers();
+  auto served0 = std::make_shared<int>(0);
+  SpawnServeLoops(fab, 0, *workers[0], [served0](os::Env env, const chan::Msg&) -> sim::Task<void> {
+    if ((*served0)++ == 0) {
+      co_await env.kernel->Sleep(env, Duration::Micros(100));
+    }
+  });
+  SpawnServeLoops(fab, 1, *workers[1], [](os::Env, const chan::Msg&) -> sim::Task<void> {
+    co_return;
+  });
+  kernel_.Spawn(*clients[0], "web", [&, fab](os::Env env) -> sim::Task<void> {
+    EXPECT_TRUE((co_await fab->Call(env, 0, 16)).ok());  // its retry went to worker 1
+    co_await env.kernel->Sleep(env, Duration::Micros(200));
+    EXPECT_EQ(fab->WorkerProgress(0), 1u);  // the late response was sent
+    EXPECT_EQ(fab->duplicate_completions(), 0u);
+    EXPECT_EQ(fab->response_plane(0)->LiveGrantCount(), 1u);
+    fab->Close();
+  });
+  kernel_.Run();
+  EXPECT_EQ(fab->completions(), 1u);
+  EXPECT_EQ(fab->retries(), 1u);
+  EXPECT_EQ(fab->duplicate_completions(), 1u);
+  EXPECT_EQ(fab->request_plane(0)->LiveGrantCount(), 0u);
+  EXPECT_EQ(fab->response_plane(0)->LiveGrantCount(), 0u);
+  EXPECT_EQ(codoms_.revocations().live_count(), 0u);
 }
 
 TEST_F(FabricTest, SharedTrioKeepsTagFootprintConstantAcrossTenants) {
