@@ -584,7 +584,6 @@ double MeasureFabricEcho(const FabricEchoConfig& config) {
                                           .shared_trio = config.shared_trio});
   DIPC_CHECK(f.ok());
   std::shared_ptr<fabric::ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   fabric::ServiceFabric::Handler echo = [](os::Env, const chan::Msg&) -> sim::Task<void> {
     co_return;
   };

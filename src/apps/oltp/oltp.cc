@@ -442,7 +442,6 @@ OltpResult RunOltp(const OltpConfig& config) {
       auto fab_r = fabric::ServiceFabric::Create(dipc, *webs, *workers, fcfg);
       DIPC_CHECK(fab_r.ok());
       std::shared_ptr<fabric::ServiceFabric> fab = fab_r.value();
-      fab->StartAllDispatchers();
 
       // Wires one PHP worker slot: its duplex to a fresh DB service thread
       // and one fabric serve loop per tenant plane. Shared so the supervisor

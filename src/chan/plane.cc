@@ -1061,6 +1061,12 @@ void Plane::Close() {
   credit_waiters_.WakeAll(kernel_);
 }
 
+void Plane::Abort(base::ErrorCode code) {
+  if (broken_ == base::ErrorCode::kOk) {
+    Break(code);
+  }
+}
+
 uint64_t Plane::LiveGrantCount() const {
   const codoms::RevocationTable& rt = kernel_.codoms().revocations();
   auto live = [&rt](const std::vector<std::optional<codoms::Capability>>& caps) {
@@ -1090,7 +1096,7 @@ void Plane::OnProcessDeath(os::Process& proc) {
       if (!group) {
         // A single side's death breaks the whole plane (there is nobody
         // left to send, or to deliver to).
-        Break();
+        Break(base::ErrorCode::kCalleeFailed);
         return;
       }
       Excise(tx, i);
@@ -1105,11 +1111,12 @@ void Plane::OnProcessDeath(os::Process& proc) {
   }
 }
 
-void Plane::Break() {
-  broken_ = base::ErrorCode::kCalleeFailed;
+void Plane::Break(base::ErrorCode code) {
+  broken_ = code;
   // KCS-style unwind: revoke every in-flight ownership capability so no
-  // stale grant survives the crash, bulk-revoke every endpoint's counter set,
-  // then fail every queue — blocked peers wake and surface the error code.
+  // stale grant survives the crash or the abort, bulk-revoke every
+  // endpoint's counter set, then fail every queue — blocked peers wake and
+  // surface the error code.
   // Cached templates need no sweep of their own: a template not recorded
   // in-flight is already epoch-stale, and broken_ gates every future rebind.
   uint64_t revoked = 0;
@@ -1133,7 +1140,7 @@ void Plane::Break() {
   }
   m_revokes_->Add(revoked);
   obs::Trace().Record(0, obs::EventType::kCapRevoke, obs_id_, revoked, kernel_.now());
-  ForEachQueue([](MpmcQueue& q) { q.Fail(base::ErrorCode::kCalleeFailed); });
+  ForEachQueue([code](MpmcQueue& q) { q.Fail(code); });
   credit_waiters_.WakeAll(kernel_);
 }
 

@@ -65,8 +65,10 @@
 //   - A single side has no credit line; the free pool is its only flow
 //     control. Its death breaks the plane: every in-flight grant is revoked
 //     and every blocked call wakes with kCalleeFailed (KCS-style unwinding
-//     surfaced as an error code, §5.2.1). Channel (channel.h) is the 1x1
-//     plane.
+//     surfaced as an error code, §5.2.1). Abort runs the same unwind on
+//     demand with its own code, so one teardown serves a dead peer and a
+//     shutdown (ServiceFabric::Close aborts with kBrokenChannel). Channel
+//     (channel.h) is the 1x1 plane.
 //   - A group side gets one credit line per endpoint, as deep as the pool
 //     (`slots`). A receiver's line is consumed at delivery and gates both
 //     acquire and send, which wait for the slowest live receiver; a
@@ -224,12 +226,20 @@ class Plane : public std::enable_shared_from_this<Plane> {
   // kBrokenChannel.
   void Close();
 
+  // Shutdown by the dead-peer unwind: revokes every in-flight grant (queued,
+  // received and not yet released, acquired and not yet sent) and every
+  // endpoint's owner key, and fails every queue, so each parked call and
+  // each later one returns `code`. A plane already broken keeps its code,
+  // so a dead peer's kCalleeFailed stays.
+  void Abort(base::ErrorCode code);
+
   // ---- Receiver side (every call names the receiver endpoint) ----
 
   // Blocks for the first message, then drains up to `max_n` without blocking
   // again. The *first* message's capability lands in kReceiverCapReg;
   // BindRecvCap walks the batch. Fails with kBrokenChannel after Close()
-  // drains, or kCalleeFailed once the plane broke or `r` was excised.
+  // drains, with broken() once the plane broke (a dead peer's
+  // kCalleeFailed, or Abort's code), or kCalleeFailed once `r` was excised.
   sim::Task<base::Result<Msg>> Recv(os::Env env, uint32_t r, os::Deadline deadline = {},
                                     os::DeferredWake wake = {});
   sim::Task<base::Result<std::vector<Msg>>> RecvBatch(os::Env env, uint32_t r, uint32_t max_n,
@@ -377,9 +387,10 @@ class Plane : public std::enable_shared_from_this<Plane> {
   void DropDelivery(uint32_t r, uint32_t index, std::vector<uint64_t>* freed);
   bool Deliverable(uint32_t index) const;
 
-  // Dead-peer teardown (fired via the core::Dipc death hook).
+  // Dead-peer teardown (fired via the core::Dipc death hook). Break is the
+  // unwind that a single side's death and Abort share.
   void OnProcessDeath(os::Process& proc);
-  void Break();
+  void Break(base::ErrorCode code);
   void Excise(bool tx, uint32_t idx);
   base::Status Rebind(bool tx, uint32_t idx, os::Process& proc);
 

@@ -418,9 +418,10 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
     if (!(co_await k.TouchUser(env, msg.value().va, msg.value().len, hw::AccessType::kRead,
                                std::as_writable_bytes(std::span(&opid, 1))))
              .ok()) {
-      // This worker incarnation was killed between Recv handing over the
-      // message and the header read: its grants are already swept. The
-      // client will time out and retry the opid elsewhere.
+      // This worker incarnation was killed, or Close() aborted the plane,
+      // between Recv handing over the message and the header read: its
+      // grants are already swept. After a kill the client times out and
+      // retries the opid elsewhere.
       co_return;
     }
     const sim::Time t_handler = k.now();
@@ -454,9 +455,9 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
         }
         co_return;  // torn down or excised: the sweep took the buffer with it
       }
-      // A send that fails on a healthy plane (an injected fault, a Close)
-      // leaves the buffer ours, grant and credit live: hand it back, then
-      // keep serving — the client retries the opid.
+      // A send that fails on a healthy plane (an injected fault) leaves the
+      // buffer ours, grant and credit live: hand it back, then keep
+      // serving — the client retries the opid.
       (void)co_await resp->Abandon(env, worker, rb);
       continue;
     }
@@ -525,7 +526,7 @@ sim::Task<bool> ServiceFabric::WaitForCompletion(os::Env env, std::shared_ptr<Co
     if (!msg.ok()) {
       break;  // timed out, closed, or the client's plane broke
     }
-    if (!(co_await Deliver(env, client, msg.value(), t_recv, op.get(), &wake))) {
+    if (!(co_await Deliver(env, client, msg.value(), t_recv, *op, &wake))) {
       break;
     }
   }
@@ -555,7 +556,7 @@ sim::Task<bool> ServiceFabric::WaitForCompletion(os::Env env, std::shared_ptr<Co
 }
 
 sim::Task<bool> ServiceFabric::Deliver(os::Env env, uint32_t client, const chan::Msg& msg,
-                                       sim::Time t_recv, const Completion* self,
+                                       sim::Time t_recv, const Completion& self,
                                        os::DeferredWake* wake) {
   os::Kernel& k = *env.kernel;
   const obs::TraceCtx cctx = chan::internal::UnpackTraceWord(msg.tctx);
@@ -576,7 +577,7 @@ sim::Task<bool> ServiceFabric::Deliver(os::Env env, uint32_t client, const chan:
     if (it != completions_.end() && !it->second->delivered) {
       op = it->second;
       op->delivered = true;
-      if (op.get() != self && !op->signalled) {
+      if (op.get() != &self && !op->signalled) {
         op->signalled = true;
         post = true;
       }
@@ -588,7 +589,7 @@ sim::Task<bool> ServiceFabric::Deliver(os::Env env, uint32_t client, const chan:
     // completion delivery exactly-once per operation.
     ++duplicates_;
     m_duplicates_->Add();
-  } else if (self != nullptr && op.get() != self) {
+  } else if (op.get() != &self) {
     ++relayed_;
     m_relayed_->Add();
   }
@@ -603,53 +604,20 @@ sim::Task<bool> ServiceFabric::Deliver(os::Env env, uint32_t client, const chan:
   co_return true;
 }
 
-void ServiceFabric::StartDispatcher(uint32_t client) {
-  DIPC_CHECK(client < client_count());
-  auto self = shared_from_this();
-  kernel_.Spawn(*client_procs_[client], "fabric-disp",
-                [self, client](os::Env env) -> sim::Task<void> {
-                  (void)co_await self->closed_.WaitUntil(env);
-                  // Drain: every response no caller received, until the
-                  // closed plane fails the Recv.
-                  os::DeferredWake wake;
-                  while (true) {
-                    const sim::Time t_recv = env.kernel->now();
-                    auto msg = co_await self->resp_[client]->Recv(env, 0, {},
-                                                                  std::exchange(wake, {}));
-                    if (!msg.ok()) {
-                      co_return;
-                    }
-                    if (!(co_await self->Deliver(env, client, msg.value(), t_recv, nullptr,
-                                                 &wake))) {
-                      co_return;  // the client died mid-drain
-                    }
-                  }
-                });
-}
-
-void ServiceFabric::StartAllDispatchers() {
-  for (uint32_t c = 0; c < client_count(); ++c) {
-    StartDispatcher(c);
-  }
-}
-
 void ServiceFabric::Close() {
   stopped_ = true;
-  for (auto& ch : req_) {
-    ch->Close();
+  // The dead-peer unwind, in this host step: no grant of either plane kind
+  // outlives it, and every thread parked in one wakes with kBrokenChannel.
+  for (uint32_t c = 0; c < client_count(); ++c) {
+    req_[c]->Abort(base::ErrorCode::kBrokenChannel);
+    resp_[c]->Abort(base::ErrorCode::kBrokenChannel);
   }
-  for (auto& ch : resp_) {
-    ch->Close();
+  // A follower parked on its completion would wait for a response that can
+  // no longer come.
+  base::MutexLock lock(&completions_mu_);
+  for (const auto& [opid, op] : completions_) {
+    op->sem.Fail(kernel_, base::ErrorCode::kBrokenChannel);
   }
-  // A Call parked on its completion would wait for a response that may
-  // never come.
-  {
-    base::MutexLock lock(&completions_mu_);
-    for (const auto& [opid, op] : completions_) {
-      op->sem.Fail(kernel_, base::ErrorCode::kBrokenChannel);
-    }
-  }
-  closed_.Fail(kernel_, base::ErrorCode::kBrokenChannel);
 }
 
 }  // namespace dipc::fabric

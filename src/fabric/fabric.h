@@ -15,20 +15,23 @@
 //     worker dies, per-attempt deadline and capped-backoff retry under the
 //     SAME opid, then the wait for its completion (below).
 //     Exactly-once: one completions-map entry per operation, delivered at
-//     most once; late completions of earlier attempts are dropped and
-//     counted.
+//     most once; a late completion of an earlier attempt that a caller
+//     receives is dropped and counted.
 //   - Serve(): the worker-side loop for one (client, worker) pair — drain
 //     the request shard, run the app handler, respond with the matching
 //     opid into the client's response plane as that worker's producer.
-//   - StartDispatcher(): per-client drain thread. It waits for Close(), then
-//     receives what is left on the response plane, so a late duplicate that
-//     no caller received is still counted and every grant drains.
 //   - RebindWorker(): the supervisor's respawn path — one call splices a
 //     fresh process into worker w's receiver slot on every client's
 //     request plane AND its producer slot on every client's response
 //     plane (Plane::RebindReceiver + Plane::RebindProducer).
-//   - Close(): closes every plane and fails every registered completion
-//     semaphore, so a Call parked on one returns kBrokenChannel.
+//   - Close(): aborts every plane through the dead-peer unwind
+//     (Plane::Abort with kBrokenChannel) and fails every registered
+//     completion semaphore, all in one host step. Every grant in flight is
+//     revoked: queued, received and not yet released, or acquired and not
+//     yet sent, on request and response planes alike. Every parked serve
+//     thread, receiving caller, follower and credit waiter returns
+//     kBrokenChannel. A response still queued then is retired with its
+//     grant, neither delivered nor counted.
 //
 // Completion: the caller that waits for a completion receives it. A caller
 // whose completion has not arrived becomes its client's receiver when no
@@ -123,7 +126,7 @@ struct FabricConfig {
   int max_call_retries = 0;  // further attempts after the first
 };
 
-class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
+class ServiceFabric {
  public:
   // Runs with the request payload (already delivered, not yet released);
   // the fabric handles opid extraction, release and the response itself.
@@ -148,17 +151,17 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   // Exits when the fabric closes or either plane fails for this endpoint.
   sim::Task<void> Serve(os::Env env, uint32_t client, uint32_t worker, Handler handler);
 
-  // Spawns client c's drain thread (named "fabric-disp"): after Close() it
-  // receives the responses no caller received.
-  void StartDispatcher(uint32_t client);
-  void StartAllDispatchers();
+  // Does nothing: no completion needs a thread of its own. Kept because
+  // perfbench's fabric_rpc driver still calls it; it goes with that call.
+  void StartAllDispatchers() {}
 
   // Supervisor respawn: rebind worker w's endpoints on every live client
   // plane to `proc`. Best-effort across broken (dead-client) planes.
   base::Status RebindWorker(uint32_t worker, os::Process& proc);
 
-  // Stops Call/Serve loops, closes every plane (orderly) and fails every
-  // in-flight completion: a Call parked on one returns kBrokenChannel.
+  // Stops Call/Serve loops, aborts every plane and fails every in-flight
+  // completion (see the header): every blocked call returns kBrokenChannel
+  // and no grant outlives it.
   void Close();
 
   // ---- Introspection ----
@@ -171,7 +174,8 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   // Requests worker slot w completed, ever (rebinds keep the counter) — the
   // supervisor's wedge heuristic diffs this between heartbeats.
   uint64_t WorkerProgress(uint32_t w) const { return progress_[w]; }
-  // True once client c's planes are unusable (its process died).
+  // True once client c's planes are unusable: its process died, or Close()
+  // aborted them.
   bool client_broken(uint32_t c) const;
   uint64_t calls() const { return calls_; }
   uint64_t completions() const { return completed_; }
@@ -236,10 +240,10 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   // its entry delivered and, when the entry is another caller's with no
   // post outstanding, posts that caller's semaphore with the wake deferred
   // into *wake. No entry, or one already delivered, is a duplicate. `self`
-  // is the receiving caller's entry (null for the drain thread). False
-  // when the read or the release failed.
+  // is the receiving caller's entry. False when the read or the release
+  // failed.
   sim::Task<bool> Deliver(os::Env env, uint32_t client, const chan::Msg& msg, sim::Time t_recv,
-                          const Completion* self, os::DeferredWake* wake);
+                          const Completion& self, os::DeferredWake* wake);
   bool Delivered(const Completion& op);
   // The caller to take over `cw`'s vacant receiving role, marked signalled:
   // the first waiting one neither delivered nor signalled. Null when the
@@ -254,13 +258,10 @@ class ServiceFabric : public std::enable_shared_from_this<ServiceFabric> {
   std::vector<std::shared_ptr<chan::Plane>> req_;   // per client
   std::vector<std::shared_ptr<chan::Plane>> resp_;  // per client
   bool stopped_ = false;
-  // The drain threads wait on it; Close() fails it.
-  os::Semaphore closed_;
   // Opid-matched completion delivery (fabric-wide unique opids). The map
-  // and the per-client waits are shared between the callers of a client and
-  // its drain thread; the mutex is held only across lookups and updates,
-  // never across a co_await (a Post happens on an entry copied out under
-  // the lock).
+  // and the per-client waits are shared between the callers of a client;
+  // the mutex is held only across lookups and updates, never across a
+  // co_await (a Post happens on an entry copied out under the lock).
   uint64_t next_opid_ = 0;
   base::Mutex completions_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<Completion>> completions_

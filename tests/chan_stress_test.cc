@@ -9,6 +9,8 @@
 // Invariants, whatever the interleaving:
 //   - no value/message is lost or duplicated (orderly runs deliver exactly
 //     the multiset pushed; killed runs deliver a duplicate-free subset);
+//   - a closed ServiceFabric leaves no live grant and no parked thread,
+//     whatever its retries left queued or in flight;
 //   - no slot leaks (after an orderly drain the producer can re-acquire the
 //     whole pool in one batch);
 //   - no capability outlives teardown: RevocationTable::live_count() == 0
@@ -30,6 +32,7 @@
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "fabric/fabric.h"
+#include "fabric_end_state.h"
 #include "hw/machine.h"
 #include "obs/trace.h"
 #include "os/deadline.h"
@@ -928,7 +931,6 @@ TEST(ChanStress, FabricRandomWorkerKillsKeepCompletionsExactlyOnce) {
          .call_deadline = Duration::Micros(200), .max_call_retries = 10});
     ASSERT_TRUE(f.ok());
     std::shared_ptr<fabric::ServiceFabric> fab = f.value();
-    fab->StartAllDispatchers();
     fabric::ServiceFabric::Handler echo = [](os::Env, const chan::Msg&) -> sim::Task<void> {
       co_return;
     };
@@ -994,18 +996,92 @@ TEST(ChanStress, FabricRandomWorkerKillsKeepCompletionsExactlyOnce) {
     });
     kernel.Run();
     // Exactly-once: completions() counts exactly the Calls that returned
-    // kOk; late completions of superseded attempts were dropped at the
-    // dispatcher (counted as duplicates, never delivered twice).
+    // kOk; late completions of superseded attempts were dropped where a
+    // caller received them (counted as duplicates, never delivered twice).
     EXPECT_EQ(fab->completions(), ok_calls);
     EXPECT_EQ(fab->calls(), static_cast<uint64_t>(n_cli) * 12);
     if (killed_client < 0) {
       // No client died: every Call either completed or was counted failed.
       EXPECT_EQ(fab->completions() + fab->failures(), fab->calls());
     }
-    for (uint32_t c = 0; c < n_cli; ++c) {
-      EXPECT_EQ(fab->request_plane(c)->LiveGrantCount(), 0u) << "tenant " << c;
-      EXPECT_EQ(fab->response_plane(c)->LiveGrantCount(), 0u) << "tenant " << c;
+    fabric::ExpectNothingOutlivesClose(*fab, kernel);
+    EXPECT_EQ(codoms.revocations().live_count(), 0u);
+    if (trace_guard.DumpIfFailed()) {
+      break;
     }
+  }
+}
+
+// --- ServiceFabric: randomized retries, then Close() ---
+//
+// Short per-attempt deadlines against handlers that sleep up to 40 us make
+// calls time out and retry, so when the last caller closes the fabric,
+// retried requests may still be queued at workers or in their handlers and
+// late responses queued for nobody. Close() must retire all of them: no
+// live grant and no parked thread after Run(), and every call completed or
+// counted failed.
+TEST(ChanStress, FabricRandomRetriesLeaveNothingAfterClose) {
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SeedTraceGuard trace_guard("fabric_close", seed);
+    Rng rng(seed);
+    hw::Machine machine(6);
+    codoms::Codoms codoms(machine);
+    os::Kernel kernel(machine, codoms);
+    core::Dipc dipc(kernel);
+    const auto n_cli = static_cast<uint32_t>(rng.UniformInt(1, 3));
+    const auto n_wrk = static_cast<uint32_t>(rng.UniformInt(1, 3));
+    std::vector<os::Process*> clients;
+    std::vector<os::Process*> workers;
+    for (uint32_t c = 0; c < n_cli; ++c) {
+      clients.push_back(&dipc.CreateDipcProcess("tenant"));
+    }
+    for (uint32_t w = 0; w < n_wrk; ++w) {
+      workers.push_back(&dipc.CreateDipcProcess("worker"));
+    }
+    auto f = fabric::ServiceFabric::Create(
+        dipc, clients, workers,
+        {.req_slots = 4, .req_bytes = 64, .resp_slots = 4, .resp_bytes = 64,
+         .call_deadline = Duration::Micros(static_cast<double>(rng.UniformInt(3, 30))),
+         .max_call_retries = 6});
+    ASSERT_TRUE(f.ok());
+    std::shared_ptr<fabric::ServiceFabric> fab = f.value();
+    for (uint32_t w = 0; w < n_wrk; ++w) {
+      auto wrng = std::make_shared<Rng>(rng.Next());
+      fabric::ServiceFabric::Handler sleepy = [wrng](os::Env env,
+                                                     const chan::Msg&) -> sim::Task<void> {
+        const auto us = static_cast<double>(wrng->UniformInt(0, 40));
+        co_await env.kernel->Sleep(env, Duration::Micros(us));
+      };
+      for (uint32_t c = 0; c < n_cli; ++c) {
+        kernel.Spawn(*workers[w], "serve", [fab, c, w, sleepy](os::Env env) -> sim::Task<void> {
+          co_await fab->Serve(env, c, w, sleepy);
+        });
+      }
+    }
+    constexpr int kCallsPerCaller = 4;
+    int callers = 0;
+    int running = 0;
+    for (uint32_t c = 0; c < n_cli; ++c) {
+      const auto n = static_cast<int>(rng.UniformInt(1, 6));
+      callers += n;
+      running += n;
+      for (int i = 0; i < n; ++i) {
+        kernel.Spawn(*clients[c], "web", [&running, fab, c](os::Env env) -> sim::Task<void> {
+          for (int j = 0; j < kCallsPerCaller; ++j) {
+            (void)co_await fab->Call(env, c, 16);
+          }
+          if (--running == 0) {
+            fab->Close();
+          }
+        });
+      }
+    }
+    kernel.Run();
+    EXPECT_EQ(running, 0);
+    EXPECT_EQ(fab->calls(), static_cast<uint64_t>(callers) * kCallsPerCaller);
+    EXPECT_EQ(fab->calls(), fab->completions() + fab->failures());
+    fabric::ExpectNothingOutlivesClose(*fab, kernel);
     EXPECT_EQ(codoms.revocations().live_count(), 0u);
     if (trace_guard.DumpIfFailed()) {
       break;

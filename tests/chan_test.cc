@@ -1,15 +1,17 @@
 // Unit tests for the zero-copy channel subsystem (src/chan/): futex-style
 // blocking, MPMC fairness, capability move semantics (sender revocation),
-// and dead-peer teardown.
+// dead-peer teardown, and Plane::Abort, which runs that teardown on demand.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "chan/channel.h"
 #include "chan/mpmc_queue.h"
+#include "chan/plane.h"
 #include "os/deadline.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
@@ -1200,6 +1202,138 @@ TEST_F(ChanTest, AbandonedBufferIsSendableAfterReacquire) {
   });
   kernel_.Run();
   EXPECT_EQ(received, "recycled slot");
+}
+
+// --- Abort: the dead-peer unwind on demand ---
+
+// Aborts `plane` (4 slots) with every kind of grant in flight and calls
+// parked on both sides. Receiver 0 receives one message and keeps it. With
+// `queued` a second message waits at receiver 0; without it, receiver 0's
+// next Recv parks. Producer 0 keeps every other slot acquired and unsent,
+// the last producer parks in AcquireBuf on the empty pool, and every
+// receiver past 0 parks in Recv. Abort(kBrokenChannel) must leave no live
+// grant, under any endpoint's owner key or at all, and every parked call
+// and each holder's next call must return kBrokenChannel.
+void ExpectAbortUnwinds(hw::Machine& machine, os::Kernel& kernel,
+                        const std::shared_ptr<Plane>& plane,
+                        std::span<os::Process* const> producers,
+                        std::span<os::Process* const> receivers, bool queued) {
+  SCOPED_TRACE(queued ? "a message queued" : "a Recv parked");
+  const uint32_t slots = plane->config().slots;
+  std::vector<ErrorCode> parked;  // what each parked call returned
+  std::vector<ErrorCode> later;   // each holder's next call after the abort
+  kernel.Spawn(*receivers[0], "rx0", [&, plane](os::Env env) -> sim::Task<void> {
+    auto msg = co_await plane->Recv(env, 0);
+    EXPECT_TRUE(msg.ok());
+    if (!queued) {
+      parked.push_back((co_await plane->Recv(env, 0)).code());
+    }
+    co_await env.kernel->Sleep(env, Duration::Micros(200));
+    later.push_back((co_await plane->Release(env, 0, msg.value())).code());
+  });
+  for (uint32_t r = 1; r < receivers.size(); ++r) {
+    kernel.Spawn(*receivers[r], "rx", [&, plane, r](os::Env env) -> sim::Task<void> {
+      parked.push_back((co_await plane->Recv(env, r)).code());
+    });
+  }
+  kernel.Spawn(*producers[0], "tx0", [&, plane](os::Env env) -> sim::Task<void> {
+    for (int i = 0; i < (queued ? 2 : 1); ++i) {
+      auto buf = co_await plane->AcquireBuf(env, 0);
+      EXPECT_TRUE(buf.ok());
+      EXPECT_TRUE((co_await plane->SendTo(env, 0, buf.value(), 64, 0)).ok());
+    }
+    auto rest = co_await plane->AcquireBufBatch(env, 0, slots);
+    EXPECT_TRUE(rest.ok());
+    co_await env.kernel->Sleep(env, Duration::Micros(200));
+    later.push_back((co_await plane->SendTo(env, 0, rest.value()[0], 64, 0)).code());
+  });
+  const auto last = static_cast<uint32_t>(producers.size() - 1);
+  kernel.Spawn(*producers[last], "tx-parked", [&, plane, last](os::Env env) -> sim::Task<void> {
+    co_await env.kernel->Sleep(env, Duration::Micros(50));  // the pool is empty by now
+    parked.push_back((co_await plane->AcquireBuf(env, last)).code());
+  });
+  uint64_t grants_at_abort = 0;
+  machine.events().ScheduleAt(kernel.now() + Duration::Micros(100), [&] {
+    grants_at_abort = plane->LiveGrantCount();
+    EXPECT_EQ(plane->pool_parked(), 1u);
+    plane->Abort(ErrorCode::kBrokenChannel);
+  });
+  kernel.Run();
+  EXPECT_EQ(grants_at_abort, slots);  // each slot received, queued or acquired
+  EXPECT_EQ(plane->broken(), ErrorCode::kBrokenChannel);
+  EXPECT_EQ(plane->LiveGrantCount(), 0u);
+  const codoms::RevocationTable& rt = kernel.codoms().revocations();
+  for (uint32_t p = 0; p < plane->producer_count(); ++p) {
+    EXPECT_EQ(rt.LiveCountForOwner(plane->producer_owner(p)), 0u) << "producer " << p;
+  }
+  for (uint32_t r = 0; r < plane->receiver_count(); ++r) {
+    EXPECT_EQ(rt.LiveCountForOwner(plane->receiver_owner(r)), 0u) << "receiver " << r;
+  }
+  EXPECT_EQ(rt.live_count(), 0u);
+  const size_t n_parked = receivers.size() + (queued ? 0 : 1);
+  EXPECT_EQ(parked, std::vector<ErrorCode>(n_parked, ErrorCode::kBrokenChannel));
+  EXPECT_EQ(later, std::vector<ErrorCode>(2, ErrorCode::kBrokenChannel));
+#ifndef DIPC_OBS_OFF
+  EXPECT_EQ(kernel.futex_waiters()->value(), 0);
+#endif
+}
+
+TEST_F(ChanTest, AbortRevokesEveryGrantOfAChannelAndFailsItsParkedCalls) {
+  for (bool queued : {true, false}) {
+    std::vector<os::Process*> prod{&dipc_.CreateDipcProcess("producer")};
+    std::vector<os::Process*> cons{&dipc_.CreateDipcProcess("consumer")};
+    auto ch = Channel::Create(dipc_, *prod[0], *cons[0], {.slots = 4, .buf_bytes = 4096});
+    ASSERT_TRUE(ch.ok());
+    ExpectAbortUnwinds(machine_, kernel_, ch.value(), prod, cons, queued);
+  }
+}
+
+TEST_F(ChanTest, AbortRevokesEveryGrantOfAFanOutPlaneAndFailsItsParkedCalls) {
+  for (bool queued : {true, false}) {
+    std::vector<os::Process*> prod{&dipc_.CreateDipcProcess("producer")};
+    std::vector<os::Process*> cons{&dipc_.CreateDipcProcess("consumer-0"),
+                                   &dipc_.CreateDipcProcess("consumer-1")};
+    auto fan = Plane::Create(dipc_, *prod[0], cons, {.slots = 4, .buf_bytes = 4096});
+    ASSERT_TRUE(fan.ok());
+    ExpectAbortUnwinds(machine_, kernel_, fan.value(), prod, cons, queued);
+  }
+}
+
+TEST_F(ChanTest, AbortRevokesEveryGrantOfAFanInPlaneAndFailsItsParkedCalls) {
+  for (bool queued : {true, false}) {
+    std::vector<os::Process*> prod{&dipc_.CreateDipcProcess("producer-0"),
+                                   &dipc_.CreateDipcProcess("producer-1")};
+    std::vector<os::Process*> cons{&dipc_.CreateDipcProcess("consumer")};
+    auto fan = Plane::Create(dipc_, prod, *cons[0], {.slots = 4, .buf_bytes = 4096});
+    ASSERT_TRUE(fan.ok());
+    ExpectAbortUnwinds(machine_, kernel_, fan.value(), prod, cons, queued);
+  }
+}
+
+// Abort leaves a plane that is already broken as it is: a dead peer's
+// kCalleeFailed stays, and an aborted plane keeps kBrokenChannel through a
+// second Abort with another code and a later peer death.
+TEST_F(ChanTest, AbortKeepsTheCodeOfAPlaneAlreadyBroken) {
+  os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process& cons = dipc_.CreateDipcProcess("consumer");
+  auto dead = Channel::Create(dipc_, prod, cons, {.slots = 2, .buf_bytes = 4096});
+  auto aborted = Channel::Create(dipc_, prod, cons, {.slots = 2, .buf_bytes = 4096});
+  ASSERT_TRUE(dead.ok() && aborted.ok());
+  aborted.value()->Abort(ErrorCode::kBrokenChannel);
+  dipc_.KillProcess(prod);
+  dead.value()->Abort(ErrorCode::kBrokenChannel);
+  aborted.value()->Abort(ErrorCode::kCalleeFailed);
+  EXPECT_EQ(dead.value()->broken(), ErrorCode::kCalleeFailed);
+  EXPECT_EQ(aborted.value()->broken(), ErrorCode::kBrokenChannel);
+  ErrorCode from_dead = ErrorCode::kOk;
+  ErrorCode from_aborted = ErrorCode::kOk;
+  kernel_.Spawn(cons, "consumer", [&](os::Env env) -> sim::Task<void> {
+    from_dead = (co_await dead.value()->Recv(env)).code();
+    from_aborted = (co_await aborted.value()->Recv(env)).code();
+  });
+  kernel_.Run();
+  EXPECT_EQ(from_dead, ErrorCode::kCalleeFailed);
+  EXPECT_EQ(from_aborted, ErrorCode::kBrokenChannel);
 }
 
 // --- The producer's slot reserve (1x1 planes) ---

@@ -6,13 +6,16 @@
 // count returns to zero after completions, retries and rebinds), direct
 // completion (an idle call hands the CPU over twice; overlapping callers
 // of one client relay each other's completions; a receiver whose deadline
-// fires hands the role on; a late duplicate nobody receives is counted
-// after Close), the multi-tenant acceptance run — >= 100 tenants on >= 4
+// fires hands the role on; a late duplicate is counted where a later call
+// receives it), the multi-tenant acceptance run — >= 100 tenants on >= 4
 // workers surviving scripted worker kills (which take out both the worker's
 // request-plane receiver slot and its response-plane producer slot) with
 // exactly-once completions and a fully drained RevocationTable — plus the
-// worker-side recovery from a response send that fails on a healthy plane,
-// and Close() releasing a call parked on its completion.
+// worker-side recovery from a response send that fails on a healthy plane.
+// Close() aborts every plane: it releases a call parked on its completion,
+// and a late response or a retried request still queued then is retired
+// with its grant. Every test that closes ends on ExpectNothingOutlivesClose
+// (fabric_end_state.h): no live grant on any plane, no thread parked.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,6 +25,7 @@
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "fabric/fabric.h"
+#include "fabric_end_state.h"
 #include "fault/fault.h"
 #include "hw/machine.h"
 #include "os/kernel.h"
@@ -70,7 +74,6 @@ TEST_F(FabricTest, CallsRoundTripAcrossTenantsAndWorkers) {
                                   .resp_bytes = 64});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   ServiceFabric::Handler echo = [](os::Env, const chan::Msg&) -> sim::Task<void> {
     co_return;
   };
@@ -105,10 +108,7 @@ TEST_F(FabricTest, CallsRoundTripAcrossTenantsAndWorkers) {
   // (OneTenantsSequentialCallsAlternateWorkers pins the idle-fabric order).
   EXPECT_EQ(fab->WorkerProgress(0) + fab->WorkerProgress(1),
             static_cast<uint64_t>(3 * kPerTenant));
-  for (uint32_t c = 0; c < 3; ++c) {
-    EXPECT_EQ(fab->request_plane(c)->LiveGrantCount(), 0u);
-    EXPECT_EQ(fab->response_plane(c)->LiveGrantCount(), 0u);
-  }
+  ExpectNothingOutlivesClose(*fab, kernel_);
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
 }
 
@@ -122,7 +122,6 @@ TEST_F(FabricTest, OneTenantsSequentialCallsAlternateWorkers) {
                                   .resp_bytes = 64});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   std::vector<uint32_t> served;
   for (uint32_t w = 0; w < 3; ++w) {
     SpawnServeLoops(fab, w, *workers[w],
@@ -138,6 +137,7 @@ TEST_F(FabricTest, OneTenantsSequentialCallsAlternateWorkers) {
     fab->Close();
   });
   kernel_.Run();
+  ExpectNothingOutlivesClose(*fab, kernel_);
   EXPECT_EQ(served, (std::vector<uint32_t>{0, 1, 2, 0, 1, 2}));
   for (uint32_t w = 0; w < 3; ++w) {
     EXPECT_EQ(fab->WorkerProgress(w), 2u) << "worker " << w;
@@ -156,7 +156,6 @@ TEST_F(FabricTest, ParkedWorkerGetsNoRequestWhileAnotherWorkerIsIdle) {
                                   .resp_bytes = 64});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   auto gate = std::make_shared<os::Semaphore>(0);
   int served0 = 0;
   SpawnServeLoops(fab, 0, *workers[0],
@@ -188,6 +187,7 @@ TEST_F(FabricTest, ParkedWorkerGetsNoRequestWhileAnotherWorkerIsIdle) {
     fab->Close();
   });
   kernel_.Run();
+  ExpectNothingOutlivesClose(*fab, kernel_);
   EXPECT_EQ(ok_calls, 5);
   EXPECT_EQ(fab->WorkerProgress(0), 1u);
   EXPECT_EQ(fab->busy_dispatches(), 0u);
@@ -221,13 +221,13 @@ TEST_F(FabricTest, SimultaneousFirstCallsGoToDifferentIdleWorkers) {
         },
         /*pin_cpu=*/static_cast<int>(c));
   }
-  fab->StartAllDispatchers();
   for (uint32_t w = 0; w < 2; ++w) {
     SpawnServeLoops(fab, w, *workers[w], [](os::Env, const chan::Msg&) -> sim::Task<void> {
       co_return;
     });
   }
   kernel_.Run();
+  ExpectNothingOutlivesClose(*fab, kernel_);
   EXPECT_EQ(started[0], started[1]);
   EXPECT_EQ(ok_calls, 2);
   EXPECT_EQ(fab->WorkerProgress(0), 1u);
@@ -247,7 +247,6 @@ TEST_F(FabricTest, BusyDispatchTakesTheLeastLoadedWorker) {
                                   .resp_bytes = 64});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   auto gate = std::make_shared<os::Semaphore>(0);
   ServiceFabric::Handler parked = [gate](os::Env env, const chan::Msg&) -> sim::Task<void> {
     co_await gate->Wait(env);
@@ -280,6 +279,7 @@ TEST_F(FabricTest, BusyDispatchTakesTheLeastLoadedWorker) {
     fab->Close();
   });
   kernel_.Run();
+  ExpectNothingOutlivesClose(*fab, kernel_);
   EXPECT_EQ(ok_calls, 4);
   EXPECT_EQ(fab->busy_dispatches(), 2u);
   EXPECT_EQ(fab->WorkerProgress(0), 2u);
@@ -318,7 +318,6 @@ TEST_F(FabricTest, WorkerLoadsReadZeroAfterCompletionRetryAndRebind) {
     auto f = ServiceFabric::Create(dipc_, clients, workers, cfg);
     ASSERT_TRUE(f.ok());
     std::shared_ptr<ServiceFabric> fab = f.value();
-    fab->StartAllDispatchers();
     ServiceFabric::Handler work = [](os::Env env, const chan::Msg&) -> sim::Task<void> {
       co_await env.kernel->Spend(*env.self, Duration::Micros(1), os::TimeCat::kUser);
     };
@@ -337,6 +336,7 @@ TEST_F(FabricTest, WorkerLoadsReadZeroAfterCompletionRetryAndRebind) {
       });
     }
     kernel_.Run();
+    ExpectNothingOutlivesClose(*fab, kernel_);
     EXPECT_EQ(fab->completions(), 12u);
     expect_idle(*fab, "after completions");
   }
@@ -347,7 +347,6 @@ TEST_F(FabricTest, WorkerLoadsReadZeroAfterCompletionRetryAndRebind) {
     auto f = ServiceFabric::Create(dipc_, clients, workers, cfg);
     ASSERT_TRUE(f.ok());
     std::shared_ptr<ServiceFabric> fab = f.value();
-    fab->StartAllDispatchers();
     int served0 = 0;
     SpawnServeLoops(fab, 0, *workers[0], slow_first(&served0, Duration::Micros(100)));
     SpawnServeLoops(fab, 1, *workers[1], echo);
@@ -355,12 +354,16 @@ TEST_F(FabricTest, WorkerLoadsReadZeroAfterCompletionRetryAndRebind) {
       EXPECT_TRUE((co_await fab->Call(env, 0, 16)).ok());
       EXPECT_EQ(fab->WorkerLoad(0), 1);  // still in its handler
       co_await env.kernel->Sleep(env, Duration::Micros(200));
+      // Worker 0's late response waits on the response plane: the next
+      // call's receiver drops it as a duplicate, then takes its own.
+      EXPECT_TRUE((co_await fab->Call(env, 0, 16)).ok());
       fab->Close();
     });
     kernel_.Run();
+    ExpectNothingOutlivesClose(*fab, kernel_);
     EXPECT_EQ(fab->retries(), 1u);
     EXPECT_EQ(fab->duplicate_completions(), 1u);
-    EXPECT_EQ(fab->WorkerProgress(0), 1u);
+    EXPECT_EQ(fab->WorkerProgress(0), 2u);  // the late response and the second call
     EXPECT_EQ(fab->WorkerProgress(1), 1u);
     expect_idle(*fab, "after a retry");
   }
@@ -371,7 +374,6 @@ TEST_F(FabricTest, WorkerLoadsReadZeroAfterCompletionRetryAndRebind) {
     auto f = ServiceFabric::Create(dipc_, clients, workers, cfg);
     ASSERT_TRUE(f.ok());
     std::shared_ptr<ServiceFabric> fab = f.value();
-    fab->StartAllDispatchers();
     int served1 = 0;
     SpawnServeLoops(fab, 0, *workers[0], echo);
     SpawnServeLoops(fab, 1, *workers[1], slow_first(&served1, Duration::Millis(1)));
@@ -395,6 +397,7 @@ TEST_F(FabricTest, WorkerLoadsReadZeroAfterCompletionRetryAndRebind) {
       fab->Close();
     });
     kernel_.Run();
+    ExpectNothingOutlivesClose(*fab, kernel_);
     EXPECT_EQ(fab->completions(), 6u);
     EXPECT_EQ(fab->retries(), 1u);
     EXPECT_EQ(fab->worker_rebinds(), 1u);
@@ -415,7 +418,6 @@ TEST_F(FabricTest, IdleCallHandsTheCpuOverTwice) {
                                   .resp_bytes = 64});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   for (uint32_t w = 0; w < 4; ++w) {
     SpawnServeLoops(fab, w, *workers[w], [](os::Env, const chan::Msg&) -> sim::Task<void> {
       co_return;
@@ -431,6 +433,7 @@ TEST_F(FabricTest, IdleCallHandsTheCpuOverTwice) {
     fab->Close();
   });
   kernel_.Run();
+  ExpectNothingOutlivesClose(*fab, kernel_);
   EXPECT_EQ(ok_calls, 8);
   EXPECT_EQ(fab->relayed_completions(), 0u);
 }
@@ -447,7 +450,6 @@ TEST_F(FabricTest, OverlappingCallersOfOneClientEachCompleteOnce) {
                                   .resp_bytes = 64});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   SpawnServeLoops(fab, 0, *workers[0], [](os::Env env, const chan::Msg&) -> sim::Task<void> {
     co_await env.kernel->Sleep(env, Duration::Micros(5));
   });
@@ -475,15 +477,15 @@ TEST_F(FabricTest, OverlappingCallersOfOneClientEachCompleteOnce) {
   EXPECT_EQ(fab->duplicate_completions(), 0u);
   EXPECT_EQ(fab->retries(), 0u);
   EXPECT_GT(fab->relayed_completions(), 0u);
-  EXPECT_EQ(fab->request_plane(0)->LiveGrantCount(), 0u);
-  EXPECT_EQ(fab->response_plane(0)->LiveGrantCount(), 0u);
+  ExpectNothingOutlivesClose(*fab, kernel_);
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
 }
 
 // Caller A receives; caller B follows. A's deadline fires before either
 // response lands, so A hands the role to B, and B receives its own
 // completion before its own deadline, with no retry. A retries on the idle
-// worker, and its first attempt's late response is a duplicate.
+// worker. Its first attempt's late response is a duplicate, which A's next
+// call receives and drops.
 TEST_F(FabricTest, ReceiverWhoseDeadlineFiresHandsTheRoleToAWaitingCaller) {
   auto clients = MakeProcs("tenant", 1);
   auto workers = MakeProcs("worker", 2);
@@ -494,7 +496,6 @@ TEST_F(FabricTest, ReceiverWhoseDeadlineFiresHandsTheRoleToAWaitingCaller) {
                                   .max_call_retries = 3});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   // Each worker sleeps through its first request only: A's first attempt
   // outlasts every deadline, B's lands after A's deadline and before B's.
   for (uint32_t w = 0; w < 2; ++w) {
@@ -508,11 +509,14 @@ TEST_F(FabricTest, ReceiverWhoseDeadlineFiresHandsTheRoleToAWaitingCaller) {
                     });
   }
   base::Status a = ErrorCode::kFault;
+  base::Status a_next = ErrorCode::kFault;
   base::Status b = ErrorCode::kFault;
   sim::Time b_start;
   sim::Time b_end;
   kernel_.Spawn(*clients[0], "web-a", [&, fab](os::Env env) -> sim::Task<void> {
     a = co_await fab->Call(env, 0, 16);
+    co_await env.kernel->Sleep(env, Duration::Micros(300));  // past the late response
+    a_next = co_await fab->Call(env, 0, 16);
   });
   kernel_.Spawn(*clients[0], "web-b", [&, fab](os::Env env) -> sim::Task<void> {
     co_await env.kernel->Sleep(env, Duration::Micros(20));
@@ -522,24 +526,25 @@ TEST_F(FabricTest, ReceiverWhoseDeadlineFiresHandsTheRoleToAWaitingCaller) {
   });
   machine_.events().ScheduleAt(sim::Time::Zero() + Duration::Micros(500), [fab] { fab->Close(); });
   kernel_.Run();
+  ExpectNothingOutlivesClose(*fab, kernel_);
   EXPECT_TRUE(a.ok());
+  EXPECT_TRUE(a_next.ok());
   EXPECT_TRUE(b.ok());
   EXPECT_LT(b_end, b_start + deadline);
-  EXPECT_EQ(fab->calls(), 2u);
-  EXPECT_EQ(fab->completions(), 2u);
+  EXPECT_EQ(fab->calls(), 3u);
+  EXPECT_EQ(fab->completions(), 3u);
   EXPECT_EQ(fab->retries(), 1u);  // A's alone
   EXPECT_EQ(fab->relayed_completions(), 0u);
   EXPECT_EQ(fab->duplicate_completions(), 1u);
   EXPECT_EQ(fab->WorkerProgress(0), 1u);
-  EXPECT_EQ(fab->WorkerProgress(1), 2u);
-  EXPECT_EQ(fab->response_plane(0)->LiveGrantCount(), 0u);
+  EXPECT_EQ(fab->WorkerProgress(1), 3u);
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
 }
 
 // A late completion that lands while no call is in flight has no caller to
-// receive it: it waits on the response plane, and the drain thread counts
-// it as a duplicate and releases its grant once the fabric closes.
-TEST_F(FabricTest, LateDuplicateWithNoCallInFlightIsCountedAfterClose) {
+// receive it: it waits on the response plane until Close(), which retires
+// it with its grant. Nobody receives it, so it is not counted.
+TEST_F(FabricTest, LateDuplicateWithNoCallInFlightIsRetiredAtClose) {
   auto clients = MakeProcs("tenant", 1);
   auto workers = MakeProcs("worker", 2);
   auto f = ServiceFabric::Create(dipc_, clients, workers,
@@ -548,7 +553,6 @@ TEST_F(FabricTest, LateDuplicateWithNoCallInFlightIsCountedAfterClose) {
                                   .max_call_retries = 5});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   auto served0 = std::make_shared<int>(0);
   SpawnServeLoops(fab, 0, *workers[0], [served0](os::Env env, const chan::Msg&) -> sim::Task<void> {
     if ((*served0)++ == 0) {
@@ -558,20 +562,23 @@ TEST_F(FabricTest, LateDuplicateWithNoCallInFlightIsCountedAfterClose) {
   SpawnServeLoops(fab, 1, *workers[1], [](os::Env, const chan::Msg&) -> sim::Task<void> {
     co_return;
   });
+  const std::shared_ptr<chan::Plane>& resp = fab->response_plane(0);
+  uint64_t recvs_at_close = 0;
   kernel_.Spawn(*clients[0], "web", [&, fab](os::Env env) -> sim::Task<void> {
     EXPECT_TRUE((co_await fab->Call(env, 0, 16)).ok());  // its retry went to worker 1
     co_await env.kernel->Sleep(env, Duration::Micros(200));
     EXPECT_EQ(fab->WorkerProgress(0), 1u);  // the late response was sent
-    EXPECT_EQ(fab->duplicate_completions(), 0u);
-    EXPECT_EQ(fab->response_plane(0)->LiveGrantCount(), 1u);
+    EXPECT_EQ(resp->queued(0), 1u);
+    EXPECT_EQ(resp->LiveGrantCount(), 1u);
+    recvs_at_close = resp->recvs();
     fab->Close();
   });
   kernel_.Run();
+  ExpectNothingOutlivesClose(*fab, kernel_);
   EXPECT_EQ(fab->completions(), 1u);
   EXPECT_EQ(fab->retries(), 1u);
-  EXPECT_EQ(fab->duplicate_completions(), 1u);
-  EXPECT_EQ(fab->request_plane(0)->LiveGrantCount(), 0u);
-  EXPECT_EQ(fab->response_plane(0)->LiveGrantCount(), 0u);
+  EXPECT_EQ(resp->recvs(), recvs_at_close);  // nobody received it
+  EXPECT_EQ(fab->duplicate_completions(), 0u);
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
 }
 
@@ -594,6 +601,7 @@ TEST_F(FabricTest, SharedTrioKeepsTagFootprintConstantAcrossTenants) {
             fab->response_plane(0)->config().data_tag);
   fab->Close();
   kernel_.Run();
+  ExpectNothingOutlivesClose(*fab, kernel_);
 }
 
 TEST_F(FabricTest, MultiTenantFabricSurvivesScriptedWorkerKillsExactlyOnce) {
@@ -615,7 +623,6 @@ TEST_F(FabricTest, MultiTenantFabricSurvivesScriptedWorkerKillsExactlyOnce) {
        .call_deadline = Duration::Millis(1), .max_call_retries = 20});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   ServiceFabric::Handler echo = [](os::Env, const chan::Msg&) -> sim::Task<void> {
     co_return;
   };
@@ -625,10 +632,14 @@ TEST_F(FabricTest, MultiTenantFabricSurvivesScriptedWorkerKillsExactlyOnce) {
   int ok_calls = 0;
   // The fabric closes once every tenant AND the supervisor are done: when
   // calls are fast the tenants finish before the second scripted rebind,
-  // which must still find the fabric open.
+  // which must still find the fabric open. Both victims are rebound by
+  // then, so every worker is alive up to the close, which aborts them all.
   int remaining = kTenants + 1;
   auto finish = [&remaining, fab] {
     if (--remaining == 0) {
+      for (uint32_t w = 0; w < kWorkers; ++w) {
+        EXPECT_TRUE(fab->worker_alive(w)) << "worker " << w;
+      }
       fab->Close();
     }
   };
@@ -662,6 +673,7 @@ TEST_F(FabricTest, MultiTenantFabricSurvivesScriptedWorkerKillsExactlyOnce) {
     finish();
   });
   kernel_.Run();
+  ExpectNothingOutlivesClose(*fab, kernel_);
   constexpr uint64_t kTotal = uint64_t{kTenants} * kPerTenant;
   // Exactly once: every operation returned kOk exactly one time, none were
   // abandoned, and any late completions of superseded attempts were dropped
@@ -673,15 +685,10 @@ TEST_F(FabricTest, MultiTenantFabricSurvivesScriptedWorkerKillsExactlyOnce) {
   EXPECT_EQ(fab->worker_rebinds(), 2u);
   uint64_t progress = 0;
   for (uint32_t w = 0; w < kWorkers; ++w) {
-    EXPECT_TRUE(fab->worker_alive(w));
     EXPECT_GE(fab->WorkerProgress(w), 1u) << "worker " << w;
     progress += fab->WorkerProgress(w);
   }
   EXPECT_GE(progress, kTotal);  // retried attempts may be served twice
-  for (uint32_t c = 0; c < kTenants; ++c) {
-    EXPECT_EQ(fab->request_plane(c)->LiveGrantCount(), 0u) << "tenant " << c;
-    EXPECT_EQ(fab->response_plane(c)->LiveGrantCount(), 0u) << "tenant " << c;
-  }
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
 }
 
@@ -693,7 +700,8 @@ TEST_F(FabricTest, ResponseSendFailureOnAHealthyPlaneGivesTheSlotBackAndKeepsSer
   // client's request). The injected kFault leaves the response plane healthy
   // and the buffer the worker's, with its write grant and one credit of the
   // worker's line: the worker must hand it back and keep serving, so the
-  // client's retry of the same opid completes.
+  // client's retry of the same opid completes. The plane is read before
+  // Close(), which aborts it.
   auto clients = MakeProcs("tenant", 1);
   auto workers = MakeProcs("worker", 1);
   auto f = ServiceFabric::Create(
@@ -702,7 +710,6 @@ TEST_F(FabricTest, ResponseSendFailureOnAHealthyPlaneGivesTheSlotBackAndKeepsSer
        .call_deadline = Duration::Micros(50), .max_call_retries = 3});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   ServiceFabric::Handler echo = [](os::Env, const chan::Msg&) -> sim::Task<void> {
     co_return;
   };
@@ -711,26 +718,29 @@ TEST_F(FabricTest, ResponseSendFailureOnAHealthyPlaneGivesTheSlotBackAndKeepsSer
   ASSERT_TRUE(plan.ok());
   fault::Injector::Global().Arm(plan.value(), &machine_.events());
   base::Status result = ErrorCode::kFault;
+  const std::shared_ptr<chan::Plane>& resp = fab->response_plane(0);
   kernel_.Spawn(*clients[0], "web", [&, fab](os::Env env) -> sim::Task<void> {
     result = co_await fab->Call(env, 0, 16);
+    EXPECT_EQ(resp->broken(), ErrorCode::kOk);
+    EXPECT_EQ(resp->LiveGrantCount(), 0u);
+    EXPECT_EQ(resp->credits(0), resp->credit_line());
     fab->Close();
   });
   kernel_.Run();
   fault::Injector::Global().Disarm();
+  ExpectNothingOutlivesClose(*fab, kernel_);
   EXPECT_TRUE(result.ok()) << static_cast<int>(result.code());
   EXPECT_EQ(fab->retries(), 1u);
-  const std::shared_ptr<chan::Plane>& resp = fab->response_plane(0);
-  EXPECT_EQ(resp->broken(), ErrorCode::kOk);
-  EXPECT_EQ(resp->LiveGrantCount(), 0u);
-  EXPECT_EQ(resp->credits(0), resp->credit_line());
 #endif
 }
 
 TEST_F(FabricTest, CloseFailsACallParkedOnItsCompletion) {
   // The handler is still running when the fabric closes: with no
-  // call_deadline, the caller parked on its completion semaphore must not
-  // be left there. It returns kBrokenChannel; the late handler finds the
-  // planes closed and every grant still drains.
+  // call_deadline, the caller parked on its completion must not be left
+  // there. It returns kBrokenChannel; Close() revoked the grant of the
+  // request in the handler, whose late release finds the plane aborted.
+  // Every plane then reads kBrokenChannel: the client is broken and no
+  // worker is alive.
   auto clients = MakeProcs("tenant", 1);
   auto workers = MakeProcs("worker", 1);
   auto f = ServiceFabric::Create(dipc_, clients, workers,
@@ -738,7 +748,6 @@ TEST_F(FabricTest, CloseFailsACallParkedOnItsCompletion) {
                                   .resp_bytes = 64});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
-  fab->StartAllDispatchers();
   ServiceFabric::Handler slow = [](os::Env env, const chan::Msg&) -> sim::Task<void> {
     co_await env.kernel->Sleep(env, Duration::Micros(20));
   };
@@ -751,13 +760,63 @@ TEST_F(FabricTest, CloseFailsACallParkedOnItsCompletion) {
   });
   machine_.events().ScheduleAt(sim::Time::Zero() + Duration::Micros(5), [fab] { fab->Close(); });
   kernel_.Run();
+  ExpectNothingOutlivesClose(*fab, kernel_);
   EXPECT_TRUE(returned);
   EXPECT_EQ(result.code(), ErrorCode::kBrokenChannel);
   EXPECT_EQ(fab->calls(), 1u);
   EXPECT_EQ(fab->completions(), 0u);
   EXPECT_EQ(fab->duplicate_completions(), 0u);
-  EXPECT_EQ(fab->request_plane(0)->LiveGrantCount(), 0u);
-  EXPECT_EQ(fab->response_plane(0)->LiveGrantCount(), 0u);
+  EXPECT_EQ(fab->request_plane(0)->broken(), ErrorCode::kBrokenChannel);
+  EXPECT_EQ(fab->response_plane(0)->broken(), ErrorCode::kBrokenChannel);
+  EXPECT_TRUE(fab->client_broken(0));
+  EXPECT_FALSE(fab->worker_alive(0));
+  EXPECT_EQ(codoms_.revocations().live_count(), 0u);
+}
+
+// A retry still queued at a busy worker when the fabric closes. Caller A's
+// first attempt goes to worker 0, which sleeps 60 us on it; caller B's goes
+// to worker 1, which sleeps 300 us. Both time out and retry: A's retry
+// queues at worker 0, B's at worker 1. A's first attempt completes at about
+// 60 us and A closes at once, with B's first request in worker 1's handler
+// and B's retry queued behind it. Close() retires both with their grants;
+// a serve loop that only stopped would leave the queued one live.
+TEST_F(FabricTest, RetryQueuedAtABusyWorkerIsRetiredAtClose) {
+  auto clients = MakeProcs("tenant", 1);
+  auto workers = MakeProcs("worker", 2);
+  auto f = ServiceFabric::Create(dipc_, clients, workers,
+                                 {.req_slots = 4, .req_bytes = 64, .resp_slots = 4,
+                                  .resp_bytes = 64, .call_deadline = Duration::Micros(30),
+                                  .max_call_retries = 3});
+  ASSERT_TRUE(f.ok());
+  std::shared_ptr<ServiceFabric> fab = f.value();
+  for (uint32_t w = 0; w < 2; ++w) {
+    auto served = std::make_shared<int>(0);
+    const Duration first = w == 0 ? Duration::Micros(60) : Duration::Micros(300);
+    SpawnServeLoops(fab, w, *workers[w],
+                    [served, first](os::Env env, const chan::Msg&) -> sim::Task<void> {
+                      if ((*served)++ == 0) {
+                        co_await env.kernel->Sleep(env, first);
+                      }
+                    });
+  }
+  const std::shared_ptr<chan::Plane>& req = fab->request_plane(0);
+  base::Status a = ErrorCode::kFault;
+  base::Status b = ErrorCode::kOk;
+  kernel_.Spawn(*clients[0], "web-a", [&, fab](os::Env env) -> sim::Task<void> {
+    a = co_await fab->Call(env, 0, 16);
+    EXPECT_EQ(req->queued(1), 1u);  // B's retry
+    EXPECT_EQ(req->LiveGrantCount(), 2u);  // B's first request and its retry
+    fab->Close();
+  });
+  kernel_.Spawn(*clients[0], "web-b", [&, fab](os::Env env) -> sim::Task<void> {
+    co_await env.kernel->Sleep(env, Duration::Micros(5));
+    b = co_await fab->Call(env, 0, 16);
+  });
+  kernel_.Run();
+  ExpectNothingOutlivesClose(*fab, kernel_);
+  EXPECT_TRUE(a.ok());
+  EXPECT_EQ(b.code(), ErrorCode::kBrokenChannel);
+  EXPECT_EQ(fab->retries(), 2u);
   EXPECT_EQ(codoms_.revocations().live_count(), 0u);
 }
 

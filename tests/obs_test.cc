@@ -26,6 +26,7 @@
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "fabric/fabric.h"
+#include "fabric_end_state.h"
 #include "hw/machine.h"
 #include "obs/metric_schema.h"
 #include "obs/metrics.h"
@@ -660,7 +661,6 @@ struct FabricRig {
     auto f = fabric::ServiceFabric::Create(dipc, clients, workers, cfg);
     DIPC_CHECK(f.ok());
     fab = f.value();
-    fab->StartAllDispatchers();
   }
 
   void SpawnServe(fabric::ServiceFabric::Handler handler) {
@@ -778,6 +778,7 @@ TEST(ObsFabric, SingleCallHopSpansShareOneOpid) {
   });
   rig.kernel.Run();
   Trace().Disable();
+  fabric::ExpectNothingOutlivesClose(*fab, rig.kernel);
   EXPECT_TRUE(ok);
 #ifndef DIPC_OBS_OFF
   std::vector<TraceEvent> events = Trace().Snapshot();
@@ -835,6 +836,7 @@ TEST(ObsFabric, RetriesAppearAsDistinctAttempts) {
   });
   rig.kernel.Run();
   Trace().Disable();
+  fabric::ExpectNothingOutlivesClose(*fab, rig.kernel);
   EXPECT_TRUE(ok);
 #ifndef DIPC_OBS_OFF
   std::vector<TraceEvent> events = Trace().Snapshot();
