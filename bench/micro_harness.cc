@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 
 #include "chan/channel.h"
@@ -24,17 +25,26 @@
 namespace dipc::bench {
 namespace {
 
+using hw::AccessType;
 using os::TimeCat;
 using sim::Duration;
 
 // One self-contained simulated machine per measurement.
 struct World {
-  World() : machine(4), codoms(machine), kernel(machine, codoms) {}
+  explicit World(uint32_t cpus) : machine(cpus), codoms(machine), kernel(machine, codoms) {}
 
   hw::Machine machine;
   codoms::Codoms codoms;
   os::Kernel kernel;
 };
+
+// Maps a writable buffer one byte larger than an `arg_bytes` argument.
+hw::VirtAddr MapArg(World& w, os::Process& p, uint64_t arg_bytes) {
+  auto va = w.kernel.MapAnonymous(p, hw::PageRoundUp(arg_bytes + 1),
+                                  hw::PageFlags{.writable = true});
+  DIPC_CHECK(va.ok());
+  return va.value();
+}
 
 // Maps `len` bytes of shared memory into both processes at the same VA
 // (each side sees its own domain tag; the frames are shared).
@@ -53,165 +63,132 @@ hw::VirtAddr MapShared(World& w, os::Process& a, os::Process& b, uint64_t len) {
   return va.value();
 }
 
-// Measurement wrapper: runs `rounds+warmup` with accounting reset after the
-// warmup; converts totals to per-round values.
-struct Window {
-  explicit Window(World& w, int rounds) : w(w), rounds(rounds) {}
-  void Begin() {
-    w.kernel.accounting().Reset();
-    t0 = w.kernel.now();
-  }
-  MicroResult Finish() {
-    MicroResult r;
-    r.roundtrip_ns = (w.kernel.now() - t0).nanos() / rounds;
-    r.breakdown = w.kernel.accounting().Summed();
-    for (auto& d : r.breakdown.by_cat) {
-      d = Duration::Picos(d.picos() / rounds);
-    }
-    return r;
-  }
-  World& w;
-  int rounds;
-  sim::Time t0;
-};
-
 constexpr int kWarmup = 8;
+constexpr const char* kThread = "bench";  // no output names a thread
+
+// The CPU of a callee thread: its caller's, or CPU 1 across CPUs.
+int CalleeCpu(const MicroConfig& config) { return config.cross_cpu ? 1 : 0; }
+
+// A round is one round trip's share of a thread's work, a coroutine that
+// the thread awaits kWarmup + rounds times; awaiting it adds no event.
+using Round = std::function<sim::Task<void>(os::Env)>;
+
+// Spawns the callee side on `cpu`: kWarmup + rounds rounds.
+void SpawnRounds(World& w, os::Process& p, int cpu, int rounds, Round round) {
+  w.kernel.Spawn(
+      p, kThread,
+      [rounds, round = std::move(round)](os::Env env) -> sim::Task<void> {
+        for (int i = -kWarmup; i < rounds; ++i) {
+          co_await round(env);
+        }
+      },
+      cpu);
+}
+
+// Spawns the caller side on CPU 0 and runs the world to its end. The first
+// kWarmup rounds are untimed; the window opens as the first timed round
+// starts. Returns the window's round trip and time breakdown per round.
+MicroResult TimeRounds(World& w, os::Process& p, int rounds, const Round& round) {
+  os::Kernel& k = w.kernel;
+  sim::Time t0;
+  k.Spawn(
+      p, kThread,
+      [&](os::Env env) -> sim::Task<void> {
+        for (int i = -kWarmup; i < rounds; ++i) {
+          if (i == 0) {
+            k.accounting().Reset();
+            t0 = k.now();
+          }
+          co_await round(env);
+        }
+      },
+      /*pin_cpu=*/0);
+  k.Run();
+  MicroResult r;
+  r.roundtrip_ns = (k.now() - t0).nanos() / rounds;
+  r.breakdown = k.accounting().Summed();
+  for (auto& d : r.breakdown.by_cat) {
+    d = Duration::Picos(d.picos() / rounds);
+  }
+  return r;
+}
 
 }  // namespace
 
 MicroResult MeasureFunction(const MicroConfig& config) {
-  World w;
+  World w(4);
   os::Process& p = w.kernel.CreateProcess("app");
-  auto buf = w.kernel.MapAnonymous(p, hw::PageRoundUp(config.arg_bytes + 1),
-                                   hw::PageFlags{.writable = true});
-  DIPC_CHECK(buf.ok());
-  Window win(w, config.rounds);
-  w.kernel.Spawn(p, "main", [&](os::Env env) -> sim::Task<void> {
+  const hw::VirtAddr buf = MapArg(w, p, config.arg_bytes);
+  const bool mem_arg = config.arg_bytes > 8;
+  return TimeRounds(w, p, config.rounds, [&](os::Env env) -> sim::Task<void> {
     os::Kernel& k = *env.kernel;
-    bool mem_arg = config.arg_bytes > 8;
-    for (int i = -kWarmup; i < config.rounds; ++i) {
-      if (i == 0) {
-        win.Begin();
-      }
-      if (mem_arg) {
-        (void)co_await k.TouchUser(env, buf.value(), config.arg_bytes, hw::AccessType::kWrite);
-      }
-      co_await k.Spend(*env.self, k.costs().function_call, TimeCat::kUser);
-      if (mem_arg) {
-        (void)co_await k.TouchUser(env, buf.value(), config.arg_bytes, hw::AccessType::kRead);
-      }
+    if (mem_arg) {
+      (void)co_await k.TouchUser(env, buf, config.arg_bytes, AccessType::kWrite);
+    }
+    co_await k.Spend(*env.self, k.costs().function_call, TimeCat::kUser);
+    if (mem_arg) {
+      (void)co_await k.TouchUser(env, buf, config.arg_bytes, AccessType::kRead);
     }
   });
-  w.kernel.Run();
-  return win.Finish();
 }
 
 MicroResult MeasureSyscall(const MicroConfig& config) {
-  World w;
+  World w(4);
   os::Process& p = w.kernel.CreateProcess("app");
-  auto buf = w.kernel.MapAnonymous(p, hw::PageRoundUp(config.arg_bytes + 1),
-                                   hw::PageFlags{.writable = true});
-  DIPC_CHECK(buf.ok());
+  const hw::VirtAddr buf = MapArg(w, p, config.arg_bytes);
   hw::PhysAddr kbuf = w.kernel.AllocKernelBuffer(hw::PageRoundUp(config.arg_bytes + 1));
-  Window win(w, config.rounds);
-  w.kernel.Spawn(p, "main", [&](os::Env env) -> sim::Task<void> {
+  return TimeRounds(w, p, config.rounds, [&](os::Env env) -> sim::Task<void> {
     os::Kernel& k = *env.kernel;
-    for (int i = -kWarmup; i < config.rounds; ++i) {
-      if (i == 0) {
-        win.Begin();
-      }
-      (void)co_await k.TouchUser(env, buf.value(), config.arg_bytes, hw::AccessType::kWrite);
-      co_await k.SyscallEnter(env);
-      (void)co_await k.CopyFromUser(env, kbuf, buf.value(), config.arg_bytes);
-      co_await k.SyscallExit(env);
-    }
+    (void)co_await k.TouchUser(env, buf, config.arg_bytes, AccessType::kWrite);
+    co_await k.SyscallEnter(env);
+    (void)co_await k.CopyFromUser(env, kbuf, buf, config.arg_bytes);
+    co_await k.SyscallExit(env);
   });
-  w.kernel.Run();
-  return win.Finish();
 }
 
 MicroResult MeasureSemaphore(const MicroConfig& config) {
-  World w;
+  World w(4);
   os::Process& client = w.kernel.CreateProcess("client");
   os::Process& server = w.kernel.CreateProcess("server");
   hw::VirtAddr shared = MapShared(w, client, server, hw::PageRoundUp(config.arg_bytes + 1));
-  auto req = std::make_shared<os::Semaphore>(0);
-  auto resp = std::make_shared<os::Semaphore>(0);
-  int server_cpu = config.cross_cpu ? 1 : 0;
-  Window win(w, config.rounds);
-  w.kernel.Spawn(
-      server, "server",
-      [&, req, resp](os::Env env) -> sim::Task<void> {
-        os::Kernel& k = *env.kernel;
-        for (int i = -kWarmup; i < config.rounds; ++i) {
-          co_await req->Wait(env);
-          (void)co_await k.TouchUser(env, shared, config.arg_bytes, hw::AccessType::kRead);
-          co_await resp->Post(env);
-        }
-      },
-      server_cpu);
-  w.kernel.Spawn(
-      client, "client",
-      [&, req, resp](os::Env env) -> sim::Task<void> {
-        os::Kernel& k = *env.kernel;
-        for (int i = -kWarmup; i < config.rounds; ++i) {
-          if (i == 0) {
-            win.Begin();
-          }
-          (void)co_await k.TouchUser(env, shared, config.arg_bytes, hw::AccessType::kWrite);
-          co_await req->Post(env);
-          co_await resp->Wait(env);
-        }
-      },
-      /*pin_cpu=*/0);
-  w.kernel.Run();
-  return win.Finish();
+  os::Semaphore req(0);
+  os::Semaphore resp(0);
+  SpawnRounds(w, server, CalleeCpu(config), config.rounds, [&](os::Env env) -> sim::Task<void> {
+    co_await req.Wait(env);
+    (void)co_await env.kernel->TouchUser(env, shared, config.arg_bytes, AccessType::kRead);
+    co_await resp.Post(env);
+  });
+  return TimeRounds(w, client, config.rounds, [&](os::Env env) -> sim::Task<void> {
+    (void)co_await env.kernel->TouchUser(env, shared, config.arg_bytes, AccessType::kWrite);
+    co_await req.Post(env);
+    co_await resp.Wait(env);
+  });
 }
 
 MicroResult MeasurePipe(const MicroConfig& config) {
-  World w;
+  World w(4);
   os::Process& client = w.kernel.CreateProcess("client");
   os::Process& server = w.kernel.CreateProcess("server");
-  auto to_srv = std::make_shared<os::Pipe>(w.kernel);
-  auto to_cli = std::make_shared<os::Pipe>(w.kernel);
-  uint64_t buf_len = hw::PageRoundUp(config.arg_bytes + 1);
-  auto cbuf = w.kernel.MapAnonymous(client, buf_len, hw::PageFlags{.writable = true});
-  auto sbuf = w.kernel.MapAnonymous(server, buf_len, hw::PageFlags{.writable = true});
-  DIPC_CHECK(cbuf.ok() && sbuf.ok());
-  int server_cpu = config.cross_cpu ? 1 : 0;
-  Window win(w, config.rounds);
-  w.kernel.Spawn(
-      server, "server",
-      [&, to_srv, to_cli](os::Env env) -> sim::Task<void> {
-        for (int i = -kWarmup; i < config.rounds; ++i) {
-          DIPC_CHECK((co_await to_srv->ReadExact(env, sbuf.value(), config.arg_bytes)).ok());
-          (void)co_await to_cli->Write(env, sbuf.value(), 1);
-        }
-      },
-      server_cpu);
-  w.kernel.Spawn(
-      client, "client",
-      [&, to_srv, to_cli](os::Env env) -> sim::Task<void> {
-        os::Kernel& k = *env.kernel;
-        for (int i = -kWarmup; i < config.rounds; ++i) {
-          if (i == 0) {
-            win.Begin();
-          }
-          (void)co_await k.TouchUser(env, cbuf.value(), config.arg_bytes, hw::AccessType::kWrite);
-          (void)co_await to_srv->Write(env, cbuf.value(), config.arg_bytes);
-          auto n = co_await to_cli->Read(env, cbuf.value(), 1);
-          DIPC_CHECK(n.ok());
-        }
-      },
-      /*pin_cpu=*/0);
-  w.kernel.Run();
-  return win.Finish();
+  os::Pipe to_srv(w.kernel);
+  os::Pipe to_cli(w.kernel);
+  const hw::VirtAddr cbuf = MapArg(w, client, config.arg_bytes);
+  const hw::VirtAddr sbuf = MapArg(w, server, config.arg_bytes);
+  SpawnRounds(w, server, CalleeCpu(config), config.rounds, [&](os::Env env) -> sim::Task<void> {
+    DIPC_CHECK((co_await to_srv.ReadExact(env, sbuf, config.arg_bytes)).ok());
+    (void)co_await to_cli.Write(env, sbuf, 1);
+  });
+  return TimeRounds(w, client, config.rounds, [&](os::Env env) -> sim::Task<void> {
+    (void)co_await env.kernel->TouchUser(env, cbuf, config.arg_bytes, AccessType::kWrite);
+    (void)co_await to_srv.Write(env, cbuf, config.arg_bytes);
+    DIPC_CHECK((co_await to_cli.Read(env, cbuf, 1)).ok());
+  });
 }
 
 MicroResult MeasureLocalRpc(const MicroConfig& config) {
-  World w;
+  World w(4);
   os::Process& client_proc = w.kernel.CreateProcess("client");
   os::Process& server_proc = w.kernel.CreateProcess("server");
+  // Shared: the server stays parked in ServeConn after the run.
   auto server = std::make_shared<rpc::RpcServer>(w.kernel);
   server->RegisterHandler(
       1, [](os::Env env, std::vector<std::byte> body) -> sim::Task<std::vector<std::byte>> {
@@ -223,79 +200,57 @@ MicroResult MeasureLocalRpc(const MicroConfig& config) {
       });
   auto listener = server->Bind("/rpc/echo");
   DIPC_CHECK(listener.ok());
-  int server_cpu = config.cross_cpu ? 1 : 0;
   w.kernel.Spawn(
-      server_proc, "svc",
-      [&, server](os::Env env) -> sim::Task<void> {
-        auto conn = co_await listener.value()->Accept(env);
+      server_proc, kThread,
+      [server, listener = listener.value()](os::Env env) -> sim::Task<void> {
+        auto conn = co_await listener->Accept(env);
         DIPC_CHECK(conn.ok());
         co_await server->ServeConn(env, std::move(conn).value());
       },
-      server_cpu);
-  Window win(w, config.rounds);
-  w.kernel.Spawn(
-      client_proc, "cli",
-      [&](os::Env env) -> sim::Task<void> {
-        auto client = co_await rpc::RpcClient::Connect(env, "/rpc/echo");
-        DIPC_CHECK(client.ok());
-        std::vector<std::byte> args(config.arg_bytes);
-        for (int i = -kWarmup; i < config.rounds; ++i) {
-          if (i == 0) {
-            win.Begin();
-          }
-          auto r = co_await client.value()->Call(env, 1, args);
-          DIPC_CHECK(r.ok());
-        }
-      },
-      /*pin_cpu=*/0);
-  w.kernel.Run();
-  return win.Finish();
+      CalleeCpu(config));
+  std::unique_ptr<rpc::RpcClient> client;  // connects in the first round
+  std::vector<std::byte> args(config.arg_bytes);
+  return TimeRounds(w, client_proc, config.rounds, [&](os::Env env) -> sim::Task<void> {
+    if (client == nullptr) {
+      auto c = co_await rpc::RpcClient::Connect(env, "/rpc/echo");
+      DIPC_CHECK(c.ok());
+      client = std::move(c).value();
+    }
+    DIPC_CHECK((co_await client->Call(env, 1, args)).ok());
+  });
 }
 
 MicroResult MeasureL4(const MicroConfig& config) {
-  World w;
+  World w(4);
   os::Process& client = w.kernel.CreateProcess("client");
   os::Process& server = w.kernel.CreateProcess("server");
   auto gate = std::make_shared<l4::L4Gate>(w.kernel);
-  int server_cpu = config.cross_cpu ? 1 : 0;
   w.kernel.Spawn(
-      server, "svc",
-      [&, gate](os::Env env) -> sim::Task<void> {
+      server, kThread,
+      [gate](os::Env env) -> sim::Task<void> {
         l4::Message m = co_await gate->Recv(env);
         while (m.mr[0] != UINT64_MAX) {
           m = co_await gate->ReplyWait(env, m);
         }
-        co_return;
       },
-      server_cpu);
-  Window win(w, config.rounds);
-  w.kernel.Spawn(
-      client, "cli",
-      [&, gate](os::Env env) -> sim::Task<void> {
-        l4::Message m;
-        m.mr[0] = 1;  // one-byte argument inlined in registers
-        for (int i = -kWarmup; i < config.rounds; ++i) {
-          if (i == 0) {
-            win.Begin();
-          }
-          (void)co_await gate->Call(env, m);
-        }
-        l4::Message stop;
-        stop.mr[0] = UINT64_MAX;
-        (void)co_await gate->Call(env, stop);
-      },
-      /*pin_cpu=*/0);
-  w.kernel.Run();
-  MicroResult r = win.Finish();
-  // Finish reads the clock after Run(), which ends once the server has taken
-  // the stop message and exited, so the window also holds the stop call's
-  // one-way trip, about half a round trip: 470 ns over 400 rounds on one CPU
-  // (945.175 ns per round against a marginal 944.000), 0.12% of the row.
-  return r;
+      CalleeCpu(config));
+  l4::Message m;
+  m.mr[0] = 1;  // one-byte argument inlined in registers
+  int left = kWarmup + config.rounds;
+  return TimeRounds(w, client, config.rounds, [&](os::Env env) -> sim::Task<void> {
+    (void)co_await gate->Call(env, m);
+    if (--left == 0) {
+      // The stop message ends the server, inside the window: Run() ends
+      // once the server has taken it, and the window closes after Run().
+      l4::Message stop;
+      stop.mr[0] = UINT64_MAX;
+      (void)co_await gate->Call(env, stop);
+    }
+  });
 }
 
 MicroResult MeasureDipc(const DipcMicroConfig& config) {
-  World w;
+  World w(4);
   if (config.elide_tls_switch) {
     w.machine.costs().tls_switch = Duration::Zero();
   }
@@ -308,9 +263,7 @@ MicroResult MeasureDipc(const DipcMicroConfig& config) {
   core::IsolationPolicy policy =
       config.high_policy ? core::IsolationPolicy::High() : core::IsolationPolicy::Low();
   bool mem_arg = config.arg_bytes > 8;
-  auto buf = w.kernel.MapAnonymous(caller, hw::PageRoundUp(config.arg_bytes + 1),
-                                   hw::PageFlags{.writable = true});
-  DIPC_CHECK(buf.ok());
+  const hw::VirtAddr buf = MapArg(w, caller, config.arg_bytes);
 
   core::EntryDesc entry;
   entry.name = "consume";
@@ -320,7 +273,7 @@ MicroResult MeasureDipc(const DipcMicroConfig& config) {
     if (mem_arg) {
       // Consume the by-reference argument through the passed capability.
       auto s = co_await env.kernel->TouchUser(env, args.regs[0], args.regs[1],
-                                              hw::AccessType::kRead);
+                                              AccessType::kRead);
       DIPC_CHECK(s.ok());
     }
     co_return 0;
@@ -332,84 +285,55 @@ MicroResult MeasureDipc(const DipcMicroConfig& config) {
   DIPC_CHECK(dipc.GrantCreate(*dipc.DomDefault(caller), *req.value().proxy_domain).ok());
   core::ProxyRef proxy = req.value().proxies[0];
 
-  Window win(w, config.rounds);
-  w.kernel.Spawn(caller, "main", [&, proxy](os::Env env) -> sim::Task<void> {
+  return TimeRounds(w, caller, config.rounds, [&](os::Env env) -> sim::Task<void> {
     os::Kernel& k = *env.kernel;
-    for (int i = -kWarmup; i < config.rounds; ++i) {
-      if (i == 0) {
-        win.Begin();
-      }
-      core::CallArgs args;
-      if (mem_arg) {
-        (void)co_await k.TouchUser(env, buf.value(), config.arg_bytes, hw::AccessType::kWrite);
-        sim::Duration cap_cost;
-        auto cap = k.codoms().CapFromApl(env.self->last_cpu(), env.self->process().page_table(),
-                                         env.self->cap_ctx(), buf.value(), config.arg_bytes,
-                                         codoms::Perm::kRead, codoms::CapType::kSync, &cap_cost);
-        DIPC_CHECK(cap.ok());
-        co_await k.Spend(*env.self, cap_cost, TimeCat::kUser);
-        env.self->cap_ctx().regs.Set(0, cap.value());
-        args.regs[0] = buf.value();
-        args.regs[1] = config.arg_bytes;
-      }
-      (void)co_await proxy.Call(env, args);
-      DIPC_CHECK(env.self->TakeError() == base::ErrorCode::kOk);
+    core::CallArgs args;
+    if (mem_arg) {
+      (void)co_await k.TouchUser(env, buf, config.arg_bytes, AccessType::kWrite);
+      sim::Duration cap_cost;
+      auto cap = k.codoms().CapFromApl(env.self->last_cpu(), env.self->process().page_table(),
+                                       env.self->cap_ctx(), buf, config.arg_bytes,
+                                       codoms::Perm::kRead, codoms::CapType::kSync, &cap_cost);
+      DIPC_CHECK(cap.ok());
+      co_await k.Spend(*env.self, cap_cost, TimeCat::kUser);
+      env.self->cap_ctx().regs.Set(0, cap.value());
+      args.regs[0] = buf;
+      args.regs[1] = config.arg_bytes;
     }
+    (void)co_await proxy.Call(env, args);
+    DIPC_CHECK(env.self->TakeError() == base::ErrorCode::kOk);
   });
-  w.kernel.Run();
-  return win.Finish();
 }
 
 MicroResult MeasureDipcUserRpc(const MicroConfig& config) {
   // Cross-CPU RPC semantics at user level: the client copies the arguments
   // into a shared buffer and a service thread on another CPU consumes them;
   // only futexes enter the kernel.
-  World w;
+  World w(4);
   core::Dipc dipc(w.kernel);
   os::Process& proc = dipc.CreateDipcProcess("app");
-  uint64_t buf_len = hw::PageRoundUp(config.arg_bytes + 1);
-  auto src = w.kernel.MapAnonymous(proc, buf_len, hw::PageFlags{.writable = true});
-  auto shared = w.kernel.MapAnonymous(proc, buf_len, hw::PageFlags{.writable = true});
-  DIPC_CHECK(src.ok() && shared.ok());
-  auto req = std::make_shared<os::Semaphore>(0);
-  auto resp = std::make_shared<os::Semaphore>(0);
-  w.kernel.Spawn(
-      proc, "service",
-      [&, req, resp](os::Env env) -> sim::Task<void> {
-        os::Kernel& k = *env.kernel;
-        for (int i = -kWarmup; i < config.rounds; ++i) {
-          co_await req->Wait(env);
-          (void)co_await k.TouchUser(env, shared.value(), config.arg_bytes,
-                                     hw::AccessType::kRead);
-          co_await resp->Post(env);
-        }
-      },
-      /*pin_cpu=*/1);
-  Window win(w, config.rounds);
-  w.kernel.Spawn(
-      proc, "client",
-      [&, req, resp](os::Env env) -> sim::Task<void> {
-        os::Kernel& k = *env.kernel;
-        for (int i = -kWarmup; i < config.rounds; ++i) {
-          if (i == 0) {
-            win.Begin();
-          }
-          (void)co_await k.TouchUser(env, src.value(), config.arg_bytes, hw::AccessType::kWrite);
-          // User-level copy into the buffer the service thread reads.
-          (void)co_await k.TouchUser(env, src.value(), config.arg_bytes, hw::AccessType::kRead);
-          (void)co_await k.TouchUser(env, shared.value(), config.arg_bytes,
-                                     hw::AccessType::kWrite);
-          co_await req->Post(env);
-          co_await resp->Wait(env);
-        }
-      },
-      /*pin_cpu=*/0);
-  w.kernel.Run();
-  return win.Finish();
+  const hw::VirtAddr src = MapArg(w, proc, config.arg_bytes);
+  const hw::VirtAddr shared = MapArg(w, proc, config.arg_bytes);
+  os::Semaphore req(0);
+  os::Semaphore resp(0);
+  SpawnRounds(w, proc, /*cpu=*/1, config.rounds, [&](os::Env env) -> sim::Task<void> {
+    co_await req.Wait(env);
+    (void)co_await env.kernel->TouchUser(env, shared, config.arg_bytes, AccessType::kRead);
+    co_await resp.Post(env);
+  });
+  return TimeRounds(w, proc, config.rounds, [&](os::Env env) -> sim::Task<void> {
+    os::Kernel& k = *env.kernel;
+    (void)co_await k.TouchUser(env, src, config.arg_bytes, AccessType::kWrite);
+    // User-level copy into the buffer the service thread reads.
+    (void)co_await k.TouchUser(env, src, config.arg_bytes, AccessType::kRead);
+    (void)co_await k.TouchUser(env, shared, config.arg_bytes, AccessType::kWrite);
+    co_await req.Post(env);
+    co_await resp.Wait(env);
+  });
 }
 
 MicroResult MeasureChannel(const MicroConfig& config) {
-  World w;
+  World w(4);
   core::Dipc dipc(w.kernel);
   os::Process& prod = dipc.CreateDipcProcess("producer");
   os::Process& cons = dipc.CreateDipcProcess("consumer");
@@ -420,42 +344,21 @@ MicroResult MeasureChannel(const MicroConfig& config) {
                          .buf_bytes = std::max<uint64_t>(config.arg_bytes, 64)};
   auto ch = chan::Channel::Create(dipc, prod, cons, cc);
   DIPC_CHECK(ch.ok());
-  std::shared_ptr<chan::Channel> chan_ptr = ch.value();
-  int cons_cpu = config.cross_cpu ? 1 : 0;
-  w.kernel.Spawn(
-      cons, "consumer",
-      [&, chan_ptr](os::Env env) -> sim::Task<void> {
-        os::Kernel& k = *env.kernel;
-        for (int i = -kWarmup; i < config.rounds; ++i) {
-          auto msg = co_await chan_ptr->Recv(env);
-          DIPC_CHECK(msg.ok());
-          (void)co_await k.TouchUser(env, msg.value().va, msg.value().len,
-                                     hw::AccessType::kRead);
-          auto rel = co_await chan_ptr->Release(env, msg.value());
-          DIPC_CHECK(rel.ok());
-        }
-      },
-      cons_cpu);
-  Window win(w, config.rounds);
-  w.kernel.Spawn(
-      prod, "producer",
-      [&, chan_ptr](os::Env env) -> sim::Task<void> {
-        os::Kernel& k = *env.kernel;
-        for (int i = -kWarmup; i < config.rounds; ++i) {
-          if (i == 0) {
-            win.Begin();
-          }
-          auto buf = co_await chan_ptr->AcquireBuf(env);
-          DIPC_CHECK(buf.ok());
-          (void)co_await k.TouchUser(env, buf.value().va, config.arg_bytes,
-                                     hw::AccessType::kWrite);
-          auto sent = co_await chan_ptr->Send(env, buf.value(), config.arg_bytes);
-          DIPC_CHECK(sent.ok());
-        }
-      },
-      /*pin_cpu=*/0);
-  w.kernel.Run();
-  return win.Finish();
+  chan::Channel& chan = *ch.value();
+  SpawnRounds(w, cons, CalleeCpu(config), config.rounds, [&](os::Env env) -> sim::Task<void> {
+    auto msg = co_await chan.Recv(env);
+    DIPC_CHECK(msg.ok());
+    (void)co_await env.kernel->TouchUser(env, msg.value().va, msg.value().len,
+                                         AccessType::kRead);
+    DIPC_CHECK((co_await chan.Release(env, msg.value())).ok());
+  });
+  return TimeRounds(w, prod, config.rounds, [&](os::Env env) -> sim::Task<void> {
+    auto buf = co_await chan.AcquireBuf(env);
+    DIPC_CHECK(buf.ok());
+    (void)co_await env.kernel->TouchUser(env, buf.value().va, config.arg_bytes,
+                                         AccessType::kWrite);
+    DIPC_CHECK((co_await chan.Send(env, buf.value(), config.arg_bytes)).ok());
+  });
 }
 
 double MeasureStream(const StreamConfig& config) {
@@ -465,10 +368,8 @@ double MeasureStream(const StreamConfig& config) {
   const uint32_t n_prod = fan_in ? group : 1;
   const uint32_t n_recv = fan_in ? 1 : group;
   const int batch = std::max(1, config.batch);
-  hw::Machine machine(1 + group);
-  codoms::Codoms codoms(machine);
-  os::Kernel kernel(machine, codoms);
-  core::Dipc dipc(kernel);
+  World w(1 + group);
+  core::Dipc dipc(w.kernel);
   std::vector<os::Process*> prods;
   std::vector<os::Process*> recvs;
   for (uint32_t p = 0; p < n_prod; ++p) {
@@ -499,7 +400,7 @@ double MeasureStream(const StreamConfig& config) {
   sim::Time t0, t_end;
   int released = 0;  // by every receiver; the window opens at warmup * copies
   for (uint32_t r = 0; r < n_recv; ++r) {
-    kernel.Spawn(
+    w.kernel.Spawn(
         *recvs[r], "receiver",
         [&, plane, r](os::Env env) -> sim::Task<void> {
           os::Kernel& k = *env.kernel;
@@ -524,7 +425,7 @@ double MeasureStream(const StreamConfig& config) {
   }
   int producers_done = 0;
   for (uint32_t p = 0; p < n_prod; ++p) {
-    kernel.Spawn(
+    w.kernel.Spawn(
         *prods[p], "producer",
         [&, plane, p](os::Env env) -> sim::Task<void> {
           os::Kernel& k = *env.kernel;
@@ -555,7 +456,7 @@ double MeasureStream(const StreamConfig& config) {
         },
         /*pin_cpu=*/fan_in ? static_cast<int>(1 + p) : 0);
   }
-  kernel.Run();
+  w.kernel.Run();
   DIPC_CHECK(released == total * copies && total > warmup);
   return (t_end - t0).nanos() / (total - warmup);
 }
@@ -564,10 +465,8 @@ double MeasureFabricEcho(const FabricEchoConfig& config) {
   const uint32_t tenants = std::max<uint32_t>(1, config.tenants);
   const uint32_t workers = std::max<uint32_t>(1, config.workers);
   const int calls = std::max(2, config.calls_per_tenant);
-  hw::Machine machine(6);
-  codoms::Codoms codoms(machine);
-  os::Kernel kernel(machine, codoms);
-  core::Dipc dipc(kernel);
+  World world(6);
+  core::Dipc dipc(world.kernel);
   std::vector<os::Process*> clients;
   std::vector<os::Process*> worker_procs;
   for (uint32_t c = 0; c < tenants; ++c) {
@@ -589,9 +488,10 @@ double MeasureFabricEcho(const FabricEchoConfig& config) {
   };
   for (uint32_t w = 0; w < workers; ++w) {
     for (uint32_t c = 0; c < tenants; ++c) {
-      kernel.Spawn(*worker_procs[w], "serve", [fab, c, w, echo](os::Env env) -> sim::Task<void> {
-        co_await fab->Serve(env, c, w, echo);
-      });
+      world.kernel.Spawn(*worker_procs[w], "serve",
+                         [fab, c, w, echo](os::Env env) -> sim::Task<void> {
+                           co_await fab->Serve(env, c, w, echo);
+                         });
     }
   }
   // First quarter of every tenant's calls warms the epoch caches (and, per
@@ -603,7 +503,7 @@ double MeasureFabricEcho(const FabricEchoConfig& config) {
   int completed = 0;
   int remaining = static_cast<int>(tenants);
   for (uint32_t c = 0; c < tenants; ++c) {
-    kernel.Spawn(*clients[c], "web", [&, fab, c](os::Env env) -> sim::Task<void> {
+    world.kernel.Spawn(*clients[c], "web", [&, fab, c](os::Env env) -> sim::Task<void> {
       for (int i = 0; i < calls; ++i) {
         DIPC_CHECK((co_await fab->Call(env, c, fab->config().req_bytes)).ok());
         ++completed;
@@ -617,7 +517,7 @@ double MeasureFabricEcho(const FabricEchoConfig& config) {
       }
     });
   }
-  kernel.Run();
+  world.kernel.Run();
   DIPC_CHECK(completed == total && total > warmup);
   return (t_end - t0).nanos() / (total - warmup);
 }
