@@ -29,7 +29,8 @@ using hw::AccessType;
 using os::TimeCat;
 using sim::Duration;
 
-// One self-contained simulated machine per measurement.
+// One self-contained simulated machine per measurement. A round-trip
+// measurement's world has only the CPUs its threads use.
 struct World {
   explicit World(uint32_t cpus) : machine(cpus), codoms(machine), kernel(machine, codoms) {}
 
@@ -86,37 +87,41 @@ void SpawnRounds(World& w, os::Process& p, int cpu, int rounds, Round round) {
 }
 
 // Spawns the caller side on CPU 0 and runs the world to its end. The first
-// kWarmup rounds are untimed; the window opens as the first timed round
-// starts. Returns the window's round trip and time breakdown per round.
+// kWarmup rounds are untimed. The window opens as the first timed round
+// starts and closes as the last one returns, and idle time open at either
+// edge is flushed into it, so the breakdown sums to CPUs x window. Returns
+// the window's round trip and time breakdown per round.
 MicroResult TimeRounds(World& w, os::Process& p, int rounds, const Round& round) {
   os::Kernel& k = w.kernel;
-  sim::Time t0;
+  MicroResult r;
   k.Spawn(
       p, kThread,
       [&](os::Env env) -> sim::Task<void> {
-        for (int i = -kWarmup; i < rounds; ++i) {
-          if (i == 0) {
-            k.accounting().Reset();
-            t0 = k.now();
-          }
+        for (int i = 0; i < kWarmup; ++i) {
           co_await round(env);
+        }
+        k.FlushIdleAccounting();
+        k.accounting().Reset();
+        const sim::Time t0 = k.now();
+        for (int i = 0; i < rounds; ++i) {
+          co_await round(env);
+        }
+        k.FlushIdleAccounting();
+        r.roundtrip_ns = (k.now() - t0).nanos() / rounds;
+        r.breakdown = k.accounting().Summed();
+        for (auto& d : r.breakdown.by_cat) {
+          d = Duration::Picos(d.picos() / rounds);
         }
       },
       /*pin_cpu=*/0);
   k.Run();
-  MicroResult r;
-  r.roundtrip_ns = (k.now() - t0).nanos() / rounds;
-  r.breakdown = k.accounting().Summed();
-  for (auto& d : r.breakdown.by_cat) {
-    d = Duration::Picos(d.picos() / rounds);
-  }
   return r;
 }
 
 }  // namespace
 
 MicroResult MeasureFunction(const MicroConfig& config) {
-  World w(4);
+  World w(1);
   os::Process& p = w.kernel.CreateProcess("app");
   const hw::VirtAddr buf = MapArg(w, p, config.arg_bytes);
   const bool mem_arg = config.arg_bytes > 8;
@@ -133,7 +138,7 @@ MicroResult MeasureFunction(const MicroConfig& config) {
 }
 
 MicroResult MeasureSyscall(const MicroConfig& config) {
-  World w(4);
+  World w(1);
   os::Process& p = w.kernel.CreateProcess("app");
   const hw::VirtAddr buf = MapArg(w, p, config.arg_bytes);
   hw::PhysAddr kbuf = w.kernel.AllocKernelBuffer(hw::PageRoundUp(config.arg_bytes + 1));
@@ -147,7 +152,7 @@ MicroResult MeasureSyscall(const MicroConfig& config) {
 }
 
 MicroResult MeasureSemaphore(const MicroConfig& config) {
-  World w(4);
+  World w(config.cross_cpu ? 2 : 1);
   os::Process& client = w.kernel.CreateProcess("client");
   os::Process& server = w.kernel.CreateProcess("server");
   hw::VirtAddr shared = MapShared(w, client, server, hw::PageRoundUp(config.arg_bytes + 1));
@@ -166,7 +171,7 @@ MicroResult MeasureSemaphore(const MicroConfig& config) {
 }
 
 MicroResult MeasurePipe(const MicroConfig& config) {
-  World w(4);
+  World w(config.cross_cpu ? 2 : 1);
   os::Process& client = w.kernel.CreateProcess("client");
   os::Process& server = w.kernel.CreateProcess("server");
   os::Pipe to_srv(w.kernel);
@@ -185,7 +190,7 @@ MicroResult MeasurePipe(const MicroConfig& config) {
 }
 
 MicroResult MeasureLocalRpc(const MicroConfig& config) {
-  World w(4);
+  World w(config.cross_cpu ? 2 : 1);
   os::Process& client_proc = w.kernel.CreateProcess("client");
   os::Process& server_proc = w.kernel.CreateProcess("server");
   // Shared: the server stays parked in ServeConn after the run.
@@ -221,36 +226,29 @@ MicroResult MeasureLocalRpc(const MicroConfig& config) {
 }
 
 MicroResult MeasureL4(const MicroConfig& config) {
-  World w(4);
+  World w(config.cross_cpu ? 2 : 1);
   os::Process& client = w.kernel.CreateProcess("client");
   os::Process& server = w.kernel.CreateProcess("server");
+  // Shared: the server stays parked in ReplyWait after the run.
   auto gate = std::make_shared<l4::L4Gate>(w.kernel);
   w.kernel.Spawn(
       server, kThread,
       [gate](os::Env env) -> sim::Task<void> {
         l4::Message m = co_await gate->Recv(env);
-        while (m.mr[0] != UINT64_MAX) {
+        while (true) {
           m = co_await gate->ReplyWait(env, m);
         }
       },
       CalleeCpu(config));
   l4::Message m;
   m.mr[0] = 1;  // one-byte argument inlined in registers
-  int left = kWarmup + config.rounds;
   return TimeRounds(w, client, config.rounds, [&](os::Env env) -> sim::Task<void> {
     (void)co_await gate->Call(env, m);
-    if (--left == 0) {
-      // The stop message ends the server, inside the window: Run() ends
-      // once the server has taken it, and the window closes after Run().
-      l4::Message stop;
-      stop.mr[0] = UINT64_MAX;
-      (void)co_await gate->Call(env, stop);
-    }
   });
 }
 
 MicroResult MeasureDipc(const DipcMicroConfig& config) {
-  World w(4);
+  World w(1);
   if (config.elide_tls_switch) {
     w.machine.costs().tls_switch = Duration::Zero();
   }
@@ -309,7 +307,7 @@ MicroResult MeasureDipcUserRpc(const MicroConfig& config) {
   // Cross-CPU RPC semantics at user level: the client copies the arguments
   // into a shared buffer and a service thread on another CPU consumes them;
   // only futexes enter the kernel.
-  World w(4);
+  World w(2);
   core::Dipc dipc(w.kernel);
   os::Process& proc = dipc.CreateDipcProcess("app");
   const hw::VirtAddr src = MapArg(w, proc, config.arg_bytes);
@@ -333,7 +331,7 @@ MicroResult MeasureDipcUserRpc(const MicroConfig& config) {
 }
 
 MicroResult MeasureChannel(const MicroConfig& config) {
-  World w(4);
+  World w(config.cross_cpu ? 2 : 1);
   core::Dipc dipc(w.kernel);
   os::Process& prod = dipc.CreateDipcProcess("producer");
   os::Process& cons = dipc.CreateDipcProcess("consumer");

@@ -6,6 +6,15 @@
 // reads it. Arguments <= 8 bytes travel in registers for function calls,
 // dIPC and L4; Sem uses a pre-shared buffer (no copies); Pipe and RPC copy
 // through the kernel; dIPC passes a pointer plus a CODOMs capability.
+//
+// Every round-trip measurement (MeasureFunction ... MeasureChannel) runs in
+// a world with only the CPUs its threads use: one, or two when the callee
+// runs on another CPU (MeasureDipcUserRpc always). The caller runs on CPU 0,
+// makes 8 untimed warm-up round trips and then `rounds` timed ones. The
+// window opens as the first timed round trip starts and closes as the last
+// one returns, and idle time open at either edge is counted in it, so the
+// breakdown's parts sum to CPUs x round trip (each part is truncated to a
+// whole picosecond per round).
 #ifndef DIPC_BENCH_MICRO_HARNESS_H_
 #define DIPC_BENCH_MICRO_HARNESS_H_
 

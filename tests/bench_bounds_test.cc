@@ -22,6 +22,10 @@
 //     that releases last instead of parking;
 //   - a stream's per-message cost must not depend on how many messages it
 //     runs: the window counts every message released inside it;
+//   - a synchronous round trip's time breakdown must close: its parts,
+//     summed over the world's CPUs, equal CPUs x round trip;
+//   - a synchronous round trip must not depend on how many rounds it runs:
+//     the window holds exactly the timed rounds;
 //   - a one-slot channel round trip across two CPUs must cost under four
 //     cache-line transfers: it moves three lines, and a spinning waiter's
 //     transfer of the cell it watches is also its read of that cell.
@@ -29,6 +33,10 @@
 // the gate and the reported numbers can never drift apart; the simulation
 // is deterministic, so the ratios are stable.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "chan/futex.h"
 #include "hw/cost_model.h"
@@ -181,6 +189,80 @@ TEST(BenchBounds, StreamCostDoesNotDependOnRunLength) {
     EXPECT_NEAR(short_run / long_run, 1.0, 0.001)
         << "shape " << static_cast<int>(shape) << ": " << short_run << " ns/msg over 256 messages, "
         << long_run << " over 1024";
+  }
+}
+
+TEST(BenchBounds, SyncBreakdownSumsToCpusTimesRoundTrip) {
+  // Every round-trip measurement, at 1 B and 64 KiB (L4 passes its argument
+  // in registers), on one CPU and, where the primitive has a callee thread,
+  // across two. A world has only the CPUs its threads use, and the window
+  // flushes idle time at both edges, so every picosecond of each CPU inside
+  // it is in one category. Each category's per-round share is truncated to
+  // a whole picosecond, hence the slack of one per category.
+  struct Case {
+    std::string name;
+    uint32_t cpus;
+    std::function<MicroResult()> measure;
+  };
+  std::vector<Case> cases;
+  const auto add_l4 = [&](bool cross) {
+    cases.push_back({"l4", cross ? 2u : 1u,
+                     [cross] { return MeasureL4({.rounds = 40, .cross_cpu = cross}); }});
+  };
+  add_l4(false);
+  add_l4(true);
+  for (uint64_t bytes : {uint64_t{1}, uint64_t{65536}}) {
+    const MicroConfig same{.arg_bytes = bytes, .rounds = 40};
+    const MicroConfig cross{.arg_bytes = bytes, .rounds = 40, .cross_cpu = true};
+    cases.push_back({"function", 1, [same] { return MeasureFunction(same); }});
+    cases.push_back({"syscall", 1, [same] { return MeasureSyscall(same); }});
+    cases.push_back({"dipc", 1, [bytes] {
+                       return MeasureDipc({.cross_process = true,
+                                           .high_policy = true,
+                                           .arg_bytes = bytes,
+                                           .rounds = 40});
+                     }});
+    cases.push_back({"user_rpc", 2, [cross] { return MeasureDipcUserRpc(cross); }});
+    for (const MicroConfig& c : {same, cross}) {
+      const uint32_t cpus = c.cross_cpu ? 2 : 1;
+      cases.push_back({"semaphore", cpus, [c] { return MeasureSemaphore(c); }});
+      cases.push_back({"pipe", cpus, [c] { return MeasurePipe(c); }});
+      cases.push_back({"rpc", cpus, [c] { return MeasureLocalRpc(c); }});
+      cases.push_back({"channel", cpus, [c] { return MeasureChannel(c); }});
+    }
+  }
+  for (const Case& c : cases) {
+    const MicroResult r = c.measure();
+    const double window_ps = c.cpus * r.roundtrip_ns * 1e3;
+    const double parts_ps = static_cast<double>(r.breakdown.Total().picos());
+    EXPECT_NEAR(parts_ps, window_ps, static_cast<double>(os::kNumTimeCats))
+        << c.name << " on " << c.cpus << " CPU(s): parts " << parts_ps << " ps, CPUs x round trip "
+        << window_ps << " ps";
+  }
+}
+
+TEST(BenchBounds, SyncRoundTripDoesNotDependOnRoundCount) {
+  // The window holds the caller's timed rounds and nothing else: no work of
+  // the callee's that no later round waits for, and no stop call. Before,
+  // it read the clock once the world had run out, so it also held the
+  // Channel consumer's read and release of the last message and L4's stop
+  // call, and a short run read dearer per round than a long one.
+  for (bool cross : {false, true}) {
+    const auto ratio = [](const std::function<double(int)>& round_trip) {
+      return round_trip(40) / round_trip(80);
+    };
+    for (uint64_t bytes : {uint64_t{1}, uint64_t{65536}, uint64_t{1} << 20}) {
+      const double r = ratio([&](int rounds) {
+        return MeasureChannel({.arg_bytes = bytes, .rounds = rounds, .cross_cpu = cross})
+            .roundtrip_ns;
+      });
+      EXPECT_NEAR(r, 1.0, 1e-4) << "channel, " << bytes << " B, cross_cpu " << cross
+                                << ": 40 rounds over 80 rounds " << r;
+    }
+    const double r = ratio([&](int rounds) {
+      return MeasureL4({.rounds = rounds, .cross_cpu = cross}).roundtrip_ns;
+    });
+    EXPECT_NEAR(r, 1.0, 1e-4) << "l4, cross_cpu " << cross << ": 40 rounds over 80 rounds " << r;
   }
 }
 
