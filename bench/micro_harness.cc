@@ -67,7 +67,7 @@ hw::VirtAddr MapShared(World& w, os::Process& a, os::Process& b, uint64_t len) {
 constexpr int kWarmup = 8;
 constexpr const char* kThread = "bench";  // no output names a thread
 
-// The CPU of a callee thread: its caller's, or CPU 1 across CPUs.
+// The CPU of a callee thread: its caller's CPU 0, or CPU 1 across CPUs.
 int CalleeCpu(const MicroConfig& config) { return config.cross_cpu ? 1 : 0; }
 
 // A round is one round trip's share of a thread's work, a coroutine that
@@ -152,7 +152,7 @@ MicroResult MeasureSyscall(const MicroConfig& config) {
 }
 
 MicroResult MeasureSemaphore(const MicroConfig& config) {
-  World w(config.cross_cpu ? 2 : 1);
+  World w(1 + CalleeCpu(config));
   os::Process& client = w.kernel.CreateProcess("client");
   os::Process& server = w.kernel.CreateProcess("server");
   hw::VirtAddr shared = MapShared(w, client, server, hw::PageRoundUp(config.arg_bytes + 1));
@@ -171,7 +171,7 @@ MicroResult MeasureSemaphore(const MicroConfig& config) {
 }
 
 MicroResult MeasurePipe(const MicroConfig& config) {
-  World w(config.cross_cpu ? 2 : 1);
+  World w(1 + CalleeCpu(config));
   os::Process& client = w.kernel.CreateProcess("client");
   os::Process& server = w.kernel.CreateProcess("server");
   os::Pipe to_srv(w.kernel);
@@ -190,7 +190,7 @@ MicroResult MeasurePipe(const MicroConfig& config) {
 }
 
 MicroResult MeasureLocalRpc(const MicroConfig& config) {
-  World w(config.cross_cpu ? 2 : 1);
+  World w(1 + CalleeCpu(config));
   os::Process& client_proc = w.kernel.CreateProcess("client");
   os::Process& server_proc = w.kernel.CreateProcess("server");
   // Shared: the server stays parked in ServeConn after the run.
@@ -226,7 +226,7 @@ MicroResult MeasureLocalRpc(const MicroConfig& config) {
 }
 
 MicroResult MeasureL4(const MicroConfig& config) {
-  World w(config.cross_cpu ? 2 : 1);
+  World w(1 + CalleeCpu(config));
   os::Process& client = w.kernel.CreateProcess("client");
   os::Process& server = w.kernel.CreateProcess("server");
   // Shared: the server stays parked in ReplyWait after the run.
@@ -331,7 +331,7 @@ MicroResult MeasureDipcUserRpc(const MicroConfig& config) {
 }
 
 MicroResult MeasureChannel(const MicroConfig& config) {
-  World w(config.cross_cpu ? 2 : 1);
+  World w(1 + CalleeCpu(config));
   core::Dipc dipc(w.kernel);
   os::Process& prod = dipc.CreateDipcProcess("producer");
   os::Process& cons = dipc.CreateDipcProcess("consumer");

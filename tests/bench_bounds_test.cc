@@ -205,12 +205,10 @@ TEST(BenchBounds, SyncBreakdownSumsToCpusTimesRoundTrip) {
     std::function<MicroResult()> measure;
   };
   std::vector<Case> cases;
-  const auto add_l4 = [&](bool cross) {
+  for (bool cross : {false, true}) {
     cases.push_back({"l4", cross ? 2u : 1u,
                      [cross] { return MeasureL4({.rounds = 40, .cross_cpu = cross}); }});
-  };
-  add_l4(false);
-  add_l4(true);
+  }
   for (uint64_t bytes : {uint64_t{1}, uint64_t{65536}}) {
     const MicroConfig same{.arg_bytes = bytes, .rounds = 40};
     const MicroConfig cross{.arg_bytes = bytes, .rounds = 40, .cross_cpu = true};
