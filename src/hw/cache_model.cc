@@ -65,6 +65,10 @@ CacheModel::CacheModel(uint32_t num_cpus, const CostModel& costs)
   for (uint32_t i = 0; i < num_cpus; ++i) {
     per_cpu_.push_back(PrivateLevels{TagArray(kL1Size, kL1Ways), TagArray(kL2Size, kL2Ways)});
   }
+  m_remote_transfers_ = metrics_.GetCounter("hw/cache/remote_transfers");
+  m_l1_misses_ = metrics_.GetCounter("hw/cache/l1_misses");
+  m_l2_misses_ = metrics_.GetCounter("hw/cache/l2_misses");
+  m_l3_misses_ = metrics_.GetCounter("hw/cache/l3_misses");
 }
 
 sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool is_write) {
@@ -77,6 +81,7 @@ sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool i
   uint64_t last = (addr + size - 1) / kCacheLineSize;
   PrivateLevels& priv = per_cpu_[cpu];
   uint32_t* owners = OwnerPage(first);
+  CacheStats n;  // this call's lines, by where each came from
   for (uint64_t line = first; line <= last; ++line) {
     if ((line & kOwnerPageMask) == 0) {
       owners = OwnerPage(line);
@@ -90,25 +95,37 @@ sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool i
       priv.l2.Touch(line);
       l3_.Touch(line);
       total += costs_.remote_transfer;
-      ++stats_.remote_transfers;
+      ++n.remote_transfers;
     } else if (priv.l1.Touch(line)) {
       total += costs_.l1_hit;
-      ++stats_.l1_hits;
+      ++n.l1_hits;
     } else if (priv.l2.Touch(line)) {  // the L1 miss filled L1 already
       total += costs_.l2_hit;
-      ++stats_.l2_hits;
+      ++n.l2_hits;
     } else if (l3_.Touch(line)) {
       total += costs_.l3_hit;
-      ++stats_.l3_hits;
+      ++n.l3_hits;
     } else {
       total += costs_.mem_access;
-      ++stats_.mem_accesses;
+      ++n.mem_accesses;
     }
     if (is_write) {
       owner = cpu + 1;
     } else if (remote_dirty) {
       owner = 0;  // downgraded to shared/clean
     }
+  }
+  stats_.l1_hits += n.l1_hits;
+  stats_.l2_hits += n.l2_hits;
+  stats_.l3_hits += n.l3_hits;
+  stats_.mem_accesses += n.mem_accesses;
+  stats_.remote_transfers += n.remote_transfers;
+  const uint64_t l2_misses = n.l3_hits + n.mem_accesses + n.remote_transfers;
+  if (n.l2_hits + l2_misses > 0) {  // an all-L1 call counts nothing
+    m_remote_transfers_->Add(n.remote_transfers);
+    m_l1_misses_->Add(n.l2_hits + l2_misses);
+    m_l2_misses_->Add(l2_misses);
+    m_l3_misses_->Add(n.mem_accesses);
   }
   return total;
 }

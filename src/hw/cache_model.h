@@ -10,9 +10,16 @@
 // has left that CPU's L1 and L2. A later read from another CPU then pays
 // remote_transfer (55 ns) where the line's real location would give an L3
 // hit (11 ns) or a memory access (60 ns). Deep cross-CPU queues of large
-// payloads can reach this path; whether any bench row takes it is
-// unmeasured. Fixing it moves simulated rows, so the owner table stays
-// apart from the tag arrays.
+// payloads reach this path: dropping the owner at eviction moves 46 of the
+// 444 bench rows, none more than 2% worse, and takes every 64 KiB
+// chan_batch row down 70-80% (ROADMAP item 2). Fixing it moves simulated
+// rows, so the owner table stays apart from the tag arrays.
+//
+// Every access also counts into the registry, once per Access call:
+// hw/cache/remote_transfers (lines taken from another CPU's caches) and
+// hw/cache/l1_misses, l2_misses and l3_misses (lines a level did not hold;
+// a remote transfer misses L1 and L2, and a memory access misses all
+// three), so each --metrics window says where its lines came from.
 #ifndef DIPC_HW_CACHE_MODEL_H_
 #define DIPC_HW_CACHE_MODEL_H_
 
@@ -22,6 +29,7 @@
 
 #include "hw/cost_model.h"
 #include "hw/types.h"
+#include "obs/metrics.h"
 #include "sim/time.h"
 
 namespace dipc::hw {
@@ -93,6 +101,11 @@ class CacheModel {
   uint32_t* OwnerPage(uint64_t line);
   std::vector<std::unique_ptr<uint32_t[]>> dirty_owner_;
   CacheStats stats_;
+  obs::MetricSet metrics_;
+  obs::Counter* m_remote_transfers_ = nullptr;
+  obs::Counter* m_l1_misses_ = nullptr;
+  obs::Counter* m_l2_misses_ = nullptr;
+  obs::Counter* m_l3_misses_ = nullptr;
 };
 
 }  // namespace dipc::hw
