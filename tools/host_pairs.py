@@ -5,7 +5,11 @@ A host-only change (one that makes the simulator faster without moving any
 simulated number) is claimed with this tool. It runs both drivers on one
 workload and seed, N pairs, alternating which side runs first, and:
 
-  - fails if any simulated (non-host.*) field differs between any two runs;
+  - checks that each driver's simulated (non-host.*) fields are the same in
+    every one of its runs, and stops if they are not;
+  - prints which simulated fields differ between the two drivers, if any:
+    a change that moves simulated numbers still gets its host comparison,
+    but the run exits 1, so a host-only claim cannot rest on it;
   - prints each side's median and quartiles of setup_s (the median of a
     run's set-up repetitions, as perfbench/run.py reports it), host ns per
     simulated event (host.window_s / sim.events) and peak RSS;
@@ -23,15 +27,19 @@ Usage:
 
 Each run has the size perfbench/run.py gives the workload at the
 benchmark's --seconds 20. Exit status: 0 when the simulated fields agree, 1
-when they differ or a driver fails, 2 on bad usage.
+when they differ between the drivers (after the host comparison), when one
+driver's runs disagree or when a driver fails, 2 on bad usage.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 sys.dont_write_bytecode = True  # leave no cache behind in perfbench/
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -54,6 +62,11 @@ def host_view(raw):
     return {"setup_s": statistics.median(raw["host.setup_s"]),
             "ns_per_event": raw["host.window_s"] * 1e9 / raw["sim.events"],
             "peak_rss_mb": raw["host.peak_rss_kb"] / 1024.0}
+
+
+def differing(a, b):
+    """The names of the fields whose values differ between two sim views."""
+    return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
 
 
 def pair_ratios(base, new):
@@ -92,7 +105,7 @@ def run_driver(driver, workload, seed, ops):
     return json.loads(p.stdout)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("base", nargs="?")
     ap.add_argument("new", nargs="?")
@@ -100,7 +113,7 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--self-test", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     if args.self_test:
         return self_test()
     if not (args.base and args.new and args.workload) or args.pairs < 1:
@@ -108,26 +121,29 @@ def main():
     ops = run.OPS_PER_SECOND[args.workload] * SECONDS
     drivers = {"base": args.base, "new": args.new}
     hosts = {"base": [], "new": []}
-    reference = None
+    reference = {}
     for i in range(args.pairs):
         order = ("base", "new") if i % 2 == 0 else ("new", "base")
         for side in order:
             raw = run_driver(drivers[side], args.workload, args.seed, ops)
             sim = run.sim_view(raw)
-            if reference is None:
-                reference = sim
-            elif sim != reference:
-                diff = sorted(k for k in set(sim) | set(reference)
-                              if sim.get(k) != reference.get(k))
-                print("host_pairs: pair %d: %s's simulated fields differ: %s"
+            diff = differing(reference.setdefault(side, sim), sim)
+            if diff:
+                print("host_pairs: pair %d: %s's simulated fields differ from its first run: %s"
                       % (i + 1, side, ", ".join(diff[:10])), file=sys.stderr)
                 return 1
             hosts[side].append(host_view(raw))
         print("pair %2d  setup_s %.5f -> %.5f  ns/event %.1f -> %.1f"
               % (i + 1, hosts["base"][-1]["setup_s"], hosts["new"][-1]["setup_s"],
                  hosts["base"][-1]["ns_per_event"], hosts["new"][-1]["ns_per_event"]))
-    print("%s seed %d, %d pairs of %d ops: every simulated field identical"
-          % (args.workload, args.seed, args.pairs, ops))
+    diff = differing(reference["base"], reference["new"])
+    if diff:
+        print("%s seed %d, %d pairs of %d ops: %d simulated field(s) differ between the "
+              "drivers: %s" % (args.workload, args.seed, args.pairs, ops, len(diff),
+                               ", ".join(diff)))
+    else:
+        print("%s seed %d, %d pairs of %d ops: every simulated field identical"
+              % (args.workload, args.seed, args.pairs, ops))
     for metric in ("setup_s", "ns_per_event", "peak_rss_mb"):
         base = [h[metric] for h in hosts["base"]]
         new = [h[metric] for h in hosts["new"]]
@@ -139,7 +155,7 @@ def main():
               "new wins %d/%d  beyond base IQR: %s  pair ratio %.3f [%.3f, %.3f]"
               % (metric, bq[1], bq[0], bq[2], nq[1], nq[0], nq[2], pct, wins, len(base),
                  "yes" if beyond_iqr else "no", rq[1], rq[0], rq[2]))
-    return 0
+    return 1 if diff else 0
 
 
 # ---- Self-test ----
@@ -187,6 +203,29 @@ def self_test():
           "a launched child's peak RSS is its own (%d kB, %d kB held by the parent)"
           % (child_kb, len(ballast) // 1024))
     del ballast
+    check(differing({"a": 1, "b": 2}, {"a": 1, "b": 3, "c": 4}) == ["b", "c"],
+          "differing names a changed field and a new one")
+    # Two stand-in drivers that agree on every simulated field but sim.x:
+    # the run exits 1, names sim.x and still prints the host comparison.
+    with tempfile.TemporaryDirectory() as tmp:
+        fakes = []
+        for name, x in (("base", 1), ("new", 2)):
+            path = os.path.join(tmp, name)
+            with open(path, "w") as f:
+                f.write("#!%s\nimport json\nprint(json.dumps({'sim.x': %d, 'sim.events': 1000, "
+                        "'host.setup_s': [0.01], 'host.window_s': 0.001, "
+                        "'host.peak_rss_kb': 4096}))\n" % (sys.executable, x))
+            os.chmod(path, 0o755)
+            fakes.append(path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(fakes + ["--workload", "sync_call", "--pairs", "2"])
+        text = out.getvalue()
+    check(status == 1, "drivers whose simulated fields differ exit 1 (%d)" % status)
+    check("1 simulated field(s) differ between the drivers: sim.x" in text,
+          "the differing field is named")
+    check("setup_s" in text and "peak_rss_mb" in text,
+          "the host comparison is printed anyway")
     for f in failures:
         print("FAIL: " + f)
     print("host_pairs self-test: %d failure(s)" % len(failures))
