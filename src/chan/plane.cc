@@ -137,13 +137,15 @@ base::Status Plane::Init(core::Dipc& dipc, std::span<os::Process* const> produce
   if (!tx_group && !rx_group) {
     rx_[0].desc = NewDescQueue(0);
   }
-  // A 1x1 plane's pool page also holds the producer's slot reserve: a count
-  // word and room for every slot.
-  const bool reserve = !tx_group && !rx_group;
+  // The pool's page also holds the shared cache and one cache per CPU: a
+  // count word and room for every slot each, from a line of its own.
+  const uint32_t caches = CpuCache(kernel_.machine().num_cpus());
+  cache_stride_ = (MpmcQueue::kSlotBytes * (1 + cfg.slots) + hw::kCacheLineSize - 1) &
+                  ~(hw::kCacheLineSize - 1);
   free_ = std::make_unique<MpmcQueue>(kernel_, *home_, cfg.slots, ctrl_tag_, prefix_ + "/free",
-                                      obs_id_,
-                                      reserve ? MpmcQueue::kSlotBytes * (1 + cfg.slots) : 0);
-  reserve_va_ = reserve ? free_->spare_va() : 0;
+                                      obs_id_, cache_stride_ * caches);
+  cache_va_ = free_->spare_va();
+  cache_n_.assign(caches, 0);
   for (uint32_t i = 0; i < cfg.slots; ++i) {
     free_->Prime(i);
   }
@@ -153,6 +155,7 @@ base::Status Plane::Init(core::Dipc& dipc, std::span<os::Process* const> produce
   wcaps_.resize(cfg.slots);
   slot_owner_.assign(cfg.slots, 0);
   slot_gen_.assign(cfg.slots, 0);
+  slot_cpu_.assign(cfg.slots, 0);
   pending_.assign(cfg.slots, 0);
   tctx_.assign(cfg.slots, 0);
   for (auto [side, group] : {std::pair{&tx_, tx_group}, std::pair{&rx_, rx_group}}) {
@@ -192,7 +195,8 @@ void Plane::RegisterMetrics() {
   m_recvs_ = counter(true, "/recvs");
   m_deliveries_ = counter(rx_group_, "/deliveries");
   m_acquires_ = counter(p2p, "/acquires");
-  m_pool_pops_ = counter(p2p, "/pool_pops");
+  m_pool_pops_ = counter(true, "/pool_pops");
+  m_cross_cpu_takes_ = counter(true, "/cross_cpu_takes");
   m_releases_ = counter(p2p, "/releases");
   m_cold_mints_ = counter(p2p, "/cold_mints");
   m_rebinds_ = counter(p2p, "/rebinds");
@@ -407,7 +411,7 @@ sim::Task<base::Result<std::vector<SendBuf>>> Plane::AcquireBufBatch(os::Env env
     AddCredits(tx, -int64_t{want});
   }
   // One cross-domain call into the runtime covers the whole batch, the
-  // reserve accesses included.
+  // cache accesses included.
   sim::Duration cost = k.costs().function_call + k.costs().domain_switch * 2;
   std::vector<uint64_t> indices(want);
   auto popped = co_await TakeFree(env, std::span(indices), deadline, &cost);
@@ -468,6 +472,7 @@ sim::Task<base::Result<std::vector<SendBuf>>> Plane::AcquireBufBatch(os::Env env
     wcaps_[index] = caps[j];
     slot_owner_[index] = p;
     slot_gen_[index] = gen;
+    slot_cpu_[index] = env.self->last_cpu();
     out.push_back(SendBuf{buf_va(index), cfg_.buf_bytes, index});
   }
   env.self->cap_ctx().regs.Set(kSenderCapReg, caps.back());
@@ -476,81 +481,149 @@ sim::Task<base::Result<std::vector<SendBuf>>> Plane::AcquireBufBatch(os::Env env
 
 sim::Task<base::Result<uint64_t>> Plane::TakeFree(os::Env env, std::span<uint64_t> out,
                                                   os::Deadline deadline, sim::Duration* cost) {
-  if (reserve_va_ == 0) {
-    m_pool_pops_->Add();
-    co_return co_await free_->PopN(env, out, deadline);
-  }
-  const uint64_t got = std::min<uint64_t>(out.size(), reserve_n_);
-  if (got > 0) {
-    base::Status taken = MoveReserve(env, out.first(got), /*deposit=*/false, cost);
-    if (!taken.ok()) {
-      co_return taken.code();
+  uint64_t got = 0;
+  std::vector<uint64_t> pool;
+  while (true) {
+    if (broken_ != base::ErrorCode::kOk) {
+      co_return broken_;
+    }
+    for (uint32_t cache : {CpuCache(env.self->last_cpu()), kSharedCache}) {
+      auto taken = MoveCached(env, cache, out.subspan(got), /*deposit=*/false, cost);
+      if (!taken.ok()) {
+        co_return taken.code();
+      }
+      got += taken.value();
     }
     if (got == out.size()) {
       co_return got;
     }
-  }
-  // Every free slot in one pop, which waits only when the reserve gave
-  // nothing (so a caller holding slots never parks).
-  std::vector<uint64_t> pool(cfg_.slots);
-  ++pool_poppers_;
-  m_pool_pops_->Add();
-  auto popped = got == 0 ? co_await free_->PopN(env, std::span(pool), deadline)
-                         : co_await free_->TryPopN(env, std::span(pool));
-  --pool_poppers_;
-  if (!popped.ok()) {
-    // A closed, drained pool leaves the caller what the reserve gave; a
-    // failed one (the plane broke) leaves nothing.
-    if (got == 0 || broken_ != base::ErrorCode::kOk) {
+    // Every free slot in one pop, which waits only when no cache holds a
+    // slot either (so a caller holding slots never parks, and nobody parks
+    // while a cache holds one).
+    pool.resize(cfg_.slots);
+    ++pool_poppers_;
+    m_pool_pops_->Add();
+    auto popped = got == 0 && cached_ == 0 ? co_await free_->PopN(env, std::span(pool), deadline)
+                                           : co_await free_->TryPopN(env, std::span(pool));
+    --pool_poppers_;
+    if (broken_ != base::ErrorCode::kOk) {
+      co_return broken_;  // a failed pool leaves nothing
+    }
+    if (popped.ok()) {
+      const uint64_t keep = std::min<uint64_t>(popped.value(), out.size() - got);
+      std::copy_n(pool.begin(), keep, out.begin() + static_cast<std::ptrdiff_t>(got));
+      got += keep;
+      std::span<uint64_t> extras(pool.data() + keep, popped.value() - keep);
+      if (!extras.empty() && pool_poppers_ > 0 && !free_->closed()) {
+        // A sibling producer thread is inside the pop, maybe parked on the
+        // empty pool: the push hands it the extras and wakes it.
+        const bool pushed = (co_await free_->PushN(env, extras)).ok();
+        if (broken_ != base::ErrorCode::kOk) {
+          co_return broken_;
+        }
+        if (pushed) {
+          extras = {};  // else a Close raced the push: keep them
+        }
+      }
+      if (!extras.empty()) {
+        // This thread just accessed the pool's page from the same domain,
+        // so the cache on that page cannot fault.
+        DIPC_CHECK(MoveCached(env, kSharedCache, extras, /*deposit=*/true, cost).ok());
+      }
+    } else if (got == 0 && (popped.code() == base::ErrorCode::kTimedOut || cached_ == 0)) {
+      // Timed out, or closed and drained with every cache empty.
       co_return popped.code();
     }
-    co_return got;
-  }
-  const uint64_t keep = std::min<uint64_t>(popped.value(), out.size() - got);
-  std::copy_n(pool.begin(), keep, out.begin() + static_cast<std::ptrdiff_t>(got));
-  std::span<uint64_t> extras(pool.data() + keep, popped.value() - keep);
-  if (!extras.empty() && pool_poppers_ > 0 && !free_->closed()) {
-    // A sibling producer thread is inside the pop, maybe parked on the
-    // empty pool: the push hands it the extras and wakes it.
-    const bool pushed = (co_await free_->PushN(env, extras)).ok();
-    if (broken_ != base::ErrorCode::kOk) {
-      co_return broken_;
+    const hw::CpuId cpu = env.self->last_cpu();
+    if (got < out.size() &&
+        cached_ > cache_n_[CpuCache(cpu)] + cache_n_[kSharedCache]) {
+      // The pool is empty: the rest comes from other CPUs' caches.
+      auto taken = TakeCrossCpu(env, out.subspan(got), cost);
+      if (!taken.ok()) {
+        co_return taken.code();
+      }
+      got += taken.value();
     }
-    if (pushed) {
-      extras = {};  // else a Close raced the push: keep them
+    if (got > 0) {
+      co_return got;
     }
+    // Other threads took the cached slots while this one popped: try again.
   }
-  if (!extras.empty()) {
-    // This thread just accessed the pool's page from the same domain, so
-    // the reserve on that page cannot fault.
-    DIPC_CHECK(MoveReserve(env, extras, /*deposit=*/true, cost).ok());
-  }
-  co_return got + keep;
 }
 
-base::Status Plane::MoveReserve(os::Env env, std::span<uint64_t> slots, bool deposit,
-                                sim::Duration* cost) {
+base::Result<uint64_t> Plane::TakeCrossCpu(os::Env env, std::span<uint64_t> out,
+                                           sim::Duration* cost) {
   os::Kernel& k = *env.kernel;
-  const uint64_t n = slots.size();
-  const uint64_t count = deposit ? reserve_n_ + n : reserve_n_ - n;
-  const hw::VirtAddr top =
-      reserve_va_ + MpmcQueue::kSlotBytes * (1 + std::min<uint64_t>(count, reserve_n_));
+  const hw::CpuId here = env.self->last_cpu();
+  const auto cpus = static_cast<uint32_t>(cache_n_.size() - 1);
+  uint64_t got = 0;
+  for (uint32_t i = 1; i < cpus && got < out.size(); ++i) {
+    const uint32_t cache = CpuCache((here + i) % cpus);
+    // Each probe reads the other cache's count word.
+    uint64_t count = 0;
+    auto probed = k.UserAccessCost(*env.self, cache_va_ + cache * cache_stride_,
+                                   MpmcQueue::kSlotBytes, hw::AccessType::kRead,
+                                   os::UserBytes(std::as_writable_bytes(std::span(&count, 1))));
+    if (!probed.ok()) {
+      return probed.code();
+    }
+    *cost += probed.value();
+    DIPC_CHECK(count == cache_n_[cache]);
+    if (count == 0) {
+      continue;
+    }
+    auto taken = MoveCached(env, cache, out.subspan(got), /*deposit=*/false, cost);
+    if (!taken.ok()) {
+      return taken.code();
+    }
+    m_cross_cpu_takes_->Add();
+    got += taken.value();
+  }
+  return got;
+}
+
+base::Result<uint64_t> Plane::MoveCached(os::Env env, uint32_t cache, std::span<uint64_t> slots,
+                                         bool deposit, sim::Duration* cost) {
+  // No acquirer parks on the empty pool while a cache holds a slot: slots
+  // reach a cache only while no producer thread is inside the pool pop.
+  DIPC_CHECK(!deposit || free_->parked_pops() == 0);
+  os::Kernel& k = *env.kernel;
+  const uint64_t have = cache_n_[cache];
+  const uint64_t n = deposit ? slots.size() : std::min<uint64_t>(slots.size(), have);
+  if (n == 0) {
+    return uint64_t{0};
+  }
+  const uint64_t count = deposit ? have + n : have - n;
+  const hw::VirtAddr base = cache_va_ + cache * cache_stride_;
+  const hw::VirtAddr top = base + MpmcQueue::kSlotBytes * (1 + std::min(count, have));
   auto moved = k.UserAccessCost(*env.self, top, n * MpmcQueue::kSlotBytes,
                                 deposit ? hw::AccessType::kWrite : hw::AccessType::kRead,
-                                deposit ? os::UserBytes(std::as_bytes(slots))
-                                        : os::UserBytes(std::as_writable_bytes(slots)));
+                                deposit ? os::UserBytes(std::as_bytes(slots.first(n)))
+                                        : os::UserBytes(std::as_writable_bytes(slots.first(n))));
   if (!moved.ok()) {
-    return moved.status();
+    return moved.code();
   }
-  auto counted = k.UserAccessCost(*env.self, reserve_va_, MpmcQueue::kSlotBytes,
-                                  hw::AccessType::kWrite,
+  auto counted = k.UserAccessCost(*env.self, base, MpmcQueue::kSlotBytes, hw::AccessType::kWrite,
                                   os::UserBytes(std::as_bytes(std::span(&count, 1))));
   if (!counted.ok()) {
-    return counted.status();
+    return counted.code();
   }
-  reserve_n_ = static_cast<uint32_t>(count);
+  cache_n_[cache] = static_cast<uint32_t>(count);
+  cached_ = static_cast<uint32_t>(deposit ? cached_ + n : cached_ - n);
   *cost += moved.value() + counted.value();
-  return base::Status::Ok();
+  return n;
+}
+
+uint64_t Plane::KeepOnCpu(os::Env env, std::span<uint64_t> freed, sim::Duration* cost) {
+  if (pool_poppers_ > 0 || free_->closed()) {
+    return 0;  // the pool wakes the popper, or retires the slots after Close
+  }
+  const hw::CpuId cpu = env.self->last_cpu();
+  auto mine = std::partition(freed.begin(), freed.end(),
+                             [this, cpu](uint64_t index) { return slot_cpu_[index] == cpu; });
+  auto kept =
+      MoveCached(env, CpuCache(cpu), std::span(freed.begin(), mine), /*deposit=*/true, cost);
+  return kept.ok() ? kept.value() : 0;
 }
 
 void Plane::BindSendCap(os::Thread& t, const SendBuf& buf) const {
@@ -944,6 +1017,7 @@ sim::Task<base::Status> Plane::ReleaseBatch(os::Env env, uint32_t r, std::span<c
     cost += cm.cap_revoke;
   }
   AddCredits(rx, static_cast<int64_t>(msgs.size()));  // the credit returns with the release
+  const uint64_t kept = KeepOnCpu(env, std::span(freed), &cost);
   m_releases_->Add(msgs.size());
   m_revokes_->Add(msgs.size());
   cost += obs::Trace().event_cost();
@@ -953,8 +1027,8 @@ sim::Task<base::Status> Plane::ReleaseBatch(os::Env env, uint32_t r, std::span<c
   if (broken_ != base::ErrorCode::kOk) {
     co_return broken_;
   }
-  if (!freed.empty()) {
-    auto pushed = co_await free_->PushN(env, std::span(freed));
+  if (freed.size() > kept) {
+    auto pushed = co_await free_->PushN(env, std::span(freed).subspan(kept));
     // After an orderly Close the free list is retired; the revocations above
     // are all that matters. Only dead-peer errors surface.
     if (!pushed.ok() && broken_ != base::ErrorCode::kOk) {
@@ -963,7 +1037,7 @@ sim::Task<base::Status> Plane::ReleaseBatch(os::Env env, uint32_t r, std::span<c
   }
   // Returned credit may unblock a waiting producer: it ends every spin and
   // wakes one parked producer (wake-suppressed). Only now, with the freed
-  // slots back in the pool, or the producer would find the pool empty.
+  // slots back, or the producer would find none free.
   if (credit_waiters_.Publish(env)) {
     fault::Decision d = rx_group_ ? DIPC_FAULT_POINT(kCreditGrant, env.self->last_cpu())
                                   : DIPC_FAULT_POINT(kFanInCreditGrant, env.self->last_cpu());
@@ -1012,6 +1086,7 @@ sim::Task<base::Status> Plane::AbandonBatch(os::Env env, uint32_t p,
     indices.push_back(b.index);
   }
   m_revokes_->Add(bufs.size());
+  const uint64_t kept = KeepOnCpu(env, std::span(indices), &cost);
   co_await k.Spend(*env.self, cost, TimeCat::kUser);
   if (broken_ != base::ErrorCode::kOk) {
     co_return broken_;  // dead-peer teardown already retired the pool
@@ -1019,11 +1094,13 @@ sim::Task<base::Status> Plane::AbandonBatch(os::Env env, uint32_t p,
   if (tx.alive && tx.owner == gen) {
     AddCredits(tx, static_cast<int64_t>(indices.size()));
   }
-  auto pushed = co_await free_->PushN(env, std::span(indices));
-  if (!pushed.ok()) {
-    // After an orderly Close the free list is retired; the revocations
-    // above are all that matters. Only dead-peer errors surface.
-    co_return broken_ != base::ErrorCode::kOk ? base::Status(broken_) : base::Status::Ok();
+  if (indices.size() > kept) {
+    auto pushed = co_await free_->PushN(env, std::span(indices).subspan(kept));
+    if (!pushed.ok()) {
+      // After an orderly Close the free list is retired; the revocations
+      // above are all that matters. Only dead-peer errors surface.
+      co_return broken_ != base::ErrorCode::kOk ? base::Status(broken_) : base::Status::Ok();
+    }
   }
   if (credit_waiters_.Publish(env) && tx.line != 0) {
     co_await os::FutexWake(env, credit_waiters_);

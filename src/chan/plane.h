@@ -33,30 +33,41 @@
 // queue operation per queue touched, one cost-accounting charge, one runtime
 // entry and at most one futex wake per batch.
 //
-// Producer slot reserve (1x1 planes). The free pool's line is written by the
-// receiver's Release, so every pool pop reads a line another CPU just wrote.
-// A 1x1 plane's producer therefore keeps a reserve of free slots in the
-// pool's own page, past its ring: a count word and a stack of slot indices.
-// An acquire takes from the reserve first; only when the reserve is empty
-// does it pop the pool, taking every free slot there in one pop and
-// depositing the ones it does not need, so a lockstep round trip reads the
-// pool's line once per pool-full of acquires instead of once per acquire.
-// The pop waits only when the reserve gave nothing, so AcquireBufBatch still
+// Free-slot caches (every shape). The free pool's line is written by
+// whoever gave a slot back, and a reused buffer's lines sit in the caches of
+// the CPU that last wrote it. So past the pool's ring its page holds one
+// cache of free slots per CPU and one shared cache, each a count word and a
+// stack of slot indices on lines of their own. A slot released or abandoned
+// on the CPU that acquired it goes back to that CPU's cache, where its
+// buffer's lines already are; any other slot goes to the pool. The
+// acquiring CPU is kept with the slot's owner (on hardware it rides in
+// spare bits of the descriptor's length field), so this check costs no
+// access. An acquire on CPU c takes from c's cache first, then from the
+// shared cache. Only when both are empty does it pop the pool, taking every
+// free slot there in one pop and keeping the extras in the shared cache, so
+// a lockstep round trip reads the pool's line once per pool-full of
+// acquires. With the pool empty too, it takes from other CPUs' caches (a
+// cross-CPU take, reading each one's count word on the way), and it parks
+// on the pool only when every cache is empty, so AcquireBufBatch still
 // returns every free slot up to `max_n` and blocks only when none is free.
-// Every take and deposit is a timed user access (the indices and the count
-// word) charged with the acquire's runtime entry, so producer threads that
-// share the reserve from different CPUs pay its line transfers. Deposit
-// rule: extras go into the reserve only when no other producer thread is
-// inside the pool pop; otherwise they are pushed back to the pool, which
-// wakes that thread. So while the plane is open and the reserve holds a
-// slot, no producer thread is in the pop, and none parks on an empty pool.
-// The reserve changes no semantics: Abandon and Release return slots to the
-// pool, Close leaves the reserve's slots acquirable as it leaves the pool's,
-// and teardown retires both. Group planes keep the plain pool. A fan-in
-// plane's producers are separate processes sharing one pool, so slots one
-// kept back would be slots the others cannot take. With a reserve, fig8's
-// fan-out request planes parked their producers on an empty pool
-// (`fanout/*/free/futex_wakes` 0 -> 523 in `chan_disk_t512`).
+// The extras go to the shared cache, not c's: they came back on other CPUs
+// anyway, and a producer thread that moved on would strand them in c's
+// cache, because a duplex round trip's peer frees a slot every trip and the
+// pool never runs dry (perfbench fabric_rpc's backend rings popped the pool
+// on 73% of acquires that way, against 25%). Every take and deposit is a
+// timed user access (the indices and the count word) charged with the
+// call's runtime entry, so a cross-CPU take pays the line transfers of the
+// cache it reads. Deposit rule: while a producer thread is inside the pool
+// pop, every slot goes to the pool, which wakes that thread. So no acquirer
+// parks on the empty pool while a cache holds a slot (each deposit checks
+// it). The caches change no semantics: Close leaves cached slots acquirable
+// as it leaves the pool's (and a release after Close retires its slot, as
+// the closed pool does), and Abort, a kill and Rebind* leave them where
+// they leave the pool's. A fabric call's serve thread runs on its caller's
+// CPU (the FUTEX_SWAP), so request and response slots return to the CPU
+// whose L1 and L2 hold them. A stream that acquires on one CPU and releases
+// on another refills from the pool through the shared cache, as a 1x1
+// plane's producer reserve did.
 //
 // Shapes and policies. Each side is given either as one process or as a
 // group of processes, and that alone sets its policy (at most one side is a
@@ -175,7 +186,7 @@ class Plane : public std::enable_shared_from_this<Plane> {
 
   // Blocks until admitted (group receivers: one credit of every live
   // receiver's line; group producers: one credit of p's line), then takes
-  // up to `max_n` free buffers (a 1x1 plane's reserve first, see above),
+  // up to `max_n` free buffers (the caller's CPU cache first, see above),
   // blocking only while none is free, and grants p's write capabilities
   // (epoch rebind on the warm path). The write capability of the *last*
   // buffer is loaded into kSenderCapReg; BindSendCap switches between the
@@ -206,8 +217,9 @@ class Plane : public std::enable_shared_from_this<Plane> {
                                       os::DeferredWake* defer = nullptr);
 
   // Gives up acquired-but-unsent buffers: revokes the write grants, returns
-  // the slots (and a group producer's credits) to the pool. Dropping a
-  // SendBuf on the floor instead leaks its slot and a live write capability.
+  // the slots to the caller's CPU cache or the pool (see above) and a group
+  // producer's credits to its line. Dropping a SendBuf on the floor instead
+  // leaks its slot and a live write capability.
   sim::Task<base::Status> Abandon(os::Env env, uint32_t p, const SendBuf& buf);
   sim::Task<base::Status> AbandonBatch(os::Env env, uint32_t p, std::span<const SendBuf> bufs);
 
@@ -282,10 +294,12 @@ class Plane : public std::enable_shared_from_this<Plane> {
   uint64_t sends() const { return sends_; }            // messages published
   uint64_t deliveries() const { return deliveries_; }  // per-receiver deliveries
   uint64_t recvs() const { return recvs_; }
-  // Where the free slots are (test support): the pool's, the producer
-  // reserve's (1x1 planes), and the acquires parked on the empty pool.
+  // Where the free slots are (test support): the pool's, every cache's (the
+  // shared one included), CPU `cpu`'s cache's, and the acquires parked on
+  // the empty pool.
   uint64_t pool_free() const { return free_->size(); }
-  uint32_t reserved() const { return reserve_n_; }
+  uint32_t cached() const { return cached_; }
+  uint32_t cached(hw::CpuId cpu) const { return cache_n_[CpuCache(cpu)]; }
   uint64_t pool_parked() const { return free_->parked_pops(); }
   // Descriptors published to receiver r and not yet received.
   uint64_t queued(uint32_t r) const { return rx_[r].desc->size(); }
@@ -367,16 +381,27 @@ class Plane : public std::enable_shared_from_this<Plane> {
   // callers charge the runtime entry once per batch.
   base::Result<codoms::Capability> GrantCap(os::Env env, Endpoint& e, uint32_t index,
                                             codoms::Perm rights, sim::Duration* cost);
-  // Fills `out` with free slots: a 1x1 plane takes from its reserve first
-  // and pops the pool for the rest, keeping the extras (see the header); a
-  // group plane pops the pool. Adds the reserve's accesses to `*cost`.
+  // Fills `out` with free slots: the caller's CPU cache first, then the
+  // shared cache, then every free slot of the pool (keeping the extras in
+  // the shared cache), then other CPUs' caches; parks on the pool only when
+  // every cache is empty (see the header). Adds the caches' accesses to
+  // `*cost`.
   sim::Task<base::Result<uint64_t>> TakeFree(os::Env env, std::span<uint64_t> out,
                                              os::Deadline deadline, sim::Duration* cost);
-  // Moves `slots` onto the reserve's top (deposit) or off it (take), with
-  // the count word, as timed user accesses added to `*cost`. Synchronous:
-  // the count changes before any suspension.
-  base::Status MoveReserve(os::Env env, std::span<uint64_t> slots, bool deposit,
-                           sim::Duration* cost);
+  // Takes slots for `out` from other CPUs' caches, in CPU order from the
+  // caller's, probing each count word on the way (timed, added to `*cost`).
+  // Returns how many.
+  base::Result<uint64_t> TakeCrossCpu(os::Env env, std::span<uint64_t> out, sim::Duration* cost);
+  // Moves all of `slots` onto cache `cache`'s stack (deposit), or as many as
+  // it holds, up to `slots.size()`, off it (take), with the count word, as
+  // timed user accesses added to `*cost`. Returns how many moved.
+  // Synchronous: the count changes before any suspension.
+  base::Result<uint64_t> MoveCached(os::Env env, uint32_t cache, std::span<uint64_t> slots,
+                                    bool deposit, sim::Duration* cost);
+  // Deposits the slots of `freed` that the caller's CPU acquired into its
+  // cache, unless the deposit rule sends them to the pool, and moves them to
+  // the front of `freed`. Returns how many; the rest are for the pool.
+  uint64_t KeepOnCpu(os::Env env, std::span<uint64_t> freed, sim::Duration* cost);
   // Shared body of every send; `target` == receiver_count() broadcasts.
   sim::Task<base::Status> SendCommon(os::Env env, uint32_t p, std::span<const SendItem> items,
                                      uint32_t target, os::Deadline deadline,
@@ -411,11 +436,16 @@ class Plane : public std::enable_shared_from_this<Plane> {
   Segment data_seg_;
   Segment cap_seg_;  // receivers x slots capability-storage slots
   std::unique_ptr<MpmcQueue> free_;
-  // 1x1 planes: the producer's slot reserve past the pool's ring, a count
-  // word then a stack of slot indices, reserve_n_ of them live (0 = no
-  // reserve: a group plane).
-  hw::VirtAddr reserve_va_ = 0;
-  uint32_t reserve_n_ = 0;
+  // The caches past the pool's ring, one every cache_stride_ bytes from
+  // cache_va_: the shared cache, then CPU c's at CpuCache(c). Each is a count
+  // word then a stack of slot indices, cache_n_[cache] of them live; cached_
+  // over every cache.
+  static constexpr uint32_t kSharedCache = 0;
+  static uint32_t CpuCache(hw::CpuId cpu) { return cpu + 1; }
+  hw::VirtAddr cache_va_ = 0;
+  uint64_t cache_stride_ = 0;
+  std::vector<uint32_t> cache_n_;
+  uint32_t cached_ = 0;
   uint32_t pool_poppers_ = 0;  // producer threads inside a pool pop
   // Failed FIFOs parked by RebindReceiver: threads blocked in a retired
   // queue may resume after the swap, so the queue must outlive the rebind.
@@ -424,12 +454,14 @@ class Plane : public std::enable_shared_from_this<Plane> {
   std::vector<Endpoint> rx_;
   // Per slot: the producer's in-flight write grant, which producer holds or
   // sent it and under which incarnation (guards credit refunds across
-  // rebinds), how many receivers still have to release it, and the trace
-  // side-band word (stamped at publish, read at receive; ownership moves
-  // with the descriptor, so one writer per slot at any instant).
+  // rebinds), the CPU that acquired it, how many receivers still have to
+  // release it, and the trace side-band word (stamped at publish, read at
+  // receive; ownership moves with the descriptor, so one writer per slot at
+  // any instant).
   std::vector<std::optional<codoms::Capability>> wcaps_;
   std::vector<uint32_t> slot_owner_;
   std::vector<uint64_t> slot_gen_;
+  std::vector<hw::CpuId> slot_cpu_;
   std::vector<uint32_t> pending_;
   std::vector<uint64_t> tctx_;
   os::WaitQueue credit_waiters_;
@@ -453,6 +485,7 @@ class Plane : public std::enable_shared_from_this<Plane> {
   obs::Counter* m_deliveries_ = nullptr;
   obs::Counter* m_acquires_ = nullptr;
   obs::Counter* m_pool_pops_ = nullptr;
+  obs::Counter* m_cross_cpu_takes_ = nullptr;
   obs::Counter* m_releases_ = nullptr;
   obs::Counter* m_cold_mints_ = nullptr;
   obs::Counter* m_rebinds_ = nullptr;

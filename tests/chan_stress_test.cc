@@ -288,14 +288,14 @@ TEST(ChanStress, ChannelRandomBatchStreamDeliversExactlyOnceAndRecyclesPool) {
   }
 }
 
-// --- Channel slot census: every slot is in the pool, the producer's
-// --- reserve, the descriptor FIFO, a receiver's hands or a producer's,
-// --- through Close, Abandon and a consumer kill ---
+// --- Channel slot census: every slot is in the pool, a cache, the
+// --- descriptor FIFO, a receiver's hands or a producer's, through Close,
+// --- Abandon and a consumer kill ---
 
 TEST(ChanStress, ChannelRandomRunsCountEverySlotThroughCloseAbandonAndKill) {
   enum class End { kClose, kAbandon, kKill };
-  int ends_with_reserve[3] = {0, 0, 0};
-  int abandons_with_reserve = 0;
+  int ends_with_cache[3] = {0, 0, 0};
+  int abandons_with_cache = 0;
   int total_checks = 0;
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -328,9 +328,9 @@ TEST(ChanStress, ChannelRandomRunsCountEverySlotThroughCloseAbandonAndKill) {
         return;
       }
       ++checks;
-      EXPECT_EQ(chan->pool_free() + chan->reserved() + chan->queued(0) + held + acquired + retired,
+      EXPECT_EQ(chan->pool_free() + chan->cached() + chan->queued(0) + held + acquired + retired,
                 slots)
-          << "pool " << chan->pool_free() << " reserve " << chan->reserved() << " fifo "
+          << "pool " << chan->pool_free() << " cached " << chan->cached() << " fifo "
           << chan->queued(0) << " held " << held << " acquired " << acquired << " retired "
           << retired;
     };
@@ -342,7 +342,7 @@ TEST(ChanStress, ChannelRandomRunsCountEverySlotThroughCloseAbandonAndKill) {
             Rng prng(prod_seed);
             int done = 0;
             while (done < per_producer && !killed) {
-              if (chan->pool_free() + chan->reserved() == 0) {
+              if (chan->pool_free() + chan->cached() == 0) {
                 if (closed) {
                   break;
                 }
@@ -373,7 +373,7 @@ TEST(ChanStress, ChannelRandomRunsCountEverySlotThroughCloseAbandonAndKill) {
                   items.push_back(SendItem{b, 64});
                 }
                 const bool abandon = first == 0 && n_abandon > 0;
-                abandons_with_reserve += abandon && chan->reserved() > 0 ? 1 : 0;
+                abandons_with_cache += abandon && chan->cached() > 0 ? 1 : 0;
                 const bool was_closed = closed;
                 ++in_call;
                 base::Status st = abandon ? co_await chan->AbandonBatch(env, part)
@@ -451,17 +451,17 @@ TEST(ChanStress, ChannelRandomRunsCountEverySlotThroughCloseAbandonAndKill) {
         [&, chan, wait_ns = rng.UniformInt(500, 20000)](os::Env env) -> sim::Task<void> {
           os::Kernel& k = *env.kernel;
           co_await k.Sleep(env, Duration::Nanos(static_cast<double>(wait_ns)));
-          // Close or kill once no thread is inside a call and the reserve
-          // holds a slot (or, if the producers finished first, once the
-          // plane is quiet); an abandon run closes after the drain.
+          // Close or kill once no thread is inside a call and a cache holds
+          // a slot (or, if the producers finished first, once the plane is
+          // quiet); an abandon run closes after the drain.
           while (in_call != 0 ||
                  (end == End::kAbandon ? producers_done < n_prod || held + acquired > 0 ||
                                              chan->queued(0) > 0
-                                       : chan->reserved() == 0 && producers_done < n_prod)) {
+                                       : chan->cached() == 0 && producers_done < n_prod)) {
             co_await k.Sleep(env, Duration::Nanos(30));
           }
           check();
-          ends_with_reserve[static_cast<int>(end)] += chan->reserved() > 0 ? 1 : 0;
+          ends_with_cache[static_cast<int>(end)] += chan->cached() > 0 ? 1 : 0;
           if (end == End::kKill) {
             killed = true;
             dipc.KillProcess(cons);
@@ -483,9 +483,295 @@ TEST(ChanStress, ChannelRandomRunsCountEverySlotThroughCloseAbandonAndKill) {
       break;
     }
   }
-  EXPECT_GT(ends_with_reserve[static_cast<int>(End::kClose)], 0);
-  EXPECT_GT(ends_with_reserve[static_cast<int>(End::kKill)], 0);
-  EXPECT_GT(abandons_with_reserve, 0);
+  EXPECT_GT(ends_with_cache[static_cast<int>(End::kClose)], 0);
+  EXPECT_GT(ends_with_cache[static_cast<int>(End::kKill)], 0);
+  EXPECT_GT(abandons_with_cache, 0);
+  EXPECT_GT(total_checks, 24 * 20);
+}
+
+// --- Group-plane slot census: on fan-out and fan-in planes whose threads
+// --- span three CPUs, every slot is in the pool, a cache, a live
+// --- receiver's FIFO, a receiver's hands or a producer's, through Close,
+// --- Abandon, a group member's kill and its Rebind ---
+
+TEST(ChanStress, GroupPlaneRandomRunsCountEverySlotInPoolCachesAndHands) {
+  enum class End { kClose, kKill, kKillAndRebind };
+  int ends[3] = {0, 0, 0};
+  int checks_with_cpu_cache = 0;
+  int total_checks = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SeedTraceGuard trace_guard("group_census", seed);
+    Rng rng(seed);
+    hw::Machine machine(4);
+    codoms::Codoms codoms(machine);
+    os::Kernel kernel(machine, codoms);
+    core::Dipc dipc(kernel);
+    const bool fan_out = seed % 2 == 0;
+    const End end = static_cast<End>((seed / 2) % 3);
+    const uint32_t slots = static_cast<uint32_t>(rng.UniformInt(2, 6));
+    const int per_thread = 15 + static_cast<int>(rng.UniformInt(0, 15));
+    os::Process& single = dipc.CreateDipcProcess("single");
+    os::Process& director = dipc.CreateDipcProcess("director");
+    std::vector<os::Process*> group = {&dipc.CreateDipcProcess("member"),
+                                       &dipc.CreateDipcProcess("member")};
+    const PlaneConfig cfg{.slots = slots, .buf_bytes = 4096};
+    auto made = fan_out ? Plane::Create(dipc, single, group, cfg)
+                        : Plane::Create(dipc, group, single, cfg);
+    ASSERT_TRUE(made.ok());
+    std::shared_ptr<Plane> plane = made.value();
+    // Group member 1 is the one killed (and maybe rebound). `gen` counts
+    // each member's incarnations; a thread of a dead one stops calling.
+    // The threads call only between each other's calls and only when the
+    // call will not wait, so a check between calls sees no slot in transit;
+    // Close and the kill happen only then too.
+    std::vector<int> gen = {0, 0};
+    std::vector<uint64_t> acquired_by = {0, 0}, held_by = {0, 0};
+    uint64_t acquired = 0, held = 0, retired = 0;
+    int in_call = 0, producers = 0, producers_done = 0, checks = 0;
+    bool closed = false;
+    auto check = [&] {
+      if (in_call != 0) {
+        return;
+      }
+      ++checks;
+      uint64_t queued = 0;
+      for (uint32_t r = 0; r < plane->receiver_count(); ++r) {
+        queued += plane->receiver_alive(r) ? plane->queued(r) : 0;
+      }
+      uint64_t on_cpus = 0;
+      for (hw::CpuId cpu = 0; cpu < machine.num_cpus(); ++cpu) {
+        on_cpus += plane->cached(cpu);
+      }
+      EXPECT_LE(on_cpus, plane->cached());
+      checks_with_cpu_cache += on_cpus > 0 ? 1 : 0;
+      EXPECT_EQ(plane->pool_free() + plane->cached() + queued + held + acquired + retired, slots)
+          << "pool " << plane->pool_free() << " cached " << plane->cached() << " (on CPUs "
+          << on_cpus << ") queued " << queued << " held " << held << " acquired " << acquired
+          << " retired " << retired;
+    };
+    // A group member's own count moves with the totals (a kill recycles it).
+    auto count = [&](uint64_t& total, std::vector<uint64_t>& by, int member, int64_t n) {
+      total += static_cast<uint64_t>(n);
+      if (member >= 0) {
+        by[member] += static_cast<uint64_t>(n);
+      }
+    };
+    auto spawn_producer = [&](os::Process& proc, uint32_t p, int cpu) {
+      ++producers;
+      const int member = fan_out ? -1 : static_cast<int>(p);
+      kernel.Spawn(
+          proc, "producer",
+          [&, p, member, my_gen = member < 0 ? 0 : gen[member],
+           thread_seed = rng.Next()](os::Env env) -> sim::Task<void> {
+            os::Kernel& k = *env.kernel;
+            Rng prng(thread_seed);
+            auto mine = [&] { return member < 0 || gen[member] == my_gen; };
+            // A fan-out acquire waits for every live receiver's credit, a
+            // fan-in one for its producer's.
+            auto admitted = [&] {
+              if (!fan_out) {
+                return plane->credits(p) > 0;
+              }
+              for (uint32_t r = 0; r < plane->receiver_count(); ++r) {
+                if (plane->receiver_alive(r) && plane->credits(r) == 0) {
+                  return false;
+                }
+              }
+              return true;
+            };
+            int done = 0;
+            while (done < per_thread && !closed && mine()) {
+              if (!admitted() || plane->pool_free() + plane->cached() == 0) {
+                co_await k.Sleep(env, Duration::Nanos(prng.UniformInt(20, 200)));
+                continue;
+              }
+              ++in_call;
+              auto bufs = co_await plane->AcquireBufBatch(
+                  env, p, static_cast<uint32_t>(prng.UniformInt(1, slots)));
+              --in_call;
+              if (!bufs.ok()) {
+                EXPECT_TRUE(closed) << static_cast<int>(bufs.code());
+                break;
+              }
+              std::vector<SendBuf> got = bufs.value();
+              count(acquired, acquired_by, member, static_cast<int64_t>(got.size()));
+              check();
+              // Give back a random part; send the rest, in one batch.
+              auto n_abandon = static_cast<size_t>(prng.UniformInt(0, got.size()));
+              while (n_abandon > 0 || !got.empty()) {
+                if (!mine()) {
+                  break;  // killed: the excision recycled what it held
+                }
+                const bool abandon = n_abandon > 0 || closed;
+                const size_t n = abandon ? std::max<size_t>(n_abandon, closed ? got.size() : 0)
+                                         : got.size();
+                std::span<const SendBuf> part(got.data(), n);
+                uint32_t target = 0;
+                if (!abandon && fan_out) {
+                  // A live receiver with the credit for the whole batch.
+                  target = plane->receiver_count();
+                  for (uint32_t r = 0; r < plane->receiver_count(); ++r) {
+                    if (plane->receiver_alive(r) && plane->credits(r) >= n) {
+                      target = r;
+                      break;
+                    }
+                  }
+                  if (target == plane->receiver_count()) {
+                    co_await k.Sleep(env, Duration::Nanos(prng.UniformInt(20, 200)));
+                    continue;
+                  }
+                }
+                std::vector<SendItem> items;
+                for (const SendBuf& b : part) {
+                  items.push_back(SendItem{b, 64});
+                }
+                const bool was_closed = closed;
+                ++in_call;
+                base::Status st;
+                if (abandon) {
+                  st = co_await plane->AbandonBatch(env, p, part);
+                } else if (fan_out) {
+                  st = co_await plane->SendToBatch(env, p, items, target);
+                } else {
+                  st = co_await plane->SendBatch(env, p, items);
+                }
+                --in_call;
+                EXPECT_TRUE(st.ok()) << (abandon ? "abandon " : "send ")
+                                     << static_cast<int>(st.code());
+                retired += abandon && was_closed ? n : 0;
+                done += abandon ? 0 : static_cast<int>(n);
+                count(acquired, acquired_by, member, -static_cast<int64_t>(n));
+                got.erase(got.begin(), got.begin() + static_cast<std::ptrdiff_t>(n));
+                n_abandon = 0;
+                check();
+              }
+              if (prng.Chance(0.3)) {
+                co_await k.Sleep(env, Duration::Nanos(prng.UniformInt(20, 800)));
+              }
+            }
+            ++producers_done;
+          },
+          cpu);
+    };
+    auto spawn_receiver = [&](os::Process& proc, uint32_t r, int cpu) {
+      const int member = fan_out ? static_cast<int>(r) : -1;
+      kernel.Spawn(
+          proc, "receiver",
+          [&, r, member, my_gen = member < 0 ? 0 : gen[member],
+           thread_seed = rng.Next()](os::Env env) -> sim::Task<void> {
+            os::Kernel& k = *env.kernel;
+            Rng crng(thread_seed);
+            auto mine = [&] { return member < 0 || gen[member] == my_gen; };
+            while (mine()) {
+              if (plane->queued(r) == 0) {
+                if (closed) {
+                  break;
+                }
+                co_await k.Sleep(env, Duration::Nanos(crng.UniformInt(20, 200)));
+                continue;
+              }
+              ++in_call;
+              auto msgs = co_await plane->RecvBatch(
+                  env, r, static_cast<uint32_t>(crng.UniformInt(1, slots)));
+              --in_call;
+              if (!msgs.ok()) {
+                ADD_FAILURE() << "recv " << static_cast<int>(msgs.code());
+                break;
+              }
+              const auto n = static_cast<int64_t>(msgs.value().size());
+              count(held, held_by, member, n);
+              check();
+              if (crng.Chance(0.4)) {
+                co_await k.Sleep(env, Duration::Nanos(crng.UniformInt(50, 1500)));
+              }
+              if (!mine()) {
+                break;  // killed: the excision recycled what it held
+              }
+              const bool was_closed = closed;
+              ++in_call;
+              base::Status st = co_await plane->ReleaseBatch(env, r, msgs.value());
+              --in_call;
+              EXPECT_TRUE(st.ok()) << static_cast<int>(st.code());
+              count(held, held_by, member, -n);
+              retired += was_closed ? static_cast<uint64_t>(n) : 0;
+              check();
+            }
+          },
+          cpu);
+    };
+    // Three CPUs, with one producer thread sharing its CPU with a receiver
+    // (whose releases of its slots go to that CPU's cache).
+    if (fan_out) {
+      spawn_producer(single, 0, 0);
+      spawn_producer(single, 0, 1);
+      spawn_receiver(*group[0], 0, 1);
+      spawn_receiver(*group[1], 1, 2);
+    } else {
+      spawn_producer(*group[0], 0, 0);
+      spawn_producer(*group[0], 0, 1);
+      spawn_producer(*group[1], 1, 2);
+      spawn_receiver(single, 0, 1);
+    }
+    kernel.Spawn(
+        director, "director",
+        [&, wait_ns = rng.UniformInt(500, 20000)](os::Env env) -> sim::Task<void> {
+          os::Kernel& k = *env.kernel;
+          auto quiet = [&]() -> sim::Task<void> {
+            while (in_call != 0) {
+              co_await k.Sleep(env, Duration::Nanos(30));
+            }
+          };
+          co_await k.Sleep(env, Duration::Nanos(static_cast<double>(wait_ns)));
+          if (end != End::kClose) {
+            co_await quiet();
+            check();
+            // The kill recycles member 1's unsent slots (fan-in) or its
+            // deliveries (fan-out).
+            ++gen[1];
+            acquired -= acquired_by[1];
+            held -= held_by[1];
+            acquired_by[1] = held_by[1] = 0;
+            dipc.KillProcess(*group[1]);
+            check();
+            if (end == End::kKillAndRebind) {
+              co_await k.Sleep(env, Duration::Nanos(200));
+              co_await quiet();
+              os::Process& fresh = dipc.CreateDipcProcess("member");
+              EXPECT_TRUE((fan_out ? plane->RebindReceiver(1, fresh)
+                                   : plane->RebindProducer(1, fresh))
+                              .ok());
+              if (fan_out) {
+                spawn_receiver(fresh, 1, 2);
+              } else {
+                spawn_producer(fresh, 1, 2);
+              }
+              check();
+            }
+            co_await k.Sleep(env, Duration::Nanos(static_cast<double>(wait_ns)));
+          }
+          co_await quiet();
+          check();
+          ++ends[static_cast<int>(end)];
+          closed = true;
+          plane->Close();
+          check();
+        },
+        /*pin_cpu=*/3);
+    kernel.Run();
+    check();
+    total_checks += checks;
+    EXPECT_EQ(producers_done, producers);
+    EXPECT_EQ(held + acquired, 0u);
+    EXPECT_EQ(plane->LiveGrantCount(), 0u);
+    if (trace_guard.DumpIfFailed()) {
+      break;
+    }
+  }
+  for (int e : ends) {
+    EXPECT_EQ(e, 8);
+  }
+  EXPECT_GT(checks_with_cpu_cache, 0) << "no CPU cache ever held a slot";
   EXPECT_GT(total_checks, 24 * 20);
 }
 

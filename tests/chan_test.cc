@@ -754,7 +754,20 @@ TEST_F(ChanTest, SteadyStateSendPathMintsNothingAndChargesNoMintCost) {
         DIPC_CHECK((co_await chan.Release(env, msg.value())).ok());
       }
     };
-    co_await cycle(2 * kSlots);  // warm every slot's write + read template
+    // Warm every slot's write + read template. A one-message round trip on
+    // one CPU reuses one slot (its release goes back to this CPU's cache),
+    // so a batch takes every slot.
+    auto bufs = co_await chan.AcquireBufBatch(env, kSlots);
+    DIPC_CHECK(bufs.ok() && bufs.value().size() == kSlots);
+    std::vector<SendItem> items;
+    for (const SendBuf& b : bufs.value()) {
+      items.push_back(SendItem{b, 64});
+    }
+    DIPC_CHECK((co_await chan.SendBatch(env, items)).ok());
+    auto msgs = co_await chan.RecvBatch(env, kSlots);
+    DIPC_CHECK(msgs.ok() && msgs.value().size() == kSlots);
+    DIPC_CHECK((co_await chan.ReleaseBatch(env, msgs.value())).ok());
+    co_await cycle(2 * kSlots);
     EXPECT_EQ(chan.cold_mints(), 2u * kSlots);  // one wcap + one rcap per slot
     const uint64_t mints_before = codoms_.mint_count();
     machine_.costs().cap_setup = Duration::Micros(100);  // poison the mint
@@ -1336,77 +1349,150 @@ TEST_F(ChanTest, AbortKeepsTheCodeOfAPlaneAlreadyBroken) {
   EXPECT_EQ(from_aborted, ErrorCode::kBrokenChannel);
 }
 
-// --- The producer's slot reserve (1x1 planes) ---
+// --- Free-slot caches (chan/plane.h) ---
 
-// Several producer threads share one 2-slot Channel while a slow consumer
-// receives and releases two messages at a time. A pop that finds both
-// freed slots keeps one; the other goes to the reserve only when no
-// sibling is inside the pool pop, and is pushed back to the pool (waking
-// that sibling) otherwise. So every send completes, and no producer is
-// ever parked on the empty pool while the reserve holds a slot.
-TEST_F(ChanTest, ProducerThreadsNeverParkOnTheEmptyPoolWhileTheReserveHoldsASlot) {
+// Several producer threads on CPUs 0 and 1 share one 2-slot Channel while a
+// slow consumer receives and releases two messages at a time. With the
+// consumer on CPU 2, freed slots go to the pool: a pop that finds both keeps
+// one, and the other goes to the shared cache only when no sibling is inside
+// the pool pop (else it is pushed back, waking that sibling). With the
+// consumer on CPU 1, a slot CPU 1's threads acquired goes back to CPU 1's
+// cache, unless a sibling is inside the pool pop; then it goes to the pool
+// too. Either way every send completes, and no producer is ever parked on
+// the empty pool while any cache holds a slot.
+TEST_F(ChanTest, ProducerThreadsNeverParkOnTheEmptyPoolWhileAnyCacheHoldsASlot) {
   constexpr int kProducers = 4;
   constexpr int kSends = 12;
   constexpr int kTotal = kProducers * kSends;
-  os::Process& prod = dipc_.CreateDipcProcess("producer");
-  os::Process& cons = dipc_.CreateDipcProcess("consumer");
-  os::Process& watch = dipc_.CreateDipcProcess("monitor");
-  auto ch = Channel::Create(dipc_, prod, cons, {.slots = 2, .buf_bytes = 256});
-  ASSERT_TRUE(ch.ok());
-  std::shared_ptr<Channel> chan = ch.value();
-  int sent = 0;
-  int received = 0;
-  int samples_parked = 0;
-  int samples_reserved = 0;
-  int parked_with_reserve = 0;
-  for (int p = 0; p < kProducers; ++p) {
+  for (const int consumer_cpu : {2, 1}) {
+    SCOPED_TRACE("consumer on CPU " + std::to_string(consumer_cpu));
+    os::Process& prod = dipc_.CreateDipcProcess("producer");
+    os::Process& cons = dipc_.CreateDipcProcess("consumer");
+    os::Process& watch = dipc_.CreateDipcProcess("monitor");
+    auto ch = Channel::Create(dipc_, prod, cons, {.slots = 2, .buf_bytes = 256});
+    ASSERT_TRUE(ch.ok());
+    std::shared_ptr<Channel> chan = ch.value();
+    int sent = 0;
+    int received = 0;
+    int samples_parked = 0;
+    int samples_cached = 0;
+    int parked_with_cache = 0;
+    for (int p = 0; p < kProducers; ++p) {
+      kernel_.Spawn(
+          prod, "producer",
+          [&, chan](os::Env env) -> sim::Task<void> {
+            for (int i = 0; i < kSends; ++i) {
+              auto buf = co_await chan->AcquireBuf(env);
+              DIPC_CHECK(buf.ok());
+              EXPECT_TRUE((co_await chan->Send(env, buf.value(), 64)).ok());
+              ++sent;
+            }
+          },
+          /*pin_cpu=*/p % 2);
+    }
     kernel_.Spawn(
-        prod, "producer",
+        cons, "consumer",
         [&, chan](os::Env env) -> sim::Task<void> {
-          for (int i = 0; i < kSends; ++i) {
-            auto buf = co_await chan->AcquireBuf(env);
-            DIPC_CHECK(buf.ok());
-            EXPECT_TRUE((co_await chan->Send(env, buf.value(), 64)).ok());
-            ++sent;
+          while (received < kTotal) {
+            co_await env.kernel->Sleep(env, Duration::Micros(2));
+            auto msgs = co_await chan->RecvBatch(env, 2);
+            DIPC_CHECK(msgs.ok());
+            received += static_cast<int>(msgs.value().size());
+            EXPECT_TRUE((co_await chan->ReleaseBatch(env, msgs.value())).ok());
           }
         },
-        /*pin_cpu=*/p % 2);
+        consumer_cpu);
+    kernel_.Spawn(
+        watch, "monitor",
+        [&, chan](os::Env env) -> sim::Task<void> {
+          while (received < kTotal) {
+            const bool parked = chan->pool_parked() > 0;
+            samples_parked += parked ? 1 : 0;
+            samples_cached += chan->cached() > 0 ? 1 : 0;
+            parked_with_cache += parked && chan->cached() > 0 ? 1 : 0;
+            co_await env.kernel->Sleep(env, Duration::Nanos(20));
+          }
+        },
+        /*pin_cpu=*/3);
+    kernel_.Run();
+    EXPECT_EQ(sent, kTotal);
+    EXPECT_EQ(received, kTotal);
+    EXPECT_GT(samples_parked, 0) << "no producer ever waited: the test exercises nothing";
+    EXPECT_GT(samples_cached, 0) << "no cache ever held a slot";
+    EXPECT_EQ(parked_with_cache, 0) << "a producer parked while a cache held a slot";
   }
-  kernel_.Spawn(
-      cons, "consumer",
-      [&, chan](os::Env env) -> sim::Task<void> {
-        while (received < kTotal) {
-          co_await env.kernel->Sleep(env, Duration::Micros(2));
-          auto msgs = co_await chan->RecvBatch(env, 2);
-          DIPC_CHECK(msgs.ok());
-          received += static_cast<int>(msgs.value().size());
-          EXPECT_TRUE((co_await chan->ReleaseBatch(env, msgs.value())).ok());
-        }
-      },
-      /*pin_cpu=*/2);
-  kernel_.Spawn(
-      watch, "monitor",
-      [&, chan](os::Env env) -> sim::Task<void> {
-        while (received < kTotal) {
-          const bool parked = chan->pool_parked() > 0;
-          samples_parked += parked ? 1 : 0;
-          samples_reserved += chan->reserved() > 0 ? 1 : 0;
-          parked_with_reserve += parked && chan->reserved() > 0 ? 1 : 0;
-          co_await env.kernel->Sleep(env, Duration::Nanos(20));
-        }
-      },
-      /*pin_cpu=*/3);
+}
+
+// A slot released on the CPU that acquired it goes back to that CPU's
+// cache. An acquire on another CPU takes the pool's slots first and takes
+// from that cache only once its own cache, the shared one and the pool are
+// empty (a cross-CPU take), and it never parks while the cache holds one.
+TEST_F(ChanTest, AnAcquireTakesFromAnotherCpusCacheOnlyOnceThePoolIsEmpty) {
+  constexpr uint32_t kSlots = 4;
+  os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process& cons = dipc_.CreateDipcProcess("consumer");
+  auto ch = Channel::Create(dipc_, prod, cons, {.slots = kSlots, .buf_bytes = 256});
+  ASSERT_TRUE(ch.ok());
+  std::shared_ptr<Channel> chan = ch.value();
+  // Each step starts 10 us after the last, on the CPU it names, in the
+  // producer's process for an acquire and the consumer's for a release.
+  auto at = [&](int step, os::Process& proc, int cpu, auto body) {
+    kernel_.Spawn(
+        proc, "step",
+        [&, step, body](os::Env env) -> sim::Task<void> {
+          co_await env.kernel->Sleep(env, Duration::Micros(10.0 * step));
+          co_await body(env);
+        },
+        cpu);
+  };
+  auto send_all = [chan](os::Env env, uint32_t n) -> sim::Task<void> {
+    auto bufs = co_await chan->AcquireBufBatch(env, n);
+    DIPC_CHECK(bufs.ok() && bufs.value().size() == n);
+    std::vector<SendItem> items;
+    for (const SendBuf& b : bufs.value()) {
+      items.push_back(SendItem{b, 64});
+    }
+    DIPC_CHECK((co_await chan->SendBatch(env, items)).ok());
+  };
+  auto release_all = [chan](os::Env env) -> sim::Task<void> {
+    auto msgs = co_await chan->RecvBatch(env, kSlots);
+    DIPC_CHECK(msgs.ok());
+    DIPC_CHECK((co_await chan->ReleaseBatch(env, msgs.value())).ok());
+  };
+  uint64_t cpu0_after_take = 0, pool_after_take = 0, cpu0_after_pool = 0, pool_after_pool = 0;
+  // CPU 0 acquires every slot and releases them there: all go to its cache.
+  at(0, prod, 0, [&](os::Env env) -> sim::Task<void> { co_await send_all(env, kSlots); });
+  at(1, cons, 0, [&](os::Env env) -> sim::Task<void> {
+    co_await release_all(env);
+    EXPECT_EQ(chan->cached(0), kSlots);
+    EXPECT_EQ(chan->pool_free(), 0u);
+  });
+  // CPU 1 finds nothing of its own and an empty pool: it takes from CPU 0's
+  // cache. CPU 0 releases that slot, which goes to the pool.
+  at(2, prod, 1, [&](os::Env env) -> sim::Task<void> {
+    co_await send_all(env, 1);
+    cpu0_after_take = chan->cached(0);
+    pool_after_take = chan->pool_free();
+  });
+  at(3, cons, 0, [&](os::Env env) -> sim::Task<void> { co_await release_all(env); });
+  // Now the pool holds a slot: CPU 1 takes that one and leaves CPU 0's.
+  at(4, prod, 1, [&](os::Env env) -> sim::Task<void> {
+    EXPECT_EQ(chan->pool_free(), 1u);
+    co_await send_all(env, 1);
+    cpu0_after_pool = chan->cached(0);
+    pool_after_pool = chan->pool_free();
+  });
   kernel_.Run();
-  EXPECT_EQ(sent, kTotal);
-  EXPECT_EQ(received, kTotal);
-  EXPECT_GT(samples_parked, 0) << "no producer ever waited: the test exercises nothing";
-  EXPECT_GT(samples_reserved, 0) << "the reserve never held a slot";
-  EXPECT_EQ(parked_with_reserve, 0) << "a producer parked while the reserve held a slot";
+  EXPECT_EQ(cpu0_after_take, kSlots - 1);
+  EXPECT_EQ(pool_after_take, 0u);
+  EXPECT_EQ(cpu0_after_pool, kSlots - 1);
+  EXPECT_EQ(pool_after_pool, 0u);
+  EXPECT_EQ(chan->pool_parked(), 0u);
 }
 
 // A lockstep one-message round trip over a DuplexChannel pops each ring's
 // shared free pool once per `slots` acquires: the first pop takes every
-// free slot and the reserve serves the next slots - 1 acquires, so the
+// free slot and the shared cache serves the next slots - 1 acquires, so the
 // pool's line, which the peer's Release writes, is read once per pool-full.
 TEST_F(ChanTest, LockstepDuplexRoundTripsPopEachPoolOncePerSlotsAcquires) {
 #ifdef DIPC_OBS_OFF
