@@ -120,13 +120,17 @@ sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool i
   stats_.l3_hits += n.l3_hits;
   stats_.mem_accesses += n.mem_accesses;
   stats_.remote_transfers += n.remote_transfers;
+  // Each add is an atomic, so only the counts that moved are added.
+  auto add = [](obs::Counter* counter, uint64_t lines) {
+    if (lines != 0) {
+      counter->Add(lines);
+    }
+  };
   const uint64_t l2_misses = n.l3_hits + n.mem_accesses + n.remote_transfers;
-  if (n.l2_hits + l2_misses > 0) {  // an all-L1 call counts nothing
-    m_remote_transfers_->Add(n.remote_transfers);
-    m_l1_misses_->Add(n.l2_hits + l2_misses);
-    m_l2_misses_->Add(l2_misses);
-    m_l3_misses_->Add(n.mem_accesses);
-  }
+  add(m_remote_transfers_, n.remote_transfers);
+  add(m_l1_misses_, n.l2_hits + l2_misses);
+  add(m_l2_misses_, l2_misses);
+  add(m_l3_misses_, n.mem_accesses);
   return total;
 }
 
