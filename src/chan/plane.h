@@ -66,8 +66,7 @@
 // they leave the pool's. A fabric call's serve thread runs on its caller's
 // CPU (the FUTEX_SWAP), so request and response slots return to the CPU
 // whose L1 and L2 hold them. A stream that acquires on one CPU and releases
-// on another refills from the pool through the shared cache, as a 1x1
-// plane's producer reserve did.
+// on another refills from the pool through the shared cache.
 //
 // Shapes and policies. Each side is given either as one process or as a
 // group of processes, and that alone sets its policy (at most one side is a
